@@ -461,21 +461,21 @@ def _run_serve(_sources, args) -> None:
     from ..transport import AsyncTransportServer
 
     recorder = FlightRecorder(slow_threshold_s=args.slow_threshold_ms / 1000.0)
-    if args.shard_workers:
-        from ..shard import ProcessShardCoordinator
+    shards = max(args.shards, 2) if args.shard_workers else args.shards
+    service: Any
+    if shards > 1:
+        from ..shard import ProcessShardCoordinator, ShardedEGService
 
-        service: Any = ProcessShardCoordinator(
-            max(args.shards, 2),
-            flight_recorder=recorder,
-        )
-    elif args.shards > 1:
-        from ..shard import ShardedEGService
-
-        service = ShardedEGService(
-            lambda _index: MaterializeAll(),
-            args.shards,
-            background=True,
-            flight_recorder=recorder,
+        # --shard-workers only picks the constructor
+        service = (
+            ProcessShardCoordinator(shards, flight_recorder=recorder)
+            if args.shard_workers
+            else ShardedEGService(
+                lambda _index: MaterializeAll(),
+                shards,
+                background=True,
+                flight_recorder=recorder,
+            )
         )
     else:
         from ..service import EGService
@@ -486,9 +486,9 @@ def _run_serve(_sources, args) -> None:
     server = AsyncTransportServer(service, host=args.host, port=args.port)
     host, port = server.start()
     topology = (
-        f"{max(args.shards, 2)} shard worker processes"
+        f"{shards} shard worker processes"
         if args.shard_workers
-        else f"{args.shards} shard(s)"
+        else f"{shards} shard(s)"
     )
     _print(
         f"serving on {host}:{port} ({topology}, "

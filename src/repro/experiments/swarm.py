@@ -398,18 +398,6 @@ def run_swarm(
             )
         if debug_cross_check:
             raise ValueError("debug_cross_check is in-process only")
-        return _run_swarm_multiproc(
-            clients=clients,
-            rounds=rounds,
-            op_seconds=op_seconds,
-            batch_linger_s=batch_linger_s,
-            queue_capacity=queue_capacity,
-            replay=replay,
-            shards=shards,
-            transport=transport,
-            transport_codec=transport_codec,
-            flight_recorder=flight_recorder,
-        )
     if shards > 1:
         if store is not None:
             raise ValueError(
@@ -425,6 +413,7 @@ def run_swarm(
             replay=replay,
             debug_cross_check=debug_cross_check,
             shards=shards,
+            processes=processes,
             transport=transport,
             transport_codec=transport_codec,
             adaptive=adaptive,
@@ -562,41 +551,63 @@ def _run_swarm_sharded(
     replay: bool,
     debug_cross_check: bool,
     shards: int,
+    processes: int = 1,
     transport: str | None = None,
     transport_codec: str = "binary",
     adaptive: bool = False,
     adaptive_config: Any | None = None,
     flight_recorder: Any | None = None,
 ) -> SwarmResult:
-    from ..shard import ShardedEGService
+    """The sharded swarm; ``processes`` only picks the constructor.
 
-    collector = batch_sizer = learned_model = None
-    sizer_factory = None
-    if adaptive:
-        # one collector (thread-safe) shared by every shard's cost
-        # queries; one batch sizer per shard — see ShardedEGService
-        collector, batch_sizer, learned_model = _wire_adaptive(adaptive_config)
-        from ..learn import AdaptiveBatchSizer
+    With ``processes > 1`` every shard runs in its own worker process
+    (tenants reach the coordinator in-process or, with
+    ``transport="tcp"``, through a parent-side transport server — two
+    transport hops end to end); everything else, replay check included,
+    is the same run.
+    """
+    from ..shard import ProcessShardCoordinator, ShardedEGService
+    from ..shard.persistence import load_partitioned_eg
 
-        shard_sizers = [batch_sizer] + [
-            AdaptiveBatchSizer(collector) for _ in range(shards - 1)
-        ]
+    collector = batch_sizer = None
+    service: Any
+    if processes > 1:
+        service = ProcessShardCoordinator(
+            shards,
+            queue_capacity=queue_capacity,
+            batch_linger_s=batch_linger_s,
+            request_timeout_s=60.0,
+            codec=transport_codec,
+            flight_recorder=flight_recorder,
+        )
+    else:
+        learned_model = None
+        sizer_factory = None
+        if adaptive:
+            # one collector (thread-safe) shared by every shard's cost
+            # queries; one batch sizer per shard — see ShardedEGService
+            collector, batch_sizer, learned_model = _wire_adaptive(adaptive_config)
+            from ..learn import AdaptiveBatchSizer
 
-        def sizer_factory(index: int):
-            return shard_sizers[index]
+            shard_sizers = [batch_sizer] + [
+                AdaptiveBatchSizer(collector) for _ in range(shards - 1)
+            ]
 
-    service = ShardedEGService(
-        lambda _index: MaterializeAll(),
-        shards,
-        load_cost_model=learned_model,
-        queue_capacity=queue_capacity,
-        batch_linger_s=batch_linger_s,
-        request_timeout_s=60.0,
-        background=True,
-        debug_cross_check=debug_cross_check,
-        batch_sizer_factory=sizer_factory,
-        flight_recorder=flight_recorder,
-    )
+            def sizer_factory(index: int):
+                return shard_sizers[index]
+
+        service = ShardedEGService(
+            lambda _index: MaterializeAll(),
+            shards,
+            load_cost_model=learned_model,
+            queue_capacity=queue_capacity,
+            batch_linger_s=batch_linger_s,
+            request_timeout_s=60.0,
+            background=True,
+            debug_cross_check=debug_cross_check,
+            batch_sizer_factory=sizer_factory,
+            flight_recorder=flight_recorder,
+        )
     server = pool = None
     if transport == "tcp":
         server, pool = _start_transport(service, clients, transport_codec)
@@ -640,10 +651,8 @@ def _run_swarm_sharded(
     if server is not None:
         wire_stats, client_wire_stats = _teardown_transport(server, pool)
     # snapshot telemetry before stop(): shutdown uninstalls the recorder
-    metrics_text = "\n".join(
-        [service.metrics_text()]
-        + [shard.metrics_text() for shard in service.shards]
-    )
+    # (the coordinator's metrics_text appends the per-shard sections)
+    metrics_text = service.metrics_text()
     recorder = service.flight_recorder
     recorder_stats = recorder.stats() if recorder is not None else {}
     service.stop()
@@ -652,127 +661,13 @@ def _run_swarm_sharded(
 
     stats = service.stats()
     log = service.commit_log()
-    flat = service.flatten()
-    result = SwarmResult(
-        clients=clients,
-        rounds=rounds,
-        workloads=len(log),
-        wall_seconds=wall_seconds,
-        stats=stats,
-        commit_labels=[record.label for record in log],
-        eg_vertices=flat.num_vertices,
-        eg_edges=flat.graph.number_of_edges(),
-        eg_materialized=len(flat.materialized_ids()),
-        store_bytes=sum(
-            partition.store.total_bytes
-            for partition in service.partitioned.partitions
-        ),
-        concurrent_fingerprint=eg_fingerprint(flat),
-        shards=shards,
-        shard_stats=service.shard_stats(),
-        stub_edges=service.partitioned.stub_count,
-        transport="tcp" if server is not None else "inproc",
-        transport_codec=transport_codec if server is not None else "",
-        wire_stats=wire_stats,
-        client_wire_stats=client_wire_stats,
-        adaptive=adaptive,
-        adaptive_report=(
-            _adaptive_report(collector, batch_sizer) if collector is not None else {}
-        ),
-        metrics_text=metrics_text,
-        recorder_stats=recorder_stats,
+    # worker processes persist their partitions on stop; in-process
+    # shards still hold theirs
+    partitioned = (
+        load_partitioned_eg(service.persist_dir)
+        if processes > 1
+        else service.partitioned
     )
-    if replay:
-        result.replay_fingerprint = eg_fingerprint(
-            replay_sharded(result.commit_labels, shards, op_seconds)
-        )
-    return result
-
-
-def _run_swarm_multiproc(
-    clients: int,
-    rounds: int,
-    op_seconds: float,
-    batch_linger_s: float,
-    queue_capacity: int,
-    replay: bool,
-    shards: int,
-    transport: str | None = None,
-    transport_codec: str = "binary",
-    flight_recorder: Any | None = None,
-) -> SwarmResult:
-    """The sharded swarm with one worker *process* per shard.
-
-    Same workload family, same replay check as the in-process sharded
-    run; tenants talk to the :class:`ProcessShardCoordinator` (in-process
-    or, with ``transport="tcp"``, through a parent-side transport server
-    fronting the coordinator — two transport hops end to end).
-    """
-    from ..shard import ProcessShardCoordinator
-    from ..shard.persistence import load_partitioned_eg
-
-    coordinator = ProcessShardCoordinator(
-        shards,
-        queue_capacity=queue_capacity,
-        batch_linger_s=batch_linger_s,
-        request_timeout_s=60.0,
-        codec=transport_codec,
-        flight_recorder=flight_recorder,
-    )
-    server = pool = None
-    if transport == "tcp":
-        server, pool = _start_transport(coordinator, clients, transport_codec)
-    sources = sharded_swarm_sources(shards)
-    errors: list[BaseException] = []
-
-    def tenant(index: int) -> None:
-        try:
-            if pool is not None:
-                from ..transport import TransportServiceClient
-
-                client_cm: Any = TransportServiceClient(
-                    name=f"client-{index}", cost_model=VirtualCostModel(), pool=pool
-                )
-            else:
-                client_cm = ServiceClient(
-                    coordinator, name=f"client-{index}", cost_model=VirtualCostModel()
-                )
-            with client_cm as client:
-                for round_index in range(rounds):
-                    client.run_script(
-                        sharded_swarm_script(index, round_index, shards, op_seconds),
-                        sources,
-                        label=f"{index}:{round_index}",
-                    )
-        except BaseException as error:  # noqa: BLE001 - surfaced after join
-            errors.append(error)
-
-    threads = [
-        threading.Thread(target=tenant, args=(index,), name=f"tenant-{index}")
-        for index in range(clients)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall_seconds = time.perf_counter() - started
-    wire_stats: dict = {}
-    client_wire_stats: dict = {}
-    if server is not None:
-        wire_stats, client_wire_stats = _teardown_transport(server, pool)
-    # snapshot telemetry before stop(): shutdown uninstalls the recorder
-    # (the coordinator's metrics_text already appends worker sections)
-    metrics_text = coordinator.metrics_text()
-    recorder = coordinator.flight_recorder
-    recorder_stats = recorder.stats() if recorder is not None else {}
-    coordinator.stop()
-    if errors:
-        raise errors[0]
-
-    stats = coordinator.stats()
-    log = coordinator.commit_log()
-    partitioned = load_partitioned_eg(coordinator.persist_dir)
     flat = partitioned.flatten()
     result = SwarmResult(
         clients=clients,
@@ -789,13 +684,17 @@ def _run_swarm_multiproc(
         ),
         concurrent_fingerprint=eg_fingerprint(flat),
         shards=shards,
-        processes=shards,
-        shard_stats=coordinator.shard_stats(),
-        stub_edges=coordinator.partitioned.stub_count,
+        processes=processes,
+        shard_stats=service.shard_stats(),
+        stub_edges=service.partitioned.stub_count,
         transport="tcp" if server is not None else "inproc",
         transport_codec=transport_codec if server is not None else "",
         wire_stats=wire_stats,
         client_wire_stats=client_wire_stats,
+        adaptive=adaptive,
+        adaptive_report=(
+            _adaptive_report(collector, batch_sizer) if collector is not None else {}
+        ),
         metrics_text=metrics_text,
         recorder_stats=recorder_stats,
     )

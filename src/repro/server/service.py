@@ -135,6 +135,7 @@ class CollaborativeOptimizer:
 
         commit = self.service.commit(self._session.session_id, workload)
         batch = commit.batch_report
+        assert batch is not None  # an in-process merge always reports its batch
         self.last_update_report = UpdateReport(
             new_sources=commit.new_sources,
             newly_materialized=batch.newly_materialized,

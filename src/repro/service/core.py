@@ -30,7 +30,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import ArtifactDivergenceError, ArtifactStore, LoadCostModel
@@ -155,8 +155,10 @@ class CommitResult:
     #: how many workloads were merged in the same batch
     batch_size: int
     new_sources: int
-    #: the full report of the batch this commit rode in (shared object)
-    batch_report: BatchUpdateReport
+    #: the full report of the batch this commit rode in (shared object);
+    #: ``None`` when the merge ran in a shard worker process — batch
+    #: reports stay worker-side
+    batch_report: BatchUpdateReport | None = None
 
 
 @dataclass(frozen=True)
@@ -736,6 +738,21 @@ class EGService:
     def eg(self) -> ExperimentGraph:
         """The live working EG (consistent after a commit returns)."""
         return self.versioned.working
+
+    @property
+    def version(self) -> int:
+        """Latest published EG version."""
+        return self.versioned.version
+
+    def snapshot(self, vertex_ids: Iterable[str] = ()) -> SnapshotLease:
+        """Pin the latest published snapshot for a reader of ``vertex_ids``.
+
+        This is what a sharding coordinator stitches cross-shard plans
+        from.  An in-process snapshot is shared whole, so the ids go
+        unused here; a shard in a worker process ships summaries of just
+        those vertices.
+        """
+        return self.versioned.acquire()
 
     def _record_utility_dirty(self) -> None:
         """Fold the utility index's dirty totals into the metrics (delta)."""

@@ -43,11 +43,11 @@ from ..client.parser import parse_workload
 from ..dataframe import Column, DataFrame
 from ..eg.graph import EGVertex, ExperimentGraph
 from ..eg.storage import ArtifactDivergenceError, SimpleArtifactStore, StorageTier
-from ..graph.artifacts import ArtifactMeta, ArtifactType
+from ..graph.artifacts import ArtifactType
 from ..graph.dag import Vertex, WorkloadDAG
-from ..graph.operations import Operation
 from ..graph.pruning import prune_workload
 from ..reuse.plan import ReusePlan
+from ..transport.wire import _decode_meta, _encode_meta, _WireOperation
 from .client import RetryPolicy
 from .core import EGService
 from .errors import (
@@ -189,42 +189,9 @@ def decode_payload(obj: dict[str, Any] | None) -> Any:
     raise ServiceError(f"unknown payload kind {kind!r}")
 
 
-def _encode_meta(meta: ArtifactMeta | None) -> dict[str, Any] | None:
-    if meta is None:
-        return None
-    record = asdict(meta)
-    record["artifact_type"] = meta.artifact_type.value
-    return record
-
-
-def _decode_meta(obj: dict[str, Any] | None) -> ArtifactMeta | None:
-    if obj is None:
-        return None
-    record = dict(obj)
-    record["artifact_type"] = ArtifactType(record["artifact_type"])
-    return ArtifactMeta(**record)
-
-
 # ----------------------------------------------------------------------
 # Workload DAG codec
 # ----------------------------------------------------------------------
-class _WireOperation(Operation):
-    """Structural stand-in for an operation decoded from the wire.
-
-    Carries the original identity hash so vertex ids recompute exactly;
-    it is never executed — the server only merges already-executed DAGs.
-    """
-
-    def __init__(
-        self, name: str, return_type: ArtifactType, params: dict, op_hash: str
-    ):
-        super().__init__(name, return_type, params)
-        self.op_hash = op_hash
-
-    def run(self, underlying_data: Any) -> Any:
-        raise ServiceError("wire operations carry identity only and cannot run")
-
-
 def encode_workload(dag: WorkloadDAG, include_payloads: bool) -> dict[str, Any]:
     """Encode a workload DAG; payloads only when transportable and asked for."""
     vertices = []

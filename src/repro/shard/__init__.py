@@ -7,12 +7,14 @@ The scale-out layer over the single-graph service stack:
 * :mod:`repro.shard.partition` — :class:`PartitionedExperimentGraph`,
   N ordinary Experiment Graphs joined by explicit cross-partition edge
   stubs, with composed union / utility / flatten;
-* :mod:`repro.shard.service` — :class:`ShardedEGService`, one merge
-  worker + snapshot chain + plan cache per shard behind a routing and
-  plan-stitching coordinator;
-* :mod:`repro.shard.proc` — :class:`ProcessShardCoordinator`, the same
-  coordinator semantics with every shard's service moved into its own
-  :class:`ShardWorkerProcess` behind the binary transport;
+* :mod:`repro.shard.service` — :class:`ShardedEGService`, the one
+  routing and plan-stitching coordinator, written over a list of
+  ``EGService``-shaped shards (in-process: one merge worker + snapshot
+  chain + plan cache per shard);
+* :mod:`repro.shard.proc` — :class:`RemoteShard`, the same shard surface
+  for a service hosted in its own :class:`ShardWorkerProcess` behind the
+  binary transport, and :class:`ProcessShardCoordinator`, which
+  constructs the coordinator over them;
 * :mod:`repro.shard.persistence` — save/load of all partitions plus the
   stub registry.
 """
@@ -25,8 +27,8 @@ from .persistence import (
 )
 from .proc import (
     ProcessShardCoordinator,
-    ProcShardTicket,
-    RemoteServicePlan,
+    RemoteShard,
+    RemoteSnapshot,
     ShardWorkerProcess,
     WorkerSpec,
 )
@@ -60,8 +62,8 @@ __all__ = [
     "ShardedUpdateTicket",
     "StitchedSnapshot",
     "ProcessShardCoordinator",
-    "ProcShardTicket",
-    "RemoteServicePlan",
+    "RemoteShard",
+    "RemoteSnapshot",
     "ShardWorkerProcess",
     "WorkerSpec",
     "save_partitioned_eg",

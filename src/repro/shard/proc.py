@@ -1,41 +1,39 @@
 """Multi-process shard scale-out: one worker process per shard.
 
-:class:`ProcessShardCoordinator` preserves :class:`ShardedEGService`
-semantics — gap-free global commit indices allocated under the submit
-lock, all-involved-shard backpressure checked *before* index allocation,
-per-shard FIFO piece dispatch — while each shard's
+:class:`ProcessShardCoordinator` is the one coordinator,
+:class:`~repro.shard.service.ShardedEGService`, constructed over
+:class:`RemoteShard` handles instead of in-process services: each shard's
 :class:`~repro.service.core.EGService` runs in its own
 :class:`ShardWorkerProcess` behind its own
-:class:`~repro.transport.server.AsyncTransportServer`.  An N-process
-swarm therefore converges bit-identically to the in-process sharded
-service and to sequential replay.
+:class:`~repro.transport.server.AsyncTransportServer`, and its
+``RemoteShard`` answers the slice of the ``EGService`` surface the
+coordinator calls by talking to that server.  Routing, the submit lock,
+gap-free global commit indices, backpressure-before-index, stitched
+planning and the telemetry rollup are the coordinator's and exist once;
+an N-process swarm therefore converges bit-identically to the in-process
+sharded service and to sequential replay.
 
-How the in-process invariants survive the wire:
+How a ``RemoteShard`` keeps the in-process contract over the wire:
 
-* **FIFO dispatch** — every shard gets one *dedicated* commit
-  connection.  ``shard.commit`` frames are submitted on it under the
-  coordinator's submit lock, stamped with a dense per-shard sequence
-  number; the worker's
-  :class:`~repro.transport.shardops.ShardCommitSequencer` releases
-  submissions in exactly that order, so each worker's merge queue sees
-  pieces in global commit order.
-* **Backpressure** — the coordinator tracks per-shard inflight commit
-  counts locally (incremented at dispatch, decremented by the commit
-  connection's ``response_hook`` as reply frames drain) and refuses a
-  submission unless *every* involved shard has headroom, before the
-  global index is allocated — exactly the in-process contract.
-* **Cross-shard planning** — multi-shard plans stitch from remote
-  snapshot summaries: ``shard.snapshot`` ships each involved shard's
-  bookkeeping (compute time, size, materialization, tier) for the
-  workload's lineage ids, the coordinator optimizes over the stitched
-  view with non-home artifacts priced :attr:`StorageTier.COLD` (same as
-  :class:`~repro.shard.service.StitchedSnapshot`), and ``shard.fetch``
-  ships the planned artifacts.
-* **Crash containment** — a dead worker turns into
+* **FIFO dispatch** — one *dedicated* commit connection.
+  ``shard.commit`` frames are submitted on it under the coordinator's
+  submit lock, stamped with a dense per-shard sequence number; the
+  worker's :class:`~repro.transport.shardops.ShardCommitSequencer`
+  releases submissions in exactly that order, so the worker's merge
+  queue sees pieces in global commit order.
+* **Backpressure** — ``queue_headroom`` is the queue capacity minus the
+  commits in flight: counted *before* the frame goes on the wire,
+  released by the commit connection's ``response_hook`` as reply frames
+  drain.
+* **Snapshot views** — ``snapshot(ids)`` ships the worker's bookkeeping
+  (compute time, size, materialization, tier) for those vertices over
+  ``shard.snapshot``; the view's ``fetch`` ships the planned artifacts in
+  one ``shard.fetch`` batch.
+* **Crash containment** — a lost connection or dead process turns into
   :class:`~repro.service.errors.ShardUnavailableError` on workloads
-  touching its shard while other shards keep serving;
-  :meth:`ProcessShardCoordinator.restart_worker` respawns it, lets it
-  reopen its partition persistence, and rejoins it to the swarm.
+  touching the shard while other shards keep serving;
+  :meth:`ProcessShardCoordinator.restart_worker` respawns the worker,
+  lets it reopen its partition persistence, and rejoins it to the swarm.
 
 Known limitations, by design: payloads that are not wire-transportable
 (e.g. fitted estimators) do not cross process boundaries — the client
@@ -47,37 +45,27 @@ gap-free and monotone throughout.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, cast
+from typing import Any, Iterable
 
-from ..eg.graph import EGVertex, ExperimentGraph
+from ..eg.graph import ExperimentGraph
 from ..eg.persistence import load_eg
 from ..eg.storage import ArtifactStore, LoadCostModel, StorageTier
-from ..graph.artifacts import ArtifactType
 from ..graph.dag import WorkloadDAG
-from ..obs.metrics import MetricsRegistry, get_registry, rollup_snapshots
-from ..obs.plane import FlightRecorder, install_recorder, uninstall_recorder
-from ..obs.slo import SLO, SLOEngine, default_service_slos
-from ..reuse.linear import LinearReuse
+from ..obs.metrics import MetricsRegistry
+from ..obs.plane import FlightRecorder
+from ..obs.slo import SLO
 from ..reuse.plan import ReusePlan
-from ..server.optimizer import OptimizationResult, Optimizer
-from ..service.core import CommitRecord, ServiceSession
-from ..service.errors import (
-    RequestTimeoutError,
-    ServiceError,
-    ServiceOverloadedError,
-    ServiceStoppedError,
-    ShardUnavailableError,
-    UnknownSessionError,
-)
-from ..service.stats import MetricsRecorder, ServiceStats
-from ..storage import TieredLoadCostModel
+from ..server.optimizer import OptimizationResult
+from ..service.core import CommitResult, ServicePlan, ServiceSession
+from ..service.errors import ServiceError, ShardUnavailableError
+from ..service.stats import ServiceStats
+from ..service.versioned import SnapshotLease
 from ..transport.client import (
     ConnectionPool,
     PendingReply,
@@ -88,14 +76,13 @@ from ..transport.errors import ConnectionLostError
 from ..transport.wire import encode_workload
 from .partition import PartitionedExperimentGraph
 from .persistence import load_partitioned_eg, write_partition_manifest
-from .routing import RoutedWorkload
-from .service import _SPAN_BUCKETS, ShardedCommitResult
+from .service import ShardedEGService
 
 __all__ = [
     "WorkerSpec",
     "ShardWorkerProcess",
-    "ProcShardTicket",
-    "RemoteServicePlan",
+    "RemoteSnapshot",
+    "RemoteShard",
     "ProcessShardCoordinator",
 ]
 
@@ -237,10 +224,6 @@ class ShardWorkerProcess:
         _, self.host, self.port = message
         return self.host, self.port
 
-    def start(self, timeout: float = 60.0) -> tuple[str, int]:
-        self.launch()
-        return self.wait_ready(timeout)
-
     @property
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
@@ -281,164 +264,65 @@ class ShardWorkerProcess:
             self._conn = None
 
 
-class ProcShardTicket:
-    """Pending multi-process commit: one wire reply per involved shard.
+class RemoteSnapshot(SnapshotLease):
+    """Lease-like view of one worker shard's published snapshot.
 
-    Mirrors :class:`~repro.shard.service.ShardedUpdateTicket`: ``wait``
-    shares one deadline across shards, a timeout propagates without
-    finalizing, a shard failure waits out the sibling pieces and then
-    finalizes the commit as rejected.
+    ``eg`` holds what the worker shipped: vertex summaries from
+    ``shard.snapshot`` (enough to plan against) and the artifacts a
+    ``plan`` reply or a :meth:`fetch` batch carried (enough to execute
+    against).  Nothing is pinned on the worker — the copies are local —
+    so :meth:`release` has nothing to drop.
     """
 
-    def __init__(
-        self,
-        coordinator: "ProcessShardCoordinator",
-        session_id: str,
-        label: str,
-        commit_index: int,
-        pending: dict[int, PendingReply],
-    ):
-        self._coordinator = coordinator
-        self.session_id = session_id
-        self.label = label
-        self.commit_index = commit_index
-        self.pending = pending
-        self._lock = threading.Lock()
-        self._result: ShardedCommitResult | None = None
-        self._error: BaseException | None = None
-        self._finalized = False
+    __slots__ = ("_shard",)
+    eg: _SnapshotStubEG
+
+    def __init__(self, shard: "RemoteShard", version: int):
+        self.eg = _SnapshotStubEG()
+        self.version = version
+        self._shard = shard
+
+    def fetch(self, vertex_ids: Iterable[str]) -> set[str]:
+        """Ship the named artifacts in one ``shard.fetch`` batch; returns
+        the ids that crossed the wire (unmaterialized or non-transportable
+        ones do not, and the caller recomputes them)."""
+        reply = self._shard._request({"op": "shard.fetch", "ids": list(vertex_ids)})
+        for record in reply["loads"]:
+            self.eg.add_load(record)
+        return {record["vertex_id"] for record in reply["loads"]}
+
+    def release(self) -> None:
+        pass
+
+
+class _PendingPiece:
+    """One ``shard.commit`` frame on the wire; the remote counterpart of
+    :class:`~repro.service.core.UpdateTicket`."""
+
+    def __init__(self, shard: "RemoteShard", reply: PendingReply):
+        self._shard = shard
+        self._reply = reply
 
     @property
     def done(self) -> bool:
-        return all(reply.ready for reply in self.pending.values())
+        return self._reply.ready
 
-    def wait(self, timeout: float | None = None) -> ShardedCommitResult:
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        results: dict[int, dict[str, Any]] = {}
-        failure: BaseException | None = None
-        for shard in sorted(self.pending):
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            try:
-                reply = self.pending[shard].wait(remaining)
-            except RequestTimeoutError:
-                raise
-            except ConnectionLostError as error:
-                self._coordinator._mark_dead(shard)
-                if failure is None:
-                    unavailable = ShardUnavailableError(
-                        f"shard {shard} worker connection lost during commit"
-                    )
-                    unavailable.__cause__ = error
-                    failure = unavailable
-            except BaseException as error:  # noqa: BLE001 - collected, re-raised
-                if failure is None:
-                    failure = error
-            else:
-                results[shard] = reply
-                self._coordinator._note_shard_version(shard, int(reply["version"]))
-        return self._finalize(results, failure)
-
-    def _finalize(
-        self, results: dict[int, dict[str, Any]], failure: BaseException | None
-    ) -> ShardedCommitResult:
-        with self._lock:
-            if not self._finalized:
-                self._finalized = True
-                if failure is not None:
-                    self._error = failure
-                    self._coordinator._finish_commit(self, None)
-                else:
-                    self._result = self._coordinator._finish_commit(self, results)
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
-        return self._result
-
-
-class _RemoteStitchedEG:
-    """Planner-facing EG view stitched from ``shard.snapshot`` summaries.
-
-    Duck-types exactly what planning reads — ``__contains__`` /
-    ``vertex`` / ``tier_of`` / ``materialized_ids`` /
-    ``warmstart_candidates`` — with non-home shards' artifacts priced
-    :attr:`StorageTier.COLD`, matching
-    :class:`~repro.shard.service.StitchedSnapshot` so remote stitched
-    plans make the same decisions the in-process coordinator would.
-    """
-
-    def __init__(self, home: int, owner: dict[str, int]):
-        self.home = home
-        self._owner = dict(owner)
-        self._vertices: dict[str, EGVertex] = {}
-        self._tiers: dict[str, StorageTier] = {}
-
-    def add_shard(self, shard: int, records: list[dict[str, Any]]) -> None:
-        for record in records:
-            vertex_id = record["i"]
-            self._vertices[vertex_id] = EGVertex(
-                vertex_id=vertex_id,
-                artifact_type=ArtifactType.DATASET,
-                compute_time=float(record["ct"]),
-                size=int(record["s"]),
-                materialized=bool(record["m"]),
-            )
-            if shard != self.home:
-                self._tiers[vertex_id] = StorageTier.COLD
-            else:
-                self._tiers[vertex_id] = StorageTier[record["t"]]
-
-    def owner_of(self, vertex_id: str) -> int | None:
-        return self._owner.get(vertex_id)
-
-    def __contains__(self, vertex_id: str) -> bool:
-        return vertex_id in self._vertices
-
-    def vertex(self, vertex_id: str) -> EGVertex:
-        return self._vertices[vertex_id]
-
-    def tier_of(self, vertex_id: str) -> StorageTier:
-        return self._tiers.get(vertex_id, StorageTier.HOT)
-
-    def is_materialized(self, vertex_id: str) -> bool:
-        record = self._vertices.get(vertex_id)
-        return record is not None and record.materialized
-
-    def materialized_ids(self) -> set[str]:
-        return {
-            vertex_id
-            for vertex_id, record in self._vertices.items()
-            if record.materialized
-        }
-
-    def warmstart_candidates(self, *_args: Any, **_kwargs: Any) -> list:
-        return []  # model payloads are not wire-transportable
-
-
-@dataclass
-class RemoteServicePlan:
-    """Coordinator-side plan over worker shards, with fetched artifacts.
-
-    Duck-types :class:`~repro.service.core.ServicePlan` (``result`` /
-    ``eg`` / ``version`` / ``release`` / context manager).  ``eg`` is a
-    :class:`_SnapshotStubEG` holding exactly the fetched planned loads —
-    the same stand-in the transport client executes against.
-    """
-
-    session_id: str
-    result: OptimizationResult
-    eg: Any
-    version: int
-
-    def release(self) -> None:
-        pass  # nothing leased: artifacts were copied over the wire
-
-    def __enter__(self) -> "RemoteServicePlan":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.release()
+    def wait(self, timeout: float | None = None) -> CommitResult:
+        shard = self._shard
+        try:
+            reply = self._reply.wait(timeout)
+        except ConnectionLostError as error:
+            shard._mark_dead()
+            raise ShardUnavailableError(
+                f"shard {shard.index} worker connection lost during commit"
+            ) from error
+        shard._note_version(int(reply["version"]))
+        return CommitResult(
+            commit_index=reply["commit_index"],
+            version=reply["version"],
+            batch_size=reply["batch_size"],
+            new_sources=reply["new_sources"],
+        )
 
 
 #: ServiceStats field names reconstructable from a ``shard.stats`` record
@@ -447,22 +331,300 @@ _STATS_FIELDS = frozenset(
 )
 
 
-def _stats_from_record(record: dict[str, Any] | None) -> ServiceStats:
-    if not record:
-        return ServiceStats()
-    return ServiceStats(
-        **{key: value for key, value in record.items() if key in _STATS_FIELDS}
-    )
+class RemoteShard:
+    """One shard's EG service in a worker process, answering the slice of
+    the :class:`~repro.service.core.EGService` surface the coordinator
+    calls (see the module docstring for how each part crosses the wire).
+    """
+
+    def __init__(
+        self,
+        spec: WorkerSpec,
+        registry: MetricsRegistry,
+        codec: str = "binary",
+        pool_size: int = 2,
+    ):
+        self.index = spec.shard_index
+        self.worker = ShardWorkerProcess(spec)
+        self.queue_capacity = spec.queue_capacity
+        self.request_timeout_s = spec.request_timeout_s
+        self._codec = codec
+        self._pool_size = pool_size
+        #: one dedicated commit connection (FIFO dispatch) plus a small
+        #: pool for plan/snapshot/fetch/stats/session traffic
+        self._commit_conn: TransportConnection | None = None
+        self._pool: ConnectionPool | None = None
+        #: guards the inflight count, the dead flag and the version
+        self._lock = threading.Lock()
+        #: dense commit sequence number (restarts with the worker)
+        self._seq = 0
+        #: commits dispatched but not yet drained off the wire
+        self._inflight = 0
+        self._dead = False
+        self._stopped = False
+        #: last version the worker reported (its chain restarts on restart)
+        self.version = 0
+        #: latest ``shard.stats`` payload, kept through crashes and
+        #: refreshed one last time during stop for post-stop rollups
+        self._payload: dict[str, Any] | None = None
+        self._up = registry.gauge(
+            "repro_proc_worker_up",
+            "1 while the shard's worker process is alive and connected",
+            ("shard",),
+        )
+
+    # ------------------------------------------------------------------
+    # Wiring
+    # ------------------------------------------------------------------
+    def connect(self, timeout: float = 60.0) -> None:
+        """Wait for the launched worker's address and open its channels."""
+        host, port = self.worker.wait_ready(timeout)
+        self._commit_conn = TransportConnection(
+            host, port, codec=self._codec, response_hook=self._reply_drained
+        )
+        self._pool = ConnectionPool(
+            host,
+            port,
+            size=self._pool_size,
+            codec=self._codec,
+            timeout_s=self.request_timeout_s,
+        )
+        with self._lock:
+            self._dead = False
+            self._inflight = 0
+            self.version = 0
+        self._seq = 0
+        self._up.set(1.0, shard=str(self.index))
+
+    def restart(self, timeout: float = 60.0) -> None:
+        """Respawn the worker; it reopens its checkpointed partition.  The
+        fresh worker's sequencer expects 1 and its version chain restarts,
+        so :meth:`connect` resets both along with the inflight count."""
+        self.kill()
+        self.worker.launch()
+        self.connect(timeout)
+
+    def kill(self) -> None:
+        self.worker.kill()
+        self._disconnect()
+
+    def _disconnect(self) -> None:
+        connection, pool = self._commit_conn, self._pool
+        self._commit_conn = self._pool = None
+        if connection is not None:
+            connection.close()
+        if pool is not None:
+            pool.close()
+        self._up.set(0.0, shard=str(self.index))
+
+    def _reply_drained(self, _request_id: int, _kind: int) -> None:
+        # every frame on the dedicated connection is a commit reply; the
+        # hook fires even for timed-out waiters, so inflight never leaks
+        # (the guard keeps late frames of a dead-marked shard from
+        # driving the zeroed count negative)
+        with self._lock:
+            if self._inflight > 0:
+                self._inflight -= 1
+
+    def _ok(self) -> bool:
+        return not self._stopped and not self._dead and self.worker.alive
+
+    def _mark_dead(self) -> None:
+        with self._lock:
+            self._dead = True
+            self._inflight = 0
+        self._up.set(0.0, shard=str(self.index))
+
+    def _note_version(self, version: int) -> None:
+        with self._lock:
+            if version > self.version:
+                self.version = version
+
+    def _request(self, message: dict[str, Any]) -> Any:
+        """One pooled round trip to the worker, with crash translation."""
+        pool = self._pool
+        if self._dead or pool is None:
+            raise ShardUnavailableError(f"shard {self.index} worker is unavailable")
+        try:
+            return pool.request(message)
+        except ConnectionLostError as error:
+            if not self.worker.alive:
+                self._mark_dead()
+            raise ShardUnavailableError(
+                f"shard {self.index} worker is unreachable: {error}"
+            ) from error
+
+    # ------------------------------------------------------------------
+    # Sessions and planning
+    # ------------------------------------------------------------------
+    def open_session(self, name: str | None = None) -> ServiceSession:
+        reply = self._request({"op": "open_session", "name": name})
+        return ServiceSession(session_id=reply["session_id"], name=reply["name"])
+
+    def close_session(self, session_id: str) -> None:
+        try:
+            self._request({"op": "close_session", "session_id": session_id})
+        except ServiceError:
+            pass  # a dead or stopped worker's sessions died with it
+
+    def plan(self, session_id: str, workload: WorkloadDAG) -> ServicePlan:
+        """Forward the ``plan`` op (the worker's snapshot lease,
+        version-keyed plan cache and all) and rebuild the response over
+        the shipped loads."""
+        planned = self._request(
+            {
+                "op": "plan",
+                "session_id": session_id,
+                "workload": encode_workload(workload, include_payloads=False),
+            }
+        )
+        lease = RemoteSnapshot(self, int(planned["version"]))
+        plan = ReusePlan(algorithm=planned["algorithm"])
+        plan.estimated_cost = planned["estimated_cost"]
+        load_tiers: dict[str, StorageTier] = {}
+        for record in planned["loads"]:
+            lease.eg.add_load(record)
+            plan.loads.add(record["vertex_id"])
+            load_tiers[record["vertex_id"]] = StorageTier[record["tier"]]
+        result = OptimizationResult(
+            plan=plan,
+            planning_seconds=planned["planning_seconds"],
+            load_tiers=load_tiers,
+        )
+        return ServicePlan(session_id=session_id, result=result, lease=lease)
+
+    def snapshot(self, vertex_ids: Iterable[str] = ()) -> RemoteSnapshot:
+        """Summaries of ``vertex_ids`` off one worker-side snapshot."""
+        reply = self._request({"op": "shard.snapshot", "ids": list(vertex_ids)})
+        lease = RemoteSnapshot(self, int(reply["version"]))
+        for record in reply["vertices"]:
+            lease.eg.add_summary(record)
+        return lease
+
+    # ------------------------------------------------------------------
+    # Commit dispatch
+    # ------------------------------------------------------------------
+    def queue_headroom(self) -> int:
+        """Free slots in the inflight window; raises
+        :class:`ShardUnavailableError` when the worker is gone, so the
+        coordinator refuses the workload before burning an index."""
+        if not self._ok():
+            raise ShardUnavailableError(f"shard {self.index} worker is unavailable")
+        with self._lock:
+            return self.queue_capacity - self._inflight
+
+    def submit_update(
+        self, session_id: str, piece: WorkloadDAG, label: str = ""
+    ) -> _PendingPiece:
+        """Put one piece on the dedicated commit connection; non-blocking.
+
+        Called under the coordinator's submit lock, which is what fixes
+        the wire order and makes the sequence number dense.
+        """
+        connection = self._commit_conn
+        if connection is None or not self._ok():
+            raise ShardUnavailableError(f"shard {self.index} worker is unavailable")
+        message = {
+            "op": "shard.commit",
+            "session_id": session_id,
+            "seq": self._seq + 1,
+            "label": label,
+            "workload": encode_workload(piece, include_payloads=True),
+        }
+        # count the commit in flight *before* the frame leaves: the reply
+        # hook can run before submit() returns, and a decrement that
+        # found nothing to release would leak the slot for good
+        with self._lock:
+            self._inflight += 1
+        try:
+            reply = connection.submit(message)
+        except ConnectionLostError as error:
+            # the frame never left; dead-marking forgets every slot of the
+            # lost connection, this one included
+            self._mark_dead()
+            raise ShardUnavailableError(
+                f"shard {self.index} worker dropped its commit connection"
+            ) from error
+        self._seq += 1
+        return _PendingPiece(self, reply)
+
+    # ------------------------------------------------------------------
+    # Telemetry, served from the worker's ``shard.stats`` payload
+    # ------------------------------------------------------------------
+    def _refresh(self) -> dict[str, Any]:
+        """The worker's stats + health + metrics in one round trip; a dead
+        or stopped worker reports its last known payload."""
+        if self._ok():
+            try:
+                self._payload = self._request({"op": "shard.stats"})
+            except (ServiceError, OSError):
+                pass
+        self._up.set(1.0 if self._ok() else 0.0, shard=str(self.index))
+        return self._payload or {}
+
+    def stats(self) -> ServiceStats:
+        record = self._refresh().get("stats") or {}
+        return ServiceStats(
+            **{key: value for key, value in record.items() if key in _STATS_FIELDS}
+        )
+
+    def health(self) -> dict[str, Any]:
+        health = self._refresh().get("health")
+        if self._ok() and health is not None:
+            return health
+        return {
+            "status": "stopped" if self._stopped else "unavailable",
+            "version": self.version,
+            "queue": {"depth": 0, "capacity": 0, "peak": 0, "headroom": 0},
+        }
+
+    def metrics_snapshot(self) -> dict[str, Any]:
+        return self._refresh().get("metrics") or {}
+
+    def metrics_text(self) -> str:
+        """The live worker's own Prometheus exposition ("" once it is gone)."""
+        if not self._ok():
+            return ""
+        try:
+            return self._request({"op": "metrics", "format": "text"})["text"]
+        except (ServiceError, OSError):
+            return ""
+
+    def store_statistics(self) -> dict:
+        return {}  # the store lives in the worker process
+
+    # ------------------------------------------------------------------
+    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
+        """Drain the inflight window, keep one last stats payload, then
+        stop the worker — which drains its queue and checkpoints.
+
+        The worker gets a small floor on top of whatever ``timeout`` left
+        over so its final checkpoint (which ``flatten`` reads) completes.
+        """
+        if self._stopped:
+            return
+        deadline = time.monotonic() + timeout
+        while drain and self._ok() and time.monotonic() < deadline:
+            with self._lock:
+                if self._inflight == 0:
+                    break
+            time.sleep(0.005)
+        self._refresh()
+        self._stopped = True
+        self.worker.stop(drain=drain, timeout=max(1.0, deadline - time.monotonic()))
+        self._disconnect()
 
 
-class ProcessShardCoordinator:
-    """Coordinator over N shard worker processes (see module docstring).
+class ProcessShardCoordinator(ShardedEGService):
+    """:class:`ShardedEGService` over N shard worker processes.
 
-    Drop-in for :class:`~repro.shard.service.ShardedEGService` where the
-    swarm, CLI, and transport server are concerned: same session /
-    plan / commit / stats / health / debug surface, same commit-order
-    guarantees, same telemetry contract — with per-shard merge work (and
-    the GIL it burns) moved into worker processes.
+    Only the construction differs: it spawns one
+    :class:`ShardWorkerProcess` per shard and hands the coordinator a
+    :class:`RemoteShard` for each.  The request path — sessions, plan,
+    commit, stats, health, debug — is the base class's, unchanged; what
+    this class adds is what only worker processes have: ``workers``,
+    ``persist_dir``, :meth:`restart_worker`, and a :meth:`flatten` that
+    reads the partitions back from the workers' checkpoints.
     """
 
     def __init__(
@@ -485,36 +647,30 @@ class ProcessShardCoordinator:
         slos: list[SLO] | None = None,
         start_timeout_s: float = 60.0,
     ):
-        if n_shards < 1:
-            raise ValueError("n_shards must be at least 1")
-        self.n_shards = n_shards
-        #: routing + stub registry + global commit counter only — the
-        #: partition *contents* live in the worker processes
-        self.partitioned = PartitionedExperimentGraph(n_shards)
-        self.load_cost_model = (
-            load_cost_model
-            if load_cost_model is not None
-            else TieredLoadCostModel.default()
+        # routing + stub registry + global commit counter only — the
+        # partition *contents* live in the worker processes; warmstart
+        # candidates are model payloads, which do not cross the wire
+        self._init_planning(
+            PartitionedExperimentGraph(n_shards),
+            reuse_algorithm,
+            load_cost_model,
+            False,
+            "best_quality",
+            request_timeout_s,
         )
-        self.reuse_algorithm = (
-            reuse_algorithm
-            if reuse_algorithm is not None
-            else LinearReuse(self.load_cost_model)
-        )
-        self.queue_capacity = queue_capacity
-        self.request_timeout_s = request_timeout_s
-        self._codec = codec
-        self._pool_size = pool_size
-
         self._tmpdir: tempfile.TemporaryDirectory | None = None
         if persist_dir is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-proc-shards-")
             persist_dir = self._tmpdir.name
-        self._persist_dir = Path(persist_dir)
-        self._persist_dir.mkdir(parents=True, exist_ok=True)
+        #: root of the partitioned persistence layout the workers write
+        self.persist_dir = Path(persist_dir)
+        self.persist_dir.mkdir(parents=True, exist_ok=True)
 
-        self.workers: list[ShardWorkerProcess] = [
-            ShardWorkerProcess(
+        registry = (
+            metrics_registry if metrics_registry is not None else MetricsRegistry()
+        )
+        shards = [
+            RemoteShard(
                 WorkerSpec(
                     shard_index=index,
                     n_shards=n_shards,
@@ -522,826 +678,86 @@ class ProcessShardCoordinator:
                     queue_capacity=queue_capacity,
                     batch_linger_s=batch_linger_s,
                     request_timeout_s=request_timeout_s,
-                    persist_dir=str(self._persist_dir),
+                    persist_dir=str(self.persist_dir),
                     checkpoint_every=checkpoint_every,
                     max_workers=worker_max_workers,
-                )
+                ),
+                registry,
+                codec=codec,
+                pool_size=pool_size,
             )
             for index in range(n_shards)
         ]
-
-        self._sessions: dict[str, ServiceSession] = {}
-        self._shard_sessions: dict[str, list[str]] = {}
-        self._session_counter = itertools.count(1)
-        self._registry_lock = threading.Lock()
-        #: serializes route -> backpressure -> index allocation -> split
-        #: -> dispatch, exactly like the in-process coordinator
-        self._submit_lock = threading.Lock()
-        self._commit_log: list[CommitRecord] = []
-        self._log_lock = threading.Lock()
-        self._stopped = False
-
-        #: per-shard dense commit sequence numbers (reset on restart)
-        self._seqs = [0] * n_shards
-        #: per-shard commits dispatched but not yet drained off the wire
-        self._inflight = [0] * n_shards
-        self._inflight_lock = threading.Lock()
-        self._dead = [False] * n_shards
-        #: last version each shard reported (its chain restarts on restart)
-        self._shard_versions = [0] * n_shards
-        #: latest ``shard.stats`` payload per shard, kept through crashes
-        #: and refreshed one last time during stop for post-stop rollups
-        self._payload_cache: dict[int, dict[str, Any]] = {}
-
-        self.metrics_registry = (
-            metrics_registry if metrics_registry is not None else MetricsRegistry()
-        )
-        self._metrics = MetricsRecorder(self.metrics_registry)
-        reg = self.metrics_registry
-        self._routed_counter = reg.counter(
-            "repro_shard_routed_workloads_total",
-            "workload pieces routed to each shard",
-            ("shard",),
-        )
-        self._cross_commits = reg.counter(
-            "repro_shard_cross_shard_commits_total",
-            "commits whose lineage spans more than one shard",
-        )
-        self._remote_loads = reg.counter(
-            "repro_shard_remote_planned_loads_total",
-            "planned loads resolved from a non-home shard",
-        )
-        self._span_hist = reg.histogram(
-            "repro_shard_workload_span",
-            "shards involved per routed workload",
-            buckets=_SPAN_BUCKETS,
-        )
-        self._stub_gauge = reg.gauge(
-            "repro_shard_stub_edges_total",
-            "cross-partition edge stubs registered",
-        )
-        self._shard_queue_gauge = reg.gauge(
-            "repro_shard_queue_depth",
-            "per-shard update-queue depth at last observation",
-            ("shard",),
-        )
-        self._shard_peak_gauge = reg.gauge(
-            "repro_shard_merge_queue_peak",
-            "per-shard high-water update-queue depth",
-            ("shard",),
-        )
-        self._worker_up = reg.gauge(
-            "repro_proc_worker_up",
-            "1 while the shard's worker process is alive and connected",
-            ("shard",),
-        )
-        self._worker_restarts = reg.counter(
+        self._worker_restarts = registry.counter(
             "repro_proc_worker_restarts_total",
             "shard worker processes respawned after a crash",
         )
-
-        #: the coordinator is inherently background (workers are async),
-        #: so None installs a recorder — same contract as a background
-        #: ShardedEGService.  Worker services run dark; their merge/queue
-        #: series come back through the shard.stats rollup instead.
-        recorder: FlightRecorder | None
-        if flight_recorder is None or flight_recorder is True:
-            recorder = FlightRecorder(registry=self.metrics_registry)
-        elif flight_recorder is False:
-            recorder = None
-        else:
-            recorder = flight_recorder
-        self.flight_recorder = recorder
-        self.slo_engine: SLOEngine | None = None
-        if recorder is not None:
-            install_recorder(recorder)
-            self.slo_engine = SLOEngine(
-                slos if slos is not None else default_service_slos(),
-                registries=[self.metrics_registry, get_registry()],
-                registry=self.metrics_registry,
-            )
-
-        #: one dedicated commit connection per shard (FIFO dispatch) plus
-        #: a small pool for plan/snapshot/fetch/stats/session traffic
-        self._commit_conns: list[TransportConnection | None] = [None] * n_shards
-        self._pools: list[ConnectionPool | None] = [None] * n_shards
         try:
             deadline = time.monotonic() + start_timeout_s
-            for worker in self.workers:
-                worker.launch()
-            for index, worker in enumerate(self.workers):
-                worker.wait_ready(max(1.0, deadline - time.monotonic()))
-                self._connect(index)
-                self._worker_up.set(1.0, shard=str(index))
+            for shard in shards:
+                shard.worker.launch()
+            for shard in shards:
+                shard.connect(max(1.0, deadline - time.monotonic()))
         except BaseException:
-            self._teardown_channels()
-            for worker in self.workers:
-                worker.kill()
+            for shard in shards:
+                shard.kill()
             raise
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def _connect(self, shard: int) -> None:
-        worker = self.workers[shard]
-        self._commit_conns[shard] = TransportConnection(
-            worker.host,
-            worker.port,
-            codec=self._codec,
-            response_hook=self._make_response_hook(shard),
-        )
-        self._pools[shard] = ConnectionPool(
-            worker.host,
-            worker.port,
-            size=self._pool_size,
-            codec=self._codec,
-            timeout_s=self.request_timeout_s,
+        # the coordinator is inherently background (workers are async), so
+        # None installs a recorder — same contract as a background
+        # in-process service.  Worker services run dark; their merge/queue
+        # series come back through the shard.stats rollup instead.
+        self._init_coordination(
+            shards,
+            registry,
+            flight_recorder if flight_recorder is not None else True,
+            slos,
+            [],
         )
 
-    def _make_response_hook(self, shard: int) -> Any:
-        def hook(_request_id: int, _kind: int) -> None:
-            # every frame on the dedicated connection is a commit reply;
-            # fires even for timed-out waiters, so inflight never leaks
-            with self._inflight_lock:
-                if self._inflight[shard] > 0:
-                    self._inflight[shard] -= 1
-
-        return hook
-
-    def _teardown_channels(self, shard: int | None = None) -> None:
-        indices = range(self.n_shards) if shard is None else [shard]
-        for index in indices:
-            connection = self._commit_conns[index]
-            pool = self._pools[index]
-            self._commit_conns[index] = None
-            self._pools[index] = None
-            if connection is not None:
-                connection.close()
-            if pool is not None:
-                pool.close()
-
-    def _worker_ok(self, shard: int) -> bool:
-        return not self._dead[shard] and self.workers[shard].alive
-
-    def _mark_dead(self, shard: int) -> None:
-        with self._inflight_lock:
-            already = self._dead[shard]
-            self._dead[shard] = True
-            self._inflight[shard] = 0
-        if not already:
-            self._worker_up.set(0.0, shard=str(shard))
-
-    def _note_shard_version(self, shard: int, version: int) -> None:
-        with self._inflight_lock:
-            if version > self._shard_versions[shard]:
-                self._shard_versions[shard] = version
-
-    def _shard_request(
-        self, shard: int, message: dict[str, Any], timeout_s: float | None = None
-    ) -> Any:
-        """One pooled round trip to a worker, with crash translation."""
-        if self._dead[shard]:
-            raise ShardUnavailableError(f"shard {shard} worker is unavailable")
-        pool = self._pools[shard]
-        if pool is None:
-            raise ShardUnavailableError(f"shard {shard} worker is not connected")
-        try:
-            return pool.request(
-                message,
-                timeout_s=(
-                    timeout_s if timeout_s is not None else self.request_timeout_s
-                ),
-            )
-        except ConnectionLostError as error:
-            if not self.workers[shard].alive:
-                self._mark_dead(shard)
-            raise ShardUnavailableError(
-                f"shard {shard} worker is unreachable: {error}"
-            ) from error
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     @property
-    def running(self) -> bool:
-        return not self._stopped
-
-    def _require_running(self) -> None:
-        if self._stopped:
-            raise ServiceStoppedError("service is stopped")
-
-    def __enter__(self) -> "ProcessShardCoordinator":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.stop(drain=True)
+    def workers(self) -> list[ShardWorkerProcess]:
+        return [shard.worker for shard in self.shards]
 
     def restart_worker(self, shard: int, start_timeout_s: float = 60.0) -> None:
         """Respawn one worker; it reopens its partition and rejoins.
 
-        Resets the shard's commit sequence (the fresh worker's sequencer
-        expects 1), clears its inflight count, restarts its version
-        chain, and re-opens worker-side sessions for every coordinator
-        session so existing clients keep committing without reconnect.
+        Holds the submit lock, so no piece is dispatched mid-restart, and
+        re-opens worker-side sessions for every coordinator session so
+        existing clients keep committing without reconnect.
         """
         with self._submit_lock:
             self._require_running()
-            old = self.workers[shard]
-            old.kill()
-            self._teardown_channels(shard)
-            worker = ShardWorkerProcess(old.spec)
-            worker.start(timeout=start_timeout_s)
-            self.workers[shard] = worker
-            self._connect(shard)
-            with self._inflight_lock:
-                self._dead[shard] = False
-                self._inflight[shard] = 0
-                self._shard_versions[shard] = 0
-            self._seqs[shard] = 0
+            remote = self.shards[shard]
+            remote.restart(start_timeout_s)
             self._worker_restarts.inc()
-            self._worker_up.set(1.0, shard=str(shard))
             with self._registry_lock:
                 sessions = list(self._sessions.values())
             for session in sessions:
-                reply = self._shard_request(
-                    shard,
-                    {"op": "open_session", "name": f"{session.name}@shard{shard}"},
-                )
+                opened = remote.open_session(f"{session.name}@shard{shard}")
                 with self._registry_lock:
                     shard_ids = self._shard_sessions.get(session.session_id)
                     if shard_ids is not None:
-                        shard_ids[shard] = reply["session_id"]
+                        shard_ids[shard] = opened.session_id
 
     def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
-        """Drain, snapshot final stats, then stop every worker.
-
-        One shared ``timeout`` budget spans the drain wait and the
-        per-worker stops; each worker still gets a small floor so its
-        final checkpoint (which :meth:`flatten` depends on) completes.
-        """
-        if self._stopped:
-            return
-        self._stopped = True
-        deadline = time.monotonic() + timeout
-        if drain:
-            while time.monotonic() < deadline:
-                with self._inflight_lock:
-                    busy = any(
-                        self._inflight[shard] > 0 and not self._dead[shard]
-                        for shard in range(self.n_shards)
-                    )
-                if not busy:
-                    break
-                time.sleep(0.005)
-        for shard in range(self.n_shards):
-            if self._worker_ok(shard):
-                try:
-                    self._payload_cache[shard] = self._shard_request(
-                        shard, {"op": "shard.stats"}
-                    )
-                except (ServiceError, ConnectionLostError, OSError):
-                    pass
-        for worker in self.workers:
-            worker.stop(drain=drain, timeout=max(1.0, deadline - time.monotonic()))
-        for shard in range(self.n_shards):
-            self._worker_up.set(0.0, shard=str(shard))
-        self._teardown_channels()
+        """Stop every worker under one shared deadline, then complete the
+        persistence layout with the manifest (stubs + global counter)."""
+        super().stop(drain=drain, timeout=timeout)
         try:
-            write_partition_manifest(self.partitioned, self._persist_dir)
+            write_partition_manifest(self.partitioned, self.persist_dir)
         except OSError:
             pass
-        if self.flight_recorder is not None:
-            uninstall_recorder(self.flight_recorder)
-
-    # ------------------------------------------------------------------
-    # Sessions (coordinator-level, mirrored onto every worker)
-    # ------------------------------------------------------------------
-    def open_session(self, name: str | None = None) -> ServiceSession:
-        self._require_running()
-        with self._registry_lock:
-            number = next(self._session_counter)
-            session = ServiceSession(
-                session_id=f"c{number:04d}", name=name or f"session-{number}"
-            )
-        shard_ids = [
-            self._shard_request(
-                shard, {"op": "open_session", "name": f"{session.name}@shard{shard}"}
-            )["session_id"]
-            for shard in range(self.n_shards)
-        ]
-        with self._registry_lock:
-            self._sessions[session.session_id] = session
-            self._shard_sessions[session.session_id] = shard_ids
-        self._metrics.register_session(session.session_id, session.name)
-        return session
-
-    def close_session(self, session_id: str) -> None:
-        with self._registry_lock:
-            self._sessions.pop(session_id, None)
-            shard_ids = self._shard_sessions.pop(session_id, None)
-        if shard_ids is None or self._stopped:
-            return
-        for shard in range(self.n_shards):
-            try:
-                self._shard_request(
-                    shard, {"op": "close_session", "session_id": shard_ids[shard]}
-                )
-            except (ShardUnavailableError, ServiceError):
-                continue  # a dead worker's sessions died with it
-
-    def _require_session(self, session_id: str) -> list[str]:
-        with self._registry_lock:
-            shard_ids = self._shard_sessions.get(session_id)
-        if shard_ids is None:
-            raise UnknownSessionError(f"no open session {session_id!r}")
-        return shard_ids
-
-    # ------------------------------------------------------------------
-    # Read side: forwarded or remote-stitched planning
-    # ------------------------------------------------------------------
-    def plan(self, session_id: str, workload: WorkloadDAG) -> RemoteServicePlan:
-        """Optimize against the worker shard(s) owning the lineage.
-
-        Single-shard lineages forward the existing ``plan`` op to that
-        worker (snapshot lease, version-keyed plan cache and all) and
-        rebuild the response client-side.  Multi-shard lineages stitch
-        ``shard.snapshot`` summaries, optimize at the coordinator, and
-        ``shard.fetch`` the planned artifacts.
-        """
-        shard_ids = self._require_session(session_id)
-        self._require_running()
-        routed = self.partitioned.route(workload)
-        involved = routed.involved_shards
-        if len(involved) == 1:
-            return self._plan_single(session_id, shard_ids, involved[0], workload)
-        return self._plan_stitched(session_id, workload, routed)
-
-    def _plan_single(
-        self,
-        session_id: str,
-        shard_ids: list[str],
-        shard: int,
-        workload: WorkloadDAG,
-    ) -> RemoteServicePlan:
-        with self._registry_lock:
-            session = self._sessions.get(session_id)
-        planned = self._shard_request(
-            shard,
-            {
-                "op": "plan",
-                "session_id": shard_ids[shard],
-                "tenant": session.name if session is not None else session_id,
-                "workload": encode_workload(workload, include_payloads=False),
-            },
-        )
-        stub = _SnapshotStubEG()
-        plan = ReusePlan(algorithm=planned["algorithm"])
-        plan.estimated_cost = planned["estimated_cost"]
-        load_tiers: dict[str, StorageTier] = {}
-        for record in planned["loads"]:
-            stub.add_load(record)
-            plan.loads.add(record["vertex_id"])
-            load_tiers[record["vertex_id"]] = StorageTier[record["tier"]]
-        self._metrics.record_plan(session_id, len(plan.loads))
-        result = OptimizationResult(
-            plan=plan,
-            planning_seconds=planned["planning_seconds"],
-            load_tiers=load_tiers,
-        )
-        return RemoteServicePlan(
-            session_id=session_id,
-            result=result,
-            eg=stub,
-            version=int(planned["version"]),
-        )
-
-    def _plan_stitched(
-        self, session_id: str, workload: WorkloadDAG, routed: RoutedWorkload
-    ) -> RemoteServicePlan:
-        home = routed.home_shard()
-        ids_by_shard: dict[int, list[str]] = {}
-        for vertex_id, shard in routed.owner.items():
-            ids_by_shard.setdefault(shard, []).append(vertex_id)
-        stitched = _RemoteStitchedEG(home=home, owner=routed.owner)
-        version = 0
-        for shard in routed.involved_shards:
-            reply = self._shard_request(
-                shard,
-                {"op": "shard.snapshot", "ids": sorted(ids_by_shard.get(shard, []))},
-            )
-            version += int(reply["version"])
-            stitched.add_shard(shard, reply["vertices"])
-        optimizer = Optimizer(
-            cast(ExperimentGraph, stitched), self.reuse_algorithm, warmstarting=False
-        )
-        result = optimizer.optimize(workload)
-        self._metrics.record_plan_cache(hit=False)
-        self._metrics.record_plan(session_id, len(result.plan.loads))
-        remote = sum(
-            1
-            for vertex_id in result.plan.loads
-            if stitched.owner_of(vertex_id) != home
-        )
-        if remote:
-            self._remote_loads.inc(remote)
-
-        fetch_by_shard: dict[int, list[str]] = {}
-        for vertex_id in sorted(result.plan.loads):
-            owner = stitched.owner_of(vertex_id)
-            if owner is not None:
-                fetch_by_shard.setdefault(owner, []).append(vertex_id)
-        stub = _SnapshotStubEG()
-        fetched: set[str] = set()
-        for shard in sorted(fetch_by_shard):
-            reply = self._shard_request(
-                shard, {"op": "shard.fetch", "ids": fetch_by_shard[shard]}
-            )
-            for record in reply["loads"]:
-                if shard != home:
-                    record = {**record, "tier": StorageTier.COLD.name}
-                stub.add_load(record)
-                fetched.add(record["vertex_id"])
-        # only fetched artifacts are loadable; the client recomputes the
-        # rest (same contract as the plan op's non-transportable skips)
-        result.plan.loads &= fetched
-        result.load_tiers = {
-            vertex_id: tier
-            for vertex_id, tier in result.load_tiers.items()
-            if vertex_id in fetched
-        }
-        return RemoteServicePlan(
-            session_id=session_id, result=result, eg=stub, version=version
-        )
-
-    # ------------------------------------------------------------------
-    # Write side: routed commit fan-out over dedicated connections
-    # ------------------------------------------------------------------
-    def submit_update(
-        self, session_id: str, executed: WorkloadDAG, label: str = ""
-    ) -> ProcShardTicket:
-        """Route, split, and dispatch one executed workload; non-blocking.
-
-        Mirrors the in-process coordinator exactly: backpressure checked
-        on every involved shard *before* the gap-free global index is
-        allocated, pieces dispatched in shard order under the submit
-        lock on each shard's dedicated commit connection.
-        """
-        shard_ids = self._require_session(session_id)
-        with self._submit_lock:
-            self._require_running()
-            routed = self.partitioned.route(executed)
-            involved = routed.involved_shards
-            for shard in involved:
-                if not self._worker_ok(shard):
-                    raise ShardUnavailableError(
-                        f"shard {shard} worker is unavailable"
-                    )
-                with self._inflight_lock:
-                    headroom = self.queue_capacity - self._inflight[shard]
-                if headroom < 1:
-                    self._metrics.record_overload()
-                    raise ServiceOverloadedError(
-                        f"shard {shard} update queue is full"
-                    )
-            commit_index = self.partitioned.next_global_index()
-            split = self.partitioned.split(executed, routed)
-            pending: dict[int, PendingReply] = {}
-            for shard in sorted(split.pieces):
-                piece = split.pieces[shard]
-                piece.global_index = commit_index
-                connection = self._commit_conns[shard]
-                assert connection is not None  # _worker_ok held above
-                try:
-                    pending[shard] = connection.submit(
-                        {
-                            "op": "shard.commit",
-                            "session_id": shard_ids[shard],
-                            "seq": self._seqs[shard] + 1,
-                            "label": label,
-                            "workload": encode_workload(
-                                piece, include_payloads=True
-                            ),
-                        }
-                    )
-                except ConnectionLostError as error:
-                    self._mark_dead(shard)
-                    raise ShardUnavailableError(
-                        f"shard {shard} worker dropped its commit connection"
-                    ) from error
-                self._seqs[shard] += 1
-                with self._inflight_lock:
-                    self._inflight[shard] += 1
-                self._routed_counter.inc(shard=str(shard))
-            self._span_hist.observe(float(len(involved)))
-            if len(involved) > 1:
-                self._cross_commits.inc()
-        return ProcShardTicket(self, session_id, label, commit_index, pending)
-
-    def commit(
-        self,
-        session_id: str,
-        executed: WorkloadDAG,
-        label: str = "",
-        timeout: float | None = None,
-    ) -> ShardedCommitResult:
-        ticket = self.submit_update(session_id, executed, label)
-        return ticket.wait(
-            timeout if timeout is not None else self.request_timeout_s
-        )
-
-    def _finish_commit(
-        self, ticket: ProcShardTicket, results: dict[int, dict[str, Any]] | None
-    ) -> ShardedCommitResult | None:
-        if results is None:
-            self._metrics.record_commit(ticket.session_id, merged=False)
-            return None
-        version = self.version
-        with self._log_lock:
-            self._commit_log.append(
-                CommitRecord(
-                    commit_index=ticket.commit_index,
-                    version=version,
-                    session_id=ticket.session_id,
-                    label=ticket.label,
-                )
-            )
-        self._metrics.record_commit(ticket.session_id, merged=True)
-        if self.slo_engine is not None:
-            self.slo_engine.maybe_evaluate()
-        return ShardedCommitResult(
-            commit_index=ticket.commit_index,
-            version=version,
-            batch_size=max(result["batch_size"] for result in results.values()),
-            new_sources=sum(result["new_sources"] for result in results.values()),
-            # wire records stand in for CommitResult (same key fields;
-            # batch reports stay worker-side)
-            shard_results=cast("dict[int, Any]", dict(results)),
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection and telemetry rollup
-    # ------------------------------------------------------------------
-    @property
-    def persist_dir(self) -> Path:
-        """Root of the partitioned persistence layout the workers write."""
-        return self._persist_dir
-
-    @property
-    def version(self) -> int:
-        """Sum of the last versions every shard reported (monotone while
-        all workers live; a restarted shard's chain restarts at 0)."""
-        with self._inflight_lock:
-            return sum(self._shard_versions)
-
-    def queue_headroom(self) -> int:
-        """Admission-facing headroom: the tightest live shard's slack."""
-        with self._inflight_lock:
-            slots = [
-                self.queue_capacity - self._inflight[shard]
-                for shard in range(self.n_shards)
-                if not self._dead[shard]
-            ]
-        return max(0, min(slots)) if slots else 0
-
-    def commit_log(self) -> list[CommitRecord]:
-        with self._log_lock:
-            return sorted(self._commit_log, key=lambda record: record.commit_index)
-
-    def store_statistics(self) -> dict:
-        return {
-            "mode": "multiprocess",
-            "workers": self.n_shards,
-            "note": "per-shard stores live in the worker processes",
-        }
-
-    def record_request_latency(self, seconds: float) -> None:
-        self._metrics.record_request_latency(seconds)
-
-    def record_retry(self, session_id: str) -> None:
-        self._metrics.record_retry(session_id)
 
     def flatten(self, store: ArtifactStore | None = None) -> ExperimentGraph:
         """Single-graph view reassembled from worker checkpoints.
 
         Requires a stopped coordinator: each worker persists its
         partition on graceful stop, and :meth:`stop` completes the
-        layout with the manifest (stubs + global counter).
+        layout with the manifest.
         """
         if not self._stopped:
             raise ServiceError(
                 "flatten() requires a stopped coordinator: workers persist "
                 "their partitions on graceful stop"
             )
-        return load_partitioned_eg(self._persist_dir).flatten(store)
-
-    def _shard_payloads(self) -> list[dict[str, Any] | None]:
-        """Latest ``shard.stats`` payload per shard (fetch, else cache)."""
-        payloads: list[dict[str, Any] | None] = []
-        for shard in range(self.n_shards):
-            if not self._stopped and self._worker_ok(shard):
-                try:
-                    self._payload_cache[shard] = self._shard_request(
-                        shard, {"op": "shard.stats"}
-                    )
-                except (ServiceError, ConnectionLostError, OSError):
-                    pass
-            payloads.append(self._payload_cache.get(shard))
-        return payloads
-
-    def shard_stats(self) -> list[ServiceStats]:
-        """Each worker shard's own frozen stats (dead workers report
-        their last known snapshot, or empty stats if none)."""
-        return [
-            _stats_from_record(payload.get("stats") if payload else None)
-            for payload in self._shard_payloads()
-        ]
-
-    def stats(self) -> ServiceStats:
-        """One aggregated :class:`ServiceStats`, same split as the
-        in-process coordinator: request-shaped counters from the
-        coordinator recorder, merge-shaped counters summed (maxima for
-        the ``max_*`` gauges) over the worker rollups."""
-        return self._aggregate_stats(self._shard_payloads())
-
-    def _aggregate_stats(
-        self, payloads: list[dict[str, Any] | None]
-    ) -> ServiceStats:
-        from dataclasses import replace
-
-        per_shard = [
-            _stats_from_record(payload.get("stats") if payload else None)
-            for payload in payloads
-        ]
-        for index, stats in enumerate(per_shard):
-            self._shard_queue_gauge.set(stats.queue_depth, shard=str(index))
-            self._shard_peak_gauge.set(stats.queue_peak, shard=str(index))
-            self._worker_up.set(
-                1.0 if not self._stopped and self._worker_ok(index) else 0.0,
-                shard=str(index),
-            )
-        self._stub_gauge.set(self.partitioned.stub_count)
-        with self._registry_lock:
-            open_sessions = len(self._sessions)
-        base = self._metrics.snapshot(
-            version=self.version,
-            open_sessions=open_sessions,
-            queue_depth=sum(stats.queue_depth for stats in per_shard),
-            queue_capacity=sum(stats.queue_capacity for stats in per_shard),
-            deferred_evictions=sum(stats.deferred_evictions for stats in per_shard),
-            queue_peak=max(stats.queue_peak for stats in per_shard),
-        )
-        return replace(
-            base,
-            batches=sum(stats.batches for stats in per_shard),
-            merged_workloads=sum(stats.merged_workloads for stats in per_shard),
-            max_batch_size=max(stats.max_batch_size for stats in per_shard),
-            merge_seconds_total=sum(stats.merge_seconds_total for stats in per_shard),
-            max_merge_seconds=max(stats.max_merge_seconds for stats in per_shard),
-            plan_cache_hits=base.plan_cache_hits
-            + sum(stats.plan_cache_hits for stats in per_shard),
-            plan_cache_misses=base.plan_cache_misses
-            + sum(stats.plan_cache_misses for stats in per_shard),
-            publishes=sum(stats.publishes for stats in per_shard),
-            publish_dirty_vertices=sum(
-                stats.publish_dirty_vertices for stats in per_shard
-            ),
-            utility_cost_dirty=sum(stats.utility_cost_dirty for stats in per_shard),
-            utility_potential_dirty=sum(
-                stats.utility_potential_dirty for stats in per_shard
-            ),
-            overload_rejections=base.overload_rejections
-            + sum(stats.overload_rejections for stats in per_shard),
-        )
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """Coordinator registry plus every worker's snapshot, merged
-        losslessly with worker series labelled ``shard=<index>``."""
-        payloads = self._shard_payloads()
-        self._aggregate_stats(payloads)  # refresh the repro_* gauges
-        children = {
-            f"shard{index}": payload["metrics"]
-            for index, payload in enumerate(payloads)
-            if payload is not None and payload.get("metrics")
-        }
-        return rollup_snapshots(
-            self.metrics_registry.snapshot(), children, label="shard"
-        )
-
-    def metrics_text(self) -> str:
-        """Prometheus exposition: coordinator registry, then each live
-        worker's own exposition under a source-comment banner."""
-        payloads = self._shard_payloads()
-        self._aggregate_stats(payloads)
-        parts = [self.metrics_registry.render_prometheus()]
-        for shard in range(self.n_shards):
-            if self._stopped or not self._worker_ok(shard):
-                continue
-            try:
-                text = self._shard_request(shard, {"op": "metrics", "format": "text"})
-            except (ServiceError, ConnectionLostError, OSError):
-                continue
-            parts.append(f"# source: shard{shard} worker\n{text['text']}")
-        return "\n".join(parts)
-
-    def health(self) -> dict[str, Any]:
-        """Coordinator health with per-worker status; a crashed worker
-        reports ``unavailable`` while its siblings stay ``ok``."""
-        payloads = self._shard_payloads()
-        alerts: list[dict[str, str]] = []
-        if self.slo_engine is not None:
-            self.slo_engine.maybe_evaluate()
-            alerts = self.slo_engine.active()
-        empty_queue = {"depth": 0, "capacity": 0, "peak": 0, "headroom": 0}
-        shards = []
-        for shard, payload in enumerate(payloads):
-            live = not self._stopped and self._worker_ok(shard)
-            worker_health = payload.get("health") if payload else None
-            if live and worker_health is not None:
-                shards.append(
-                    {
-                        "shard": shard,
-                        "status": worker_health.get("status", "ok"),
-                        "version": worker_health.get("version", 0),
-                        "queue": worker_health.get("queue", dict(empty_queue)),
-                    }
-                )
-            else:
-                shards.append(
-                    {
-                        "shard": shard,
-                        "status": "stopped" if self._stopped else "unavailable",
-                        "version": self._shard_versions[shard],
-                        "queue": dict(empty_queue),
-                    }
-                )
-        if self._stopped:
-            status = "stopped"
-        elif alerts or any(entry["status"] != "ok" for entry in shards):
-            status = "degraded"
-        else:
-            status = "ok"
-        with self._registry_lock:
-            open_sessions = len(self._sessions)
-        return {
-            "status": status,
-            "version": self.version,
-            "open_sessions": open_sessions,
-            "queue": {
-                "depth": sum(entry["queue"]["depth"] for entry in shards),
-                "capacity": sum(entry["queue"]["capacity"] for entry in shards),
-                "peak": max(entry["queue"]["peak"] for entry in shards),
-                "headroom": sum(entry["queue"]["headroom"] for entry in shards),
-            },
-            "shards": shards,
-            "workers": [
-                {
-                    "shard": shard,
-                    "alive": self._worker_ok(shard) and not self._stopped,
-                    "pid": (
-                        self.workers[shard].process.pid
-                        if self.workers[shard].process is not None
-                        else None
-                    ),
-                }
-                for shard in range(self.n_shards)
-            ],
-            "recorder": (
-                self.flight_recorder.stats()
-                if self.flight_recorder is not None
-                else None
-            ),
-            "slo": self.slo_engine.status() if self.slo_engine is not None else None,
-            "alerts": alerts,
-        }
-
-    def debug_info(
-        self, traces: int = 16, spans: int = 20, trace_id: str | None = None
-    ) -> dict[str, Any]:
-        recorder = self.flight_recorder
-        if self.slo_engine is not None:
-            self.slo_engine.maybe_evaluate()
-        info: dict[str, Any] = {
-            "recorder": recorder.stats() if recorder is not None else None,
-            "recent_traces": (
-                recorder.kept_traces(traces) if recorder is not None else []
-            ),
-            "slowest_spans": (
-                recorder.slowest_spans(spans) if recorder is not None else []
-            ),
-            "alerts": self.slo_engine.journal() if self.slo_engine is not None else [],
-            "shards": [
-                {
-                    "shard": index,
-                    "alive": self._worker_ok(index) and not self._stopped,
-                    "queue_depth": stats.queue_depth,
-                    "queue_peak": stats.queue_peak,
-                    "batches": stats.batches,
-                    "merged_workloads": stats.merged_workloads,
-                    "plan_cache_hit_rate": stats.plan_cache_hit_rate,
-                }
-                for index, stats in enumerate(self.shard_stats())
-            ],
-        }
-        if trace_id is not None and recorder is not None:
-            info["trace"] = recorder.trace(trace_id)
-        return info
+        return load_partitioned_eg(self.persist_dir).flatten(store)

@@ -1,11 +1,19 @@
 """Sharded Experiment Graph service: N merge workers behind one coordinator.
 
-:class:`ShardedEGService` runs one full :class:`~repro.service.core.EGService`
-per shard — its own merge worker (or inline merge path), its own
+:class:`ShardedEGService` coordinates a list of shards, each one full
+:class:`~repro.service.core.EGService` — its own merge worker (or inline
+merge path), its own
 :class:`~repro.service.versioned.VersionedExperimentGraph` snapshot chain,
 and its own version-keyed plan cache — over the partitions of one
-:class:`~repro.shard.partition.PartitionedExperimentGraph`.  A thin
-coordinator owns routing and global ordering:
+:class:`~repro.shard.partition.PartitionedExperimentGraph`.  The
+coordinator is written once against the slice of the ``EGService``
+surface it calls (``open_session`` / ``close_session`` / ``plan`` /
+``queue_headroom`` / ``submit_update`` / ``snapshot`` / ``version`` /
+``stats`` / ``health`` / ``metrics_*`` / ``stop``): in-process shards are
+plain ``EGService`` objects, and a
+:class:`~repro.shard.proc.RemoteShard` answers the same slice for a shard
+hosted in a worker process.  The coordinator owns routing and global
+ordering:
 
 * **commit** — the coordinator routes the executed workload by root-lineage
   fingerprint, checks backpressure on *every* involved shard before
@@ -19,9 +27,9 @@ coordinator owns routing and global ordering:
   guarantee (each shard's sub-graph replays exactly the flat sequence).
 * **plan** — a workload whose lineage lives on one shard is delegated to
   that shard's service (snapshot lease, plan cache and all).  A workload
-  spanning shards gets a :class:`StitchedSnapshot`: one lease per involved
-  shard, vertex resolution through the owner map, with every non-home
-  shard's artifacts priced as remote — reported at
+  spanning shards gets a :class:`StitchedSnapshot`: one snapshot view per
+  involved shard, vertex resolution through the owner map, with every
+  non-home shard's artifacts priced as remote — reported at
   :attr:`~repro.eg.storage.StorageTier.COLD` so the
   :class:`~repro.storage.TieredLoadCostModel` charges them at transfer
   (disk) bandwidth rather than local-RAM speed.
@@ -39,22 +47,23 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, cast
+from typing import Any, Callable, Iterable, cast
 
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import ArtifactStore, LoadCostModel, StorageTier
 from ..graph.dag import WorkloadDAG
 from ..materialization.base import Materializer
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import MetricsRegistry, get_registry, rollup_snapshots
 from ..obs.plane import FlightRecorder, install_recorder, uninstall_recorder
 from ..obs.slo import SLO, SLOEngine, default_service_slos
 from ..reuse.linear import LinearReuse
 from ..server.optimizer import OptimizationResult, Optimizer
-from ..service.core import CommitRecord, CommitResult, EGService, ServiceSession, UpdateTicket
+from ..service.core import CommitRecord, CommitResult, EGService, ServiceSession
 from ..service.errors import (
     RequestTimeoutError,
     ServiceOverloadedError,
     ServiceStoppedError,
+    ShardUnavailableError,
     UnknownSessionError,
 )
 from ..service.stats import MetricsRecorder, ServiceStats
@@ -80,11 +89,18 @@ class StitchedSnapshot:
 
     Duck-types the slice of :class:`~repro.eg.graph.ExperimentGraph` that
     planning and execution read — ``__contains__`` / ``vertex`` / ``load``
-    / ``tier_of`` / ``warmstart_candidates`` / ``materialized_ids`` —
-    resolving each vertex to the one shard that owns it.  Artifacts owned
-    by a shard other than ``home`` report :attr:`StorageTier.COLD`, which
-    is how "remote materialized artifact" turns into a load-vertex priced
-    through the tiered load-cost model's cold (transfer-bandwidth) arm.
+    / ``tier_of`` / ``is_materialized`` / ``warmstart_candidates`` /
+    ``materialized_ids`` — resolving each vertex to the one shard that
+    owns it.  Artifacts owned by a shard other than ``home`` report
+    :attr:`StorageTier.COLD`, which is how "remote materialized artifact"
+    turns into a load-vertex priced through the tiered load-cost model's
+    cold (transfer-bandwidth) arm.
+
+    A lease is whatever the shard's ``snapshot()`` returned: a
+    :class:`~repro.service.versioned.SnapshotLease` on an in-process
+    shard's published graph, or a worker shard's
+    :class:`~repro.shard.proc.RemoteSnapshot` holding the summaries it
+    shipped.
     """
 
     def __init__(
@@ -141,6 +157,10 @@ class StitchedSnapshot:
             return StorageTier.COLD
         return self.leases[shard].eg.tier_of(vertex_id)
 
+    def is_materialized(self, vertex_id: str) -> bool:
+        shard = self.owner_of(vertex_id)
+        return shard is not None and self.leases[shard].eg.is_materialized(vertex_id)
+
     def warmstart_candidates(self, training_input_id: str, model_type: str) -> list:
         shard = self.owner_of(training_input_id)
         if shard is None:
@@ -154,6 +174,19 @@ class StitchedSnapshot:
         for lease in self.leases.values():
             materialized |= lease.eg.materialized_ids()
         return materialized
+
+    def fetch(self, vertex_ids: Iterable[str]) -> set[str]:
+        """Make planned loads loadable, one batch per owning shard;
+        returns the ids :meth:`load` can now serve."""
+        by_shard: dict[int, list[str]] = {}
+        for vertex_id in sorted(vertex_ids):
+            shard = self.owner_of(vertex_id)
+            if shard is not None:
+                by_shard.setdefault(shard, []).append(vertex_id)
+        fetched: set[str] = set()
+        for shard in sorted(by_shard):
+            fetched |= self.leases[shard].fetch(by_shard[shard])
+        return fetched
 
     def release(self) -> None:
         for lease in self.leases.values():
@@ -207,7 +240,9 @@ class ShardedCommitResult:
 
 
 class ShardedUpdateTicket:
-    """Pending cross-shard commit: one underlying ticket per involved shard."""
+    """Pending cross-shard commit: one underlying ticket per involved shard
+    (whatever that shard's ``submit_update`` returned — ``done`` plus
+    ``wait(timeout) -> CommitResult``)."""
 
     def __init__(
         self,
@@ -215,7 +250,7 @@ class ShardedUpdateTicket:
         session_id: str,
         label: str,
         commit_index: int,
-        tickets: dict[int, UpdateTicket],
+        tickets: dict[int, Any],
     ):
         self._coordinator = coordinator
         self.session_id = session_id
@@ -253,11 +288,6 @@ class ShardedUpdateTicket:
             except BaseException as error:  # noqa: BLE001 - collected, re-raised below
                 if failure is None:
                     failure = error
-        return self._finalize(results, failure)
-
-    def _finalize(
-        self, results: dict[int, CommitResult], failure: BaseException | None
-    ) -> ShardedCommitResult:
         with self._lock:
             if not self._finalized:
                 self._finalized = True
@@ -273,7 +303,12 @@ class ShardedUpdateTicket:
 
 
 class ShardedEGService:
-    """Coordinator over N per-shard :class:`EGService` instances."""
+    """Coordinator over N shards, each answering the ``EGService`` surface.
+
+    Constructed directly it builds one in-process :class:`EGService` per
+    shard; :class:`~repro.shard.proc.ProcessShardCoordinator` builds the
+    same coordinator over worker-process shards instead.
+    """
 
     def __init__(
         self,
@@ -296,29 +331,17 @@ class ShardedEGService:
         flight_recorder: FlightRecorder | bool | None = None,
         slos: list[SLO] | None = None,
     ):
-        if n_shards < 1:
-            raise ValueError("n_shards must be at least 1")
-        self.n_shards = n_shards
-        self.partitioned = PartitionedExperimentGraph(n_shards, stores=stores)
-        #: the default prices local artifacts at RAM speed (the hot arm
-        #: equals in-memory pricing) and remote ones — which the stitched
-        #: snapshot reports COLD — at transfer bandwidth
-        self.load_cost_model = (
-            load_cost_model
-            if load_cost_model is not None
-            else TieredLoadCostModel.default()
+        self._init_planning(
+            PartitionedExperimentGraph(n_shards, stores=stores),
+            reuse_algorithm,
+            load_cost_model,
+            warmstarting,
+            warmstart_policy,
+            request_timeout_s,
         )
-        self.reuse_algorithm = (
-            reuse_algorithm
-            if reuse_algorithm is not None
-            else LinearReuse(self.load_cost_model)
-        )
-        self.warmstarting = warmstarting
-        self.warmstart_policy = warmstart_policy
-        self.request_timeout_s = request_timeout_s
         #: each shard gets the full queue capacity: capacity bounds the
         #: per-merge-worker backlog, and there is one worker per shard
-        self.shards: list[EGService] = [
+        shards = [
             EGService(
                 materializer_factory(index),
                 reuse_algorithm=self.reuse_algorithm,
@@ -346,7 +369,58 @@ class ShardedEGService:
             )
             for index in range(n_shards)
         ]
+        self._init_coordination(
+            shards,
+            metrics_registry,
+            # same None-means-background contract as EGService
+            flight_recorder if flight_recorder is not None else background,
+            slos,
+            [shard.metrics_registry for shard in shards],
+        )
 
+    def _init_planning(
+        self,
+        partitioned: PartitionedExperimentGraph,
+        reuse_algorithm: Any,
+        load_cost_model: LoadCostModel | None,
+        warmstarting: bool,
+        warmstart_policy: str,
+        request_timeout_s: float,
+    ) -> None:
+        """Routing and planner state; set before the shards are built
+        because in-process shards plan with the same algorithm."""
+        self.n_shards = partitioned.n_partitions
+        self.partitioned = partitioned
+        #: the default prices local artifacts at RAM speed (the hot arm
+        #: equals in-memory pricing) and remote ones — which the stitched
+        #: snapshot reports COLD — at transfer bandwidth
+        self.load_cost_model = (
+            load_cost_model
+            if load_cost_model is not None
+            else TieredLoadCostModel.default()
+        )
+        self.reuse_algorithm = (
+            reuse_algorithm
+            if reuse_algorithm is not None
+            else LinearReuse(self.load_cost_model)
+        )
+        self.warmstarting = warmstarting
+        self.warmstart_policy = warmstart_policy
+        self.request_timeout_s = request_timeout_s
+
+    def _init_coordination(
+        self,
+        shards: list[Any],
+        metrics_registry: MetricsRegistry | None,
+        flight_recorder: FlightRecorder | bool,
+        slos: list[SLO] | None,
+        shard_registries: list[MetricsRegistry],
+    ) -> None:
+        """Session registry, commit order, instruments and the one
+        telemetry plane over ``shards``."""
+        #: EGService-shaped: in-process ``EGService`` objects, or
+        #: ``RemoteShard`` handles on worker processes
+        self.shards: list[Any] = shards
         self._sessions: dict[str, ServiceSession] = {}
         #: coordinator session id -> per-shard session ids (index by shard)
         self._shard_sessions: dict[str, list[str]] = {}
@@ -398,17 +472,13 @@ class ShardedEGService:
             ("shard",),
         )
 
-        #: one telemetry plane at the coordinator (see EGService: same
-        #: instance/True/False/None-means-background contract).  The SLO
-        #: engine reads the coordinator registry, every shard registry,
-        #: and the process-global one, so per-shard merge/queue series
-        #: burn the same budgets they would unsharded.
+        #: one telemetry plane at the coordinator (a recorder instance,
+        #: True for an own one, False for none).  The SLO engine reads the
+        #: coordinator registry, every in-process shard registry, and the
+        #: process-global one, so per-shard merge/queue series burn the
+        #: same budgets they would unsharded.
         recorder: FlightRecorder | None
-        if flight_recorder is None:
-            recorder = (
-                FlightRecorder(registry=self.metrics_registry) if background else None
-            )
-        elif flight_recorder is True:
+        if flight_recorder is True:
             recorder = FlightRecorder(registry=self.metrics_registry)
         elif flight_recorder is False:
             recorder = None
@@ -421,7 +491,7 @@ class ShardedEGService:
             self.slo_engine = SLOEngine(
                 slos if slos is not None else default_service_slos(),
                 registries=[self.metrics_registry]
-                + [shard.metrics_registry for shard in self.shards]
+                + shard_registries
                 + [get_registry()],
                 registry=self.metrics_registry,
             )
@@ -429,10 +499,6 @@ class ShardedEGService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        for shard in self.shards:
-            shard.start()
-
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
         """Stop every shard under one shared ``timeout`` budget.
 
@@ -465,18 +531,31 @@ class ShardedEGService:
     # Sessions (coordinator-level, mirrored onto every shard)
     # ------------------------------------------------------------------
     def open_session(self, name: str | None = None) -> ServiceSession:
+        """Mirror a session onto every shard, then register it.
+
+        Registered last, so a session the coordinator knows always has
+        all its shard sessions; a shard that cannot open one (a dead
+        worker) fails the whole call and the shards already opened are
+        closed again.
+        """
         self._require_running()
         with self._registry_lock:
             number = next(self._session_counter)
-            session = ServiceSession(
-                session_id=f"c{number:04d}", name=name or f"session-{number}"
-            )
-            self._sessions[session.session_id] = session
-        shard_ids = [
-            shard.open_session(f"{session.name}@shard{index}").session_id
-            for index, shard in enumerate(self.shards)
-        ]
+        session = ServiceSession(
+            session_id=f"c{number:04d}", name=name or f"session-{number}"
+        )
+        shard_ids: list[str] = []
+        try:
+            for index, shard in enumerate(self.shards):
+                shard_ids.append(
+                    shard.open_session(f"{session.name}@shard{index}").session_id
+                )
+        except BaseException:
+            for shard, shard_id in zip(self.shards, shard_ids):
+                shard.close_session(shard_id)
+            raise
         with self._registry_lock:
+            self._sessions[session.session_id] = session
             self._shard_sessions[session.session_id] = shard_ids
         self._metrics.register_session(session.session_id, session.name)
         return session
@@ -486,8 +565,8 @@ class ShardedEGService:
             self._sessions.pop(session_id, None)
             shard_ids = self._shard_sessions.pop(session_id, None)
         if shard_ids is not None:
-            for index, shard in enumerate(self.shards):
-                shard.close_session(shard_ids[index])
+            for shard, shard_id in zip(self.shards, shard_ids):
+                shard.close_session(shard_id)
 
     def _require_session(self, session_id: str) -> list[str]:
         with self._registry_lock:
@@ -526,7 +605,9 @@ class ShardedEGService:
         leases: dict[int, SnapshotLease] = {}
         try:
             for shard in routed.involved_shards:
-                leases[shard] = self.shards[shard].versioned.acquire()
+                leases[shard] = self.shards[shard].snapshot(
+                    sorted(v for v, owner in routed.owner.items() if owner == shard)
+                )
             snapshot = StitchedSnapshot(
                 leases=leases,
                 owner=routed.owner,
@@ -540,6 +621,14 @@ class ShardedEGService:
                 self.warmstart_policy,
             )
             result = optimizer.optimize(workload)
+            # only fetched artifacts are loadable; the client recomputes
+            # the rest (payloads that cannot cross a process boundary)
+            result.plan.loads &= snapshot.fetch(result.plan.loads)
+            result.load_tiers = {
+                vertex_id: tier
+                for vertex_id, tier in result.load_tiers.items()
+                if vertex_id in result.plan.loads
+            }
         except BaseException:
             for lease in leases.values():
                 lease.release()
@@ -567,7 +656,10 @@ class ShardedEGService:
 
         Backpressure is checked on **every** involved shard before the
         global commit index is allocated, so a rejected submission leaves
-        no gap in the commit order and no partially enqueued pieces.
+        no gap in the commit order and no partially enqueued pieces.  A
+        shard whose worker is gone raises
+        :class:`~repro.service.errors.ShardUnavailableError` from the
+        same check, equally before an index is burned.
         """
         shard_ids = self._require_session(session_id)
         with self._submit_lock:
@@ -582,7 +674,7 @@ class ShardedEGService:
                     )
             commit_index = self.partitioned.next_global_index()
             split = self.partitioned.split(executed, routed)
-            tickets: dict[int, UpdateTicket] = {}
+            tickets: dict[int, Any] = {}
             for shard in sorted(split.pieces):
                 piece = split.pieces[shard]
                 piece.global_index = commit_index
@@ -640,8 +732,19 @@ class ShardedEGService:
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
-        """Sum of all shards' published versions (monotone, starts at N×1)."""
-        return sum(shard.versioned.version for shard in self.shards)
+        """Sum of all shards' published versions (monotone while every
+        shard lives; a restarted worker shard's chain restarts at 0)."""
+        return sum(shard.version for shard in self.shards)
+
+    def queue_headroom(self) -> int:
+        """Admission-facing headroom: the tightest live shard's slack."""
+        slots: list[int] = []
+        for shard in self.shards:
+            try:
+                slots.append(shard.queue_headroom())
+            except ShardUnavailableError:
+                continue
+        return max(0, min(slots)) if slots else 0
 
     def flatten(self, store: ArtifactStore | None = None) -> ExperimentGraph:
         """Single-graph view of the partitioned EG (see
@@ -721,20 +824,35 @@ class ShardedEGService:
         )
 
     def metrics_text(self) -> str:
-        """Prometheus exposition of the coordinator registry (shard-level
-        series live in each shard service's own registry)."""
+        """Prometheus exposition: the coordinator registry, then each
+        shard's own exposition under a source-comment banner."""
         self.stats()  # refresh the repro_shard_* gauges first
-        return self.metrics_registry.render_prometheus()
+        parts = [self.metrics_registry.render_prometheus()]
+        for index, shard in enumerate(self.shards):
+            text = shard.metrics_text()
+            if text:
+                parts.append(f"# source: shard{index} worker\n{text}")
+        return "\n".join(parts)
 
     def metrics_snapshot(self) -> dict[str, Any]:
+        """Coordinator registry plus every shard's snapshot, merged
+        losslessly with shard series labelled ``shard=shard<index>``."""
         self.stats()
-        return self.metrics_registry.snapshot()
+        children = {
+            f"shard{index}": shard.metrics_snapshot()
+            for index, shard in enumerate(self.shards)
+        }
+        return rollup_snapshots(
+            self.metrics_registry.snapshot(), children, label="shard"
+        )
 
     # ------------------------------------------------------------------
     # Live introspection (the transport's ``health``/``debug`` ops)
     # ------------------------------------------------------------------
     def health(self) -> dict[str, Any]:
-        """Coordinator health plus a per-shard queue/status breakdown."""
+        """Coordinator health plus a per-shard queue/status breakdown; a
+        crashed worker shard reports ``unavailable`` while its siblings
+        stay ``ok``."""
         shard_health = [shard.health() for shard in self.shards]
         alerts: list[dict[str, str]] = []
         if self.slo_engine is not None:

@@ -114,9 +114,9 @@ class AdmissionController:
     """Applies one :class:`AdmissionPolicy` to a stream of requests.
 
     ``headroom`` reads the merge queue's free slots
-    (:meth:`~repro.service.core.EGService.queue_headroom`); ``None``
-    disables the headroom trigger (e.g. for a sharded coordinator, whose
-    per-shard backpressure already runs at submit time).
+    (:meth:`~repro.service.core.EGService.queue_headroom`; a sharded
+    coordinator reports its tightest live shard); ``None`` disables the
+    headroom trigger.
     """
 
     def __init__(

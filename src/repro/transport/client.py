@@ -53,7 +53,6 @@ from ..service.errors import (
     ShardUnavailableError,
     UnknownSessionError,
 )
-from ..service.tcp import _decode_meta
 from .codec import BinaryWireCodec, ColumnLedger, codec_for_id, make_codec
 from .errors import (
     CommitShedError,
@@ -66,7 +65,7 @@ from .errors import (
     TruncatedFrameError,
 )
 from .frames import KIND_ERROR, KIND_REQUEST, recv_frame, send_frame
-from .wire import decode_payload, encode_workload
+from .wire import _decode_meta, decode_payload, encode_workload
 
 __all__ = [
     "TransportConnection",
@@ -485,6 +484,22 @@ class _SnapshotStubEG(ExperimentGraph):
         )
         self.materialize(vertex_id, payload)
         self._tiers[vertex_id] = StorageTier[record["tier"]]
+
+    def add_summary(self, record: dict[str, Any]) -> None:
+        """Bookkeeping of one vertex from a ``shard.snapshot`` reply: enough
+        to plan against; the payload arrives later through :meth:`add_load`."""
+        vertex_id = record["i"]
+        self.graph.add_node(
+            vertex_id,
+            vertex=EGVertex(
+                vertex_id=vertex_id,
+                artifact_type=ArtifactType.DATASET,
+                compute_time=float(record["ct"]),
+                size=int(record["s"]),
+                materialized=bool(record["m"]),
+            ),
+        )
+        self._tiers[vertex_id] = StorageTier[record["t"]]
 
     def tier_of(self, vertex_id: str) -> StorageTier:
         return self._tiers.get(vertex_id, StorageTier.HOT)

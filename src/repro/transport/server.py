@@ -52,7 +52,7 @@ from .frames import (
     pack_header,
     read_frame_async,
 )
-from .wire import decode_workload, encode_payload, encode_workload, sanitize_tree
+from .wire import _encode_meta, decode_workload, encode_payload, sanitize_tree
 
 logger = logging.getLogger(__name__)
 
@@ -465,9 +465,7 @@ class AsyncTransportServer:
     # Request handlers (run on the work pool, never on the loop)
     # ------------------------------------------------------------------
     def _op_ping(self, _message: dict[str, Any]) -> dict[str, Any]:
-        versioned = getattr(self.service, "versioned", None)
-        version = versioned.version if versioned is not None else self.service.version
-        return {"version": version}
+        return {"version": self.service.version}
 
     def _op_open_session(self, message: dict[str, Any]) -> dict[str, Any]:
         session = self.service.open_session(message.get("name"))
@@ -493,7 +491,7 @@ class AsyncTransportServer:
                         "size": record.size,
                         "compute_time": record.compute_time,
                         "tier": plan.eg.tier_of(vertex_id).name,
-                        "meta": _meta_record(record.meta),
+                        "meta": _encode_meta(record.meta),
                         "payload": payload,
                     }
                 )
@@ -581,9 +579,3 @@ class AsyncTransportServer:
             "dedup_bytes_saved": self._dedup_saved.total() + live_saved,
             "inflight_peak": self._inflight_peak.value(),
         }
-
-
-def _meta_record(meta) -> dict[str, Any] | None:
-    from ..service.tcp import _encode_meta
-
-    return _encode_meta(meta)

@@ -36,7 +36,7 @@ from typing import Any, Callable
 from ..eg.persistence import save_eg
 from ..service.errors import RequestTimeoutError
 from .server import AsyncTransportServer
-from .wire import decode_workload, encode_payload, sanitize_tree
+from .wire import _encode_meta, decode_workload, encode_payload, sanitize_tree
 
 __all__ = ["ShardCommitSequencer", "ShardRequestBridge", "serve_one_shard"]
 
@@ -167,8 +167,6 @@ class ShardRequestBridge:
             lease.release()
 
     def _shard_fetch(self, message: dict[str, Any]) -> dict[str, Any]:
-        from .server import _meta_record
-
         ids = message.get("ids") or []
         lease = self.service.versioned.acquire()
         try:
@@ -187,7 +185,7 @@ class ShardRequestBridge:
                         "size": record.size,
                         "compute_time": record.compute_time,
                         "tier": eg.tier_of(vertex_id).name,
-                        "meta": _meta_record(record.meta),
+                        "meta": _encode_meta(record.meta),
                         "payload": payload,
                     }
                 )

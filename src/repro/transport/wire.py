@@ -17,14 +17,16 @@ the peer has already seen on this connection ships as a reference.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Mapping
 
 import numpy as np
 
 from ..dataframe import Column, DataFrame
-from ..graph.artifacts import ArtifactType
+from ..graph.artifacts import ArtifactMeta, ArtifactType
 from ..graph.dag import Vertex, WorkloadDAG
-from ..service.tcp import _decode_meta, _encode_meta, _WireOperation
+from ..graph.operations import Operation
+from ..service.errors import ServiceError
 from .errors import ProtocolError
 
 __all__ = [
@@ -144,6 +146,39 @@ def decode_payload(obj: dict[str, Any] | None) -> Any:
 # ----------------------------------------------------------------------
 # Workload DAGs
 # ----------------------------------------------------------------------
+def _encode_meta(meta: ArtifactMeta | None) -> dict[str, Any] | None:
+    if meta is None:
+        return None
+    record = asdict(meta)
+    record["artifact_type"] = meta.artifact_type.value
+    return record
+
+
+def _decode_meta(obj: dict[str, Any] | None) -> ArtifactMeta | None:
+    if obj is None:
+        return None
+    record = dict(obj)
+    record["artifact_type"] = ArtifactType(record["artifact_type"])
+    return ArtifactMeta(**record)
+
+
+class _WireOperation(Operation):
+    """Structural stand-in for an operation decoded from the wire.
+
+    Carries the original identity hash so vertex ids recompute exactly;
+    it is never executed — the server only merges already-executed DAGs.
+    """
+
+    def __init__(
+        self, name: str, return_type: ArtifactType, params: dict, op_hash: str
+    ):
+        super().__init__(name, return_type, params)
+        self.op_hash = op_hash
+
+    def run(self, underlying_data: Any) -> Any:
+        raise ServiceError("wire operations carry identity only and cannot run")
+
+
 def encode_workload(dag: WorkloadDAG, include_payloads: bool) -> dict[str, Any]:
     """Structural DAG encoding; payloads only when transportable and asked
     for (identical semantics to the legacy JSON socket).

@@ -1,6 +1,12 @@
-"""ProcessShardCoordinator: worker processes, crash containment, convergence."""
+"""ProcessShardCoordinator: worker processes, crash containment, convergence.
+
+What holds for every shard kind is in ``test_coordinator_contract.py``;
+this file keeps what only worker processes have.
+"""
 
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +18,14 @@ from repro.experiments.swarm import eg_fingerprint
 from repro.graph.dag import WorkloadDAG
 from repro.graph.operations import DataOperation
 from repro.materialization.simple import MaterializeAll
+from repro.obs.metrics import MetricsRegistry
 from repro.service.errors import ShardUnavailableError
-from repro.shard import ProcessShardCoordinator, balanced_source_names
+from repro.shard import (
+    ProcessShardCoordinator,
+    RemoteShard,
+    WorkerSpec,
+    balanced_source_names,
+)
 
 NAMES = balanced_source_names(2, 2)
 
@@ -98,8 +110,8 @@ class TestProcessShardCoordinator:
             health = coordinator.health()
             assert health["status"] == "ok"
             assert [shard["status"] for shard in health["shards"]] == ["ok", "ok"]
-            assert len(health["workers"]) == 2
-            assert all(worker["alive"] for worker in health["workers"])
+            assert len(coordinator.workers) == 2
+            assert all(worker.alive for worker in coordinator.workers)
             rendered = coordinator.metrics_text()
             assert "repro_proc_worker_up" in rendered
             assert "# source: shard0 worker" in rendered
@@ -201,3 +213,60 @@ class TestProcessShardCoordinator:
             ]
         )
         assert eg_fingerprint(flat) == eg_fingerprint(replay)
+
+    def test_dead_worker_leaves_no_half_opened_session(self) -> None:
+        """Regression: mirroring used to open worker sessions shard by
+        shard and leak the ones opened before the dead shard raised."""
+        coordinator = ProcessShardCoordinator(2, flight_recorder=False)
+        try:
+            kept = coordinator.open_session("kept")
+            coordinator.workers[1].kill()
+            with pytest.raises(ShardUnavailableError):
+                coordinator.open_session("half-opened")
+            # shard 0 opened its mirror first; it must have been closed again
+            assert coordinator.shard_stats()[0].open_sessions == 1
+            assert coordinator.stats().open_sessions == 1
+            coordinator.close_session(kept.session_id)
+            assert coordinator.shard_stats()[0].open_sessions == 0
+        finally:
+            coordinator.stop()
+
+
+class _AckBeforeSubmitReturns:
+    """Commit-connection stub: the reply hook fires inside ``submit``,
+    i.e. the reader thread wins the race against the dispatching thread."""
+
+    def __init__(self, hook):
+        self._hook = hook
+        self.submitted: list[dict] = []
+
+    def submit(self, message):
+        self.submitted.append(message)
+        self._hook(len(self.submitted), 0)
+        return SimpleNamespace(ready=True)
+
+    def close(self) -> None:
+        pass
+
+
+class TestInflightAccounting:
+    def test_a_reply_that_beats_submit_does_not_leak_its_slot(self) -> None:
+        """Regression: the slot used to be counted *after* the frame went
+        out, so a reply hook that ran first found nothing to release and
+        the late increment leaked the slot for good — ``stop(drain=True)``
+        then spun out its whole timeout on acked commits."""
+        shard = RemoteShard(WorkerSpec(shard_index=0, n_shards=1), MetricsRegistry())
+        stopped: list[float] = []
+        shard.worker = SimpleNamespace(
+            alive=True, stop=lambda drain, timeout: stopped.append(timeout)
+        )
+        shard._commit_conn = _AckBeforeSubmitReturns(shard._reply_drained)
+        for k in range(3):
+            shard.submit_update("s0001", make_workload(0, k), label=str(k))
+        assert [message["seq"] for message in shard._commit_conn.submitted] == [1, 2, 3]
+        assert shard._inflight == 0
+        assert shard.queue_headroom() == shard.queue_capacity
+        started = time.monotonic()
+        shard.stop(drain=True, timeout=5.0)
+        assert time.monotonic() - started < 1.0
+        assert stopped and stopped[0] > 4.0  # the budget went to the worker

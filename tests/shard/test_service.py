@@ -1,4 +1,7 @@
-"""ShardedEGService: routed commits, stitched planning, convergence."""
+"""ShardedEGService over in-process shards: routed commits, stitched
+planning, convergence.  What holds for every shard kind (gap-free
+indices, backpressure, mirroring, stats split, cold pricing, ticket
+semantics) is in ``test_coordinator_contract.py``."""
 
 import random
 import threading
@@ -9,7 +12,6 @@ import pytest
 
 from repro.dataframe import DataFrame
 from repro.eg.graph import ExperimentGraph
-from repro.eg.storage import StorageTier
 from repro.eg.updater import Updater
 from repro.experiments.swarm import eg_fingerprint
 from repro.graph.dag import WorkloadDAG
@@ -80,20 +82,6 @@ def sequential_replay(labels: list[str]) -> ExperimentGraph:
 
 
 class TestRoutedCommit:
-    def test_commit_indices_are_gap_free_and_version_monotone(self):
-        with ShardedEGService(lambda _i: MaterializeAll(), 4) as service:
-            session = service.open_session("writer")
-            versions = []
-            for index in range(6):
-                result = service.commit(
-                    session.session_id, make_workload(index), label=str(index)
-                )
-                assert result.commit_index == index + 1
-                versions.append(result.version)
-            assert versions == sorted(versions)
-            log = service.commit_log()
-            assert [record.commit_index for record in log] == list(range(1, 7))
-
     def test_cross_shard_commit_fans_out_to_every_involved_shard(self):
         with ShardedEGService(lambda _i: MaterializeAll(), 4) as service:
             session = service.open_session("writer")
@@ -128,27 +116,6 @@ class TestStitchedPlanning:
             stats = service.stats()
             assert stats.plan_cache_hits >= 1
 
-    def test_cross_shard_plan_prices_remote_artifacts_cold(self):
-        with ShardedEGService(lambda _i: MaterializeAll(), 4) as service:
-            session = service.open_session("planner")
-            join = make_workload(2)
-            service.commit(session.session_id, join, label="seed")
-            with service.plan(
-                session.session_id, make_workload(2, executed=False)
-            ) as plan:
-                snapshot = plan.eg
-                home = snapshot.home
-                remote_tiers = {
-                    snapshot.tier_of(vertex_id)
-                    for vertex_id in snapshot.materialized_ids()
-                    if snapshot.owner_of(vertex_id) != home
-                }
-                assert remote_tiers == {StorageTier.COLD}
-                assert plan.result.plan.loads
-            text = service.metrics_text()
-            assert "repro_shard_cross_shard_commits_total 1" in text
-            assert "repro_shard_remote_planned_loads_total" in text
-
     def test_span_histogram_and_routed_counters(self):
         with ShardedEGService(lambda _i: MaterializeAll(), 4) as service:
             session = service.open_session("writer")
@@ -158,33 +125,6 @@ class TestStitchedPlanning:
             assert "repro_shard_routed_workloads_total" in text
             assert "repro_shard_workload_span_count 4" in text
             assert "repro_shard_stub_edges_total" in text
-
-
-class TestAggregatedStats:
-    def test_merged_pieces_and_queue_columns_aggregate(self):
-        with ShardedEGService(lambda _i: MaterializeAll(), 4) as service:
-            session = service.open_session("writer")
-            for index in range(6):
-                service.commit(session.session_id, make_workload(index))
-            per_shard = service.shard_stats()
-            combined = service.stats()
-            assert combined.merged_workloads == sum(
-                stats.merged_workloads for stats in per_shard
-            )
-            assert combined.publishes == sum(stats.publishes for stats in per_shard)
-            assert combined.queue_capacity == sum(
-                stats.queue_capacity for stats in per_shard
-            )
-            assert combined.commits_total == 6  # coordinator counts workloads once
-
-    def test_session_mirroring_and_close(self):
-        with ShardedEGService(lambda _i: MaterializeAll(), 2) as service:
-            session = service.open_session("tenant")
-            for shard in service.shards:
-                assert shard.stats().open_sessions == 1
-            service.close_session(session.session_id)
-            for shard in service.shards:
-                assert shard.stats().open_sessions == 0
 
 
 class TestConvergence:
