@@ -248,33 +248,6 @@ class SwarmResult:
         return self.stats.mean_dirty_per_publish if self.stats is not None else 0.0
 
 
-def _start_transport(service: Any, clients: int, codec: str):
-    """Bring up the async binary transport in front of ``service``.
-
-    Returns ``(server, pool)``; the pool is shared by every tenant thread
-    (multiplexing carries many logical clients per socket)."""
-    from ..transport import AsyncTransportServer, ConnectionPool
-
-    server = AsyncTransportServer(service, max_workers=min(32, max(8, clients // 2)))
-    host, port = server.start()
-    pool = ConnectionPool(
-        host, port, size=min(8, max(2, clients // 8)), codec=codec, timeout_s=120.0
-    )
-    return server, pool
-
-
-def _teardown_transport(server: Any, pool: Any) -> tuple[dict, dict]:
-    """Close pool then server; returns (server wire stats, client wire stats).
-
-    Pool first: the server samples per-connection dedup counters when a
-    connection closes."""
-    client_stats = pool.wire_stats()
-    pool.close()
-    stats = server.wire_stats()
-    server.stop()
-    return stats, client_stats
-
-
 def _wire_adaptive(adaptive_config: Any):
     """Build the learn-subsystem pieces a swarm run installs when adaptive.
 
@@ -314,6 +287,141 @@ def _adaptive_report(collector: Any, batch_sizer: Any) -> dict[str, Any]:
         "batch_sizer": batch_sizer.report(),
         "cold_hit_rate": collector.cold_hit_rate,
     }
+
+
+def _drive_swarm(
+    service: Any,
+    clients: int,
+    rounds: int,
+    script_for: Callable[[int, int], Callable[[Any, Mapping[str, Any]], None]],
+    sources: Mapping[str, Any],
+    transport: str | None,
+    transport_codec: str,
+    replay: bool,
+) -> SwarmResult:
+    """Run every tenant against ``service``, stop it, replay its commit log.
+
+    Tenant ``index`` runs ``script_for(index, round)`` for each round, in
+    its own thread and session — in-process, or with ``transport="tcp"``
+    through one transport server and one pool shared by every tenant
+    thread (multiplexing carries many logical clients per socket).
+    Returns the run's result up to where the service kinds differ: the
+    caller describes the final EG (:func:`_describe_eg`).
+    """
+    server = pool = None
+    if transport == "tcp":
+        from ..transport import AsyncTransportServer, ConnectionPool
+
+        server = AsyncTransportServer(
+            service, max_workers=min(32, max(8, clients // 2))
+        )
+        host, port = server.start()
+        pool = ConnectionPool(
+            host,
+            port,
+            size=min(8, max(2, clients // 8)),
+            codec=transport_codec,
+            timeout_s=120.0,
+        )
+    errors: list[BaseException] = []
+
+    def tenant(index: int) -> None:
+        try:
+            if pool is not None:
+                from ..transport import TransportServiceClient
+
+                client_cm: Any = TransportServiceClient(
+                    name=f"client-{index}", cost_model=VirtualCostModel(), pool=pool
+                )
+            else:
+                client_cm = ServiceClient(
+                    service, name=f"client-{index}", cost_model=VirtualCostModel()
+                )
+            with client_cm as client:
+                for round_index in range(rounds):
+                    client.run_script(
+                        script_for(index, round_index),
+                        sources,
+                        label=f"{index}:{round_index}",
+                    )
+        except BaseException as error:  # noqa: BLE001 - surfaced after join
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=tenant, args=(index,), name=f"tenant-{index}")
+        for index in range(clients)
+    ]
+    started = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    wall_seconds = time.perf_counter() - started
+    wire_stats: dict = {}
+    client_wire_stats: dict = {}
+    if server is not None:
+        # pool first: the server samples per-connection dedup counters
+        # when a connection closes
+        client_wire_stats = pool.wire_stats()
+        pool.close()
+        wire_stats = server.wire_stats()
+        server.stop()
+    # snapshot telemetry before stop(): shutdown uninstalls the recorder
+    # (a coordinator's metrics_text appends the per-shard sections)
+    metrics_text = service.metrics_text()
+    recorder = service.flight_recorder
+    recorder_stats = recorder.stats() if recorder is not None else {}
+    service.stop()
+    if errors:
+        raise errors[0]
+
+    log = sorted(service.commit_log(), key=lambda record: record.commit_index)
+    result = SwarmResult(
+        clients=clients,
+        rounds=rounds,
+        workloads=len(log),
+        wall_seconds=wall_seconds,
+        stats=service.stats(),
+        commit_labels=[record.label for record in log],
+        transport="tcp" if server is not None else "inproc",
+        transport_codec=transport_codec if server is not None else "",
+        wire_stats=wire_stats,
+        client_wire_stats=client_wire_stats,
+        metrics_text=metrics_text,
+        recorder_stats=recorder_stats,
+    )
+    if replay:
+        result.replay_fingerprint = eg_fingerprint(
+            _replay(result.commit_labels, script_for, sources)
+        )
+    return result
+
+
+def _replay(
+    commit_labels: list[str],
+    script_for: Callable[[int, int], Callable[[Any, Mapping[str, Any]], None]],
+    sources: Mapping[str, Any],
+) -> ExperimentGraph:
+    """Re-run a swarm's workloads through a plain single-tenant optimizer.
+
+    Follows the service's recorded commit order, so the resulting single
+    graph must match the concurrent run's (flattened) EG exactly
+    (``eg_fingerprint`` equality).
+    """
+    optimizer = CollaborativeOptimizer(MaterializeAll(), cost_model=VirtualCostModel())
+    for label in commit_labels:
+        client, round_index = (int(part) for part in label.split(":"))
+        optimizer.run_script(script_for(client, round_index), sources)
+    return optimizer.eg
+
+
+def _describe_eg(result: SwarmResult, eg: ExperimentGraph, store_bytes: int) -> None:
+    """Record the run's final (flattened) EG on its result."""
+    result.eg_vertices = eg.num_vertices
+    result.eg_edges = eg.graph.number_of_edges()
+    result.eg_materialized = len(eg.materialized_ids())
+    result.store_bytes = store_bytes
+    result.concurrent_fingerprint = eg_fingerprint(eg)
 
 
 def run_swarm(
@@ -440,103 +548,33 @@ def run_swarm(
         collector.queue_depth_fn = (
             lambda: service.queue_capacity - service.queue_headroom()
         )
-    server = pool = None
-    if transport == "tcp":
-        server, pool = _start_transport(service, clients, transport_codec)
-    errors: list[BaseException] = []
-
-    def tenant(index: int) -> None:
-        try:
-            if pool is not None:
-                from ..transport import TransportServiceClient
-
-                client_cm: Any = TransportServiceClient(
-                    name=f"client-{index}", cost_model=VirtualCostModel(), pool=pool
-                )
-            else:
-                client_cm = ServiceClient(
-                    service, name=f"client-{index}", cost_model=VirtualCostModel()
-                )
-            with client_cm as client:
-                for round_index in range(rounds):
-                    client.run_script(
-                        swarm_script(index, round_index, op_seconds),
-                        swarm_sources(),
-                        label=f"{index}:{round_index}",
-                    )
-        except BaseException as error:  # noqa: BLE001 - surfaced after join
-            errors.append(error)
-
-    threads = [
-        threading.Thread(target=tenant, args=(index,), name=f"tenant-{index}")
-        for index in range(clients)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall_seconds = time.perf_counter() - started
-    wire_stats: dict = {}
-    client_wire_stats: dict = {}
-    if server is not None:
-        wire_stats, client_wire_stats = _teardown_transport(server, pool)
-    # snapshot telemetry before stop(): shutdown uninstalls the recorder
-    metrics_text = service.metrics_text()
-    recorder = service.flight_recorder
-    recorder_stats = recorder.stats() if recorder is not None else {}
-    service.stop()
-    if errors:
-        raise errors[0]
-
-    stats = service.stats()
-    log = sorted(service.commit_log(), key=lambda record: record.commit_index)
-    eg = service.eg
-    result = SwarmResult(
-        clients=clients,
-        rounds=rounds,
-        workloads=len(log),
-        wall_seconds=wall_seconds,
-        stats=stats,
-        commit_labels=[record.label for record in log],
-        eg_vertices=eg.num_vertices,
-        eg_edges=eg.graph.number_of_edges(),
-        eg_materialized=len(eg.materialized_ids()),
-        store_bytes=eg.store.total_bytes,
-        concurrent_fingerprint=eg_fingerprint(eg),
-        transport="tcp" if server is not None else "inproc",
-        transport_codec=transport_codec if server is not None else "",
-        wire_stats=wire_stats,
-        client_wire_stats=client_wire_stats,
-        adaptive=adaptive,
-        adaptive_report=(
-            _adaptive_report(collector, batch_sizer) if collector is not None else {}
-        ),
-        hot_hit_ratio=(
-            store.stats.hit_ratio if hasattr(store, "stats") else None
-        ),
-        metrics_text=metrics_text,
-        recorder_stats=recorder_stats,
+    result = _drive_swarm(
+        service,
+        clients,
+        rounds,
+        lambda index, round_index: swarm_script(index, round_index, op_seconds),
+        swarm_sources(),
+        transport,
+        transport_codec,
+        replay,
     )
-
-    if replay:
-        result.replay_fingerprint = eg_fingerprint(
-            replay_sequentially(result.commit_labels, op_seconds)
-        )
+    eg = service.eg
+    _describe_eg(result, eg, eg.store.total_bytes)
+    result.adaptive = adaptive
+    if collector is not None:
+        result.adaptive_report = _adaptive_report(collector, batch_sizer)
+    if hasattr(store, "stats"):
+        result.hot_hit_ratio = store.stats.hit_ratio
     return result
 
 
 def replay_sequentially(commit_labels: list[str], op_seconds: float) -> ExperimentGraph:
-    """Re-run the swarm's workloads through a plain single-tenant optimizer.
-
-    Follows the service's recorded commit order, so the resulting EG must
-    match the concurrent run exactly (``eg_fingerprint`` equality).
-    """
-    optimizer = CollaborativeOptimizer(MaterializeAll(), cost_model=VirtualCostModel())
-    for label in commit_labels:
-        client, round_index = (int(part) for part in label.split(":"))
-        optimizer.run_script(swarm_script(client, round_index, op_seconds), swarm_sources())
-    return optimizer.eg
+    """Sequential replay of a single-service swarm's commit log."""
+    return _replay(
+        commit_labels,
+        lambda index, round_index: swarm_script(index, round_index, op_seconds),
+        swarm_sources(),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -608,59 +646,18 @@ def _run_swarm_sharded(
             batch_sizer_factory=sizer_factory,
             flight_recorder=flight_recorder,
         )
-    server = pool = None
-    if transport == "tcp":
-        server, pool = _start_transport(service, clients, transport_codec)
-    sources = sharded_swarm_sources(shards)
-    errors: list[BaseException] = []
-
-    def tenant(index: int) -> None:
-        try:
-            if pool is not None:
-                from ..transport import TransportServiceClient
-
-                client_cm: Any = TransportServiceClient(
-                    name=f"client-{index}", cost_model=VirtualCostModel(), pool=pool
-                )
-            else:
-                client_cm = ServiceClient(
-                    service, name=f"client-{index}", cost_model=VirtualCostModel()
-                )
-            with client_cm as client:
-                for round_index in range(rounds):
-                    client.run_script(
-                        sharded_swarm_script(index, round_index, shards, op_seconds),
-                        sources,
-                        label=f"{index}:{round_index}",
-                    )
-        except BaseException as error:  # noqa: BLE001 - surfaced after join
-            errors.append(error)
-
-    threads = [
-        threading.Thread(target=tenant, args=(index,), name=f"tenant-{index}")
-        for index in range(clients)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall_seconds = time.perf_counter() - started
-    wire_stats: dict = {}
-    client_wire_stats: dict = {}
-    if server is not None:
-        wire_stats, client_wire_stats = _teardown_transport(server, pool)
-    # snapshot telemetry before stop(): shutdown uninstalls the recorder
-    # (the coordinator's metrics_text appends the per-shard sections)
-    metrics_text = service.metrics_text()
-    recorder = service.flight_recorder
-    recorder_stats = recorder.stats() if recorder is not None else {}
-    service.stop()
-    if errors:
-        raise errors[0]
-
-    stats = service.stats()
-    log = service.commit_log()
+    result = _drive_swarm(
+        service,
+        clients,
+        rounds,
+        lambda index, round_index: sharded_swarm_script(
+            index, round_index, shards, op_seconds
+        ),
+        sharded_swarm_sources(shards),
+        transport,
+        transport_codec,
+        replay,
+    )
     # worker processes persist their partitions on stop; in-process
     # shards still hold theirs
     partitioned = (
@@ -668,57 +665,16 @@ def _run_swarm_sharded(
         if processes > 1
         else service.partitioned
     )
-    flat = partitioned.flatten()
-    result = SwarmResult(
-        clients=clients,
-        rounds=rounds,
-        workloads=len(log),
-        wall_seconds=wall_seconds,
-        stats=stats,
-        commit_labels=[record.label for record in log],
-        eg_vertices=flat.num_vertices,
-        eg_edges=flat.graph.number_of_edges(),
-        eg_materialized=len(flat.materialized_ids()),
-        store_bytes=sum(
-            partition.store.total_bytes for partition in partitioned.partitions
-        ),
-        concurrent_fingerprint=eg_fingerprint(flat),
-        shards=shards,
-        processes=processes,
-        shard_stats=service.shard_stats(),
-        stub_edges=service.partitioned.stub_count,
-        transport="tcp" if server is not None else "inproc",
-        transport_codec=transport_codec if server is not None else "",
-        wire_stats=wire_stats,
-        client_wire_stats=client_wire_stats,
-        adaptive=adaptive,
-        adaptive_report=(
-            _adaptive_report(collector, batch_sizer) if collector is not None else {}
-        ),
-        metrics_text=metrics_text,
-        recorder_stats=recorder_stats,
+    _describe_eg(
+        result,
+        partitioned.flatten(),
+        sum(partition.store.total_bytes for partition in partitioned.partitions),
     )
-    if replay:
-        result.replay_fingerprint = eg_fingerprint(
-            replay_sharded(result.commit_labels, shards, op_seconds)
-        )
+    result.shards = shards
+    result.processes = processes
+    result.shard_stats = service.shard_stats()
+    result.stub_edges = service.partitioned.stub_count
+    result.adaptive = adaptive
+    if collector is not None:
+        result.adaptive_report = _adaptive_report(collector, batch_sizer)
     return result
-
-
-def replay_sharded(
-    commit_labels: list[str], shards: int, op_seconds: float
-) -> ExperimentGraph:
-    """Single-graph sequential replay of the sharded workload family.
-
-    Runs the same scripts through one plain :class:`CollaborativeOptimizer`
-    in the coordinator's commit-index order; the result must equal the
-    flattened partitioned EG bit-for-bit.
-    """
-    optimizer = CollaborativeOptimizer(MaterializeAll(), cost_model=VirtualCostModel())
-    sources = sharded_swarm_sources(shards)
-    for label in commit_labels:
-        client, round_index = (int(part) for part in label.split(":"))
-        optimizer.run_script(
-            sharded_swarm_script(client, round_index, shards, op_seconds), sources
-        )
-    return optimizer.eg

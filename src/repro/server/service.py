@@ -9,16 +9,15 @@
 5. the updater merges the executed DAG into the Experiment Graph and runs
    the materialization algorithm.
 
-Since the multi-tenant service landed, steps 3 and 5 are served by an
-in-process :class:`~repro.service.core.EGService` running in inline merge
-mode: planning pins a published EG snapshot and the commit merges on the
-calling thread, so the single-tenant behaviour (and this class's public
-surface — ``eg``, ``optimizer``, ``updater``, ``last_update_report``) is
-unchanged while any number of ``CollaborativeOptimizer``/``ServiceClient``
-instances could share one service.
-
-``run_script`` performs all five steps for a workload script;
-``run_baseline`` executes the same script eagerly with no optimizer (the
+Steps 3 and 5 are served by an in-process
+:class:`~repro.service.core.EGService` running in inline merge mode —
+planning pins a published EG snapshot and the commit merges on the
+calling thread.  Steps 1-5 are the one client loop: this class *is* a
+:class:`~repro.service.client.ServiceClient` (``run_script`` /
+``run_workspace`` are inherited) whose session is opened on a service it
+builds and owns.  What it adds is the single-tenant surface: ``eg``,
+``optimizer``, ``updater``, ``last_update_report``, ``compute_node`` and
+``run_baseline`` (the same script run eagerly with no optimizer, the
 paper's "KG"/"OML" baseline).
 """
 
@@ -27,25 +26,20 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping
 
 from ..client.api import Workspace
-from ..client.executor import (
-    ExecutionReport,
-    Executor,
-    VirtualCostModel,
-    WallClockCostModel,
-)
+from ..client.executor import ExecutionReport, VirtualCostModel, WallClockCostModel
 from ..client.parser import parse_workload
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import ArtifactStore, LoadCostModel
 from ..eg.updater import Updater, UpdateReport
-from ..graph.pruning import prune_workload
 from ..materialization.base import Materializer
+from ..service.client import ServiceClient
 from ..service.core import EGService
 from .optimizer import Optimizer
 
 __all__ = ["CollaborativeOptimizer"]
 
 
-class CollaborativeOptimizer:
+class CollaborativeOptimizer(ServiceClient):
     """Client/server loop around one shared Experiment Graph."""
 
     def __init__(
@@ -59,7 +53,7 @@ class CollaborativeOptimizer:
         cost_model: WallClockCostModel | VirtualCostModel | None = None,
         max_workers: int = 1,
     ):
-        self.service = EGService(
+        service = EGService(
             materializer,
             reuse_algorithm=reuse_algorithm,
             store=store,
@@ -67,7 +61,12 @@ class CollaborativeOptimizer:
             warmstarting=warmstarting,
             warmstart_policy=warmstart_policy,
         )
-        self._session = self.service.open_session(name="local")
+        # max_workers=1 is the paper's sequential client; higher values
+        # parallelize independent DAG branches without changing any cost
+        # accounting or planner decision (see docs/EXECUTION.md)
+        super().__init__(
+            service, name="local", cost_model=cost_model, max_workers=max_workers
+        )
         self.load_cost_model = self.service.load_cost_model
         self.materializer = materializer
         self.reuse_algorithm = self.service.reuse_algorithm
@@ -76,16 +75,6 @@ class CollaborativeOptimizer:
         self.optimizer = Optimizer(
             self.service.eg, self.reuse_algorithm, warmstarting, warmstart_policy
         )
-        self.cost_model = cost_model if cost_model is not None else WallClockCostModel()
-        # max_workers=1 is the paper's sequential client; higher values
-        # parallelize independent DAG branches without changing any cost
-        # accounting or planner decision (see docs/EXECUTION.md)
-        self.executor = Executor(
-            cost_model=self.cost_model,
-            load_cost_model=self.load_cost_model,
-            max_workers=max_workers,
-        )
-        self.last_update_report: UpdateReport | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -105,45 +94,20 @@ class CollaborativeOptimizer:
         """The service's updater (merge path) — shared object."""
         return self.service.updater
 
-    # ------------------------------------------------------------------
-    def run_script(
-        self,
-        script: Callable[[Workspace, Mapping[str, Any]], None],
-        sources: Mapping[str, Any],
-    ) -> ExecutionReport:
-        """Steps 1-5 for one workload script; returns the execution report."""
-        workspace = parse_workload(script, sources, cost_model=self.cost_model)
-        return self.run_workspace(workspace)
-
-    def run_workspace(self, workspace: Workspace) -> ExecutionReport:
-        """Steps 2-5 for an already parsed workspace."""
-        workload = workspace.dag
-        prune_workload(workload)
-
-        plan = self.service.plan(self._session.session_id, workload)
-        try:
-            report = self.executor.execute(
-                workload,
-                plan=plan.result.plan,
-                eg=plan.eg,
-                warmstarts=plan.result.warmstarts,
-            )
-        finally:
-            plan.release()
-        report.optimizer_overhead = plan.result.planning_seconds
-        report.total_time += plan.result.planning_seconds
-
-        commit = self.service.commit(self._session.session_id, workload)
+    @property
+    def last_update_report(self) -> UpdateReport | None:
+        """What the latest workload's merge did to the Experiment Graph."""
+        commit = self.last_commit
+        if commit is None:
+            return None
         batch = commit.batch_report
         assert batch is not None  # an in-process merge always reports its batch
-        self.last_update_report = UpdateReport(
+        return UpdateReport(
             new_sources=commit.new_sources,
             newly_materialized=batch.newly_materialized,
             evicted=batch.evicted,
             store_bytes_after=batch.store_bytes_after,
         )
-        report.store_stats = self.service.store_statistics()
-        return report
 
     # ------------------------------------------------------------------
     def compute_node(self, workspace: Workspace, node) -> Any:

@@ -3,8 +3,9 @@
 Snapshot-isolated planning, a bounded update queue with backpressure, and
 a single merge worker that coalesces concurrent commits into batches (one
 materialization pass per batch) before atomically publishing the next EG
-version.  ``EGService`` + ``ServiceClient`` are the in-process reference
-pair; ``repro.service.tcp`` adds a socket transport over the same core.
+version.  ``ServiceClient`` holds the one plan → execute → commit loop
+and runs it against anything ``EGService``-shaped; :mod:`repro.transport`
+puts the same service on the wire.
 """
 
 from .client import RetryPolicy, ServiceClient

@@ -1,20 +1,25 @@
-"""In-process client for the multi-tenant EG service.
+"""The client loop of the multi-tenant EG service — written once.
 
-:class:`ServiceClient` is the reference transport: it speaks to an
-:class:`~repro.service.core.EGService` through direct method calls and
-mirrors the classic ``CollaborativeOptimizer`` loop — parse, prune,
-*plan via the service* (snapshot-isolated), execute locally against the
-pinned snapshot, then *commit* the executed DAG back for batched merging.
-Commits bounced by backpressure (:class:`ServiceOverloadedError`) are
-retried with exponential backoff per :class:`RetryPolicy`; timeouts are
-**not** retried because the merge outcome is unknown.
+:class:`ServiceClient` is the paper's five steps for one tenant session:
+parse, prune, *plan via the service* (snapshot-isolated), execute
+locally against the pinned snapshot, then *commit* the executed DAG back
+for batched merging.  ``service`` is anything shaped like
+:class:`~repro.service.core.EGService` — the service itself, a
+:class:`~repro.shard.ShardedEGService`, or a
+:class:`~repro.transport.client.RemoteService` speaking to one over the
+wire — so the in-process client, the transport client and
+``CollaborativeOptimizer`` all run this loop.  Requests bounced by
+backpressure (:class:`ServiceOverloadedError`, which the transport's
+admission errors subclass) are retried with exponential backoff per
+:class:`RetryPolicy`; timeouts are **not** retried because the merge
+outcome is unknown.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 from ..client.api import Workspace
 from ..client.executor import (
@@ -24,13 +29,14 @@ from ..client.executor import (
     WallClockCostModel,
 )
 from ..client.parser import parse_workload
-from ..graph.dag import WorkloadDAG
 from ..graph.pruning import prune_workload
 from ..obs.trace import get_tracer
-from .core import CommitResult, EGService
+from .core import CommitResult
 from .errors import ServiceOverloadedError
 
 __all__ = ["RetryPolicy", "ServiceClient"]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class ServiceClient:
 
     def __init__(
         self,
-        service: EGService,
+        service: Any,
         name: str | None = None,
         cost_model: WallClockCostModel | VirtualCostModel | None = None,
         max_workers: int = 1,
@@ -71,6 +77,8 @@ class ServiceClient:
         )
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.last_commit: CommitResult | None = None
+        #: plan and commit requests re-sent after an overload bounce
+        self.retries = 0
 
     @property
     def session_id(self) -> str:
@@ -98,7 +106,9 @@ class ServiceClient:
         with get_tracer().span(
             "client.workload", session=self.session_id, label=label
         ) as workload_span:
-            plan = self.service.plan(self.session_id, workload)
+            plan = self._with_backoff(
+                lambda: self.service.plan(self.session_id, workload)
+            )
             try:
                 report = self.executor.execute(
                     workload,
@@ -111,22 +121,25 @@ class ServiceClient:
             report.optimizer_overhead = plan.result.planning_seconds
             report.total_time += plan.result.planning_seconds
 
-            self.last_commit = self._commit_with_retry(workload, label)
+            self.last_commit = self._with_backoff(
+                lambda: self.service.commit(self.session_id, workload, label=label)
+            )
             workload_span.set_attribute("version", self.last_commit.version)
         report.store_stats = self.service.store_statistics()
         self.service.record_request_latency(time.perf_counter() - started)
         return report
 
     # ------------------------------------------------------------------
-    def _commit_with_retry(self, workload: WorkloadDAG, label: str) -> CommitResult:
+    def _with_backoff(self, call: Callable[[], _T]) -> _T:
         attempt = 0
         while True:
             try:
-                return self.service.commit(self.session_id, workload, label=label)
+                return call()
             except ServiceOverloadedError:
                 attempt += 1
                 if attempt >= self.retry_policy.max_attempts:
                     raise
+                self.retries += 1
                 self.service.record_retry(self.session_id)
                 time.sleep(self.retry_policy.backoff(attempt))
 

@@ -58,9 +58,8 @@ class TransportError(ServiceError):
     """A wire-level failure: framing, codec, or connection state.
 
     Base class for everything :mod:`repro.transport` raises; lives here
-    (rather than in the transport package) so the legacy JSON socket in
-    :mod:`repro.service.tcp` can raise the same types without importing
-    the async subsystem.
+    (rather than in the transport package) so service-side code can
+    match on it without importing the async subsystem.
     """
 
 

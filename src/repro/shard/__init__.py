@@ -28,7 +28,6 @@ from .persistence import (
 from .proc import (
     ProcessShardCoordinator,
     RemoteShard,
-    RemoteSnapshot,
     ShardWorkerProcess,
     WorkerSpec,
 )
@@ -42,7 +41,6 @@ from .routing import (
 from .service import (
     ShardedCommitResult,
     ShardedEGService,
-    ShardedServicePlan,
     ShardedUpdateTicket,
     StitchedSnapshot,
 )
@@ -58,12 +56,10 @@ __all__ = [
     "shard_of_source",
     "ShardedCommitResult",
     "ShardedEGService",
-    "ShardedServicePlan",
     "ShardedUpdateTicket",
     "StitchedSnapshot",
     "ProcessShardCoordinator",
     "RemoteShard",
-    "RemoteSnapshot",
     "ShardWorkerProcess",
     "WorkerSpec",
     "save_partitioned_eg",

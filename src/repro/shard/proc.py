@@ -55,25 +55,23 @@ from typing import Any, Iterable
 
 from ..eg.graph import ExperimentGraph
 from ..eg.persistence import load_eg
-from ..eg.storage import ArtifactStore, LoadCostModel, StorageTier
+from ..eg.storage import ArtifactStore, LoadCostModel
 from ..graph.dag import WorkloadDAG
 from ..obs.metrics import MetricsRegistry
 from ..obs.plane import FlightRecorder
 from ..obs.slo import SLO
-from ..reuse.plan import ReusePlan
-from ..server.optimizer import OptimizationResult
-from ..service.core import CommitResult, ServicePlan, ServiceSession
+from ..service.core import CommitResult
 from ..service.errors import ServiceError, ShardUnavailableError
 from ..service.stats import ServiceStats
-from ..service.versioned import SnapshotLease
 from ..transport.client import (
     ConnectionPool,
     PendingReply,
+    RemoteService,
+    RemoteSnapshot,
     TransportConnection,
-    _SnapshotStubEG,
 )
 from ..transport.errors import ConnectionLostError
-from ..transport.wire import encode_workload
+from ..transport.wire import decode_commit_reply, encode_workload
 from .partition import PartitionedExperimentGraph
 from .persistence import load_partitioned_eg, write_partition_manifest
 from .service import ShardedEGService
@@ -81,7 +79,6 @@ from .service import ShardedEGService
 __all__ = [
     "WorkerSpec",
     "ShardWorkerProcess",
-    "RemoteSnapshot",
     "RemoteShard",
     "ProcessShardCoordinator",
 ]
@@ -264,37 +261,6 @@ class ShardWorkerProcess:
             self._conn = None
 
 
-class RemoteSnapshot(SnapshotLease):
-    """Lease-like view of one worker shard's published snapshot.
-
-    ``eg`` holds what the worker shipped: vertex summaries from
-    ``shard.snapshot`` (enough to plan against) and the artifacts a
-    ``plan`` reply or a :meth:`fetch` batch carried (enough to execute
-    against).  Nothing is pinned on the worker — the copies are local —
-    so :meth:`release` has nothing to drop.
-    """
-
-    __slots__ = ("_shard",)
-    eg: _SnapshotStubEG
-
-    def __init__(self, shard: "RemoteShard", version: int):
-        self.eg = _SnapshotStubEG()
-        self.version = version
-        self._shard = shard
-
-    def fetch(self, vertex_ids: Iterable[str]) -> set[str]:
-        """Ship the named artifacts in one ``shard.fetch`` batch; returns
-        the ids that crossed the wire (unmaterialized or non-transportable
-        ones do not, and the caller recomputes them)."""
-        reply = self._shard._request({"op": "shard.fetch", "ids": list(vertex_ids)})
-        for record in reply["loads"]:
-            self.eg.add_load(record)
-        return {record["vertex_id"] for record in reply["loads"]}
-
-    def release(self) -> None:
-        pass
-
-
 class _PendingPiece:
     """One ``shard.commit`` frame on the wire; the remote counterpart of
     :class:`~repro.service.core.UpdateTicket`."""
@@ -316,13 +282,9 @@ class _PendingPiece:
             raise ShardUnavailableError(
                 f"shard {shard.index} worker connection lost during commit"
             ) from error
-        shard._note_version(int(reply["version"]))
-        return CommitResult(
-            commit_index=reply["commit_index"],
-            version=reply["version"],
-            batch_size=reply["batch_size"],
-            new_sources=reply["new_sources"],
-        )
+        result = decode_commit_reply(reply)
+        shard._note_version(result.version)
+        return result
 
 
 #: ServiceStats field names reconstructable from a ``shard.stats`` record
@@ -331,10 +293,12 @@ _STATS_FIELDS = frozenset(
 )
 
 
-class RemoteShard:
+class RemoteShard(RemoteService):
     """One shard's EG service in a worker process, answering the slice of
     the :class:`~repro.service.core.EGService` surface the coordinator
     calls (see the module docstring for how each part crosses the wire).
+    Sessions and single-shard plans are the ordinary wire ops, inherited
+    from :class:`~repro.transport.client.RemoteService`.
     """
 
     def __init__(
@@ -344,6 +308,7 @@ class RemoteShard:
         codec: str = "binary",
         pool_size: int = 2,
     ):
+        super().__init__(self._request)
         self.index = spec.shard_index
         self.worker = ShardWorkerProcess(spec)
         self.queue_capacity = spec.queue_capacity
@@ -455,48 +420,12 @@ class RemoteShard:
             ) from error
 
     # ------------------------------------------------------------------
-    # Sessions and planning
+    # Stitched planning
     # ------------------------------------------------------------------
-    def open_session(self, name: str | None = None) -> ServiceSession:
-        reply = self._request({"op": "open_session", "name": name})
-        return ServiceSession(session_id=reply["session_id"], name=reply["name"])
-
-    def close_session(self, session_id: str) -> None:
-        try:
-            self._request({"op": "close_session", "session_id": session_id})
-        except ServiceError:
-            pass  # a dead or stopped worker's sessions died with it
-
-    def plan(self, session_id: str, workload: WorkloadDAG) -> ServicePlan:
-        """Forward the ``plan`` op (the worker's snapshot lease,
-        version-keyed plan cache and all) and rebuild the response over
-        the shipped loads."""
-        planned = self._request(
-            {
-                "op": "plan",
-                "session_id": session_id,
-                "workload": encode_workload(workload, include_payloads=False),
-            }
-        )
-        lease = RemoteSnapshot(self, int(planned["version"]))
-        plan = ReusePlan(algorithm=planned["algorithm"])
-        plan.estimated_cost = planned["estimated_cost"]
-        load_tiers: dict[str, StorageTier] = {}
-        for record in planned["loads"]:
-            lease.eg.add_load(record)
-            plan.loads.add(record["vertex_id"])
-            load_tiers[record["vertex_id"]] = StorageTier[record["tier"]]
-        result = OptimizationResult(
-            plan=plan,
-            planning_seconds=planned["planning_seconds"],
-            load_tiers=load_tiers,
-        )
-        return ServicePlan(session_id=session_id, result=result, lease=lease)
-
     def snapshot(self, vertex_ids: Iterable[str] = ()) -> RemoteSnapshot:
         """Summaries of ``vertex_ids`` off one worker-side snapshot."""
         reply = self._request({"op": "shard.snapshot", "ids": list(vertex_ids)})
-        lease = RemoteSnapshot(self, int(reply["version"]))
+        lease = RemoteSnapshot(self._request, int(reply["version"]))
         for record in reply["vertices"]:
             lease.eg.add_summary(record)
         return lease
@@ -589,9 +518,6 @@ class RemoteShard:
             return self._request({"op": "metrics", "format": "text"})["text"]
         except (ServiceError, OSError):
             return ""
-
-    def store_statistics(self) -> dict:
-        return {}  # the store lives in the worker process
 
     # ------------------------------------------------------------------
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:

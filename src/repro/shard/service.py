@@ -57,8 +57,14 @@ from ..obs.metrics import MetricsRegistry, get_registry, rollup_snapshots
 from ..obs.plane import FlightRecorder, install_recorder, uninstall_recorder
 from ..obs.slo import SLO, SLOEngine, default_service_slos
 from ..reuse.linear import LinearReuse
-from ..server.optimizer import OptimizationResult, Optimizer
-from ..service.core import CommitRecord, CommitResult, EGService, ServiceSession
+from ..server.optimizer import Optimizer
+from ..service.core import (
+    CommitRecord,
+    CommitResult,
+    EGService,
+    ServicePlan,
+    ServiceSession,
+)
 from ..service.errors import (
     RequestTimeoutError,
     ServiceOverloadedError,
@@ -74,7 +80,6 @@ from .routing import RoutedWorkload
 
 __all__ = [
     "StitchedSnapshot",
-    "ShardedServicePlan",
     "ShardedCommitResult",
     "ShardedUpdateTicket",
     "ShardedEGService",
@@ -99,8 +104,10 @@ class StitchedSnapshot:
     A lease is whatever the shard's ``snapshot()`` returned: a
     :class:`~repro.service.versioned.SnapshotLease` on an in-process
     shard's published graph, or a worker shard's
-    :class:`~repro.shard.proc.RemoteSnapshot` holding the summaries it
-    shipped.
+    :class:`~repro.transport.client.RemoteSnapshot` holding the summaries it
+    shipped.  The stitched view is itself lease-shaped (``eg`` /
+    ``version`` / ``fetch`` / ``release``), so a cross-shard plan is an
+    ordinary :class:`~repro.service.core.ServicePlan` whose lease it is.
     """
 
     def __init__(
@@ -192,36 +199,14 @@ class StitchedSnapshot:
         for lease in self.leases.values():
             lease.release()
 
-
-@dataclass
-class ShardedServicePlan:
-    """Cross-shard plan response: one optimization over a stitched snapshot.
-
-    Duck-types :class:`~repro.service.core.ServicePlan` (``result`` /
-    ``eg`` / ``version`` / ``release`` / context manager) so clients and
-    executors treat single-shard and stitched plans identically.
-    """
-
-    session_id: str
-    result: OptimizationResult
-    snapshot: StitchedSnapshot
-
+    # -- SnapshotLease surface: a stitched plan's ``ServicePlan.lease`` --
     @property
-    def eg(self) -> StitchedSnapshot:
-        return self.snapshot
+    def eg(self) -> "StitchedSnapshot":
+        return self
 
     @property
     def version(self) -> int:
-        return sum(lease.version for lease in self.snapshot.leases.values())
-
-    def release(self) -> None:
-        self.snapshot.release()
-
-    def __enter__(self) -> "ShardedServicePlan":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.release()
+        return sum(lease.version for lease in self.leases.values())
 
 
 @dataclass(frozen=True)
@@ -578,7 +563,7 @@ class ShardedEGService:
     # ------------------------------------------------------------------
     # Read side: routed, possibly stitched, planning
     # ------------------------------------------------------------------
-    def plan(self, session_id: str, workload: WorkloadDAG):
+    def plan(self, session_id: str, workload: WorkloadDAG) -> ServicePlan:
         """Optimize a workload against the shard(s) owning its lineage.
 
         Single-shard lineages delegate to that shard's service — snapshot
@@ -600,7 +585,7 @@ class ShardedEGService:
 
     def _plan_stitched(
         self, session_id: str, workload: WorkloadDAG, routed: RoutedWorkload
-    ) -> ShardedServicePlan:
+    ) -> ServicePlan:
         home = routed.home_shard()
         leases: dict[int, SnapshotLease] = {}
         try:
@@ -642,8 +627,10 @@ class ShardedEGService:
         )
         if remote:
             self._remote_loads.inc(remote)
-        return ShardedServicePlan(
-            session_id=session_id, result=result, snapshot=snapshot
+        return ServicePlan(
+            session_id=session_id,
+            result=result,
+            lease=cast(SnapshotLease, snapshot),
         )
 
     # ------------------------------------------------------------------

@@ -1,7 +1,6 @@
-"""Async multiplexed binary transport for the EG service.
-
-Successor to the blocking length-prefixed-JSON socket of
-:mod:`repro.service.tcp`:
+"""Async multiplexed binary transport for the EG service — the one wire
+between tenants and a service, and between a sharded coordinator and its
+worker processes:
 
 * **Frames** (:mod:`~repro.transport.frames`) — tagged binary frames;
   the request id in the header lets many requests share one connection
@@ -15,9 +14,14 @@ Successor to the blocking length-prefixed-JSON socket of
   :class:`~repro.shard.ShardedEGService`, with per-connection
   pipelining and admission control
   (:mod:`~repro.transport.admission`) in front of the merge queue.
+* **Wire records** (:mod:`~repro.transport.wire`) — the message-tree
+  form of payloads, workload DAGs, plan and commit replies, one
+  encode/decode pair each.
 * **Client** (:mod:`~repro.transport.client`) — blocking, thread-safe
-  connections multiplexed behind a round-robin pool; a drop-in
-  :class:`TransportServiceClient` mirrors the in-process client loop.
+  connections multiplexed behind a round-robin pool; a
+  :class:`RemoteService` adapter answers the ``EGService`` surface over
+  it, and :class:`TransportServiceClient` runs the one client loop
+  against that adapter.
 
 See ``docs/TRANSPORT.md`` for the wire format and shedding tiers.
 """
@@ -26,6 +30,7 @@ from .admission import AdmissionController, AdmissionPolicy, TokenBucket
 from .client import (
     ConnectionPool,
     PendingReply,
+    RemoteService,
     TransportConnection,
     TransportServiceClient,
 )
@@ -50,6 +55,7 @@ __all__ = [
     "TransportConnection",
     "PendingReply",
     "ConnectionPool",
+    "RemoteService",
     "TransportServiceClient",
     "ShardCommitSequencer",
     "ShardRequestBridge",

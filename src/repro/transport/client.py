@@ -1,6 +1,6 @@
 """Blocking client side of the async binary transport.
 
-Three layers:
+Four layers:
 
 * :class:`TransportConnection` — one multiplexed socket.  Callers stamp
   requests with fresh tags and park on per-request events; a daemon
@@ -12,12 +12,16 @@ Three layers:
   request that dies with ``ConnectionLostError`` is retried on a fresh
   connection **exactly once** (commits retried this way are
   at-least-once; everything else is read-only).
-* :class:`TransportServiceClient` — drop-in counterpart of
-  :class:`~repro.service.tcp.TCPServiceClient`: plans and commits over
-  the binary protocol, executes locally against a stub EG built from the
-  shipped loads, backs off on
-  :class:`~repro.service.errors.ServiceOverloadedError` — which the
-  admission errors subclass, so shed requests retry with the same loop.
+* :class:`RemoteService` — the sessions/``plan``/``commit`` slice of
+  :class:`~repro.service.core.EGService` answered over such a pool: a
+  plan comes back as a :class:`~repro.service.core.ServicePlan` over a
+  stub EG built from the shipped loads, a commit as a
+  :class:`~repro.service.core.CommitResult`.
+* :class:`TransportServiceClient` — the one client loop
+  (:class:`~repro.service.client.ServiceClient`) run against a
+  ``RemoteService``, plus the server's introspection ops.  The admission
+  errors subclass :class:`~repro.service.errors.ServiceOverloadedError`,
+  so shed requests back off in the same loop as a full merge queue.
 """
 
 from __future__ import annotations
@@ -27,24 +31,16 @@ import random
 import socket
 import threading
 import time
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-from ..client.api import Workspace
-from ..client.executor import (
-    ExecutionReport,
-    Executor,
-    VirtualCostModel,
-    WallClockCostModel,
-)
-from ..client.parser import parse_workload
+from ..client.executor import VirtualCostModel, WallClockCostModel
 from ..eg.graph import EGVertex, ExperimentGraph
 from ..eg.storage import ArtifactDivergenceError, SimpleArtifactStore, StorageTier
 from ..graph.artifacts import ArtifactType
 from ..graph.dag import WorkloadDAG
-from ..graph.pruning import prune_workload
 from ..obs.trace import get_tracer
-from ..reuse.plan import ReusePlan
-from ..service.client import RetryPolicy
+from ..service.client import RetryPolicy, ServiceClient
+from ..service.core import CommitResult, ServicePlan, ServiceSession
 from ..service.errors import (
     RequestTimeoutError,
     ServiceError,
@@ -53,6 +49,7 @@ from ..service.errors import (
     ShardUnavailableError,
     UnknownSessionError,
 )
+from ..service.versioned import SnapshotLease
 from .codec import BinaryWireCodec, ColumnLedger, codec_for_id, make_codec
 from .errors import (
     CommitShedError,
@@ -65,17 +62,19 @@ from .errors import (
     TruncatedFrameError,
 )
 from .frames import KIND_ERROR, KIND_REQUEST, recv_frame, send_frame
-from .wire import _decode_meta, decode_payload, encode_workload
+from .wire import decode_commit_reply, decode_load, decode_plan_reply, encode_workload
 
 __all__ = [
     "TransportConnection",
     "PendingReply",
     "ConnectionPool",
+    "RemoteSnapshot",
+    "RemoteService",
     "TransportServiceClient",
     "error_from_wire",
 ]
 
-#: wire error name -> exception class (superset of the legacy JSON socket's)
+#: wire error name -> exception class
 _WIRE_ERROR_TYPES: dict[str, type[Exception]] = {
     "ServiceError": ServiceError,
     "ServiceOverloadedError": ServiceOverloadedError,
@@ -458,7 +457,7 @@ class ConnectionPool:
 
 
 class _SnapshotStubEG(ExperimentGraph):
-    """Client-side stand-in for the server's EG snapshot (binary wire).
+    """Client-side stand-in for the server's EG snapshot.
 
     Holds exactly the planned-load artifacts shipped in a plan response,
     and reports the storage tier the server priced them at.
@@ -469,21 +468,10 @@ class _SnapshotStubEG(ExperimentGraph):
         self._tiers: dict[str, StorageTier] = {}
 
     def add_load(self, record: dict[str, Any]) -> None:
-        vertex_id = record["vertex_id"]
-        payload = decode_payload(record["payload"])
-        meta = _decode_meta(record["meta"])
-        self.graph.add_node(
-            vertex_id,
-            vertex=EGVertex(
-                vertex_id=vertex_id,
-                artifact_type=meta.artifact_type if meta else ArtifactType.DATASET,
-                compute_time=record["compute_time"],
-                size=record["size"],
-                meta=meta,
-            ),
-        )
-        self.materialize(vertex_id, payload)
-        self._tiers[vertex_id] = StorageTier[record["tier"]]
+        vertex, payload, tier = decode_load(record)
+        self.graph.add_node(vertex.vertex_id, vertex=vertex)
+        self.materialize(vertex.vertex_id, payload)
+        self._tiers[vertex.vertex_id] = tier
 
     def add_summary(self, record: dict[str, Any]) -> None:
         """Bookkeeping of one vertex from a ``shard.snapshot`` reply: enough
@@ -505,13 +493,134 @@ class _SnapshotStubEG(ExperimentGraph):
         return self._tiers.get(vertex_id, StorageTier.HOT)
 
 
-class TransportServiceClient:
-    """Remote EG client over the async multiplexed binary transport.
+class RemoteSnapshot(SnapshotLease):
+    """Lease-like view of a remote service's published snapshot.
 
-    Same surface as :class:`~repro.service.tcp.TCPServiceClient`; many
+    ``eg`` holds what the server shipped: the artifacts a ``plan`` reply
+    carried (enough to execute against) and, for a shard worker, vertex
+    summaries from ``shard.snapshot`` (enough to plan against) plus
+    whatever a :meth:`fetch` batch added.  Nothing is pinned on the
+    server — the copies are local — so :meth:`release` has nothing to
+    drop.
+    """
+
+    __slots__ = ("_request",)
+    eg: _SnapshotStubEG
+
+    def __init__(self, request: Callable[[dict[str, Any]], Any], version: int):
+        self.eg = _SnapshotStubEG()
+        self.version = version
+        self._request = request
+
+    def fetch(self, vertex_ids: Iterable[str]) -> set[str]:
+        """Ship the named artifacts in one ``shard.fetch`` batch (a shard
+        worker's op); returns the ids that crossed the wire —
+        unmaterialized or non-transportable ones do not, and the caller
+        recomputes them."""
+        reply = self._request({"op": "shard.fetch", "ids": list(vertex_ids)})
+        for record in reply["loads"]:
+            self.eg.add_load(record)
+        return {record["vertex_id"] for record in reply["loads"]}
+
+    def release(self) -> None:
+        pass
+
+
+class RemoteService:
+    """The slice of :class:`~repro.service.core.EGService` a client loop
+    calls, answered by a service on the far side of a connection.
+
+    ``request`` is anything that does one round trip —
+    :meth:`ConnectionPool.request`, or a wrapper around it that adds
+    trace context or translates a lost connection.  Sessions, ``plan``
+    (→ :class:`~repro.service.core.ServicePlan` over a
+    :class:`RemoteSnapshot`) and ``commit``
+    (→ :class:`~repro.service.core.CommitResult`) cross the wire;
+    what only the serving process can know does not.
+    """
+
+    #: planned loads arrive as local copies; the executor prices them
+    #: with its default in-memory model
+    load_cost_model = None
+
+    def __init__(
+        self, request: Callable[[dict[str, Any]], Any], urgent_commits: bool = False
+    ):
+        self.request = request
+        #: stamped on commit frames: exempts them from tier-2 shedding
+        self.urgent_commits = urgent_commits
+        #: stamped on plan/commit frames once set: the server's admission
+        #: control then meters by tenant name instead of session id
+        self.tenant: str | None = None
+
+    def open_session(self, name: str | None = None) -> ServiceSession:
+        reply = self.request({"op": "open_session", "name": name})
+        return ServiceSession(session_id=reply["session_id"], name=reply["name"])
+
+    def close_session(self, session_id: str) -> None:
+        try:
+            self.request({"op": "close_session", "session_id": session_id})
+        except (ServiceError, OSError):
+            pass  # a dead or stopped server's sessions died with it
+
+    def _message(self, op: str, session_id: str, **fields: Any) -> dict[str, Any]:
+        message = {"op": op, "session_id": session_id}
+        if self.tenant is not None:
+            message["tenant"] = self.tenant
+        message.update(fields)
+        return message
+
+    def plan(self, session_id: str, workload: WorkloadDAG) -> ServicePlan:
+        """The ``plan`` op (the server's snapshot lease, version-keyed
+        plan cache and all), rebuilt over the loads it shipped."""
+        reply = self.request(
+            self._message(
+                "plan",
+                session_id,
+                workload=encode_workload(workload, include_payloads=False),
+            )
+        )
+        lease = RemoteSnapshot(self.request, int(reply["version"]))
+        result = decode_plan_reply(reply, lease.eg)
+        return ServicePlan(session_id=session_id, result=result, lease=lease)
+
+    def commit(
+        self, session_id: str, executed: WorkloadDAG, label: str = ""
+    ) -> CommitResult:
+        reply = self.request(
+            self._message(
+                "commit",
+                session_id,
+                label=label,
+                urgent=self.urgent_commits,
+                workload=encode_workload(executed, include_payloads=True),
+            )
+        )
+        return decode_commit_reply(reply)
+
+    # the store, the latency window and the retry counter live with the
+    # server; clients count their own retries (``ServiceClient.retries``)
+    def store_statistics(self) -> dict:
+        return {}
+
+    def record_request_latency(self, seconds: float) -> None:
+        pass
+
+    def record_retry(self, session_id: str) -> None:
+        pass
+
+
+class TransportServiceClient(ServiceClient):
+    """:class:`~repro.service.client.ServiceClient` whose service is a
+    :class:`RemoteService` over the async multiplexed binary transport.
+
+    The plan → execute → commit loop is the inherited one; this class
+    dials the pool and adds the server's introspection ops.  Many
     instances may share one :class:`ConnectionPool` (pass ``pool=``), in
     which case closing the client leaves the pool open.
     """
+
+    service: RemoteService
 
     def __init__(
         self,
@@ -535,13 +644,22 @@ class TransportServiceClient:
                 host, port, size=pool_size, codec=codec, timeout_s=timeout_s
             )
             self._owns_pool = True
-        self.cost_model = cost_model if cost_model is not None else WallClockCostModel()
-        self.executor = Executor(cost_model=self.cost_model, max_workers=max_workers)
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.urgent_commits = urgent_commits
-        opened = self.request({"op": "open_session", "name": name})
-        self.session_id: str = opened["session_id"]
-        self.session_name: str = opened["name"]
+        super().__init__(
+            RemoteService(self.request, urgent_commits=urgent_commits),
+            name=name,
+            cost_model=cost_model,
+            max_workers=max_workers,
+            retry_policy=retry_policy,
+        )
+        self.service.tenant = self.session.name
+
+    @property
+    def session_name(self) -> str:
+        return self.session.name
+
+    @property
+    def urgent_commits(self) -> bool:
+        return self.service.urgent_commits
 
     # ------------------------------------------------------------------
     def request(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -596,85 +714,7 @@ class TransportServiceClient:
         return self.request(message)["debug"]
 
     # ------------------------------------------------------------------
-    def run_script(
-        self,
-        script: Callable[[Workspace, Mapping[str, Any]], None],
-        sources: Mapping[str, Any],
-        label: str = "",
-    ) -> ExecutionReport:
-        workspace = parse_workload(script, sources, cost_model=self.cost_model)
-        return self.run_workspace(workspace, label=label)
-
-    def run_workspace(self, workspace: Workspace, label: str = "") -> ExecutionReport:
-        workload = workspace.dag
-        prune_workload(workload)
-
-        # same root span as the in-process client, so a traced tcp swarm
-        # profiles identically; request() propagates this span's context
-        # over the wire, so server-side spans join the same trace
-        with get_tracer().span(
-            "client.workload", session=self.session_id, label=label
-        ) as workload_span:
-            planned = self._plan_with_retry(workload)
-            stub = _SnapshotStubEG()
-            plan = ReusePlan(algorithm=planned["algorithm"])
-            plan.estimated_cost = planned["estimated_cost"]
-            for record in planned["loads"]:
-                stub.add_load(record)
-                plan.loads.add(record["vertex_id"])
-
-            report = self.executor.execute(workload, plan=plan, eg=stub)
-            report.optimizer_overhead = planned["planning_seconds"]
-            report.total_time += planned["planning_seconds"]
-
-            committed = self._commit_with_retry(workload, label)
-            workload_span.set_attribute("version", committed["version"])
-        return report
-
-    def _plan_with_retry(self, workload: WorkloadDAG) -> dict[str, Any]:
-        message = {
-            "op": "plan",
-            "session_id": self.session_id,
-            "tenant": self.session_name,
-            "workload": encode_workload(workload, include_payloads=False),
-        }
-        return self._with_backoff(lambda: self.request(message))
-
-    def _commit_with_retry(self, workload: WorkloadDAG, label: str) -> dict[str, Any]:
-        message = {
-            "op": "commit",
-            "session_id": self.session_id,
-            "tenant": self.session_name,
-            "label": label,
-            "urgent": self.urgent_commits,
-            "workload": encode_workload(workload, include_payloads=True),
-        }
-        return self._with_backoff(lambda: self.request(message))
-
-    def _with_backoff(self, call: Callable[[], dict[str, Any]]) -> dict[str, Any]:
-        attempt = 0
-        while True:
-            try:
-                return call()
-            except ServiceOverloadedError:
-                # covers the admission family too (quota and both shed
-                # tiers subclass ServiceOverloadedError)
-                attempt += 1
-                if attempt >= self.retry_policy.max_attempts:
-                    raise
-                time.sleep(self.retry_policy.backoff(attempt))
-
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        try:
-            self.request({"op": "close_session", "session_id": self.session_id})
-        except (ServiceError, OSError):
-            pass
+        super().close()
         if self._owns_pool:
             self._pool.close()
-
-    def __enter__(self) -> "TransportServiceClient":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.close()

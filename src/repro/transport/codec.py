@@ -5,10 +5,9 @@ whose leaves may additionally be one-dimensional numpy arrays — the
 payload layer (:mod:`repro.transport.wire`) produces exactly these.  Two
 codecs serialize them:
 
-* :class:`JsonWireCodec` — the fallback: arrays become JSON lists.
-  Byte-compatible in spirit with the legacy socket in
-  :mod:`repro.service.tcp`; kept behind a flag so convergence tests can
-  diff the two paths.
+* :class:`JsonWireCodec` — the fallback: arrays become JSON lists and
+  the body is plain UTF-8 JSON, readable with any tool; selectable per
+  frame so convergence tests can diff the two paths.
 * :class:`BinaryWireCodec` — a small JSON *envelope* describing the
   tree, followed by the raw column buffers.  Numeric arrays ship as
   their bytes via ``memoryview`` — no ``tolist``, no number formatting,

@@ -9,12 +9,12 @@ Two families:
 * **Admission errors** (:class:`AdmissionError` and friends) — the
   server deliberately refused work to protect the merge queue.  They
   subclass :class:`~repro.service.errors.ServiceOverloadedError`, so
-  every existing back-off/retry loop treats a shed request exactly like
-  a full update queue: wait, then try again.
+  the client's back-off loop treats a shed request exactly like a full
+  update queue: wait, then try again.
 
 The base :class:`~repro.service.errors.TransportError` and
 :class:`~repro.service.errors.TruncatedFrameError` live in
-:mod:`repro.service.errors` so the legacy JSON socket can raise them
+:mod:`repro.service.errors` so service-side code can match on them
 without importing this package.
 """
 

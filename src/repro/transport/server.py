@@ -26,9 +26,9 @@ runs in a separate small pool so responses can still be serialized while
 every worker is parked inside a commit.  The event loop itself only
 shuffles frames.
 
-The server runs its own event loop in a background thread, so the
-blocking clients (and tests) drive it like the legacy
-:class:`~repro.service.tcp.ServiceTCPServer`.
+The server runs its own event loop in a background thread: ``start()``
+returns the bound address and the blocking clients (and tests) connect
+to it from ordinary threads.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import asyncio
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 from typing import Any
 
 from ..obs.trace import SpanContext, get_tracer
@@ -52,7 +51,13 @@ from .frames import (
     pack_header,
     read_frame_async,
 )
-from .wire import _encode_meta, decode_workload, encode_payload, sanitize_tree
+from .wire import (
+    decode_workload,
+    encode_commit_reply,
+    encode_plan_reply,
+    encode_stats,
+    sanitize_tree,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -65,6 +70,13 @@ __all__ = ["AsyncTransportServer"]
 #: never spent.  Payload-bearing frames stay profiled, so a real codec
 #: regression still shows up where the bytes are.
 _CODEC_SPAN_BYTES_FLOOR = 16384
+
+
+def _remote_parent(tc: Any) -> SpanContext | None:
+    """The caller's span context from a frame's ``tc`` field, if sound."""
+    if isinstance(tc, (list, tuple)) and len(tc) == 2:
+        return SpanContext(trace_id=str(tc[0]), span_id=str(tc[1]))
+    return None
 
 
 class AsyncTransportServer:
@@ -384,17 +396,11 @@ class AsyncTransportServer:
         tracer = get_tracer()
         if not tracer.enabled:
             return
-        remote = message.get("tc")
-        parent = (
-            SpanContext(trace_id=str(remote[0]), span_id=str(remote[1]))
-            if isinstance(remote, (list, tuple)) and len(remote) == 2
-            else None
-        )
         # created and finished without ever being entered: it runs on the
         # event loop thread and must not touch its span stack
         tracer.span(
             "transport.shed",
-            parent=parent,
+            parent=_remote_parent(message.get("tc")),
             op=op,
             tier=str(error.tier),
             error=type(error).__name__,
@@ -434,12 +440,7 @@ class AsyncTransportServer:
         # the client workload's trace across the wire — including the
         # merge worker's service.commit, whose ticket captures this
         # thread's context at submit time.
-        remote = message.pop("tc", None)
-        parent = (
-            SpanContext(trace_id=str(remote[0]), span_id=str(remote[1]))
-            if isinstance(remote, (list, tuple)) and len(remote) == 2
-            else None
-        )
+        parent = _remote_parent(message.pop("tc", None))
         with get_tracer().span("transport.request", op=op, parent=parent):
             return handler(message)
 
@@ -477,53 +478,18 @@ class AsyncTransportServer:
 
     def _op_plan(self, message: dict[str, Any]) -> dict[str, Any]:
         workload = decode_workload(message["workload"])
-        plan = self.service.plan(message["session_id"], workload)
-        try:
-            loads = []
-            for vertex_id in sorted(plan.result.plan.loads):
-                record = plan.eg.vertex(vertex_id)
-                payload = encode_payload(plan.eg.load(vertex_id))
-                if payload is None:
-                    continue  # not transportable; the client recomputes
-                loads.append(
-                    {
-                        "vertex_id": vertex_id,
-                        "size": record.size,
-                        "compute_time": record.compute_time,
-                        "tier": plan.eg.tier_of(vertex_id).name,
-                        "meta": _encode_meta(record.meta),
-                        "payload": payload,
-                    }
-                )
-        finally:
-            plan.release()
-        return {
-            "version": plan.version,
-            "algorithm": plan.result.plan.algorithm,
-            "planning_seconds": plan.result.planning_seconds,
-            "estimated_cost": plan.result.plan.estimated_cost,
-            "loads": loads,
-        }
+        with self.service.plan(message["session_id"], workload) as plan:
+            return encode_plan_reply(plan)
 
     def _op_commit(self, message: dict[str, Any]) -> dict[str, Any]:
         executed = decode_workload(message["workload"])
         result = self.service.commit(
             message["session_id"], executed, label=message.get("label", "")
         )
-        return {
-            "commit_index": result.commit_index,
-            "version": result.version,
-            "batch_size": result.batch_size,
-            "new_sources": result.new_sources,
-        }
+        return encode_commit_reply(result)
 
     def _op_stats(self, _message: dict[str, Any]) -> dict[str, Any]:
-        stats = self.service.stats()
-        record = asdict(stats)
-        record["mean_batch_size"] = stats.mean_batch_size
-        record["mean_merge_seconds"] = stats.mean_merge_seconds
-        record["reuse_hit_rate"] = stats.reuse_hit_rate
-        return {"stats": record}
+        return {"stats": encode_stats(self.service.stats())}
 
     def _op_metrics(self, message: dict[str, Any]) -> dict[str, Any]:
         if message.get("format", "text") == "json":

@@ -29,14 +29,19 @@ from __future__ import annotations
 
 import shutil
 import threading
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable
 
 from ..eg.persistence import save_eg
 from ..service.errors import RequestTimeoutError
 from .server import AsyncTransportServer
-from .wire import _encode_meta, decode_workload, encode_payload, sanitize_tree
+from .wire import (
+    decode_workload,
+    encode_commit_reply,
+    encode_load,
+    encode_stats,
+    sanitize_tree,
+)
 
 __all__ = ["ShardCommitSequencer", "ShardRequestBridge", "serve_one_shard"]
 
@@ -136,12 +141,7 @@ class ShardRequestBridge:
         )
         result = ticket.wait(self.service.request_timeout_s)
         self._maybe_checkpoint()
-        return {
-            "commit_index": result.commit_index,
-            "version": result.version,
-            "batch_size": result.batch_size,
-            "new_sources": result.new_sources,
-        }
+        return encode_commit_reply(result)
 
     def _shard_snapshot(self, message: dict[str, Any]) -> dict[str, Any]:
         ids = message.get("ids") or []
@@ -175,32 +175,16 @@ class ShardRequestBridge:
             for vertex_id in ids:
                 if vertex_id not in eg or not eg.is_materialized(vertex_id):
                     continue
-                payload = encode_payload(eg.load(vertex_id))
-                if payload is None:
-                    continue  # not transportable; the coordinator recomputes
-                record = eg.vertex(vertex_id)
-                loads.append(
-                    {
-                        "vertex_id": vertex_id,
-                        "size": record.size,
-                        "compute_time": record.compute_time,
-                        "tier": eg.tier_of(vertex_id).name,
-                        "meta": _encode_meta(record.meta),
-                        "payload": payload,
-                    }
-                )
+                record = encode_load(eg, vertex_id)
+                if record is not None:
+                    loads.append(record)
             return {"version": lease.version, "loads": loads}
         finally:
             lease.release()
 
     def _shard_stats(self, _message: dict[str, Any]) -> dict[str, Any]:
-        stats = self.service.stats()
-        record = asdict(stats)
-        record["mean_batch_size"] = stats.mean_batch_size
-        record["mean_merge_seconds"] = stats.mean_merge_seconds
-        record["reuse_hit_rate"] = stats.reuse_hit_rate
         return {
-            "stats": sanitize_tree(record),
+            "stats": sanitize_tree(encode_stats(self.service.stats())),
             "health": sanitize_tree(self.service.health()),
             "metrics": sanitize_tree(self.service.metrics_snapshot()),
         }

@@ -1,14 +1,21 @@
-"""Payload and workload codecs for the binary transport.
+"""What crosses the wire: payloads, workload DAGs, plan and commit replies.
 
-Mirrors the request surface of :mod:`repro.service.tcp` but produces
-*message trees* — JSON-shaped structures whose array leaves stay numpy
-arrays — which the frame codecs (:mod:`repro.transport.codec`) then
-serialize: the binary codec ships the arrays as raw buffers, the JSON
-fallback flattens them to lists.  Transportability rules are identical
-to the legacy socket: dataframes, ndarrays, scalars and lists
-round-trip; object-dtype columns only when every value is a string
-(anything else would be mutated by stringification under its
-content-addressed id); fitted estimators do not cross the wire.
+Every function here maps a service object to or from a *message tree* —
+a JSON-shaped structure whose array leaves stay numpy arrays — which the
+frame codecs (:mod:`repro.transport.codec`) then serialize: the binary
+codec ships the arrays as raw buffers, the JSON fallback flattens them
+to lists.  Each record's layout is written down exactly once, as an
+``encode_*``/``decode_*`` pair; servers, clients and shard handles call
+the pair instead of spelling the keys (``docs/TRANSPORT.md`` has the
+schemas).
+
+Transportability: dataframes, ndarrays, scalars and lists round-trip;
+object-dtype columns only when every value is a string (anything else
+would be mutated by stringification under its content-addressed id);
+fitted estimators do not cross the wire — a commit still merges their
+meta-data and measured costs (content stays unmaterialized), and a plan
+drops loads whose stored payload cannot be shipped, falling back to
+recomputation.  Warmstart assignments are likewise in-process only.
 
 Because the binary codec deduplicates at the *column* level, frame
 columns keep their lineage ``column_id`` next to their values — a column
@@ -23,9 +30,14 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..dataframe import Column, DataFrame
+from ..eg.graph import EGVertex
+from ..eg.storage import StorageTier
 from ..graph.artifacts import ArtifactMeta, ArtifactType
 from ..graph.dag import Vertex, WorkloadDAG
 from ..graph.operations import Operation
+from ..reuse.plan import ReusePlan
+from ..server.optimizer import OptimizationResult
+from ..service.core import CommitResult
 from ..service.errors import ServiceError
 from .errors import ProtocolError
 
@@ -34,6 +46,13 @@ __all__ = [
     "decode_payload",
     "encode_workload",
     "decode_workload",
+    "encode_load",
+    "decode_load",
+    "encode_plan_reply",
+    "decode_plan_reply",
+    "encode_commit_reply",
+    "decode_commit_reply",
+    "encode_stats",
     "sanitize_tree",
 ]
 
@@ -181,7 +200,7 @@ class _WireOperation(Operation):
 
 def encode_workload(dag: WorkloadDAG, include_payloads: bool) -> dict[str, Any]:
     """Structural DAG encoding; payloads only when transportable and asked
-    for (identical semantics to the legacy JSON socket).
+    for.
 
     Keys are single characters: a plan re-ships the full workload
     structure every round, and on structure-heavy messages the key text
@@ -232,47 +251,136 @@ def encode_workload(dag: WorkloadDAG, include_payloads: bool) -> dict[str, Any]:
 
 
 def decode_workload(obj: dict[str, Any]) -> WorkloadDAG:
-    """Rebuild a workload DAG (ids are trusted — they are content addresses).
-
-    Accepts the compact single-character keys :func:`encode_workload`
-    emits and, for hand-written test fixtures, the verbose legacy names.
-    """
+    """Rebuild a workload DAG (ids are trusted — they are content addresses)."""
     dag = WorkloadDAG()
-    for record in obj.get("v", obj.get("vertices", ())):
-        compact = "i" in record
+    for record in obj["v"]:
         vertex = Vertex(
-            vertex_id=record["i" if compact else "id"],
-            artifact_type=ArtifactType(record["t" if compact else "type"]),
-            computed=record["c" if compact else "computed"],
-            compute_time=record["ct" if compact else "compute_time"],
-            size=record["s" if compact else "size"],
-            is_source=record["so" if compact else "is_source"],
-            source_name=record["sn" if compact else "source_name"],
-            meta=_decode_meta(record["m" if compact else "meta"]),
+            vertex_id=record["i"],
+            artifact_type=ArtifactType(record["t"]),
+            computed=record["c"],
+            compute_time=record["ct"],
+            size=record["s"],
+            is_source=record["so"],
+            source_name=record["sn"],
+            meta=_decode_meta(record["m"]),
         )
-        payload = record.get("p" if compact else "payload")
+        payload = record.get("p")
         if payload is not None:
             vertex.data = decode_payload(payload)
         dag.graph.add_node(vertex.vertex_id, vertex=vertex)
-    for edge in obj.get("e", obj.get("edges", ())):
-        compact = "d" in edge
+    for edge in obj["e"]:
         operation = edge["op"]
         dag.graph.add_edge(
-            edge["s" if compact else "src"],
-            edge["d" if compact else "dst"],
+            edge["s"],
+            edge["d"],
             operation=None
             if operation is None
             else _WireOperation(
-                operation["n" if compact else "name"],
-                ArtifactType(operation["r" if compact else "return_type"]),
-                operation["p" if compact else "params"],
-                operation["h" if compact else "hash"],
+                operation["n"],
+                ArtifactType(operation["r"]),
+                operation["p"],
+                operation["h"],
             ),
-            order=edge["o" if compact else "order"],
-            active=edge["a" if compact else "active"],
+            order=edge["o"],
+            active=edge["a"],
         )
-    dag.terminals = list(obj.get("tm", obj.get("terminals", ())))
-    global_index = obj.get("g", obj.get("global_index"))
+    dag.terminals = list(obj["tm"])
+    global_index = obj.get("g")
     if global_index is not None:
         dag.global_index = global_index
     return dag
+
+
+# ----------------------------------------------------------------------
+# Plan and commit replies
+# ----------------------------------------------------------------------
+def encode_load(eg: Any, vertex_id: str) -> dict[str, Any] | None:
+    """One materialized artifact of ``eg`` as a planned-load record;
+    ``None`` when its payload is not transportable (the receiver then
+    recomputes the vertex)."""
+    payload = encode_payload(eg.load(vertex_id))
+    if payload is None:
+        return None
+    record = eg.vertex(vertex_id)
+    return {
+        "vertex_id": vertex_id,
+        "size": record.size,
+        "compute_time": record.compute_time,
+        "tier": eg.tier_of(vertex_id).name,
+        "meta": _encode_meta(record.meta),
+        "payload": payload,
+    }
+
+
+def decode_load(record: dict[str, Any]) -> tuple[EGVertex, Any, StorageTier]:
+    """A planned-load record back as (EG bookkeeping, payload, the tier
+    the sender priced it at)."""
+    meta = _decode_meta(record["meta"])
+    vertex = EGVertex(
+        vertex_id=record["vertex_id"],
+        artifact_type=meta.artifact_type if meta else ArtifactType.DATASET,
+        compute_time=record["compute_time"],
+        size=record["size"],
+        meta=meta,
+    )
+    return vertex, decode_payload(record["payload"]), StorageTier[record["tier"]]
+
+
+def encode_plan_reply(plan: Any) -> dict[str, Any]:
+    """The ``plan`` op's reply for a :class:`~repro.service.core.ServicePlan`
+    (or the sharded plan, same shape): the plan's scalars plus one load
+    record per planned load that can be shipped, read off the pinned
+    snapshot — the caller still holds, and releases, the lease."""
+    records = (encode_load(plan.eg, v) for v in sorted(plan.result.plan.loads))
+    return {
+        "version": plan.version,
+        "algorithm": plan.result.plan.algorithm,
+        "planning_seconds": plan.result.planning_seconds,
+        "estimated_cost": plan.result.plan.estimated_cost,
+        "loads": [record for record in records if record is not None],
+    }
+
+
+def decode_plan_reply(reply: dict[str, Any], eg: Any) -> OptimizationResult:
+    """Rebuild the optimization result of a ``plan`` reply, handing every
+    shipped load to ``eg.add_load`` so the plan executes against ``eg``."""
+    plan = ReusePlan(algorithm=reply["algorithm"])
+    plan.estimated_cost = reply["estimated_cost"]
+    load_tiers: dict[str, StorageTier] = {}
+    for record in reply["loads"]:
+        eg.add_load(record)
+        plan.loads.add(record["vertex_id"])
+        load_tiers[record["vertex_id"]] = StorageTier[record["tier"]]
+    return OptimizationResult(
+        plan=plan, planning_seconds=reply["planning_seconds"], load_tiers=load_tiers
+    )
+
+
+def encode_commit_reply(result: Any) -> dict[str, Any]:
+    """Reply of ``commit`` and ``shard.commit``; batch reports stay on
+    the merging side."""
+    return {
+        "commit_index": result.commit_index,
+        "version": result.version,
+        "batch_size": result.batch_size,
+        "new_sources": result.new_sources,
+    }
+
+
+def decode_commit_reply(reply: dict[str, Any]) -> CommitResult:
+    return CommitResult(
+        commit_index=reply["commit_index"],
+        version=reply["version"],
+        batch_size=reply["batch_size"],
+        new_sources=reply["new_sources"],
+    )
+
+
+def encode_stats(stats: Any) -> dict[str, Any]:
+    """A frozen :class:`~repro.service.stats.ServiceStats` as the ``stats``
+    record: its fields plus the derived means and hit rate."""
+    record = asdict(stats)
+    record["mean_batch_size"] = stats.mean_batch_size
+    record["mean_merge_seconds"] = stats.mean_merge_seconds
+    record["reuse_hit_rate"] = stats.reuse_hit_rate
+    return record

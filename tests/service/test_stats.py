@@ -8,7 +8,7 @@ import pytest
 from repro.materialization.simple import MaterializeAll
 from repro.service import EGService
 from repro.service.stats import MetricsRecorder
-from repro.service.tcp import ServiceTCPServer, TCPServiceClient
+from repro.transport import AsyncTransportServer, TransportServiceClient
 
 
 def snap(recorder: MetricsRecorder):
@@ -161,9 +161,9 @@ class TestServiceExposition:
 
     def test_metrics_over_tcp(self):
         with EGService(MaterializeAll()) as service:
-            with ServiceTCPServer(service) as server:
+            with AsyncTransportServer(service) as server:
                 host, port = server.address
-                with TCPServiceClient(host, port) as client:
+                with TransportServiceClient(host, port) as client:
                     text = client.metrics()
                     assert "repro_service_version" in text
                     snapshot = client.metrics(format="json")

@@ -95,8 +95,11 @@ class TestBlockingFrames:
         try:
             theirs.sendall(struct.pack(">H", MAGIC))  # only the magic
             theirs.close()
-            with pytest.raises(TruncatedFrameError):
+            # callers matching on ConnectionError (and on ServiceError) both
+            # catch it; neither mistakes it for an orderly shutdown
+            with pytest.raises(ConnectionError) as caught:
                 recv_frame(ours)
+            assert isinstance(caught.value, TruncatedFrameError)
         finally:
             ours.close()
 

@@ -22,7 +22,7 @@ from repro.transport import (
 )
 from repro.workloads.synthetic_dag import wide_workload_script
 
-EMPTY_WORKLOAD = {"vertices": [], "edges": [], "terminals": []}
+EMPTY_WORKLOAD = {"v": [], "e": [], "tm": []}
 
 
 def make_sources():
