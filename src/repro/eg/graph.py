@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import networkx as nx
 
-from ..graph.artifacts import ArtifactMeta, ArtifactType
+from ..graph.artifacts import ArtifactMeta, ArtifactType, Footprint, payload_footprint
 from ..graph.dag import WorkloadDAG
 from .storage import ArtifactStore, SimpleArtifactStore, StorageTier
 
@@ -34,6 +34,9 @@ class EGVertex:
     of workloads the artifact appeared in, ``compute_time`` (t) the measured
     time of the operation that produces it, ``size`` (s) its content size in
     bytes, and ``materialized`` (mat) whether its content is in the store.
+    ``footprint`` is the meta-data of the *stored* content — its column
+    lineage ids and byte sizes, see :meth:`ExperimentGraph.footprint` —
+    which the storage-aware materializer charges by without reading it.
     """
 
     vertex_id: str
@@ -48,6 +51,9 @@ class EGVertex:
     #: index of the last workload (1-based) this artifact appeared in;
     #: used by the recency-based warmstart candidate policy
     last_seen: int = 0
+    #: column footprint of the content in the store; ``None`` while nothing
+    #: is stored or when the content got there without ``materialize``
+    footprint: Footprint | None = None
 
     @property
     def quality(self) -> float:
@@ -300,17 +306,52 @@ class ExperimentGraph:
     # Materialization state transitions (driven by the Updater)
     # ------------------------------------------------------------------
     def materialize(self, vertex_id: str, payload: object) -> int:
-        """Store a vertex's content; returns incremental bytes used."""
+        """Store a vertex's content; returns incremental bytes used.
+
+        This is the one place a :attr:`EGVertex.footprint` is recorded: the
+        payload is in hand here and nowhere later.  A re-put keeps the
+        content the store already holds (whose column ids may differ from
+        this payload's), so it records nothing and :meth:`footprint`
+        derives it on first use.
+        """
+        record = self.vertex(vertex_id)
+        kept = vertex_id in self.store
         added = self.store.put(vertex_id, payload)
-        self.vertex(vertex_id).materialized = True
+        record.materialized = True
+        if not kept:
+            record.footprint = payload_footprint(payload)
         return added
+
+    def deselect(self, vertex_id: str) -> None:
+        """Clear a vertex's materialized flag and recorded footprint.
+
+        The content itself leaves through :meth:`unmaterialize` or, under
+        the versioned service, through a deferred ``store.remove`` once no
+        snapshot reader can still load it.
+        """
+        record = self.vertex(vertex_id)
+        record.materialized = False
+        record.footprint = None
 
     def unmaterialize(self, vertex_id: str) -> int:
         """Evict a vertex's content; returns bytes released."""
         released = self.store.remove(vertex_id)
         if vertex_id in self.graph:
-            self.vertex(vertex_id).materialized = False
+            self.deselect(vertex_id)
         return released
+
+    def footprint(self, vertex_id: str) -> Footprint:
+        """Column footprint of a materialized vertex's stored content.
+
+        Meta-data: answered from the record :meth:`materialize` wrote, with
+        no store access.  Only a vertex whose content entered the store
+        some other way (an EG reopened from an older checkpoint, a flag set
+        by hand) costs one load, after which it is recorded too.
+        """
+        record = self.vertex(vertex_id)
+        if record.footprint is None:
+            record.footprint = payload_footprint(self.load(vertex_id))
+        return record.footprint
 
     def load(self, vertex_id: str) -> object:
         """Retrieve a materialized vertex's content."""

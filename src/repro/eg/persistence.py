@@ -5,7 +5,8 @@ the graph structure, per-vertex bookkeeping, and the artifact store's
 contents to a directory; ``load_eg`` restores them.  Formats:
 
 * ``graph.json`` — vertices (id, type, f/t/s, materialization flag,
-  last-seen workload index, meta) and edges (op hash/name, input order);
+  last-seen workload index, meta, and the recorded column footprint of
+  stored content) and edges (op hash/name, input order);
 * ``store/`` — the artifact contents in the incremental on-disk layout of
   :class:`~repro.storage.disk.DiskColdTier`: one ``.npy`` file per distinct
   column (keyed by lineage id, so shared columns are serialized once), one
@@ -33,7 +34,12 @@ import pickle
 from pathlib import Path
 
 from ..dataframe import Column, DataFrame
-from ..graph.artifacts import ArtifactMeta, ArtifactType, payload_size_bytes
+from ..graph.artifacts import (
+    ArtifactMeta,
+    ArtifactType,
+    Footprint,
+    payload_size_bytes,
+)
 from ..storage.disk import DiskColdTier
 from ..storage.tiered import TieredArtifactStore
 from .graph import EGVertex, ExperimentGraph
@@ -84,6 +90,13 @@ def _meta_from_dict(data: dict | None) -> ArtifactMeta | None:
     )
 
 
+def _footprint_from_json(data: list | int | None) -> Footprint | None:
+    """JSON turns a frame's ``((column id, bytes), ...)`` into nested lists."""
+    if isinstance(data, list):
+        return tuple((column_id, nbytes) for column_id, nbytes in data)
+    return data
+
+
 def save_eg(eg: ExperimentGraph, directory: str | Path) -> None:
     """Persist an Experiment Graph (structure + store) to a directory."""
     directory = Path(directory)
@@ -103,6 +116,7 @@ def save_eg(eg: ExperimentGraph, directory: str | Path) -> None:
                 "is_source": vertex.is_source,
                 "source_name": vertex.source_name,
                 "meta": _meta_to_dict(vertex.meta),
+                "footprint": vertex.footprint,
             }
         )
     edges = [
@@ -207,6 +221,9 @@ def load_eg(directory: str | Path) -> ExperimentGraph:
                 is_source=record["is_source"],
                 source_name=record["source_name"],
                 meta=_meta_from_dict(record["meta"]),
+                # absent in documents written before footprints were
+                # recorded: derived from one load on first use
+                footprint=_footprint_from_json(record.get("footprint")),
             )
             eg.graph.add_node(vertex.vertex_id, vertex=vertex)
             if vertex.is_source:

@@ -306,6 +306,11 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
     def __init__(self):
         #: column id -> (Column, refcount)
         self._columns: dict[str, tuple[Column, int]] = {}
+        #: column id -> bytes, evaluated once at ``put`` (``Column.nbytes``
+        #: walks every value of an object column)
+        self._column_sizes: dict[str, int] = {}
+        #: physical bytes held: distinct columns plus non-frame payloads
+        self._total_bytes = 0
         #: vertex id -> list of (output name, column id) for frame payloads
         self._frame_layout: dict[str, list[tuple[str, str]]] = {}
         #: vertex id -> payload for non-frame payloads
@@ -318,7 +323,7 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
             if vertex_id in self:
                 if vertex_id in self._frame_layout:
                     signature: Any = [
-                        (name, self._columns[column_id][0].nbytes)
+                        (name, self._column_sizes[column_id])
                         for name, column_id in self._frame_layout[vertex_id]
                     ]
                 else:
@@ -329,6 +334,7 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
                 size = payload_size_bytes(payload)
                 self._objects[vertex_id] = payload
                 self._object_sizes[vertex_id] = size
+                self._total_bytes += size
                 return size
 
             added = 0
@@ -338,12 +344,27 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
                 entry = self._columns.get(column.column_id)
                 if entry is None:
                     self._columns[column.column_id] = (column, 1)
-                    added += column.nbytes
+                    size = self._column_sizes[column.column_id] = column.nbytes
+                    added += size
                 else:
                     self._columns[column.column_id] = (entry[0], entry[1] + 1)
                 layout.append((name, column.column_id))
             self._frame_layout[vertex_id] = layout
+            self._total_bytes += added
             return added
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        super().__setstate__(state)
+        if "_column_sizes" not in state:
+            # a ``store.pkl`` (format version 1) written before sizes were
+            # recorded at ``put``
+            self._column_sizes = {
+                column_id: column.nbytes
+                for column_id, (column, _refs) in self._columns.items()
+            }
+            self._total_bytes = sum(self._column_sizes.values()) + sum(
+                self._object_sizes.values()
+            )
 
     def get(self, vertex_id: str) -> Any:
         with self._lock:
@@ -362,7 +383,9 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
         with self._lock:
             if vertex_id in self._objects:
                 del self._objects[vertex_id]
-                return self._object_sizes.pop(vertex_id)
+                released = self._object_sizes.pop(vertex_id)
+                self._total_bytes -= released
+                return released
             layout = self._frame_layout.pop(vertex_id, None)
             if layout is None:
                 return 0
@@ -371,9 +394,10 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
                 column, refs = self._columns[column_id]
                 if refs == 1:
                     del self._columns[column_id]
-                    released += column.nbytes
+                    released += self._column_sizes.pop(column_id)
                 else:
                     self._columns[column_id] = (column, refs - 1)
+            self._total_bytes -= released
             return released
 
     def __contains__(self, vertex_id: str) -> bool:
@@ -382,9 +406,7 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
     @property
     def total_bytes(self) -> int:
         """Physical bytes used — duplicated columns counted once."""
-        with self._lock:
-            columns = sum(column.nbytes for column, _refs in self._columns.values())
-            return columns + sum(self._object_sizes.values())
+        return self._total_bytes
 
     @property
     def logical_bytes(self) -> int:
@@ -397,8 +419,7 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
             logical = sum(self._object_sizes.values())
             for layout in self._frame_layout.values():
                 for _name, column_id in layout:
-                    column, _refs = self._columns[column_id]
-                    logical += column.nbytes
+                    logical += self._column_sizes[column_id]
             return logical
 
     @property

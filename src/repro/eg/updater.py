@@ -8,7 +8,14 @@ After the client executes a workload, the updater (paper Section 3.2):
    measured compute times and sizes; and
 3. invokes the configured materialization algorithm and reconciles the
    artifact store against its output — storing newly selected contents that
-   are at hand and evicting deselected ones.
+   are at hand and evicting deselected ones.  This step reads no artifact
+   content: the algorithm is handed the batch's payloads plus the *ids* of
+   what is already stored (an
+   :class:`~repro.materialization.base.AvailableContent`), and whatever it
+   needs to know about stored content is meta-data on the EG — sizes,
+   tiers, and the column footprint :meth:`ExperimentGraph.materialize`
+   recorded when the content went in.  A merge therefore moves nothing
+   between storage tiers; only tenants' loads do.
 
 The multi-tenant EG service batches step 3: :meth:`Updater.update_batch`
 unions several executed workloads in commit order and runs the
@@ -29,11 +36,11 @@ a different-sized model at the same vertex id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from ..graph.artifacts import ArtifactType
 from ..graph.dag import WorkloadDAG
-from ..materialization.base import Materializer
+from ..materialization.base import AvailableContent, Materializer
 from .graph import ExperimentGraph
 from .storage import ArtifactDivergenceError
 
@@ -193,38 +200,38 @@ class Updater:
         report: BatchUpdateReport,
         evict: Callable[[str], int] | None,
     ) -> None:
-        """Run the materialization algorithm and apply its selection."""
-        evict = evict if evict is not None else self.eg.unmaterialize
-        available = self._available_payloads(merged)
-        target = self.materializer.select(self.eg, available)
+        """Run the materialization algorithm and apply its selection.
 
+        The materializer is shown what is obtainable — the batch's payloads,
+        which are in hand, and the ids of the non-source vertices already
+        stored — and the store is then told only what changed: nothing here
+        reads an artifact back.
+        """
+        evict = evict if evict is not None else self.eg.unmaterialize
         current = {
-            vertex_id
-            for vertex_id in self.eg.materialized_ids()
-            if not self.eg.vertex(vertex_id).is_source
+            vertex.vertex_id
+            for vertex in self.eg.vertices()
+            if vertex.materialized and not vertex.is_source
         }
+        in_hand = {
+            vertex.vertex_id: vertex.data
+            for executed in merged
+            for vertex in executed.artifact_vertices()
+            if vertex.computed and not vertex.is_source and vertex.data is not None
+        }
+        target = self.materializer.select(
+            self.eg, AvailableContent(self.eg, in_hand, current)
+        )
+
         for vertex_id in sorted(current - target):
-            self.eg.vertex(vertex_id).materialized = False
+            self.eg.deselect(vertex_id)
             evict(vertex_id)
             self._dirty.add(vertex_id)
             report.evicted.append(vertex_id)
         for vertex_id in sorted(target - current):
-            payload = available.get(vertex_id)
+            payload = in_hand.get(vertex_id)
             if payload is None:
                 continue  # content not obtainable right now; keep meta only
             self.eg.materialize(vertex_id, payload)
             self._dirty.add(vertex_id)
             report.newly_materialized.append(vertex_id)
-
-    def _available_payloads(self, merged: Sequence[WorkloadDAG]) -> dict[str, Any]:
-        """Contents obtainable now: just-computed plus already-stored."""
-        available: dict[str, Any] = {}
-        for vertex_id in self.eg.materialized_ids():
-            vertex = self.eg.vertex(vertex_id)
-            if not vertex.is_source:
-                available[vertex_id] = self.eg.load(vertex_id)
-        for executed in merged:
-            for vertex in executed.artifact_vertices():
-                if vertex.computed and not vertex.is_source and vertex.data is not None:
-                    available[vertex.vertex_id] = vertex.data
-        return available

@@ -23,7 +23,19 @@ import numpy as np
 from ..dataframe import DataFrame
 from ..ml.base import BaseEstimator
 
-__all__ = ["ArtifactType", "ArtifactMeta", "artifact_meta", "payload_size_bytes"]
+__all__ = [
+    "ArtifactType",
+    "ArtifactMeta",
+    "Footprint",
+    "artifact_meta",
+    "payload_footprint",
+    "payload_size_bytes",
+]
+
+#: what an artifact's content occupies, as meta-data: ``((column lineage id,
+#: bytes), ...)`` in column order for a frame — the shape a column-
+#: deduplicating store charges by — or one byte count for anything else
+Footprint = tuple[tuple[str, int], ...] | int
 
 
 class ArtifactType(enum.Enum):
@@ -89,6 +101,20 @@ def payload_size_bytes(payload: Any) -> int:
             payload_size_bytes(k) + payload_size_bytes(v) for k, v in payload.items()
         )
     return sys.getsizeof(payload)
+
+
+def payload_footprint(payload: Any) -> Footprint:
+    """The :data:`Footprint` of a payload that is in hand.
+
+    Evaluates ``Column.nbytes`` once per column (O(rows) for object
+    columns), so callers record the result instead of asking again.
+    """
+    if isinstance(payload, DataFrame):
+        return tuple(
+            (column.column_id, column.nbytes)
+            for column in map(payload.column, payload.columns)
+        )
+    return payload_size_bytes(payload)
 
 
 def _estimator_size(model: BaseEstimator) -> int:

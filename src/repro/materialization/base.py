@@ -10,18 +10,76 @@ The utility function (Equation 2 of the paper) combines the vertex's
 *potential* p(v) — the quality of the best reachable ML model — with its
 weighted cost-size ratio r_cs(v) = f · C_r(v) / s; vertices whose load cost
 exceeds their recreation cost get zero utility and are never materialized.
+
+What a materializer is handed as ``available`` is a ``Mapping`` from vertex
+id to payload.  The updater passes an :class:`AvailableContent`: membership
+and iteration are free, ``[]`` of a payload computed in the merged batch
+returns what is in hand, and ``[]`` of an already-stored id *loads it from
+the artifact store* — a read nothing under ``src/repro`` performs during a
+merge.  Selecting needs ids, the EG's meta-data and, for the storage-aware
+algorithm, column footprints (:meth:`AvailableContent.footprint`), never
+content.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Collection, Iterator, Mapping
 
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import LoadCostModel, StorageTier
+from ..graph.artifacts import Footprint, payload_footprint
 
-__all__ = ["Materializer", "VertexUtility", "compute_utilities", "utility_heap"]
+__all__ = [
+    "AvailableContent",
+    "Materializer",
+    "VertexUtility",
+    "compute_utilities",
+    "utility_heap",
+]
+
+
+class AvailableContent(Mapping[str, Any]):
+    """Artifacts whose content is obtainable now, without obtaining it.
+
+    ``in_hand`` holds the payloads computed in the batch being merged;
+    ``stored`` names the vertices whose content is in ``eg``'s store.  A
+    vertex in both is answered from ``in_hand``.
+    """
+
+    def __init__(
+        self,
+        eg: ExperimentGraph,
+        in_hand: Mapping[str, Any],
+        stored: Collection[str] = (),
+    ):
+        self._eg = eg
+        self._in_hand = in_hand
+        self._stored = stored
+
+    def __contains__(self, vertex_id: object) -> bool:
+        return vertex_id in self._in_hand or vertex_id in self._stored
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._in_hand.keys() | self._stored)
+
+    def __len__(self) -> int:
+        return len(self._in_hand.keys() | self._stored)
+
+    def __getitem__(self, vertex_id: str) -> Any:
+        if vertex_id in self._in_hand:
+            return self._in_hand[vertex_id]
+        if vertex_id in self._stored:
+            return self._eg.load(vertex_id)
+        raise KeyError(vertex_id)
+
+    def footprint(self, vertex_id: str) -> Footprint:
+        """Column footprint of an available vertex: computed from a payload
+        in hand, read off the EG record for a stored one."""
+        if vertex_id in self._in_hand:
+            return payload_footprint(self._in_hand[vertex_id])
+        return self._eg.footprint(vertex_id)
 
 
 @dataclass
@@ -150,6 +208,7 @@ class Materializer:
 
         ``available`` maps vertex id to payload for every artifact whose
         content is currently obtainable (just computed, or already stored);
-        a materializer must only select vertices from this mapping.
+        a materializer must only select vertices from this mapping.  Test
+        membership, do not dereference: see the module docstring.
         """
         raise NotImplementedError

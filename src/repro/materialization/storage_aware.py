@@ -17,43 +17,38 @@ from __future__ import annotations
 import heapq
 from typing import Any, Mapping
 
-from ..dataframe import DataFrame
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import LoadCostModel
-from ..graph.artifacts import payload_size_bytes
-from .base import Materializer, compute_utilities, utility_heap
+from ..graph.artifacts import Footprint
+from .base import AvailableContent, Materializer, compute_utilities, utility_heap
 
 __all__ = ["StorageAwareMaterializer"]
 
 
 class _DedupFootprint:
-    """Simulates the physical bytes of a column-deduplicating store."""
+    """Simulates the physical bytes of a column-deduplicating store.
+
+    Works on :data:`~repro.graph.artifacts.Footprint` meta-data — column
+    lineage ids and byte sizes — so charging a pick reads no content.
+    """
 
     def __init__(self):
         self._column_ids: set[str] = set()
 
-    def incremental_bytes(self, payload: Any) -> int:
-        """Physical bytes this payload would add, without committing."""
-        if not isinstance(payload, DataFrame):
-            return payload_size_bytes(payload)
-        added = 0
-        for name in payload.columns:
-            column = payload.column(name)
-            if column.column_id not in self._column_ids:
-                added += column.nbytes
-        return added
+    def incremental_bytes(self, footprint: Footprint) -> int:
+        """Physical bytes this artifact would add, without committing."""
+        if isinstance(footprint, int):
+            return footprint
+        return sum(
+            nbytes
+            for column_id, nbytes in footprint
+            if column_id not in self._column_ids
+        )
 
-    def add(self, payload: Any) -> int:
-        """Commit a payload; returns the physical bytes it added."""
-        if not isinstance(payload, DataFrame):
-            return payload_size_bytes(payload)
-        added = 0
-        for name in payload.columns:
-            column = payload.column(name)
-            if column.column_id not in self._column_ids:
-                self._column_ids.add(column.column_id)
-                added += column.nbytes
-        return added
+    def add(self, footprint: Footprint) -> None:
+        """Commit an artifact's columns."""
+        if not isinstance(footprint, int):
+            self._column_ids.update(column_id for column_id, _nbytes in footprint)
 
 
 class StorageAwareMaterializer(Materializer):
@@ -78,6 +73,9 @@ class StorageAwareMaterializer(Materializer):
         self.max_rounds = max_rounds
 
     def select(self, eg: ExperimentGraph, available: Mapping[str, Any]) -> set[str]:
+        if not isinstance(available, AvailableContent):
+            # a caller's plain mapping: every payload in it is in hand
+            available = AvailableContent(eg, available)
         utilities = compute_utilities(eg, self.load_cost_model, self.alpha)
         heap = utility_heap(utilities, available)
 
@@ -112,11 +110,11 @@ class StorageAwareMaterializer(Materializer):
             # round's earlier picks already committed, so charging after
             # the fact could drive ``remaining`` negative within a round.
             for vertex_id in round_picks:
-                payload = available[vertex_id]
-                physical = footprint.incremental_bytes(payload)
+                columns = available.footprint(vertex_id)
+                physical = footprint.incremental_bytes(columns)
                 if physical > remaining:
                     continue
-                footprint.add(payload)
+                footprint.add(columns)
                 remaining -= physical
                 selected.add(vertex_id)
         return selected

@@ -23,7 +23,6 @@ exits so accepted commits are never dropped.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import logging
 import threading
@@ -65,24 +64,6 @@ __all__ = [
     "EGService",
     "default_load_cost_model",
 ]
-
-
-def _materialized_set_hash(eg: ExperimentGraph) -> str:
-    """Digest of the snapshot's materialized vertex set, computed lazily.
-
-    Cached on the snapshot object itself: snapshots are immutable, so the
-    set cannot change after publish, and concurrent readers computing it
-    twice merely write the same value (a benign race).
-    """
-    cached = getattr(eg, "_materialized_set_hash", None)
-    if cached is None:
-        digest = hashlib.sha256()
-        for vertex_id in sorted(eg.materialized_ids()):
-            digest.update(vertex_id.encode("utf-8"))
-            digest.update(b"\x00")
-        cached = digest.hexdigest()
-        eg._materialized_set_hash = cached  # type: ignore[attr-defined]
-    return cached
 
 
 @dataclass(frozen=True)
@@ -284,9 +265,8 @@ class EGService:
         self._log_lock = threading.Lock()
 
         #: version-keyed plan cache: (workload fingerprint, snapshot
-        #: version, materialized-set hash) -> _CachedPlan, LRU-bounded;
-        #: cleared on every publish
-        self._plan_cache: OrderedDict[tuple[str, int, str], _CachedPlan] = OrderedDict()
+        #: version) -> _CachedPlan, LRU-bounded; cleared on every publish
+        self._plan_cache: OrderedDict[tuple[str, int], _CachedPlan] = OrderedDict()
         self._plan_cache_lock = threading.Lock()
         self.plan_cache_size = plan_cache_size
         #: utility-index dirty totals already folded into the metrics
@@ -451,8 +431,9 @@ class EGService:
         """Optimize a (pruned) workload against the latest EG snapshot.
 
         Results are cached keyed by (workload DAG fingerprint, snapshot
-        version, materialized-set hash): a repeat of the same workload
-        against an unchanged snapshot skips the optimizer entirely.  The
+        version): a version names one immutable snapshot, materialized set
+        included, so a repeat of the same workload against an unchanged
+        snapshot skips the optimizer entirely.  The
         cache is cleared on every publish; hits return defensive copies
         with the load tiers re-read fresh (tier placement shifts
         independently of the version chain).
@@ -463,11 +444,7 @@ class EGService:
         with get_tracer().span("service.plan", session=session_id) as span:
             lease = self.versioned.acquire()
             try:
-                key = (
-                    workload.fingerprint(),
-                    lease.version,
-                    _materialized_set_hash(lease.eg),
-                )
+                key = (workload.fingerprint(), lease.version)
                 cached = self._plan_cache_get(key)
                 if cached is not None:
                     result = self._result_from_cache(cached, lease.eg)
@@ -500,7 +477,7 @@ class EGService:
     # ------------------------------------------------------------------
     # Version-keyed plan cache
     # ------------------------------------------------------------------
-    def _plan_cache_get(self, key: tuple[str, int, str]) -> _CachedPlan | None:
+    def _plan_cache_get(self, key: tuple[str, int]) -> _CachedPlan | None:
         if self.plan_cache_size == 0:
             return None
         with self._plan_cache_lock:
@@ -510,7 +487,7 @@ class EGService:
             return entry
 
     def _plan_cache_put(
-        self, key: tuple[str, int, str], result: OptimizationResult
+        self, key: tuple[str, int], result: OptimizationResult
     ) -> None:
         if self.plan_cache_size == 0:
             return

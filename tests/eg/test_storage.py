@@ -144,6 +144,39 @@ class TestDedupStore:
         store.put("model", object())
         assert store.vertex_ids == {"frame", "model"}
 
+    def test_bytes_are_recorded_at_put_not_recounted(self):
+        """``Column.nbytes`` walks every value of an object column, so the
+        totals (read once per merge and once per workload) are running sums
+        of sizes taken once, at ``put``."""
+        store = DedupArtifactStore()
+        words = Column("w", np.array(["ab", "cde"], dtype=object), "words")
+        store.put("a", DataFrame([words, Column("x", np.zeros(2), "c1")]))
+        store.put("b", DataFrame([words.rename("again")]))
+        store.put("m", np.zeros(10))
+        expected = words.nbytes + 16 + 80
+        words.values[0] = "grown after the put"
+        assert store.total_bytes == expected
+        assert store.logical_bytes == expected + (expected - 16 - 80)
+        same = Column("again", np.array(["ab", "cde"], dtype=object))
+        assert store.put("b", DataFrame([same])) == 0  # signature: recorded sizes
+        assert store.remove("a") == 16  # the words column is still b's
+        assert store.remove("b") + store.remove("m") == expected - 16
+        assert store.total_bytes == store.logical_bytes == 0
+
+    def test_store_pickled_before_sizes_were_recorded_still_counts(self):
+        """Format version 1 persists the whole store as one pickle."""
+        store = DedupArtifactStore()
+        store.put("a", frame_with_ids({"x": ("shared", 100), "y": ("only_a", 100)}))
+        store.put("b", frame_with_ids({"x": ("shared", 100)}))
+        store.put("m", np.zeros(10))
+        state = store.__getstate__()
+        del state["_column_sizes"], state["_total_bytes"]
+        older = DedupArtifactStore.__new__(DedupArtifactStore)
+        older.__setstate__(state)
+        assert older.total_bytes == store.total_bytes == 1680
+        assert older.logical_bytes == store.logical_bytes == 2480
+        assert older.remove("a") == 800
+
 
 class TestDivergenceDetection:
     """Silently accepting a different payload under a stored vertex id used

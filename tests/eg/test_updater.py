@@ -5,11 +5,24 @@ import pytest
 
 from repro.dataframe import DataFrame
 from repro.eg.graph import ExperimentGraph
-from repro.eg.storage import ArtifactDivergenceError
+from repro.eg.storage import (
+    ArtifactDivergenceError,
+    ArtifactStore,
+    DedupArtifactStore,
+    SimpleArtifactStore,
+)
 from repro.eg.updater import Updater
+from repro.graph.artifacts import payload_footprint
 from repro.graph.dag import WorkloadDAG
 from repro.graph.operations import DataOperation
+from repro.materialization import (
+    HelixMaterializer,
+    HeuristicMaterializer,
+    StorageAwareMaterializer,
+)
 from repro.materialization.simple import MaterializeAll, MaterializeNone
+from repro.service import EGService
+from repro.storage import TieredArtifactStore
 
 
 class Step(DataOperation):
@@ -195,3 +208,205 @@ class TestBatchUpdater:
         assert len(evicted) == 2
         # the updater cleared the flags itself; the evictor only removed content
         assert all(not eg.vertex(v).materialized for v in evicted)
+
+
+# ----------------------------------------------------------------------
+# A merge reads no artifact content
+# ----------------------------------------------------------------------
+N_ROWS = 100
+COLUMN_BYTES = N_ROWS * 8
+
+
+def growing_workload(tags, computed_from=0) -> WorkloadDAG:
+    """A chain whose step *k* copies its input's columns and adds one.
+
+    Steps before ``computed_from`` carry no payload, the way a tenant's
+    executed DAG names the vertices it loaded or skipped: a *repeat* of a
+    merged chain computes nothing, a *modify* keeps a prefix and computes a
+    new tail (other tags, so other vertex ids).
+    """
+    dag = WorkloadDAG()
+    frame = DataFrame({"x": np.arange(float(N_ROWS))})
+    current = dag.add_source("src", payload=frame)
+    for index, tag in enumerate(tags):
+        current = dag.add_operation([current], Step(tag))
+        frame = frame.with_column(f"c{tag}", np.full(N_ROWS, float(index)))
+        if index >= computed_from:
+            dag.vertex(current).record_result(frame, compute_time=1.0)
+    dag.mark_terminal(current)
+    return dag
+
+
+class ForwardingStore(ArtifactStore):
+    """The shape of the benchmark's store proxy: forwards exactly the
+    interface ``ArtifactStore`` had before footprints existed (no
+    ``__getattr__``), and counts ``get``."""
+
+    def __init__(self, inner: ArtifactStore):
+        self.inner = inner
+        self.gets = 0
+
+    def put(self, vertex_id, payload):
+        return self.inner.put(vertex_id, payload)
+
+    def get(self, vertex_id):
+        self.gets += 1
+        return self.inner.get(vertex_id)
+
+    def remove(self, vertex_id):
+        return self.inner.remove(vertex_id)
+
+    def __contains__(self, vertex_id):
+        return vertex_id in self.inner
+
+    @property
+    def total_bytes(self):
+        return self.inner.total_bytes
+
+    @property
+    def vertex_ids(self):
+        return self.inner.vertex_ids
+
+    def incremental_size(self, payloads):
+        return self.inner.incremental_size(payloads)
+
+    def tier_of(self, vertex_id):
+        return self.inner.tier_of(vertex_id)
+
+    def tiers(self):
+        return self.inner.tiers()
+
+    def statistics(self):
+        return self.inner.statistics()
+
+
+def tiered_store() -> TieredArtifactStore:
+    # the chain holds seven distinct columns; three fit in RAM
+    return TieredArtifactStore(hot_budget_bytes=3 * COLUMN_BYTES)
+
+
+#: every one of them sits behind a ``ForwardingStore`` in the tests below
+STORES = {
+    "simple": SimpleArtifactStore,
+    "dedup": DedupArtifactStore,
+    "tiered": tiered_store,
+}
+MATERIALIZERS = {
+    "SA": lambda: StorageAwareMaterializer(None),
+    "SA-binding": lambda: StorageAwareMaterializer(6 * COLUMN_BYTES),
+    "HM": lambda: HeuristicMaterializer(20 * COLUMN_BYTES),
+    "HL": lambda: HelixMaterializer(20 * COLUMN_BYTES),
+    "ALL": MaterializeAll,
+}
+
+
+def tier_state(store: TieredArtifactStore) -> tuple:
+    stats = store.stats
+    return (
+        stats.hot_hits,
+        stats.cold_hits,
+        stats.promotions,
+        stats.demotions,
+        list(store._lru),
+    )
+
+
+class TestMergeReadsNothing:
+    @pytest.mark.parametrize("materializer", MATERIALIZERS)
+    @pytest.mark.parametrize("store", STORES)
+    def test_repeat_and_modify_call_get_zero_times(self, store, materializer):
+        inner = STORES[store]()
+        counting = ForwardingStore(inner)
+        eg = ExperimentGraph(counting)
+        updater = Updater(eg, MATERIALIZERS[materializer]())
+        updater.update(growing_workload("abcdef"))
+        warm = eg.materialized_ids() - eg.source_ids
+        assert warm, "the warm EG must hold something to re-read"
+        assert counting.gets == 0
+
+        updater.update(growing_workload("abcdef", computed_from=6))
+        updater.update(growing_workload("abcxyz", computed_from=3))
+        assert counting.gets == 0
+        # every stored vertex's footprint was there to answer instead
+        for vertex_id in eg.materialized_ids():
+            assert eg.vertex(vertex_id).footprint == payload_footprint(
+                inner.get(vertex_id)
+            )
+
+    @pytest.mark.parametrize("materializer", ["SA", "HM", "HL", "ALL"])
+    def test_a_repeat_moves_nothing_between_tiers(self, materializer):
+        store = tiered_store()
+        eg = ExperimentGraph(store)
+        updater = Updater(eg, MATERIALIZERS[materializer]())
+        updater.update(growing_workload("abcdef"))
+        assert store.stats.demotions > 0, "the hot budget must bind"
+        before = tier_state(store)
+        report = updater.update(growing_workload("abcdef", computed_from=6))
+        assert (report.newly_materialized, report.evicted) == ([], [])
+        assert tier_state(store) == before
+
+    def test_a_modify_reads_no_tier(self):
+        store = tiered_store()
+        eg = ExperimentGraph(store)
+        updater = Updater(eg, StorageAwareMaterializer(None))
+        updater.update(growing_workload("abcdef"))
+        reads = tier_state(store)[:3]
+        report = updater.update(growing_workload("abcxyz", computed_from=3))
+        assert report.newly_materialized  # puts may demote; nothing is read
+        assert tier_state(store)[:3] == reads
+
+    def test_available_still_loads_a_stored_id_on_request(self):
+        """``available`` stays a Mapping: a third-party materializer that
+        dereferences a stored id gets its content (and pays the load)."""
+        seen = {}
+
+        class Peeking(MaterializeAll):
+            def select(self, eg, available):
+                seen.update({v: available[v] for v in available})
+                return super().select(eg, available)
+
+        counting = ForwardingStore(SimpleArtifactStore())
+        eg = ExperimentGraph(counting)
+        Updater(eg, MaterializeAll()).update(growing_workload("ab"))
+        stored = eg.materialized_ids() - eg.source_ids
+        Updater(eg, Peeking()).update(growing_workload("ab", computed_from=2))
+        assert set(seen) == stored
+        assert counting.gets == len(stored)
+        assert all(isinstance(payload, DataFrame) for payload in seen.values())
+
+    def test_absent_footprint_is_derived_once(self):
+        """A vertex flagged materialized by hand (or reopened from an older
+        checkpoint) costs one load, on first use only."""
+        counting = ForwardingStore(DedupArtifactStore())
+        eg = ExperimentGraph(counting)
+        updater = Updater(eg, StorageAwareMaterializer(None))
+        updater.update(growing_workload("abc"))
+        stored = eg.materialized_ids() - eg.source_ids
+        for vertex_id in stored:
+            eg.vertex(vertex_id).footprint = None
+        updater.update(growing_workload("abc", computed_from=3))
+        assert counting.gets == len(stored)
+        updater.update(growing_workload("abc", computed_from=3))
+        assert counting.gets == len(stored)
+
+    def test_deselected_vertex_is_deferred_and_loadable_by_a_lease_holder(self):
+        counting = ForwardingStore(DedupArtifactStore())
+        service = EGService(MaterializeAll(), store=counting)
+        session = service.open_session("t").session_id
+        service.commit(session, growing_workload("abc"))
+        lease = service.snapshot()
+        victims = lease.eg.materialized_ids() - lease.eg.source_ids
+        assert victims
+
+        service.updater.materializer = MaterializeNone()
+        service.commit(session, growing_workload("abc", computed_from=3))
+        assert counting.gets == 0
+        assert service.versioned.deferred_evictions == len(victims)
+        for victim in victims:
+            assert not service.eg.is_materialized(victim)
+            assert service.eg.vertex(victim).footprint is None
+            assert isinstance(lease.eg.load(victim), DataFrame)
+        lease.release()
+        assert service.versioned.flush_deferred() > 0
+        assert all(victim not in counting for victim in victims)
+        service.stop()

@@ -319,6 +319,27 @@ class TestPlanCache:
             assert stats.plan_cache_misses == 2
             assert stats.plan_cache_hits == 1
 
+    def test_versions_differing_only_in_materialized_set_never_share_an_entry(self):
+        with EGService(MaterializeAll()) as service:
+            session = service.open_session()
+            service.commit(session.session_id, executed_workload(3))
+            with service.plan(session.session_id, query_workload(3)) as first:
+                loads = set(first.result.plan.loads)
+                version = first.version
+            assert loads
+            # the next version differs in nothing but the materialized set,
+            # and is published behind the service's back, so nothing clears
+            # the cache: the version in the key is all that separates them
+            for vertex_id in loads:
+                service.eg.deselect(vertex_id)
+            service.versioned.publish()
+            with service.plan(session.session_id, query_workload(3)) as second:
+                assert second.version == version + 1
+                assert not set(second.result.plan.loads) & loads
+            stats = service.stats()
+            assert stats.plan_cache_misses == 2
+            assert stats.plan_cache_hits == 0
+
     def test_cached_plan_is_defensively_copied(self):
         with EGService(MaterializeAll()) as service:
             session = service.open_session()

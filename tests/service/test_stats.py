@@ -67,19 +67,22 @@ class TestSnapshotConcurrency:
         thread = threading.Thread(target=snapshotter)
         thread.start()
         try:
-            worst = 0.0
+            waits = []
             for index in range(2000):
                 begin = time.perf_counter()
                 recorder.record_plan("s1", planned_loads=index % 3)
                 recorder.record_request_latency(0.001)
                 recorder.record_batch(2, 0.002)
-                worst = max(worst, time.perf_counter() - begin)
+                waits.append(time.perf_counter() - begin)
         finally:
             stop.set()
             thread.join()
         # generous bound: each record_* holds only one instrument lock at a
-        # time, so even under a snapshot storm a write stays sub-50ms
-        assert worst < 0.05
+        # time, so even under a snapshot storm a write stays sub-50ms.  Read
+        # at the 99th percentile: a recorder that waited for snapshots would
+        # be slow on every write, while the single worst of 2 000 wall-clock
+        # samples is whatever the scheduler did to this thread once.
+        assert sorted(waits)[int(0.99 * len(waits))] < 0.05
         stats = snap(recorder)
         assert stats.plans_total == 2000
         assert stats.batches == 2000

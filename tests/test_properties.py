@@ -7,21 +7,32 @@ plan costs (both are optimal), and no more than either trivial baseline.
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe import Column, DataFrame, derive_column_id
+from repro.eg import Updater, load_eg, save_eg
 from repro.eg.graph import ExperimentGraph
-from repro.eg.storage import DedupArtifactStore, LoadCostModel
-from repro.graph.artifacts import payload_size_bytes
+from repro.eg.storage import DedupArtifactStore, LoadCostModel, SimpleArtifactStore
+from repro.graph.artifacts import ArtifactType, payload_footprint, payload_size_bytes
 from repro.graph.dag import WorkloadDAG
 from repro.graph.operations import DataOperation, operation_hash
-from repro.materialization import HeuristicMaterializer, StorageAwareMaterializer
+from repro.materialization import (
+    HelixMaterializer,
+    HeuristicMaterializer,
+    MaterializeAll,
+    MaterializeNone,
+    StorageAwareMaterializer,
+)
+from repro.materialization.base import AvailableContent
 from repro.ml import StandardScaler, accuracy_score, roc_auc_score
 from repro.reuse import AllMaterializedReuse, HelixReuse, LinearReuse, NoReuse
 from repro.reuse.maxflow import FlowNetwork
+from repro.storage import TieredArtifactStore
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -375,6 +386,217 @@ class TestMaterializerProperties:
             StorageAwareMaterializer(budget, load_cost_model=FAST_LOAD),
         ):
             assert strategy.select(eg, available) <= set(available)
+
+
+# ----------------------------------------------------------------------
+# Reconciling from recorded footprints decides what reloading decided
+# ----------------------------------------------------------------------
+class _Summarize(DataOperation):
+    def __init__(self, index: int):
+        super().__init__("summarize", ArtifactType.AGGREGATE, params={"i": index})
+
+    def run(self, underlying_data):
+        return underlying_data
+
+
+#: lineage id -> values; one id always names the same content, and the
+#: three dtypes give three different ``Column.nbytes`` (the object one is
+#: the O(rows) case)
+_POOL = {
+    **{f"f{i}": np.full(12, float(i)) for i in range(4)},
+    **{f"i{i}": np.full(12, i, dtype=np.int32) for i in range(2)},
+    **{f"o{i}": np.array(["v" * (i + 1)] * 12, dtype=object) for i in range(2)},
+}
+
+
+def _random_payload(rng, lineage: str = ""):
+    """A frame over pooled columns; ``lineage`` renames the ids, the way a
+    re-run rebuilds equal content under fresh lineage ids."""
+    ids = list(rng.choice(sorted(_POOL), size=int(rng.integers(1, 5)), replace=False))
+    return DataFrame(
+        [Column(f"c{j}", _POOL[cid], cid + lineage) for j, cid in enumerate(ids)]
+    )
+
+
+def _random_workload(
+    seed: int, n_steps: int, computed, lineage: str = "", first_op: int = 0
+) -> WorkloadDAG:
+    """A random tree of ``n_steps`` operations, the same shape, vertex ids
+    and payload contents for one ``(seed, first_op)``; ``computed(index)``
+    says which steps carry their payload."""
+    rng = np.random.default_rng(seed)
+    dag = WorkloadDAG()
+    vertices = [dag.add_source("src", payload=DataFrame({"x": np.zeros(12)}))]
+    for index in range(n_steps):
+        parent = vertices[int(rng.integers(0, len(vertices)))]
+        aggregate = rng.random() < 0.2
+        operation = (_Summarize if aggregate else _NoOp)(first_op + index)
+        payload = (
+            np.zeros(int(rng.integers(1, 40)))
+            if aggregate
+            else _random_payload(rng, lineage)
+        )
+        compute_time = float(rng.uniform(1, 5))
+        vertex = dag.add_operation([parent], operation)
+        if computed(index):
+            dag.vertex(vertex).record_result(payload, compute_time=compute_time)
+        if not aggregate:
+            vertices.append(vertex)
+        dag.mark_terminal(vertex)
+    return dag
+
+
+def _eager_reference(eg: ExperimentGraph, merged) -> dict:
+    """What the updater handed materializers before footprints were
+    recorded: every stored payload loaded, then the batch's on top."""
+    available = {}
+    for vertex_id in eg.materialized_ids():
+        if not eg.vertex(vertex_id).is_source:
+            available[vertex_id] = eg.load(vertex_id)
+    for executed in merged:
+        for vertex in executed.artifact_vertices():
+            if vertex.computed and not vertex.is_source and vertex.data is not None:
+                available[vertex.vertex_id] = vertex.data
+    return available
+
+
+def _assert_footprints_match_store(eg: ExperimentGraph) -> None:
+    for vertex_id in eg.materialized_ids():
+        recorded = eg.vertex(vertex_id).footprint
+        assert recorded is not None
+        assert recorded == payload_footprint(eg.store.get(vertex_id))
+
+
+merge_seeds = st.integers(min_value=0, max_value=10_000)
+
+
+class TestFootprintReconcile:
+    @SETTINGS
+    @given(
+        merge_seeds,
+        st.integers(min_value=0, max_value=1200),
+        st.sampled_from([SimpleArtifactStore, DedupArtifactStore]),
+    )
+    def test_same_selection_as_the_eager_reference(self, seed, budget, store_type):
+        rng = np.random.default_rng(seed)
+        n_steps = int(rng.integers(3, 9))
+        eg = ExperimentGraph(store_type())
+        warm = StorageAwareMaterializer(
+            int(rng.integers(100, 1200)), load_cost_model=FAST_LOAD
+        )
+        Updater(eg, warm).update(_random_workload(seed, n_steps, lambda i: True))
+
+        # the batch: a modification that recomputes a random part of the
+        # warm workload (equal content, fresh lineage ids) and adds to it
+        recomputed = set(
+            rng.choice(n_steps, size=int(rng.integers(0, n_steps)), replace=False)
+        )
+        batch = [
+            _random_workload(
+                seed,
+                n_steps + 3,
+                lambda i: i in recomputed or i >= n_steps,
+                lineage="'",
+            )
+        ]
+        for executed in batch:
+            eg.union_workload(executed)
+        in_hand = {
+            v.vertex_id: v.data
+            for executed in batch
+            for v in executed.artifact_vertices()
+            if v.computed and not v.is_source
+        }
+        stored = eg.materialized_ids() - eg.source_ids
+        reference = _eager_reference(eg, batch)
+        view = AvailableContent(eg, in_hand, stored)
+        assert set(view) == set(reference) and len(view) == len(reference)
+        for strategy in (
+            StorageAwareMaterializer(budget, load_cost_model=FAST_LOAD),
+            StorageAwareMaterializer(None, load_cost_model=FAST_LOAD),
+            HeuristicMaterializer(budget, load_cost_model=FAST_LOAD),
+            HelixMaterializer(budget, load_cost_model=FAST_LOAD),
+            MaterializeAll(),
+        ):
+            assert strategy.select(eg, view) == strategy.select(eg, reference)
+
+    @SETTINGS
+    @given(merge_seeds, st.integers(min_value=200, max_value=1200))
+    def test_recorded_footprint_is_the_stored_contents(self, seed, budget):
+        n_steps = 6
+        everything = lambda i: True  # noqa: E731
+        nothing = lambda i: False  # noqa: E731
+        with tempfile.TemporaryDirectory() as scratch:
+            store = TieredArtifactStore(
+                hot_budget_bytes=300, directory=f"{scratch}/cold"
+            )
+            eg = ExperimentGraph(store)
+            updater = Updater(
+                eg, StorageAwareMaterializer(budget, load_cost_model=FAST_LOAD)
+            )
+            updater.update(_random_workload(seed, n_steps, everything))
+            updater.update(
+                _random_workload(seed + 1, n_steps, everything, first_op=100)
+            )
+            # ... with most of it demoted to the cold tier
+            _assert_footprints_match_store(eg)
+
+            # kept with the EG across a save / load
+            save_eg(eg, f"{scratch}/saved")
+            reopened = load_eg(f"{scratch}/saved")
+            assert reopened.materialized_ids() == eg.materialized_ids()
+            _assert_footprints_match_store(reopened)
+
+            # a store reopened under an EG that never recorded any: derived
+            # on first use, one load each, then never again
+            bare = TieredArtifactStore.open(f"{scratch}/saved/store")
+            gets = []
+            load = bare.get
+            bare.get = lambda vertex_id: gets.append(vertex_id) or load(vertex_id)
+            older = load_eg(f"{scratch}/saved")
+            older.store = bare
+            for vertex in older.vertices():
+                vertex.footprint = None
+            unbounded = Updater(
+                older, StorageAwareMaterializer(None, load_cost_model=FAST_LOAD)
+            )
+            unbounded.update(_random_workload(seed, n_steps, nothing))
+            stored = older.materialized_ids() - older.source_ids
+            assert sorted(gets) == sorted(stored)
+            unbounded.update(_random_workload(seed, n_steps, nothing))
+            assert sorted(gets) == sorted(stored)
+            bare.get = load
+            for vertex_id in stored:
+                assert older.vertex(vertex_id).footprint == payload_footprint(
+                    bare.get(vertex_id)
+                )
+
+        # evict, then re-materialize the same ids from a re-run (equal
+        # content under fresh lineage ids)
+        for evict, refilled in (
+            (None, "the re-run's"),
+            (lambda vertex_id: 0, "the kept"),
+        ):
+            eg = ExperimentGraph(DedupArtifactStore())
+            Updater(eg, MaterializeAll()).update(
+                _random_workload(seed, n_steps, everything)
+            )
+            first = {v: eg.vertex(v).footprint for v in eg.materialized_ids()}
+            Updater(eg, MaterializeNone()).update_batch(
+                [_random_workload(seed, n_steps, nothing)], evict=evict
+            )
+            assert eg.materialized_ids() == eg.source_ids
+            Updater(eg, MaterializeAll()).update(
+                _random_workload(seed, n_steps, everything, lineage="'")
+            )
+            assert set(first) == eg.materialized_ids()
+            for vertex_id in eg.materialized_ids() - eg.source_ids:
+                # a deferred eviction left the first content in the store,
+                # and the store keeps what it has on a re-put
+                expected = payload_footprint(eg.store.get(vertex_id))
+                assert eg.footprint(vertex_id) == expected, refilled
+                if evict is not None:
+                    assert expected == first[vertex_id]
 
 
 # ----------------------------------------------------------------------
