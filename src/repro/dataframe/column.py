@@ -61,9 +61,18 @@ class Column:
         One-dimensional array of values.  Object dtype is used for strings.
     column_id:
         Lineage id.  When omitted a fresh source id is generated.
+
+    Invariant: ``values`` is never assigned or written into after
+    construction — every transformation builds a new ``Column``.  The
+    memoized :attr:`nbytes` rests on it: a column's size is measured on
+    first request, kept in the ``_nbytes`` slot, and handed on by
+    :meth:`rename` and :meth:`copy` (same content), never by
+    :meth:`with_values` or :meth:`take` (different content).  An unset
+    slot means "not measured yet", which is also how an instance pickled
+    before the slot existed arrives.
     """
 
-    __slots__ = ("name", "values", "column_id")
+    __slots__ = ("name", "values", "column_id", "_nbytes")
 
     def __init__(self, name: str, values: np.ndarray, column_id: str | None = None):
         values = np.asarray(values)
@@ -82,12 +91,18 @@ class Column:
 
     @property
     def nbytes(self) -> int:
-        """Approximate in-memory size of the column in bytes."""
+        """Approximate in-memory size of the column in bytes (measured once)."""
+        try:
+            return self._nbytes
+        except AttributeError:
+            pass
+        size = int(self.values.nbytes)
         if self.values.dtype == object:
             # numpy only counts pointer sizes for object arrays; approximate
             # the payload by the string lengths.
-            return int(sum(len(str(v)) for v in self.values)) + self.values.nbytes
-        return int(self.values.nbytes)
+            size += sum(len(str(v)) for v in self.values)
+        self._nbytes = size
+        return size
 
     @property
     def is_numeric(self) -> bool:
@@ -95,7 +110,7 @@ class Column:
 
     def rename(self, name: str) -> "Column":
         """Return a copy with a new name but the *same* lineage id."""
-        return Column(name, self.values, self.column_id)
+        return self._same_content(name, self.values)
 
     def with_values(self, values: np.ndarray, operation_hash: str) -> "Column":
         """Return a column whose values were transformed by an operation.
@@ -113,7 +128,16 @@ class Column:
         )
 
     def copy(self) -> "Column":
-        return Column(self.name, self.values.copy(), self.column_id)
+        return self._same_content(self.name, self.values.copy())
+
+    def _same_content(self, name: str, values: np.ndarray) -> "Column":
+        """A column of equal content under this lineage id: keeps the size."""
+        twin = Column(name, values, self.column_id)
+        try:
+            twin._nbytes = self._nbytes
+        except AttributeError:
+            pass
+        return twin
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Column({self.name!r}, len={len(self)}, dtype={self.dtype}, id={self.column_id[:8]})"

@@ -306,8 +306,8 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
     def __init__(self):
         #: column id -> (Column, refcount)
         self._columns: dict[str, tuple[Column, int]] = {}
-        #: column id -> bytes, evaluated once at ``put`` (``Column.nbytes``
-        #: walks every value of an object column)
+        #: column id -> bytes, recorded at ``put``; the re-put signature,
+        #: ``remove`` and ``logical_bytes`` read it by id
         self._column_sizes: dict[str, int] = {}
         #: physical bytes held: distinct columns plus non-frame payloads
         self._total_bytes = 0

@@ -106,8 +106,9 @@ def payload_size_bytes(payload: Any) -> int:
 def payload_footprint(payload: Any) -> Footprint:
     """The :data:`Footprint` of a payload that is in hand.
 
-    Evaluates ``Column.nbytes`` once per column (O(rows) for object
-    columns), so callers record the result instead of asking again.
+    O(columns): ``Column.nbytes`` is measured once per column and kept
+    on it.  Callers still record the result where it must outlive the
+    payload (``ExperimentGraph.materialize``).
     """
     if isinstance(payload, DataFrame):
         return tuple(

@@ -14,7 +14,8 @@ be warmstarted and how to score the model it produces.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Mapping
+from collections.abc import Mapping
+from typing import Any, Callable
 
 from .artifacts import ArtifactType
 

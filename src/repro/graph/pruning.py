@@ -13,8 +13,6 @@ graph structure when updating the Experiment Graph.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .dag import WorkloadDAG
 
 __all__ = ["prune_workload"]
@@ -25,11 +23,16 @@ def prune_workload(workload: WorkloadDAG) -> int:
     if not workload.terminals:
         raise ValueError("cannot prune a workload without terminal vertices")
 
-    # vertices that can reach a terminal
-    useful: set[str] = set()
-    for terminal in workload.terminals:
-        useful.add(terminal)
-        useful.update(nx.ancestors(workload.graph, terminal))
+    # vertices that can reach a terminal: one reverse traversal from all
+    # terminals at once, so a shared ancestor is visited once
+    useful: set[str] = set(workload.terminals)
+    frontier = list(useful)
+    predecessors = workload.graph.pred
+    while frontier:
+        for parent in predecessors[frontier.pop()]:
+            if parent not in useful:
+                useful.add(parent)
+                frontier.append(parent)
 
     pruned = 0
     for src, dst in list(workload.graph.edges()):

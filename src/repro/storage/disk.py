@@ -61,8 +61,8 @@ class DiskColdTier:
         path = self._column_path(column.column_id)
         # object-dtype columns (strings) need pickle inside the .npy container
         np.save(path, column.values, allow_pickle=True)
-        self._column_bytes[column.column_id] = column.nbytes
-        return column.nbytes
+        size = self._column_bytes[column.column_id] = column.nbytes
+        return size
 
     def read_column(self, column_id: str, name: str) -> Column:
         if column_id not in self._column_bytes:

@@ -98,6 +98,10 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
         #: lineage id -> logical bytes / number of referencing vertices
         self._column_sizes: dict[str, int] = {}
         self._column_refs: dict[str, int] = {}
+        #: running sums over the three records above, kept at put / remove
+        #: / ``open``: distinct content, and content counted per referent
+        self._total_bytes = 0
+        self._logical_bytes = 0
         #: RAM residents
         self._hot_columns: dict[str, Column] = {}
         self._hot_column_refs: dict[str, int] = {}
@@ -163,6 +167,7 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
                 self._object_sizes[vertex_id] = size
                 self._hot_objects[vertex_id] = payload
                 self._hot_bytes += size
+                self._logical_bytes += size
                 added = size
             else:
                 added = 0
@@ -173,8 +178,9 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
                     refs = self._column_refs.get(cid, 0)
                     self._column_refs[cid] = refs + 1
                     if refs == 0:
-                        self._column_sizes[cid] = column.nbytes
-                        added += column.nbytes
+                        size = self._column_sizes[cid] = column.nbytes
+                        added += size
+                    self._logical_bytes += self._column_sizes[cid]
                     hot_refs = self._hot_column_refs.get(cid, 0)
                     self._hot_column_refs[cid] = hot_refs + 1
                     if hot_refs == 0:
@@ -183,6 +189,7 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
                     layout.append((name, cid))
                 self._layouts[vertex_id] = layout
 
+            self._total_bytes += added
             self._tier[vertex_id] = StorageTier.HOT
             self._lru[vertex_id] = None
             if self.eviction_scorer is not None:
@@ -268,6 +275,8 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
                 if self._hot_objects.pop(vertex_id, None) is not None:
                     self._hot_bytes -= size
                 self._cold.delete_object(vertex_id)
+                self._total_bytes -= size
+                self._logical_bytes -= size
                 return size
 
             released = 0
@@ -281,12 +290,13 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
                         del self._hot_column_refs[cid]
                         del self._hot_columns[cid]
                         self._hot_bytes -= self._column_sizes[cid]
+                self._logical_bytes -= self._column_sizes[cid]
                 self._column_refs[cid] -= 1
                 if self._column_refs[cid] == 0:
-                    released += self._column_sizes[cid]
+                    released += self._column_sizes.pop(cid)
                     del self._column_refs[cid]
-                    del self._column_sizes[cid]
                     self._cold.delete_column(cid)
+            self._total_bytes -= released
             return released
 
     def __contains__(self, vertex_id: str) -> bool:
@@ -296,16 +306,12 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
     def total_bytes(self) -> int:
         """Physical bytes of distinct content — identical accounting to
         :class:`DedupArtifactStore`, independent of tier placement."""
-        return sum(self._column_sizes.values()) + sum(self._object_sizes.values())
+        return self._total_bytes
 
     @property
     def logical_bytes(self) -> int:
         """Bytes the stored artifacts would occupy without deduplication."""
-        logical = sum(self._object_sizes.values())
-        for layout in self._layouts.values():
-            for _name, cid in layout:
-                logical += self._column_sizes[cid]
-        return logical
+        return self._logical_bytes
 
     @property
     def vertex_ids(self) -> set[str]:
@@ -604,13 +610,17 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
         store.hot_budget_bytes = hot_budget_bytes
 
         store._column_sizes = dict(store._cold.column_sizes)
+        store._total_bytes = sum(store._column_sizes.values())
         for vertex_id, entry in document["vertices"].items():
             if entry["kind"] == "frame":
                 layout = [(name, cid) for name, cid in entry["layout"]]
                 store._layouts[vertex_id] = layout
                 for _name, cid in layout:
                     store._column_refs[cid] = store._column_refs.get(cid, 0) + 1
+                    store._logical_bytes += store._column_sizes[cid]
             else:
-                store._object_sizes[vertex_id] = int(entry["nbytes"])
+                size = store._object_sizes[vertex_id] = int(entry["nbytes"])
+                store._total_bytes += size
+                store._logical_bytes += size
             store._tier[vertex_id] = StorageTier.COLD
         return store

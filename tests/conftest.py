@@ -15,6 +15,20 @@ from repro.workloads.home_credit import generate_home_credit
 from repro.workloads.openml import generate_credit_g
 
 
+class Counted:
+    """An object-column element whose ``__str__`` counts how often a size
+    measure walked it (``Column.nbytes`` sums ``len(str(v))``)."""
+
+    walks = 0
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __str__(self) -> str:
+        Counted.walks += 1
+        return self.text
+
+
 @pytest.fixture
 def simple_frame() -> DataFrame:
     return DataFrame(

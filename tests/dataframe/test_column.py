@@ -1,5 +1,7 @@
 """Tests for Column and the lineage-id derivation scheme."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,12 @@ from repro.dataframe.column import (
     derive_column_id,
     fresh_column_id,
 )
+from repro.dataframe.frame import DataFrame
+from repro.eg.storage import DedupArtifactStore, SimpleArtifactStore
+from repro.graph.artifacts import payload_footprint, payload_size_bytes
+from repro.storage import TieredArtifactStore
+
+from ..conftest import Counted
 
 
 class TestColumnBasics:
@@ -94,3 +102,127 @@ class TestLineageIds:
         assert duplicate.column_id == column.column_id
         duplicate.values[0] = 99.0
         assert column.values[0] == 1.0
+
+
+def counted_column(name="s", texts=("ab", "cde", "f"), column_id=None):
+    values = np.empty(len(texts), dtype=object)
+    values[:] = [Counted(text) for text in texts]
+    return Column(name, values, column_id)
+
+
+def parent_formula(values):
+    """``Column.nbytes`` as written before the memo."""
+    if values.dtype == object:
+        return int(sum(len(str(v)) for v in values)) + values.nbytes
+    return int(values.nbytes)
+
+
+def is_measured(column):
+    return hasattr(column, "_nbytes")
+
+
+@pytest.fixture(autouse=True)
+def reset_walks():
+    Counted.walks = 0
+
+
+class TestNbytesMemo:
+    def test_object_column_is_walked_exactly_once(self, tmp_path):
+        column = counted_column()
+        frame = DataFrame([column, Column("x", np.arange(3.0))])
+        expected = 6 + column.values.nbytes
+
+        assert column.nbytes == expected
+        assert Counted.walks == 3
+        for _ in range(3):
+            assert column.nbytes == expected
+            assert frame.nbytes == expected + 24
+            assert payload_size_bytes(frame) == expected + 24
+            assert payload_footprint(frame)[0] == (column.column_id, expected)
+        # (store, what a second vertex of the same columns would add)
+        for store, increment in (
+            (SimpleArtifactStore(), expected + 24),
+            (DedupArtifactStore(), 0),
+            (TieredArtifactStore(directory=tmp_path / "cold"), 0),
+        ):
+            assert store.incremental_size([("v", frame)]) == expected + 24
+            assert store.put("v", frame) == expected + 24
+            assert store.put("v", frame) == 0  # re-put compares signatures
+            assert store.incremental_size([("w", frame)]) == increment
+        assert Counted.walks == 3
+
+    def test_memo_is_lazy(self):
+        assert not is_measured(counted_column())
+        assert Counted.walks == 0
+
+    @pytest.mark.parametrize(
+        "same_content",
+        [
+            lambda column: column.rename("t"),
+            lambda column: column.copy(),
+            lambda column: DataFrame([column])[["s"]].column("s"),
+            lambda column: DataFrame([column]).rename({"s": "t"}).column("t"),
+            lambda column: pickle.loads(pickle.dumps(column)),
+            lambda column: pickle.loads(pickle.dumps(DataFrame([column]))).column("s"),
+        ],
+        ids=["rename", "copy", "select", "frame-rename", "pickle", "frame-pickle"],
+    )
+    def test_memo_follows_equal_content(self, same_content):
+        column = counted_column()
+        size = column.nbytes
+        Counted.walks = 0
+        twin = same_content(column)
+        assert is_measured(twin)
+        assert twin.nbytes == size
+        assert Counted.walks == 0
+
+    def test_unmeasured_stays_unmeasured_through_rename_and_copy(self):
+        column = counted_column()
+        assert not is_measured(column.rename("t"))
+        assert not is_measured(column.copy())
+        assert not is_measured(pickle.loads(pickle.dumps(column)))
+        assert Counted.walks == 0
+
+    def test_memo_is_dropped_when_content_changes(self):
+        column = counted_column()
+        column.nbytes
+        longer = np.empty(3, dtype=object)
+        longer[:] = ["four", "five5", "six666"]
+        changed = column.with_values(longer, "op")
+        taken = column.take(np.asarray([0, 1]), "op")
+        assert not is_measured(changed) and not is_measured(taken)
+        assert changed.nbytes == parent_formula(longer)
+        assert taken.nbytes == 5 + taken.values.nbytes
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.asarray(["x", "yy", ""], dtype=object),
+            np.asarray(["x", 12, None, 3.5], dtype=object),
+            np.arange(7, dtype=np.int32),
+            np.zeros(5, dtype=np.float64),
+            np.asarray([True, False]),
+            np.asarray([], dtype=object),
+            np.asarray([], dtype=np.float64),
+            np.asarray(["fixed", "width"]),
+        ],
+        ids=["object", "mixed", "int32", "float64", "bool", "empty-object",
+             "empty-numeric", "unicode-dtype"],
+    )
+    def test_value_equals_the_unmemoized_formula(self, values):
+        column = Column("a", values)
+        assert column.nbytes == parent_formula(values)
+        assert column.nbytes == parent_formula(values)
+        assert type(column.nbytes) is int
+
+    def test_pre_memo_instance_answers(self):
+        """A column unpickled from a checkpoint written before the slot
+        existed has the three original slots set and ``_nbytes`` unset."""
+        texts = ("ab", "cde", "f")
+        modern = counted_column(texts=texts, column_id="cid")
+        old = Column.__new__(Column)
+        old.name, old.values, old.column_id = "s", modern.values, "cid"
+        assert not is_measured(old)
+        assert old.nbytes == 6 + modern.values.nbytes
+        assert old.rename("t").nbytes == old.nbytes
+        assert Counted.walks == 3

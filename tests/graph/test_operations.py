@@ -1,5 +1,6 @@
 """Tests for operations and their identity hashes."""
 
+import numpy as np
 import pytest
 
 from repro.graph.artifacts import ArtifactType
@@ -47,6 +48,83 @@ class TestOperationHash:
     def test_no_params(self):
         assert operation_hash("op") == operation_hash("op", None)
         assert operation_hash("op") == operation_hash("op", {})
+
+
+def scorer_fn(x):
+    return x
+
+
+class TestGoldenDigests:
+    """``operation_hash`` digests recorded before ``_canonical`` switched to
+    ``collections.abc.Mapping``.  Vertex ids are built from these hashes, so
+    a moved digest orphans every stored artifact."""
+
+    @pytest.mark.parametrize(
+        "name, params, digest",
+        [
+            (
+                "select",
+                None,
+                "b1a36d25d9633ed2ac04939fcb614ccb2b513243c148f18694592ae037f9d35f",
+            ),
+            (
+                "fit",
+                {
+                    "model": {"depth": 3, "lr": 0.1, "inner": {"b": 2, "a": 1}},
+                    "y": "label",
+                },
+                "d782b65deebc325003f0034d1ae9ad5fa54a4c74e7a87a4385c19c03ce8c61ee",
+            ),
+            (
+                "select",
+                {"columns": ["a", "b", "c"]},
+                "03092d91adc059bb15a72b71b660bf6f34f8fc07aadb9fb2374ba30778058121",
+            ),
+            (
+                "sample",
+                {"shape": (3, 4), "seed": 7},
+                "7d22e68feed5b86cec87da973a737a7ae83a793364e195d8d2cb7fe2a619378b",
+            ),
+            (
+                "map",
+                {"fn": len, "user": scorer_fn},
+                "00512c12780c499adcc17f1679c2b4652e10334ffd720840062033b6dde38221",
+            ),
+        ],
+        ids=["no-params", "nested-dict", "list", "tuple", "callable"],
+    )
+    def test_digest_unchanged(self, name, params, digest):
+        assert operation_hash(name, params) == digest
+
+    @pytest.mark.skipif(
+        repr(np.float64(0.5)) != "np.float64(0.5)",
+        reason="numpy < 2 spells scalar reprs differently",
+    )
+    def test_numpy_scalar_digests_unchanged(self):
+        assert (
+            operation_hash("scale", {"factor": np.float64(0.5), "n": np.int64(3)})
+            == "71bdb8d28344b8168341cf27cc57c16dd4e1f11dbf323f206a554ca54d6f4a2b"
+        )
+        assert (
+            operation_hash(
+                "agg",
+                {
+                    "by": ["k"],
+                    "aggs": {"v": ("sum", "mean")},
+                    "fn": max,
+                    "eps": np.float32(1.5),
+                },
+            )
+            == "1b08d7f34ad02b7de5e1dcb449430f3759ac38f2d95b66fde61e61c57a8e3379"
+        )
+
+    def test_non_dict_mappings_still_canonicalize_as_mappings(self):
+        from types import MappingProxyType
+
+        params = {"grid": MappingProxyType({"b": 2, "a": 1})}
+        assert operation_hash("op", params) == operation_hash(
+            "op", {"grid": {"a": 1, "b": 2}}
+        )
 
 
 class TestOperationClasses:

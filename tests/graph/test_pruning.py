@@ -74,3 +74,33 @@ class TestPruning:
         dag.mark_terminal(b)
         assert prune_workload(dag) == 0
         assert dag.edge_active(src, a) and dag.edge_active(src, b)
+
+    def test_terminals_sharing_ancestors(self):
+        """s -> a -> {b -> t1, c -> t2}, a dead branch off ``a`` and one off
+        the source: the shared prefix stays active, only dead edges go."""
+        dag = WorkloadDAG()
+        src = dag.add_source("s", payload=0)
+        a = dag.add_operation([src], Op("a"))
+        b = dag.add_operation([a], Op("b"))
+        c = dag.add_operation([a], Op("c"))
+        t1 = dag.add_operation([b], Op("t1"))
+        t2 = dag.add_operation([c], Op("t2"))
+        dead_mid = dag.add_operation([a], Op("dead_mid"))
+        dead_src = dag.add_operation([src], Op("dead_src"))
+        dag.mark_terminal(t1)
+        dag.mark_terminal(t2)
+
+        assert prune_workload(dag) == 2
+        inactive = {
+            edge for edge in dag.graph.edges() if not dag.edge_active(*edge)
+        }
+        assert inactive == {(a, dead_mid), (src, dead_src)}
+        # a second pass changes nothing
+        assert prune_workload(dag) == 0
+
+    def test_terminal_that_is_an_ancestor_of_another(self, diamond):
+        dag, src, a, _b = diamond
+        deeper = dag.add_operation([a], Op("deeper"))
+        dag.mark_terminal(deeper)
+        assert prune_workload(dag) == 1
+        assert dag.edge_active(src, a) and dag.edge_active(a, deeper)

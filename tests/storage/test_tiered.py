@@ -274,3 +274,74 @@ class TestFlushAndOpen:
 
         gc.collect()
         assert not directory.exists()
+
+
+def recomputed_totals(store: TieredArtifactStore) -> tuple[int, int]:
+    """(total_bytes, logical_bytes) summed from the per-id records, the way
+    both properties were computed before they became running sums."""
+    total = sum(store._column_sizes.values()) + sum(store._object_sizes.values())
+    logical = sum(store._object_sizes.values())
+    for layout in store._layouts.values():
+        for _name, cid in layout:
+            logical += store._column_sizes[cid]
+    return total, logical
+
+
+class TestRunningByteTotals:
+    def check(self, store: TieredArtifactStore) -> None:
+        assert (store.total_bytes, store.logical_bytes) == recomputed_totals(store)
+        stats = store.statistics()
+        assert (stats["total_bytes"], stats["logical_bytes"]) == recomputed_totals(store)
+
+    def test_totals_track_every_mutation(self, tmp_path):
+        store = TieredArtifactStore(hot_budget_bytes=2000, directory=tmp_path)
+        self.check(store)
+        strings = DataFrame(
+            [
+                Column("s", np.asarray(["ab", "cde", ""], dtype=object), "str"),
+                Column("x", np.zeros(3), "num"),
+            ]
+        )
+        steps = [
+            lambda: store.put("a", frame_with_ids({"x": ("shared", 100), "y": ("a", 100)})),
+            lambda: store.put("b", frame_with_ids({"z": ("shared", 100), "w": ("b", 100)})),
+            lambda: store.put("a", frame_with_ids({"x": ("shared", 100), "y": ("a", 100)})),
+            lambda: store.put("m", {"weights": [1, 2, 3]}),
+            lambda: store.put("s", strings),
+            lambda: store.put("c", frame_with_ids({"q": ("c", 100)})),  # evicts
+            lambda: store.get("a"),  # promote, demoting others
+            lambda: store.demote("a"),
+            lambda: store.get("m"),
+            lambda: store.remove("b"),  # 'shared' survives through a
+            lambda: store.remove("m"),
+            lambda: store.remove("missing"),
+            lambda: store.remove("a"),
+        ]
+        for step in steps:
+            step()
+            self.check(store)
+        assert store.stats.demotions > 0 and store.stats.promotions > 0
+        assert store.total_bytes == strings.nbytes + 800
+
+        store.flush()
+        reopened = TieredArtifactStore.open(tmp_path)
+        self.check(reopened)
+        assert reopened.total_bytes == store.total_bytes
+        assert reopened.logical_bytes == store.logical_bytes
+        reopened.get("s")
+        reopened.remove("c")
+        self.check(reopened)
+        for vertex_id in list(reopened.vertex_ids):
+            reopened.remove(vertex_id)
+        assert (reopened.total_bytes, reopened.logical_bytes) == (0, 0)
+
+    def test_totals_equal_the_dedup_store(self, tmp_path):
+        tiered = TieredArtifactStore(hot_budget_bytes=500, directory=tmp_path)
+        dedup = DedupArtifactStore()
+        for store in (tiered, dedup):
+            store.put("a", frame_with_ids({"x": ("shared", 100), "y": ("a", 100)}))
+            store.put("b", frame_with_ids({"x": ("shared", 100)}))
+            store.put("m", [1.0, 2.0])
+            store.remove("a")
+        assert tiered.total_bytes == dedup.total_bytes
+        assert tiered.logical_bytes == dedup.logical_bytes
