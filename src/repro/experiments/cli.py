@@ -138,47 +138,40 @@ def _run_fig10(credit, args) -> None:
     _print(f"  cumulative accuracy delta: {result.cumulative_delta_accuracy[-1]:+.3f}")
 
 
+def _print_recorder(label: str, recorder: dict | None) -> None:
+    """The flight recorder's counters (its ``stats()``), when it is on."""
+    if recorder:
+        decisions = recorder.get("decisions") or {}
+        _print(
+            f"  {label}: {recorder.get('spans_seen', 0)} spans, "
+            f"{recorder.get('kept_retained', 0)} traces retained ("
+            + ", ".join(f"{name}={count}" for name, count in decisions.items())
+            + ")"
+        )
+
+
 def _swarm_once(args, adaptive: bool):
     from ..storage import TieredArtifactStore
     from .swarm import run_swarm
 
-    transport = None if args.transport == "inproc" else args.transport
-    if getattr(args, "processes", 1) > 1:
-        # one worker process per shard; adaptive policies are in-process
-        # only (the feedback collector cannot cross process boundaries)
-        return run_swarm(
-            clients=args.clients,
-            rounds=args.rounds,
-            shards=args.shards,
-            processes=args.processes,
-            transport=transport,
-            transport_codec=args.transport_codec,
-        )
-    if args.shards > 1:
-        # sharded services own one store per partition, so the tiered
-        # store override does not apply
-        return run_swarm(
-            clients=args.clients,
-            rounds=args.rounds,
-            shards=args.shards,
-            transport=transport,
-            transport_codec=args.transport_codec,
-            adaptive=adaptive,
-        )
-    if transport is not None:
-        return run_swarm(
-            clients=args.clients,
-            rounds=args.rounds,
-            transport=transport,
-            transport_codec=args.transport_codec,
-            adaptive=adaptive,
-        )
     # a small hot budget forces real demotions/promotions under
     # concurrency, so traced runs show the tiered store's spans; byte
-    # accounting (store_bytes, fingerprints) is tier-independent
-    store = TieredArtifactStore(hot_budget_bytes=args.hot_budget_bytes)
+    # accounting (store_bytes, fingerprints) is tier-independent.  Sharded
+    # services own one store per partition, so the override is theirs
+    store = (
+        TieredArtifactStore(hot_budget_bytes=args.hot_budget_bytes)
+        if args.shards == 1
+        else None
+    )
     return run_swarm(
-        clients=args.clients, rounds=args.rounds, store=store, adaptive=adaptive
+        clients=args.clients,
+        rounds=args.rounds,
+        store=store,
+        shards=args.shards,
+        processes=args.processes,
+        transport=None if args.transport == "inproc" else args.transport,
+        transport_codec=args.transport_codec,
+        adaptive=adaptive,
     )
 
 
@@ -281,14 +274,7 @@ def _run_swarm(_sources, args) -> None:
                 f"adaptive {result.hot_hit_ratio:.1%} "
                 f"(delta {result.hot_hit_ratio - static_ratio:+.1%})"
             )
-    if result.recorder_stats:
-        decisions = result.recorder_stats.get("decisions") or {}
-        _print(
-            f"  flight recorder: {result.recorder_stats.get('spans_seen', 0)} spans, "
-            f"{result.recorder_stats.get('kept_retained', 0)} traces retained ("
-            + ", ".join(f"{name}={count}" for name, count in decisions.items())
-            + ")"
-        )
+    _print_recorder("flight recorder", result.recorder_stats)
     if args.metrics_out:
         Path(args.metrics_out).write_text(result.metrics_text)
         _print(f"  metrics written to {args.metrics_out}")
@@ -302,17 +288,13 @@ def _run_swarm(_sources, args) -> None:
         raise SystemExit("swarm EG diverged from the sequential replay")
 
 
-def _parse_addr(addr: str) -> tuple[str, int]:
-    host, sep, port = addr.rpartition(":")
-    if not sep or not port.isdigit():
-        raise SystemExit(f"--addr must be HOST:PORT, got {addr!r}")
-    return host or "127.0.0.1", int(port)
-
-
 def _require_addr(args) -> tuple[str, int]:
     if not args.addr:
         raise SystemExit(f"{args.experiment} needs --addr HOST:PORT")
-    return _parse_addr(args.addr)
+    host, sep, port = args.addr.rpartition(":")
+    if not sep or not port.isdigit():
+        raise SystemExit(f"--addr must be HOST:PORT, got {args.addr!r}")
+    return host or "127.0.0.1", int(port)
 
 
 def _run_metrics(_sources, args) -> None:
@@ -378,15 +360,7 @@ def _run_inspect(_sources, args) -> None:
             f"    shard {shard.get('shard')}: {shard.get('status')} "
             f"queue {shard_queue.get('depth', 0)}/{shard_queue.get('capacity', 0)}"
         )
-    recorder = debug.get("recorder") or health.get("recorder")
-    if recorder:
-        decisions = recorder.get("decisions") or {}
-        _print(
-            f"  recorder: {recorder.get('spans_seen', 0)} spans, "
-            f"{recorder.get('kept_retained', 0)} traces retained ("
-            + ", ".join(f"{name}={count}" for name, count in decisions.items())
-            + ")"
-        )
+    _print_recorder("recorder", debug.get("recorder") or health.get("recorder"))
     for name, slo in sorted((health.get("slo") or {}).items()):
         _print(
             f"  slo {name}: objective {slo.get('objective')}, "
@@ -425,64 +399,18 @@ def _run_inspect(_sources, args) -> None:
         _print(f"  perfetto trace {trace_id} written to {args.perfetto_out}")
 
 
-def _seed_served_workloads(host: str, port: int, args) -> None:
-    from ..client.executor import VirtualCostModel
-    from ..transport import TransportServiceClient
-    from .swarm import (
-        sharded_swarm_script,
-        sharded_swarm_sources,
-        swarm_script,
-        swarm_sources,
-    )
-
-    with TransportServiceClient(
-        host, port, name="seed", cost_model=VirtualCostModel()
-    ) as client:
-        for index in range(args.seed_workloads):
-            if args.shards > 1:
-                client.run_script(
-                    sharded_swarm_script(index, index % 3, args.shards, 0.002),
-                    sharded_swarm_sources(args.shards),
-                    label=f"seed:{index}",
-                )
-            else:
-                client.run_script(
-                    swarm_script(index, index % 3, 0.002),
-                    swarm_sources(),
-                    label=f"seed:{index}",
-                )
-    _print(f"seeded {args.seed_workloads} workloads")
-
-
 def _run_serve(_sources, args) -> None:
     """Stand up a live transport server (for the inspect/metrics smoke)."""
-    from ..materialization import MaterializeAll
+    from ..client.executor import VirtualCostModel
     from ..obs import FlightRecorder
-    from ..transport import AsyncTransportServer
+    from ..transport import AsyncTransportServer, TransportServiceClient
+    from .swarm import build_service, swarm_family
 
     recorder = FlightRecorder(slow_threshold_s=args.slow_threshold_ms / 1000.0)
     shards = max(args.shards, 2) if args.shard_workers else args.shards
-    service: Any
-    if shards > 1:
-        from ..shard import ProcessShardCoordinator, ShardedEGService
-
-        # --shard-workers only picks the constructor
-        service = (
-            ProcessShardCoordinator(shards, flight_recorder=recorder)
-            if args.shard_workers
-            else ShardedEGService(
-                lambda _index: MaterializeAll(),
-                shards,
-                background=True,
-                flight_recorder=recorder,
-            )
-        )
-    else:
-        from ..service import EGService
-
-        service = EGService(
-            MaterializeAll(), background=True, flight_recorder=recorder
-        )
+    service, _ = build_service(
+        shards, shards if args.shard_workers else 1, flight_recorder=recorder
+    )
     server = AsyncTransportServer(service, host=args.host, port=args.port)
     host, port = server.start()
     topology = (
@@ -498,7 +426,15 @@ def _run_serve(_sources, args) -> None:
     sys.stdout.flush()
     try:
         if args.seed_workloads:
-            _seed_served_workloads(host, port, args)
+            script_for, sources = swarm_family(shards, 0.002)
+            with TransportServiceClient(
+                host, port, name="seed", cost_model=VirtualCostModel()
+            ) as client:
+                for index in range(args.seed_workloads):
+                    client.run_script(
+                        script_for(index, index % 3), sources, label=f"seed:{index}"
+                    )
+            _print(f"seeded {args.seed_workloads} workloads")
             sys.stdout.flush()
         deadline = (
             time.monotonic() + args.duration if args.duration > 0 else None
@@ -685,6 +621,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
+    if args.processes > 1 and (args.adaptive or args.adaptive_report):
+        parser.error(
+            "--adaptive/--adaptive-report need --processes 1: the feedback "
+            "collector cannot cross process boundaries"
+        )
 
     tracer = None
     if args.trace_out:

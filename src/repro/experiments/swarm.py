@@ -3,8 +3,10 @@
 This is the service subsystem's acceptance experiment.  ``run_swarm``
 drives ``clients`` concurrent :class:`~repro.service.client.ServiceClient`
 sessions, each submitting ``rounds`` synthetic sleep-operation workloads
-with heavily shared prefixes, against one background-worker
-:class:`~repro.service.core.EGService`.  The merge worker lingers briefly
+with heavily shared prefixes, against one background service of any
+topology (:func:`build_service`: an
+:class:`~repro.service.core.EGService`, or a sharding coordinator over
+in-process or worker-process shards).  The merge worker lingers briefly
 so near-simultaneous commits coalesce into batches (one materialization
 pass per batch).
 
@@ -44,7 +46,9 @@ from ..workloads.synthetic_dag import (
 
 __all__ = [
     "SwarmResult",
+    "build_service",
     "run_swarm",
+    "swarm_family",
     "eg_fingerprint",
     "swarm_script",
     "swarm_sources",
@@ -237,77 +241,233 @@ class SwarmResult:
         """Workloads committed per wall-clock second."""
         return self.workloads / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
-    @property
-    def plan_cache_hit_rate(self) -> float:
-        """Share of plans served from the version-keyed plan cache."""
-        return self.stats.plan_cache_hit_rate if self.stats is not None else 0.0
 
-    @property
-    def mean_dirty_per_publish(self) -> float:
-        """Mean dirty-vertex count per copy-on-write publish (batch size proxy)."""
-        return self.stats.mean_dirty_per_publish if self.stats is not None else 0.0
-
-
-def _wire_adaptive(adaptive_config: Any):
-    """Build the learn-subsystem pieces a swarm run installs when adaptive.
-
-    Returns ``(collector, batch_sizer, learned_cost_model)``; the caller
-    wires them into the service/store it constructs.  The replay check is
-    unaffected by design: learned policies change *costs* and tier
-    *placement*, never what a merged batch publishes.
-    """
-    from ..learn import (
-        AdaptiveBatchSizer,
-        AdaptiveConfig,
-        FeedbackCollector,
-        LearnedLoadCostModel,
+def swarm_family(
+    shards: int, op_seconds: float
+) -> tuple[Callable[[int, int], Callable[[Any, Mapping[str, Any]], None]], dict]:
+    """``(script_for(client, round), sources)`` of the workload family a
+    swarm over ``shards`` shards runs: the shared-prefix family on one
+    shard, one lineage group per shard with periodic joins otherwise."""
+    if shards > 1:
+        return (
+            lambda client, round_index: sharded_swarm_script(
+                client, round_index, shards, op_seconds
+            ),
+            sharded_swarm_sources(shards),
+        )
+    return (
+        lambda client, round_index: swarm_script(client, round_index, op_seconds),
+        swarm_sources(),
     )
 
-    config = adaptive_config if adaptive_config is not None else AdaptiveConfig()
-    collector = FeedbackCollector(config)
-    batch_sizer = AdaptiveBatchSizer(collector)
-    return collector, batch_sizer, LearnedLoadCostModel(collector)
 
+def build_service(
+    shards: int = 1,
+    processes: int = 1,
+    *,
+    store: ArtifactStore | None = None,
+    adaptive: bool = False,
+    adaptive_config: Any | None = None,
+    flight_recorder: Any | None = None,
+    queue_capacity: int = 64,
+    batch_linger_s: float = 0.0,
+    request_timeout_s: float = 30.0,
+    debug_cross_check: bool = False,
+    codec: str = "binary",
+) -> tuple[Any, Any]:
+    """Construct a background materialize-all service of any topology.
 
-def _install_store_hooks(store: ArtifactStore | None, collector: Any) -> None:
-    """Point a tiered store's adaptive hooks at the run's collector."""
-    from ..storage import TieredArtifactStore
+    ``shards == 1`` is one :class:`~repro.service.core.EGService` (over
+    ``store``, if given); ``shards > 1`` a
+    :class:`~repro.shard.ShardedEGService` over in-process shards, or —
+    with ``processes == shards`` — a
+    :class:`~repro.shard.ProcessShardCoordinator` with one worker process
+    per shard, reached over ``codec``.
 
-    if isinstance(store, TieredArtifactStore):
-        from ..learn import ReuseValueScorer
-
-        store.eviction_scorer = ReuseValueScorer(collector)
-        store.eviction_scan = collector.config.eviction_scan
-        store.load_observer = collector.observe_cold_load
-
-
-def _adaptive_report(collector: Any, batch_sizer: Any) -> dict[str, Any]:
-    return {
-        "predictors": collector.report(),
-        "batch_sizer": batch_sizer.report(),
-        "cold_hit_rate": collector.cold_hit_rate,
+    ``adaptive`` installs the learned policies (:mod:`repro.learn`): one
+    thread-safe :class:`~repro.learn.FeedbackCollector` behind a learned
+    load-cost model for planning, one merge-batch sizer per shard (the
+    sizer is single-writer by design), and the adaptive eviction hooks on
+    a tiered ``store``.  Returns ``(service, batch_sizer)``; the sizer is
+    the first shard's (``None`` unless adaptive) and its ``collector`` is
+    the run's.
+    """
+    if processes > 1:
+        if processes != shards:
+            raise ValueError(
+                f"processes ({processes}) must equal shards ({shards}): "
+                "the multi-process swarm runs exactly one worker per shard"
+            )
+        if adaptive:
+            raise ValueError(
+                "adaptive policies need a shared in-process feedback "
+                "collector; use processes=1"
+            )
+        if debug_cross_check:
+            raise ValueError("debug_cross_check is in-process only")
+    if shards > 1 and store is not None:
+        raise ValueError(
+            "a custom store cannot be shared across shards (or cross "
+            "process boundaries); each shard owns its partition's store"
+        )
+    common: dict[str, Any] = {
+        "queue_capacity": queue_capacity,
+        "batch_linger_s": batch_linger_s,
+        "request_timeout_s": request_timeout_s,
+        "flight_recorder": flight_recorder,
     }
+    if processes > 1:
+        from ..shard import ProcessShardCoordinator
+
+        return ProcessShardCoordinator(shards, codec=codec, **common), None
+
+    sizers: list[Any] = []
+    if adaptive:
+        from ..learn import (
+            AdaptiveBatchSizer,
+            AdaptiveConfig,
+            FeedbackCollector,
+            LearnedLoadCostModel,
+            ReuseValueScorer,
+        )
+        from ..storage import TieredArtifactStore
+
+        collector = FeedbackCollector(
+            adaptive_config if adaptive_config is not None else AdaptiveConfig()
+        )
+        sizers = [AdaptiveBatchSizer(collector) for _ in range(shards)]
+        common["load_cost_model"] = LearnedLoadCostModel(collector)
+        if isinstance(store, TieredArtifactStore):
+            store.eviction_scorer = ReuseValueScorer(collector)
+            store.eviction_scan = collector.config.eviction_scan
+            store.load_observer = collector.observe_cold_load
+    common.update(background=True, debug_cross_check=debug_cross_check)
+    first_sizer = sizers[0] if sizers else None
+    if shards > 1:
+        from ..shard import ShardedEGService
+
+        service: Any = ShardedEGService(
+            lambda _index: MaterializeAll(),
+            shards,
+            batch_sizer_factory=sizers.__getitem__ if sizers else None,
+            **common,
+        )
+    else:
+        service = EGService(
+            MaterializeAll(),
+            store=store,
+            batch_sizer=first_sizer,
+            **common,
+        )
+        if sizers:
+            collector.queue_depth_fn = (
+                lambda: service.queue_capacity - service.queue_headroom()
+            )
+    return service, first_sizer
 
 
-def _drive_swarm(
-    service: Any,
-    clients: int,
-    rounds: int,
+def _replay(
+    commit_labels: list[str],
     script_for: Callable[[int, int], Callable[[Any, Mapping[str, Any]], None]],
     sources: Mapping[str, Any],
-    transport: str | None,
-    transport_codec: str,
-    replay: bool,
-) -> SwarmResult:
-    """Run every tenant against ``service``, stop it, replay its commit log.
+) -> ExperimentGraph:
+    """Re-run a swarm's workloads through a plain single-tenant optimizer.
 
-    Tenant ``index`` runs ``script_for(index, round)`` for each round, in
-    its own thread and session — in-process, or with ``transport="tcp"``
-    through one transport server and one pool shared by every tenant
-    thread (multiplexing carries many logical clients per socket).
-    Returns the run's result up to where the service kinds differ: the
-    caller describes the final EG (:func:`_describe_eg`).
+    Follows the service's recorded commit order, so the resulting single
+    graph must match the concurrent run's (flattened) EG exactly
+    (``eg_fingerprint`` equality).
     """
+    optimizer = CollaborativeOptimizer(MaterializeAll(), cost_model=VirtualCostModel())
+    for label in commit_labels:
+        client, round_index = (int(part) for part in label.split(":"))
+        optimizer.run_script(script_for(client, round_index), sources)
+    return optimizer.eg
+
+
+def replay_sequentially(commit_labels: list[str], op_seconds: float) -> ExperimentGraph:
+    """Sequential replay of a single-service swarm's commit log."""
+    return _replay(commit_labels, *swarm_family(1, op_seconds))
+
+
+def run_swarm(
+    clients: int = 8,
+    rounds: int = 3,
+    op_seconds: float = 0.02,
+    batch_linger_s: float = 0.15,
+    queue_capacity: int = 64,
+    replay: bool = True,
+    store: ArtifactStore | None = None,
+    debug_cross_check: bool = False,
+    shards: int = 1,
+    processes: int = 1,
+    transport: str | None = None,
+    transport_codec: str = "binary",
+    adaptive: bool = False,
+    adaptive_config: Any | None = None,
+    flight_recorder: Any | None = None,
+) -> SwarmResult:
+    """Run the swarm and (optionally) verify against a sequential replay.
+
+    Tenant ``index`` runs its family's script for each round, in its own
+    thread and session, against one background service; the service is
+    then stopped and its commit log replayed sequentially.
+
+    ``store`` overrides the service's artifact store (e.g. a
+    :class:`~repro.storage.TieredArtifactStore` with a small hot budget to
+    exercise demotions under concurrency); the fingerprint check is
+    store-independent — ``MaterializeAll`` and the virtual costs make the
+    merged EG identical regardless of where artifact bytes live.
+    ``debug_cross_check`` makes every materialization pass assert the
+    incremental utility index against a full recompute (slow; CI only).
+
+    ``shards`` / ``processes`` pick the topology (:func:`build_service`)
+    and ``shards > 1`` the sharded workload family — one lineage group
+    per shard with periodic cross-group joins; the fingerprint check then
+    compares the *flattened* partitioned EG against the sequential
+    single-graph replay, and must pass for every topology: an N-process
+    swarm converges bit-identically to the in-process sharded service.
+
+    ``adaptive=True`` installs the learned policies (:mod:`repro.learn`,
+    see :func:`build_service`), the adaptive merge-batch sizer replacing
+    the fixed ``batch_linger_s``.  The fingerprint check still must pass
+    — adaptive runs change costs and tier placement, never EG content.
+
+    ``transport="tcp"`` routes every tenant through the async multiplexed
+    binary transport (:mod:`repro.transport`) instead of in-process
+    calls: one :class:`~repro.transport.AsyncTransportServer` in front of
+    the service (a second hop when the shards are worker processes), one
+    :class:`~repro.transport.ConnectionPool` shared by every tenant
+    thread (multiplexing carries many logical clients per socket).
+    ``transport_codec`` selects the wire codec (``binary`` zero-copy
+    columnar with dedup, or the ``json`` fallback).  The fingerprint
+    check is transport-independent — the merged EG must be bit-identical
+    either way.
+
+    ``flight_recorder`` passes through to the service's telemetry plane:
+    ``None`` keeps the background default (on), ``False`` runs dark, and
+    a :class:`~repro.obs.plane.FlightRecorder` instance lets the caller
+    inspect kept traces after the run.  The result captures the
+    recorder's final counters and the registry's Prometheus text before
+    shutdown.
+    """
+    if transport not in (None, "inproc", "tcp"):
+        raise ValueError(f"unknown transport {transport!r} (expected 'inproc' or 'tcp')")
+    if transport_codec not in ("binary", "json"):
+        raise ValueError(f"unknown transport codec {transport_codec!r}")
+    service, batch_sizer = build_service(
+        shards,
+        processes,
+        store=store,
+        adaptive=adaptive,
+        adaptive_config=adaptive_config,
+        flight_recorder=flight_recorder,
+        queue_capacity=queue_capacity,
+        batch_linger_s=batch_linger_s,
+        request_timeout_s=60.0,
+        debug_cross_check=debug_cross_check,
+        codec=transport_codec,
+    )
+    script_for, sources = swarm_family(shards, op_seconds)
     server = pool = None
     if transport == "tcp":
         from ..transport import AsyncTransportServer, ConnectionPool
@@ -375,6 +535,22 @@ def _drive_swarm(
     if errors:
         raise errors[0]
 
+    if shards > 1:
+        # worker processes persist their partitions on stop; in-process
+        # shards still hold theirs
+        if processes > 1:
+            from ..shard.persistence import load_partitioned_eg
+
+            partitioned = load_partitioned_eg(service.persist_dir)
+        else:
+            partitioned = service.partitioned
+        eg = partitioned.flatten()
+        store_bytes = sum(
+            partition.store.total_bytes for partition in partitioned.partitions
+        )
+    else:
+        eg = service.eg
+        store_bytes = eg.store.total_bytes
     log = sorted(service.commit_log(), key=lambda record: record.commit_index)
     result = SwarmResult(
         clients=clients,
@@ -383,298 +559,33 @@ def _drive_swarm(
         wall_seconds=wall_seconds,
         stats=service.stats(),
         commit_labels=[record.label for record in log],
+        eg_vertices=eg.num_vertices,
+        eg_edges=eg.graph.number_of_edges(),
+        eg_materialized=len(eg.materialized_ids()),
+        store_bytes=store_bytes,
+        concurrent_fingerprint=eg_fingerprint(eg),
+        shards=shards,
+        processes=processes,
+        shard_stats=service.shard_stats() if shards > 1 else [],
+        stub_edges=service.partitioned.stub_count if shards > 1 else 0,
         transport="tcp" if server is not None else "inproc",
         transport_codec=transport_codec if server is not None else "",
         wire_stats=wire_stats,
         client_wire_stats=client_wire_stats,
+        adaptive=adaptive,
         metrics_text=metrics_text,
         recorder_stats=recorder_stats,
     )
+    if batch_sizer is not None:
+        result.adaptive_report = {
+            "predictors": batch_sizer.collector.report(),
+            "batch_sizer": batch_sizer.report(),
+            "cold_hit_rate": batch_sizer.collector.cold_hit_rate,
+        }
+    if hasattr(store, "stats"):
+        result.hot_hit_ratio = store.stats.hit_ratio
     if replay:
         result.replay_fingerprint = eg_fingerprint(
             _replay(result.commit_labels, script_for, sources)
         )
-    return result
-
-
-def _replay(
-    commit_labels: list[str],
-    script_for: Callable[[int, int], Callable[[Any, Mapping[str, Any]], None]],
-    sources: Mapping[str, Any],
-) -> ExperimentGraph:
-    """Re-run a swarm's workloads through a plain single-tenant optimizer.
-
-    Follows the service's recorded commit order, so the resulting single
-    graph must match the concurrent run's (flattened) EG exactly
-    (``eg_fingerprint`` equality).
-    """
-    optimizer = CollaborativeOptimizer(MaterializeAll(), cost_model=VirtualCostModel())
-    for label in commit_labels:
-        client, round_index = (int(part) for part in label.split(":"))
-        optimizer.run_script(script_for(client, round_index), sources)
-    return optimizer.eg
-
-
-def _describe_eg(result: SwarmResult, eg: ExperimentGraph, store_bytes: int) -> None:
-    """Record the run's final (flattened) EG on its result."""
-    result.eg_vertices = eg.num_vertices
-    result.eg_edges = eg.graph.number_of_edges()
-    result.eg_materialized = len(eg.materialized_ids())
-    result.store_bytes = store_bytes
-    result.concurrent_fingerprint = eg_fingerprint(eg)
-
-
-def run_swarm(
-    clients: int = 8,
-    rounds: int = 3,
-    op_seconds: float = 0.02,
-    batch_linger_s: float = 0.15,
-    queue_capacity: int = 64,
-    replay: bool = True,
-    store: ArtifactStore | None = None,
-    debug_cross_check: bool = False,
-    shards: int = 1,
-    processes: int = 1,
-    transport: str | None = None,
-    transport_codec: str = "binary",
-    adaptive: bool = False,
-    adaptive_config: Any | None = None,
-    flight_recorder: Any | None = None,
-) -> SwarmResult:
-    """Run the swarm and (optionally) verify against a sequential replay.
-
-    ``store`` overrides the service's artifact store (e.g. a
-    :class:`~repro.storage.TieredArtifactStore` with a small hot budget to
-    exercise demotions under concurrency); the fingerprint check is
-    store-independent — ``MaterializeAll`` and the virtual costs make the
-    merged EG identical regardless of where artifact bytes live.
-    ``debug_cross_check`` makes every materialization pass assert the
-    incremental utility index against a full recompute (slow; CI only).
-
-    ``shards > 1`` switches to the sharded service
-    (:class:`~repro.shard.ShardedEGService`) and the sharded workload
-    family — one lineage group per shard with periodic cross-group joins;
-    the fingerprint check then compares the *flattened* partitioned EG
-    against the sequential single-graph replay.
-
-    ``adaptive=True`` installs the learned policies (:mod:`repro.learn`):
-    a :class:`~repro.learn.FeedbackCollector` fed by the store's cold
-    loads and the merge worker, a learned load-cost model for planning,
-    an adaptive eviction scorer on a tiered ``store``, and an adaptive
-    merge-batch sizer replacing the fixed ``batch_linger_s``.  The
-    fingerprint check still must pass — adaptive runs change costs and
-    tier placement, never EG content.
-
-    ``processes > 1`` moves every shard's service into its own worker
-    process (:class:`~repro.shard.ProcessShardCoordinator`) behind the
-    binary transport; it requires ``processes == shards`` (one worker per
-    shard) and the fingerprint check still must pass — the N-process
-    swarm converges bit-identically to the in-process sharded service.
-
-    ``transport="tcp"`` routes every tenant through the async multiplexed
-    binary transport (:mod:`repro.transport`) instead of in-process
-    calls: one :class:`~repro.transport.AsyncTransportServer` in front of
-    the service, one shared :class:`~repro.transport.ConnectionPool` for
-    all tenants.  ``transport_codec`` selects the wire codec (``binary``
-    zero-copy columnar with dedup, or the ``json`` fallback).  The
-    fingerprint check is transport-independent — the merged EG must be
-    bit-identical either way.
-
-    ``flight_recorder`` passes through to the service's telemetry plane:
-    ``None`` keeps the background default (on), ``False`` runs dark, and
-    a :class:`~repro.obs.plane.FlightRecorder` instance lets the caller
-    inspect kept traces after the run.  The result captures the
-    recorder's final counters and the registry's Prometheus text before
-    shutdown.
-    """
-    if transport not in (None, "inproc", "tcp"):
-        raise ValueError(f"unknown transport {transport!r} (expected 'inproc' or 'tcp')")
-    if transport_codec not in ("binary", "json"):
-        raise ValueError(f"unknown transport codec {transport_codec!r}")
-    if processes > 1:
-        if processes != shards:
-            raise ValueError(
-                f"processes ({processes}) must equal shards ({shards}): "
-                "the multi-process swarm runs exactly one worker per shard"
-            )
-        if store is not None:
-            raise ValueError("a custom store cannot cross process boundaries")
-        if adaptive:
-            raise ValueError(
-                "adaptive policies need a shared in-process feedback "
-                "collector; use processes=1"
-            )
-        if debug_cross_check:
-            raise ValueError("debug_cross_check is in-process only")
-    if shards > 1:
-        if store is not None:
-            raise ValueError(
-                "a custom store cannot be shared across shards; "
-                "each shard owns its partition's store"
-            )
-        return _run_swarm_sharded(
-            clients=clients,
-            rounds=rounds,
-            op_seconds=op_seconds,
-            batch_linger_s=batch_linger_s,
-            queue_capacity=queue_capacity,
-            replay=replay,
-            debug_cross_check=debug_cross_check,
-            shards=shards,
-            processes=processes,
-            transport=transport,
-            transport_codec=transport_codec,
-            adaptive=adaptive,
-            adaptive_config=adaptive_config,
-            flight_recorder=flight_recorder,
-        )
-    collector = batch_sizer = learned_model = None
-    if adaptive:
-        collector, batch_sizer, learned_model = _wire_adaptive(adaptive_config)
-        _install_store_hooks(store, collector)
-    service = EGService(
-        MaterializeAll(),
-        store=store,
-        load_cost_model=learned_model,
-        queue_capacity=queue_capacity,
-        batch_linger_s=batch_linger_s,
-        request_timeout_s=60.0,
-        background=True,
-        debug_cross_check=debug_cross_check,
-        batch_sizer=batch_sizer,
-        flight_recorder=flight_recorder,
-    )
-    if collector is not None:
-        collector.queue_depth_fn = (
-            lambda: service.queue_capacity - service.queue_headroom()
-        )
-    result = _drive_swarm(
-        service,
-        clients,
-        rounds,
-        lambda index, round_index: swarm_script(index, round_index, op_seconds),
-        swarm_sources(),
-        transport,
-        transport_codec,
-        replay,
-    )
-    eg = service.eg
-    _describe_eg(result, eg, eg.store.total_bytes)
-    result.adaptive = adaptive
-    if collector is not None:
-        result.adaptive_report = _adaptive_report(collector, batch_sizer)
-    if hasattr(store, "stats"):
-        result.hot_hit_ratio = store.stats.hit_ratio
-    return result
-
-
-def replay_sequentially(commit_labels: list[str], op_seconds: float) -> ExperimentGraph:
-    """Sequential replay of a single-service swarm's commit log."""
-    return _replay(
-        commit_labels,
-        lambda index, round_index: swarm_script(index, round_index, op_seconds),
-        swarm_sources(),
-    )
-
-
-# ----------------------------------------------------------------------
-# The sharded experiment
-# ----------------------------------------------------------------------
-def _run_swarm_sharded(
-    clients: int,
-    rounds: int,
-    op_seconds: float,
-    batch_linger_s: float,
-    queue_capacity: int,
-    replay: bool,
-    debug_cross_check: bool,
-    shards: int,
-    processes: int = 1,
-    transport: str | None = None,
-    transport_codec: str = "binary",
-    adaptive: bool = False,
-    adaptive_config: Any | None = None,
-    flight_recorder: Any | None = None,
-) -> SwarmResult:
-    """The sharded swarm; ``processes`` only picks the constructor.
-
-    With ``processes > 1`` every shard runs in its own worker process
-    (tenants reach the coordinator in-process or, with
-    ``transport="tcp"``, through a parent-side transport server — two
-    transport hops end to end); everything else, replay check included,
-    is the same run.
-    """
-    from ..shard import ProcessShardCoordinator, ShardedEGService
-    from ..shard.persistence import load_partitioned_eg
-
-    collector = batch_sizer = None
-    service: Any
-    if processes > 1:
-        service = ProcessShardCoordinator(
-            shards,
-            queue_capacity=queue_capacity,
-            batch_linger_s=batch_linger_s,
-            request_timeout_s=60.0,
-            codec=transport_codec,
-            flight_recorder=flight_recorder,
-        )
-    else:
-        learned_model = None
-        sizer_factory = None
-        if adaptive:
-            # one collector (thread-safe) shared by every shard's cost
-            # queries; one batch sizer per shard — see ShardedEGService
-            collector, batch_sizer, learned_model = _wire_adaptive(adaptive_config)
-            from ..learn import AdaptiveBatchSizer
-
-            shard_sizers = [batch_sizer] + [
-                AdaptiveBatchSizer(collector) for _ in range(shards - 1)
-            ]
-
-            def sizer_factory(index: int):
-                return shard_sizers[index]
-
-        service = ShardedEGService(
-            lambda _index: MaterializeAll(),
-            shards,
-            load_cost_model=learned_model,
-            queue_capacity=queue_capacity,
-            batch_linger_s=batch_linger_s,
-            request_timeout_s=60.0,
-            background=True,
-            debug_cross_check=debug_cross_check,
-            batch_sizer_factory=sizer_factory,
-            flight_recorder=flight_recorder,
-        )
-    result = _drive_swarm(
-        service,
-        clients,
-        rounds,
-        lambda index, round_index: sharded_swarm_script(
-            index, round_index, shards, op_seconds
-        ),
-        sharded_swarm_sources(shards),
-        transport,
-        transport_codec,
-        replay,
-    )
-    # worker processes persist their partitions on stop; in-process
-    # shards still hold theirs
-    partitioned = (
-        load_partitioned_eg(service.persist_dir)
-        if processes > 1
-        else service.partitioned
-    )
-    _describe_eg(
-        result,
-        partitioned.flatten(),
-        sum(partition.store.total_bytes for partition in partitioned.partitions),
-    )
-    result.shards = shards
-    result.processes = processes
-    result.shard_stats = service.shard_stats()
-    result.stub_edges = service.partitioned.stub_count
-    result.adaptive = adaptive
-    if collector is not None:
-        result.adaptive_report = _adaptive_report(collector, batch_sizer)
     return result

@@ -13,10 +13,8 @@ from .adapters import AdaptiveBatchSizer, LearnedLoadCostModel, ReuseValueScorer
 from .collector import AdaptiveConfig, FeedbackCollector, LoadObservation
 from .features import (
     BATCH_FEATURE_NAMES,
-    COMPUTE_FEATURE_NAMES,
     LOAD_FEATURE_NAMES,
     batch_features,
-    compute_features,
     load_features,
 )
 from .online import OnlinePredictor, RecursiveLeastSquares
@@ -25,7 +23,6 @@ __all__ = [
     "AdaptiveBatchSizer",
     "AdaptiveConfig",
     "BATCH_FEATURE_NAMES",
-    "COMPUTE_FEATURE_NAMES",
     "FeedbackCollector",
     "LOAD_FEATURE_NAMES",
     "LearnedLoadCostModel",
@@ -34,6 +31,5 @@ __all__ = [
     "RecursiveLeastSquares",
     "ReuseValueScorer",
     "batch_features",
-    "compute_features",
     "load_features",
 ]

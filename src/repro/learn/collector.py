@@ -1,34 +1,24 @@
 """FeedbackCollector: observability stream in, labeled samples out.
 
 The collector closes the loop between what the system *measures* (cold
-disk reads, operator compute, merge batches — all instrumented since the
-observability PR) and what the planners *assume* (static bandwidth/latency
-pairs, fixed per-tier load costs).  It maintains one
+disk reads, merge batches — both instrumented since the observability
+PR) and what the planners *assume* (static bandwidth/latency pairs, fixed
+per-tier load costs).  It maintains one
 :class:`~repro.learn.online.OnlinePredictor` per cost kind:
 
 ``load_hot`` / ``load_cold``
     per-tier artifact retrieval latency over
     :data:`~repro.learn.features.LOAD_FEATURE_NAMES`;
-``compute``
-    operator compute time over
-    :data:`~repro.learn.features.COMPUTE_FEATURE_NAMES`;
 ``merge``
     merge-batch publish cost over
     :data:`~repro.learn.features.BATCH_FEATURE_NAMES` — its two weights
     (fixed overhead, marginal per-workload cost) drive the adaptive
     batch sizer's closed-form linger.
 
-Samples arrive on two paths, both thread-safe:
-
-* **direct observation** — the tiered store's ``load_observer`` hook
-  calls :meth:`observe_load` with exact sizes/column mixes (the primary
-  in-process path; works with the default noop tracer), and the service
-  merge worker feeds :meth:`AdaptiveBatchSizer.observe_batch`;
-* **span subscription** — the collector is also a trace sink
-  (:meth:`on_span`): install it via ``Tracer(sinks=[collector])`` (or
-  :meth:`attach`) and it ingests ``store.cold_load`` and
-  ``service.merge_batch`` spans, so an externally traced process can
-  train the same models from its span stream alone.
+Samples arrive by direct, thread-safe observation: the tiered store's
+``load_observer`` hook calls :meth:`observe_cold_load` with exact
+sizes/column mixes (works with the default noop tracer), and the service
+merge worker feeds :meth:`AdaptiveBatchSizer.observe_batch`.
 
 Prediction-vs-observed error, sample counts, and learned/static decision
 counts are published as ``repro_learn_*`` metrics (table in
@@ -38,12 +28,12 @@ docs/OBSERVABILITY.md), so the fallback behaviour is itself observable.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 from ..eg.storage import StorageTier
 from ..obs.metrics import MetricsRegistry, get_registry
-from .features import batch_features, compute_features, load_features
+from .features import batch_features, load_features
 from .online import OnlinePredictor
 
 __all__ = ["AdaptiveConfig", "LoadObservation", "FeedbackCollector"]
@@ -106,7 +96,7 @@ class _TierFeatureState:
 
 
 class FeedbackCollector:
-    """Turns metric/span observations into online cost predictors."""
+    """Turns load/merge observations into online cost predictors."""
 
     LOAD_MODELS = {StorageTier.HOT: "load_hot", StorageTier.COLD: "load_cold"}
 
@@ -137,7 +127,6 @@ class FeedbackCollector:
         self.predictors: dict[str, OnlinePredictor] = {
             "load_hot": predictor(len(load_features(0, 0, 0.0, 0.0))),
             "load_cold": predictor(len(load_features(0, 0, 0.0, 0.0))),
-            "compute": predictor(len(compute_features(0, 0))),
             "merge": predictor(len(batch_features(0))),
         }
         #: recent share of loads served by a disk read (EWMA)
@@ -271,19 +260,6 @@ class FeedbackCollector:
             )
         )
 
-    def observe_compute(
-        self, input_bytes: int, n_columns: int, seconds: float
-    ) -> None:
-        """Ingest one operator execution as a labeled compute sample."""
-        with self._lock:
-            predictor = self.predictors["compute"]
-            predictor.observe(compute_features(input_bytes, n_columns), seconds)
-            error = predictor.error_ewma
-            healthy = predictor.healthy
-        self._samples_counter.inc(model="compute")
-        self._error_gauge.set(error, model="compute")
-        self._healthy_gauge.set(1.0 if healthy else 0.0, model="compute")
-
     def observe_merge(self, batch_size: int, seconds: float) -> None:
         """Ingest one merge batch (size -> publish seconds) sample."""
         with self._lock:
@@ -322,18 +298,6 @@ class FeedbackCollector:
         )
         return value
 
-    def predict_compute(self, input_bytes: int, n_columns: int) -> float | None:
-        """Predicted compute seconds, or ``None`` (advisory only — the EG's
-        recorded compute times are never overwritten by predictions)."""
-        with self._lock:
-            value = self.predictors["compute"].predict(
-                compute_features(input_bytes, n_columns)
-            )
-        self._predictions_counter.inc(
-            model="compute", source="static" if value is None else "learned"
-        )
-        return value
-
     def merge_cost_params(self) -> tuple[float, float] | None:
         """(fixed overhead, marginal per-workload seconds) of a merge batch.
 
@@ -350,50 +314,6 @@ class FeedbackCollector:
         if fixed <= 0.0:
             return None
         return fixed, max(0.0, marginal)
-
-    # ------------------------------------------------------------------
-    # Span-stream subscription (trace-sink protocol)
-    # ------------------------------------------------------------------
-    def on_span(self, span: Any) -> None:
-        """Trace-sink hook: ingest cost-bearing spans as training samples.
-
-        ``store.cold_load`` spans (enriched with ``size_bytes`` /
-        ``n_columns`` / ``object_columns`` attributes by the tiered
-        store) become cold-load samples; ``service.merge_batch`` spans
-        become merge samples.  Unknown spans are ignored, and a
-        malformed span is dropped rather than raised — sinks must never
-        kill the traced work.
-        """
-        try:
-            if span.name == "store.cold_load":
-                size = span.attributes.get("size_bytes")
-                seconds = span.attributes.get("read_seconds")
-                if size is None or seconds is None:
-                    return
-                self.observe_load(
-                    LoadObservation(
-                        vertex_id=str(span.attributes.get("vertex", "")),
-                        size_bytes=int(size),
-                        n_columns=int(span.attributes.get("n_columns", 1)),
-                        object_columns=int(span.attributes.get("object_columns", 0)),
-                        tier=StorageTier.COLD,
-                        seconds=float(seconds),
-                    )
-                )
-            elif span.name == "service.merge_batch":
-                batch_size = span.attributes.get("batch_size")
-                if batch_size is None or not span.finished:
-                    return
-                self.observe_merge(int(batch_size), float(span.duration_s))
-        except (TypeError, ValueError):
-            return
-
-    def close(self) -> None:
-        """Trace-sink protocol; the collector holds no file resources."""
-
-    def attach(self, tracer: Any) -> None:
-        """Register this collector as a sink on an existing tracer."""
-        tracer._sinks.append(self)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 __all__ = [
     "LOAD_FEATURE_NAMES",
-    "COMPUTE_FEATURE_NAMES",
     "BATCH_FEATURE_NAMES",
     "load_features",
-    "compute_features",
     "batch_features",
 ]
 
@@ -33,13 +31,6 @@ LOAD_FEATURE_NAMES = (
     "cold_hit_rate",  # recent cold-hit share: a contended, thrashing hot tier
     "queue_depth",  # merge-queue depth when the load was issued
     "object_fraction",  # dtype mix: share of object-dtype (pickled) columns
-)
-
-#: feature order of the compute-time model
-COMPUTE_FEATURE_NAMES = (
-    "bias",
-    "input_mib",  # bytes flowing into the operation
-    "n_columns",  # width of the produced artifact
 )
 
 #: feature order of the merge-publish cost model (per merge batch)
@@ -67,11 +58,6 @@ def load_features(
         float(queue_depth),
         float(object_fraction),
     ]
-
-
-def compute_features(input_bytes: int, n_columns: int) -> list[float]:
-    """Feature vector for one operator execution."""
-    return [1.0, input_bytes / _MIB, float(n_columns)]
 
 
 def batch_features(batch_size: int) -> list[float]:

@@ -17,7 +17,7 @@ Two read surfaces:
 :func:`percentile` is the shared percentile primitive — linear
 interpolation between closest ranks, the numpy default — used by the
 histogram's quantile estimate and by the service's latency window
-(:mod:`repro.service.stats`), which previously carried its own
+(:mod:`repro.service.telemetry`), which previously carried its own
 nearest-rank variant.
 """
 
@@ -199,7 +199,7 @@ class Histogram(_Instrument):
     ``buckets`` are the finite upper bounds, ascending; an implicit
     ``+Inf`` bucket catches the rest.  ``quantile`` interpolates within
     the bucket containing the target rank — coarse by design (the exact
-    service latency window lives in :mod:`repro.service.stats`), but
+    service latency window lives in :mod:`repro.service.telemetry`), but
     monotone and machine-independent.
     """
 

@@ -28,7 +28,7 @@ from .errors import (
     TruncatedFrameError,
     UnknownSessionError,
 )
-from .stats import MetricsRecorder, ServiceStats, SessionStats
+from .stats import ServiceStats, SessionStats
 from .versioned import SnapshotLease, VersionedExperimentGraph, copy_experiment_graph
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "TruncatedFrameError",
     "ServiceStats",
     "SessionStats",
-    "MetricsRecorder",
     "SnapshotLease",
     "VersionedExperimentGraph",
     "copy_experiment_graph",

@@ -28,7 +28,7 @@ import logging
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..eg.graph import ExperimentGraph
@@ -37,9 +37,9 @@ from ..eg.updater import BatchUpdateReport, Updater
 from ..eg.utility_index import UtilityIndex
 from ..graph.dag import WorkloadDAG
 from ..materialization.base import Materializer
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.plane import FlightRecorder, install_recorder, uninstall_recorder
-from ..obs.slo import SLO, SLOEngine, default_service_slos
+from ..obs.metrics import MetricsRegistry
+from ..obs.plane import FlightRecorder
+from ..obs.slo import SLO
 from ..obs.trace import SpanContext, get_tracer
 from ..reuse.linear import LinearReuse
 from ..server.optimizer import OptimizationResult, Optimizer
@@ -50,7 +50,8 @@ from .errors import (
     ServiceStoppedError,
     UnknownSessionError,
 )
-from .stats import MetricsRecorder, ServiceStats
+from .stats import ServiceStats
+from .telemetry import ServiceMetrics, TelemetryPlane
 from .versioned import SnapshotLease, VersionedExperimentGraph
 
 logger = logging.getLogger(__name__)
@@ -272,54 +273,28 @@ class EGService:
         #: utility-index dirty totals already folded into the metrics
         self._utility_dirty_recorded = (0, 0)
 
-        #: the service's metrics live in their own registry by default so
-        #: two services in one process never cross-count; pass a shared
-        #: registry to merge expositions
-        self.metrics_registry = (
-            metrics_registry if metrics_registry is not None else MetricsRegistry()
-        )
-        self._metrics = MetricsRecorder(self.metrics_registry)
-        self._version_gauge = self.metrics_registry.gauge(
-            "repro_service_version", "latest published EG version"
-        )
-        self._queue_gauge = self.metrics_registry.gauge(
-            "repro_service_queue_depth", "update-queue depth at last observation"
-        )
-        self._sessions_gauge = self.metrics_registry.gauge(
-            "repro_service_open_sessions", "sessions currently open"
-        )
-        self._deferred_gauge = self.metrics_registry.gauge(
-            "repro_service_deferred_evictions", "content removals awaiting leases"
-        )
+        self._metrics = ServiceMetrics(metrics_registry)
+        self.metrics_registry = self._metrics.registry
+        gauge = self.metrics_registry.gauge
+        #: point-in-time gauges, refreshed by every :meth:`_observe`
+        self._gauges = {
+            "version": gauge("repro_service_version", "latest published EG version"),
+            "queue_depth": gauge(
+                "repro_service_queue_depth", "update-queue depth at last observation"
+            ),
+            "open_sessions": gauge(
+                "repro_service_open_sessions", "sessions currently open"
+            ),
+            "deferred_evictions": gauge(
+                "repro_service_deferred_evictions", "content removals awaiting leases"
+            ),
+        }
 
-        #: the always-on telemetry plane.  ``flight_recorder`` accepts a
-        #: recorder instance (shared), True (own one), False (off), or
-        #: None — the default, which enables it only for *background*
-        #: services: those are the production shape, while the paper
-        #: figures construct thousands of short-lived inline services
-        #: that must stay zero-overhead.  With a recorder comes an SLO
-        #: engine over this service's registry plus the process-global
-        #: one (store/planner/learn series live there).
-        recorder: FlightRecorder | None
-        if flight_recorder is None:
-            recorder = (
-                FlightRecorder(registry=self.metrics_registry) if background else None
-            )
-        elif flight_recorder is True:
-            recorder = FlightRecorder(registry=self.metrics_registry)
-        elif flight_recorder is False:
-            recorder = None
-        else:
-            recorder = flight_recorder
-        self.flight_recorder = recorder
-        self.slo_engine: SLOEngine | None = None
-        if recorder is not None:
-            install_recorder(recorder)
-            self.slo_engine = SLOEngine(
-                slos if slos is not None else default_service_slos(),
-                registries=[self.metrics_registry, get_registry()],
-                registry=self.metrics_registry,
-            )
+        #: the always-on telemetry plane (by default, of *background* services)
+        self.telemetry = TelemetryPlane(
+            self.metrics_registry, flight_recorder, background, slos
+        )
+        self.flight_recorder = self.telemetry.recorder
 
         if background:
             self.start()
@@ -367,7 +342,7 @@ class EGService:
                 # deferred removals to its flush rather than racing the
                 # working EG/store mid-merge
                 logger.warning("merge worker did not exit within %.1fs", timeout)
-                self._teardown_telemetry()
+                self.telemetry.close()
                 return
             # worker exited: no merge can run, reclaim deferred removals
             self.versioned.flush_deferred()
@@ -377,13 +352,7 @@ class EGService:
                 if drain:
                     self._drain_once()
                 self.versioned.flush_deferred()
-        self._teardown_telemetry()
-
-    def _teardown_telemetry(self) -> None:
-        """Detach the recorder from the process tracer; its retained
-        traces stay readable (debug surfaces work on a stopped service)."""
-        if self.flight_recorder is not None:
-            uninstall_recorder(self.flight_recorder)
+        self.telemetry.close()
 
     @property
     def running(self) -> bool:
@@ -448,7 +417,7 @@ class EGService:
                 cached = self._plan_cache_get(key)
                 if cached is not None:
                     result = self._result_from_cache(cached, lease.eg)
-                    self._metrics.record_plan_cache(hit=True)
+                    self._metrics.plan_cache_hits.inc()
                     span.set_attribute("plan_cache", "hit")
                 else:
                     optimizer = Optimizer(
@@ -459,18 +428,16 @@ class EGService:
                     )
                     result = optimizer.optimize(workload)
                     self._plan_cache_put(key, result)
-                    self._metrics.record_plan_cache(hit=False)
+                    self._metrics.plan_cache_misses.inc()
                     span.set_attribute("plan_cache", "miss")
             except BaseException:
                 lease.release()
                 raise
             span.set_attribute("version", lease.version)
             span.set_attribute("loads", len(result.plan.loads))
-        self._metrics.record_plan(
-            session_id,
-            len(result.plan.loads),
-            seconds=time.perf_counter() - plan_started,
-            exemplar=span.context,
+        self._metrics.count_plan(session_id, len(result.plan.loads))
+        self._metrics.plan_seconds.observe(
+            time.perf_counter() - plan_started, exemplar=span.context
         )
         return ServicePlan(session_id=session_id, result=result, lease=lease)
 
@@ -539,7 +506,7 @@ class EGService:
             if self._stopped:
                 raise ServiceStoppedError("service is stopped")
             if len(self._queue) >= self.queue_capacity:
-                self._metrics.record_overload()
+                self._metrics.overload_rejections.inc()
                 raise ServiceOverloadedError(
                     f"update queue is full ({self.queue_capacity} pending)"
                 )
@@ -558,12 +525,6 @@ class EGService:
         headroom before allocating a global commit index."""
         with self._queue_cv:
             return self.queue_capacity - len(self._queue)
-
-    @property
-    def queue_peak(self) -> int:
-        """High-water mark of the update queue since the service started."""
-        with self._queue_cv:
-            return self._queue_peak
 
     def commit(
         self,
@@ -632,7 +593,9 @@ class EGService:
                 max(0.0, started - ticket.enqueued_at) if ticket.enqueued_at else 0.0
             )
             wait_total += wait_s
-            self._metrics.record_queue_wait(wait_s, exemplar=ticket.trace_parent)
+            self._metrics.queue_wait_seconds.observe(
+                wait_s, exemplar=ticket.trace_parent
+            )
             span = tracer.span(
                 "service.commit",
                 parent=ticket.trace_parent,
@@ -655,7 +618,8 @@ class EGService:
                 version = self.versioned.publish(dirty_vertices=dirty)
                 self.updater.clear_dirty()
                 self._invalidate_plan_cache()
-                self._metrics.record_publish(len(dirty))
+                self._metrics.publishes.inc()
+                self._metrics.publish_dirty_vertices.inc(len(dirty))
                 self._record_utility_dirty()
                 self.versioned.flush_deferred()
             except BaseException as error:  # noqa: BLE001 - must not strand tickets
@@ -669,7 +633,7 @@ class EGService:
 
         for ticket, outcome, span in zip(batch, report.outcomes, commit_spans):
             if isinstance(outcome, ArtifactDivergenceError):
-                self._metrics.record_commit(ticket.session_id, merged=False)
+                self._metrics.rejected_commits_total.inc(session=ticket.session_id)
                 span.set_attribute("error", type(outcome).__name__)
                 span.finish()
                 ticket.fail(outcome)
@@ -683,7 +647,7 @@ class EGService:
                     label=ticket.label,
                 )
                 self._commit_log.append(record)
-            self._metrics.record_commit(ticket.session_id, merged=True)
+            self._metrics.commits_total.inc(session=ticket.session_id)
             span.set_attribute("commit_index", record.commit_index)
             span.set_attribute("version", version)
             span.finish()
@@ -697,15 +661,20 @@ class EGService:
                 )
             )
         if report.merged_workloads:
-            self._metrics.record_batch(
-                report.merged_workloads, merge_seconds, exemplar=batch_span.context
+            metrics = self._metrics
+            metrics.batches.inc()
+            metrics.merged_workloads.inc(report.merged_workloads)
+            metrics.merge_seconds_total.inc(merge_seconds)
+            metrics.max_batch_size.set_max(report.merged_workloads)
+            metrics.max_merge_seconds.set_max(merge_seconds)
+            metrics.merge_batch_seconds.observe(
+                merge_seconds, exemplar=batch_span.context
             )
             if self.batch_sizer is not None:
                 self.batch_sizer.observe_batch(
                     report.merged_workloads, merge_seconds, wait_total / len(batch)
                 )
-        if self.slo_engine is not None:
-            self.slo_engine.maybe_evaluate()
+        self.telemetry.evaluate()
         return len(batch)
 
     # ------------------------------------------------------------------
@@ -737,10 +706,12 @@ class EGService:
         if index is None:
             return
         cost_seen, pot_seen = self._utility_dirty_recorded
-        self._metrics.record_utility_dirty(
-            index.total_cost_dirty - cost_seen,
-            index.total_potential_dirty - pot_seen,
-        )
+        if index.total_cost_dirty > cost_seen:
+            self._metrics.utility_cost_dirty.inc(index.total_cost_dirty - cost_seen)
+        if index.total_potential_dirty > pot_seen:
+            self._metrics.utility_potential_dirty.inc(
+                index.total_potential_dirty - pot_seen
+            )
         self._utility_dirty_recorded = (
             index.total_cost_dirty,
             index.total_potential_dirty,
@@ -756,7 +727,7 @@ class EGService:
         UtilityIndex.install(eg, cross_check=self.debug_cross_check)
         self._utility_dirty_recorded = (0, 0)
         self._invalidate_plan_cache()
-        self._metrics.record_publish(None)
+        self._metrics.publishes.inc()  # a full copy: no dirty vertices to count
 
     def commit_log(self) -> list[CommitRecord]:
         with self._log_lock:
@@ -767,49 +738,42 @@ class EGService:
 
     def record_request_latency(self, seconds: float) -> None:
         """Clients report end-to-end request latency for the p50/p99 window."""
-        self._metrics.record_request_latency(seconds)
+        self._metrics.observe_request(seconds)
 
     def record_retry(self, session_id: str) -> None:
-        self._metrics.record_retry(session_id)
+        self._metrics.retries_total.inc(session=session_id)
 
-    def stats(self) -> ServiceStats:
+    def _observe(self) -> dict[str, int]:
+        """The service's point-in-time numbers, read under their two
+        short locks and mirrored into the exposition's gauges."""
         with self._queue_cv:
             queue_depth = len(self._queue)
             queue_peak = self._queue_peak
         with self._registry_lock:
             open_sessions = len(self._sessions)
-        self._sync_gauges(queue_depth, open_sessions)
-        return self._metrics.snapshot(
-            version=self.versioned.version,
-            open_sessions=open_sessions,
-            queue_depth=queue_depth,
-            queue_capacity=self.queue_capacity,
-            deferred_evictions=self.versioned.deferred_evictions,
-            queue_peak=queue_peak,
-        )
+        now = {
+            "version": self.versioned.version,
+            "open_sessions": open_sessions,
+            "queue_depth": queue_depth,
+            "queue_capacity": self.queue_capacity,
+            "queue_peak": queue_peak,
+            "deferred_evictions": self.versioned.deferred_evictions,
+        }
+        for name, gauge in self._gauges.items():
+            gauge.set(now[name])
+        return now
 
-    def _sync_gauges(self, queue_depth: int, open_sessions: int) -> None:
-        """Refresh the point-in-time gauges the exposition reports."""
-        self._version_gauge.set(self.versioned.version)
-        self._queue_gauge.set(queue_depth)
-        self._sessions_gauge.set(open_sessions)
-        self._deferred_gauge.set(self.versioned.deferred_evictions)
-
-    def _observe_gauges(self) -> None:
-        with self._queue_cv:
-            queue_depth = len(self._queue)
-        with self._registry_lock:
-            open_sessions = len(self._sessions)
-        self._sync_gauges(queue_depth, open_sessions)
+    def stats(self) -> ServiceStats:
+        return self._metrics.cut(**self._observe())
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of the service's metrics registry."""
-        self._observe_gauges()
+        self._observe()
         return self.metrics_registry.render_prometheus()
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """JSON-shaped snapshot of the service's metrics registry."""
-        self._observe_gauges()
+        self._observe()
         return self.metrics_registry.snapshot()
 
     # ------------------------------------------------------------------
@@ -818,60 +782,21 @@ class EGService:
     def health(self) -> dict[str, Any]:
         """Cheap liveness/readiness snapshot: queue headroom, recorder
         totals, and the currently-firing SLO burns."""
-        with self._queue_cv:
-            queue_depth = len(self._queue)
-            queue_peak = self._queue_peak
-        with self._registry_lock:
-            open_sessions = len(self._sessions)
-        alerts: list[dict[str, str]] = []
-        if self.slo_engine is not None:
-            self.slo_engine.maybe_evaluate()
-            alerts = self.slo_engine.active()
-        if self._stopped:
-            status = "stopped"
-        elif alerts:
-            status = "degraded"
-        else:
-            status = "ok"
-        return {
-            "status": status,
-            "version": self.versioned.version,
-            "open_sessions": open_sessions,
-            "queue": {
-                "depth": queue_depth,
-                "capacity": self.queue_capacity,
-                "peak": queue_peak,
-                "headroom": self.queue_capacity - queue_depth,
+        now = self._observe()
+        return self.telemetry.health(
+            self._stopped,
+            version=now["version"],
+            open_sessions=now["open_sessions"],
+            queue={
+                "depth": now["queue_depth"],
+                "capacity": now["queue_capacity"],
+                "peak": now["queue_peak"],
+                "headroom": now["queue_capacity"] - now["queue_depth"],
             },
-            "recorder": (
-                self.flight_recorder.stats()
-                if self.flight_recorder is not None
-                else None
-            ),
-            "slo": self.slo_engine.status() if self.slo_engine is not None else None,
-            "alerts": alerts,
-        }
+        )
 
     def debug_info(
         self, traces: int = 16, spans: int = 20, trace_id: str | None = None
     ) -> dict[str, Any]:
-        """Flight-recorder view: recent kept traces, slowest spans by
-        self-time, the SLO alert journal — and, when ``trace_id`` names a
-        kept trace, its full span list (Perfetto-renderable via
-        :func:`repro.obs.plane.perfetto_document`)."""
-        recorder = self.flight_recorder
-        if self.slo_engine is not None:
-            self.slo_engine.maybe_evaluate()
-        info: dict[str, Any] = {
-            "recorder": recorder.stats() if recorder is not None else None,
-            "recent_traces": (
-                recorder.kept_traces(traces) if recorder is not None else []
-            ),
-            "slowest_spans": (
-                recorder.slowest_spans(spans) if recorder is not None else []
-            ),
-            "alerts": self.slo_engine.journal() if self.slo_engine is not None else [],
-        }
-        if trace_id is not None and recorder is not None:
-            info["trace"] = recorder.trace(trace_id)
-        return info
+        """The flight recorder's view (see :meth:`TelemetryPlane.debug_info`)."""
+        return self.telemetry.debug_info(traces, spans, trace_id)

@@ -1,48 +1,23 @@
-"""Service and per-session metrics.
+"""What a service reports: frozen stats and the field→instrument table.
 
-The service records every observable event into a thread-safe
-:class:`MetricsRecorder`; :meth:`MetricsRecorder.snapshot` freezes the
-counters into a :class:`ServiceStats` value object (plus one
-:class:`SessionStats` per session) that callers can hold without racing
-the live service.  Request latencies keep the most recent window (a
-bounded deque) and report p50/p99 over it with interpolated percentiles
-(:func:`repro.obs.metrics.percentile`).
-
-Since the observability layer landed, the recorder is a thin façade
-over a :class:`~repro.obs.metrics.MetricsRegistry`: every counter lives
-in the registry as a named, labeled instrument (per-session series are
-``session``-labeled), so the same numbers that feed :class:`ServiceStats`
-are also available as a Prometheus text exposition / JSON snapshot via
-the service's ``metrics`` surface.  The public API of this module is
-unchanged.
-
-Locking: each registry instrument guards itself.  :meth:`snapshot`
-acquires **all** the instruments it reads in one stable (name-sorted)
-order, copies every raw series, releases the locks, and only then builds
-the dataclasses — one consistent cut across related counters (commits can
-never exceed plans in a snapshot taken mid-flight).  Record paths take a
-single instrument lock at a time and never nest them, so a snapshot
-holding many cannot deadlock against recorders, and two concurrent
-snapshots acquire in the same order.
+Every number a service reports lives in its
+:class:`~repro.obs.metrics.MetricsRegistry` as a named instrument, so the
+Prometheus exposition / JSON snapshot and the frozen :class:`ServiceStats`
+are two reads of the same counters.  The ``ServiceStats`` declaration is
+the one table between them: each instrument-backed field carries its
+instrument (name, kind, help, session-labelled or not) and every field
+says how a sharding coordinator rolls it up over its shards
+(:func:`roll_up`).  :class:`~repro.service.telemetry.ServiceMetrics`
+declares the instruments from :data:`STAT_FIELDS` and cuts one consistent
+``ServiceStats`` off them.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Sequence
 
-from ..obs.metrics import MetricsRegistry, percentile
-
-__all__ = ["SessionStats", "ServiceStats", "MetricsRecorder", "LATENCY_WINDOW"]
-
-#: how many recent request latencies the percentile window retains
-LATENCY_WINDOW = 4096
-
-#: request/queue-wait latency buckets (seconds) for the exposition
-#: histograms; the exact window percentiles come from the deque below
-_LATENCY_BUCKETS = (0.0005, 0.002, 0.01, 0.05, 0.2, 1.0, 5.0, 30.0)
+__all__ = ["SessionStats", "ServiceStats", "STAT_FIELDS", "roll_up"]
 
 
 @dataclass(frozen=True)
@@ -60,48 +35,107 @@ class SessionStats:
     reuse_hits: int = 0
 
 
+def _stat(
+    metric: str = "",
+    help: str = "",
+    *,
+    kind: str = "counter",
+    session: str = "",
+    rollup: str = "own",
+    default: Any = 0,
+) -> Any:
+    """A :class:`ServiceStats` field plus its row of the field→instrument
+    table (carried as the dataclass field's metadata).
+
+    ``metric`` / ``help`` / ``kind`` name the registry instrument behind
+    the field — none for a point-in-time number the service reads off
+    itself and hands to :meth:`ServiceMetrics.cut`; ``session`` is the
+    :class:`SessionStats` field of a ``session``-labelled counter;
+    ``rollup`` is how a sharding coordinator aggregates the field: "own"
+    (it sees every request once, its number stands), or its number
+    combined with every shard's by "sum" / "max".
+    """
+    row = dict(metric=metric, help=help, kind=kind, session=session, rollup=rollup)
+    return field(default=default, metadata=row)
+
+
 @dataclass(frozen=True)
 class ServiceStats:
     """Frozen service-wide counters (one consistent snapshot)."""
 
+    # fmt: off
     #: latest published EG version
     version: int = 0
     open_sessions: int = 0
-    plans_total: int = 0
-    commits_total: int = 0
-    rejected_commits_total: int = 0
+    plans_total: int = _stat(
+        "repro_service_plans_total", "optimize/plan requests served", session="plans")
+    commits_total: int = _stat(
+        "repro_service_commits_total", "workloads merged into the EG",
+        session="commits")
+    rejected_commits_total: int = _stat(
+        "repro_service_rejected_commits_total", "commits rejected by conflicts",
+        session="rejected_commits")
     #: submissions bounced off the full update queue
-    overload_rejections: int = 0
-    retries_total: int = 0
-    queue_depth: int = 0
-    queue_capacity: int = 0
+    overload_rejections: int = _stat(
+        "repro_service_overload_rejections_total",
+        "submissions bounced off the full update queue", rollup="sum")
+    retries_total: int = _stat(
+        "repro_service_retries_total", "client retries after backpressure",
+        session="retries")
+    queue_depth: int = _stat(rollup="sum")
+    queue_capacity: int = _stat(rollup="sum")
     #: high-water mark of the update queue since the service started
-    queue_peak: int = 0
+    queue_peak: int = _stat(rollup="max")
     #: merge batches applied / workloads merged across them
-    batches: int = 0
-    merged_workloads: int = 0
-    max_batch_size: int = 0
-    merge_seconds_total: float = 0.0
-    max_merge_seconds: float = 0.0
-    planned_loads_total: int = 0
-    reuse_hits_total: int = 0
+    batches: int = _stat(
+        "repro_service_merge_batches_total", "merge batches applied", rollup="sum")
+    merged_workloads: int = _stat(
+        "repro_service_merged_workloads_total", "workloads merged across batches",
+        rollup="sum")
+    max_batch_size: int = _stat(
+        "repro_service_max_batch_size", "largest merge batch so far",
+        kind="gauge", rollup="max")
+    merge_seconds_total: float = _stat(
+        "repro_service_merge_seconds_total", "seconds spent merging batches",
+        rollup="sum", default=0.0)
+    max_merge_seconds: float = _stat(
+        "repro_service_max_merge_seconds", "slowest merge batch so far",
+        kind="gauge", rollup="max", default=0.0)
+    planned_loads_total: int = _stat(
+        "repro_service_planned_loads_total", "EG loads planned across plans",
+        session="planned_loads")
+    reuse_hits_total: int = _stat(
+        "repro_service_reuse_hits_total", "plans with at least one EG load",
+        session="reuse_hits")
     #: plans served from / past the version-keyed plan cache
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
+    plan_cache_hits: int = _stat(
+        "repro_service_plan_cache_hits_total",
+        "plans served from the version-keyed plan cache", rollup="sum")
+    plan_cache_misses: int = _stat(
+        "repro_service_plan_cache_misses_total",
+        "plans that ran the optimizer (cache miss or cache disabled)", rollup="sum")
     #: snapshot publishes, and dirty vertices cloned across COW publishes
-    publishes: int = 0
-    publish_dirty_vertices: int = 0
+    publishes: int = _stat(
+        "repro_service_publishes_total", "EG snapshot publishes", rollup="sum")
+    publish_dirty_vertices: int = _stat(
+        "repro_service_publish_dirty_vertices_total",
+        "dirty vertices cloned across copy-on-write publishes", rollup="sum")
     #: vertices whose recreation cost / potential the utility index
     #: recomputed incrementally (total across all merge batches)
-    utility_cost_dirty: int = 0
-    utility_potential_dirty: int = 0
+    utility_cost_dirty: int = _stat(
+        "repro_service_utility_cost_dirty_total",
+        "vertices whose recreation cost the utility index recomputed", rollup="sum")
+    utility_potential_dirty: int = _stat(
+        "repro_service_utility_potential_dirty_total",
+        "vertices whose potential the utility index recomputed", rollup="sum")
     #: content removals still deferred for outstanding snapshot leases
-    deferred_evictions: int = 0
+    deferred_evictions: int = _stat(rollup="sum")
     #: end-to-end request latencies observed in the sliding window
     requests_timed: int = 0
     request_p50_s: float = 0.0
     request_p99_s: float = 0.0
     sessions: dict[str, SessionStats] = field(default_factory=dict)
+    # fmt: on
 
     @property
     def mean_batch_size(self) -> float:
@@ -125,290 +159,17 @@ class ServiceStats:
         return self.publish_dirty_vertices / self.publishes if self.publishes else 0.0
 
 
-class MetricsRecorder:
-    """Thread-safe event counters behind the service's stats surface.
+#: the field→instrument table: every ``ServiceStats`` field an instrument backs
+STAT_FIELDS = tuple(f for f in fields(ServiceStats) if f.metadata.get("metric"))
 
-    A façade over a :class:`MetricsRegistry`: pass one in to share it
-    (e.g. the service's registry that the TCP ``metrics`` op renders) or
-    let the recorder own a private one.
-    """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        reg = self.registry
-        session = ("session",)
-        self._plans = reg.counter(
-            "repro_service_plans_total", "optimize/plan requests served", session
-        )
-        self._planned_loads = reg.counter(
-            "repro_service_planned_loads_total",
-            "EG loads planned across plans",
-            session,
-        )
-        self._reuse_hits = reg.counter(
-            "repro_service_reuse_hits_total", "plans with at least one EG load", session
-        )
-        self._commits = reg.counter(
-            "repro_service_commits_total", "workloads merged into the EG", session
-        )
-        self._rejected = reg.counter(
-            "repro_service_rejected_commits_total",
-            "commits rejected by conflicts",
-            session,
-        )
-        self._retries = reg.counter(
-            "repro_service_retries_total", "client retries after backpressure", session
-        )
-        self._overloads = reg.counter(
-            "repro_service_overload_rejections_total",
-            "submissions bounced off the full update queue",
-        )
-        self._batches = reg.counter(
-            "repro_service_merge_batches_total", "merge batches applied"
-        )
-        self._merged = reg.counter(
-            "repro_service_merged_workloads_total", "workloads merged across batches"
-        )
-        self._merge_seconds = reg.counter(
-            "repro_service_merge_seconds_total", "seconds spent merging batches"
-        )
-        self._max_batch = reg.gauge(
-            "repro_service_max_batch_size", "largest merge batch so far"
-        )
-        self._max_merge_seconds = reg.gauge(
-            "repro_service_max_merge_seconds", "slowest merge batch so far"
-        )
-        self._plan_cache_hits = reg.counter(
-            "repro_service_plan_cache_hits_total",
-            "plans served from the version-keyed plan cache",
-        )
-        self._plan_cache_misses = reg.counter(
-            "repro_service_plan_cache_misses_total",
-            "plans that ran the optimizer (cache miss or cache disabled)",
-        )
-        self._publishes = reg.counter(
-            "repro_service_publishes_total", "EG snapshot publishes"
-        )
-        self._publish_dirty = reg.counter(
-            "repro_service_publish_dirty_vertices_total",
-            "dirty vertices cloned across copy-on-write publishes",
-        )
-        self._utility_cost_dirty = reg.counter(
-            "repro_service_utility_cost_dirty_total",
-            "vertices whose recreation cost the utility index recomputed",
-        )
-        self._utility_potential_dirty = reg.counter(
-            "repro_service_utility_potential_dirty_total",
-            "vertices whose potential the utility index recomputed",
-        )
-        self._request_hist = reg.histogram(
-            "repro_service_request_seconds",
-            "end-to-end request latency",
-            buckets=_LATENCY_BUCKETS,
-        )
-        self._queue_wait_hist = reg.histogram(
-            "repro_service_queue_wait_seconds",
-            "submit-to-merge-start wait of committed workloads",
-            buckets=_LATENCY_BUCKETS,
-        )
-        self._plan_hist = reg.histogram(
-            "repro_service_plan_seconds",
-            "service-side plan latency (cache hits included)",
-            buckets=_LATENCY_BUCKETS,
-        )
-        self._merge_batch_hist = reg.histogram(
-            "repro_service_merge_batch_seconds",
-            "wall seconds per merge batch",
-            buckets=_LATENCY_BUCKETS,
-        )
-        #: session_id -> display name (the one non-registry piece of state)
-        self._names: dict[str, str] = {}
-        self._names_lock = threading.Lock()
-        #: exact sliding window for the p50/p99 the stats surface reports
-        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._latency_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def register_session(self, session_id: str, name: str) -> None:
-        with self._names_lock:
-            self._names.setdefault(session_id, name)
-
-    def record_plan(
-        self,
-        session_id: str,
-        planned_loads: int,
-        seconds: float | None = None,
-        exemplar=None,
-    ) -> None:
-        self._plans.inc(session=session_id)
-        if planned_loads:
-            self._planned_loads.inc(planned_loads, session=session_id)
-            self._reuse_hits.inc(session=session_id)
-        if seconds is not None:
-            self._plan_hist.observe(seconds, exemplar=exemplar)
-
-    def record_commit(self, session_id: str, merged: bool) -> None:
-        if merged:
-            self._commits.inc(session=session_id)
-        else:
-            self._rejected.inc(session=session_id)
-
-    def record_overload(self) -> None:
-        self._overloads.inc()
-
-    def record_retry(self, session_id: str) -> None:
-        self._retries.inc(session=session_id)
-
-    def record_batch(
-        self, batch_size: int, merge_seconds: float, exemplar=None
-    ) -> None:
-        self._batches.inc()
-        self._merged.inc(batch_size)
-        self._merge_seconds.inc(merge_seconds)
-        self._max_batch.set_max(batch_size)
-        self._max_merge_seconds.set_max(merge_seconds)
-        self._merge_batch_hist.observe(merge_seconds, exemplar=exemplar)
-
-    def record_plan_cache(self, hit: bool) -> None:
-        (self._plan_cache_hits if hit else self._plan_cache_misses).inc()
-
-    def record_publish(self, dirty_vertices: int | None) -> None:
-        """One publish; ``dirty_vertices`` is None for a full (non-COW) copy."""
-        self._publishes.inc()
-        if dirty_vertices is not None:
-            self._publish_dirty.inc(dirty_vertices)
-
-    def record_utility_dirty(self, cost_dirty: int, potential_dirty: int) -> None:
-        if cost_dirty:
-            self._utility_cost_dirty.inc(cost_dirty)
-        if potential_dirty:
-            self._utility_potential_dirty.inc(potential_dirty)
-
-    def record_request_latency(self, seconds: float, exemplar=None) -> None:
-        with self._latency_lock:
-            self._latencies.append(seconds)
-        self._request_hist.observe(seconds, exemplar=exemplar)
-
-    def record_queue_wait(self, seconds: float, exemplar=None) -> None:
-        self._queue_wait_hist.observe(seconds, exemplar=exemplar)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _by_session(counter) -> dict[str, float]:
-        """Per-session series of a held-lock counter (sync_lock held)."""
-        return {
-            labels["session"]: value for labels, value in counter.items_unlocked()
-        }
-
-    @staticmethod
-    def _held_value(instrument) -> float:
-        """Single (unlabeled) series value of a held-lock instrument."""
-        return sum(value for _labels, value in instrument.items_unlocked())
-
-    def snapshot(
-        self,
-        version: int,
-        open_sessions: int,
-        queue_depth: int,
-        queue_capacity: int,
-        deferred_evictions: int,
-        queue_peak: int = 0,
-    ) -> ServiceStats:
-        # read phase: take every read instrument's lock in a stable
-        # (name-sorted) order, copy all raw series in one consistent cut,
-        # then release everything before any dataclass builds.  Recorders
-        # never hold two instrument locks at once, so this cannot deadlock.
-        read_instruments = sorted(
-            (
-                self._plans,
-                self._planned_loads,
-                self._reuse_hits,
-                self._commits,
-                self._rejected,
-                self._retries,
-                self._overloads,
-                self._batches,
-                self._merged,
-                self._merge_seconds,
-                self._max_batch,
-                self._max_merge_seconds,
-                self._plan_cache_hits,
-                self._plan_cache_misses,
-                self._publishes,
-                self._publish_dirty,
-                self._utility_cost_dirty,
-                self._utility_potential_dirty,
-            ),
-            key=lambda instrument: instrument.name,
-        )
-        with ExitStack() as stack:
-            stack.enter_context(self._names_lock)
-            stack.enter_context(self._latency_lock)
-            for instrument in read_instruments:
-                stack.enter_context(instrument.sync_lock)
-            names = dict(self._names)
-            latencies = tuple(self._latencies)
-            plans = self._by_session(self._plans)
-            planned_loads = self._by_session(self._planned_loads)
-            reuse_hits = self._by_session(self._reuse_hits)
-            commits = self._by_session(self._commits)
-            rejected = self._by_session(self._rejected)
-            retries = self._by_session(self._retries)
-            overloads = self._held_value(self._overloads)
-            batches = self._held_value(self._batches)
-            merged = self._held_value(self._merged)
-            merge_seconds = self._held_value(self._merge_seconds)
-            max_batch = self._held_value(self._max_batch)
-            max_merge_seconds = self._held_value(self._max_merge_seconds)
-            plan_cache_hits = self._held_value(self._plan_cache_hits)
-            plan_cache_misses = self._held_value(self._plan_cache_misses)
-            publishes = self._held_value(self._publishes)
-            publish_dirty = self._held_value(self._publish_dirty)
-            utility_cost_dirty = self._held_value(self._utility_cost_dirty)
-            utility_potential_dirty = self._held_value(self._utility_potential_dirty)
-
-        # build phase: plain-tuple inputs only
-        ordered = sorted(latencies)
-        sessions = {
-            session_id: SessionStats(
-                session_id=session_id,
-                name=name,
-                plans=int(plans.get(session_id, 0)),
-                commits=int(commits.get(session_id, 0)),
-                rejected_commits=int(rejected.get(session_id, 0)),
-                retries=int(retries.get(session_id, 0)),
-                planned_loads=int(planned_loads.get(session_id, 0)),
-                reuse_hits=int(reuse_hits.get(session_id, 0)),
-            )
-            for session_id, name in names.items()
-        }
-        return ServiceStats(
-            version=version,
-            open_sessions=open_sessions,
-            plans_total=int(sum(plans.values())),
-            commits_total=int(sum(commits.values())),
-            rejected_commits_total=int(sum(rejected.values())),
-            overload_rejections=int(overloads),
-            retries_total=int(sum(retries.values())),
-            queue_depth=queue_depth,
-            queue_capacity=queue_capacity,
-            queue_peak=queue_peak,
-            batches=int(batches),
-            merged_workloads=int(merged),
-            max_batch_size=int(max_batch),
-            merge_seconds_total=merge_seconds,
-            max_merge_seconds=max_merge_seconds,
-            planned_loads_total=int(sum(planned_loads.values())),
-            reuse_hits_total=int(sum(reuse_hits.values())),
-            plan_cache_hits=int(plan_cache_hits),
-            plan_cache_misses=int(plan_cache_misses),
-            publishes=int(publishes),
-            publish_dirty_vertices=int(publish_dirty),
-            utility_cost_dirty=int(utility_cost_dirty),
-            utility_potential_dirty=int(utility_potential_dirty),
-            deferred_evictions=deferred_evictions,
-            requests_timed=len(ordered),
-            request_p50_s=percentile(ordered, 0.50),
-            request_p99_s=percentile(ordered, 0.99),
-            sessions=sessions,
-        )
+def roll_up(own: ServiceStats, shards: Sequence[ServiceStats]) -> ServiceStats:
+    """A coordinator's stats: its own cut, with every field declared
+    ``rollup="sum"`` / ``"max"`` combined over its shards' stats."""
+    merged = {}
+    for spec in fields(ServiceStats):
+        rule = spec.metadata.get("rollup", "own")
+        if rule != "own":
+            values = [getattr(stats, spec.name) for stats in (own, *shards)]
+            merged[spec.name] = sum(values) if rule == "sum" else max(values)
+    return replace(own, **merged)

@@ -96,7 +96,6 @@ class WorkerSpec:
     """
 
     shard_index: int
-    n_shards: int
     host: str = "127.0.0.1"
     queue_capacity: int = 64
     batch_linger_s: float = 0.0
@@ -599,7 +598,6 @@ class ProcessShardCoordinator(ShardedEGService):
             RemoteShard(
                 WorkerSpec(
                     shard_index=index,
-                    n_shards=n_shards,
                     host=host,
                     queue_capacity=queue_capacity,
                     batch_linger_s=batch_linger_s,
@@ -632,13 +630,7 @@ class ProcessShardCoordinator(ShardedEGService):
         # None installs a recorder — same contract as a background
         # in-process service.  Worker services run dark; their merge/queue
         # series come back through the shard.stats rollup instead.
-        self._init_coordination(
-            shards,
-            registry,
-            flight_recorder if flight_recorder is not None else True,
-            slos,
-            [],
-        )
+        self._init_coordination(shards, registry, flight_recorder, True, slos, [])
 
     @property
     def workers(self) -> list[ShardWorkerProcess]:

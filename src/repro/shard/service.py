@@ -53,9 +53,9 @@ from ..eg.graph import ExperimentGraph
 from ..eg.storage import ArtifactStore, LoadCostModel, StorageTier
 from ..graph.dag import WorkloadDAG
 from ..materialization.base import Materializer
-from ..obs.metrics import MetricsRegistry, get_registry, rollup_snapshots
-from ..obs.plane import FlightRecorder, install_recorder, uninstall_recorder
-from ..obs.slo import SLO, SLOEngine, default_service_slos
+from ..obs.metrics import MetricsRegistry, rollup_snapshots
+from ..obs.plane import FlightRecorder
+from ..obs.slo import SLO
 from ..reuse.linear import LinearReuse
 from ..server.optimizer import Optimizer
 from ..service.core import (
@@ -72,7 +72,8 @@ from ..service.errors import (
     ShardUnavailableError,
     UnknownSessionError,
 )
-from ..service.stats import MetricsRecorder, ServiceStats
+from ..service.stats import ServiceStats, roll_up
+from ..service.telemetry import ServiceMetrics, TelemetryPlane
 from ..service.versioned import SnapshotLease
 from ..storage import TieredLoadCostModel
 from .partition import PartitionedExperimentGraph
@@ -357,8 +358,8 @@ class ShardedEGService:
         self._init_coordination(
             shards,
             metrics_registry,
-            # same None-means-background contract as EGService
-            flight_recorder if flight_recorder is not None else background,
+            flight_recorder,
+            background,
             slos,
             [shard.metrics_registry for shard in shards],
         )
@@ -374,7 +375,6 @@ class ShardedEGService:
     ) -> None:
         """Routing and planner state; set before the shards are built
         because in-process shards plan with the same algorithm."""
-        self.n_shards = partitioned.n_partitions
         self.partitioned = partitioned
         #: the default prices local artifacts at RAM speed (the hot arm
         #: equals in-memory pricing) and remote ones — which the stitched
@@ -397,7 +397,8 @@ class ShardedEGService:
         self,
         shards: list[Any],
         metrics_registry: MetricsRegistry | None,
-        flight_recorder: FlightRecorder | bool,
+        flight_recorder: FlightRecorder | bool | None,
+        background: bool,
         slos: list[SLO] | None,
         shard_registries: list[MetricsRegistry],
     ) -> None:
@@ -419,10 +420,8 @@ class ShardedEGService:
         self._log_lock = threading.Lock()
         self._stopped = False
 
-        self.metrics_registry = (
-            metrics_registry if metrics_registry is not None else MetricsRegistry()
-        )
-        self._metrics = MetricsRecorder(self.metrics_registry)
+        self._metrics = ServiceMetrics(metrics_registry)
+        self.metrics_registry = self._metrics.registry
         reg = self.metrics_registry
         self._routed_counter = reg.counter(
             "repro_shard_routed_workloads_total",
@@ -457,29 +456,12 @@ class ShardedEGService:
             ("shard",),
         )
 
-        #: one telemetry plane at the coordinator (a recorder instance,
-        #: True for an own one, False for none).  The SLO engine reads the
-        #: coordinator registry, every in-process shard registry, and the
-        #: process-global one, so per-shard merge/queue series burn the
-        #: same budgets they would unsharded.
-        recorder: FlightRecorder | None
-        if flight_recorder is True:
-            recorder = FlightRecorder(registry=self.metrics_registry)
-        elif flight_recorder is False:
-            recorder = None
-        else:
-            recorder = flight_recorder
-        self.flight_recorder = recorder
-        self.slo_engine: SLOEngine | None = None
-        if recorder is not None:
-            install_recorder(recorder)
-            self.slo_engine = SLOEngine(
-                slos if slos is not None else default_service_slos(),
-                registries=[self.metrics_registry]
-                + shard_registries
-                + [get_registry()],
-                registry=self.metrics_registry,
-            )
+        #: one telemetry plane at the coordinator: its recorder sees every
+        #: span and its SLO engine also reads every in-process shard registry
+        self.telemetry = TelemetryPlane(
+            self.metrics_registry, flight_recorder, background, slos, shard_registries
+        )
+        self.flight_recorder = self.telemetry.recorder
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -495,8 +477,7 @@ class ShardedEGService:
         deadline = time.monotonic() + timeout
         for shard in self.shards:
             shard.stop(drain=drain, timeout=max(0.0, deadline - time.monotonic()))
-        if self.flight_recorder is not None:
-            uninstall_recorder(self.flight_recorder)
+        self.telemetry.close()
 
     @property
     def running(self) -> bool:
@@ -579,7 +560,7 @@ class ShardedEGService:
         if len(involved) == 1:
             shard = involved[0]
             plan = self.shards[shard].plan(shard_ids[shard], workload)
-            self._metrics.record_plan(session_id, len(plan.result.plan.loads))
+            self._metrics.count_plan(session_id, len(plan.result.plan.loads))
             return plan
         return self._plan_stitched(session_id, workload, routed)
 
@@ -618,8 +599,8 @@ class ShardedEGService:
             for lease in leases.values():
                 lease.release()
             raise
-        self._metrics.record_plan_cache(hit=False)
-        self._metrics.record_plan(session_id, len(result.plan.loads))
+        self._metrics.plan_cache_misses.inc()
+        self._metrics.count_plan(session_id, len(result.plan.loads))
         remote = sum(
             1
             for vertex_id in result.plan.loads
@@ -655,7 +636,7 @@ class ShardedEGService:
             involved = routed.involved_shards
             for shard in involved:
                 if self.shards[shard].queue_headroom() < 1:
-                    self._metrics.record_overload()
+                    self._metrics.overload_rejections.inc()
                     raise ServiceOverloadedError(
                         f"shard {shard} update queue is full"
                     )
@@ -691,7 +672,7 @@ class ShardedEGService:
     ) -> ShardedCommitResult | None:
         """Record one commit's outcome (called once per ticket)."""
         if results is None:
-            self._metrics.record_commit(ticket.session_id, merged=False)
+            self._metrics.rejected_commits_total.inc(session=ticket.session_id)
             return None
         version = self.version
         with self._log_lock:
@@ -703,9 +684,8 @@ class ShardedEGService:
                     label=ticket.label,
                 )
             )
-        self._metrics.record_commit(ticket.session_id, merged=True)
-        if self.slo_engine is not None:
-            self.slo_engine.maybe_evaluate()
+        self._metrics.commits_total.inc(session=ticket.session_id)
+        self.telemetry.evaluate()
         return ShardedCommitResult(
             commit_index=ticket.commit_index,
             version=version,
@@ -751,10 +731,10 @@ class ShardedEGService:
         }
 
     def record_request_latency(self, seconds: float) -> None:
-        self._metrics.record_request_latency(seconds)
+        self._metrics.observe_request(seconds)
 
     def record_retry(self, session_id: str) -> None:
-        self._metrics.record_retry(session_id)
+        self._metrics.retries_total.inc(session=session_id)
 
     def shard_stats(self) -> list[ServiceStats]:
         """Each shard's own frozen stats (plan caches, queues, merges)."""
@@ -770,8 +750,6 @@ class ShardedEGService:
         over the shards, with maxima taken for the ``max_*`` gauges and
         the queue peak.
         """
-        from dataclasses import replace
-
         per_shard = self.shard_stats()
         for index, stats in enumerate(per_shard):
             self._shard_queue_gauge.set(stats.queue_depth, shard=str(index))
@@ -779,36 +757,8 @@ class ShardedEGService:
         self._stub_gauge.set(self.partitioned.stub_count)
         with self._registry_lock:
             open_sessions = len(self._sessions)
-        base = self._metrics.snapshot(
-            version=self.version,
-            open_sessions=open_sessions,
-            queue_depth=sum(stats.queue_depth for stats in per_shard),
-            queue_capacity=sum(stats.queue_capacity for stats in per_shard),
-            deferred_evictions=sum(stats.deferred_evictions for stats in per_shard),
-            queue_peak=max(stats.queue_peak for stats in per_shard),
-        )
-        return replace(
-            base,
-            batches=sum(stats.batches for stats in per_shard),
-            merged_workloads=sum(stats.merged_workloads for stats in per_shard),
-            max_batch_size=max(stats.max_batch_size for stats in per_shard),
-            merge_seconds_total=sum(stats.merge_seconds_total for stats in per_shard),
-            max_merge_seconds=max(stats.max_merge_seconds for stats in per_shard),
-            plan_cache_hits=base.plan_cache_hits
-            + sum(stats.plan_cache_hits for stats in per_shard),
-            plan_cache_misses=base.plan_cache_misses
-            + sum(stats.plan_cache_misses for stats in per_shard),
-            publishes=sum(stats.publishes for stats in per_shard),
-            publish_dirty_vertices=sum(
-                stats.publish_dirty_vertices for stats in per_shard
-            ),
-            utility_cost_dirty=sum(stats.utility_cost_dirty for stats in per_shard),
-            utility_potential_dirty=sum(
-                stats.utility_potential_dirty for stats in per_shard
-            ),
-            overload_rejections=base.overload_rejections
-            + sum(stats.overload_rejections for stats in per_shard),
-        )
+        own = self._metrics.cut(version=self.version, open_sessions=open_sessions)
+        return roll_up(own, per_shard)
 
     def metrics_text(self) -> str:
         """Prometheus exposition: the coordinator registry, then each
@@ -839,31 +789,23 @@ class ShardedEGService:
     def health(self) -> dict[str, Any]:
         """Coordinator health plus a per-shard queue/status breakdown; a
         crashed worker shard reports ``unavailable`` while its siblings
-        stay ``ok``."""
+        stay ``ok`` and the coordinator turns ``degraded``."""
         shard_health = [shard.health() for shard in self.shards]
-        alerts: list[dict[str, str]] = []
-        if self.slo_engine is not None:
-            self.slo_engine.maybe_evaluate()
-            alerts = self.slo_engine.active()
-        if self._stopped:
-            status = "stopped"
-        elif alerts or any(h["status"] != "ok" for h in shard_health):
-            status = "degraded"
-        else:
-            status = "ok"
+        queues = [h["queue"] for h in shard_health]
         with self._registry_lock:
             open_sessions = len(self._sessions)
-        return {
-            "status": status,
-            "version": self.version,
-            "open_sessions": open_sessions,
-            "queue": {
-                "depth": sum(h["queue"]["depth"] for h in shard_health),
-                "capacity": sum(h["queue"]["capacity"] for h in shard_health),
-                "peak": max(h["queue"]["peak"] for h in shard_health),
-                "headroom": sum(h["queue"]["headroom"] for h in shard_health),
+        return self.telemetry.health(
+            self._stopped,
+            degraded=any(h["status"] != "ok" for h in shard_health),
+            version=self.version,
+            open_sessions=open_sessions,
+            queue={
+                "depth": sum(queue["depth"] for queue in queues),
+                "capacity": sum(queue["capacity"] for queue in queues),
+                "peak": max(queue["peak"] for queue in queues),
+                "headroom": sum(queue["headroom"] for queue in queues),
             },
-            "shards": [
+            shards=[
                 {
                     "shard": index,
                     "status": h["status"],
@@ -872,33 +814,18 @@ class ShardedEGService:
                 }
                 for index, h in enumerate(shard_health)
             ],
-            "recorder": (
-                self.flight_recorder.stats()
-                if self.flight_recorder is not None
-                else None
-            ),
-            "slo": self.slo_engine.status() if self.slo_engine is not None else None,
-            "alerts": alerts,
-        }
+        )
 
     def debug_info(
         self, traces: int = 16, spans: int = 20, trace_id: str | None = None
     ) -> dict[str, Any]:
         """The coordinator recorder's debug view (it sees every span of
         the sharded service) plus per-shard merge/queue statistics."""
-        recorder = self.flight_recorder
-        if self.slo_engine is not None:
-            self.slo_engine.maybe_evaluate()
-        info: dict[str, Any] = {
-            "recorder": recorder.stats() if recorder is not None else None,
-            "recent_traces": (
-                recorder.kept_traces(traces) if recorder is not None else []
-            ),
-            "slowest_spans": (
-                recorder.slowest_spans(spans) if recorder is not None else []
-            ),
-            "alerts": self.slo_engine.journal() if self.slo_engine is not None else [],
-            "shards": [
+        return self.telemetry.debug_info(
+            traces,
+            spans,
+            trace_id,
+            shards=[
                 {
                     "shard": index,
                     "queue_depth": stats.queue_depth,
@@ -909,7 +836,4 @@ class ShardedEGService:
                 }
                 for index, stats in enumerate(self.shard_stats())
             ],
-        }
-        if trace_id is not None and recorder is not None:
-            info["trace"] = recorder.trace(trace_id)
-        return info
+        )

@@ -53,7 +53,6 @@ class TestAdaptiveReporting:
         assert set(report["predictors"]) == {
             "load_hot",
             "load_cold",
-            "compute",
             "merge",
         }
         assert report["batch_sizer"]["batches_observed"] > 0

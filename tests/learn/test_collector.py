@@ -1,14 +1,10 @@
-"""FeedbackCollector: observation ingestion, prediction, span sinks, metrics."""
-
-from dataclasses import dataclass, field
-from typing import Any
+"""FeedbackCollector: observation ingestion, prediction, metrics."""
 
 import pytest
 
 from repro.eg.storage import StorageTier
 from repro.learn import FeedbackCollector, LoadObservation
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
 
 _COLD = StorageTier.COLD
 _HOT = StorageTier.HOT
@@ -115,86 +111,8 @@ class TestFeedbackCollector:
 
     def test_report_lists_every_predictor(self):
         report = self.collector.report()
-        assert set(report) == {"load_hot", "load_cold", "compute", "merge"}
+        assert set(report) == {"load_hot", "load_cold", "merge"}
         for summary in report.values():
             assert {"samples", "error_ewma", "healthy", "fallbacks", "predictions"} <= (
                 set(summary)
             )
-
-    def test_compute_predictor_round_trip(self):
-        for i in range(40):
-            size = (i % 8 + 1) * (1 << 18)
-            self.collector.observe_compute(size, 4, 0.001 + size * 1e-9)
-        predicted = self.collector.predict_compute(2 << 20, 4)
-        assert predicted == pytest.approx(0.001 + (2 << 20) * 1e-9, rel=0.05)
-
-
-@dataclass
-class _FakeSpan:
-    """Minimal span-shaped record for deterministic sink-ingestion tests."""
-
-    name: str
-    attributes: dict[str, Any] = field(default_factory=dict)
-    finished: bool = True
-    duration_s: float = 0.0
-
-
-class TestSpanIngestion:
-    def setup_method(self):
-        self.registry = MetricsRegistry()
-        self.collector = FeedbackCollector(registry=self.registry)
-
-    def test_cold_load_spans_train_the_cold_model(self):
-        for i in range(40):
-            size = (i % 8 + 1) * (1 << 18)
-            self.collector.on_span(
-                _FakeSpan(
-                    name="store.cold_load",
-                    attributes={
-                        "vertex": f"v{i}",
-                        "size_bytes": size,
-                        "n_columns": 4,
-                        "object_columns": 0,
-                        "read_seconds": _LATENCY
-                        + (size / float(1 << 20)) * _SECS_PER_MIB,
-                    },
-                )
-            )
-        assert self.collector.predict_load(1 << 20, _COLD) is not None
-
-    def test_merge_spans_train_the_merge_model(self):
-        for i in range(40):
-            batch = i % 6 + 1
-            self.collector.on_span(
-                _FakeSpan(
-                    name="service.merge_batch",
-                    attributes={"batch_size": batch},
-                    duration_s=0.02 + 0.004 * batch,
-                )
-            )
-        assert self.collector.merge_cost_params() is not None
-
-    def test_malformed_and_unknown_spans_are_ignored(self):
-        self.collector.on_span(_FakeSpan(name="store.cold_load"))  # no attrs
-        self.collector.on_span(
-            _FakeSpan(
-                name="store.cold_load",
-                attributes={"size_bytes": "not-a-number", "read_seconds": 0.1},
-            )
-        )
-        self.collector.on_span(_FakeSpan(name="planner.optimize"))
-        assert self.collector.report()["load_cold"]["samples"] == 0.0
-
-    def test_attach_receives_real_tracer_spans(self):
-        tracer = Tracer()
-        self.collector.attach(tracer)
-        span = tracer.span(
-            "store.cold_load",
-            vertex="v0",
-            size_bytes=1 << 20,
-            n_columns=2,
-            object_columns=0,
-            read_seconds=0.012,
-        )
-        span.finish()
-        assert self.collector.report()["load_cold"]["samples"] == 1.0

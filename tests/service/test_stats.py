@@ -1,4 +1,4 @@
-"""MetricsRecorder: percentile edges, lock discipline, and expositions."""
+"""ServiceMetrics: percentile edges, the consistent cut, and expositions."""
 
 import threading
 import time
@@ -7,12 +7,13 @@ import pytest
 
 from repro.materialization.simple import MaterializeAll
 from repro.service import EGService
-from repro.service.stats import MetricsRecorder
+from repro.service.stats import STAT_FIELDS, ServiceStats, roll_up
+from repro.service.telemetry import ServiceMetrics
 from repro.transport import AsyncTransportServer, TransportServiceClient
 
 
-def snap(recorder: MetricsRecorder):
-    return recorder.snapshot(
+def snap(metrics: ServiceMetrics):
+    return metrics.cut(
         version=0,
         open_sessions=0,
         queue_depth=0,
@@ -21,33 +22,43 @@ def snap(recorder: MetricsRecorder):
     )
 
 
+def record_batch(metrics: ServiceMetrics, batch_size: int, seconds: float):
+    """What ``EGService._drain_once`` records per merged batch."""
+    metrics.batches.inc()
+    metrics.merged_workloads.inc(batch_size)
+    metrics.merge_seconds_total.inc(seconds)
+    metrics.max_batch_size.set_max(batch_size)
+    metrics.max_merge_seconds.set_max(seconds)
+    metrics.merge_batch_seconds.observe(seconds)
+
+
 class TestLatencyPercentiles:
     def test_empty_window_reports_zero(self):
-        stats = snap(MetricsRecorder())
+        stats = snap(ServiceMetrics())
         assert stats.requests_timed == 0
         assert stats.request_p50_s == 0.0
         assert stats.request_p99_s == 0.0
 
     def test_single_element_window(self):
-        recorder = MetricsRecorder()
-        recorder.record_request_latency(0.25)
+        recorder = ServiceMetrics()
+        recorder.observe_request(0.25)
         stats = snap(recorder)
         assert stats.requests_timed == 1
         assert stats.request_p50_s == 0.25
         assert stats.request_p99_s == 0.25
 
     def test_two_element_window_interpolates(self):
-        recorder = MetricsRecorder()
-        recorder.record_request_latency(1.0)
-        recorder.record_request_latency(2.0)
+        recorder = ServiceMetrics()
+        recorder.observe_request(1.0)
+        recorder.observe_request(2.0)
         stats = snap(recorder)
         assert stats.request_p50_s == pytest.approx(1.5)
         assert stats.request_p99_s == pytest.approx(1.99)
 
     def test_p99_below_max_for_larger_windows(self):
-        recorder = MetricsRecorder()
+        recorder = ServiceMetrics()
         for ms in range(1, 101):
-            recorder.record_request_latency(ms / 1000.0)
+            recorder.observe_request(ms / 1000.0)
         stats = snap(recorder)
         assert stats.request_p50_s == pytest.approx(0.0505)
         assert 0.099 < stats.request_p99_s < 0.100
@@ -55,8 +66,8 @@ class TestLatencyPercentiles:
 
 class TestSnapshotConcurrency:
     def test_snapshot_never_blocks_recorders(self):
-        """record_* must stay fast while snapshots run in a tight loop."""
-        recorder = MetricsRecorder()
+        """Recording must stay fast while cuts run in a tight loop."""
+        recorder = ServiceMetrics()
         recorder.register_session("s1", "writer")
         stop = threading.Event()
 
@@ -70,9 +81,9 @@ class TestSnapshotConcurrency:
             waits = []
             for index in range(2000):
                 begin = time.perf_counter()
-                recorder.record_plan("s1", planned_loads=index % 3)
-                recorder.record_request_latency(0.001)
-                recorder.record_batch(2, 0.002)
+                recorder.count_plan("s1", planned_loads=index % 3)
+                recorder.observe_request(0.001)
+                record_batch(recorder, 2, 0.002)
                 waits.append(time.perf_counter() - begin)
         finally:
             stop.set()
@@ -96,7 +107,7 @@ class TestSnapshotConcurrency:
         commits recorded after the plans were read leak in and violate
         the invariant.
         """
-        recorder = MetricsRecorder()
+        recorder = ServiceMetrics()
         recorder.register_session("s1", "writer")
         stop = threading.Event()
         violations: list[tuple[int, int]] = []
@@ -112,8 +123,8 @@ class TestSnapshotConcurrency:
             thread.start()
         try:
             for _ in range(3000):
-                recorder.record_plan("s1", planned_loads=1)
-                recorder.record_commit("s1", merged=True)
+                recorder.count_plan("s1", planned_loads=1)
+                recorder.commits_total.inc(session="s1")
         finally:
             stop.set()
             for thread in threads:
@@ -123,13 +134,13 @@ class TestSnapshotConcurrency:
         assert stats.plans_total == stats.commits_total == 3000
 
     def test_concurrent_writers_lose_no_counts(self):
-        recorder = MetricsRecorder()
+        recorder = ServiceMetrics()
         recorder.register_session("s1", "a")
 
         def hammer():
             for _ in range(500):
-                recorder.record_plan("s1", planned_loads=1)
-                recorder.record_commit("s1", merged=True)
+                recorder.count_plan("s1", planned_loads=1)
+                recorder.commits_total.inc(session="s1")
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
@@ -142,11 +153,68 @@ class TestSnapshotConcurrency:
         assert stats.reuse_hits_total == 2000
 
 
+class TestFieldTable:
+    def test_every_instrument_feeds_its_field_and_session_counter(self):
+        """Each table row round-trips: one increment of the instrument
+        shows up in its ``ServiceStats`` field (and ``SessionStats`` one)."""
+        metrics = ServiceMetrics()
+        metrics.register_session("s1", "tenant")
+        for position, spec in enumerate(STAT_FIELDS, start=1):
+            instrument = getattr(metrics, spec.name)
+            labels = {"session": "s1"} if spec.metadata["session"] else {}
+            if spec.metadata["kind"] == "gauge":
+                instrument.set_max(position, **labels)
+            else:
+                instrument.inc(position, **labels)
+        stats = snap(metrics)
+        for position, spec in enumerate(STAT_FIELDS, start=1):
+            assert getattr(stats, spec.name) == position, spec.name
+            assert type(getattr(stats, spec.name)) is type(spec.default)
+            if spec.metadata["session"]:
+                session = stats.sessions["s1"]
+                assert getattr(session, spec.metadata["session"]) == position
+
+    def test_roll_up_sums_and_maxes_over_shards(self):
+        own = ServiceStats(version=7, plans_total=3, plan_cache_misses=1)
+        shards = [
+            ServiceStats(
+                version=4,
+                plans_total=2,
+                batches=2,
+                max_batch_size=3,
+                queue_capacity=64,
+                queue_peak=5,
+                plan_cache_misses=2,
+                merge_seconds_total=0.5,
+                max_merge_seconds=0.4,
+            ),
+            ServiceStats(
+                version=3,
+                plans_total=1,
+                batches=1,
+                max_batch_size=1,
+                queue_capacity=64,
+                queue_peak=2,
+                merge_seconds_total=0.25,
+                max_merge_seconds=0.25,
+            ),
+        ]
+        combined = roll_up(own, shards)
+        # request-shaped fields are the coordinator's own
+        assert (combined.version, combined.plans_total) == (7, 3)
+        # merge-shaped fields sum / max over coordinator + shards
+        assert (combined.batches, combined.queue_capacity) == (3, 128)
+        assert (combined.max_batch_size, combined.queue_peak) == (3, 5)
+        assert combined.plan_cache_misses == 3
+        assert combined.merge_seconds_total == 0.75
+        assert combined.max_merge_seconds == 0.4
+
+
 class TestQueueWait:
     def test_queue_wait_lands_in_the_shared_registry(self):
-        recorder = MetricsRecorder()
-        recorder.record_queue_wait(0.003)
-        recorder.record_queue_wait(0.004)
+        recorder = ServiceMetrics()
+        recorder.queue_wait_seconds.observe(0.003)
+        recorder.queue_wait_seconds.observe(0.004)
         text = recorder.registry.render_prometheus()
         assert "repro_service_queue_wait_seconds_count 2" in text
         assert "repro_service_queue_wait_seconds_sum 0.007" in text

@@ -30,7 +30,7 @@ class TestRecorderDefaults:
         service = EGService(MaterializeAll(), background=True)
         try:
             assert service.flight_recorder is not None
-            assert service.slo_engine is not None
+            assert service.telemetry.slo_engine is not None
             assert get_tracer().enabled
         finally:
             service.stop()
@@ -39,7 +39,7 @@ class TestRecorderDefaults:
     def test_inline_service_stays_dark(self):
         with EGService(MaterializeAll()) as service:
             assert service.flight_recorder is None
-            assert service.slo_engine is None
+            assert service.telemetry.slo_engine is None
             assert isinstance(get_tracer(), NoopTracer)
 
     def test_false_disables_even_in_background(self):

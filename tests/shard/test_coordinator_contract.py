@@ -9,6 +9,7 @@ checkpoints) lives in ``test_proc.py``.
 
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from repro.experiments.swarm import eg_fingerprint
 from repro.graph.dag import WorkloadDAG
 from repro.graph.operations import DataOperation
 from repro.materialization.simple import MaterializeAll
+from repro.obs import FlightRecorder
+from repro.service import EGService
 from repro.service.errors import RequestTimeoutError, ServiceOverloadedError
 from repro.shard import (
     ProcessShardCoordinator,
@@ -78,6 +81,40 @@ def make_workload(index: int, executed: bool = True) -> WorkloadDAG:
 
 
 CROSS = 2  # make_workload(2) spans both shards
+
+#: what every topology reports about itself; a coordinator adds ``shards``
+HEALTH_KEYS = {"status", "version", "open_sessions", "queue", "recorder", "slo", "alerts"}
+DEBUG_KEYS = {"recorder", "recent_traces", "slowest_spans", "alerts"}
+STATS_FIELDS = {
+    "version",
+    "open_sessions",
+    "plans_total",
+    "commits_total",
+    "rejected_commits_total",
+    "overload_rejections",
+    "retries_total",
+    "queue_depth",
+    "queue_capacity",
+    "queue_peak",
+    "batches",
+    "merged_workloads",
+    "max_batch_size",
+    "merge_seconds_total",
+    "max_merge_seconds",
+    "planned_loads_total",
+    "reuse_hits_total",
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "publishes",
+    "publish_dirty_vertices",
+    "utility_cost_dirty",
+    "utility_potential_dirty",
+    "deferred_evictions",
+    "requests_timed",
+    "request_p50_s",
+    "request_p99_s",
+    "sessions",
+}
 
 
 def sequential_replay(labels: list[str]) -> ExperimentGraph:
@@ -328,16 +365,7 @@ class TestContract:
         session = service.open_session("probe")
         service.commit(session.session_id, make_workload(CROSS))
         health = service.health()
-        assert set(health) == {
-            "status",
-            "version",
-            "open_sessions",
-            "queue",
-            "shards",
-            "recorder",
-            "slo",
-            "alerts",
-        }
+        assert set(health) == HEALTH_KEYS | {"shards"}
         assert health["status"] == "ok"
         assert health["open_sessions"] == 1
         assert set(health["queue"]) == {"depth", "capacity", "peak", "headroom"}
@@ -354,13 +382,7 @@ class TestContract:
         assert health["recorder"] is not None and health["slo"] is not None
 
         info = service.debug_info()
-        assert set(info) == {
-            "recorder",
-            "recent_traces",
-            "slowest_spans",
-            "alerts",
-            "shards",
-        }
+        assert set(info) == DEBUG_KEYS | {"shards"}
         assert [set(shard) for shard in info["shards"]] == [
             {
                 "shard",
@@ -377,3 +399,41 @@ class TestContract:
         stopped = service.health()
         assert stopped["status"] == "stopped"
         assert all(shard["status"] == "stopped" for shard in stopped["shards"])
+
+
+class TestReportedSurface:
+    """The exact keys a service reports, per topology (sharded == plain
+    plus ``shards``), and the 28 ``ServiceStats`` fields."""
+
+    def test_plain_service(self):
+        recorder = FlightRecorder(slow_threshold_s=0.0)  # keeps every trace
+        with EGService(
+            MaterializeAll(), background=True, flight_recorder=recorder
+        ) as plain:
+            session = plain.open_session("probe")
+            plain.commit(session.session_id, make_workload(0))
+            assert set(plain.health()) == HEALTH_KEYS
+            assert set(plain.debug_info()) == DEBUG_KEYS
+            trace_id = recorder.kept_traces(1)[0]["trace_id"]
+            assert set(plain.debug_info(trace_id=trace_id)) == DEBUG_KEYS | {"trace"}
+            stats = asdict(plain.stats())
+            assert set(stats) == STATS_FIELDS and len(stats) == 28
+            assert set(stats["sessions"][session.session_id]) == {
+                "session_id",
+                "name",
+                "plans",
+                "commits",
+                "rejected_commits",
+                "retries",
+                "planned_loads",
+                "reuse_hits",
+            }
+        dark = EGService(MaterializeAll())
+        assert set(dark.health()) == HEALTH_KEYS
+        assert set(dark.debug_info(trace_id="ignored")) == DEBUG_KEYS
+
+    def test_coordinator_stats(self, service):
+        """(``test_health_and_debug_info_keys`` pins a coordinator's keys.)"""
+        assert set(asdict(service.stats())) == STATS_FIELDS
+        for shard_stats in service.shard_stats():
+            assert set(asdict(shard_stats)) == STATS_FIELDS

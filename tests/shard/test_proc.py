@@ -255,7 +255,7 @@ class TestInflightAccounting:
         out, so a reply hook that ran first found nothing to release and
         the late increment leaked the slot for good — ``stop(drain=True)``
         then spun out its whole timeout on acked commits."""
-        shard = RemoteShard(WorkerSpec(shard_index=0, n_shards=1), MetricsRegistry())
+        shard = RemoteShard(WorkerSpec(shard_index=0), MetricsRegistry())
         stopped: list[float] = []
         shard.worker = SimpleNamespace(
             alive=True, stop=lambda drain, timeout: stopped.append(timeout)

@@ -13,7 +13,7 @@ class TestShardedTelemetry:
         )
         try:
             assert service.flight_recorder is not None
-            assert service.slo_engine is not None
+            assert service.telemetry.slo_engine is not None
             # shards never run their own plane: one recorder, one tracer
             assert all(shard.flight_recorder is None for shard in service.shards)
             assert get_tracer().enabled
