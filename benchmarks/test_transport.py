@@ -127,7 +127,7 @@ def test_transport_swarm(benchmark):
 
     report(
         f"Transport swarm: {result.clients} clients x {result.rounds} rounds "
-        f"over tcp/{result.transport_codec} -> {result.workloads} commits "
+        f"over tcp/binary -> {result.workloads} commits "
         f"in {result.wall_seconds:.2f}s replay_identical={result.fingerprint_match}",
         f"  wire: {wire['bytes_in']:.0f}B in / {wire['bytes_out']:.0f}B out, "
         f"{wire['requests']:.0f} requests, dedup_refs={wire['dedup_refs']:.0f} "

@@ -150,7 +150,7 @@ def _print_recorder(label: str, recorder: dict | None) -> None:
         )
 
 
-def _swarm_once(args, adaptive: bool):
+def _run_swarm(_sources, args) -> None:
     from ..storage import TieredArtifactStore
     from .swarm import run_swarm
 
@@ -163,37 +163,24 @@ def _swarm_once(args, adaptive: bool):
         if args.shards == 1
         else None
     )
-    return run_swarm(
+    result = run_swarm(
         clients=args.clients,
         rounds=args.rounds,
         store=store,
         shards=args.shards,
         processes=args.processes,
         transport=None if args.transport == "inproc" else args.transport,
-        transport_codec=args.transport_codec,
-        adaptive=adaptive,
     )
-
-
-def _run_swarm(_sources, args) -> None:
-    adaptive = args.adaptive or args.adaptive_report
-    static_result = None
-    if args.adaptive_report:
-        # an honest hit-rate delta needs the static run under identical
-        # traffic; run it first, then the adaptive run it is compared to
-        static_result = _swarm_once(args, adaptive=False)
-    result = _swarm_once(args, adaptive=adaptive)
     stats = result.stats
     shard_note = f" across {result.shards} shards" if result.shards > 1 else ""
     if result.processes > 1:
         shard_note += f" in {result.processes} worker processes"
-    transport_note = (
-        f" over tcp/{result.transport_codec}" if result.transport == "tcp" else ""
-    )
+    transport_note = " over tcp/binary" if result.transport == "tcp" else ""
     _print(
         f"Swarm: {result.clients} concurrent clients x {result.rounds} workloads "
         f"({result.workloads} commits in {result.wall_seconds:.2f}s, "
-        f"{result.throughput:.1f}/s{shard_note}{transport_note})"
+        f"{result.throughput:.1f}/s{shard_note}{transport_note}; "
+        f"merge linger {result.batch_linger_s * 1e3:.0f}ms)"
     )
     if result.transport == "tcp":
         wire = result.wire_stats
@@ -245,34 +232,6 @@ def _run_swarm(_sources, args) -> None:
                 f"{shard.mean_dirty_per_publish:>14.1f} "
                 f"{shard.plan_cache_hit_rate:>10.0%} "
                 f"{shard.queue_depth:>6} {shard.queue_peak:>5}"
-            )
-    if result.adaptive and result.adaptive_report:
-        report = result.adaptive_report
-        _print("  adaptive predictors (error EWMA vs observed):")
-        for name, p in sorted(report["predictors"].items()):
-            learned = int(p["predictions"] - p["fallbacks"])
-            _print(
-                f"    {name:>9}: samples={int(p['samples']):>4} "
-                f"err={p['error_ewma']:.3f} "
-                f"healthy={'yes' if p['healthy'] else 'no':>3} "
-                f"learned={learned}/{int(p['predictions'])} answers"
-            )
-        sizer = report["batch_sizer"]
-        trajectory = sizer["trajectory"]
-        shown = " -> ".join(f"{linger * 1e3:.0f}ms" for _size, linger in trajectory[:8])
-        if len(trajectory) > 8:
-            shown += " ..."
-        _print(
-            f"  batch linger: {sizer['linger_s'] * 1e3:.1f}ms after "
-            f"{sizer['batches_observed']} batches "
-            f"(arrival {sizer['arrival_rate']:.1f}/s; trajectory {shown})"
-        )
-        if static_result is not None and result.hot_hit_ratio is not None:
-            static_ratio = static_result.hot_hit_ratio or 0.0
-            _print(
-                f"  hot-tier hit rate: static {static_ratio:.1%} vs "
-                f"adaptive {result.hot_hit_ratio:.1%} "
-                f"(delta {result.hot_hit_ratio - static_ratio:+.1%})"
             )
     _print_recorder("flight recorder", result.recorder_stats)
     if args.metrics_out:
@@ -408,7 +367,7 @@ def _run_serve(_sources, args) -> None:
 
     recorder = FlightRecorder(slow_threshold_s=args.slow_threshold_ms / 1000.0)
     shards = max(args.shards, 2) if args.shard_workers else args.shards
-    service, _ = build_service(
+    service = build_service(
         shards, shards if args.shard_workers else 1, flight_recorder=recorder
     )
     server = AsyncTransportServer(service, host=args.host, port=args.port)
@@ -527,25 +486,6 @@ def main(argv: list[str] | None = None) -> int:
         help="how swarm tenants reach the service (tcp = async binary transport)",
     )
     parser.add_argument(
-        "--transport-codec",
-        choices=("binary", "json"),
-        default="binary",
-        help="wire codec for --transport tcp (json = legacy fallback)",
-    )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="swarm: enable the learned cost models and adaptive policies",
-    )
-    parser.add_argument(
-        "--adaptive-report",
-        action="store_true",
-        help=(
-            "swarm: run static then adaptive and print predictor error, "
-            "hot-tier hit-rate delta, and the batch-linger trajectory"
-        ),
-    )
-    parser.add_argument(
         "--hot-budget-bytes",
         type=float,
         default=8192,
@@ -621,11 +561,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
-    if args.processes > 1 and (args.adaptive or args.adaptive_report):
-        parser.error(
-            "--adaptive/--adaptive-report need --processes 1: the feedback "
-            "collector cannot cross process boundaries"
-        )
 
     tracer = None
     if args.trace_out:

@@ -6,9 +6,14 @@ sessions, each submitting ``rounds`` synthetic sleep-operation workloads
 with heavily shared prefixes, against one background service of any
 topology (:func:`build_service`: an
 :class:`~repro.service.core.EGService`, or a sharding coordinator over
-in-process or worker-process shards).  The merge worker lingers briefly
-so near-simultaneous commits coalesce into batches (one materialization
-pass per batch).
+in-process or worker-process shards).  The merge worker lingers
+``batch_linger_s`` so near-simultaneous commits coalesce into batches (one
+materialization pass per batch).  ``run_swarm``'s default of 150 ms is a
+*demonstration* value, chosen so the acceptance run shows batches about as
+large as the client count; it is also that run's request latency and
+throughput (every commit waits out the sleep — docs/SERVICE.md, "The swarm
+experiment"), so quote those numbers with the linger they ran at.  The
+service's own default is 0.
 
 Everything that reaches the Experiment Graph is machine-independent: the
 workloads declare virtual costs (:class:`VirtualCostModel` records those
@@ -209,20 +214,14 @@ class SwarmResult:
     shard_stats: list[ServiceStats] = field(default_factory=list, repr=False)
     #: cross-partition edge stubs registered by the end of the run
     stub_edges: int = 0
+    #: merge linger the service ran with (it bounds p50 and throughput)
+    batch_linger_s: float = 0.0
     #: how tenants reached the service: "inproc" or "tcp"
     transport: str = "inproc"
-    #: wire codec of a tcp run ("binary"/"json"; "" for inproc)
-    transport_codec: str = ""
     #: server-side transport counters (bytes, frames, sheds, dedup refs)
     wire_stats: dict[str, float] = field(default_factory=dict, repr=False)
     #: client-side pool counters (dedup refs sent, retries)
     client_wire_stats: dict[str, int] = field(default_factory=dict, repr=False)
-    #: whether the learned adaptive policies (repro.learn) were active
-    adaptive: bool = False
-    #: predictor errors / batch-linger trajectory of an adaptive run
-    adaptive_report: dict[str, Any] = field(default_factory=dict, repr=False)
-    #: hot-tier hit ratio of the run's store (None without a tiered store)
-    hot_hit_ratio: float | None = None
     #: Prometheus text render of the service registry at shutdown
     #: (sharded runs concatenate coordinator + per-shard sections)
     metrics_text: str = field(default="", repr=False)
@@ -266,15 +265,12 @@ def build_service(
     processes: int = 1,
     *,
     store: ArtifactStore | None = None,
-    adaptive: bool = False,
-    adaptive_config: Any | None = None,
     flight_recorder: Any | None = None,
     queue_capacity: int = 64,
     batch_linger_s: float = 0.0,
     request_timeout_s: float = 30.0,
     debug_cross_check: bool = False,
-    codec: str = "binary",
-) -> tuple[Any, Any]:
+) -> Any:
     """Construct a background materialize-all service of any topology.
 
     ``shards == 1`` is one :class:`~repro.service.core.EGService` (over
@@ -282,26 +278,13 @@ def build_service(
     :class:`~repro.shard.ShardedEGService` over in-process shards, or —
     with ``processes == shards`` — a
     :class:`~repro.shard.ProcessShardCoordinator` with one worker process
-    per shard, reached over ``codec``.
-
-    ``adaptive`` installs the learned policies (:mod:`repro.learn`): one
-    thread-safe :class:`~repro.learn.FeedbackCollector` behind a learned
-    load-cost model for planning, one merge-batch sizer per shard (the
-    sizer is single-writer by design), and the adaptive eviction hooks on
-    a tiered ``store``.  Returns ``(service, batch_sizer)``; the sizer is
-    the first shard's (``None`` unless adaptive) and its ``collector`` is
-    the run's.
+    per shard.
     """
     if processes > 1:
         if processes != shards:
             raise ValueError(
                 f"processes ({processes}) must equal shards ({shards}): "
                 "the multi-process swarm runs exactly one worker per shard"
-            )
-        if adaptive:
-            raise ValueError(
-                "adaptive policies need a shared in-process feedback "
-                "collector; use processes=1"
             )
         if debug_cross_check:
             raise ValueError("debug_cross_check is in-process only")
@@ -319,51 +302,13 @@ def build_service(
     if processes > 1:
         from ..shard import ProcessShardCoordinator
 
-        return ProcessShardCoordinator(shards, codec=codec, **common), None
-
-    sizers: list[Any] = []
-    if adaptive:
-        from ..learn import (
-            AdaptiveBatchSizer,
-            AdaptiveConfig,
-            FeedbackCollector,
-            LearnedLoadCostModel,
-            ReuseValueScorer,
-        )
-        from ..storage import TieredArtifactStore
-
-        collector = FeedbackCollector(
-            adaptive_config if adaptive_config is not None else AdaptiveConfig()
-        )
-        sizers = [AdaptiveBatchSizer(collector) for _ in range(shards)]
-        common["load_cost_model"] = LearnedLoadCostModel(collector)
-        if isinstance(store, TieredArtifactStore):
-            store.eviction_scorer = ReuseValueScorer(collector)
-            store.eviction_scan = collector.config.eviction_scan
-            store.load_observer = collector.observe_cold_load
+        return ProcessShardCoordinator(shards, **common)
     common.update(background=True, debug_cross_check=debug_cross_check)
-    first_sizer = sizers[0] if sizers else None
     if shards > 1:
         from ..shard import ShardedEGService
 
-        service: Any = ShardedEGService(
-            lambda _index: MaterializeAll(),
-            shards,
-            batch_sizer_factory=sizers.__getitem__ if sizers else None,
-            **common,
-        )
-    else:
-        service = EGService(
-            MaterializeAll(),
-            store=store,
-            batch_sizer=first_sizer,
-            **common,
-        )
-        if sizers:
-            collector.queue_depth_fn = (
-                lambda: service.queue_capacity - service.queue_headroom()
-            )
-    return service, first_sizer
+        return ShardedEGService(lambda _index: MaterializeAll(), shards, **common)
+    return EGService(MaterializeAll(), store=store, **common)
 
 
 def _replay(
@@ -401,9 +346,6 @@ def run_swarm(
     shards: int = 1,
     processes: int = 1,
     transport: str | None = None,
-    transport_codec: str = "binary",
-    adaptive: bool = False,
-    adaptive_config: Any | None = None,
     flight_recorder: Any | None = None,
 ) -> SwarmResult:
     """Run the swarm and (optionally) verify against a sequential replay.
@@ -427,21 +369,14 @@ def run_swarm(
     single-graph replay, and must pass for every topology: an N-process
     swarm converges bit-identically to the in-process sharded service.
 
-    ``adaptive=True`` installs the learned policies (:mod:`repro.learn`,
-    see :func:`build_service`), the adaptive merge-batch sizer replacing
-    the fixed ``batch_linger_s``.  The fingerprint check still must pass
-    — adaptive runs change costs and tier placement, never EG content.
-
     ``transport="tcp"`` routes every tenant through the async multiplexed
     binary transport (:mod:`repro.transport`) instead of in-process
     calls: one :class:`~repro.transport.AsyncTransportServer` in front of
     the service (a second hop when the shards are worker processes), one
     :class:`~repro.transport.ConnectionPool` shared by every tenant
-    thread (multiplexing carries many logical clients per socket).
-    ``transport_codec`` selects the wire codec (``binary`` zero-copy
-    columnar with dedup, or the ``json`` fallback).  The fingerprint
-    check is transport-independent — the merged EG must be bit-identical
-    either way.
+    thread (multiplexing carries many logical clients per socket).  The
+    fingerprint check is transport-independent — the merged EG must be
+    bit-identical either way.
 
     ``flight_recorder`` passes through to the service's telemetry plane:
     ``None`` keeps the background default (on), ``False`` runs dark, and
@@ -452,20 +387,15 @@ def run_swarm(
     """
     if transport not in (None, "inproc", "tcp"):
         raise ValueError(f"unknown transport {transport!r} (expected 'inproc' or 'tcp')")
-    if transport_codec not in ("binary", "json"):
-        raise ValueError(f"unknown transport codec {transport_codec!r}")
-    service, batch_sizer = build_service(
+    service = build_service(
         shards,
         processes,
         store=store,
-        adaptive=adaptive,
-        adaptive_config=adaptive_config,
         flight_recorder=flight_recorder,
         queue_capacity=queue_capacity,
         batch_linger_s=batch_linger_s,
         request_timeout_s=60.0,
         debug_cross_check=debug_cross_check,
-        codec=transport_codec,
     )
     script_for, sources = swarm_family(shards, op_seconds)
     server = pool = None
@@ -480,7 +410,6 @@ def run_swarm(
             host,
             port,
             size=min(8, max(2, clients // 8)),
-            codec=transport_codec,
             timeout_s=120.0,
         )
     errors: list[BaseException] = []
@@ -568,22 +497,13 @@ def run_swarm(
         processes=processes,
         shard_stats=service.shard_stats() if shards > 1 else [],
         stub_edges=service.partitioned.stub_count if shards > 1 else 0,
+        batch_linger_s=batch_linger_s,
         transport="tcp" if server is not None else "inproc",
-        transport_codec=transport_codec if server is not None else "",
         wire_stats=wire_stats,
         client_wire_stats=client_wire_stats,
-        adaptive=adaptive,
         metrics_text=metrics_text,
         recorder_stats=recorder_stats,
     )
-    if batch_sizer is not None:
-        result.adaptive_report = {
-            "predictors": batch_sizer.collector.report(),
-            "batch_sizer": batch_sizer.report(),
-            "cold_hit_rate": batch_sizer.collector.cold_hit_rate,
-        }
-    if hasattr(store, "stats"):
-        result.hot_hit_ratio = store.stats.hit_ratio
     if replay:
         result.replay_fingerprint = eg_fingerprint(
             _replay(result.commit_labels, script_for, sources)

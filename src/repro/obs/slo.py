@@ -11,7 +11,7 @@ those metrics into a cumulative ``(bad, total)`` event pair:
 * :class:`CounterRatioSource` — one counter over another (shed rate,
   cold-hit rate), each summed across label series and registries;
 * :class:`GaugeBelowSource` — evaluations where a gauge sits below a
-  minimum are bad (predictor health flags).
+  minimum are bad (health / liveness flags).
 
 The :class:`SLOEngine` samples every source on ``evaluate()`` and keeps
 a bounded history per SLO.  Alerting is the multi-window burn-rate
@@ -145,10 +145,10 @@ class HistogramLatencySource:
 @dataclass(frozen=True)
 class GaugeBelowSource:
     """Engine evaluations during which a gauge is below ``minimum`` are
-    bad — e.g. ``repro_learn_predictor_healthy`` dropping to 0.  Each
-    label series counts separately, so one sick predictor among healthy
-    ones burns part of the budget.  No data yet means no sample (a
-    predictor that never trained should not page)."""
+    bad — e.g. ``repro_proc_worker_up`` dropping to 0.  Each label series
+    counts separately, so one dead worker among live ones burns part of
+    the budget.  No data yet means no sample (a gauge nobody has set
+    should not page)."""
 
     gauge: str
     minimum: float = 1.0
@@ -425,7 +425,7 @@ class SLOEngine:
 
 def default_service_slos() -> list[SLO]:
     """The stock objectives an `EGService` watches over its own registry
-    (plus the process-global one for store/learn series)."""
+    (plus the process-global one for store/planner series)."""
     return [
         SLO(
             "merge-batch-p99",
@@ -460,11 +460,5 @@ def default_service_slos() -> list[SLO]:
             ),
             objective=0.95,
             description="admission control sheds at most 5% of requests",
-        ),
-        SLO(
-            "predictor-health",
-            GaugeBelowSource("repro_learn_predictor_healthy", 1.0),
-            objective=0.90,
-            description="learned predictors healthy on 90% of evaluations",
         ),
     ]

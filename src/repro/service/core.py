@@ -213,7 +213,6 @@ class EGService:
         metrics_registry: MetricsRegistry | None = None,
         plan_cache_size: int = 128,
         debug_cross_check: bool = False,
-        batch_sizer: Any | None = None,
         flight_recorder: FlightRecorder | bool | None = None,
         slos: list[SLO] | None = None,
     ):
@@ -243,10 +242,6 @@ class EGService:
         self.updater = Updater(self.versioned.working, materializer)
         self.queue_capacity = queue_capacity
         self.batch_linger_s = batch_linger_s
-        #: optional adaptive merge-linger controller
-        #: (:class:`~repro.learn.adapters.AdaptiveBatchSizer`); when set it
-        #: overrides ``batch_linger_s`` and is fed every drained batch
-        self.batch_sizer = batch_sizer
         self.request_timeout_s = request_timeout_s
 
         self._queue: deque[UpdateTicket] = deque()
@@ -548,14 +543,9 @@ class EGService:
                 if not self._queue and self._stop_requested:
                     return
                 draining = self._stop_requested
-            linger = (
-                self.batch_sizer.current_linger()
-                if self.batch_sizer is not None
-                else self.batch_linger_s
-            )
-            if linger > 0.0 and not draining:
+            if self.batch_linger_s > 0.0 and not draining:
                 # let near-simultaneous commits coalesce into one batch
-                time.sleep(linger)
+                time.sleep(self.batch_linger_s)
             try:
                 with self._merge_lock:
                     self._drain_once()
@@ -587,12 +577,10 @@ class EGService:
         # span context so the service-side merge correlates by trace id with
         # the client workload; never entered (this thread keeps no stack)
         commit_spans = []
-        wait_total = 0.0
         for ticket in batch:
             wait_s = (
                 max(0.0, started - ticket.enqueued_at) if ticket.enqueued_at else 0.0
             )
-            wait_total += wait_s
             self._metrics.queue_wait_seconds.observe(
                 wait_s, exemplar=ticket.trace_parent
             )
@@ -670,10 +658,6 @@ class EGService:
             metrics.merge_batch_seconds.observe(
                 merge_seconds, exemplar=batch_span.context
             )
-            if self.batch_sizer is not None:
-                self.batch_sizer.observe_batch(
-                    report.merged_workloads, merge_seconds, wait_total / len(batch)
-                )
         self.telemetry.evaluate()
         return len(batch)
 

@@ -159,7 +159,7 @@ class TelemetryPlane:
     zero-overhead.  With a recorder comes an SLO engine over the
     service's ``registry``, its shards' ``shard_registries`` (so per-shard
     merge/queue series burn the same budgets they would unsharded) and
-    the process-global registry (store/planner/learn series live there).
+    the process-global registry (store/planner series live there).
     """
 
     def __init__(

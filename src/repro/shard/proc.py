@@ -304,7 +304,6 @@ class RemoteShard(RemoteService):
         self,
         spec: WorkerSpec,
         registry: MetricsRegistry,
-        codec: str = "binary",
         pool_size: int = 2,
     ):
         super().__init__(self._request)
@@ -312,7 +311,6 @@ class RemoteShard(RemoteService):
         self.worker = ShardWorkerProcess(spec)
         self.queue_capacity = spec.queue_capacity
         self.request_timeout_s = spec.request_timeout_s
-        self._codec = codec
         self._pool_size = pool_size
         #: one dedicated commit connection (FIFO dispatch) plus a small
         #: pool for plan/snapshot/fetch/stats/session traffic
@@ -344,13 +342,12 @@ class RemoteShard(RemoteService):
         """Wait for the launched worker's address and open its channels."""
         host, port = self.worker.wait_ready(timeout)
         self._commit_conn = TransportConnection(
-            host, port, codec=self._codec, response_hook=self._reply_drained
+            host, port, response_hook=self._reply_drained
         )
         self._pool = ConnectionPool(
             host,
             port,
             size=self._pool_size,
-            codec=self._codec,
             timeout_s=self.request_timeout_s,
         )
         with self._lock:
@@ -565,7 +562,6 @@ class ProcessShardCoordinator(ShardedEGService):
         persist_dir: str | Path | None = None,
         checkpoint_every: int = 0,
         worker_max_workers: int = 4,
-        codec: str = "binary",
         pool_size: int = 2,
         metrics_registry: MetricsRegistry | None = None,
         flight_recorder: FlightRecorder | bool | None = None,
@@ -607,7 +603,6 @@ class ProcessShardCoordinator(ShardedEGService):
                     max_workers=worker_max_workers,
                 ),
                 registry,
-                codec=codec,
                 pool_size=pool_size,
             )
             for index in range(n_shards)

@@ -313,7 +313,6 @@ class ShardedEGService:
         metrics_registry: MetricsRegistry | None = None,
         plan_cache_size: int = 128,
         debug_cross_check: bool = False,
-        batch_sizer_factory: Callable[[int], Any] | None = None,
         flight_recorder: FlightRecorder | bool | None = None,
         slos: list[SLO] | None = None,
     ):
@@ -345,13 +344,6 @@ class ShardedEGService:
                 # coordinator's recorder sees every span, so shards run
                 # dark and the SLO engine reads their registries directly
                 flight_recorder=False,
-                # one sizer per shard: each merge worker drives its own
-                # linger controller (the sizer is single-writer by design)
-                batch_sizer=(
-                    batch_sizer_factory(index)
-                    if batch_sizer_factory is not None
-                    else None
-                ),
             )
             for index in range(n_shards)
         ]

@@ -42,7 +42,6 @@ remains a caller error, exactly as for a plain dict-backed store.
 
 from __future__ import annotations
 
-import itertools
 import shutil
 import tempfile
 import threading
@@ -50,7 +49,7 @@ import time
 import weakref
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from ..dataframe import Column, DataFrame
 from ..eg.storage import (
@@ -63,7 +62,7 @@ from ..graph.artifacts import payload_size_bytes
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .disk import DiskColdTier
-from .tiers import EvictionCandidate, TierStats
+from .tiers import TierStats
 
 __all__ = ["TieredArtifactStore"]
 
@@ -115,23 +114,6 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
         self._lock = threading.RLock()
         #: vertex id -> event set when its in-flight promotion commits
         self._inflight: dict[str, threading.Event] = {}
-
-        # -- opt-in adaptive hooks (docs/ADAPTIVE.md) -------------------
-        #: eviction policy override: ``scorer(EvictionCandidate) -> float``
-        #: called under the store lock; the lowest-scoring vertex in the
-        #: LRU candidate window is demoted.  ``None`` = pure LRU.
-        self.eviction_scorer: Callable[[EvictionCandidate], float] | None = None
-        #: LRU candidates ranked per demotion when a scorer is installed
-        self.eviction_scan: int = 8
-        #: completed-cold-load callback ``observer(vertex_id=..., size_bytes=...,
-        #: n_columns=..., object_columns=..., seconds=...)``; feeds the
-        #: learned load-cost models.  ``None`` = no reporting.
-        self.load_observer: Callable[..., None] | None = None
-        #: deterministic logical clock + per-vertex hot-hit counts, only
-        #: maintained while an eviction scorer is installed
-        self._access_seq = 0
-        self._access_counts: dict[str, int] = {}
-        self._last_access: dict[str, int] = {}
 
         # process-wide tier-movement counters (shared across store
         # instances; TierStats keeps the per-store numbers)
@@ -192,12 +174,6 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
             self._total_bytes += added
             self._tier[vertex_id] = StorageTier.HOT
             self._lru[vertex_id] = None
-            if self.eviction_scorer is not None:
-                # admission counts as one access: a fresh artifact scores
-                # like a once-used one (its producer is usually about to
-                # read it), and with uniform counts the recency decay
-                # makes the scorer degrade to plain LRU
-                self._record_access(vertex_id)
             self._enforce_hot_budget()
             return added
 
@@ -210,8 +186,6 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
                 if tier is StorageTier.HOT:
                     self.stats.hot_hits += 1
                     self._lru.move_to_end(vertex_id)
-                    if self.eviction_scorer is not None:
-                        self._record_access(vertex_id)
                     return self._reconstruct_hot(vertex_id)
                 waiter = self._inflight.get(vertex_id)
                 if waiter is None:
@@ -236,24 +210,6 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
                     read_seconds = time.perf_counter() - started
                     self.stats.load_seconds += read_seconds
                     span.set_attribute("read_seconds", read_seconds)
-                    if self.eviction_scorer is not None:
-                        self._record_access(vertex_id)
-                    observer = self.load_observer
-                    if observer is not None or span.name:
-                        # enrich only when someone listens: the profile walk
-                        # costs a dtype check per column
-                        size, n_columns, object_columns = self._load_profile(vertex_id)
-                        span.set_attribute("size_bytes", size)
-                        span.set_attribute("n_columns", n_columns)
-                        span.set_attribute("object_columns", object_columns)
-                        if observer is not None:
-                            observer(
-                                vertex_id=vertex_id,
-                                size_bytes=size,
-                                n_columns=n_columns,
-                                object_columns=object_columns,
-                                seconds=read_seconds,
-                            )
                     self._enforce_hot_budget()
                     return payload
         finally:
@@ -267,8 +223,6 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
             if tier is None:
                 return 0
             self._lru.pop(vertex_id, None)
-            self._access_counts.pop(vertex_id, None)
-            self._last_access.pop(vertex_id, None)
 
             if vertex_id in self._object_sizes:
                 size = self._object_sizes.pop(vertex_id)
@@ -404,9 +358,6 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
             self._demotion_counter.inc()
             self._tier[vertex_id] = StorageTier.COLD
             self._lru.pop(vertex_id)
-            # reuse history restarts if the vertex re-enters the hot tier
-            self._access_counts.pop(vertex_id, None)
-            self._last_access.pop(vertex_id, None)
 
             if vertex_id in self._hot_objects:
                 payload = self._hot_objects.pop(vertex_id)
@@ -479,60 +430,8 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
     def _enforce_hot_budget(self) -> None:
         if self.hot_budget_bytes is None:
             return
-        scorer = self.eviction_scorer
         while self._hot_bytes > self.hot_budget_bytes and self._lru:
-            if scorer is None:
-                self.demote(next(iter(self._lru)))
-            else:
-                self.demote(self._select_victim(scorer))
-
-    def _record_access(self, vertex_id: str) -> None:
-        """Advance the logical clock and touch a vertex (lock held)."""
-        self._access_seq += 1
-        self._access_counts[vertex_id] = self._access_counts.get(vertex_id, 0) + 1
-        self._last_access[vertex_id] = self._access_seq
-
-    def _load_profile(self, vertex_id: str) -> tuple[int, int, int]:
-        """(size_bytes, n_columns, object_columns) of a hot vertex (lock held)."""
-        if vertex_id in self._object_sizes:
-            return self._object_sizes[vertex_id], 1, 0
-        size = 0
-        n_columns = 0
-        object_columns = 0
-        for _name, cid in self._layouts[vertex_id]:
-            size += self._column_sizes[cid]
-            n_columns += 1
-            column = self._hot_columns.get(cid)
-            if column is not None and column.dtype == object:
-                object_columns += 1
-        return size, n_columns, object_columns
-
-    def _select_victim(self, scorer: Callable[[EvictionCandidate], float]) -> str:
-        """Lowest-retain-value vertex in the LRU candidate window (lock held).
-
-        Scans the ``eviction_scan`` least-recently-used hot vertices;
-        strict ``<`` comparison keeps the earliest (most-LRU) candidate on
-        score ties, so the scorer degrades to exact LRU when it returns a
-        constant.
-        """
-        best_id: str | None = None
-        best_score = 0.0
-        for vertex_id in itertools.islice(self._lru, self.eviction_scan):
-            size, n_columns, _objects = self._load_profile(vertex_id)
-            last = self._last_access.get(vertex_id, 0)
-            candidate = EvictionCandidate(
-                vertex_id=vertex_id,
-                size_bytes=size,
-                n_columns=n_columns,
-                access_count=self._access_counts.get(vertex_id, 0),
-                age=max(0, self._access_seq - last),
-            )
-            score = scorer(candidate)
-            if best_id is None or score < best_score:
-                best_id = vertex_id
-                best_score = score
-        assert best_id is not None  # caller guarantees a non-empty LRU
-        return best_id
+            self.demote(next(iter(self._lru)))
 
     def _reconstruct_hot(self, vertex_id: str) -> Any:
         if vertex_id in self._hot_objects:

@@ -12,30 +12,7 @@ from dataclasses import dataclass
 
 from ..eg.storage import StorageTier
 
-__all__ = ["StorageTier", "TierStats", "EvictionCandidate"]
-
-
-@dataclass(frozen=True)
-class EvictionCandidate:
-    """One hot vertex offered to an eviction scorer for ranking.
-
-    Built by ``TieredArtifactStore._enforce_hot_budget`` (under the store
-    lock) for each vertex in the LRU candidate window when an adaptive
-    ``eviction_scorer`` is installed; the scorer maps it to a
-    retain-value score and the lowest score is demoted.  ``age`` counts
-    store accesses since this vertex was last touched — a deterministic
-    logical clock, unlike wall time.
-    """
-
-    vertex_id: str
-    #: logical payload bytes the vertex pins in RAM
-    size_bytes: int
-    #: column files a cold re-read would touch (1 for object payloads)
-    n_columns: int
-    #: hot-tier hits since the vertex last entered the hot tier
-    access_count: int
-    #: store accesses since this vertex was last touched (LRU head = oldest)
-    age: int
+__all__ = ["StorageTier", "TierStats"]
 
 
 @dataclass

@@ -34,6 +34,7 @@ class TestCli:
         assert main(["swarm", "--clients", "4", "--rounds", "2"]) == 0
         out = capsys.readouterr().out
         assert "Swarm: 4 concurrent clients" in out
+        assert "merge linger 150ms" in out
         assert "sequential commit-order replay identical: True" in out
 
     def test_unknown_experiment_rejected(self):
@@ -42,13 +43,17 @@ class TestCli:
 
 
 class TestSwarmFlags:
-    @pytest.mark.parametrize("flag", ["--adaptive", "--adaptive-report"])
-    def test_adaptive_with_worker_processes_is_a_usage_error(self, flag, capsys):
-        """The CLI used to drop the flag and run a static swarm."""
+    @pytest.mark.parametrize(
+        "flags",
+        [["--adaptive"], ["--adaptive-report"], ["--transport-codec", "json"]],
+        ids=["adaptive", "adaptive-report", "transport-codec"],
+    )
+    def test_removed_flags_are_usage_errors(self, flags, capsys):
+        """A stale recipe fails loudly instead of running the static path."""
         with pytest.raises(SystemExit) as raised:
-            main(["swarm", "--shards", "2", "--processes", "2", flag])
+            main(["swarm", "--clients", "2", "--rounds", "1", *flags])
         assert raised.value.code == 2
-        assert "--processes 1" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_hot_budget_applies_over_tcp(self, monkeypatch, capsys):
         """The CLI used to drop --hot-budget-bytes with --transport tcp."""
@@ -83,8 +88,8 @@ class TestServe:
         real_build_service = swarm.build_service
 
         def build(*args, **kwargs):
-            built.append(real_build_service(*args, **kwargs)[0])
-            return built[-1], None
+            built.append(real_build_service(*args, **kwargs))
+            return built[-1]
 
         monkeypatch.setattr(swarm, "build_service", build)
         addresses: queue.Queue = queue.Queue()

@@ -54,7 +54,3 @@ class TestMultiprocSwarm:
                 processes=2,
                 store=TieredArtifactStore(),
             )
-
-    def test_adaptive_policies_are_in_process_only(self):
-        with pytest.raises(ValueError, match="adaptive"):
-            run_swarm(clients=2, rounds=1, shards=2, processes=2, adaptive=True)

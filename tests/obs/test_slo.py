@@ -222,7 +222,6 @@ class TestDefaultServiceSLOs:
             "queue-wait-p99",
             "cold-hit-rate",
             "shed-rate",
-            "predictor-health",
         ]
         engine = SLOEngine(
             slos, registries=[MetricsRegistry()], clock=FakeClock()

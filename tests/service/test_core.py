@@ -1,6 +1,7 @@
 """Tests for EGService: sessions, queueing, batching, shutdown, stats."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -213,6 +214,73 @@ class TestMergeFailure:
         assert result.commit_index == 2
         assert service.stats().commits_total == 2
         service.stop()
+
+
+class MergeLinger:
+    """The merge worker's ``time.sleep``, recorded and held until released."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[float] = []
+        self.entered = threading.Semaphore(0)
+        self.release = threading.Event()
+        real_sleep = time.sleep
+
+        def sleep(seconds):
+            if threading.current_thread().name != "eg-merge-worker":
+                return real_sleep(seconds)
+            self.calls.append(seconds)
+            self.entered.release()
+            assert self.release.wait(10.0)
+
+        monkeypatch.setattr(time, "sleep", sleep)
+
+
+class TestBatchLinger:
+    def test_commit_arriving_during_the_linger_joins_the_batch(self, monkeypatch):
+        linger = MergeLinger(monkeypatch)
+        service = EGService(MaterializeAll(), background=True, batch_linger_s=0.05)
+        session = service.open_session()
+        first = service.submit_update(session.session_id, executed_workload(1))
+        assert linger.entered.acquire(timeout=10.0)  # the worker is lingering
+        second = service.submit_update(session.session_id, executed_workload(2))
+        linger.release.set()
+        results = [first.wait(10.0), second.wait(10.0)]
+        assert [r.batch_size for r in results] == [2, 2]
+        assert [r.commit_index for r in results] == [1, 2]
+        assert service.stats().batches == 1
+        assert linger.calls == [0.05]
+        service.stop()
+
+    def test_stopping_service_drains_without_lingering(self, monkeypatch):
+        linger = MergeLinger(monkeypatch)
+        linger.release.set()
+        service = EGService(MaterializeAll(), background=True, batch_linger_s=0.05)
+        session = service.open_session()
+        merging, finish = threading.Event(), threading.Event()
+        update_batch = service.updater.update_batch
+
+        def held_update_batch(*args, **kwargs):
+            merging.set()
+            assert finish.wait(10.0)
+            return update_batch(*args, **kwargs)
+
+        service.updater.update_batch = held_update_batch
+        first = service.submit_update(session.session_id, executed_workload(1))
+        assert merging.wait(10.0)  # lingered once, now inside the merge
+        second = service.submit_update(session.session_id, executed_workload(2))
+        stopper = threading.Thread(target=service.stop)
+        stopper.start()
+        deadline = time.monotonic() + 10.0
+        while service.running and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert not service.running
+        finish.set()
+        stopper.join(10.0)
+        assert not stopper.is_alive()
+        # the second commit was queued behind a stop request: merged on the
+        # worker's next pass, as its own batch, with no second linger
+        assert [first.wait(1.0).batch_size, second.wait(1.0).batch_size] == [1, 1]
+        assert linger.calls == [0.05]
 
 
 class TestShutdown:

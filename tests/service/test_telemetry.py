@@ -84,7 +84,6 @@ class TestIntrospectionSurface:
                 "queue-wait-p99",
                 "cold-hit-rate",
                 "shed-rate",
-                "predictor-health",
             }
             assert health["alerts"] == []
         finally:

@@ -130,6 +130,36 @@ class TestEvictionAndPromotion:
         assert store.tier_of("b") is StorageTier.COLD
         assert store.tier_of("a") is StorageTier.HOT
 
+    def test_skewed_trace_under_lru_is_pinned(self, tmp_path):
+        """Zipf-head reads polluted by bursts of one-shot scan artifacts.
+
+        Seeded and clock-free, so the counters are machine-independent:
+        they are what plain LRU does on this trace, and any change to
+        victim choice moves them.
+        """
+        slot = 256 * 8  # bytes per single-column artifact
+        store = TieredArtifactStore(hot_budget_bytes=16 * slot, directory=tmp_path)
+        heads = 6
+        for h in range(heads):
+            store.put(f"head{h}", frame_with_ids({"x": (f"head-col{h}", 256)}))
+        rng = np.random.default_rng(11)
+        scans = 0
+        for _ in range(40):
+            for _ in range(4):
+                store.get(f"head{min(int(rng.zipf(1.6)) - 1, heads - 1)}")
+            for _ in range(4):
+                vertex = f"scan{scans}"
+                scans += 1
+                store.put(vertex, frame_with_ids({"x": (f"scan-col{vertex}", 256)}))
+                store.get(vertex)
+        stats = store.stats
+        assert (stats.hot_hits, stats.cold_hits) == (304, 16)
+        assert (stats.promotions, stats.demotions) == (16, 166)
+        assert stats.bytes_demoted == 151 * slot
+        assert store.hot_bytes == 16 * slot
+        hot = {v for v, tier in store.tiers().items() if tier is StorageTier.HOT}
+        assert hot == {"head0", "head5"} | {f"scan{i}" for i in range(146, 160)}
+
     def test_cold_get_is_byte_identical_and_promotes(self, tmp_path):
         store = TieredArtifactStore(hot_budget_bytes=1000, directory=tmp_path)
         values = np.arange(100.0)
