@@ -12,7 +12,10 @@ machine-independent outcomes:
 * a swarm routed over TCP must converge to the *same* EG as a
   sequential replay, bit for bit;
 * codec time must not show up in the top-5 self-time spans of a traced
-  run — serialization is off the critical path.
+  run — serialization is off the critical path;
+* a served request costs the server **one** thread hand-off: pool
+  submissions per request over a fixed sequence, counted at
+  ``ThreadPoolExecutor.submit``.
 
 Encoded sizes are pure functions of the (seeded) inputs, so the
 ``vc_exact_transport_*`` counters gate exactly regardless of host speed.
@@ -21,15 +24,21 @@ The swarm half scales: 64 clients at full scale, 16 under
 that CI runs).
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from conftest import FULL_SCALE, report
 
+from repro.client.executor import VirtualCostModel
 from repro.dataframe import DataFrame
-from repro.experiments.swarm import run_swarm
+from repro.experiments.swarm import run_swarm, swarm_script, swarm_sources
+from repro.materialization.simple import MaterializeAll
 from repro.obs.profile import ProfileReport
 from repro.obs.sinks import InMemorySink
 from repro.obs.trace import Tracer, use_tracer
+from repro.service import EGService
+from repro.transport import AsyncTransportServer, TransportServiceClient
 from repro.transport.codec import (
     BinaryWireCodec,
     ColumnLedger,
@@ -153,3 +162,44 @@ def test_transport_swarm(benchmark):
         benchmark.extra_info["vc_exact_transport_eg_materialized"] = (
             result.eg_materialized
         )
+
+
+def test_transport_one_hop(benchmark, monkeypatch):
+    """Every thread hand-off the server makes to serve a fixed request
+    sequence (session ops, pings, two plan/commit round trips that ship
+    payloads both ways, stats), per request it served."""
+    submits = []
+    real_submit = ThreadPoolExecutor.submit
+
+    def counting_submit(pool, fn, /, *args, **kwargs):
+        if pool._thread_name_prefix.startswith("eg-transport"):
+            submits.append(pool._thread_name_prefix)
+        return real_submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+
+    def run():
+        submits.clear()
+        with EGService(MaterializeAll()) as service:
+            with AsyncTransportServer(service) as server:
+                with TransportServiceClient(
+                    *server.address, name="hop", cost_model=VirtualCostModel()
+                ) as client:
+                    for _ in range(4):
+                        client.ping()
+                    for round_index in range(2):
+                        client.run_script(
+                            swarm_script(0, round_index, 0.0), swarm_sources()
+                        )
+                    client.stats()
+                return server.wire_stats()["requests"], len(submits)
+
+    requests, submitted = benchmark.pedantic(run, rounds=1, iterations=1)
+    report(
+        f"Transport one hop: {requests:.0f} requests served with "
+        f"{submitted} pool submissions ({submitted / requests:.2f} per request)"
+    )
+    assert requests == 11  # open, 4 pings, 2 x (plan, commit), stats, close
+    benchmark.extra_info["vc_exact_transport_pool_submits_per_request"] = (
+        submitted / requests
+    )

@@ -7,7 +7,13 @@ Public surface:
 * :func:`~repro.dataframe.io.read_csv` / :func:`~repro.dataframe.io.write_csv`.
 """
 
-from .column import Column, combine_column_ids, derive_column_id, fresh_column_id
+from .column import (
+    Column,
+    combine_column_ids,
+    derive_column_id,
+    dtype_name,
+    fresh_column_id,
+)
 from .frame import DataFrame
 from .io import read_csv, write_csv
 
@@ -19,4 +25,5 @@ __all__ = [
     "fresh_column_id",
     "derive_column_id",
     "combine_column_ids",
+    "dtype_name",
 ]

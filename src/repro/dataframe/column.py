@@ -18,7 +18,23 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Column", "fresh_column_id", "derive_column_id"]
+__all__ = ["Column", "fresh_column_id", "derive_column_id", "dtype_name"]
+
+_DTYPE_NAMES: dict[np.dtype, str] = {}
+
+
+def dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, remembered per dtype.
+
+    numpy 2.x derives the name on every call (``_name_get`` →
+    ``issubdtype``, microseconds), and meta-data and wire records spell
+    the dtype of every column of every artifact.
+    """
+    try:
+        return _DTYPE_NAMES[dtype]
+    except KeyError:
+        name = _DTYPE_NAMES[dtype] = str(dtype)
+        return name
 
 
 def fresh_column_id() -> str:

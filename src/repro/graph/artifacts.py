@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from ..dataframe import DataFrame
+from ..dataframe import DataFrame, dtype_name
 from ..ml.base import BaseEstimator
 
 __all__ = [
@@ -139,7 +139,10 @@ def artifact_meta(payload: Any, warmstartable: bool = False) -> ArtifactMeta:
     if isinstance(payload, DataFrame):
         return ArtifactMeta(
             artifact_type=ArtifactType.DATASET,
-            schema={name: str(payload.column(name).dtype) for name in payload.columns},
+            schema={
+                name: dtype_name(payload.column(name).dtype)
+                for name in payload.columns
+            },
             column_ids=payload.column_ids,
         )
     if isinstance(payload, BaseEstimator):

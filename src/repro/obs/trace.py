@@ -206,6 +206,9 @@ class Tracer:
     def __init__(self, sinks: Iterator[Any] | list[Any] | tuple[Any, ...] = (), keep_last: int = 8192):
         self._sinks = list(sinks)
         self._finished: deque[Span] = deque(maxlen=keep_last)
+        #: the ring's spans by trace id, each trace in ring order; a span
+        #: leaves its trace's entry when it falls off the ring
+        self._by_trace: dict[str, deque[Span]] = {}
         self._lock = threading.Lock()
         self._local = threading.local()
 
@@ -254,7 +257,16 @@ class Tracer:
 
     def _record(self, span: Span) -> None:
         with self._lock:
-            self._finished.append(span)
+            ring = self._finished
+            if ring and len(ring) == ring.maxlen:
+                oldest = ring[0]  # about to be pushed out by the append
+                trace = self._by_trace[oldest.trace_id]
+                trace.popleft()
+                if not trace:
+                    del self._by_trace[oldest.trace_id]
+            ring.append(span)
+            if ring:  # keep_last=0 keeps no ring to index
+                self._by_trace.setdefault(span.trace_id, deque()).append(span)
         for sink in self._sinks:
             try:
                 sink.on_span(span)
@@ -270,7 +282,7 @@ class Tracer:
 
     def spans_for_trace(self, trace_id: str) -> list[Span]:
         with self._lock:
-            return [span for span in self._finished if span.trace_id == trace_id]
+            return list(self._by_trace.get(trace_id, ()))
 
     def close(self) -> None:
         """Flush and close every sink (file sinks write out here)."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from math import fsum
-from typing import Any, Iterator
+from typing import Any
 
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import ArtifactStore
@@ -277,10 +277,6 @@ class PartitionedExperimentGraph:
     # ------------------------------------------------------------------
     # Composed derived quantities (stitched topological passes)
     # ------------------------------------------------------------------
-    def _all_vertex_ids(self) -> Iterator[str]:
-        for partition in self.partitions:
-            yield from partition.graph.nodes
-
     def _stitched_adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         """Parents/children maps over partition edges *and* stubs."""
         parents: dict[str, list[str]] = {}

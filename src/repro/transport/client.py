@@ -99,64 +99,49 @@ def error_from_wire(record: Mapping[str, Any]) -> Exception:
     return error_type(str(record.get("message", "service request failed")))
 
 
-class _Waiter:
-    """One in-flight request: an event plus the slot the reader fills."""
-
-    __slots__ = ("event", "kind", "message", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.kind: int = 0
-        self.message: Any = None
-        self.error: Exception | None = None
-
-    def resolve(self, kind: int, message: Any) -> None:
-        self.kind = kind
-        self.message = message
-        self.event.set()
-
-    def fail(self, error: Exception) -> None:
-        self.error = error
-        self.event.set()
-
-
 class PendingReply:
-    """Handle for a request already on the wire; ``wait()`` for the reply.
+    """One request already on the wire: the slot the reader thread fills,
+    and the caller's handle to ``wait()`` on it.
 
     Splitting send from wait lets a dispatcher fire requests at many
     peers under one lock (fixing their relative wire order) and collect
     the replies later, outside it.
     """
 
-    __slots__ = ("_connection", "_request_id", "_waiter")
+    __slots__ = ("_connection", "request_id", "_event", "_kind", "_message", "_error")
 
-    def __init__(
-        self, connection: "TransportConnection", request_id: int, waiter: _Waiter
-    ) -> None:
+    def __init__(self, connection: "TransportConnection", request_id: int) -> None:
         self._connection = connection
-        self._request_id = request_id
-        self._waiter = waiter
+        self.request_id = request_id
+        self._event = threading.Event()
+        self._kind = 0
+        self._message: Any = None
+        self._error: Exception | None = None
 
-    @property
-    def request_id(self) -> int:
-        return self._request_id
+    def resolve(self, kind: int, message: Any) -> None:
+        self._kind = kind
+        self._message = message
+        self._event.set()
+
+    def fail(self, error: Exception) -> None:
+        self._error = error
+        self._event.set()
 
     @property
     def ready(self) -> bool:
-        return self._waiter.event.is_set()
+        return self._event.is_set()
 
     def wait(self, timeout_s: float | None = 30.0) -> Any:
-        waiter = self._waiter
-        if not waiter.event.wait(timeout_s):
-            self._connection._abandon(self._request_id)
+        if not self._event.wait(timeout_s):
+            self._connection._abandon(self.request_id)
             raise RequestTimeoutError(
-                f"no response within {timeout_s}s (request {self._request_id})"
+                f"no response within {timeout_s}s (request {self.request_id})"
             )
-        if waiter.error is not None:
-            raise waiter.error
-        if waiter.kind == KIND_ERROR:
-            raise error_from_wire(waiter.message)
-        return waiter.message
+        if self._error is not None:
+            raise self._error
+        if self._kind == KIND_ERROR:
+            raise error_from_wire(self._message)
+        return self._message
 
 
 class TransportConnection:
@@ -183,12 +168,10 @@ class TransportConnection:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        self._ledger = ColumnLedger()
-        self._binary = BinaryWireCodec(self._ledger)
+        self._binary = BinaryWireCodec(ColumnLedger())
         self._codec = self._binary if codec == "binary" else make_codec(codec)
-        self.codec_name = codec
         self._send_lock = threading.Lock()
-        self._waiters: dict[int, _Waiter] = {}
+        self._waiters: dict[int, PendingReply] = {}
         self._waiters_lock = threading.Lock()
         self._request_ids = itertools.count(1)
         self._response_hook = response_hook
@@ -221,7 +204,7 @@ class TransportConnection:
         if self._closed:
             raise ConnectionLostError("connection already closed")
         request_id = next(self._request_ids)
-        waiter = _Waiter()
+        waiter = PendingReply(self, request_id)
         with self._waiters_lock:
             self._waiters[request_id] = waiter
         try:
@@ -233,11 +216,12 @@ class TransportConnection:
                 send_frame(
                     self._sock, KIND_REQUEST, self._codec.codec_id, request_id, parts
                 )
-        except (OSError, ValueError) as error:
-            with self._waiters_lock:
-                self._waiters.pop(request_id, None)
-            raise ConnectionLostError(f"send failed: {error}") from error
-        return PendingReply(self, request_id, waiter)
+        except BaseException as error:
+            self._abandon(request_id)
+            if isinstance(error, (OSError, ValueError)):
+                raise ConnectionLostError(f"send failed: {error}") from error
+            raise  # the codec refused the message: nothing left this socket
+        return waiter
 
     def request(self, message: dict[str, Any], timeout_s: float = 30.0) -> Any:
         """One round trip; blocks this thread only — others keep flowing."""
@@ -440,14 +424,9 @@ class ConnectionPool:
         }
 
     def close(self) -> None:
-        with self._lock:
-            connections = [c for c in self._slots if c is not None]
-            self._slots = [None] * len(self._slots)
-            for connection in connections:
-                self._retired_refs += connection.dedup_refs_sent
-                self._retired_saved += connection.dedup_bytes_saved
-        for connection in connections:
-            connection.close()
+        for index, connection in enumerate(list(self._slots)):
+            if connection is not None:
+                self._retire(index, connection)
 
     def __enter__(self) -> "ConnectionPool":
         return self

@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import struct
 import threading
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -158,6 +159,11 @@ def _is_column_record(node: dict) -> bool:
     return "column_id" in node and "values" in node and "dtype" in node
 
 
+#: leaves that pass through the encoder inline — exact types: a numpy
+#: scalar subclasses ``float``/``int`` and must still collapse via ``item``
+_PLAIN_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
 class BinaryWireCodec(WireCodec):
     """Zero-copy columnar codec with connection-scoped column dedup.
 
@@ -179,81 +185,88 @@ class BinaryWireCodec(WireCodec):
     # Encode
     # ------------------------------------------------------------------
     def encode(self, message: Any) -> list[bytes | memoryview]:
-        buffers: list[bytes | memoryview] = []
-        lengths: list[int] = []
-        paths: list[list[Any]] = []
-
-        def add_buffer(part: bytes | memoryview) -> int:
-            buffers.append(part)
-            lengths.append(len(part))
-            return len(buffers) - 1
-
-        tree = self._encode_node(message, add_buffer, (), paths)
-        if paths:
-            flags = _FLAG_MARKERS
-            meta = json.dumps(
-                {"m": tree, "p": paths}, separators=(",", ":")
-            ).encode("utf-8")
-        else:
-            flags = 0
-            meta = json.dumps(tree, separators=(",", ":")).encode("utf-8")
+        # what this message contributes; the codec adopts ``shipped``
+        # (the columns it carries, by id) and the counters only at the end
+        out = SimpleNamespace(
+            buffers=[], paths=[], shipped={}, refs=0, ref_bytes_saved=0
+        )
+        tree = self._encode_node(message, (), out)
+        flags = _FLAG_MARKERS if out.paths else 0
+        meta = json.dumps(
+            {"m": tree, "p": out.paths} if out.paths else tree, separators=(",", ":")
+        ).encode("utf-8")
+        lengths = [len(part) for part in out.buffers]
         prefix = struct.pack(
             f">BI{len(lengths)}II", flags, len(lengths), *lengths, len(meta)
         )
-        return [prefix, meta, *buffers]
+        # an encode that failed half-way (an estimator among op params)
+        # must not have left the ledger naming columns that never shipped
+        if self.ledger is not None:
+            for column_id, values in out.shipped.items():
+                self.ledger.remember(column_id, values)
+        self.refs_sent += out.refs
+        self.ref_bytes_saved += out.ref_bytes_saved
+        return [prefix, meta, *out.buffers]
 
-    def _encode_node(self, node: Any, add_buffer, path: tuple, paths: list) -> Any:
+    def _encode_node(self, node: Any, path: tuple, out: SimpleNamespace) -> Any:
         if isinstance(node, dict):
             if _is_column_record(node) and isinstance(node["values"], np.ndarray):
-                return self._encode_column(node, add_buffer, path, paths)
+                return self._encode_column(node, path, out)
             return {
-                key: self._encode_node(value, add_buffer, (*path, key), paths)
+                key: value
+                if type(value) in _PLAIN_LEAVES
+                else self._encode_node(value, (*path, key), out)
                 for key, value in node.items()
             }
         if isinstance(node, (list, tuple)):
             return [
-                self._encode_node(item, add_buffer, (*path, index), paths)
+                item
+                if type(item) in _PLAIN_LEAVES
+                else self._encode_node(item, (*path, index), out)
                 for index, item in enumerate(node)
             ]
         if isinstance(node, np.ndarray):
-            paths.append(list(path))
-            return self._encode_array(node, add_buffer)
+            out.paths.append(list(path))
+            return self._encode_array(node, out)
         if isinstance(node, (np.floating, np.integer, np.bool_)):
             return node.item()
         return node
 
-    def _encode_column(self, node: dict, add_buffer, path: tuple, paths: list) -> dict:
+    def _encode_column(self, node: dict, path: tuple, out: SimpleNamespace) -> dict:
         values: np.ndarray = node["values"]
         column_id: str = node["column_id"]
         record = {key: value for key, value in node.items() if key != "values"}
-        paths.append([*path, "values"])
-        if self.ledger is not None and column_id in self.ledger:
+        out.paths.append([*path, "values"])
+        if self.ledger is None:
+            record["values"] = self._encode_array(values, out)
+        elif column_id in out.shipped or column_id in self.ledger:
             record["values"] = {"__ref__": column_id}
-            self.refs_sent += 1
-            self.ref_bytes_saved += _array_wire_bytes(values)
+            out.refs += 1
+            out.ref_bytes_saved += _array_wire_bytes(values)
         else:
-            record["values"] = self._encode_array(values, add_buffer)
-            if self.ledger is not None:
-                self.ledger.remember(column_id, values)
+            record["values"] = self._encode_array(values, out)
+            out.shipped[column_id] = values
         return record
 
-    def _encode_array(self, values: np.ndarray, add_buffer) -> dict:
+    def _encode_array(self, values: np.ndarray, out: SimpleNamespace) -> dict:
         if values.dtype == object:
-            return self._encode_strings(values, add_buffer)
+            return self._encode_strings(values, out)
         contiguous = np.ascontiguousarray(values)
-        index = add_buffer(memoryview(contiguous).cast("B"))
+        out.buffers.append(memoryview(contiguous).cast("B"))
+        index = len(out.buffers) - 1
         return {"__nd__": [index, contiguous.dtype.str, list(values.shape)]}
 
-    def _encode_strings(self, values: np.ndarray, add_buffer) -> dict:
+    def _encode_strings(self, values: np.ndarray, out: SimpleNamespace) -> dict:
         encoded = [str(item).encode("utf-8") for item in values]
         # explicit little-endian offsets: the dtype on the wire must not
         # depend on either machine's native byte order
         offsets = np.zeros(len(encoded) + 1, dtype="<i8")
         for index, part in enumerate(encoded):
             offsets[index + 1] = offsets[index] + len(part)
-        data_index = add_buffer(b"".join(encoded))
-        offsets_index = add_buffer(memoryview(offsets).cast("B"))
-        return {"__sv__": [data_index, offsets_index]}
+        out.buffers.append(b"".join(encoded))
+        out.buffers.append(memoryview(offsets).cast("B"))
+        data_index = len(out.buffers) - 2
+        return {"__sv__": [data_index, data_index + 1]}
 
     # ------------------------------------------------------------------
     # Decode
@@ -350,23 +363,19 @@ def _array_wire_bytes(values: np.ndarray) -> int:
     return values.nbytes
 
 
+_JSON = JsonWireCodec()  # stateless: one instance serves every frame
+
+
 def make_codec(name: str, ledger: ColumnLedger | None = None) -> WireCodec:
     """Codec by name; ``binary`` takes the connection's dedup ledger."""
     if name == "json":
-        return JsonWireCodec()
+        return _JSON
     if name == "binary":
         return BinaryWireCodec(ledger)
     raise ValueError(f"unknown wire codec {name!r} (expected 'json' or 'binary')")
 
 
 def codec_for_id(codec_id: int, binary: BinaryWireCodec) -> WireCodec:
-    """Pick the decode codec a received frame asks for.
-
-    The JSON fallback is stateless, so one shared instance would do; the
-    binary codec is the per-connection one (it owns the dedup ledger).
-    """
-    if codec_id == CODEC_JSON:
-        return JsonWireCodec()
-    if codec_id == CODEC_BINARY:
-        return binary
-    raise ProtocolError(f"unknown codec id {codec_id}")
+    """The codec a received frame names: the connection's binary one (it
+    owns the dedup ledger) or JSON — ``unpack_header`` admits no third."""
+    return binary if codec_id == CODEC_BINARY else _JSON

@@ -16,15 +16,17 @@ encoding (JSON fallback or the zero-copy binary codec) per frame, so one
 connection can mix codecs.
 
 EOF semantics are strict: a connection may close *between* frames (a
-clean shutdown, surfaced as ``None``), but a close in the middle of a
-frame — header or body — raises
-:class:`~repro.service.errors.TruncatedFrameError`, because bytes were
-lost and any in-flight response is unknown.
+clean shutdown), but a close in the middle of a frame — header or body —
+raises :class:`~repro.service.errors.TruncatedFrameError`, because bytes
+were lost and any in-flight response is unknown.
+
+There is one receive side, the sans-I/O :class:`FrameAssembler`: the
+server's connections feed it from the event loop, the thread-based
+client's blocking :func:`recv_frame` from ``recv_into``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import struct
 from dataclasses import dataclass
@@ -46,7 +48,7 @@ __all__ = [
     "unpack_header",
     "recv_frame",
     "send_frame",
-    "read_frame_async",
+    "FrameAssembler",
 ]
 
 #: protocol magic ("EG" in a trenchcoat); rejects JSON peers immediately
@@ -86,7 +88,7 @@ def pack_header(kind: int, codec: int, request_id: int, body_len: int) -> bytes:
     return HEADER.pack(MAGIC, kind, codec, request_id, body_len)
 
 
-def unpack_header(raw: bytes) -> FrameHeader:
+def unpack_header(raw: bytes | memoryview) -> FrameHeader:
     magic, kind, codec, request_id, body_len = HEADER.unpack(raw)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic 0x{magic:04x} (expected 0x{MAGIC:04x})")
@@ -102,41 +104,76 @@ def unpack_header(raw: bytes) -> FrameHeader:
 
 
 # ----------------------------------------------------------------------
+# Sans-I/O receive side (the server's connections, and recv_frame)
+# ----------------------------------------------------------------------
+class FrameAssembler:
+    """Assembles frames out of buffers the caller fills; does no I/O.
+
+    The shape of :class:`asyncio.BufferedProtocol`: :meth:`get_buffer`
+    says where the next received bytes belong, :meth:`buffer_updated`
+    says how many arrived and returns the frame they completed, if any.
+    The header lands in one fixed 12-byte buffer and is validated by
+    :func:`unpack_header` *before* a body buffer exists; the body buffer
+    is exactly ``body_len`` long, so a ``recv_into`` on it never reads
+    into the next frame and a received body is never copied.
+    """
+
+    def __init__(self) -> None:
+        self._header_view = memoryview(bytearray(HEADER.size))
+        #: parsed header of the frame whose body is arriving, if any
+        self._header: FrameHeader | None = None
+        #: the buffer being filled: the header's, or one body's
+        self._target = self._header_view
+        self._filled = 0
+
+    def get_buffer(self) -> memoryview:
+        """The unfilled rest of the header or body being received."""
+        return self._target[self._filled :]
+
+    def buffer_updated(self, nbytes: int) -> tuple[FrameHeader, memoryview] | None:
+        """``nbytes`` arrived in :meth:`get_buffer`'s view; the frame, if
+        they completed one."""
+        self._filled += nbytes
+        if self._filled < len(self._target):
+            return None
+        self._filled = 0
+        header = self._header
+        if header is None:
+            header = unpack_header(self._header_view)
+            if header.body_len == 0:
+                return header, memoryview(b"")
+            self._header = header
+            self._target = memoryview(bytearray(header.body_len))
+            return None
+        body = self._target
+        self._header, self._target = None, self._header_view
+        return header, body.toreadonly()
+
+    def eof(self) -> None:
+        """The peer closed: fine between frames, bytes were lost inside one."""
+        if self._header is None and not self._filled:
+            return
+        part = "header" if self._header is None else "body"
+        raise TruncatedFrameError(
+            f"connection closed after {self._filled} "
+            f"of {len(self._target)} {part} bytes"
+        )
+
+
+# ----------------------------------------------------------------------
 # Blocking socket side (the thread-based client)
 # ----------------------------------------------------------------------
-def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool) -> bytes | None:
-    """Read exactly ``n`` bytes; ``None`` on clean EOF at a frame boundary.
-
-    EOF after a partial read — or anywhere when ``at_boundary`` is false —
-    raises :class:`TruncatedFrameError` instead of masquerading as a
-    clean close.
-    """
-    if n == 0:
-        return b""
-    chunks: list[bytes] = []
-    received = 0
-    while received < n:
-        chunk = sock.recv(n - received)
-        if not chunk:
-            if at_boundary and received == 0:
-                return None
-            raise TruncatedFrameError(
-                f"connection closed after {received} of {n} frame bytes"
-            )
-        chunks.append(chunk)
-        received += len(chunk)
-    return b"".join(chunks)
-
-
 def recv_frame(sock: socket.socket) -> tuple[FrameHeader, memoryview] | None:
     """One frame off a blocking socket; ``None`` on orderly close."""
-    raw = _recv_exact(sock, HEADER.size, at_boundary=True)
-    if raw is None:
-        return None
-    header = unpack_header(raw)
-    body = _recv_exact(sock, header.body_len, at_boundary=False)
-    assert body is not None  # at_boundary=False never returns None
-    return header, memoryview(body)
+    assembler = FrameAssembler()
+    while True:
+        received = sock.recv_into(assembler.get_buffer())
+        if not received:
+            assembler.eof()  # raises when the close cut a frame short
+            return None
+        frame = assembler.buffer_updated(received)
+        if frame is not None:
+            return frame
 
 
 def send_frame(
@@ -164,30 +201,3 @@ def send_frame(
         rest = b"".join(bytes(part) for part in parts)[sent:]
         sock.sendall(rest)
     return total
-
-
-# ----------------------------------------------------------------------
-# Asyncio side (the server)
-# ----------------------------------------------------------------------
-async def read_frame_async(
-    reader: asyncio.StreamReader,
-) -> tuple[FrameHeader, memoryview] | None:
-    """One frame off a stream reader; ``None`` on orderly close."""
-    try:
-        raw = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise TruncatedFrameError(
-            f"connection closed after {len(error.partial)} "
-            f"of {HEADER.size} header bytes"
-        ) from error
-    header = unpack_header(raw)
-    try:
-        body = await reader.readexactly(header.body_len)
-    except asyncio.IncompleteReadError as error:
-        raise TruncatedFrameError(
-            f"connection closed after {len(error.partial)} "
-            f"of {header.body_len} body bytes"
-        ) from error
-    return header, memoryview(body)

@@ -1,34 +1,29 @@
-"""Asyncio transport server: multiplexed frames over one event loop.
+"""Asyncio transport server: one hop per request.
 
 :class:`AsyncTransportServer` serves an :class:`~repro.service.core.EGService`
 (or :class:`~repro.shard.ShardedEGService` — the request surface is
 identical) over the tagged binary frame protocol of
-:mod:`repro.transport.frames`:
+:mod:`repro.transport.frames`.  What runs where (``docs/TRANSPORT.md``,
+"Server and client", has the invariants):
 
-* **Pipelining** — the per-connection read loop decodes frames in
-  arrival order (the dedup ledger requires it) but dispatches each
-  request as its own task; a slow ``commit`` never blocks the ``plan``
-  queued behind it on the same connection.
-* **Multiplexing** — responses carry the request's tag and are written
-  whenever their handler finishes, so they return **out of order**; the
-  per-connection write lock only serializes the physical write (and the
-  encode inside it, which keeps ledger order consistent with frame
-  order).
-* **Admission control** — every request passes the
-  :class:`~repro.transport.admission.AdmissionController` before it
-  touches the service: per-tenant token buckets, then tiered shedding
-  (plan-only traffic first, non-urgent commits second) surfaced as typed
-  errors clients back off on.
+* **The loop thread** receives, decodes, admits and writes.  Each
+  connection is an :class:`asyncio.BufferedProtocol` receiving straight
+  into a :class:`~repro.transport.frames.FrameAssembler` (a body is never
+  copied).  A completed frame is **decoded right there, in arrival
+  order** — the dedup ledger needs that order, admission needs
+  ``op``/``tenant``/``urgent`` — passes the
+  :class:`~repro.transport.admission.AdmissionController` and is handed
+  to the work pool **once**.  A refused request is answered from the loop
+  and never takes a worker.
+* **One work-pool thread** runs the handler (plan/commit take locks,
+  commits wait on the merge worker: no handler ever runs on the loop),
+  then encodes the reply and queues its write under the connection's
+  reply lock, so frames leave in the order they were encoded.
 
-Blocking service calls (plan/commit take locks, commits wait on the
-merge worker) run in a thread pool via ``run_in_executor``; codec work
-runs in a separate small pool so responses can still be serialized while
-every worker is parked inside a commit.  The event loop itself only
-shuffles frames.
-
-The server runs its own event loop in a background thread: ``start()``
-returns the bound address and the blocking clients (and tests) connect
-to it from ordinary threads.
+Requests are **pipelined** and replies carry the request's tag, so they
+return **out of order**.  A peer that stops draining its replies stops
+being *read* until it does.  The event loop runs in a background thread:
+blocking clients (and tests) connect to it from ordinary threads.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ import asyncio
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any
+from typing import Any, Callable
 
 from ..obs.trace import SpanContext, get_tracer
 from ..obs.metrics import MetricsRegistry
@@ -48,8 +43,9 @@ from .frames import (
     HEADER,
     KIND_ERROR,
     KIND_RESPONSE,
+    FrameAssembler,
+    FrameHeader,
     pack_header,
-    read_frame_async,
 )
 from .wire import (
     decode_workload,
@@ -71,12 +67,170 @@ __all__ = ["AsyncTransportServer"]
 #: regression still shows up where the bytes are.
 _CODEC_SPAN_BYTES_FLOOR = 16384
 
+Handler = Callable[[dict[str, Any]], Any]
+Parts = list[bytes | memoryview]
+
 
 def _remote_parent(tc: Any) -> SpanContext | None:
     """The caller's span context from a frame's ``tc`` field, if sound."""
     if isinstance(tc, (list, tuple)) and len(tc) == 2:
         return SpanContext(trace_id=str(tc[0]), span_id=str(tc[1]))
     return None
+
+
+def _error_record(error: BaseException) -> dict[str, Any]:
+    return {
+        "error": type(error).__name__,
+        "message": str(error),
+        "tier": getattr(error, "tier", None),
+    }
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One accepted connection: frames in, in place; replies out, in
+    encode order.  Everything but :meth:`_serve` runs on the loop thread."""
+
+    def __init__(self, server: "AsyncTransportServer"):
+        self._server = server
+        #: None once a protocol error made the rest of the input moot
+        self._assembler: FrameAssembler | None = FrameAssembler()
+        self.binary = BinaryWireCodec(ColumnLedger())
+        #: held across "encode a reply, queue its write": a later frame
+        #: must not reference a column the peer has not received yet
+        self._reply_lock = threading.Lock()
+        #: requests counted in flight here and not yet answered; None
+        #: once no reply can be written any more
+        self._pending: int | None = 0
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        server = self._server
+        with server._connections_lock:
+            server._connections.add(self)
+        server._connections_gauge.inc()
+
+    def get_buffer(self, sizehint: int) -> bytearray | memoryview:
+        if self._assembler is None:
+            return bytearray(65536)  # read and dropped
+        return self._assembler.get_buffer()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._assembler is None:
+            return
+        try:
+            frame = self._assembler.buffer_updated(nbytes)
+            if frame is not None:
+                self._on_frame(*frame)
+        except TransportError:
+            self._server._note_protocol_error()
+            # the peer is owed a FIN, but closing over the input that
+            # exact-size receives left unread would reset the connection:
+            # half-close, and drop what arrives until the peer closes too
+            self._abandon()
+            self._assembler = None
+            self._transport.write_eof()
+
+    def eof_received(self) -> bool:
+        if self._assembler is not None:
+            try:
+                self._assembler.eof()
+            except TransportError:
+                self._server._note_protocol_error()
+        self._abandon()
+        return False  # the transport closes itself
+
+    def pause_writing(self) -> None:
+        # a peer that does not drain its replies stops being read
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._abandon()
+        server = self._server
+        # remove-then-sample: a concurrent wire_stats() may briefly
+        # miss this connection's tail but never double counts
+        with server._connections_lock:
+            server._connections.discard(self)
+        server._dedup_refs.inc(self.binary.refs_sent)
+        server._dedup_saved.inc(self.binary.ref_bytes_saved)
+        server._connections_gauge.dec()
+
+    def _on_frame(self, header: FrameHeader, body: memoryview) -> None:
+        server = self._server
+        server._bytes_total.inc(len(body) + HEADER.size, direction="in")
+        server._frames_total.inc(direction="in")
+        codec = codec_for_id(header.codec, self.binary)
+        message = server._decode(codec, body)
+        if not isinstance(message, dict):
+            raise ProtocolError("request body is not a message")
+        op = str(message.get("op"))
+        self._pending += 1
+        try:
+            handler = server._admit(op, message)
+        except (AdmissionError, ProtocolError) as error:
+            # a refusal takes no worker; with no array leaf it touches no
+            # ledger state, so it needs neither the reply lock nor the queue
+            self._write(
+                server._encode(
+                    codec, KIND_ERROR, header.request_id, _error_record(error)
+                )
+            )
+        else:
+            server._work_pool.submit(
+                self._serve, header.request_id, codec, op, handler, message
+            )
+
+    def _serve(
+        self,
+        request_id: int,
+        codec: WireCodec,
+        op: str,
+        handler: Handler,
+        message: dict[str, Any],
+    ) -> None:
+        """Handle one admitted request and encode its reply (work pool)."""
+        server = self._server
+        try:
+            try:
+                kind, reply = KIND_RESPONSE, server._run_handler(op, handler, message)
+            except BaseException as error:  # noqa: BLE001 - it all maps onto the wire
+                kind, reply = KIND_ERROR, _error_record(error)
+            with self._reply_lock:
+                try:
+                    frame = server._encode(codec, kind, request_id, reply)
+                except Exception as error:  # noqa: BLE001 - the codec refused it
+                    frame = server._encode(
+                        codec, KIND_ERROR, request_id, _error_record(error)
+                    )
+                try:
+                    # queued inside the lock: the loop runs callbacks FIFO,
+                    # so write order is encode order
+                    server._loop.call_soon_threadsafe(self._write, frame)
+                except RuntimeError:
+                    pass  # stop() closed the loop, after settling the count
+        except Exception:  # noqa: BLE001 - or it would vanish into the pool's future
+            logger.exception("transport worker failed on request %d", request_id)
+
+    def _write(self, frame: Parts) -> None:
+        if self._pending is None:
+            return  # the reply is dropped; _abandon settled the count
+        # settle first: whoever reads this reply finds it already counted
+        server = self._server
+        server._bytes_total.inc(encoded_size(frame), direction="out")
+        server._frames_total.inc(direction="out")
+        self._pending -= 1
+        server._requests_finished(1)
+        # part by part: writelines() would join, copying every column
+        for part in frame:
+            self._transport.write(part)
+
+    def _abandon(self) -> None:
+        """No reply can be written any more: settle what is in flight."""
+        if self._pending is not None:
+            self._server._requests_finished(self._pending)
+            self._pending = None
 
 
 class AsyncTransportServer:
@@ -104,26 +258,19 @@ class AsyncTransportServer:
             self.admission = AdmissionController(
                 admission, headroom=getattr(service, "queue_headroom", None)
             )
-        #: handlers that hit the (blocking) service
+        #: one hop per admitted request: its handler (which may block in
+        #: the service) and the encode of its reply
         self._work_pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="eg-transport-work"
-        )
-        #: encode/decode only — kept separate so responses still flow when
-        #: every work thread is parked inside a merge
-        self._codec_pool = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="eg-transport-codec"
         )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
         self._inflight = 0
-        self._connection_tasks: set[asyncio.Task] = set()
-        #: per-connection codecs still open — wire_stats() folds their
-        #: dedup counters in live, so reads never race connection teardown
-        self._live_codecs: set[BinaryWireCodec] = set()
-        self._live_codecs_lock = threading.Lock()
+        #: open connections — wire_stats() folds their codecs' dedup
+        #: counters in live, so reads never race connection teardown
+        self._connections: set[_Connection] = set()
+        self._connections_lock = threading.Lock()
 
         registry = (
             metrics_registry
@@ -173,14 +320,21 @@ class AsyncTransportServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> tuple[str, int]:
-        """Start the event loop thread and begin serving; returns the address."""
+        """Bind (a failure raises here), then serve from the event loop
+        thread; returns the address."""
+        loop = self._loop = asyncio.new_event_loop()
+        try:
+            self._server = loop.run_until_complete(
+                loop.create_server(lambda: _Connection(self), self._host, self._port)
+            )
+        except BaseException:
+            loop.close()
+            raise
+        self._port = self._server.sockets[0].getsockname()[1]
         self._thread = threading.Thread(
-            target=self._run_loop, name="eg-transport-loop", daemon=True
+            target=self._run_loop, args=(loop,), name="eg-transport-loop", daemon=True
         )
         self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
         return self.address
 
     @property
@@ -190,12 +344,11 @@ class AsyncTransportServer:
     def stop(self) -> None:
         """Close the listener and every connection, then stop the loop."""
         loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(lambda: asyncio.ensure_future(self._shutdown()))
+        if loop is not None and not loop.is_closed():
+            loop.call_soon_threadsafe(self._shutdown, loop)
         if self._thread is not None:
             self._thread.join(timeout=10.0)
         self._work_pool.shutdown(wait=False)
-        self._codec_pool.shutdown(wait=False)
 
     def __enter__(self) -> "AsyncTransportServer":
         self.start()
@@ -204,180 +357,40 @@ class AsyncTransportServer:
     def __exit__(self, *_exc: object) -> None:
         self.stop()
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
+    def _run_loop(self, loop: asyncio.AbstractEventLoop) -> None:
         asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            server = loop.run_until_complete(
-                asyncio.start_server(self._serve_connection, self._host, self._port)
-            )
-        except BaseException as error:  # noqa: BLE001 - surfaced to start()
-            self._startup_error = error
-            self._started.set()
-            loop.close()
-            return
-        self._server = server
-        self._port = server.sockets[0].getsockname()[1]
-        self._started.set()
         try:
             loop.run_forever()
         finally:
-            # drain cancelled tasks so debug mode sees everything awaited
-            tasks = [task for task in asyncio.all_tasks(loop) if not task.done()]
+            # an accept caught half-way by stop() is the only task there
+            # can be: cancel it so debug mode sees everything awaited
+            tasks = asyncio.all_tasks(loop)
             for task in tasks:
                 task.cancel()
             if tasks:
                 loop.run_until_complete(
                     asyncio.gather(*tasks, return_exceptions=True)
                 )
-            loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
 
-    async def _shutdown(self) -> None:
+    def _shutdown(self, loop: asyncio.AbstractEventLoop) -> None:
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
-        loop = asyncio.get_running_loop()
-        loop.stop()
+        for connection in list(self._connections):
+            connection._transport.abort()
+        # abort() queued every connection_lost; stop once they have run,
+        # so a handler that finishes later finds its request settled
+        loop.call_soon(loop.stop)
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Request path (the loop thread owns the counters: plain ints are safe)
     # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-            task.add_done_callback(self._connection_tasks.discard)
-        binary = BinaryWireCodec(ColumnLedger())
-        with self._live_codecs_lock:
-            self._live_codecs.add(binary)
-        write_lock = asyncio.Lock()
-        pending: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
-        self._connections_gauge.inc()
-        try:
-            while True:
-                frame = await read_frame_async(reader)
-                if frame is None:
-                    break
-                header, body = frame
-                self._bytes_total.inc(len(body) + HEADER.size, direction="in")
-                self._frames_total.inc(direction="in")
-                codec = codec_for_id(header.codec, binary)
-                # decode stays in arrival order (awaited before the next
-                # read) — the dedup ledger requires it; the codec pool
-                # keeps the byte-crunching off the event loop
-                message = await loop.run_in_executor(
-                    self._codec_pool, self._decode, codec, body
-                )
-                request_task = asyncio.create_task(
-                    self._handle_request(header, message, codec, writer, write_lock)
-                )
-                pending.add(request_task)
-                request_task.add_done_callback(pending.discard)
-        except (TransportError, ProtocolError):
-            self._protocol_errors.inc()
-            logger.warning(
-                "transport connection dropped on protocol error", exc_info=True
-            )
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown: exit quietly, cleanup runs below
-        finally:
-            for request_task in pending:
-                request_task.cancel()
-            try:
-                if pending:
-                    await asyncio.gather(*pending, return_exceptions=True)
-            except asyncio.CancelledError:
-                pass  # double-cancel during loop teardown
-            # remove-then-sample: a concurrent wire_stats() may briefly
-            # miss this connection's tail but never double counts
-            with self._live_codecs_lock:
-                self._live_codecs.discard(binary)
-            self._dedup_refs.inc(binary.refs_sent)
-            self._dedup_saved.inc(binary.ref_bytes_saved)
-            self._connections_gauge.dec()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (
-                asyncio.CancelledError,
-                ConnectionResetError,
-                BrokenPipeError,
-                OSError,
-            ):
-                pass
-
-    async def _handle_request(
-        self,
-        header,
-        message: dict[str, Any],
-        codec: WireCodec,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        op = str(message.get("op"))
+    def _admit(self, op: str, message: dict[str, Any]) -> Handler:
+        """Count the request in flight, pass admission, find its handler."""
         self._requests_total.inc(op=op)
-        # the loop is single-threaded: plain int arithmetic is safe here
         self._inflight += 1
         self._inflight_gauge.set(self._inflight)
         self._inflight_peak.set_max(self._inflight)
-        loop = asyncio.get_running_loop()
-        try:
-            try:
-                self._admit(op, message)
-                handler = None
-                if self.shard_bridge is not None:
-                    handler = self.shard_bridge.handlers.get(op)
-                if handler is None:
-                    handler = getattr(self, f"_op_{op.replace('.', '_')}", None)
-                if handler is None:
-                    raise ProtocolError(f"unknown op {op!r}")
-                result = await loop.run_in_executor(
-                    self._work_pool, self._run_handler, op, handler, message
-                )
-            except asyncio.CancelledError:
-                raise
-            except BaseException as error:  # noqa: BLE001 - every error maps onto the wire
-                if isinstance(error, AdmissionError):
-                    # a shed request never reaches _run_handler, so no
-                    # span exists for it; emit a synthetic finished one
-                    # ("tc" is still in the message — only the handler
-                    # path pops it) so the flight recorder tail-keeps
-                    # the client's whole trace
-                    self._record_shed_span(op, message, error)
-                await self._send(
-                    writer,
-                    write_lock,
-                    codec,
-                    KIND_ERROR,
-                    header.request_id,
-                    {
-                        "error": type(error).__name__,
-                        "message": str(error),
-                        "tier": getattr(error, "tier", None),
-                    },
-                )
-                return
-            await self._send(
-                writer, write_lock, codec, KIND_RESPONSE, header.request_id, result
-            )
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # peer went away; nothing to answer to
-        finally:
-            self._inflight -= 1
-            self._inflight_gauge.set(self._inflight)
-
-    def _admit(self, op: str, message: dict[str, Any]) -> None:
         tenant = str(message.get("tenant") or message.get("session_id") or "anonymous")
         try:
             self.admission.admit(
@@ -388,50 +401,33 @@ class AsyncTransportServer:
             )
         except AdmissionError as error:
             self._shed_total.inc(tier=str(error.tier))
+            # no span exists for a request that never reaches a handler:
+            # finish a synthetic one (never entered — this is the loop
+            # thread; "tc" is still in the message) so the flight recorder
+            # tail-keeps the client's whole trace
+            get_tracer().span(
+                "transport.shed",
+                parent=_remote_parent(message.get("tc")),
+                op=op,
+                tier=str(error.tier),
+                error=type(error).__name__,
+            ).finish()
             raise
+        bridged = self.shard_bridge.handlers if self.shard_bridge is not None else {}
+        handler = bridged.get(op) or getattr(self, f"_op_{op.replace('.', '_')}", None)
+        if handler is None:
+            raise ProtocolError(f"unknown op {op!r}")
+        return handler
 
-    def _record_shed_span(
-        self, op: str, message: dict[str, Any], error: AdmissionError
-    ) -> None:
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return
-        # created and finished without ever being entered: it runs on the
-        # event loop thread and must not touch its span stack
-        tracer.span(
-            "transport.shed",
-            parent=_remote_parent(message.get("tc")),
-            op=op,
-            tier=str(error.tier),
-            error=type(error).__name__,
-        ).finish()
+    def _requests_finished(self, count: int) -> None:
+        self._inflight -= count
+        self._inflight_gauge.set(self._inflight)
 
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        codec: WireCodec,
-        kind: int,
-        request_id: int,
-        message: dict[str, Any],
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        # encode under the write lock: ledger updates must land in frame
-        # order, or a later frame could reference a column the peer has
-        # not received yet
-        async with write_lock:
-            parts = await loop.run_in_executor(
-                self._codec_pool, self._encode, codec, message
-            )
-            body_len = encoded_size(parts)
-            writer.write(pack_header(kind, codec.codec_id, request_id, body_len))
-            for part in parts:
-                writer.write(part)
-            self._bytes_total.inc(body_len + HEADER.size, direction="out")
-            self._frames_total.inc(direction="out")
-            await writer.drain()
+    def _note_protocol_error(self) -> None:
+        self._protocol_errors.inc()
+        logger.warning("transport connection dropped on protocol error", exc_info=True)
 
-    def _run_handler(self, op: str, handler, message: dict[str, Any]) -> Any:
+    def _run_handler(self, op: str, handler: Handler, message: dict[str, Any]) -> Any:
         # one span per dispatched request, on the work-pool thread, so
         # service spans (plan/commit/merge) nest under it and the glue —
         # workload DAG rebuild, payload decode — shows up attributed
@@ -447,20 +443,24 @@ class AsyncTransportServer:
     def _decode(self, codec: WireCodec, body: memoryview) -> Any:
         if len(body) < _CODEC_SPAN_BYTES_FLOOR:
             return codec.decode(body)
+        # finished, never entered: the loop thread's span stack stays empty
         span = get_tracer().span("transport.decode", codec=codec.name, bytes=len(body))
         try:
             return codec.decode(body)
         finally:
             span.finish()
 
-    def _encode(self, codec: WireCodec, message: Any) -> list[bytes | memoryview]:
+    def _encode(
+        self, codec: WireCodec, kind: int, request_id: int, message: Any
+    ) -> Parts:
+        """One reply frame: its header, then the body parts."""
         span = get_tracer().span("transport.encode", codec=codec.name)
         parts = codec.encode(message)
         size = encoded_size(parts)
         if size >= _CODEC_SPAN_BYTES_FLOOR:
             span.set_attribute("bytes", size)
             span.finish()
-        return parts
+        return [pack_header(kind, codec.codec_id, request_id, size), *parts]
 
     # ------------------------------------------------------------------
     # Request handlers (run on the work pool, never on the loop)
@@ -531,9 +531,10 @@ class AsyncTransportServer:
     # ------------------------------------------------------------------
     def wire_stats(self) -> dict[str, float]:
         """Point-in-time transport counters (bytes, frames, sheds, dedup)."""
-        with self._live_codecs_lock:
-            live_refs = sum(codec.refs_sent for codec in self._live_codecs)
-            live_saved = sum(codec.ref_bytes_saved for codec in self._live_codecs)
+        with self._connections_lock:
+            codecs = [connection.binary for connection in self._connections]
+        live_refs = sum(codec.refs_sent for codec in codecs)
+        live_saved = sum(codec.ref_bytes_saved for codec in codecs)
         return {
             "bytes_in": self._bytes_total.value(direction="in"),
             "bytes_out": self._bytes_total.value(direction="out"),

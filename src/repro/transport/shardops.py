@@ -68,11 +68,6 @@ class ShardCommitSequencer:
         self._cv = threading.Condition()
         self._next = start
 
-    @property
-    def next_expected(self) -> int:
-        with self._cv:
-            return self._next
-
     def run(self, seq: int, fn: Callable[[], Any]) -> Any:
         with self._cv:
             while seq > self._next:

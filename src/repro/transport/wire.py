@@ -29,7 +29,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..dataframe import Column, DataFrame
+from ..dataframe import Column, DataFrame, dtype_name
 from ..eg.graph import EGVertex
 from ..eg.storage import StorageTier
 from ..graph.artifacts import ArtifactMeta, ArtifactType
@@ -100,7 +100,7 @@ def encode_payload(payload: Any) -> dict[str, Any] | None:
             columns.append(
                 {
                     "name": name,
-                    "dtype": str(values.dtype),
+                    "dtype": dtype_name(values.dtype),
                     "column_id": column.column_id,
                     "values": values,
                 }
@@ -111,7 +111,7 @@ def encode_payload(payload: Any) -> dict[str, Any] | None:
             return None
         return {
             "kind": "ndarray",
-            "dtype": str(payload.dtype),
+            "dtype": dtype_name(payload.dtype),
             "shape": list(payload.shape),
             "values": payload.ravel(),
         }
@@ -168,9 +168,15 @@ def decode_payload(obj: dict[str, Any] | None) -> Any:
 def _encode_meta(meta: ArtifactMeta | None) -> dict[str, Any] | None:
     if meta is None:
         return None
-    record = asdict(meta)
-    record["artifact_type"] = meta.artifact_type.value
-    return record
+    # spelled out: ``asdict`` would deep-copy both per-column dicts leaf by leaf
+    return {
+        "artifact_type": meta.artifact_type.value,
+        "schema": meta.schema,
+        "column_ids": meta.column_ids,
+        "quality": meta.quality,
+        "model_type": meta.model_type,
+        "warmstartable": meta.warmstartable,
+    }
 
 
 def _decode_meta(obj: dict[str, Any] | None) -> ArtifactMeta | None:
@@ -191,7 +197,10 @@ class _WireOperation(Operation):
     def __init__(
         self, name: str, return_type: ArtifactType, params: dict, op_hash: str
     ):
-        super().__init__(name, return_type, params)
+        # no Operation.__init__: the hash that crossed the wire *is* the identity
+        self.name = name
+        self.return_type = return_type
+        self.params = dict(params or {})
         self.op_hash = op_hash
 
     def run(self, underlying_data: Any) -> Any:
@@ -204,7 +213,7 @@ def encode_workload(dag: WorkloadDAG, include_payloads: bool) -> dict[str, Any]:
 
     Keys are single characters: a plan re-ships the full workload
     structure every round, and on structure-heavy messages the key text
-    is a third of the meta JSON the codec pool has to parse.
+    is a third of the meta JSON the receiver has to parse.
     """
     vertices = []
     for vertex in dag.vertices():

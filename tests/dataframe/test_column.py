@@ -9,6 +9,7 @@ from repro.dataframe.column import (
     Column,
     combine_column_ids,
     derive_column_id,
+    dtype_name,
     fresh_column_id,
 )
 from repro.dataframe.frame import DataFrame
@@ -226,3 +227,17 @@ class TestNbytesMemo:
         assert old.nbytes == 6 + modern.values.nbytes
         assert old.rename("t").nbytes == old.nbytes
         assert Counted.walks == 3
+
+
+class TestDtypeName:
+    @pytest.mark.parametrize(
+        "spec", ["<f8", ">f8", "<i4", ">i8", "?", "O", "<U5", "<M8[ns]", "<m8[s]", "<f4"]
+    )
+    def test_is_str_of_the_dtype(self, spec):
+        dtype = np.dtype(spec)
+        assert dtype_name(dtype) == str(dtype)
+        assert dtype_name(np.dtype(spec)) == str(dtype)  # an equal, distinct object
+
+    def test_byte_orders_and_units_stay_apart(self):
+        assert dtype_name(np.dtype(">f8")) != dtype_name(np.dtype("<f8"))
+        assert dtype_name(np.dtype("<M8[s]")) != dtype_name(np.dtype("<M8[ns]"))

@@ -130,6 +130,33 @@ class TestTracerSurface:
         spans = tracer.spans_for_trace(keep.trace_id)
         assert {s.name for s in spans} == {"keep", "keep.child"}
 
+    def test_spans_for_trace_follows_the_ring_as_it_rolls_over(self):
+        # the per-trace index must answer exactly what a scan of the
+        # ring would, while interleaved traces fall off it span by span
+        tracer = Tracer(keep_last=5)
+        roots = [tracer.span(f"root{i}") for i in range(3)]
+        for step in range(12):
+            root = roots[step % 3]
+            tracer.span(f"{root.name}.{step}", parent=root).finish()
+            ring = tracer.finished_spans()
+            assert len(ring) == min(step + 1, 5)
+            for candidate in roots:
+                expected = [s for s in ring if s.trace_id == candidate.trace_id]
+                assert tracer.spans_for_trace(candidate.trace_id) == expected
+        assert tracer.spans_for_trace("no-such-trace") == []
+        # a trace whose last span left the ring leaves the index too
+        for _ in range(5):
+            tracer.span("filler", parent=roots[0]).finish()
+        assert set(tracer._by_trace) == {roots[0].trace_id}
+
+    def test_a_ringless_tracer_indexes_nothing(self):
+        tracer = Tracer(keep_last=0)
+        span = tracer.span("s")
+        span.finish()
+        assert tracer.finished_spans() == []
+        assert tracer.spans_for_trace(span.trace_id) == []
+        assert tracer._by_trace == {}
+
     def test_sink_errors_are_swallowed(self):
         class Bomb:
             def on_span(self, span):

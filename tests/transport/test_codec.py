@@ -129,6 +129,19 @@ class TestBinaryRoundtrip:
         assert decoded["nested"]["list"] == [1, 2.5, None, True, "s"]
         assert decoded["nested"]["np"] == 3.5
 
+    def test_numpy_scalars_collapse_wherever_they_sit(self):
+        # the encoder passes exact-type leaves through inline; everything
+        # else — numpy scalars subclass float/int — still collapses
+        message = {
+            "a": [1, 2.5, "s", None, True, np.float64(0.5), np.int32(3), np.bool_(True)],
+            "b": {"c": (np.float32(1.0), [np.arange(3)])},
+        }
+        decoded = roundtrip(message)
+        assert decoded["a"] == [1, 2.5, "s", None, True, 0.5, 3, True]
+        assert all(type(x) in (int, float, str, type(None), bool) for x in decoded["a"])
+        assert decoded["b"]["c"][0] == 1.0
+        np.testing.assert_array_equal(decoded["b"]["c"][1][0], np.arange(3))
+
     def test_noncontiguous_arrays_are_made_contiguous(self):
         values = np.arange(20.0)[::2]
         decoded = roundtrip({"x": values})["x"]
@@ -183,6 +196,43 @@ class TestDedup:
         assert b.refs_sent == 1
         decoded = a.decode(memoryview(b"".join(bytes(p) for p in reply)))
         np.testing.assert_array_equal(decoded["c"]["values"], np.arange(64.0))
+
+
+    def test_a_column_repeated_inside_one_message_ships_once(self):
+        sender = BinaryWireCodec(ColumnLedger())
+        receiver = BinaryWireCodec(ColumnLedger())
+        frame = sender.encode({"a": self.record(), "b": [self.record()]})
+        assert sender.refs_sent == 1
+        out = receiver.decode(memoryview(b"".join(bytes(p) for p in frame)))
+        assert out["a"]["values"] is out["b"][0]["values"]
+
+    def test_a_failed_encode_leaves_ledger_and_counters_untouched(self):
+        # the walk reaches both columns before json.dumps meets the
+        # estimator-like leaf; nothing of this message left, so the
+        # ledger must not name its columns
+        ledger = ColumnLedger()
+        sender = BinaryWireCodec(ledger)
+        sender.encode({"c": self.record("known")})
+        bad = {
+            "c": self.record("known"),
+            "d": self.record("fresh"),
+            "params": {"estimator": object()},
+        }
+        with pytest.raises(TypeError):
+            sender.encode(bad)
+        assert len(ledger) == 1 and "fresh" not in ledger
+        assert (sender.refs_sent, sender.ref_bytes_saved) == (0, 0)
+
+        # the retry ships the bytes, and a fresh-ledger peer that saw
+        # only successful frames resolves everything
+        receiver = BinaryWireCodec(ColumnLedger())
+        receiver.ledger.remember("known", np.arange(64.0))
+        del bad["params"]
+        retry = sender.encode(bad)
+        assert sender.refs_sent == 1  # "known" only
+        out = receiver.decode(memoryview(b"".join(bytes(p) for p in retry)))
+        np.testing.assert_array_equal(out["d"]["values"], np.arange(64.0))
+        assert "fresh" in ledger
 
 
 class TestMalformedBodies:

@@ -1,6 +1,5 @@
-"""Frame layer: header codec, blocking I/O, async I/O, EOF semantics."""
+"""Frame layer: header codec, blocking I/O, the sans-I/O assembler, EOF semantics."""
 
-import asyncio
 import socket
 import struct
 
@@ -18,7 +17,7 @@ from repro.transport.frames import (
     MAGIC,
     MAX_FRAME_BYTES,
     pack_header,
-    read_frame_async,
+    FrameAssembler,
     recv_frame,
     send_frame,
     unpack_header,
@@ -114,42 +113,131 @@ class TestBlockingFrames:
             ours.close()
 
 
-def _drain_reader(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return reader
+def _feed(assembler: FrameAssembler, data: bytes, chunk: int | None = None) -> list:
+    """Deliver ``data`` the way a transport would: into ``get_buffer()``'s
+    view, at most ``chunk`` bytes a time; the frames it completed."""
+    frames = []
+    view = memoryview(data)
+    while view:
+        buffer = assembler.get_buffer()
+        assert len(buffer) > 0  # asyncio refuses an empty receive buffer
+        n = min(len(buffer), len(view), chunk or len(view))
+        buffer[:n] = view[:n]
+        view = view[n:]
+        frame = assembler.buffer_updated(n)
+        if frame is not None:
+            frames.append(frame)
+    return frames
 
 
 class TestAsyncFrames:
-    def test_roundtrip(self):
-        async def scenario():
-            raw = pack_header(KIND_RESPONSE, CODEC_JSON, 3, 4) + b"body"
-            frame = await read_frame_async(_drain_reader(raw))
-            assert frame is not None
-            header, body = frame
-            assert header.request_id == 3
-            assert bytes(body) == b"body"
+    """The server's receive side: :class:`FrameAssembler`."""
 
-        asyncio.run(scenario())
+    def test_roundtrip(self):
+        assembler = FrameAssembler()
+        raw = pack_header(KIND_RESPONSE, CODEC_JSON, 3, 4) + b"body"
+        [(header, body)] = _feed(assembler, raw)
+        assert header.request_id == 3
+        assert bytes(body) == b"body"
+        assert body.readonly
+        assembler.eof()  # between frames: a clean close
 
     def test_clean_eof_is_none(self):
-        async def scenario():
-            assert await read_frame_async(_drain_reader(b"")) is None
-
-        asyncio.run(scenario())
+        assert FrameAssembler().eof() is None
 
     def test_truncated_header_raises(self):
-        async def scenario():
-            with pytest.raises(TruncatedFrameError):
-                await read_frame_async(_drain_reader(b"\xe6"))
-
-        asyncio.run(scenario())
+        assembler = FrameAssembler()
+        assert _feed(assembler, b"\xe6") == []
+        with pytest.raises(TruncatedFrameError, match="1 of 12 header"):
+            assembler.eof()
 
     def test_truncated_body_raises(self):
-        async def scenario():
-            raw = pack_header(KIND_REQUEST, CODEC_JSON, 1, 50) + b"partial"
-            with pytest.raises(TruncatedFrameError):
-                await read_frame_async(_drain_reader(raw))
+        assembler = FrameAssembler()
+        raw = pack_header(KIND_REQUEST, CODEC_JSON, 1, 50) + b"partial"
+        assert _feed(assembler, raw) == []
+        with pytest.raises(TruncatedFrameError, match="7 of 50 body"):
+            assembler.eof()
 
-        asyncio.run(scenario())
+
+class TestAssemblerDeliveries:
+    """However the bytes are cut up, the same frames come out."""
+
+    def test_header_across_two_reads_body_in_three(self):
+        assembler = FrameAssembler()
+        raw = pack_header(KIND_REQUEST, CODEC_BINARY, 9, 9) + b"abcdefghi"
+        assert _feed(assembler, raw[:5]) == []
+        assert _feed(assembler, raw[5:15]) == []  # rest of header + 3 of body
+        assert _feed(assembler, raw[15:18]) == []
+        [(header, body)] = _feed(assembler, raw[18:])
+        assert (header.request_id, header.body_len) == (9, 9)
+        assert bytes(body) == b"abcdefghi"
+
+    @pytest.mark.parametrize("chunk", [1, 5, 13, None])
+    def test_two_frames_in_one_burst(self, chunk):
+        assembler = FrameAssembler()
+        raw = (
+            pack_header(KIND_REQUEST, CODEC_JSON, 1, 3)
+            + b"one"
+            + pack_header(KIND_ERROR, CODEC_BINARY, 2, 5)
+            + b"two!!"
+        )
+        frames = _feed(assembler, raw, chunk)
+        assert [(h.request_id, h.kind, bytes(b)) for h, b in frames] == [
+            (1, KIND_REQUEST, b"one"),
+            (2, KIND_ERROR, b"two!!"),
+        ]
+        assembler.eof()
+
+    def test_a_receive_never_reads_past_its_frame(self):
+        assembler = FrameAssembler()
+        assert len(assembler.get_buffer()) == HEADER.size
+        _feed(assembler, pack_header(KIND_REQUEST, CODEC_JSON, 1, 7))
+        assert len(assembler.get_buffer()) == 7
+        _feed(assembler, b"1234")
+        assert len(assembler.get_buffer()) == 3
+
+    def test_zero_length_body_completes_on_the_header(self):
+        assembler = FrameAssembler()
+        raw = pack_header(KIND_RESPONSE, CODEC_JSON, 4, 0)
+        first, second = _feed(assembler, raw * 2)
+        for header, body in (first, second):
+            assert header.request_id == 4 and bytes(body) == b""
+        assert len(assembler.get_buffer()) == HEADER.size
+
+    def test_oversize_length_refused_before_allocation(self, monkeypatch):
+        import repro.transport.frames as frames
+
+        allocated = []
+        real = bytearray
+
+        class Recording(real):
+            def __init__(self, *args):
+                allocated.append(args)
+                super().__init__(*args)
+
+        assembler = FrameAssembler()
+        monkeypatch.setattr(frames, "bytearray", Recording, raising=False)
+        raw = HEADER.pack(MAGIC, KIND_REQUEST, CODEC_JSON, 1, MAX_FRAME_BYTES + 1)
+        with pytest.raises(FrameTooLargeError):
+            _feed(assembler, raw)
+        assert allocated == []
+
+    @pytest.mark.parametrize(
+        "raw, error",
+        [
+            (HEADER.pack(0x1234, KIND_REQUEST, CODEC_JSON, 1, 0), "magic"),
+            (HEADER.pack(MAGIC, 9, CODEC_JSON, 1, 0), "kind"),
+            (HEADER.pack(MAGIC, KIND_REQUEST, 9, 1, 0), "codec"),
+        ],
+    )
+    def test_header_checks_apply(self, raw, error):
+        with pytest.raises(ProtocolError, match=error):
+            _feed(FrameAssembler(), raw)
+
+    def test_eof_mid_header_and_mid_body(self):
+        raw = pack_header(KIND_REQUEST, CODEC_JSON, 1, 4) + b"body"
+        for cut in range(1, len(raw)):
+            assembler = FrameAssembler()
+            assert _feed(assembler, raw[:cut]) == []
+            with pytest.raises(TruncatedFrameError):
+                assembler.eof()

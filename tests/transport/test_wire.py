@@ -90,6 +90,49 @@ class TestWorkloadCodec:
         assert decoded.vertex(src).data is None
 
 
+    def test_meta_record_is_asdict_without_the_copies(self):
+        from dataclasses import asdict
+
+        from repro.graph.artifacts import ArtifactMeta, ArtifactType, artifact_meta
+        from repro.transport.wire import _decode_meta, _encode_meta
+
+        metas = [
+            artifact_meta(DataFrame({"x": np.arange(3.0), "s": np.array(["a"] * 3, object)})),
+            artifact_meta(LogisticRegression()).with_quality(0.75),
+            ArtifactMeta(artifact_type=ArtifactType.AGGREGATE),
+        ]
+        for meta in metas:
+            record = _encode_meta(meta)
+            expected = {**asdict(meta), "artifact_type": meta.artifact_type.value}
+            # same keys in the same order: the JSON bytes are unchanged
+            assert list(record.items()) == list(expected.items())
+            assert record["column_ids"] is meta.column_ids  # not copied
+            assert _decode_meta(record) == meta
+        assert _encode_meta(None) is None
+
+    def test_decoded_operations_carry_the_hash_and_compute_none(self, monkeypatch):
+        import repro.graph.operations as operations
+
+        dag = WorkloadDAG()
+        src = dag.add_source("src", payload=DataFrame({"x": np.arange(4.0)}))
+        step = dag.add_operation([src], Step(0))
+        encoded = encode_workload(dag, include_payloads=False)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a decoded operation's hash is carried, not computed")
+
+        monkeypatch.setattr(operations, "operation_hash", refuse)
+        operation = decode_workload(encoded).incoming_operation(step)
+        original = dag.incoming_operation(step)
+        assert (operation.name, operation.return_type, operation.params) == (
+            original.name,
+            original.return_type,
+            original.params,
+        )
+        assert operation.op_hash == original.op_hash
+        assert operation.params is not encoded["e"][0]["op"]["p"]
+
+
 class TestLoadRecord:
     def _eg_with(self, payload):
         dag = WorkloadDAG()
