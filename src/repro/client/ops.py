@@ -531,17 +531,10 @@ class FitTransformOp(DataOperation):
             )
             y = None
         transformer = clone(self._transformer)
-        if isinstance(X_payload, DataFrame) and any(
-            X_payload.column(c).dtype == object for c in X_payload.columns
-        ):
-            # text input (e.g. CountVectorizer over a single string column)
-            raw = X_payload.values(X_payload.columns[0])
-            matrix = transformer.fit_transform(raw)
-        else:
-            X = _extract_matrix(X_payload)
-            matrix = (
-                transformer.fit_transform(X, y) if y is not None else transformer.fit_transform(X)
-            )
+        X = _extract_matrix(X_payload)
+        matrix = (
+            transformer.fit_transform(X, y) if y is not None else transformer.fit_transform(X)
+        )
         return matrix_to_frame(matrix, self.params["prefix"], self.op_hash, X_payload)
 
 
@@ -553,13 +546,7 @@ class TransformOp(DataOperation):
 
     def run(self, underlying_data: Any) -> DataFrame:
         model, X_payload = underlying_data
-        if isinstance(X_payload, DataFrame) and any(
-            X_payload.column(c).dtype == object for c in X_payload.columns
-        ):
-            raw = X_payload.values(X_payload.columns[0])
-            matrix = model.transform(raw)
-        else:
-            matrix = model.transform(_extract_matrix(X_payload))
+        matrix = model.transform(_extract_matrix(X_payload))
         return matrix_to_frame(matrix, self.params["prefix"], self.op_hash, X_payload)
 
 

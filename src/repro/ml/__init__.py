@@ -1,67 +1,24 @@
 """From-scratch ML substrate (scikit-learn replacement).
 
-Every estimator follows the fit/predict/transform protocol of
-:mod:`repro.ml.base`; estimators flagged ``supports_warm_start`` can resume
-training from a prior model, which is what the optimizer's warmstarting
-exploits.
+Exactly the estimators the reproduced workloads train — LR / RF / GBT and
+grid / random search (Kaggle, Table 1), scaler → selector → model pipelines
+(OpenML) — and nothing kept "for completeness":
+``tests/ml/test_substrate.py`` fails on any definition no workload, example
+or benchmark reaches.  Every estimator follows the fit/predict/transform
+protocol of :mod:`repro.ml.base`; estimators flagged ``supports_warm_start``
+can resume training from a prior model, which is what the optimizer's
+warmstarting exploits.
 """
 
 from .base import BaseEstimator, ClassifierMixin, TransformerMixin, clone
-from .decomposition import PCA, TruncatedSVD
 from .ensemble import GradientBoostingClassifier, RandomForestClassifier
-from .feature_extraction import CountVectorizer, HashingVectorizer, TfidfVectorizer
-from .feature_selection import (
-    SelectKBest,
-    VarianceThreshold,
-    chi2,
-    f_classif,
-    mutual_info_classif,
-)
-from .boosting import AdaBoostClassifier
-from .cluster import KMeans
-from .linear import (
-    Lasso,
-    LinearRegression,
-    LinearSVC,
-    LogisticRegression,
-    Ridge,
-    SGDClassifier,
-)
-from .metrics import (
-    accuracy_score,
-    precision_recall_curve,
-    roc_curve,
-    confusion_matrix,
-    f1_score,
-    log_loss,
-    mean_absolute_error,
-    mean_squared_error,
-    precision_score,
-    r2_score,
-    recall_score,
-    roc_auc_score,
-)
-from .model_selection import (
-    GridSearchCV,
-    KFold,
-    RandomizedSearchCV,
-    StratifiedKFold,
-    cross_val_score,
-    train_test_split,
-)
+from .feature_selection import SelectKBest, f_classif
+from .linear import LogisticRegression
+from .metrics import accuracy_score, r2_score, roc_auc_score
+from .model_selection import GridSearchCV, KFold, RandomizedSearchCV, cross_val_score
 from .naive_bayes import GaussianNB
 from .neighbors import KNeighborsClassifier
-from .pipeline import FeatureUnion, Pipeline, make_pipeline
-from .preprocessing import (
-    Binarizer,
-    LabelEncoder,
-    MinMaxScaler,
-    OneHotEncoder,
-    PolynomialFeatures,
-    RobustScaler,
-    SimpleImputer,
-    StandardScaler,
-)
+from .preprocessing import MinMaxScaler, StandardScaler
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
@@ -69,57 +26,22 @@ __all__ = [
     "ClassifierMixin",
     "TransformerMixin",
     "clone",
-    "PCA",
-    "TruncatedSVD",
     "GradientBoostingClassifier",
     "RandomForestClassifier",
-    "CountVectorizer",
-    "TfidfVectorizer",
-    "HashingVectorizer",
     "SelectKBest",
-    "VarianceThreshold",
-    "chi2",
     "f_classif",
-    "mutual_info_classif",
     "LogisticRegression",
-    "LinearSVC",
-    "LinearRegression",
-    "Ridge",
-    "Lasso",
-    "SGDClassifier",
-    "KMeans",
-    "AdaBoostClassifier",
     "accuracy_score",
     "roc_auc_score",
-    "roc_curve",
-    "precision_recall_curve",
-    "log_loss",
-    "f1_score",
-    "precision_score",
-    "recall_score",
-    "confusion_matrix",
-    "mean_squared_error",
-    "mean_absolute_error",
     "r2_score",
     "GridSearchCV",
     "RandomizedSearchCV",
     "KFold",
-    "StratifiedKFold",
     "cross_val_score",
-    "train_test_split",
     "GaussianNB",
     "KNeighborsClassifier",
-    "Pipeline",
-    "FeatureUnion",
-    "make_pipeline",
     "StandardScaler",
     "MinMaxScaler",
-    "RobustScaler",
-    "SimpleImputer",
-    "OneHotEncoder",
-    "Binarizer",
-    "PolynomialFeatures",
-    "LabelEncoder",
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
 ]

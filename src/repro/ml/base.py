@@ -82,21 +82,8 @@ class BaseEstimator:
 
 
 def clone(estimator: BaseEstimator) -> BaseEstimator:
-    """Return an unfitted copy with identical hyperparameters.
-
-    Composite estimators (Pipeline, FeatureUnion) report nested
-    ``step__param`` entries from ``get_params`` that their constructors do
-    not accept; those are applied through ``set_params`` after
-    construction.
-    """
-    params = copy.deepcopy(estimator.get_params())
-    init_names = set(type(estimator)._param_names())
-    init_params = {k: v for k, v in params.items() if k in init_names}
-    duplicate = type(estimator)(**init_params)
-    nested = {k: v for k, v in params.items() if k not in init_names}
-    if nested:
-        duplicate.set_params(**nested)
-    return duplicate
+    """Return an unfitted copy with identical hyperparameters."""
+    return type(estimator)(**copy.deepcopy(estimator.get_params()))
 
 
 class TransformerMixin:

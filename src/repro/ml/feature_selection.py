@@ -1,8 +1,7 @@
-"""Univariate feature selection (SelectKBest and friends).
+"""Univariate feature selection (SelectKBest).
 
-Listing 1 of the paper uses ``SelectKBest(k=2)``; these selectors provide
-the same ``fit_transform(X, y)`` surface with chi2, ANOVA F, and a
-histogram-based mutual-information score.
+Listing 1 of the paper uses ``SelectKBest(k=2)``; the selector provides
+the same ``fit_transform(X, y)`` surface, scored by the ANOVA F-statistic.
 """
 
 from __future__ import annotations
@@ -11,23 +10,7 @@ import numpy as np
 
 from .base import BaseEstimator, TransformerMixin, check_Xy
 
-__all__ = ["chi2", "f_classif", "mutual_info_classif", "SelectKBest", "VarianceThreshold"]
-
-
-def chi2(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Chi-squared statistic between non-negative features and class labels."""
-    X, y = check_Xy(X, y)
-    if (X < 0).any():
-        raise ValueError("chi2 requires non-negative feature values")
-    classes = np.unique(y)
-    observed = np.vstack([X[y == c].sum(axis=0) for c in classes])  # (k, d)
-    class_priors = np.asarray([(y == c).mean() for c in classes])
-    feature_totals = X.sum(axis=0)
-    expected = np.outer(class_priors, feature_totals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (observed - expected) ** 2 / expected
-    terms[expected == 0.0] = 0.0
-    return terms.sum(axis=0)
+__all__ = ["f_classif", "SelectKBest"]
 
 
 def f_classif(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -48,32 +31,6 @@ def f_classif(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     df_within = len(X) - len(classes)
     within[within == 0.0] = np.finfo(float).tiny
     return (between / df_between) / (within / df_within)
-
-
-def mutual_info_classif(X: np.ndarray, y: np.ndarray, n_bins: int = 10) -> np.ndarray:
-    """Histogram estimate of mutual information I(feature; label)."""
-    X, y = check_Xy(X, y)
-    classes, y_index = np.unique(y, return_inverse=True)
-    n = len(y)
-    scores = np.empty(X.shape[1])
-    for j in range(X.shape[1]):
-        column = X[:, j]
-        edges = np.quantile(column, np.linspace(0, 1, n_bins + 1))
-        edges = np.unique(edges)
-        if len(edges) < 2:
-            scores[j] = 0.0
-            continue
-        bins = np.clip(np.searchsorted(edges, column, side="right") - 1, 0, len(edges) - 2)
-        mi = 0.0
-        for b in np.unique(bins):
-            pb = (bins == b).mean()
-            for c in range(len(classes)):
-                joint = ((bins == b) & (y_index == c)).sum() / n
-                if joint > 0.0:
-                    pc = (y_index == c).mean()
-                    mi += joint * np.log(joint / (pb * pc))
-        scores[j] = max(mi, 0.0)
-    return scores
 
 
 class SelectKBest(BaseEstimator, TransformerMixin):
@@ -104,24 +61,3 @@ class SelectKBest(BaseEstimator, TransformerMixin):
         mask = np.zeros(len(self.scores_), dtype=bool)
         mask[self.selected_] = True
         return mask
-
-
-class VarianceThreshold(BaseEstimator, TransformerMixin):
-    """Drop features whose variance is at or below a threshold."""
-
-    def __init__(self, threshold: float = 0.0):
-        self.threshold = threshold
-
-    def fit(self, X: np.ndarray, y: np.ndarray | None = None) -> "VarianceThreshold":
-        X, _ = check_Xy(X)
-        self.variances_ = X.var(axis=0)
-        self.selected_ = np.flatnonzero(self.variances_ > self.threshold)
-        if len(self.selected_) == 0:
-            raise ValueError("no feature meets the variance threshold")
-        self._mark_fitted()
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X, _ = check_Xy(X)
-        return X[:, self.selected_]

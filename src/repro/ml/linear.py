@@ -1,4 +1,4 @@
-"""Linear models trained by (stochastic) gradient descent.
+"""Linear models trained by full-batch gradient descent.
 
 These estimators support **warmstarting** (paper Section 6.2): passing a
 previously trained model of the same type via ``fit(..., warm_start_from=m)``
@@ -13,14 +13,7 @@ import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_Xy
 
-__all__ = [
-    "LogisticRegression",
-    "LinearSVC",
-    "LinearRegression",
-    "Ridge",
-    "Lasso",
-    "SGDClassifier",
-]
+__all__ = ["LogisticRegression"]
 
 
 def _add_intercept(X: np.ndarray) -> np.ndarray:
@@ -118,205 +111,3 @@ class LogisticRegression(_GradientDescentClassifier):
         margins = self.decision_function(X)
         p1 = 1.0 / (1.0 + np.exp(-np.clip(margins, -500, 500)))
         return np.column_stack([1.0 - p1, p1])
-
-
-class LinearSVC(_GradientDescentClassifier):
-    """Linear support vector classifier with hinge loss (sub-gradient descent)."""
-
-    def _gradient(self, Xb: np.ndarray, y_signed: np.ndarray, w: np.ndarray) -> np.ndarray:
-        margins = y_signed * (Xb @ w)
-        active = margins < 1.0
-        if active.any():
-            gradient = -(Xb[active] * y_signed[active, None]).sum(axis=0) / len(Xb)
-        else:
-            gradient = np.zeros_like(w)
-        penalty = np.concatenate([w[:-1] / (self.C * len(Xb)), [0.0]])
-        return gradient + penalty
-
-
-class SGDClassifier(_GradientDescentClassifier):
-    """Mini-batch stochastic gradient descent with selectable loss."""
-
-    def __init__(
-        self,
-        loss: str = "log",
-        C: float = 1.0,
-        max_iter: int = 100,
-        tol: float = 1e-4,
-        learning_rate: float = 0.05,
-        batch_size: int = 64,
-        random_state: int = 0,
-    ):
-        super().__init__(
-            C=C,
-            max_iter=max_iter,
-            tol=tol,
-            learning_rate=learning_rate,
-            random_state=random_state,
-        )
-        if loss not in ("log", "hinge"):
-            raise ValueError(f"unknown loss {loss!r}")
-        self.loss = loss
-        self.batch_size = batch_size
-
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        warm_start_from: "SGDClassifier | None" = None,
-    ) -> "SGDClassifier":
-        X, y = check_Xy(X, y)
-        self.classes_ = np.unique(y)
-        if len(self.classes_) != 2:
-            raise ValueError(f"binary classifier got {len(self.classes_)} classes")
-        y_signed = np.where(y == self.classes_[1], 1.0, -1.0)
-        Xb = _add_intercept(X)
-        rng = np.random.default_rng(self.random_state)
-
-        if warm_start_from is not None and warm_start_from.is_fitted:
-            w = np.concatenate(
-                [warm_start_from.coef_.copy(), [warm_start_from.intercept_]]
-            )
-            self.warm_started_ = True
-        else:
-            w = np.zeros(Xb.shape[1])
-            self.warm_started_ = False
-
-        epochs = 0
-        for epochs in range(1, self.max_iter + 1):
-            w_before = w.copy()
-            order = rng.permutation(len(Xb))
-            for start in range(0, len(Xb), self.batch_size):
-                batch = order[start : start + self.batch_size]
-                w = w - self.learning_rate * self._batch_gradient(
-                    Xb[batch], y_signed[batch], w
-                )
-            if np.max(np.abs(w - w_before)) < self.tol:
-                break
-        self.coef_ = w[:-1]
-        self.intercept_ = float(w[-1])
-        self.n_iter_ = epochs
-        self._mark_fitted()
-        return self
-
-    def _batch_gradient(
-        self, Xb: np.ndarray, y_signed: np.ndarray, w: np.ndarray
-    ) -> np.ndarray:
-        margins = y_signed * (Xb @ w)
-        if self.loss == "log":
-            sigma = 1.0 / (1.0 + np.exp(np.clip(margins, -500, 500)))
-            gradient = -(Xb * (y_signed * sigma)[:, None]).mean(axis=0)
-        else:
-            active = margins < 1.0
-            if active.any():
-                gradient = -(Xb[active] * y_signed[active, None]).sum(axis=0) / len(Xb)
-            else:
-                gradient = np.zeros_like(w)
-        penalty = np.concatenate([w[:-1] / (self.C * len(Xb)), [0.0]])
-        return gradient + penalty
-
-
-class LinearRegression(BaseEstimator):
-    """Ordinary least squares via the normal equations (lstsq)."""
-
-    def __init__(self):
-        pass
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearRegression":
-        X, y = check_Xy(X, y)
-        Xb = _add_intercept(X)
-        solution, *_ = np.linalg.lstsq(Xb, y.astype(float), rcond=None)
-        self.coef_ = solution[:-1]
-        self.intercept_ = float(solution[-1])
-        self._mark_fitted()
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X, _ = check_Xy(X)
-        return X @ self.coef_ + self.intercept_
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        from .metrics import r2_score
-
-        return r2_score(np.asarray(y).ravel(), self.predict(X))
-
-
-class Ridge(BaseEstimator):
-    """L2-regularized least squares, solved in closed form."""
-
-    def __init__(self, alpha: float = 1.0):
-        if alpha < 0.0:
-            raise ValueError("alpha must be non-negative")
-        self.alpha = alpha
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "Ridge":
-        X, y = check_Xy(X, y)
-        Xb = _add_intercept(X)
-        penalty = self.alpha * np.eye(Xb.shape[1])
-        penalty[-1, -1] = 0.0  # never penalize the intercept
-        solution = np.linalg.solve(Xb.T @ Xb + penalty, Xb.T @ y.astype(float))
-        self.coef_ = solution[:-1]
-        self.intercept_ = float(solution[-1])
-        self._mark_fitted()
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X, _ = check_Xy(X)
-        return X @ self.coef_ + self.intercept_
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        from .metrics import r2_score
-
-        return r2_score(np.asarray(y).ravel(), self.predict(X))
-
-
-class Lasso(BaseEstimator):
-    """L1-regularized least squares via cyclic coordinate descent."""
-
-    def __init__(self, alpha: float = 1.0, max_iter: int = 500, tol: float = 1e-6):
-        if alpha < 0.0:
-            raise ValueError("alpha must be non-negative")
-        self.alpha = alpha
-        self.max_iter = max_iter
-        self.tol = tol
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "Lasso":
-        X, y = check_Xy(X, y)
-        y = y.astype(float)
-        n, d = X.shape
-        self.intercept_ = float(y.mean())
-        centered_y = y - self.intercept_
-        w = np.zeros(d)
-        column_norms = (X**2).sum(axis=0)
-        residual = centered_y - X @ w
-        threshold = self.alpha * n
-        for iteration in range(1, self.max_iter + 1):
-            max_delta = 0.0
-            for j in range(d):
-                if column_norms[j] == 0.0:
-                    continue
-                rho = X[:, j] @ residual + column_norms[j] * w[j]
-                new_w = np.sign(rho) * max(abs(rho) - threshold, 0.0) / column_norms[j]
-                delta = new_w - w[j]
-                if delta != 0.0:
-                    residual -= delta * X[:, j]
-                    w[j] = new_w
-                    max_delta = max(max_delta, abs(delta))
-            if max_delta < self.tol:
-                break
-        self.coef_ = w
-        self.n_iter_ = iteration
-        self._mark_fitted()
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X, _ = check_Xy(X)
-        return X @ self.coef_ + self.intercept_
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        from .metrics import r2_score
-
-        return r2_score(np.asarray(y).ravel(), self.predict(X))

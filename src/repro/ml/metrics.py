@@ -9,20 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "accuracy_score",
-    "roc_auc_score",
-    "roc_curve",
-    "precision_recall_curve",
-    "log_loss",
-    "precision_score",
-    "recall_score",
-    "f1_score",
-    "confusion_matrix",
-    "mean_squared_error",
-    "mean_absolute_error",
-    "r2_score",
-]
+__all__ = ["accuracy_score", "roc_auc_score", "r2_score"]
 
 
 def _check_same_length(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,104 +58,6 @@ def roc_auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
     rank_sum = ranks[positives].sum()
     auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(auc)
-
-
-def roc_curve(
-    y_true: np.ndarray, y_score: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(false-positive rate, true-positive rate, thresholds).
-
-    Thresholds are the distinct scores in decreasing order; the curve
-    starts at (0, 0) with an implicit +inf threshold.
-    """
-    y_true, y_score = _check_same_length(y_true, y_score)
-    positives = (y_true == 1).astype(float)
-    n_pos = positives.sum()
-    n_neg = len(y_true) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("roc_curve requires both classes present")
-    order = np.argsort(-y_score, kind="mergesort")
-    sorted_scores = y_score[order]
-    sorted_positives = positives[order]
-    cumulative_tp = np.cumsum(sorted_positives)
-    cumulative_fp = np.cumsum(1.0 - sorted_positives)
-    # keep the last index of each distinct score (threshold boundaries)
-    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0)
-    keep = np.r_[boundaries, len(sorted_scores) - 1]
-    tpr = np.r_[0.0, cumulative_tp[keep] / n_pos]
-    fpr = np.r_[0.0, cumulative_fp[keep] / n_neg]
-    thresholds = np.r_[np.inf, sorted_scores[keep]]
-    return fpr, tpr, thresholds
-
-
-def precision_recall_curve(
-    y_true: np.ndarray, y_score: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(precision, recall, thresholds), thresholds in decreasing order."""
-    y_true, y_score = _check_same_length(y_true, y_score)
-    positives = (y_true == 1).astype(float)
-    n_pos = positives.sum()
-    if n_pos == 0:
-        raise ValueError("precision_recall_curve requires positive samples")
-    order = np.argsort(-y_score, kind="mergesort")
-    sorted_scores = y_score[order]
-    sorted_positives = positives[order]
-    cumulative_tp = np.cumsum(sorted_positives)
-    predicted = np.arange(1, len(y_true) + 1, dtype=float)
-    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0)
-    keep = np.r_[boundaries, len(sorted_scores) - 1]
-    precision = cumulative_tp[keep] / predicted[keep]
-    recall = cumulative_tp[keep] / n_pos
-    thresholds = sorted_scores[keep]
-    return precision, recall, thresholds
-
-
-def log_loss(y_true: np.ndarray, y_proba: np.ndarray, eps: float = 1e-15) -> float:
-    """Binary cross-entropy between labels and predicted probabilities."""
-    y_true, y_proba = _check_same_length(y_true, y_proba)
-    p = np.clip(y_proba.astype(float), eps, 1.0 - eps)
-    t = y_true.astype(float)
-    return float(-np.mean(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)))
-
-
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
-    """2x2 matrix [[tn, fp], [fn, tp]] for binary labels."""
-    y_true, y_pred = _check_same_length(y_true, y_pred)
-    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    tn = int(np.sum((y_true == 0) & (y_pred == 0)))
-    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
-    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
-    return np.asarray([[tn, fp], [fn, tp]])
-
-
-def precision_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    matrix = confusion_matrix(y_true, y_pred)
-    tp, fp = matrix[1, 1], matrix[0, 1]
-    return float(tp / (tp + fp)) if tp + fp else 0.0
-
-
-def recall_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    matrix = confusion_matrix(y_true, y_pred)
-    tp, fn = matrix[1, 1], matrix[1, 0]
-    return float(tp / (tp + fn)) if tp + fn else 0.0
-
-
-def f1_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    precision = precision_score(y_true, y_pred)
-    recall = recall_score(y_true, y_pred)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _check_same_length(y_true, y_pred)
-    return float(np.mean((y_true.astype(float) - y_pred.astype(float)) ** 2))
-
-
-def mean_absolute_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _check_same_length(y_true, y_pred)
-    return float(np.mean(np.abs(y_true.astype(float) - y_pred.astype(float))))
 
 
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:

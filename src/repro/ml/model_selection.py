@@ -1,4 +1,4 @@
-"""Data splitting and hyperparameter search.
+"""Cross-validation and hyperparameter search.
 
 Workload 5 of the paper performs random and grid search for gradient
 boosted trees; :class:`GridSearchCV` and :class:`RandomizedSearchCV`
@@ -14,46 +14,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_Xy, clone
 
-__all__ = [
-    "train_test_split",
-    "KFold",
-    "StratifiedKFold",
-    "cross_val_score",
-    "GridSearchCV",
-    "RandomizedSearchCV",
-]
-
-
-def train_test_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    test_size: float = 0.25,
-    random_state: int = 0,
-    stratify: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shuffle and split arrays into train and test subsets."""
-    X = np.asarray(X)
-    y = np.asarray(y)
-    if len(X) != len(y):
-        raise ValueError("X and y must have the same length")
-    if not 0.0 < test_size < 1.0:
-        raise ValueError("test_size must be in (0, 1)")
-    rng = np.random.default_rng(random_state)
-    n_test = max(1, int(round(test_size * len(X))))
-    if stratify:
-        test_indices: list[int] = []
-        for c in np.unique(y):
-            members = np.flatnonzero(y == c)
-            rng.shuffle(members)
-            take = max(1, int(round(test_size * len(members))))
-            test_indices.extend(members[:take])
-        test_idx = np.asarray(sorted(test_indices))
-    else:
-        permutation = rng.permutation(len(X))
-        test_idx = np.sort(permutation[:n_test])
-    mask = np.zeros(len(X), dtype=bool)
-    mask[test_idx] = True
-    return X[~mask], X[mask], y[~mask], y[mask]
+__all__ = ["KFold", "cross_val_score", "GridSearchCV", "RandomizedSearchCV"]
 
 
 class KFold:
@@ -81,36 +42,6 @@ class KFold:
             train = np.concatenate([indices[:start], indices[start + size :]])
             yield train, test
             start += size
-
-
-class StratifiedKFold:
-    """k-fold splitter preserving class proportions in every fold."""
-
-    def __init__(self, n_splits: int = 5, shuffle: bool = False, random_state: int = 0):
-        if n_splits < 2:
-            raise ValueError("n_splits must be at least 2")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def split(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        y = np.asarray(y)
-        rng = np.random.default_rng(self.random_state)
-        fold_of = np.empty(len(y), dtype=int)
-        for c in np.unique(y):
-            members = np.flatnonzero(y == c)
-            if self.shuffle:
-                rng.shuffle(members)
-            for i, index in enumerate(members):
-                fold_of[index] = i % self.n_splits
-        for fold in range(self.n_splits):
-            test = np.flatnonzero(fold_of == fold)
-            train = np.flatnonzero(fold_of != fold)
-            if len(test) == 0:
-                raise ValueError("a fold received no samples; reduce n_splits")
-            yield train, test
 
 
 def cross_val_score(
@@ -171,6 +102,14 @@ class _BaseSearchCV(BaseEstimator):
     def predict(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
         return self.best_estimator_.predict(X)
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        self._check_fitted()
+        return self.best_estimator_.predict_proba(X)
+
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        self._check_fitted()
+        return self.best_estimator_.decision_function(X)
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         self._check_fitted()

@@ -1,23 +1,12 @@
-"""Feature scaling, encoding, and imputation transformers."""
+"""Feature scaling transformers."""
 
 from __future__ import annotations
-
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .base import BaseEstimator, TransformerMixin, check_Xy
 
-__all__ = [
-    "StandardScaler",
-    "MinMaxScaler",
-    "RobustScaler",
-    "SimpleImputer",
-    "OneHotEncoder",
-    "Binarizer",
-    "PolynomialFeatures",
-    "LabelEncoder",
-]
+__all__ = ["StandardScaler", "MinMaxScaler"]
 
 
 class StandardScaler(BaseEstimator, TransformerMixin):
@@ -72,188 +61,3 @@ class MinMaxScaler(BaseEstimator, TransformerMixin):
         low, high = self.feature_range
         unit = (X - self.data_min_) / self._span
         return unit * (high - low) + low
-
-
-class RobustScaler(BaseEstimator, TransformerMixin):
-    """Scale by median and interquartile range (outlier-resistant)."""
-
-    def __init__(self):
-        pass
-
-    def fit(self, X: np.ndarray, y: np.ndarray | None = None) -> "RobustScaler":
-        X, _ = check_Xy(X)
-        self.center_ = np.median(X, axis=0)
-        q75 = np.percentile(X, 75, axis=0)
-        q25 = np.percentile(X, 25, axis=0)
-        iqr = q75 - q25
-        iqr[iqr == 0.0] = 1.0
-        self.scale_ = iqr
-        self._mark_fitted()
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X, _ = check_Xy(X)
-        return (X - self.center_) / self.scale_
-
-
-class SimpleImputer(BaseEstimator, TransformerMixin):
-    """Fill NaNs with a per-column statistic or constant."""
-
-    def __init__(self, strategy: str = "mean", fill_value: float = 0.0):
-        if strategy not in ("mean", "median", "constant", "most_frequent"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        self.strategy = strategy
-        self.fill_value = fill_value
-
-    def fit(self, X: np.ndarray, y: np.ndarray | None = None) -> "SimpleImputer":
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        fills = np.empty(X.shape[1])
-        for j in range(X.shape[1]):
-            column = X[:, j]
-            finite = column[~np.isnan(column)]
-            if self.strategy == "constant" or len(finite) == 0:
-                fills[j] = self.fill_value
-            elif self.strategy == "mean":
-                fills[j] = finite.mean()
-            elif self.strategy == "median":
-                fills[j] = float(np.median(finite))
-            else:  # most_frequent
-                values, counts = np.unique(finite, return_counts=True)
-                fills[j] = values[np.argmax(counts)]
-        self.statistics_ = fills
-        self._mark_fitted()
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        out = X.copy()
-        for j in range(X.shape[1]):
-            mask = np.isnan(out[:, j])
-            out[mask, j] = self.statistics_[j]
-        return out
-
-
-class OneHotEncoder(BaseEstimator, TransformerMixin):
-    """One-hot encode categorical (object or integer) matrix columns."""
-
-    def __init__(self, handle_unknown: str = "ignore"):
-        if handle_unknown not in ("ignore", "error"):
-            raise ValueError("handle_unknown must be 'ignore' or 'error'")
-        self.handle_unknown = handle_unknown
-
-    def fit(self, X: np.ndarray, y: np.ndarray | None = None) -> "OneHotEncoder":
-        X = np.asarray(X)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        self.categories_ = [np.unique(X[:, j].astype(str)) for j in range(X.shape[1])]
-        self._mark_fitted()
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X = np.asarray(X)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        blocks = []
-        for j, categories in enumerate(self.categories_):
-            column = X[:, j].astype(str)
-            known = np.isin(column, categories)
-            if not known.all() and self.handle_unknown == "error":
-                unknown = sorted(set(column[~known]))
-                raise ValueError(f"unknown categories in column {j}: {unknown}")
-            block = (column[:, None] == categories[None, :]).astype(float)
-            blocks.append(block)
-        return np.hstack(blocks)
-
-    def get_feature_names(self, input_names: list[str] | None = None) -> list[str]:
-        self._check_fitted()
-        names = []
-        for j, categories in enumerate(self.categories_):
-            base = input_names[j] if input_names else f"x{j}"
-            names.extend(f"{base}_{c}" for c in categories)
-        return names
-
-
-class Binarizer(BaseEstimator, TransformerMixin):
-    """Threshold numeric features to {0, 1}."""
-
-    def __init__(self, threshold: float = 0.0):
-        self.threshold = threshold
-
-    def fit(self, X: np.ndarray, y: np.ndarray | None = None) -> "Binarizer":
-        self._mark_fitted()
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X, _ = check_Xy(X)
-        return (X > self.threshold).astype(float)
-
-
-class PolynomialFeatures(BaseEstimator, TransformerMixin):
-    """Generate polynomial and interaction features up to ``degree``."""
-
-    def __init__(self, degree: int = 2, include_bias: bool = False):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        self.degree = degree
-        self.include_bias = include_bias
-
-    def fit(self, X: np.ndarray, y: np.ndarray | None = None) -> "PolynomialFeatures":
-        X, _ = check_Xy(X)
-        self.n_input_features_ = X.shape[1]
-        self._combos: list[tuple[int, ...]] = []
-        if self.include_bias:
-            self._combos.append(())
-        for d in range(1, self.degree + 1):
-            self._combos.extend(combinations_with_replacement(range(X.shape[1]), d))
-        self._mark_fitted()
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X, _ = check_Xy(X)
-        if X.shape[1] != self.n_input_features_:
-            raise ValueError(
-                f"fitted on {self.n_input_features_} features, got {X.shape[1]}"
-            )
-        out = np.empty((len(X), len(self._combos)))
-        for k, combo in enumerate(self._combos):
-            if not combo:
-                out[:, k] = 1.0
-            else:
-                out[:, k] = np.prod(X[:, combo], axis=1)
-        return out
-
-
-class LabelEncoder(BaseEstimator):
-    """Map arbitrary labels to integers 0..n_classes-1."""
-
-    def __init__(self):
-        pass
-
-    def fit(self, y: np.ndarray) -> "LabelEncoder":
-        self.classes_ = np.unique(np.asarray(y).astype(str))
-        self._mark_fitted()
-        return self
-
-    def transform(self, y: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        y = np.asarray(y).astype(str)
-        lookup = {c: i for i, c in enumerate(self.classes_)}
-        missing = [v for v in np.unique(y) if v not in lookup]
-        if missing:
-            raise ValueError(f"unseen labels: {missing}")
-        return np.asarray([lookup[v] for v in y], dtype=np.int64)
-
-    def fit_transform(self, y: np.ndarray) -> np.ndarray:
-        return self.fit(y).transform(y)
-
-    def inverse_transform(self, indices: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        return self.classes_[np.asarray(indices, dtype=int)]

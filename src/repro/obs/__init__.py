@@ -30,17 +30,15 @@ from .metrics import (
 from .plane import (
     FlightRecorder,
     install_recorder,
-    perfetto_document,
     uninstall_recorder,
 )
 from .profile import ProfileEntry, ProfileReport
-from .sinks import ChromeTraceSink, InMemorySink, JsonLinesSink
+from .sinks import ChromeTraceSink, InMemorySink, JsonLinesSink, perfetto_document
 from .slo import (
     SLO,
     AlertEvent,
     BurnWindow,
     CounterRatioSource,
-    GaugeBelowSource,
     HistogramLatencySource,
     SLOEngine,
     default_service_slos,
@@ -74,7 +72,6 @@ __all__ = [
     "AlertEvent",
     "BurnWindow",
     "CounterRatioSource",
-    "GaugeBelowSource",
     "HistogramLatencySource",
     "default_service_slos",
     "ProfileEntry",

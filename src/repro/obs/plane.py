@@ -35,22 +35,22 @@ recorder leaves — so `EGService` can keep the recorder on by default
 without changing the "tracing is off unless asked" contract for
 everyone else.
 
-:func:`perfetto_document` renders any list of span dicts (from
-:meth:`FlightRecorder.trace` or the transport ``debug`` op) as a
-Chrome trace-event JSON document loadable in https://ui.perfetto.dev.
+:func:`~repro.obs.sinks.perfetto_document` (re-exported here) renders
+any list of span dicts (from :meth:`FlightRecorder.trace` or the
+transport ``debug`` op) as a Chrome trace-event JSON document loadable
+in https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import zlib
 from collections import OrderedDict, deque
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from .metrics import MetricsRegistry
-from .sinks import span_to_dict
+from .sinks import perfetto_document, span_to_dict
 from .trace import NoopTracer, Span, Tracer, get_tracer, set_tracer
 
 __all__ = [
@@ -367,69 +367,6 @@ class FlightRecorder:
     def export_perfetto(self, trace_id: str) -> dict[str, Any]:
         """One kept trace as a Chrome trace-event document."""
         return perfetto_document(self.trace(trace_id))
-
-
-# ----------------------------------------------------------------------
-# Perfetto rendering
-# ----------------------------------------------------------------------
-def perfetto_document(spans: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
-    """Chrome trace-event JSON for a list of span dicts.
-
-    Accepts the portable form :func:`repro.obs.sinks.span_to_dict`
-    produces (also what the transport ``debug`` op ships), mirroring
-    ``ChromeTraceSink``'s rendering: one complete ``"X"`` event per span
-    in microseconds, one timeline row per recording thread, the dotted
-    span-name prefix as category.
-    """
-    thread_ids: dict[str, int] = {}
-    events: list[dict[str, Any]] = []
-    pid = os.getpid()
-    for span in spans:
-        thread = str(span.get("thread", "") or "main")
-        tid = thread_ids.setdefault(thread, len(thread_ids) + 1)
-        name = str(span.get("name", "?"))
-        args = dict(span.get("attributes") or {})
-        args["trace_id"] = span.get("trace_id", "")
-        args["span_id"] = span.get("span_id", "")
-        if span.get("parent_id"):
-            args["parent_id"] = span["parent_id"]
-        start_us = float(span.get("start_s", 0.0)) * 1e6
-        events.append(
-            {
-                "name": name,
-                "cat": name.split(".", 1)[0],
-                "ph": "X",
-                "ts": start_us,
-                "dur": float(span.get("duration_s", 0.0)) * 1e6,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
-        )
-        for event in span.get("events") or ():
-            events.append(
-                {
-                    "name": f"{name}:{event.get('name', '?')}",
-                    "cat": name.split(".", 1)[0],
-                    "ph": "i",
-                    "s": "t",
-                    "ts": float(event.get("ts_s", 0.0)) * 1e6,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": dict(event.get("attributes") or {}),
-                }
-            )
-    metadata = [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": tid,
-            "args": {"name": thread},
-        }
-        for thread, tid in thread_ids.items()
-    ]
-    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 
 # ----------------------------------------------------------------------

@@ -8,10 +8,10 @@ ran the work (executor workers, the merge worker, TCP handler threads).
 * :class:`JsonLinesSink` — one JSON object per span, appended as the
   span finishes; greppable and streamable.
 * :class:`ChromeTraceSink` — the Chrome trace-event format
-  (``chrome://tracing`` / https://ui.perfetto.dev): buffered complete
-  events written as one JSON document on ``close()``, with per-thread
-  tracks named after the Python thread, so a parallel-executor run
-  renders as a per-worker timeline.
+  (``chrome://tracing`` / https://ui.perfetto.dev): buffered spans
+  written as one :func:`perfetto_document` on ``close()``, with
+  per-thread tracks named after the Python thread, so a
+  parallel-executor run renders as a per-worker timeline.
 """
 
 from __future__ import annotations
@@ -20,11 +20,17 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Iterable, Mapping
 
 from .trace import Span
 
-__all__ = ["InMemorySink", "JsonLinesSink", "ChromeTraceSink", "span_to_dict"]
+__all__ = [
+    "InMemorySink",
+    "JsonLinesSink",
+    "ChromeTraceSink",
+    "span_to_dict",
+    "perfetto_document",
+]
 
 
 def span_to_dict(span: Span) -> dict[str, Any]:
@@ -95,79 +101,86 @@ class JsonLinesSink:
                 self._file.close()
 
 
-class ChromeTraceSink:
-    """Exports spans as a Chrome trace-event JSON document.
+def perfetto_document(spans: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """Chrome trace-event JSON for a list of span dicts.
 
-    Timestamps are the tracer's monotonic clock converted to
-    microseconds — the viewer only needs them consistent, not absolute.
-    Span categories are the first dotted segment of the span name
-    (``executor.load`` -> ``executor``), which gives Perfetto one color
-    per subsystem.
+    Accepts the portable form :func:`span_to_dict` produces (also what
+    the transport ``debug`` op ships): one complete ``"X"`` event per span
+    in microseconds — the viewer only needs timestamps consistent, not
+    absolute — one instant ``"i"`` event per span event under the event's
+    own name, one timeline row per recording thread, and the dotted
+    span-name prefix as category (``executor.load`` -> ``executor``),
+    which gives Perfetto one color per subsystem.
     """
+    thread_ids: dict[str, int] = {}
+    events: list[dict[str, Any]] = []
+    pid = os.getpid()
+    for span in spans:
+        thread = str(span.get("thread", "") or "main")
+        tid = thread_ids.setdefault(thread, len(thread_ids) + 1)
+        name = str(span.get("name", "?"))
+        args = dict(span.get("attributes") or {})
+        args["trace_id"] = span.get("trace_id", "")
+        args["span_id"] = span.get("span_id", "")
+        if span.get("parent_id"):
+            args["parent_id"] = span["parent_id"]
+        events.append(
+            {
+                "name": name,
+                "cat": name.split(".", 1)[0],
+                "ph": "X",
+                "ts": float(span.get("start_s", 0.0)) * 1e6,
+                "dur": float(span.get("duration_s", 0.0)) * 1e6,
+                "pid": pid,
+                "tid": tid,
+                "args": args,
+            }
+        )
+        for event in span.get("events") or ():
+            events.append(
+                {
+                    "name": str(event.get("name", "?")),
+                    "cat": name.split(".", 1)[0],
+                    "ph": "i",
+                    "s": "t",
+                    "ts": float(event.get("ts_s", 0.0)) * 1e6,
+                    "pid": pid,
+                    "tid": tid,
+                    "args": dict(event.get("attributes") or {}),
+                }
+            )
+    metadata = [
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": tid,
+            "args": {"name": thread},
+        }
+        for thread, tid in thread_ids.items()
+    ]
+    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
+
+
+class ChromeTraceSink:
+    """Buffers finished spans and writes them as one
+    :func:`perfetto_document` on ``close()``."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._events: list[dict[str, Any]] = []
-        self._threads: dict[str, int] = {}
+        self._rows: list[dict[str, Any]] = []
         self._lock = threading.Lock()
         self._closed = False
 
-    def _tid(self, thread_name: str) -> int:
-        tid = self._threads.get(thread_name)
-        if tid is None:
-            tid = len(self._threads) + 1
-            self._threads[thread_name] = tid
-        return tid
-
     def on_span(self, span: Span) -> None:
-        args = _jsonable(span.attributes)
-        args["trace_id"] = span.trace_id
-        args["span_id"] = span.span_id
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
+        row = span_to_dict(span)
         with self._lock:
-            tid = self._tid(span.thread_name)
-            self._events.append(
-                {
-                    "name": span.name,
-                    "cat": span.name.split(".", 1)[0],
-                    "ph": "X",
-                    "ts": span.start_s * 1e6,
-                    "dur": span.duration_s * 1e6,
-                    "pid": os.getpid(),
-                    "tid": tid,
-                    "args": args,
-                }
-            )
-            for ts, name, attrs in span.events:
-                self._events.append(
-                    {
-                        "name": name,
-                        "cat": span.name.split(".", 1)[0],
-                        "ph": "i",
-                        "s": "t",
-                        "ts": ts * 1e6,
-                        "pid": os.getpid(),
-                        "tid": tid,
-                        "args": _jsonable(attrs),
-                    }
-                )
+            self._rows.append(row)
 
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            pid = os.getpid()
-            metadata = [
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": thread_name},
-                }
-                for thread_name, tid in sorted(self._threads.items(), key=lambda kv: kv[1])
-            ]
-            document = {"traceEvents": metadata + self._events, "displayTimeUnit": "ms"}
+            document = perfetto_document(self._rows)
             self.path.write_text(json.dumps(document), encoding="utf-8")

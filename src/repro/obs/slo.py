@@ -9,9 +9,7 @@ those metrics into a cumulative ``(bad, total)`` event pair:
   threshold are bad (bucketed, so the threshold should sit on or near a
   bucket bound);
 * :class:`CounterRatioSource` — one counter over another (shed rate,
-  cold-hit rate), each summed across label series and registries;
-* :class:`GaugeBelowSource` — evaluations where a gauge sits below a
-  minimum are bad (health / liveness flags).
+  cold-hit rate), each summed across label series and registries.
 
 The :class:`SLOEngine` samples every source on ``evaluate()`` and keeps
 a bounded history per SLO.  Alerting is the multi-window burn-rate
@@ -52,7 +50,6 @@ __all__ = [
     "SLO",
     "CounterRatioSource",
     "HistogramLatencySource",
-    "GaugeBelowSource",
     "AlertEvent",
     "SLOEngine",
     "default_service_slos",
@@ -100,7 +97,7 @@ class CounterRatioSource:
     total: str
 
     def sample(
-        self, registries: Sequence[MetricsRegistry], state: dict[str, Any]
+        self, registries: Sequence[MetricsRegistry]
     ) -> tuple[float, float] | None:
         total = _sum_series(registries, self.total, (Counter, Gauge))
         if total is None:
@@ -122,7 +119,7 @@ class HistogramLatencySource:
     threshold_s: float
 
     def sample(
-        self, registries: Sequence[MetricsRegistry], state: dict[str, Any]
+        self, registries: Sequence[MetricsRegistry]
     ) -> tuple[float, float] | None:
         found = False
         good = 0.0
@@ -140,34 +137,6 @@ class HistogramLatencySource:
         if not found:
             return None
         return total - good, total
-
-
-@dataclass(frozen=True)
-class GaugeBelowSource:
-    """Engine evaluations during which a gauge is below ``minimum`` are
-    bad — e.g. ``repro_proc_worker_up`` dropping to 0.  Each label series
-    counts separately, so one dead worker among live ones burns part of
-    the budget.  No data yet means no sample (a gauge nobody has set
-    should not page)."""
-
-    gauge: str
-    minimum: float = 1.0
-
-    def sample(
-        self, registries: Sequence[MetricsRegistry], state: dict[str, Any]
-    ) -> tuple[float, float] | None:
-        values: list[float] = []
-        for registry in registries:
-            instrument = registry.get(self.gauge)
-            if isinstance(instrument, Gauge):
-                values.extend(v for _labels, v in instrument.items())
-        if not values:
-            return None
-        state["total"] = state.get("total", 0.0) + len(values)
-        state["bad"] = state.get("bad", 0.0) + sum(
-            1.0 for value in values if value < self.minimum
-        )
-        return state["bad"], state["total"]
 
 
 @dataclass(frozen=True)
@@ -244,9 +213,6 @@ class SLOEngine:
         self._history: dict[str, deque[tuple[float, float, float]]] = {
             slo.name: deque(maxlen=history_size) for slo in self.slos
         }
-        self._source_state: dict[str, dict[str, Any]] = {
-            slo.name: {} for slo in self.slos
-        }
         self._firing: dict[tuple[str, str], bool] = {}
         self._journal: deque[AlertEvent] = deque(maxlen=journal_size)
         self._last_eval: float | None = None
@@ -289,9 +255,7 @@ class SLOEngine:
         with self._lock:
             self._last_eval = now
             for slo in self.slos:
-                sample = slo.source.sample(
-                    self._registries, self._source_state[slo.name]
-                )
+                sample = slo.source.sample(self._registries)
                 if sample is None:
                     continue
                 bad, total = sample

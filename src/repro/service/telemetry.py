@@ -220,7 +220,7 @@ class TelemetryPlane:
         """A ``debug_info()`` report: recent kept traces, slowest spans by
         self-time, the SLO alert journal, the service's own ``sections``
         — and, when ``trace_id`` names a kept trace, its full span list
-        (Perfetto-renderable via :func:`repro.obs.plane.perfetto_document`)."""
+        (Perfetto-renderable via :func:`repro.obs.sinks.perfetto_document`)."""
         self.evaluate()
         engine, recorder = self.slo_engine, self.recorder
         info: dict[str, Any] = {

@@ -680,7 +680,7 @@ class TransportServiceClient(ServiceClient):
         """The server's flight-recorder view: kept traces, slow spans, alerts.
 
         ``trace_id`` additionally fetches that trace's full span list
-        (renderable with :func:`repro.obs.plane.perfetto_document`).
+        (renderable with :func:`repro.obs.sinks.perfetto_document`).
         """
         message: dict[str, Any] = {
             "op": "debug",

@@ -5,12 +5,7 @@ import pytest
 
 from repro.client import ops
 from repro.dataframe import DataFrame
-from repro.ml import (
-    CountVectorizer,
-    LogisticRegression,
-    SelectKBest,
-    StandardScaler,
-)
+from repro.ml import LogisticRegression, SelectKBest, StandardScaler
 
 
 @pytest.fixture
@@ -185,12 +180,14 @@ class TestModelOps:
         )
         assert out.num_columns == 1
 
-    def test_fit_transform_text(self):
-        docs = DataFrame(
-            {"text": np.asarray(["hello world", "hello there"], dtype=object)}
-        )
-        out = ops.FitTransformOp(CountVectorizer(), prefix="cv").run(docs)
-        assert out.num_columns == 3  # hello, world, there
+    def test_object_column_is_rejected_by_transformers(self, frame):
+        """No transformer takes raw strings: an object column is the
+        dataframe's own "encode it first" error, not a silent first-column feed."""
+        scaler = ops.FitOp(StandardScaler(), supervised=False).run(frame[["x"]])
+        with pytest.raises(TypeError, match="'cat' is not numeric"):
+            ops.FitTransformOp(StandardScaler(), prefix="s").run(frame[["x", "cat"]])
+        with pytest.raises(TypeError, match="'cat' is not numeric"):
+            ops.TransformOp(prefix="s").run([scaler, frame[["x", "cat"]]])
 
     def test_predict_op(self, Xy):
         X, y = Xy

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import LinearRegression, LinearSVC, LogisticRegression, SGDClassifier
+from repro.ml import GaussianNB, GradientBoostingClassifier, LogisticRegression
 from repro.ml.base import clone
 
 
@@ -79,66 +79,8 @@ class TestWarmstart:
 
     def test_supports_warm_start_attribute(self):
         assert LogisticRegression.supports_warm_start
-        assert LinearSVC.supports_warm_start
-        assert not LinearRegression.supports_warm_start
-
-
-class TestLinearSVC:
-    def test_learns_separable_data(self, labeled_data):
-        X, y = labeled_data
-        model = LinearSVC(max_iter=300, learning_rate=0.3).fit(X, y)
-        assert model.score(X, y) > 0.9
-
-    def test_decision_function_sign_matches_prediction(self, labeled_data):
-        X, y = labeled_data
-        model = LinearSVC(max_iter=100).fit(X, y)
-        margins = model.decision_function(X)
-        predictions = model.predict(X)
-        assert np.all((margins >= 0) == (predictions == model.classes_[1]))
-
-
-class TestSGDClassifier:
-    def test_log_loss_learns(self, labeled_data):
-        X, y = labeled_data
-        model = SGDClassifier(loss="log", max_iter=50, learning_rate=0.2).fit(X, y)
-        assert model.score(X, y) > 0.85
-
-    def test_hinge_loss_learns(self, labeled_data):
-        X, y = labeled_data
-        model = SGDClassifier(loss="hinge", max_iter=50, learning_rate=0.2).fit(X, y)
-        assert model.score(X, y) > 0.85
-
-    def test_unknown_loss(self):
-        with pytest.raises(ValueError, match="loss"):
-            SGDClassifier(loss="squared")
-
-    def test_deterministic_given_seed(self, labeled_data):
-        X, y = labeled_data
-        a = SGDClassifier(max_iter=10, random_state=3).fit(X, y)
-        b = SGDClassifier(max_iter=10, random_state=3).fit(X, y)
-        assert np.allclose(a.coef_, b.coef_)
-
-    def test_warmstart(self, labeled_data):
-        X, y = labeled_data
-        base = SGDClassifier(max_iter=30).fit(X, y)
-        warm = SGDClassifier(max_iter=30)
-        warm.fit(X, y, warm_start_from=base)
-        assert warm.warm_started_
-
-
-class TestLinearRegression:
-    def test_recovers_exact_line(self):
-        X = np.arange(10, dtype=float).reshape(-1, 1)
-        y = 3.0 * X.ravel() + 2.0
-        model = LinearRegression().fit(X, y)
-        assert model.coef_[0] == pytest.approx(3.0)
-        assert model.intercept_ == pytest.approx(2.0)
-
-    def test_r2_score_perfect(self):
-        X = np.arange(10, dtype=float).reshape(-1, 1)
-        y = 3.0 * X.ravel() + 2.0
-        model = LinearRegression().fit(X, y)
-        assert model.score(X, y) == pytest.approx(1.0)
+        assert GradientBoostingClassifier.supports_warm_start
+        assert not GaussianNB.supports_warm_start
 
 
 class TestParamsAndClone:

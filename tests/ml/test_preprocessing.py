@@ -1,18 +1,9 @@
-"""Tests for scalers, encoders, imputation, and polynomial features."""
+"""Tests for scalers."""
 
 import numpy as np
 import pytest
 
-from repro.ml import (
-    Binarizer,
-    LabelEncoder,
-    MinMaxScaler,
-    OneHotEncoder,
-    PolynomialFeatures,
-    RobustScaler,
-    SimpleImputer,
-    StandardScaler,
-)
+from repro.ml import MinMaxScaler, StandardScaler
 
 
 class TestStandardScaler:
@@ -53,113 +44,3 @@ class TestMinMaxScaler:
     def test_constant_column_safe(self):
         Z = MinMaxScaler().fit_transform(np.ones((3, 1)))
         assert np.all(np.isfinite(Z))
-
-
-class TestRobustScaler:
-    def test_centers_on_median(self):
-        X = np.asarray([[1.0], [2.0], [3.0], [100.0]])
-        Z = RobustScaler().fit_transform(X)
-        assert np.median(Z) == pytest.approx(0.0)
-
-    def test_outlier_resistant(self):
-        X = np.vstack([np.arange(100.0).reshape(-1, 1), [[10000.0]]])
-        Z = RobustScaler().fit_transform(X)
-        # bulk of the data stays in a small range despite the outlier
-        assert np.abs(Z[:100]).max() < 2.0
-
-
-class TestSimpleImputer:
-    def test_mean(self):
-        X = np.asarray([[1.0], [np.nan], [3.0]])
-        Z = SimpleImputer(strategy="mean").fit_transform(X)
-        assert Z[1, 0] == pytest.approx(2.0)
-
-    def test_median(self):
-        X = np.asarray([[1.0], [np.nan], [3.0], [100.0]])
-        Z = SimpleImputer(strategy="median").fit_transform(X)
-        assert Z[1, 0] == pytest.approx(3.0)
-
-    def test_constant(self):
-        X = np.asarray([[np.nan]])
-        Z = SimpleImputer(strategy="constant", fill_value=-1.0).fit_transform(X)
-        assert Z[0, 0] == -1.0
-
-    def test_most_frequent(self):
-        X = np.asarray([[1.0], [1.0], [2.0], [np.nan]])
-        Z = SimpleImputer(strategy="most_frequent").fit_transform(X)
-        assert Z[3, 0] == 1.0
-
-    def test_all_nan_column_uses_fill_value(self):
-        X = np.asarray([[np.nan], [np.nan]])
-        Z = SimpleImputer(strategy="mean", fill_value=7.0).fit_transform(X)
-        assert np.all(Z == 7.0)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            SimpleImputer(strategy="nope")
-
-    def test_statistics_from_fit_applied_at_transform(self):
-        imputer = SimpleImputer(strategy="mean").fit(np.asarray([[2.0], [4.0]]))
-        Z = imputer.transform(np.asarray([[np.nan]]))
-        assert Z[0, 0] == 3.0
-
-
-class TestOneHotEncoder:
-    def test_basic(self):
-        X = np.asarray([["a"], ["b"], ["a"]], dtype=object)
-        Z = OneHotEncoder().fit_transform(X)
-        assert Z.shape == (3, 2)
-        assert Z[0].tolist() == [1.0, 0.0]
-
-    def test_unknown_ignored(self):
-        enc = OneHotEncoder().fit(np.asarray([["a"]], dtype=object))
-        Z = enc.transform(np.asarray([["zzz"]], dtype=object))
-        assert Z.tolist() == [[0.0]]
-
-    def test_unknown_error_mode(self):
-        enc = OneHotEncoder(handle_unknown="error").fit(np.asarray([["a"]], dtype=object))
-        with pytest.raises(ValueError, match="unknown categories"):
-            enc.transform(np.asarray([["b"]], dtype=object))
-
-    def test_feature_names(self):
-        enc = OneHotEncoder().fit(np.asarray([["a"], ["b"]], dtype=object))
-        assert enc.get_feature_names(["col"]) == ["col_a", "col_b"]
-
-    def test_multicolumn(self):
-        X = np.asarray([["a", "x"], ["b", "y"]], dtype=object)
-        Z = OneHotEncoder().fit_transform(X)
-        assert Z.shape == (2, 4)
-
-
-class TestBinarizerPolyLabel:
-    def test_binarizer(self):
-        Z = Binarizer(threshold=1.0).fit_transform(np.asarray([[0.5], [1.5]]))
-        assert Z.tolist() == [[0.0], [1.0]]
-
-    def test_polynomial_degree2(self):
-        X = np.asarray([[2.0, 3.0]])
-        Z = PolynomialFeatures(degree=2).fit_transform(X)
-        # x1, x2, x1^2, x1x2, x2^2
-        assert Z.tolist() == [[2.0, 3.0, 4.0, 6.0, 9.0]]
-
-    def test_polynomial_bias(self):
-        Z = PolynomialFeatures(degree=1, include_bias=True).fit_transform(
-            np.asarray([[5.0]])
-        )
-        assert Z.tolist() == [[1.0, 5.0]]
-
-    def test_polynomial_rejects_wrong_width(self):
-        poly = PolynomialFeatures(degree=2).fit(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="features"):
-            poly.transform(np.zeros((2, 3)))
-
-    def test_label_encoder_roundtrip(self):
-        encoder = LabelEncoder()
-        codes = encoder.fit_transform(np.asarray(["b", "a", "b"]))
-        assert codes.tolist() == [1, 0, 1]
-        assert encoder.inverse_transform(codes).tolist() == ["b", "a", "b"]
-
-    def test_label_encoder_unseen(self):
-        encoder = LabelEncoder().fit(np.asarray(["a"]))
-        with pytest.raises(ValueError, match="unseen"):
-            encoder.transform(np.asarray(["b"]))

@@ -225,6 +225,9 @@ class TestPerfettoExport:
         assert phases.count("M") == 1  # one thread-name metadata row
         assert phases.count("X") == 2  # two complete spans
         assert phases.count("i") == 1  # the span event as an instant
+        [instant] = [e for e in document["traceEvents"] if e["ph"] == "i"]
+        # the event's own name, exactly as ChromeTraceSink writes it
+        assert instant["name"] == "decoded"
         request = next(
             e
             for e in document["traceEvents"]

@@ -5,7 +5,13 @@ import json
 import logging
 
 from repro.obs.log import JsonFormatter, configure_logging, get_logger
-from repro.obs.sinks import ChromeTraceSink, JsonLinesSink, span_to_dict
+from repro.obs.sinks import (
+    ChromeTraceSink,
+    InMemorySink,
+    JsonLinesSink,
+    perfetto_document,
+    span_to_dict,
+)
 from repro.obs.trace import Tracer, use_tracer
 
 
@@ -55,6 +61,21 @@ class TestChromeTraceSink:
         assert [e["name"] for e in instants] == ["marker"]
         metadata = [e for e in events if e["ph"] == "M"]
         assert metadata and metadata[0]["name"] == "thread_name"
+
+    def test_file_is_the_perfetto_document_of_the_same_spans(self, tmp_path):
+        """``--trace-out`` and ``inspect --perfetto-out`` are one rendering."""
+        path = tmp_path / "trace.json"
+        memory = InMemorySink()
+        tracer = Tracer(sinks=[ChromeTraceSink(path), memory])
+        with tracer.span("subsystem.outer", payload=object()) as outer:
+            outer.add_event("marker", note="hi")
+            with tracer.span("subsystem.inner"):
+                pass
+        tracer.close()
+
+        rows = [span_to_dict(span) for span in memory.spans]
+        document = json.loads(json.dumps(perfetto_document(rows)))
+        assert json.loads(path.read_text()) == document
 
     def test_close_is_idempotent(self, tmp_path):
         sink = ChromeTraceSink(tmp_path / "trace.json")

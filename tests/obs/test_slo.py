@@ -7,7 +7,6 @@ from repro.obs.slo import (
     SLO,
     BurnWindow,
     CounterRatioSource,
-    GaugeBelowSource,
     HistogramLatencySource,
     SLOEngine,
     default_service_slos,
@@ -45,11 +44,11 @@ class TestSources:
     def test_counter_ratio_none_until_total_exists(self):
         registry = MetricsRegistry()
         source = CounterRatioSource("bad_total", "all_total")
-        assert source.sample([registry], {}) is None
+        assert source.sample([registry]) is None
         registry.counter("all_total").inc(10)
-        assert source.sample([registry], {}) == (0.0, 10.0)
+        assert source.sample([registry]) == (0.0, 10.0)
         registry.counter("bad_total").inc(3)
-        assert source.sample([registry], {}) == (3.0, 10.0)
+        assert source.sample([registry]) == (3.0, 10.0)
 
     def test_counter_ratio_sums_labels_and_registries(self):
         first, second = MetricsRegistry(), MetricsRegistry()
@@ -57,7 +56,7 @@ class TestSources:
         first.counter("all_total", labelnames=("op",)).inc(6, op="commit")
         second.counter("all_total").inc(10)
         source = CounterRatioSource("bad_total", "all_total")
-        assert source.sample([first, second], {}) == (0.0, 20.0)
+        assert source.sample([first, second]) == (0.0, 20.0)
 
     def test_histogram_latency_counts_above_threshold_as_bad(self):
         registry = MetricsRegistry()
@@ -66,24 +65,11 @@ class TestSources:
         hist.observe(0.5)  # good
         hist.observe(5.0)  # +Inf bucket: bad
         source = HistogramLatencySource("latency_seconds", 1.0)
-        assert source.sample([registry], {}) == (1.0, 3.0)
+        assert source.sample([registry]) == (1.0, 3.0)
 
     def test_histogram_latency_absent_means_no_sample(self):
         source = HistogramLatencySource("latency_seconds", 1.0)
-        assert source.sample([MetricsRegistry()], {}) is None
-
-    def test_gauge_below_accumulates_per_evaluation(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("healthy", labelnames=("model",))
-        source = GaugeBelowSource("healthy", minimum=1.0)
-        state: dict = {}
-        assert source.sample([registry], state) is None  # no series yet
-        gauge.set(1.0, model="a")
-        gauge.set(0.0, model="b")
-        assert source.sample([registry], state) == (1.0, 2.0)
-        assert source.sample([registry], state) == (2.0, 4.0)
-        gauge.set(1.0, model="b")
-        assert source.sample([registry], state) == (2.0, 6.0)
+        assert source.sample([MetricsRegistry()]) is None
 
 
 class TestBurnAlerting:

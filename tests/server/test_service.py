@@ -13,7 +13,12 @@ from repro.materialization import (
 )
 from repro.client.parser import parse_workload
 from repro.graph.pruning import prune_workload
-from repro.ml import GradientBoostingClassifier, LogisticRegression
+from repro.ml import (
+    GradientBoostingClassifier,
+    GridSearchCV,
+    LogisticRegression,
+    roc_auc_score,
+)
 from repro.reuse import AllMaterializedReuse, HelixReuse, LinearReuse, NoReuse
 from repro.server.service import CollaborativeOptimizer
 from repro.storage import TieredArtifactStore, TieredLoadCostModel
@@ -105,6 +110,35 @@ class TestEndToEnd:
         report = co.run_script(basic_script, sources)
         model_vid = next(iter(report.model_qualities))
         assert co.eg.vertex(model_vid).quality == report.model_qualities[model_vid]
+
+    def test_search_estimator_scores_evaluates_and_predicts_proba(self, sources):
+        """A fitted search is a model like any other: the AUC scorer,
+        ``evaluate`` and ``predict(proba=True)`` all reach its refit best
+        estimator (W5 only survived by scoring accuracy and never evaluating)."""
+        nodes = {}
+
+        def script(ws, sources):
+            train = ws.source("train", sources["train"])
+            X, y = train[["a", "b", "c"]], train["y"]
+            search = GridSearchCV(
+                GradientBoostingClassifier(n_estimators=3, max_depth=1, random_state=0),
+                param_grid={"learning_rate": [0.1, 0.3]},
+                cv=2,
+            )
+            model = X.fit(search, y=y, scorer="train_auc")
+            nodes["model"] = model.terminal()
+            nodes["auc"] = model.evaluate(X, y).terminal()
+            nodes["proba"] = model.predict(X, proba=True).terminal()
+
+        report = CollaborativeOptimizer(MaterializeAll()).run_script(script, sources)
+
+        train = sources["train"]
+        best = nodes["model"].value.best_estimator_
+        proba = best.predict_proba(train[["a", "b", "c"]].to_numpy())[:, 1]
+        auc = roc_auc_score(train.values("y"), proba)
+        assert report.model_qualities[nodes["model"].vertex_id] == auc
+        assert nodes["auc"].value == auc
+        assert np.array_equal(nodes["proba"].value.values("prediction"), proba)
 
     def test_store_bytes_property(self, sources):
         co = CollaborativeOptimizer(MaterializeAll())

@@ -694,25 +694,6 @@ class TestExtendedFrameProperties:
         assert grouped.values("v_sum").sum() == pytest.approx(np.sum(values), rel=1e-9)
 
 
-class TestKMeansProperties:
-    @SETTINGS
-    @given(
-        st.integers(min_value=2, max_value=4),
-        st.integers(min_value=0, max_value=500),
-    )
-    def test_invariants(self, k, seed):
-        from repro.ml import KMeans
-
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(30, 3))
-        model = KMeans(n_clusters=k, random_state=seed).fit(X)
-        assert model.labels_.min() >= 0 and model.labels_.max() < k
-        assert model.inertia_ >= 0.0
-        # predict agrees with the nearest column of transform
-        distances = model.transform(X)
-        assert np.array_equal(np.argmin(distances, axis=1), model.predict(X))
-
-
 class TestMetricProperties:
     @SETTINGS
     @given(
