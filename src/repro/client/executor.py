@@ -5,18 +5,11 @@ the reuse plan are *loaded* from the Experiment Graph store instead of
 computed; training vertices with a warmstart assignment are initialized
 from the assigned stored model.
 
-With ``max_workers=1`` (the default) vertices run strictly in topological
-order — the paper's client, and the reference behaviour every benchmark
-is calibrated against.  With ``max_workers>1`` independent vertices are
-dispatched to a thread pool by a critical-path-first ready-set scheduler
-(:mod:`repro.client.scheduler`); loads are issued immediately as prefetch
-tasks so cold-tier disk reads overlap with upstream compute.  Threads
-suffice because compute is numpy/BLAS (releases the GIL) and cold-tier
-loads are I/O-bound.  Cost accounting is identical for every worker
-count: per-vertex outcomes are committed to the report in a canonical
-order, so ``compute_time``/``load_time`` are bit-identical across
-``max_workers`` and only the new ``wall_time`` reflects parallelism.
-See ``docs/EXECUTION.md`` for the scheduler design and its invariants.
+The plan's loads are fetched first (in sorted vertex order, each priced
+at the tier it occupied before any load ran), then the remaining vertices
+run strictly in topological order — the paper's client.  Each vertex's
+outcome is staged and committed to the report only once the vertex
+succeeded.  See ``docs/EXECUTION.md`` for the invariants.
 
 Compute times are measured with a wall clock (and can be overridden with a
 virtual cost model for timing-independent tests).  Load times are *modeled*
@@ -28,7 +21,6 @@ the costs the planner optimized against.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -38,10 +30,9 @@ from ..graph.artifacts import artifact_meta
 from ..graph.dag import WorkloadDAG
 from ..graph.operations import Operation, TrainOperation
 from ..obs.profile import ProfileReport
-from ..obs.trace import Span, SpanContext, get_tracer
+from ..obs.trace import Span, get_tracer
 from ..reuse.plan import ReusePlan
 from ..reuse.warmstart import WarmstartAssignment
-from .scheduler import COMPUTE, LOAD, ReadySetScheduler
 
 __all__ = ["ExecutionReport", "Executor", "WallClockCostModel", "VirtualCostModel"]
 
@@ -74,9 +65,8 @@ class ExecutionReport:
     total_time: float = 0.0
     compute_time: float = 0.0
     load_time: float = 0.0
-    #: measured wall seconds of the execute() call; with ``max_workers>1``
-    #: this is what parallelism shrinks, while ``compute_time``/``load_time``
-    #: remain serial-equivalent sums independent of the worker count
+    #: measured wall seconds of the execute() call (``compute_time`` and
+    #: ``load_time`` are recorded / modeled costs, not wall time)
     wall_time: float = 0.0
     executed_vertices: int = 0
     loaded_vertices: int = 0
@@ -124,15 +114,11 @@ class Executor:
         self,
         cost_model: WallClockCostModel | VirtualCostModel | None = None,
         load_cost_model: LoadCostModel | None = None,
-        max_workers: int = 1,
     ):
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         self.cost_model = cost_model if cost_model is not None else WallClockCostModel()
         self.load_cost_model = (
             load_cost_model if load_cost_model is not None else LoadCostModel.in_memory()
         )
-        self.max_workers = max_workers
 
     def execute(
         self,
@@ -162,7 +148,7 @@ class Executor:
         # tiers are snapshotted before any load: retrieving a cold artifact
         # promotes it (and may demote others), so reading tiers lazily would
         # make pricing depend on load order — the snapshot prices every load
-        # at the tier the planner saw, identically for every worker count
+        # at the tier the planner saw
         load_tiers = {
             vertex_id: eg.tier_of(vertex_id)
             for vertex_id in sorted(plan.loads)
@@ -173,15 +159,19 @@ class Executor:
         tracer = get_tracer()
         started_wall = time.perf_counter()
         with tracer.span(
-            "executor.execute",
-            vertices=len(needed),
-            loads=len(load_tiers),
-            max_workers=self.max_workers,
+            "executor.execute", vertices=len(needed), loads=len(load_tiers)
         ) as root_span:
-            if self.max_workers == 1:
-                self._execute_sequential(workload, eg, report, warm_by_vertex, needed, load_tiers)
-            else:
-                self._execute_parallel(workload, eg, report, warm_by_vertex, needed, load_tiers)
+            for vertex_id in sorted(load_tiers):
+                self._commit_load(
+                    report, self._load_vertex(workload, eg, vertex_id, load_tiers[vertex_id])
+                )
+            for vertex_id in workload.topological_order():
+                vertex = workload.vertex(vertex_id)
+                if vertex.is_supernode or vertex.computed or vertex_id not in needed:
+                    continue
+                self._commit_compute(
+                    report, self._compute_vertex(workload, vertex_id, warm_by_vertex)
+                )
         report.wall_time = time.perf_counter() - started_wall
 
         for terminal in workload.terminals:
@@ -192,135 +182,7 @@ class Executor:
         return report
 
     # ------------------------------------------------------------------
-    # Sequential execution (the reference semantics)
-    # ------------------------------------------------------------------
-    def _execute_sequential(
-        self,
-        workload: WorkloadDAG,
-        eg: ExperimentGraph | None,
-        report: ExecutionReport,
-        warm_by_vertex: dict[str, WarmstartAssignment],
-        needed: set[str],
-        load_tiers: dict[str, StorageTier],
-    ) -> None:
-        for vertex_id in sorted(load_tiers):
-            outcome = self._load_vertex(workload, eg, vertex_id, load_tiers[vertex_id])
-            self._commit_load(report, outcome)
-        for vertex_id in workload.topological_order():
-            vertex = workload.vertex(vertex_id)
-            if vertex.is_supernode or vertex.computed or vertex_id not in needed:
-                continue
-            outcome = self._compute_vertex(workload, vertex_id, warm_by_vertex)
-            self._commit_compute(report, outcome)
-
-    # ------------------------------------------------------------------
-    # Parallel execution (ready-set scheduling over a thread pool)
-    # ------------------------------------------------------------------
-    def _execute_parallel(
-        self,
-        workload: WorkloadDAG,
-        eg: ExperimentGraph | None,
-        report: ExecutionReport,
-        warm_by_vertex: dict[str, WarmstartAssignment],
-        needed: set[str],
-        load_tiers: dict[str, StorageTier],
-    ) -> None:
-        estimates = self._cost_estimates(workload, eg, needed, load_tiers)
-        scheduler = ReadySetScheduler(workload, needed, set(load_tiers), estimates)
-        load_outcomes: dict[str, _LoadOutcome] = {}
-        compute_outcomes: dict[str, _ComputeOutcome] = {}
-        first_error: BaseException | None = None
-        # capture the submitting thread's span context once: worker-side
-        # spans must parent to this execution's root span, never to whatever
-        # a previous task left on the worker thread's stack
-        parent_context = get_tracer().current_context()
-
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            in_flight: dict[Any, Any] = {}
-            while scheduler.outstanding or in_flight:
-                while (
-                    first_error is None
-                    and scheduler.has_ready()
-                    and len(in_flight) < self.max_workers
-                ):
-                    task = scheduler.next_task()
-                    if task.kind == LOAD:
-                        future = pool.submit(
-                            self._load_vertex,
-                            workload,
-                            eg,
-                            task.vertex_id,
-                            load_tiers[task.vertex_id],
-                            parent_context,
-                        )
-                    else:
-                        future = pool.submit(
-                            self._compute_vertex,
-                            workload,
-                            task.vertex_id,
-                            warm_by_vertex,
-                            parent_context,
-                        )
-                    in_flight[future] = task
-                if not in_flight:
-                    # a failure stopped submission, or (defensively) the
-                    # task graph cannot make progress
-                    break
-                done, _pending = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = in_flight.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BaseException as exc:  # noqa: BLE001 - re-raised below
-                        if first_error is None:
-                            first_error = exc
-                        continue
-                    if task.kind == LOAD:
-                        load_outcomes[task.vertex_id] = outcome
-                    else:
-                        compute_outcomes[task.vertex_id] = outcome
-                    scheduler.mark_done(task)
-
-        # commit finished vertices in the same canonical order the
-        # sequential path uses, so float accumulation is bit-identical
-        # across worker counts (and stays consistent even on failure)
-        for vertex_id in sorted(load_outcomes):
-            self._commit_load(report, load_outcomes[vertex_id])
-        for vertex_id in workload.topological_order():
-            if vertex_id in compute_outcomes:
-                self._commit_compute(report, compute_outcomes[vertex_id])
-        if first_error is not None:
-            raise first_error
-
-    def _cost_estimates(
-        self,
-        workload: WorkloadDAG,
-        eg: ExperimentGraph | None,
-        needed: set[str],
-        load_tiers: dict[str, StorageTier],
-    ) -> dict[str, float]:
-        """Per-vertex cost estimates for critical-path prioritization.
-
-        Compute vertices use the planner's knowledge (EG compute times,
-        falling back to declared virtual costs); load vertices use the
-        modeled retrieval cost at the snapshotted tier.
-        """
-        estimates: dict[str, float] = {}
-        for vertex_id in needed:
-            estimate = 0.0
-            if eg is not None and vertex_id in eg:
-                estimate = eg.vertex(vertex_id).compute_time
-            if estimate <= 0.0:
-                operation = workload.incoming_operation(vertex_id)
-                estimate = float(getattr(operation, "virtual_cost", 0.0) or 0.0)
-            estimates[vertex_id] = estimate if estimate > 0.0 else 1.0
-        for vertex_id, tier in load_tiers.items():
-            size = eg.vertex(vertex_id).size if eg is not None else 0
-            estimates[vertex_id] = self.load_cost_model.cost_for_tier(size, tier)
-        return estimates
-
-    # ------------------------------------------------------------------
-    # Per-vertex task bodies (run on workers in parallel mode)
+    # Per-vertex bodies
     # ------------------------------------------------------------------
     def _load_vertex(
         self,
@@ -328,12 +190,10 @@ class Executor:
         eg: ExperimentGraph | None,
         vertex_id: str,
         tier: StorageTier,
-        parent: SpanContext | None = None,
     ) -> _LoadOutcome:
         assert eg is not None  # guaranteed by execute()
         with get_tracer().span(
             "executor.load",
-            parent=parent,
             vertex=vertex_id[:12],
             tier=tier.value,
             cache_hit=True,
@@ -353,7 +213,6 @@ class Executor:
         workload: WorkloadDAG,
         vertex_id: str,
         warm_by_vertex: dict[str, WarmstartAssignment],
-        parent: SpanContext | None = None,
     ) -> _ComputeOutcome:
         vertex = workload.vertex(vertex_id)
         operation = workload.incoming_operation(vertex_id)
@@ -363,7 +222,6 @@ class Executor:
             )
         with get_tracer().span(
             "executor.compute",
-            parent=parent,
             vertex=vertex_id[:12],
             operation=type(operation).__name__,
             cache_hit=False,

@@ -232,7 +232,7 @@ def check_not_divergent(
 class SimpleArtifactStore(_LockedStateMixin, ArtifactStore):
     """Whole-artifact storage without deduplication (used by HM and Helix).
 
-    Thread-safe: the parallel executor may issue concurrent loads, so the
+    Thread-safe: concurrent tenants may issue concurrent loads, so the
     check-then-mutate sections are guarded by a reentrant lock.
     """
 
@@ -298,7 +298,7 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
     whole-object storage.
 
     Thread-safe: every mutating or multi-structure read path holds one
-    reentrant lock, so the parallel executor can load artifacts while the
+    reentrant lock, so one tenant's executor can load artifacts while the
     updater of another session stores new ones without corrupting the
     layout or the column refcounts.
     """

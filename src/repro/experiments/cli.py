@@ -408,18 +408,6 @@ def _run_serve(_sources, args) -> None:
     _print("server stopped")
 
 
-def _run_workers(_sources, args) -> None:
-    counts = sorted({1, args.max_workers} | {w for w in (2,) if w < args.max_workers})
-    result = figures.workers_speedup(worker_counts=counts, n_branches=args.branches)
-    _print(f"Parallel executor: {args.branches}-branch wide DAG (seconds)")
-    for workers in counts:
-        _print(
-            f"  max_workers={workers}: wall={result.wall_time[workers]:.3f} "
-            f"compute={result.compute_time[workers]:.3f} "
-            f"speedup={result.speedup(workers):.2f}x"
-        )
-
-
 _KAGGLE_EXPERIMENTS = {
     "table1": _run_table1,
     "fig4": _run_fig4,
@@ -429,7 +417,7 @@ _KAGGLE_EXPERIMENTS = {
     "fig9": _run_fig9,
 }
 _OPENML_EXPERIMENTS = {"fig8": _run_fig8, "fig10": _run_fig10}
-_STANDALONE = {"fig9d": _run_fig9d, "workers": _run_workers, "swarm": _run_swarm}
+_STANDALONE = {"fig9d": _run_fig9d, "swarm": _run_swarm}
 #: live-operations commands against a running server; never part of "all"
 _LIVE = {"metrics": _run_metrics, "inspect": _run_inspect, "serve": _run_serve}
 
@@ -446,12 +434,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pipelines", type=int, default=100, help="OpenML pipelines")
     parser.add_argument("--workloads", type=int, default=20, help="fig9d synthetic workloads")
     parser.add_argument("--budget-gb", type=float, default=16.0, help="paper-scale budget")
-    parser.add_argument(
-        "--max-workers", type=int, default=4, help="executor threads for the workers experiment"
-    )
-    parser.add_argument(
-        "--branches", type=int, default=4, help="independent branches in the workers DAG"
-    )
     parser.add_argument(
         "--clients", type=int, default=8, help="concurrent tenants in the swarm experiment"
     )

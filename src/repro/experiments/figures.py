@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from ..client.executor import Executor, VirtualCostModel
+from ..client.executor import Executor
 from ..client.parser import parse_workload
 from ..eg.graph import ExperimentGraph
 from ..graph.pruning import prune_workload
@@ -23,7 +23,6 @@ from ..workloads.openml import PipelineSpec, make_pipeline_script
 from ..workloads.synthetic_dag import (
     SyntheticDAGConfig,
     build_matching_eg,
-    build_wide_workload,
     generate_synthetic_workload,
 )
 from .runner import baseline_times, make_optimizer, run_sequence, scaled_budget
@@ -48,8 +47,6 @@ __all__ = [
     "fig9d_reuse_overhead",
     "Fig10Result",
     "fig10_warmstarting",
-    "WorkersResult",
-    "workers_speedup",
 ]
 
 
@@ -496,51 +493,3 @@ def fig10_warmstarting(
         result.cumulative_delta_accuracy.append(delta_acc)
     return result
 
-
-# ----------------------------------------------------------------------
-# Parallel executor — wall-clock speedup across worker counts
-# ----------------------------------------------------------------------
-@dataclass
-class WorkersResult:
-    """Wall time vs. serial-equivalent accounting per worker count."""
-
-    n_branches: int = 0
-    #: measured wall seconds of execute(), by worker count
-    wall_time: dict[int, float] = field(default_factory=dict)
-    #: serial-equivalent recorded compute seconds, by worker count —
-    #: identical for every entry (virtual costs, canonical commit order)
-    compute_time: dict[int, float] = field(default_factory=dict)
-    total_time: dict[int, float] = field(default_factory=dict)
-
-    def speedup(self, workers: int) -> float:
-        """Wall-clock speedup of ``workers`` threads over the sequential run."""
-        return self.wall_time[1] / self.wall_time[workers]
-
-
-def workers_speedup(
-    worker_counts: Sequence[int] = (1, 2, 4),
-    n_branches: int = 4,
-    ops_per_branch: int = 2,
-    op_seconds: float = 0.05,
-) -> WorkersResult:
-    """Execute one wide DAG under each worker count.
-
-    The workload is ``n_branches`` independent :class:`SleepOperation`
-    chains off a single source, so wall time shrinks with parallelism
-    while the virtual-cost accounting (``compute_time``/``total_time``)
-    stays bit-identical — the invariant ``docs/EXECUTION.md`` documents
-    and ``tests/client/test_parallel_executor.py`` locks in.
-    """
-    if 1 not in worker_counts:
-        raise ValueError("worker_counts must include 1 (the sequential reference)")
-    result = WorkersResult(n_branches=n_branches)
-    for workers in worker_counts:
-        workload = build_wide_workload(
-            n_branches=n_branches, ops_per_branch=ops_per_branch, op_seconds=op_seconds
-        )
-        executor = Executor(cost_model=VirtualCostModel(), max_workers=workers)
-        report = executor.execute(workload)
-        result.wall_time[workers] = report.wall_time
-        result.compute_time[workers] = report.compute_time
-        result.total_time[workers] = report.total_time
-    return result

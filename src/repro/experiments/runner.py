@@ -64,7 +64,6 @@ def make_optimizer(
     store: str | None = None,
     hot_budget_bytes: float | None = None,
     store_directory: str | None = None,
-    max_workers: int = 1,
 ) -> CollaborativeOptimizer:
     """Build an optimizer for a (materializer, reuse) strategy pair.
 
@@ -73,8 +72,6 @@ def make_optimizer(
     ``hot_budget_bytes`` with a disk cold tier under ``store_directory``
     (a temp directory when omitted) and defaults the load-cost model to
     the tier-aware one so cold hits are priced at disk bandwidth.
-    ``max_workers`` sizes the executor's worker pool; 1 (the default) is
-    the paper's strictly sequential client.
     """
     if materializer not in _MATERIALIZERS:
         raise ValueError(f"unknown materializer {materializer!r}; have {_MATERIALIZERS}")
@@ -132,7 +129,6 @@ def make_optimizer(
         load_cost_model=lcm,
         warmstarting=warmstarting,
         cost_model=cost_model,
-        max_workers=max_workers,
     )
 
 

@@ -1,23 +1,20 @@
-"""Unified observability layer: tracing, metrics, structured logging.
+"""Unified observability layer: tracing and metrics.
 
-See ``docs/OBSERVABILITY.md``.  Three independent pillars share this
-package so instrumented code needs one import surface:
+See ``docs/OBSERVABILITY.md``.  The pillars share this package so
+instrumented code needs one import surface:
 
 * :mod:`repro.obs.trace` — spans with thread-local context propagation;
   the process-wide tracer defaults to a free no-op.
 * :mod:`repro.obs.metrics` — labeled counters/gauges/histograms with
   Prometheus text exposition and a JSON snapshot.
-* :mod:`repro.obs.log` — ``repro``-namespaced structured logging with
-  trace/span-id correlation.
 * :mod:`repro.obs.sinks` / :mod:`repro.obs.profile` — span exporters
-  (JSON lines, Chrome trace events) and top-k self-time summaries.
+  (in memory, Chrome trace events) and top-k self-time summaries.
 * :mod:`repro.obs.plane` — the always-on telemetry plane: the
   tail-sampling :class:`FlightRecorder` and Perfetto export.
 * :mod:`repro.obs.slo` — declarative objectives with multi-window
   burn-rate alerting over the metrics registries.
 """
 
-from .log import configure_logging, get_logger
 from .metrics import (
     Counter,
     Gauge,
@@ -33,7 +30,7 @@ from .plane import (
     uninstall_recorder,
 )
 from .profile import ProfileEntry, ProfileReport
-from .sinks import ChromeTraceSink, InMemorySink, JsonLinesSink, perfetto_document
+from .sinks import ChromeTraceSink, InMemorySink, perfetto_document
 from .slo import (
     SLO,
     AlertEvent,
@@ -54,8 +51,6 @@ from .trace import (
 )
 
 __all__ = [
-    "configure_logging",
-    "get_logger",
     "Counter",
     "Gauge",
     "Histogram",
@@ -78,7 +73,6 @@ __all__ = [
     "ProfileReport",
     "ChromeTraceSink",
     "InMemorySink",
-    "JsonLinesSink",
     "NoopTracer",
     "Span",
     "SpanContext",

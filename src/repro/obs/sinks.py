@@ -2,16 +2,14 @@
 
 A sink is anything with ``on_span(span)`` and ``close()``.  Sinks must
 tolerate concurrent ``on_span`` calls — spans finish on whatever thread
-ran the work (executor workers, the merge worker, TCP handler threads).
+ran the work (tenant threads, the merge worker, transport work threads).
 
 * :class:`InMemorySink` — collect spans in a list (tests, profiling).
-* :class:`JsonLinesSink` — one JSON object per span, appended as the
-  span finishes; greppable and streamable.
 * :class:`ChromeTraceSink` — the Chrome trace-event format
   (``chrome://tracing`` / https://ui.perfetto.dev): buffered spans
   written as one :func:`perfetto_document` on ``close()``, with
-  per-thread tracks named after the Python thread, so a
-  parallel-executor run renders as a per-worker timeline.
+  per-thread tracks named after the Python thread, so a swarm run
+  renders as one timeline per tenant and service thread.
 """
 
 from __future__ import annotations
@@ -20,13 +18,12 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .trace import Span
 
 __all__ = [
     "InMemorySink",
-    "JsonLinesSink",
     "ChromeTraceSink",
     "span_to_dict",
     "perfetto_document",
@@ -75,30 +72,6 @@ class InMemorySink:
 
     def close(self) -> None:
         pass
-
-
-class JsonLinesSink:
-    """Appends one JSON line per finished span to a file or stream."""
-
-    def __init__(self, target: str | Path | IO[str]):
-        if isinstance(target, (str, Path)):
-            self._file: IO[str] = open(target, "w", encoding="utf-8")
-            self._owns_file = True
-        else:
-            self._file = target
-            self._owns_file = False
-        self._lock = threading.Lock()
-
-    def on_span(self, span: Span) -> None:
-        line = json.dumps(span_to_dict(span), separators=(",", ":"))
-        with self._lock:
-            self._file.write(line + "\n")
-
-    def close(self) -> None:
-        with self._lock:
-            self._file.flush()
-            if self._owns_file:
-                self._file.close()
 
 
 def perfetto_document(spans: Iterable[Mapping[str, Any]]) -> dict[str, Any]:

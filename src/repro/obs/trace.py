@@ -13,9 +13,9 @@ tracer.span(...)``) makes it the *current* span of the calling thread,
 and spans created without an explicit parent attach to it.  Work handed
 to another thread does **not** inherit the submitter's context — the
 submitter captures ``span.context`` (or :func:`Tracer.current_context`)
-and passes it explicitly, exactly like the parallel executor does, so a
-worker's child spans parent to the submitting workload span and never to
-whatever another task left on that worker's stack.
+and passes it explicitly, as the service's commit ticket does for the
+merge worker, so a worker's child spans parent to the submitting workload
+span and never to whatever another task left on that worker's stack.
 
 Tracing is **off by default and free when off**: the module-level tracer
 is a :class:`NoopTracer` whose ``span()`` returns one shared inert span
@@ -31,6 +31,7 @@ reads (:mod:`repro.obs.profile`).
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 import time
 import uuid
@@ -328,8 +329,8 @@ def _note_sink_error(stage: str) -> None:
     workload — but it is no longer invisible: every occurrence bumps
     ``repro_obs_sink_errors_total{stage}`` in the process-global registry
     and at most one warning per stage per minute carries the traceback.
-    Imports are lazy because :mod:`.log` and :mod:`.metrics` are layered
-    on top of this module.
+    The import is lazy because :mod:`.metrics` is layered on top of this
+    module.
     """
     try:
         from .metrics import get_registry
@@ -345,9 +346,7 @@ def _note_sink_error(stage: str) -> None:
             if last is not None and now - last < _SINK_WARN_INTERVAL_S:
                 return
             _sink_warned_at[stage] = now
-        from .log import get_logger
-
-        get_logger("repro.obs.trace").warning(
+        logging.getLogger(__name__).warning(
             "span sink raised in %s; suppressing repeats for %.0fs "
             "(repro_obs_sink_errors_total counts every occurrence)",
             stage,

@@ -31,10 +31,11 @@ exactly, as the paper reports in Section 7.4.
 
 from __future__ import annotations
 
+import logging
+
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import LoadCostModel
 from ..graph.dag import WorkloadDAG
-from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .plan import ReusePlan
@@ -43,7 +44,7 @@ __all__ = ["LinearReuse"]
 
 _INF = float("inf")
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 
 class LinearReuse:

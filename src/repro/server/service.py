@@ -51,7 +51,6 @@ class CollaborativeOptimizer(ServiceClient):
         warmstarting: bool = False,
         warmstart_policy: str = "best_quality",
         cost_model: WallClockCostModel | VirtualCostModel | None = None,
-        max_workers: int = 1,
     ):
         service = EGService(
             materializer,
@@ -61,12 +60,7 @@ class CollaborativeOptimizer(ServiceClient):
             warmstarting=warmstarting,
             warmstart_policy=warmstart_policy,
         )
-        # max_workers=1 is the paper's sequential client; higher values
-        # parallelize independent DAG branches without changing any cost
-        # accounting or planner decision (see docs/EXECUTION.md)
-        super().__init__(
-            service, name="local", cost_model=cost_model, max_workers=max_workers
-        )
+        super().__init__(service, name="local", cost_model=cost_model)
         self.load_cost_model = self.service.load_cost_model
         self.materializer = materializer
         self.reuse_algorithm = self.service.reuse_algorithm

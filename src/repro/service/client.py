@@ -64,16 +64,13 @@ class ServiceClient:
         service: Any,
         name: str | None = None,
         cost_model: WallClockCostModel | VirtualCostModel | None = None,
-        max_workers: int = 1,
         retry_policy: RetryPolicy | None = None,
     ):
         self.service = service
         self.session = service.open_session(name)
         self.cost_model = cost_model if cost_model is not None else WallClockCostModel()
         self.executor = Executor(
-            cost_model=self.cost_model,
-            load_cost_model=service.load_cost_model,
-            max_workers=max_workers,
+            cost_model=self.cost_model, load_cost_model=service.load_cost_model
         )
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.last_commit: CommitResult | None = None

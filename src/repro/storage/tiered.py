@@ -29,8 +29,8 @@ Invariants:
 
 Thread-safety (docs/EXECUTION.md): all tier bookkeeping — LRU order,
 hot-byte accounting, promotion/demotion, and :class:`TierStats` counters —
-is guarded by one reentrant lock, so the parallel executor can hammer the
-store from many workers.  Cold-tier *disk reads* happen outside the lock:
+is guarded by one reentrant lock, so concurrent tenants and the transport's
+work pool can hammer the store from many threads.  Cold-tier *disk reads* happen outside the lock:
 ``get`` of a cold vertex registers an in-flight marker, stages the read
 without blocking other threads, and commits the promotion under the lock.
 Concurrent ``get`` calls for the same cold vertex deduplicate — the second

@@ -608,7 +608,6 @@ class TransportServiceClient(ServiceClient):
         name: str | None = None,
         codec: str = "binary",
         cost_model: WallClockCostModel | VirtualCostModel | None = None,
-        max_workers: int = 1,
         retry_policy: RetryPolicy | None = None,
         timeout_s: float = 30.0,
         pool: ConnectionPool | None = None,
@@ -627,7 +626,6 @@ class TransportServiceClient(ServiceClient):
             RemoteService(self.request, urgent_commits=urgent_commits),
             name=name,
             cost_model=cost_model,
-            max_workers=max_workers,
             retry_policy=retry_policy,
         )
         self.service.tenant = self.session.name

@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
@@ -76,6 +77,22 @@ def _remote_parent(tc: Any) -> SpanContext | None:
     if isinstance(tc, (list, tuple)) and len(tc) == 2:
         return SpanContext(trace_id=str(tc[0]), span_id=str(tc[1]))
     return None
+
+
+def _codec_span(
+    name: str, parent: SpanContext | None, started: float, codec: WireCodec, size: int
+) -> None:
+    """Record a codec call that began at ``started`` and has just ended,
+    inside ``parent``'s trace.  With no parent (the sender, or this
+    process, is not tracing) nothing is recorded: a codec span that roots
+    a trace of its own says nothing about any request."""
+    tracer = get_tracer()
+    if parent is None or not tracer.enabled:
+        return
+    # finished, never entered: the recording thread's span stack is untouched
+    span = tracer.span(name, parent=parent, codec=codec.name, bytes=size)
+    span.start_s = started
+    span.finish()
 
 
 def _error_record(error: BaseException) -> dict[str, Any]:
@@ -193,13 +210,10 @@ class _Connection(asyncio.BufferedProtocol):
         """Handle one admitted request and encode its reply (work pool)."""
         server = self._server
         try:
-            try:
-                kind, reply = KIND_RESPONSE, server._run_handler(op, handler, message)
-            except BaseException as error:  # noqa: BLE001 - it all maps onto the wire
-                kind, reply = KIND_ERROR, _error_record(error)
+            kind, reply, context = server._run_handler(op, handler, message)
             with self._reply_lock:
                 try:
-                    frame = server._encode(codec, kind, request_id, reply)
+                    frame = server._encode(codec, kind, request_id, reply, context)
                 except Exception as error:  # noqa: BLE001 - the codec refused it
                     frame = server._encode(
                         codec, KIND_ERROR, request_id, _error_record(error)
@@ -427,7 +441,11 @@ class AsyncTransportServer:
         self._protocol_errors.inc()
         logger.warning("transport connection dropped on protocol error", exc_info=True)
 
-    def _run_handler(self, op: str, handler: Handler, message: dict[str, Any]) -> Any:
+    def _run_handler(
+        self, op: str, handler: Handler, message: dict[str, Any]
+    ) -> tuple[int, Any, SpanContext | None]:
+        """The reply frame's kind and message, and the request span's
+        context (None when tracing is off) for the reply's encode span."""
         # one span per dispatched request, on the work-pool thread, so
         # service spans (plan/commit/merge) nest under it and the glue —
         # workload DAG rebuild, payload decode — shows up attributed
@@ -437,29 +455,39 @@ class AsyncTransportServer:
         # merge worker's service.commit, whose ticket captures this
         # thread's context at submit time.
         parent = _remote_parent(message.pop("tc", None))
-        with get_tracer().span("transport.request", op=op, parent=parent):
-            return handler(message)
+        span = get_tracer().span("transport.request", op=op, parent=parent)
+        try:
+            with span:
+                return KIND_RESPONSE, handler(message), span.context
+        except BaseException as error:  # noqa: BLE001 - it all maps onto the wire
+            return KIND_ERROR, _error_record(error), span.context
 
     def _decode(self, codec: WireCodec, body: memoryview) -> Any:
-        if len(body) < _CODEC_SPAN_BYTES_FLOOR:
-            return codec.decode(body)
-        # finished, never entered: the loop thread's span stack stays empty
-        span = get_tracer().span("transport.decode", codec=codec.name, bytes=len(body))
-        try:
-            return codec.decode(body)
-        finally:
-            span.finish()
+        started = time.perf_counter()
+        message = codec.decode(body)
+        if len(body) >= _CODEC_SPAN_BYTES_FLOOR and isinstance(message, dict):
+            # a sibling of the request span the work pool will open, under
+            # the sender's span: the frame's own "tc" is the only context
+            # that exists yet on the loop thread
+            parent = _remote_parent(message.get("tc"))
+            _codec_span("transport.decode", parent, started, codec, len(body))
+        return message
 
     def _encode(
-        self, codec: WireCodec, kind: int, request_id: int, message: Any
+        self,
+        codec: WireCodec,
+        kind: int,
+        request_id: int,
+        message: Any,
+        context: SpanContext | None = None,
     ) -> Parts:
-        """One reply frame: its header, then the body parts."""
-        span = get_tracer().span("transport.encode", codec=codec.name)
+        """One reply frame: its header, then the body parts.  ``context``
+        is the span the encode is accounted under (the request's)."""
+        started = time.perf_counter()
         parts = codec.encode(message)
         size = encoded_size(parts)
         if size >= _CODEC_SPAN_BYTES_FLOOR:
-            span.set_attribute("bytes", size)
-            span.finish()
+            _codec_span("transport.encode", context, started, codec, size)
         return [pack_header(kind, codec.codec_id, request_id, size), *parts]
 
     # ------------------------------------------------------------------

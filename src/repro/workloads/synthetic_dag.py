@@ -30,7 +30,6 @@ __all__ = [
     "build_matching_eg",
     "SleepOperation",
     "SleepJoinOperation",
-    "build_wide_workload",
     "wide_workload_script",
 ]
 
@@ -101,12 +100,11 @@ def generate_synthetic_workload(
 class SleepOperation(DataOperation):
     """Identity operation with an explicit wall-clock cost.
 
-    Sleeps ``seconds`` (releasing the GIL, like the numpy/BLAS kernels the
-    real operations spend their time in) and passes its input through.
-    Declares the same value as ``virtual_cost`` so planner decisions and
+    Sleeps ``seconds`` and passes its input through: the swarm's model of
+    a tenant's think/compute time.  Declares the same value as
+    ``virtual_cost`` so planner decisions and
     :class:`~repro.client.executor.VirtualCostModel` accounting are
-    machine-independent while wall-clock measurements reflect real
-    parallelism.  Used by the parallel-executor experiments and tests.
+    machine-independent.
     """
 
     def __init__(self, branch: int, step: int, seconds: float):
@@ -144,42 +142,10 @@ class SleepJoinOperation(DataOperation):
         return DataFrame.concat_rows(frames, operation_hash=self.op_hash)
 
 
-def _wide_source(n_rows: int, seed: int) -> DataFrame:
-    rng = np.random.default_rng(seed)
-    return DataFrame({"x": rng.normal(size=n_rows), "y": rng.normal(size=n_rows)})
-
-
-def build_wide_workload(
-    n_branches: int = 4,
-    ops_per_branch: int = 2,
-    op_seconds: float = 0.05,
-    n_rows: int = 64,
-    seed: int = 0,
-) -> WorkloadDAG:
-    """An executable wide DAG: ``n_branches`` independent chains off one source.
-
-    Every chain is ``ops_per_branch`` :class:`SleepOperation` steps and ends
-    in a terminal, so a parallel executor with enough workers finishes in
-    roughly one chain's wall time while a sequential one pays for all of
-    them.  The payloads are tiny identity frames — the cost lives in the
-    declared sleeps, which keeps speedup measurements honest.
-    """
-    dag = WorkloadDAG()
-    source = dag.add_source(f"wide_source_{seed}", payload=_wide_source(n_rows, seed))
-    for branch in range(n_branches):
-        current = source
-        for step in range(ops_per_branch):
-            current = dag.add_operation(
-                [current], SleepOperation(branch, step, op_seconds)
-            )
-        dag.mark_terminal(current)
-    return dag
-
-
 def wide_workload_script(
     n_branches: int = 4, ops_per_branch: int = 2, op_seconds: float = 0.05
 ) -> Callable[[Any, Mapping[str, Any]], None]:
-    """The same wide workload as a script for the full optimizer loop."""
+    """``n_branches`` independent :class:`SleepOperation` chains off one source."""
 
     def script(ws: Any, sources: Mapping[str, Any]) -> None:
         data = ws.source("wide", sources["wide"])

@@ -1,26 +1,28 @@
-"""Trace-context propagation across the parallel executor's workers.
+"""Trace context of one execution.
 
-Satellite invariant: spans created on worker threads must parent to the
-submitting execution's root span (the context is passed explicitly with
-the task), never to whatever another task left on a worker's stack.
+Every ``executor.load`` / ``executor.compute`` span nests under the
+``executor.execute`` root of its own execution, two executions never
+share a trace, and a real tracer leaves a :class:`ProfileReport` on the
+report.
 """
 
 from repro.client.executor import Executor, VirtualCostModel
 from repro.obs.trace import Tracer, use_tracer
-from repro.workloads.synthetic_dag import build_wide_workload
+
+from ..conftest import wide_dag
 
 
-def _run_traced(max_workers: int):
-    workload = build_wide_workload(n_branches=4, ops_per_branch=2, op_seconds=0.002)
-    executor = Executor(cost_model=VirtualCostModel(), max_workers=max_workers)
+def _run_traced():
+    workload = wide_dag(n_branches=4, ops_per_branch=2, op_seconds=0.002)
+    executor = Executor(cost_model=VirtualCostModel())
     with use_tracer(Tracer()) as tracer:
         report = executor.execute(workload)
     return tracer, report
 
 
 class TestParallelPropagation:
-    def test_worker_spans_parent_to_the_execute_root(self):
-        tracer, _report = _run_traced(max_workers=4)
+    def test_sequential_spans_nest_under_the_same_root(self):
+        tracer, _report = _run_traced()
         spans = tracer.finished_spans()
         [root] = [s for s in spans if s.name == "executor.execute"]
         computes = [s for s in spans if s.name == "executor.compute"]
@@ -29,24 +31,10 @@ class TestParallelPropagation:
             assert span.parent_id == root.span_id
             assert span.trace_id == root.trace_id
 
-    def test_worker_threads_actually_ran_the_spans(self):
-        tracer, _report = _run_traced(max_workers=4)
-        computes = [s for s in tracer.finished_spans() if s.name == "executor.compute"]
-        # the pool ran them, not the coordinating thread
-        assert any(s.thread_name != computes[0].thread_name or True for s in computes)
-        assert all("ThreadPoolExecutor" in s.thread_name for s in computes)
-
-    def test_sequential_spans_nest_under_the_same_root(self):
-        tracer, _report = _run_traced(max_workers=1)
-        spans = tracer.finished_spans()
-        [root] = [s for s in spans if s.name == "executor.execute"]
-        computes = [s for s in spans if s.name == "executor.compute"]
-        assert computes and all(s.parent_id == root.span_id for s in computes)
-
     def test_two_executions_never_share_a_trace(self):
-        workload_a = build_wide_workload(n_branches=2, ops_per_branch=1, op_seconds=0.001)
-        workload_b = build_wide_workload(n_branches=3, ops_per_branch=1, op_seconds=0.001)
-        executor = Executor(cost_model=VirtualCostModel(), max_workers=2)
+        workload_a = wide_dag(n_branches=2, ops_per_branch=1, op_seconds=0.001)
+        workload_b = wide_dag(n_branches=3, ops_per_branch=1, op_seconds=0.001)
+        executor = Executor(cost_model=VirtualCostModel())
         with use_tracer(Tracer()) as tracer:
             executor.execute(workload_a)
             executor.execute(workload_b)
@@ -59,14 +47,13 @@ class TestParallelPropagation:
 
 class TestProfileAttachment:
     def test_report_carries_a_profile_when_tracing(self):
-        _tracer, report = _run_traced(max_workers=4)
+        _tracer, report = _run_traced()
         assert report.profile is not None
         names = {entry.name for entry in report.profile.entries}
         assert "executor.compute" in names
         assert report.profile.span_count >= 9  # root + 8 computes
 
     def test_no_profile_under_the_noop_default(self):
-        workload = build_wide_workload(n_branches=2, ops_per_branch=1, op_seconds=0.001)
-        executor = Executor(cost_model=VirtualCostModel(), max_workers=2)
-        report = executor.execute(workload)
+        workload = wide_dag(n_branches=2, ops_per_branch=1, op_seconds=0.001)
+        report = Executor(cost_model=VirtualCostModel()).execute(workload)
         assert report.profile is None

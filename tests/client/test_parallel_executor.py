@@ -1,15 +1,14 @@
-"""Parallel executor: identical accounting for every worker count, real
-wall-clock speedup on wide DAGs, and thread-safety of the tiered store.
+"""Executor accounting on wide DAGs, and thread-safety of the tiered store.
 
 The invariants under test (docs/EXECUTION.md):
 
 * ``compute_time``/``load_time`` and every counter of the
-  :class:`ExecutionReport` are bit-identical across ``max_workers`` —
-  outcomes are committed in a canonical order, so parallelism only moves
-  ``wall_time``;
-* reuse decisions (what gets loaded vs computed) never depend on the
-  worker count;
-* :class:`TieredArtifactStore` survives concurrent hammering — no lost
+  :class:`ExecutionReport` are sums of per-vertex recorded / modeled
+  costs, identical from run to run under the virtual cost model;
+* loads are priced at the tier their vertex occupied before any load of
+  the execution ran;
+* :class:`TieredArtifactStore` survives concurrent hammering (concurrent
+  tenants and the transport's work pool load from one store) — no lost
   columns, no double demotion, and hit counters that add up.
 """
 
@@ -19,27 +18,19 @@ import numpy as np
 import pytest
 
 from repro.client.executor import Executor, VirtualCostModel
-from repro.client.parser import parse_workload
-from repro.client.scheduler import COMPUTE, LOAD, ReadySetScheduler
 from repro.dataframe import DataFrame
 from repro.eg.graph import ExperimentGraph
 from repro.experiments.runner import make_optimizer
-from repro.graph.pruning import prune_workload
+from repro.graph.dag import WorkloadDAG
 from repro.reuse.plan import ReusePlan
-from repro.storage import TieredArtifactStore
-from repro.workloads.synthetic_dag import (
-    build_wide_workload,
-    wide_workload_script,
-)
+from repro.storage import TieredArtifactStore, TieredLoadCostModel
+from repro.workloads.synthetic_dag import wide_workload_script
 
-
-def wide_sources(n_rows: int = 64, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    return {"wide": DataFrame({"x": rng.normal(size=n_rows), "y": rng.normal(size=n_rows)})}
+from ..conftest import Shift, wide_dag, wide_sources
 
 
 def report_fingerprint(report):
-    """Every accounting field that must not depend on the worker count.
+    """Every accounting field that must not depend on the machine.
 
     ``total_time`` is excluded only because the full optimizer loop folds
     wall-measured planning seconds into it; it is exactly
@@ -58,121 +49,89 @@ def report_fingerprint(report):
 
 
 class TestIdenticalAccounting:
-    """max_workers in {1, 4} must produce bit-identical reports."""
-
     @pytest.mark.parametrize(
         "n_branches,ops_per_branch", [(4, 2), (3, 3), (6, 1)]
     )
     def test_direct_execution(self, n_branches, ops_per_branch):
-        reports = []
-        for workers in (1, 4):
-            workload = build_wide_workload(
-                n_branches=n_branches, ops_per_branch=ops_per_branch, op_seconds=0.002
-            )
-            executor = Executor(cost_model=VirtualCostModel(), max_workers=workers)
-            reports.append(executor.execute(workload))
-        assert report_fingerprint(reports[0]) == report_fingerprint(reports[1])
-        assert reports[0].compute_time == n_branches * ops_per_branch * 0.002
+        """Every vertex of every branch is computed once and contributes
+        exactly its declared cost."""
+        workload = wide_dag(n_branches, ops_per_branch, op_seconds=0.002)
+        report = Executor(cost_model=VirtualCostModel()).execute(workload)
+        assert report.executed_vertices == n_branches * ops_per_branch
+        assert report.compute_time == n_branches * ops_per_branch * 0.002
+        assert report.loaded_vertices == 0 and report.load_time == 0.0
+        assert report.wall_time >= report.compute_time
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_full_optimizer_sequence(self, workers):
+    @pytest.mark.parametrize("ops_per_branch", [1, 2])
+    def test_full_optimizer_sequence(self, ops_per_branch):
         """Two runs of the same script through the whole loop: the second
-        run's reuse decisions and both runs' accounting are identical for
-        every worker count (compared against the sequential reference)."""
-        script = wide_workload_script(n_branches=4, ops_per_branch=2, op_seconds=0.002)
+        run reuses the first, and both runs' accounting is the same on two
+        fresh optimizers."""
+        script = wide_workload_script(
+            n_branches=4, ops_per_branch=ops_per_branch, op_seconds=0.002
+        )
         sources = wide_sources()
 
-        def run_pair(max_workers):
+        def run_pair():
             optimizer = make_optimizer(
                 "SA",
                 budget_bytes=10**9,
                 reuse="LN",
                 cost_model=VirtualCostModel(),
-                max_workers=max_workers,
             )
-            return [
-                report_fingerprint(optimizer.run_script(script, sources))
-                for _ in range(2)
-            ]
+            return [optimizer.run_script(script, sources) for _ in range(2)]
 
-        assert run_pair(workers) == run_pair(1)
+        first, second = run_pair()
+        assert first.executed_vertices == 4 * ops_per_branch
+        assert second.executed_vertices == 0 and second.loaded_vertices > 0
+        assert [report_fingerprint(r) for r in run_pair()] == [
+            report_fingerprint(first),
+            report_fingerprint(second),
+        ]
 
     def test_loads_identical_across_worker_counts(self):
-        """Explicit reuse plan: loaded vertices and modeled load costs are
-        identical whether loads run inline or as prefetch tasks."""
-        script = wide_workload_script(n_branches=4, ops_per_branch=2, op_seconds=0.002)
-        sources = wide_sources()
-        first = parse_workload(script, sources)
-        prune_workload(first.dag)
-        Executor(cost_model=VirtualCostModel()).execute(first.dag)
-        eg = ExperimentGraph()
-        eg.union_workload(first.dag)
-        loads = set()
-        for vertex in first.dag.artifact_vertices():
-            if vertex.computed and not vertex.is_source:
-                eg.materialize(vertex.vertex_id, vertex.data)
-                loads.add(vertex.vertex_id)
+        """Explicit reuse plan over a tiered store whose hot tier holds one
+        artifact: every load is priced at the tier its vertex occupied
+        *before* the execution's first load, although each cold read
+        promotes its artifact and demotes the hot one while the loads run."""
 
-        fingerprints = []
-        for workers in (1, 4):
-            fresh = parse_workload(script, sources)
-            prune_workload(fresh.dag)
-            executor = Executor(cost_model=VirtualCostModel(), max_workers=workers)
-            report = executor.execute(fresh.dag, plan=ReusePlan(loads=set(loads)), eg=eg)
-            fingerprints.append(report_fingerprint(report))
-            assert report.loaded_vertices == len(loads)
-            assert report.executed_vertices == 0
-        assert fingerprints[0] == fingerprints[1]
+        def shifted_branches():
+            dag = WorkloadDAG()
+            source = dag.add_source("s", payload=DataFrame({"x": np.arange(512.0)}))
+            outputs = [dag.add_operation([source], Shift(k)) for k in range(1, 5)]
+            for output in outputs:
+                dag.mark_terminal(output)
+            return dag, sorted(outputs)
 
+        first, loads = shifted_branches()
+        Executor(cost_model=VirtualCostModel()).execute(first)
+        store = TieredArtifactStore(hot_budget_bytes=1.5 * 512 * 8)
+        eg = ExperimentGraph(store=store)
+        eg.union_workload(first)
+        for vertex_id in loads:
+            eg.materialize(vertex_id, first.vertex(vertex_id).data)
+        # the one hot artifact is the last the executor will load, so every
+        # earlier (cold) load has demoted it by the time its turn comes
+        store.get(loads[-1])
+        tiers_before = {vertex_id: eg.tier_of(vertex_id) for vertex_id in loads}
+        assert [tier.value for tier in tiers_before.values()] == ["cold"] * 3 + ["hot"]
+        cold_reads_before = store.statistics()["cold_hits"]
 
-class TestSpeedup:
-    def test_wide_dag_speedup(self):
-        """Acceptance: >=1.8x wall-clock speedup on a 4-branch DAG with 4
-        workers, with identical virtual-cost accounting.  The branches are
-        GIL-releasing sleeps, so the bar is conservative even on a loaded
-        CI runner (ideal speedup here is ~3.9x)."""
-        results = {}
-        for workers in (1, 4):
-            workload = build_wide_workload(n_branches=4, ops_per_branch=2, op_seconds=0.06)
-            executor = Executor(cost_model=VirtualCostModel(), max_workers=workers)
-            results[workers] = executor.execute(workload)
-        assert results[1].compute_time == results[4].compute_time
-        assert results[1].wall_time / results[4].wall_time >= 1.8
-
-    def test_sequential_worker_is_exact_reference(self):
-        """max_workers=1 never builds a pool: wall order equals topological
-        order, which the prefix-survival failure tests rely on."""
-        executor = Executor(cost_model=VirtualCostModel(), max_workers=1)
-        workload = build_wide_workload(n_branches=2, ops_per_branch=2, op_seconds=0.0)
-        report = executor.execute(workload)
-        assert report.executed_vertices == 4
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            Executor(max_workers=0)
-
-
-class TestScheduler:
-    def test_critical_path_priority_orders_ready_tasks(self):
-        """With one worker slot, the scheduler hands out the head of the
-        longest remaining chain first."""
-        workload = build_wide_workload(n_branches=1, ops_per_branch=3, op_seconds=0.0)
-        deep_ids = [
-            v.vertex_id
-            for v in workload.artifact_vertices()
-            if not v.is_source
-        ]
-        estimates = {vid: 1.0 for vid in deep_ids}
-        scheduler = ReadySetScheduler(workload, set(deep_ids), set(), estimates)
-        order = []
-        while scheduler.outstanding:
-            task = scheduler.next_task()
-            assert task.kind in (LOAD, COMPUTE)
-            order.append(task.vertex_id)
-            scheduler.mark_done(task)
-        assert order == list(
-            vid for vid in workload.topological_order() if vid in set(deep_ids)
-        )
+        load_cost_model = TieredLoadCostModel.default()
+        fresh, _ = shifted_branches()
+        executor = Executor(cost_model=VirtualCostModel(), load_cost_model=load_cost_model)
+        report = executor.execute(fresh, plan=ReusePlan(loads=set(loads)), eg=eg)
+        assert report.loaded_vertices == 4
+        assert report.executed_vertices == 0
+        # all four were read from disk, three are priced (and counted) cold
+        assert store.statistics()["cold_hits"] - cold_reads_before == 4
+        assert report.cold_loaded_vertices == 3
+        expected = 0.0
+        for vertex_id in loads:
+            expected += load_cost_model.cost_for_tier(
+                eg.vertex(vertex_id).size, tiers_before[vertex_id]
+            )
+        assert report.load_time == expected
 
 
 class TestTieredStoreStress:

@@ -10,9 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.client.parser import parse_workload
 from repro.dataframe import DataFrame
+from repro.graph.dag import WorkloadDAG
+from repro.graph.operations import DataOperation
+from repro.graph.pruning import prune_workload
 from repro.workloads.home_credit import generate_home_credit
 from repro.workloads.openml import generate_credit_g
+from repro.workloads.synthetic_dag import wide_workload_script
 
 
 class Counted:
@@ -27,6 +32,32 @@ class Counted:
     def __str__(self) -> str:
         Counted.walks += 1
         return self.text
+
+
+class Shift(DataOperation):
+    """Every column ``+ k``: new content per application, so neither a
+    store nor a wire ledger can dedup the result against its input."""
+
+    def __init__(self, k: int):
+        super().__init__("shift", params={"k": k})
+        self.k = k
+        self.virtual_cost = 1.0
+
+    def run(self, frame: DataFrame) -> DataFrame:
+        return DataFrame({name: frame.column(name).values + self.k for name in frame.columns})
+
+
+def wide_sources(n_rows: int = 64, seed: int = 0) -> dict[str, DataFrame]:
+    rng = np.random.default_rng(seed)
+    return {"wide": DataFrame({"x": rng.normal(size=n_rows), "y": rng.normal(size=n_rows)})}
+
+
+def wide_dag(n_branches: int, ops_per_branch: int, op_seconds: float) -> WorkloadDAG:
+    """The parsed, pruned DAG of :func:`wide_workload_script`."""
+    script = wide_workload_script(n_branches, ops_per_branch, op_seconds)
+    dag = parse_workload(script, wide_sources()).dag
+    prune_workload(dag)
+    return dag
 
 
 @pytest.fixture

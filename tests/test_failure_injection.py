@@ -131,59 +131,62 @@ class TestAtomicReportAccounting:
     and committed atomically.
     """
 
-    def _two_step_dag(self):
+    def _failing_chain(self, good_vertices):
         dag = WorkloadDAG()
-        src = dag.add_source("s", payload=frame())
-        good_op = Identity("ok")
-        good_op.virtual_cost = 1.0
-        good = dag.add_operation([src], good_op)
-        bad = dag.add_operation([good], Boom())
+        current = dag.add_source("s", payload=frame())
+        for step in range(good_vertices):
+            good_op = Identity(f"ok{step}")
+            good_op.virtual_cost = 1.0
+            current = dag.add_operation([current], good_op)
+        bad = dag.add_operation([current], Boom())
         dag.mark_terminal(bad)
         return dag
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_failed_compute_contributes_nothing(self, workers):
+    @pytest.mark.parametrize("good_vertices", [1, 3])
+    def test_failed_compute_contributes_nothing(self, good_vertices):
         from repro.client.executor import ExecutionReport, VirtualCostModel
 
-        dag = self._two_step_dag()
+        dag = self._failing_chain(good_vertices)
         report = ExecutionReport()
-        executor = Executor(cost_model=VirtualCostModel(), max_workers=workers)
+        executor = Executor(cost_model=VirtualCostModel())
         with pytest.raises(RuntimeError, match="injected"):
             executor.execute(dag, report=report)
-        # the good vertex committed fully; the failing one not at all
-        assert report.executed_vertices == 1
-        assert report.compute_time == 1.0
+        # the good prefix committed fully; the failing vertex not at all
+        assert report.executed_vertices == good_vertices
+        assert report.compute_time == float(good_vertices)
         assert report.loaded_vertices == 0
         assert report.load_time == 0.0
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_failed_load_contributes_nothing(self, workers):
+    @pytest.mark.parametrize("planned_loads", [1, 2])
+    def test_failed_load_contributes_nothing(self, planned_loads):
         from repro.client.executor import ExecutionReport
 
-        dag = WorkloadDAG()
-        src = dag.add_source("s", payload=frame())
-        out = dag.add_operation([src], Identity("a"))
-        dag.mark_terminal(out)
+        def chain():
+            dag = WorkloadDAG()
+            current = dag.add_source("s", payload=frame())
+            outputs = []
+            for step in range(planned_loads):
+                current = dag.add_operation([current], Identity(f"a{step}"))
+                outputs.append(current)
+            dag.mark_terminal(current)
+            return dag, outputs
+
+        dag, _ = chain()
         Executor().execute(dag)
         eg = ExperimentGraph()
         Updater(eg, MaterializeAll()).update(dag)
 
-        fresh = WorkloadDAG()
-        fresh_src = fresh.add_source("s", payload=frame())
-        fresh_out = fresh.add_operation([fresh_src], Identity("a"))
-        fresh.mark_terminal(fresh_out)
+        fresh, loads = chain()
         report = ExecutionReport()
-        executor = Executor(load_cost_model=RaisingLoadCostModel(), max_workers=workers)
+        executor = Executor(load_cost_model=RaisingLoadCostModel())
         with pytest.raises(RuntimeError, match="cost-model"):
-            executor.execute(
-                fresh, plan=ReusePlan(loads={fresh_out}), eg=eg, report=report
-            )
-        # nothing half-counted: the load failed before its commit, so the
-        # report shows no loads and no load time — and the workload vertex
-        # was not marked computed either (cost is priced before mutation)
+            executor.execute(fresh, plan=ReusePlan(loads=set(loads)), eg=eg, report=report)
+        # nothing half-counted: the first load failed before its commit, so
+        # the report shows no loads and no load time — and no workload vertex
+        # was marked computed either (cost is priced before mutation)
         assert report.loaded_vertices == 0
         assert report.load_time == 0.0
-        assert not fresh.vertex(fresh_out).computed
+        assert not any(fresh.vertex(vertex_id).computed for vertex_id in loads)
 
 
 class TestStoreCorruption:

@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 
 from repro.client.executor import VirtualCostModel
+from repro.dataframe import DataFrame
 from repro.experiments.swarm import eg_fingerprint, replay_sequentially, swarm_family
 from repro.materialization.simple import MaterializeAll
+from repro.obs import FlightRecorder, Tracer, use_tracer
 from repro.service import EGService
 from repro.transport import (
     AdmissionPolicy,
@@ -41,6 +43,8 @@ from repro.transport.frames import (
     send_frame,
 )
 from repro.transport.shardops import ShardRequestBridge
+
+from ..conftest import Shift
 
 EMPTY_WORKLOAD = {"v": [], "e": [], "tm": []}
 
@@ -157,6 +161,65 @@ class TestOneHop:
                 wire = server.wire_stats()
                 assert wire["frames_in"] == wire["frames_out"] == 3
                 assert wire["shed"] == 1
+
+
+class TestCodecSpansJoinTheRequestTrace:
+    def test_payload_frames_decode_and_encode_inside_the_workload_trace(self):
+        """A ≥ 16 KiB commit is decoded on the loop thread before any
+        request span exists, and a ≥ 16 KiB plan reply is encoded after
+        the request span closed: both codec spans must still land in the
+        caller's ``client.workload`` trace, never root a trace of their
+        own (the recorder would count, sample and ring-buffer each)."""
+        rng = np.random.default_rng(3)
+        sources = {
+            "wide": DataFrame({"x": rng.normal(size=4096), "y": rng.normal(size=4096)})
+        }
+
+        def script(ws, frames):
+            ws.source("wide", frames["wide"]).add(Shift(1)).terminal()
+
+        recorder = FlightRecorder(slow_threshold_s=0.0, head_sample_every=0)
+        with use_tracer(Tracer()) as tracer:
+            with EGService(
+                MaterializeAll(), background=True, flight_recorder=recorder
+            ) as service:
+                with AsyncTransportServer(service) as server:
+                    # the second tenant's plan reply carries the load's
+                    # content to a connection that has never seen it
+                    for tenant in ("first", "second"):
+                        with TransportServiceClient(
+                            *server.address, name=tenant, cost_model=VirtualCostModel()
+                        ) as client:
+                            client.run_script(script, sources)
+        spans = tracer.finished_spans()
+        workload_traces = {s.trace_id for s in spans if s.name == "client.workload"}
+        assert len(workload_traces) == 2
+        codec = [s for s in spans if s.name in ("transport.decode", "transport.encode")]
+        assert sorted(s.name for s in codec) == [
+            "transport.decode",  # each tenant's commit
+            "transport.decode",
+            "transport.encode",  # the second tenant's plan reply
+        ]
+        by_id = {s.span_id: s for s in spans}
+        for span in codec:
+            assert span.attributes["bytes"] >= 16384
+            assert span.trace_id in workload_traces
+            parent = by_id[span.parent_id]
+            if span.name == "transport.encode":
+                assert parent.name == "transport.request"
+                assert parent.attributes["op"] == "plan"
+                assert span.thread_name == parent.thread_name
+            else:
+                assert parent.name == "client.workload"
+                assert span.thread_name == "eg-transport-loop"
+            # back-dated to the clock read before the codec call
+            assert span.start_s > parent.start_s and span.duration_s > 0.0
+        # every trace the recorder saw holds a request or a merge, never a
+        # lone codec span
+        for trace_id in {s.trace_id for s in spans}:
+            names = {s.name for s in spans if s.trace_id == trace_id}
+            assert names - {"transport.decode", "transport.encode"}, names
+        assert recorder.stats()["traces_total"] == len({s.trace_id for s in spans})
 
 
 class TestReplyTheCodecRefuses:
