@@ -8,7 +8,9 @@ through the fast path (installed ``UtilityIndex`` + copy-on-write
 (full ``recreation_costs``/``potentials`` recompute + full snapshot
 copy).  The contract: both worlds end bit-identical (``eg_fingerprint``),
 the dirty set stays proportional to the batch rather than the EG, and the
-fast path is at least 5x quicker per merge cycle at full scale.
+fast path is at least 5x quicker per merge cycle at full scale.  A third
+world runs SA under a budget it never reaches: like HM's, its ``select``
+scores per merge what the batch dirtied, not the EG.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.experiments.swarm import eg_fingerprint
 from repro.graph.artifacts import ArtifactMeta, ArtifactType
 from repro.graph.dag import WorkloadDAG
 from repro.graph.operations import DataOperation
-from repro.materialization import HeuristicMaterializer
+from repro.materialization import HeuristicMaterializer, StorageAwareMaterializer
 from repro.service.versioned import VersionedExperimentGraph
 
 N_CHAINS = scaled(50, minimum=8)
@@ -101,11 +103,11 @@ class CountingStore(SimpleArtifactStore):
 class World:
     """One EG + updater + versioned view, on either merge path."""
 
-    def __init__(self, incremental: bool):
+    def __init__(self, incremental: bool, materializer=HeuristicMaterializer):
         self.incremental = incremental
         self.eg = ExperimentGraph(CountingStore())
         self.index = UtilityIndex.install(self.eg) if incremental else None
-        self.updater = Updater(self.eg, HeuristicMaterializer(budget_bytes=1e9))
+        self.updater = Updater(self.eg, materializer(budget_bytes=1e9))
         self.updater.update_batch([seed_workload(chain) for chain in range(N_CHAINS)])
         self.versioned = VersionedExperimentGraph(eg=self.eg)
         self.updater.clear_dirty()
@@ -132,6 +134,7 @@ def test_incremental_merge(benchmark):
     def run():
         fast = World(incremental=True)
         slow = World(incremental=False)
+        unbounded_sa = World(incremental=True, materializer=StorageAwareMaterializer)
         batches = [
             [extension_workload(chain, round_index) for chain in range(BATCH_SIZE)]
             for round_index in range(TIMED_ROUNDS + 1)
@@ -141,11 +144,14 @@ def test_incremental_merge(benchmark):
         slow.merge_cycle(batches[0])
         fast_seconds = sum(fast.merge_cycle(batch) for batch in batches[1:])
         slow_seconds = sum(slow.merge_cycle(batch) for batch in batches[1:])
-        return fast, slow, fast_seconds, slow_seconds
+        for batch in batches:
+            unbounded_sa.merge_cycle(batch)
+        return fast, slow, unbounded_sa, fast_seconds, slow_seconds
 
-    fast, slow, fast_seconds, slow_seconds = benchmark.pedantic(
+    fast, slow, unbounded_sa, fast_seconds, slow_seconds = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
+    hm, sa = fast.updater.materializer, unbounded_sa.updater.materializer
     speedup = slow_seconds / fast_seconds if fast_seconds > 0 else float("inf")
     total = fast.eg.num_vertices
     per_cycle_fast = fast_seconds / TIMED_ROUNDS
@@ -159,6 +165,8 @@ def test_incremental_merge(benchmark):
         f"  dirty={fast.last_dirty}/{total} vertices "
         f"cost_dirty={fast.index.last_cost_dirty} "
         f"pot_dirty={fast.index.last_potential_dirty}",
+        f"  select scored {hm.last_scored} (HM) / {sa.last_scored} (SA) vertices "
+        f"and ranked none: routes {hm.routes} / {sa.routes}",
     )
 
     # both paths must produce bit-identical EGs and snapshots
@@ -167,18 +175,30 @@ def test_incremental_merge(benchmark):
         assert eg_fingerprint(lease.eg) == eg_fingerprint(fast.eg)
     fast.index.verify()
 
+    assert eg_fingerprint(unbounded_sa.eg) == eg_fingerprint(fast.eg)
+
     # the dirty set is proportional to the batch, not the graph
     assert fast.last_dirty * 4 < total
     assert fast.index.last_cost_dirty < fast.last_dirty
+    # ... and so is what select looks at: the batch's dirty vertices plus
+    # the 3 leaves per workload the previous batch stored (a stored flag
+    # is an input of the running budget charge) — and no merge ranked anything
+    for world, materializer in ((fast, hm), (unbounded_sa, sa)):
+        assert materializer.last_scored <= world.last_dirty + 3 * BATCH_SIZE
+        assert materializer.routes == {
+            "shortcut": TIMED_ROUNDS + 2, "budget": 0, "inexact": 0
+        }
 
     benchmark.extra_info["incmerge_speedup"] = round(speedup, 2)
     # seeding and every merge cycle of both worlds: no artifact read back
     benchmark.extra_info["vc_exact_merge_store_gets"] = (
-        fast.eg.store.gets + slow.eg.store.gets
+        fast.eg.store.gets + slow.eg.store.gets + unbounded_sa.eg.store.gets
     )
     benchmark.extra_info["vc_exact_incmerge_eg_vertices"] = total
     benchmark.extra_info["vc_exact_incmerge_batch_dirty"] = fast.last_dirty
     benchmark.extra_info["vc_exact_incmerge_cost_dirty"] = fast.index.last_cost_dirty
+    benchmark.extra_info["vc_exact_incmerge_hm_scored"] = hm.last_scored
+    benchmark.extra_info["vc_exact_incmerge_sa_scored"] = sa.last_scored
     benchmark.extra_info["vc_exact_incmerge_pot_dirty"] = (
         fast.index.last_potential_dirty
     )

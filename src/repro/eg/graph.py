@@ -138,6 +138,13 @@ class ExperimentGraph:
     def materialized_ids(self) -> set[str]:
         return {v.vertex_id for v in self.vertices() if v.materialized}
 
+    def stored_ids(self) -> set[str]:
+        """Non-source vertices whose content is stored: an installed index's
+        maintained set (live, O(1), do not mutate), else a scan of the flags."""
+        if self.utility_index is not None:
+            return self.utility_index.stored
+        return self.materialized_ids() - self.source_ids
+
     def materialized_artifact_bytes(self, include_sources: bool = False) -> int:
         """Logical ("real") bytes of materialized artifacts (Figure 6).
 
@@ -320,6 +327,8 @@ class ExperimentGraph:
         record.materialized = True
         if not kept:
             record.footprint = payload_footprint(payload)
+        if self.utility_index is not None:
+            self.utility_index.note_stored(vertex_id, True)
         return added
 
     def deselect(self, vertex_id: str) -> None:
@@ -332,6 +341,8 @@ class ExperimentGraph:
         record = self.vertex(vertex_id)
         record.materialized = False
         record.footprint = None
+        if self.utility_index is not None:
+            self.utility_index.note_stored(vertex_id, False)
 
     def unmaterialize(self, vertex_id: str) -> int:
         """Evict a vertex's content; returns bytes released."""

@@ -205,14 +205,10 @@ class Updater:
         The materializer is shown what is obtainable — the batch's payloads,
         which are in hand, and the ids of the non-source vertices already
         stored — and the store is then told only what changed: nothing here
-        reads an artifact back.
+        reads an artifact back, and an indexed EG is not scanned either.
         """
         evict = evict if evict is not None else self.eg.unmaterialize
-        current = {
-            vertex.vertex_id
-            for vertex in self.eg.vertices()
-            if vertex.materialized and not vertex.is_source
-        }
+        current = self.eg.stored_ids()
         in_hand = {
             vertex.vertex_id: vertex.data
             for executed in merged
@@ -223,12 +219,14 @@ class Updater:
             self.eg, AvailableContent(self.eg, in_hand, current)
         )
 
-        for vertex_id in sorted(current - target):
+        # both differences first: applying them mutates the live ``current``
+        evicted, admitted = sorted(current - target), sorted(target - current)
+        for vertex_id in evicted:
             self.eg.deselect(vertex_id)
             evict(vertex_id)
             self._dirty.add(vertex_id)
             report.evicted.append(vertex_id)
-        for vertex_id in sorted(target - current):
+        for vertex_id in admitted:
             payload = in_hand.get(vertex_id)
             if payload is None:
                 continue  # content not obtainable right now; keep meta only

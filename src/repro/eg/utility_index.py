@@ -4,10 +4,16 @@ The materializer needs two graph-wide quantities per pass: recreation
 costs ``C_r(v)`` and potentials ``p(v)`` (paper Section 5).  Recomputing
 both from scratch is O(graph) — ~0.5 s at 12k vertices — even though a
 merge batch only touches a small dirty subgraph.  :class:`UtilityIndex`
-keeps ancestor sets, recreation costs, potentials, and frequencies
-maintained across :meth:`ExperimentGraph.union_workload` calls, so each
-batch pays only for the dirty forward cone (ancestor sets + costs) and
-the dirty backward cone (potentials).
+keeps ancestor sets, recreation costs and potentials maintained across
+:meth:`ExperimentGraph.union_workload` calls, so each batch pays only for
+the dirty forward cone (ancestor sets + costs) and the dirty backward cone
+(potentials).
+
+Beside them it keeps what a merge would otherwise scan the EG for: the
+stored non-source vertices (:attr:`UtilityIndex.stored`, updated by
+:meth:`ExperimentGraph.materialize` / ``deselect``) and the ids whose
+frequency, size, ``C_r``, ``p`` or stored flag changed since the last
+:meth:`UtilityIndex.drain_changed` — all the utility materializers re-score.
 
 Exactness contract: the maintained values are **bit-identical** to a full
 :meth:`ExperimentGraph.recreation_costs` / :meth:`potentials` recompute.
@@ -47,7 +53,7 @@ class UtilityIndexDivergence(AssertionError):
 
 
 class UtilityIndex:
-    """Maintains recreation costs, potentials, and frequencies under unions.
+    """Maintains recreation costs and potentials under unions.
 
     Install on an EG with :meth:`install`; afterwards every
     ``union_workload`` notifies the index through :meth:`apply` with the
@@ -61,14 +67,20 @@ class UtilityIndex:
         self._anc: dict[str, set[str]] = {}
         self._cost: dict[str, float] = {}
         self._pot: dict[str, float] = {}
-        self._freq: dict[str, int] = {}
-        #: when True, ``compute_utilities`` cross-checks against a full
-        #: recompute on every pass (debug aid; O(graph) again, obviously)
+        #: non-source vertex ids whose content is stored — live; do not mutate
+        self.stored: set[str] = set()
+        self._changed: set[str] = set()
+        #: :meth:`drain_changed` calls so far — a consumer's cursor
+        self.drains = 0
+        #: when True, every materialization pass cross-checks against a
+        #: full recompute (debug aid; O(graph) again, obviously)
         self.cross_check = cross_check
         # instrumentation for the service metrics / swarm output
         self.deltas_applied = 0
         self.last_cost_dirty = 0
         self.last_potential_dirty = 0
+        #: size of ``new ∪ touched ∪ cost_dirty ∪ pot_region`` of the last delta
+        self.last_changed = 0
         self.total_cost_dirty = 0
         self.total_potential_dirty = 0
         self.cross_checks_passed = 0
@@ -94,7 +106,6 @@ class UtilityIndex:
         self._anc = {}
         self._cost = {}
         self._pot = {}
-        self._freq = {}
         order = list(nx.topological_sort(graph))
         for vertex_id in order:
             merged: set[str] = set()
@@ -103,9 +114,9 @@ class UtilityIndex:
                 merged.add(parent)
             self._anc[vertex_id] = merged
             self._cost[vertex_id] = self._cost_of(vertex_id)
-            self._freq[vertex_id] = self._eg.vertex(vertex_id).frequency
         for vertex_id in reversed(order):
             self._pot[vertex_id] = self._local_potential(vertex_id)
+        self.stored = self._eg.materialized_ids() - self._eg.source_ids
 
     # ------------------------------------------------------------------
     # Query API (mirrors ExperimentGraph.recreation_costs / potentials)
@@ -118,13 +129,21 @@ class UtilityIndex:
         """Maintained p(v) for every vertex — do not mutate."""
         return self._pot
 
-    def frequencies(self) -> dict[str, int]:
-        """Maintained workload frequency per vertex — do not mutate."""
-        return self._freq
+    def drain_changed(self) -> set[str]:
+        """Ids whose utility inputs changed since the last drain (caller's set)."""
+        changed, self._changed = self._changed, set()
+        self.drains += 1
+        return changed
 
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
+    def note_stored(self, vertex_id: str, stored: bool) -> None:
+        """``ExperimentGraph.materialize`` / ``deselect`` flipped a flag."""
+        if not self._eg.vertex(vertex_id).is_source:
+            (self.stored.add if stored else self.stored.discard)(vertex_id)
+            self._changed.add(vertex_id)
+
     def apply(self, delta: GraphDelta) -> None:
         """Fold one union's delta into the maintained state.
 
@@ -134,12 +153,6 @@ class UtilityIndex:
         not the EG.
         """
         graph = self._eg.graph
-
-        # frequencies: every workload vertex was bumped by the union
-        for vid in delta.new_vertices:
-            self._freq[vid] = self._eg.vertex(vid).frequency
-        for vid in delta.touched:
-            self._freq[vid] = self._eg.vertex(vid).frequency
 
         # --- forward pass: ancestor sets for the structural closure ----
         seeds = set(delta.new_vertices)
@@ -177,7 +190,11 @@ class UtilityIndex:
         for vid in self._reverse_topo_order(pot_region):
             self._pot[vid] = self._local_potential(vid)
 
+        changed = cost_dirty | pot_region
+        changed.update(delta.new_vertices, delta.touched)
+        self._changed |= changed
         self.deltas_applied += 1
+        self.last_changed = len(changed)
         self.last_cost_dirty = len(cost_dirty)
         self.last_potential_dirty = len(pot_region)
         self.total_cost_dirty += len(cost_dirty)
@@ -196,10 +213,8 @@ class UtilityIndex:
         if self._pot != full_pots:
             diff = _first_mismatch(self._pot, full_pots)
             raise UtilityIndexDivergence(f"potentials diverged: {diff}")
-        full_freq = {v.vertex_id: v.frequency for v in self._eg.vertices()}
-        if self._freq != full_freq:
-            diff = _first_mismatch(self._freq, full_freq)
-            raise UtilityIndexDivergence(f"frequencies diverged: {diff}")
+        if self.stored != self._eg.materialized_ids() - self._eg.source_ids:
+            raise UtilityIndexDivergence("stored set diverged from the flags")
         self.cross_checks_passed += 1
 
     # ------------------------------------------------------------------

@@ -47,7 +47,7 @@ class HelixMaterializer(Materializer):
         spent = 0.0
         # Helix keeps whatever it stored earlier; previously materialized
         # vertices occupy budget first, in the same root-first order.
-        previously = eg.materialized_ids()
+        previously = eg.stored_ids()
         ordering = list(nx.topological_sort(eg.graph))
         for pass_previous in (True, False):
             for vertex_id in ordering:

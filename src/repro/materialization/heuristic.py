@@ -10,16 +10,14 @@ candidates arrive (the behaviour Figure 6 of the paper depends on).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Mapping
 
-from ..eg.graph import ExperimentGraph
 from ..eg.storage import LoadCostModel
-from .base import Materializer, compute_utilities, utility_heap
+from .base import UtilityMaterializer
 
 __all__ = ["HeuristicMaterializer"]
 
 
-class HeuristicMaterializer(Materializer):
+class HeuristicMaterializer(UtilityMaterializer):
     """Greedy utility-driven artifact selection (paper Algorithm 1)."""
 
     name = "HM"
@@ -31,21 +29,16 @@ class HeuristicMaterializer(Materializer):
         load_cost_model: LoadCostModel | None = None,
         max_artifacts: int | None = None,
     ):
-        super().__init__(budget_bytes)
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        self.alpha = alpha
-        self.load_cost_model = (
-            load_cost_model if load_cost_model is not None else LoadCostModel.in_memory()
-        )
+        super().__init__(budget_bytes, alpha, load_cost_model)
         #: optional cap on the *number* of artifacts (paper's Figure 8b uses
         #: a budget of "one artifact" to isolate the effect of alpha)
         self.max_artifacts = max_artifacts
 
-    def select(self, eg: ExperimentGraph, available: Mapping[str, Any]) -> set[str]:
-        utilities = compute_utilities(eg, self.load_cost_model, self.alpha)
-        heap = utility_heap(utilities, available)
+    def _route(self, eg, stored, available) -> str:
+        capped = self.max_artifacts is not None
+        return "budget" if capped else super()._route(eg, stored, available)
 
+    def _fill(self, utilities, heap, available) -> set[str]:
         selected: set[str] = set()
         spent = 0.0
         while heap:

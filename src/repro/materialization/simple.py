@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..eg.graph import ExperimentGraph
-from .base import Materializer
+from .base import AvailableContent, Materializer
 
 __all__ = ["MaterializeAll", "MaterializeNone"]
 
@@ -23,12 +23,15 @@ class MaterializeAll(Materializer):
         super().__init__(budget_bytes=None)
 
     def select(self, eg: ExperimentGraph, available: Mapping[str, Any]) -> set[str]:
-        selected = set(eg.materialized_ids())
-        for vertex in eg.artifact_vertices():
-            if vertex.is_source or vertex.size <= 0:
+        # what is stored stays; only the payloads in hand need a look
+        selected = {s for s in eg.source_ids if eg.is_materialized(s)}
+        selected |= eg.stored_ids()
+        for vertex_id in AvailableContent.of(eg, available).in_hand:
+            if vertex_id not in eg:
                 continue
-            if vertex.vertex_id in available:
-                selected.add(vertex.vertex_id)
+            vertex = eg.vertex(vertex_id)
+            if not (vertex.is_supernode or vertex.is_source or vertex.size <= 0):
+                selected.add(vertex_id)
         return selected
 
 

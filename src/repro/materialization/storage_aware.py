@@ -15,12 +15,9 @@ Paired with :class:`~repro.eg.storage.DedupArtifactStore`, the logical
 from __future__ import annotations
 
 import heapq
-from typing import Any, Mapping
 
-from ..eg.graph import ExperimentGraph
-from ..eg.storage import LoadCostModel
 from ..graph.artifacts import Footprint
-from .base import AvailableContent, Materializer, compute_utilities, utility_heap
+from .base import UtilityMaterializer
 
 __all__ = ["StorageAwareMaterializer"]
 
@@ -51,41 +48,27 @@ class _DedupFootprint:
             self._column_ids.update(column_id for column_id, _nbytes in footprint)
 
 
-class StorageAwareMaterializer(Materializer):
-    """Iterated greedy selection with column-dedup budget accounting."""
+class StorageAwareMaterializer(UtilityMaterializer):
+    """Iterated greedy selection with column-dedup budget accounting.
+
+    Deduplication only lowers a charge: picks whose undeduplicated
+    footprints fit (:meth:`_charge`) are all kept, in one round.
+    """
 
     name = "SA"
 
-    def __init__(
-        self,
-        budget_bytes: float | None,
-        alpha: float = 0.5,
-        load_cost_model: LoadCostModel | None = None,
-        max_rounds: int = 50,
-    ):
-        super().__init__(budget_bytes)
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        self.alpha = alpha
-        self.load_cost_model = (
-            load_cost_model if load_cost_model is not None else LoadCostModel.in_memory()
-        )
-        self.max_rounds = max_rounds
+    def _charge(self, size, holder, vertex_id) -> int:
+        full = _DedupFootprint().incremental_bytes(holder.footprint(vertex_id))
+        return max(size, full)
 
-    def select(self, eg: ExperimentGraph, available: Mapping[str, Any]) -> set[str]:
-        if not isinstance(available, AvailableContent):
-            # a caller's plain mapping: every payload in it is in hand
-            available = AvailableContent(eg, available)
-        utilities = compute_utilities(eg, self.load_cost_model, self.alpha)
-        heap = utility_heap(utilities, available)
-
+    def _fill(self, utilities, heap, available) -> set[str]:
         selected: set[str] = set()
         footprint = _DedupFootprint()
         remaining = float("inf") if self.budget_bytes is None else float(self.budget_bytes)
 
-        for _round in range(self.max_rounds):
-            if remaining <= 0.0 or not heap:
-                break
+        # terminates: a round commits or drops every entry it pops for
+        # good, or picks nothing and breaks
+        while remaining > 0.0 and heap:
             # one invocation of Algorithm 1 against the remaining budget,
             # using logical sizes (the greedy step is dedup-oblivious)
             round_picks: list[str] = []

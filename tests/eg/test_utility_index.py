@@ -1,10 +1,12 @@
 """Tests for the incrementally maintained UtilityIndex.
 
 The contract under test is *exact* equality: after any sequence of
-``union_workload`` calls, the maintained recreation costs, potentials,
-and frequencies must be bit-identical to a full recompute
+``union_workload`` calls, the maintained recreation costs and potentials
+must be bit-identical to a full recompute
 (``math.fsum`` makes the cost sums order-independent; potentials are
-``max`` chains).
+``max`` chains).  The stored set must equal the flags after every way a
+flag flips, and the changed ids must cover every vertex whose utility
+inputs moved.
 """
 
 import random
@@ -13,11 +15,13 @@ import numpy as np
 import pytest
 
 from repro.dataframe import DataFrame
+from repro.eg import Updater, load_eg, save_eg
 from repro.eg.graph import ExperimentGraph
 from repro.eg.utility_index import UtilityIndex, UtilityIndexDivergence
 from repro.graph.artifacts import ArtifactMeta, ArtifactType
 from repro.graph.dag import WorkloadDAG
 from repro.graph.operations import DataOperation
+from repro.materialization import MaterializeAll, MaterializeNone
 
 
 class Step(DataOperation):
@@ -96,7 +100,7 @@ class TestRandomizedEquivalence:
             # exact dict equality against the O(graph) recompute
             assert index.recreation_costs() == eg.recreation_costs()
             assert index.potentials() == eg.potentials()
-            index.verify()  # also covers frequencies
+            index.verify()
         assert index.deltas_applied == 40
         assert index.cross_checks_passed == 40
 
@@ -198,3 +202,93 @@ class TestVerify:
         eg.vertex(tip).compute_time = 99.0  # not via union_workload
         with pytest.raises(UtilityIndexDivergence):
             index.verify()
+
+
+def _flagged(eg: ExperimentGraph) -> set:
+    return eg.materialized_ids() - eg.source_ids
+
+
+def _utility_inputs_of(eg: ExperimentGraph) -> dict:
+    costs, pots = eg.recreation_costs(), eg.potentials()
+    return {
+        v.vertex_id: (v.frequency, v.size, costs[v.vertex_id], pots[v.vertex_id], v.materialized)
+        for v in eg.vertices()
+    }
+
+
+class TestStoredSet:
+    def test_follows_materialize_deselect_and_deferred_eviction(self):
+        rng = random.Random(5)
+        eg = ExperimentGraph()
+        index = UtilityIndex.install(eg)
+        keep_all = Updater(eg, MaterializeAll())
+        for _ in range(4):
+            keep_all.update(random_workload(rng))
+        assert index.stored and index.stored == _flagged(eg)
+        assert eg.stored_ids() is index.stored
+        assert not index.stored & eg.source_ids
+
+        victim = sorted(index.stored)[0]
+        eg.unmaterialize(victim)
+        assert victim not in index.stored
+        # a deferred eviction flips the flag and leaves the content behind
+        report = Updater(eg, MaterializeNone()).update_batch(
+            [random_workload(rng)], evict=lambda vertex_id: 0
+        )
+        assert report.evicted and index.stored == set() == _flagged(eg)
+        assert all(vertex_id in eg.store for vertex_id in report.evicted)
+        index.verify()
+
+    def test_built_at_install_on_a_reopened_graph(self, tmp_path):
+        rng = random.Random(9)
+        eg = ExperimentGraph()
+        updater = Updater(eg, MaterializeAll())
+        for _ in range(3):
+            updater.update(random_workload(rng))
+        assert eg.utility_index is None and eg.stored_ids() == _flagged(eg)
+        save_eg(eg, tmp_path / "eg")
+        reopened = load_eg(tmp_path / "eg")
+        index = UtilityIndex.install(reopened)
+        assert index.stored == _flagged(eg) != set()
+        index.verify()
+
+    def test_verify_catches_a_flag_set_by_hand(self):
+        eg = ExperimentGraph()
+        index = UtilityIndex.install(eg)
+        Updater(eg, MaterializeAll()).update(chain_workload(["a", "b"], [1.0, 2.0]))
+        index.verify()
+        eg.vertex(sorted(index.stored)[0]).materialized = False  # not via deselect
+        with pytest.raises(UtilityIndexDivergence, match="stored set"):
+            index.verify()
+
+
+class TestChangedIds:
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_drain_covers_every_vertex_whose_inputs_moved(self, seed):
+        rng = random.Random(seed)
+        eg = ExperimentGraph()
+        index = UtilityIndex.install(eg)
+        updater = Updater(eg, MaterializeAll())
+        assert index.drain_changed() == set()
+        for merge in range(25):
+            before = _utility_inputs_of(eg)
+            # alternate: stored-flag flips reach the set too
+            updater.materializer = MaterializeNone() if merge % 5 == 4 else MaterializeAll()
+            updater.update(random_workload(rng))
+            after = _utility_inputs_of(eg)
+            moved = {vid for vid in after if before.get(vid) != after[vid]}
+            drained = index.drain_changed()
+            assert moved <= drained
+            assert index.drains == merge + 2
+        assert index.drain_changed() == set()
+
+    def test_a_repeat_that_only_bumps_frequencies_is_reported(self):
+        eg = ExperimentGraph()
+        index = UtilityIndex.install(eg)
+        eg.union_workload(chain_workload(["a", "b"], [1.0, 2.0]))
+        index.drain_changed()
+        delta = eg.union_workload(chain_workload(["a", "b"], [1.0, 2.0]))
+        # no cone moved, yet f — an input of r_cs — did, on all three
+        assert index.last_cost_dirty == 0 and index.last_potential_dirty == 0
+        assert index.drain_changed() == delta.touched and len(delta.touched) == 3
+        assert index.last_changed == 3

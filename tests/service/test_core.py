@@ -464,3 +464,65 @@ class TestIncrementalPublish:
             assert index is not None
             assert index.cross_checks_passed >= 2
             assert index.deltas_applied >= 2
+
+
+class TestMaintainedSelection:
+    """SA's per-vertex facts live across merges on the service's indexed EG."""
+
+    @staticmethod
+    def _service(budget):
+        from repro.materialization import StorageAwareMaterializer
+
+        materializer = StorageAwareMaterializer(budget_bytes=budget)
+        return EGService(materializer, debug_cross_check=True), materializer
+
+    def test_cross_checked_across_the_budget_transition(self):
+        service, materializer = self._service(10**9)
+        with service:
+            session = service.open_session().session_id
+            for tag in "abc":
+                service.commit(session, executed_workload(4, source=tag))
+            assert materializer.routes == {"shortcut": 3, "budget": 0, "inexact": 0}
+            # the third merge scored its own 4 new vertices + source, and the
+            # 4 the second merge had just stored — not the 15 in the EG
+            assert materializer.last_scored == 9 < service.eg.num_vertices
+            everything = set(service.eg.stored_ids())
+            assert len(everything) == 12
+
+            # the budget starts to bind: the greedy loop runs and evicts
+            materializer.budget_bytes = 100
+            binding = service.commit(session, executed_workload(4, source="d"))
+            assert materializer.routes["budget"] == 1
+            assert binding.batch_report.evicted
+            assert len(service.eg.stored_ids()) == 2  # two 40-byte frames
+
+            # ... and stops: re-runs bring the payloads back; one more ranking
+            # finds that its candidates fit, then nothing is ranked
+            materializer.budget_bytes = 10**9
+            for tag in "abcd":
+                service.commit(session, executed_workload(4, source=tag))
+            assert materializer.routes == {"shortcut": 6, "budget": 2, "inexact": 0}
+            assert len(service.eg.stored_ids()) == 16 and everything < service.eg.stored_ids()
+            # every select above was asserted equal to the greedy loop's answer
+            assert service.eg.utility_index.cross_checks_passed == 8
+
+    def test_replace_eg_rebuilds_the_maintained_state(self):
+        from repro.eg import ExperimentGraph, Updater
+
+        service, materializer = self._service(10**9)
+        with service:
+            session = service.open_session().session_id
+            service.commit(session, executed_workload(3, source="old"))
+            service.commit(session, executed_workload(2, source="older"))
+            assert materializer.last_scored < service.eg.num_vertices
+
+            other = ExperimentGraph()
+            Updater(other, MaterializeAll()).update(executed_workload(6, source="other"))
+            service.replace_eg(other)
+            service.commit(session, executed_workload(2, source="new"))
+            # a different index: every vertex was dirty, and the answer is
+            # the restored EG's, not a mix with the replaced one's
+            assert materializer.last_scored == service.eg.num_vertices == 10
+            assert len(service.eg.stored_ids()) == 8
+            service.commit(session, executed_workload(1, source="new"))
+            assert materializer.last_scored < service.eg.num_vertices

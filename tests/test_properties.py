@@ -17,8 +17,20 @@ from hypothesis import strategies as st
 from repro.dataframe import Column, DataFrame, derive_column_id
 from repro.eg import Updater, load_eg, save_eg
 from repro.eg.graph import ExperimentGraph
-from repro.eg.storage import DedupArtifactStore, LoadCostModel, SimpleArtifactStore
-from repro.graph.artifacts import ArtifactType, payload_footprint, payload_size_bytes
+from repro.eg.utility_index import UtilityIndex
+from repro.experiments.swarm import eg_fingerprint
+from repro.eg.storage import (
+    DedupArtifactStore,
+    LoadCostModel,
+    SimpleArtifactStore,
+    StorageTier,
+)
+from repro.graph.artifacts import (
+    ArtifactMeta,
+    ArtifactType,
+    payload_footprint,
+    payload_size_bytes,
+)
 from repro.graph.dag import WorkloadDAG
 from repro.graph.operations import DataOperation, operation_hash
 from repro.materialization import (
@@ -28,11 +40,11 @@ from repro.materialization import (
     MaterializeNone,
     StorageAwareMaterializer,
 )
-from repro.materialization.base import AvailableContent
+from repro.materialization.base import AvailableContent, Materializer
 from repro.ml import StandardScaler, accuracy_score, roc_auc_score
 from repro.reuse import AllMaterializedReuse, HelixReuse, LinearReuse, NoReuse
 from repro.reuse.maxflow import FlowNetwork
-from repro.storage import TieredArtifactStore
+from repro.storage import TieredArtifactStore, TieredLoadCostModel
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -597,6 +609,165 @@ class TestFootprintReconcile:
                 assert eg.footprint(vertex_id) == expected, refilled
                 if evict is not None:
                     assert expected == first[vertex_id]
+
+
+# ----------------------------------------------------------------------
+# Maintained utility facts decide what the greedy loop decides, over sequences
+# ----------------------------------------------------------------------
+#: hot-tier prices straddle the recreation costs the sequences produce, so
+#: re-timed vertices flip ``load_cost < C_r``; the cold prices sit above
+#: them, so under the tiered model a demotion flips it too
+_NEAR_LOAD = LoadCostModel(bandwidth_bytes_per_s=1e6, latency_s=1e-4)
+_NEAR_TIERED = TieredLoadCostModel(
+    bandwidth_bytes_per_s=1e6,
+    latency_s=1e-4,
+    cold=LoadCostModel(bandwidth_bytes_per_s=2e5, latency_s=5e-4),
+)
+_COMPUTE_TIMES = (1e-5, 1e-4, 3e-4, 1e-3)
+_HUGE_BUDGET = 10**9
+#: per merge; the small ones bind after the first workload or two
+_BUDGETS = {
+    "none": [None] * 8,
+    "huge": [_HUGE_BUDGET] * 8,
+    "binding": [500] * 8,
+    "crossing": [_HUGE_BUDGET, _HUGE_BUDGET, 500, 300, _HUGE_BUDGET, None, 400, _HUGE_BUDGET],
+}
+
+
+def _tag_frame(tag: int, extra_column: bool = False) -> DataFrame:
+    """One content per tag: a dataset re-arriving under its id must match."""
+    ids = [sorted(_POOL)[(tag + k) % len(_POOL)] for k in range(1 + tag % 3)]
+    if extra_column:
+        ids.append(sorted(_POOL)[(tag + 5) % len(_POOL)])
+    return DataFrame([Column(f"c{j}", _POOL[cid], cid) for j, cid in enumerate(ids)])
+
+
+def _sequence_workload(rng, computed: bool, diverge: bool) -> WorkloadDAG:
+    """A random tree over 16 operation tags, so successive workloads hit
+    existing vertices: re-timed, re-scored (every fourth tag is a model,
+    whose size is refreshed too) or, uncomputed, only counted again.
+    ``diverge`` gives one dataset other columns than its tag's."""
+    dag = WorkloadDAG()
+    frontier = [dag.add_source("src", payload=DataFrame({"x": np.zeros(12)}))]
+    spoil = int(rng.integers(0, 3)) if diverge else -1
+    for step in range(int(rng.integers(3, 8))):
+        tag = int(rng.integers(0, 16))
+        parent = frontier[int(rng.integers(0, len(frontier)))]
+        vertex = dag.vertex(dag.add_operation([parent], _NoOp(tag)))
+        if computed and tag % 4 == 0:
+            # a model: often nothing but its size moves, or its score
+            vertex.record_result(
+                np.zeros(int(rng.integers(1, 40))),
+                compute_time=_COMPUTE_TIMES[tag // 4],
+            )
+            vertex.artifact_type = ArtifactType.MODEL
+            vertex.meta = ArtifactMeta(
+                artifact_type=ArtifactType.MODEL,
+                quality=round(float(rng.random()), 3) if rng.random() < 0.5 else 0.0,
+                model_type="Fake",
+            )
+        elif computed:
+            vertex.record_result(
+                _tag_frame(tag, extra_column=step == spoil),
+                compute_time=float(rng.choice(_COMPUTE_TIMES)),
+            )
+        frontier.append(vertex.vertex_id)
+    dag.mark_terminal(frontier[-1])
+    return dag
+
+
+class _Recorded(Materializer):
+    """Keeps what ``inner`` selected; a fresh ``inner`` per merge when given
+    a factory, each checked against its own greedy loop."""
+
+    def __init__(self, inner, fresh=None):
+        super().__init__(inner.budget_bytes)
+        self.inner, self.fresh, self.chosen = inner, fresh, None
+
+    def select(self, eg, available):
+        if self.fresh is not None:
+            self.inner = self.fresh(self.inner.budget_bytes)
+        self.chosen = self.inner.select(eg, available)
+        if self.fresh is not None:
+            assert self.chosen == self.inner.greedy(eg, available)
+        return self.chosen
+
+
+class TestMaintainedSelection:
+    @SETTINGS
+    @given(
+        merge_seeds,
+        st.sampled_from(sorted(_BUDGETS)),
+        st.sampled_from(["SA", "HM"]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from(["simple", "dedup", "tiered"]),
+    )
+    def test_long_lived_indexed_equals_fresh_from_scratch(
+        self, seed, budgets, strategy, alpha, store_kind
+    ):
+        load_costs = _NEAR_TIERED if store_kind == "tiered" else _NEAR_LOAD
+        strategy_type = {"SA": StorageAwareMaterializer, "HM": HeuristicMaterializer}[
+            strategy
+        ]
+
+        def make(budget):
+            return strategy_type(budget, alpha=alpha, load_cost_model=load_costs)
+
+        with tempfile.TemporaryDirectory() as scratch:
+
+            def store(world):
+                if store_kind == "tiered":
+                    return TieredArtifactStore(
+                        hot_budget_bytes=400, directory=f"{scratch}/{world}"
+                    )
+                return {"simple": SimpleArtifactStore, "dedup": DedupArtifactStore}[
+                    store_kind
+                ]()
+
+            maintained = ExperimentGraph(store("maintained"))
+            index = UtilityIndex.install(maintained, cross_check=True)
+            scratch_eg = ExperimentGraph(store("scratch"))
+            long_lived = _Recorded(make(None))
+            fresh = _Recorded(make(None), fresh=make)
+            worlds = [
+                (maintained, Updater(maintained, long_lived), long_lived),
+                (scratch_eg, Updater(scratch_eg, fresh), fresh),
+            ]
+            for merge, budget in enumerate(_BUDGETS[budgets]):
+                batch_seed = seed * 100 + merge
+                reports = []
+                for eg, updater, recorded in worlds:
+                    rng = np.random.default_rng(batch_seed)
+                    recorded.inner.budget_bytes = budget
+                    # tenants' loads promote, the hot budget demotes:
+                    # tiers move between merges without telling anyone
+                    if store_kind == "tiered":
+                        for vertex_id in sorted(eg.stored_ids()):
+                            move = rng.random()
+                            if move < 0.3:
+                                if eg.store.tier_of(vertex_id) is StorageTier.HOT:
+                                    eg.store.demote(vertex_id)
+                            elif move < 0.6:
+                                eg.store.get(vertex_id)
+                    batch = [
+                        _sequence_workload(
+                            rng, computed=rng.random() < 0.7, diverge=rng.random() < 0.2
+                        )
+                        for _ in range(int(rng.integers(1, 3)))
+                    ]
+                    reports.append(updater.update_batch(batch))
+                assert long_lived.chosen == fresh.chosen
+                assert reports[0].evicted == reports[1].evicted
+                assert reports[0].newly_materialized == reports[1].newly_materialized
+                assert [type(o) for o in reports[0].outcomes] == [
+                    type(o) for o in reports[1].outcomes
+                ]
+                assert eg_fingerprint(maintained) == eg_fingerprint(scratch_eg)
+                index.verify()
+            routes = long_lived.inner.routes
+            assert routes["inexact"] == 0
+            if budgets in ("none", "huge"):
+                assert routes["budget"] == 0
 
 
 # ----------------------------------------------------------------------
