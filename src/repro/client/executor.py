@@ -83,8 +83,9 @@ class ExecutionReport:
     #: artifact-store snapshot after the updater ran (bytes per tier,
     #: hit/promotion/demotion counters for tiered stores)
     store_stats: dict[str, Any] = field(default_factory=dict)
-    #: top-k spans by self time for this execution; populated only when a
-    #: real tracer is installed (stays ``None`` under the default no-op)
+    #: top-k spans by self time for this execution; populated only under a
+    #: tracer that keeps a ring of finished spans (an explicit ``Tracer``) —
+    #: ``None`` under the default no-op and the telemetry plane's tracer
     profile: ProfileReport | None = None
 
 
@@ -177,7 +178,7 @@ class Executor:
         for terminal in workload.terminals:
             report.terminal_values[terminal] = workload.vertex(terminal).data
         report.total_time = report.compute_time + report.load_time
-        if tracer.enabled and isinstance(root_span, Span):
+        if tracer.keep_last and isinstance(root_span, Span):
             report.profile = ProfileReport.from_trace(tracer, root_span)
         return report
 

@@ -45,13 +45,19 @@ class BaseEstimator:
     supports_warm_start: bool = False
 
     @classmethod
-    def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in signature.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+    def _param_names(cls) -> tuple[str, ...]:
+        # memoised in the class's own __dict__ (never an inherited entry):
+        # a subclass with its own __init__ has its own names
+        names = cls.__dict__.get("_param_names_memo")
+        if names is None:
+            signature = inspect.signature(cls.__init__)
+            names = tuple(
+                name
+                for name, p in signature.parameters.items()
+                if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+            )
+            cls._param_names_memo = names
+        return names
 
     def get_params(self) -> dict[str, Any]:
         """Return constructor hyperparameters as a dict."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .trace import get_tracer
 
@@ -76,17 +76,20 @@ def percentile(ordered: Sequence[float], fraction: float) -> float:
 
 
 def _label_key(labelnames: tuple[str, ...], labels: Mapping[str, Any]) -> tuple[str, ...]:
-    if set(labels) != set(labelnames):
-        raise ValueError(
-            f"expected labels {sorted(labelnames)}, got {sorted(labels)}"
-        )
-    return tuple(str(labels[name]) for name in labelnames)
+    if len(labels) == len(labelnames):
+        try:
+            return tuple([str(labels[name]) for name in labelnames])
+        except KeyError:
+            pass
+    raise ValueError(f"expected labels {sorted(labelnames)}, got {sorted(labels)}")
 
 
 class _Instrument:
     """Shared series bookkeeping: one lock, one map keyed by label values."""
 
     kind = "untyped"
+    #: see :meth:`set_function`
+    _read: Callable[[], Mapping[tuple[str, ...], float]] | None = None
 
     def __init__(self, name: str, help: str, labelnames: Iterable[str] = ()):
         self.name = name
@@ -95,10 +98,21 @@ class _Instrument:
         self._lock = threading.Lock()
         self._series: dict[tuple[str, ...], Any] = {}
 
+    def set_function(self, read: Callable[[], Mapping[tuple[str, ...], float]]) -> None:
+        """Read the series from ``read()`` — label values → value, ``()``
+        for an unlabelled instrument — whenever the instrument is read,
+        instead of having them pushed: for counts its owner keeps anyway."""
+        self._read = read
+
+    def _live(self) -> dict[tuple[str, ...], Any]:
+        if self._read is None:
+            return self._series
+        return {key: float(value) for key, value in self._read().items()}
+
     def items(self) -> list[tuple[dict[str, str], Any]]:
         """Snapshot of every series as (labels dict, plain value)."""
         with self._lock:
-            entries = list(self._series.items())
+            entries = list(self._live().items())
         return [
             (dict(zip(self.labelnames, key)), self._plain(value))
             for key, value in entries
@@ -117,7 +131,7 @@ class _Instrument:
         """Like :meth:`items`, but the caller already holds :attr:`sync_lock`."""
         return [
             (dict(zip(self.labelnames, key)), self._plain(value))
-            for key, value in list(self._series.items())
+            for key, value in list(self._live().items())
         ]
 
     def _plain(self, value: Any) -> Any:
@@ -139,12 +153,12 @@ class Counter(_Instrument):
     def value(self, **labels: Any) -> float:
         key = _label_key(self.labelnames, labels)
         with self._lock:
-            return self._series.get(key, 0.0)
+            return self._live().get(key, 0.0)
 
     def total(self) -> float:
         """Sum over every label combination."""
         with self._lock:
-            return sum(self._series.values())
+            return sum(self._live().values())
 
 
 class Gauge(_Instrument):
@@ -176,7 +190,7 @@ class Gauge(_Instrument):
     def value(self, **labels: Any) -> float:
         key = _label_key(self.labelnames, labels)
         with self._lock:
-            return self._series.get(key, 0.0)
+            return self._live().get(key, 0.0)
 
 
 class _HistogramSeries:
@@ -187,10 +201,9 @@ class _HistogramSeries:
         self.sum = 0.0
         self.count = 0
         # last exemplar per bucket index (the +Inf bucket is index
-        # n_buckets), as (value, trace_id, span_id); replaced
-        # copy-on-write so snapshot readers outside the lock never see a
-        # dict mid-mutation
-        self.exemplars: dict[int, tuple[float, str, str]] = {}
+        # n_buckets), as (value, trace_id, span_id); a fixed-size list, so
+        # a snapshot reader outside the lock sees each slot old or new
+        self.exemplars: list[tuple[float, str, str] | None] = [None] * (n_buckets + 1)
 
 
 class Histogram(_Instrument):
@@ -234,7 +247,7 @@ class Histogram(_Instrument):
         if exemplar is None:
             tracer = get_tracer()
             if tracer.enabled:
-                exemplar = tracer.current_context()
+                exemplar = tracer.current_span()
         trace_id = getattr(exemplar, "trace_id", None)
         span_id = getattr(exemplar, "span_id", None)
         with self._lock:
@@ -246,10 +259,7 @@ class Histogram(_Instrument):
             series.sum += value
             series.count += 1
             if trace_id:
-                series.exemplars = {
-                    **series.exemplars,
-                    index: (float(value), str(trace_id), str(span_id or "")),
-                }
+                series.exemplars[index] = (float(value), str(trace_id), str(span_id or ""))
 
     def quantile(self, fraction: float, **labels: Any) -> float:
         """Estimated value at ``fraction`` via in-bucket interpolation."""
@@ -281,14 +291,16 @@ class Histogram(_Instrument):
         key = _label_key(self.labelnames, labels)
         with self._lock:
             series = self._series.get(key)
-            stored = series.exemplars if series is not None else {}
+            stored = list(series.exemplars) if series is not None else []
+        return self._exemplar_dicts(stored)
+
+    def _exemplar_dicts(
+        self, stored: Sequence[tuple[float, str, str] | None]
+    ) -> dict[str, dict[str, Any]]:
         return {
-            self._bucket_bound(index): {
-                "value": value,
-                "trace_id": trace_id,
-                "span_id": span_id,
-            }
-            for index, (value, trace_id, span_id) in sorted(stored.items())
+            self._bucket_bound(index): dict(zip(("value", "trace_id", "span_id"), slot))
+            for index, slot in enumerate(stored)
+            if slot is not None
         }
 
     def _plain(self, value: _HistogramSeries) -> dict[str, Any]:
@@ -297,16 +309,9 @@ class Histogram(_Instrument):
             "sum": value.sum,
             "count": value.count,
         }
-        exemplars = value.exemplars  # COW dict: safe to read without the lock
+        exemplars = self._exemplar_dicts(value.exemplars)
         if exemplars:
-            plain["exemplars"] = {
-                self._bucket_bound(index): {
-                    "value": observed,
-                    "trace_id": trace_id,
-                    "span_id": span_id,
-                }
-                for index, (observed, trace_id, span_id) in sorted(exemplars.items())
-            }
+            plain["exemplars"] = exemplars
         return plain
 
 

@@ -24,7 +24,7 @@ Everything is bounded: at most ``max_traces`` in-flight trace buffers
 it in so the decision can run), ``keep_last`` kept traces.  A trace
 whose root never arrives locally — e.g. a server whose spans all parent
 into a remote caller's context — is finalized by age
-(``stale_after_s``), checked opportunistically every few hundred spans
+(``stale_after_s``), checked opportunistically every few dozen new traces
 and on reads, so remote-rooted traces are kept too, just a little late.
 
 :func:`install_recorder` / :func:`uninstall_recorder` attach a recorder
@@ -47,6 +47,7 @@ import threading
 import time
 import zlib
 from collections import OrderedDict, deque
+from operator import attrgetter, methodcaller
 from typing import Any
 
 from .metrics import MetricsRegistry
@@ -71,10 +72,14 @@ _SHED_ERROR_NAMES = frozenset(
     }
 )
 
-#: how many ingested spans between opportunistic stale-trace sweeps
-_STALE_SWEEP_EVERY = 256
+#: how many opened trace buffers between opportunistic stale-trace sweeps
+_STALE_SWEEP_EVERY = 32
 
 _DECISIONS = ("shed", "error", "slow", "sampled", "dropped")
+
+_names = attrgetter("name")
+_attributes = attrgetter("attributes")
+_error = methodcaller("get", "error")
 
 
 class _TraceBuffer:
@@ -132,10 +137,14 @@ class FlightRecorder:
     """Tail-sampling span sink; cheap enough to leave on in production.
 
     The hot path (:meth:`on_span`) does one lock acquire, a dict upsert
-    and a list append; classification and retention run only when a root
-    span closes a trace.  ``benchmarks/test_obs_overhead.py`` gates the
-    whole enabled path — span creation plus recorder — below 5% of swarm
-    wall time.
+    and a list append, and touches no metric instrument (the registry
+    reads the recorder's counts when it is read); classification and
+    retention run only when a root span closes a trace.  On
+    ``stream_tcp`` that is about 13 spans and 2 traces per workload, and
+    the whole plane — spans plus recorder — measures 3–5 % of the
+    workload's CPU in ``benchmarks/obs_cost.py``'s plane-on / plane-off
+    pairs (8–10 % before the plane's tracer lost its ring and per-workload
+    profile); ``benchmarks/test_obs_overhead.py`` holds the counts exact.
     """
 
     def __init__(
@@ -160,27 +169,30 @@ class FlightRecorder:
         self._buffers: OrderedDict[str, _TraceBuffer] = OrderedDict()
         self._kept: deque[_KeptTrace] = deque(maxlen=keep_last)
         self._decisions = dict.fromkeys(_DECISIONS, 0)
-        self._spans_seen = 0
+        #: spans of finalized traces; the buffered ones are counted on read
+        self._spans_finalized = 0
+        self._opened = 0
         self._span_overflow = 0
         self._evictions = 0
         self._seq = 0
-        self._traces_counter = None
-        self._spans_counter = None
-        self._buffered_gauge = None
         if registry is not None:
-            self._traces_counter = registry.counter(
+            # read off the recorder whenever the registry is read, so the
+            # hot path touches no instrument
+            registry.counter(
                 "repro_obs_recorder_traces_total",
                 "traces finalized by the flight recorder, by keep/drop decision",
                 ("decision",),
+            ).set_function(
+                lambda: {(key,): n for key, n in self._decisions.items() if n}
             )
-            self._spans_counter = registry.counter(
+            registry.counter(
                 "repro_obs_recorder_spans_total",
                 "spans ingested by the flight recorder",
-            )
-            self._buffered_gauge = registry.gauge(
+            ).set_function(self._read_spans_seen)
+            registry.gauge(
                 "repro_obs_recorder_buffered_traces",
                 "trace buffers currently awaiting their root span",
-            )
+            ).set_function(lambda: {(): len(self._buffers)})
 
     # ------------------------------------------------------------------
     # Sink protocol
@@ -189,32 +201,40 @@ class FlightRecorder:
         trace_id = span.trace_id
         if not trace_id:
             return
-        now = time.monotonic()
-        finalized: list[tuple[str, int]] = []  # (decision, span_count)
+        now = span.end_s or time.perf_counter()  # the recorder's clock
         with self._lock:
-            self._spans_seen += 1
-            buffer = self._buffers.get(trace_id)
+            buffers = self._buffers
+            buffer = buffers.get(trace_id)
             if buffer is None:
-                if len(self._buffers) >= self.max_traces:
-                    evicted_id, evicted = self._buffers.popitem(last=False)
+                if len(buffers) >= self.max_traces:
+                    evicted_id, evicted = buffers.popitem(last=False)
                     self._evictions += 1
-                    finalized.append(self._finalize_locked(evicted_id, evicted))
-                buffer = self._buffers[trace_id] = _TraceBuffer(now)
+                    self._finalize_locked(evicted_id, evicted)
+                self._opened += 1
+                if self._opened % _STALE_SWEEP_EVERY == 0:
+                    self._flush_stale_locked(now)
+                buffer = buffers[trace_id] = _TraceBuffer(now)
             else:
-                self._buffers.move_to_end(trace_id)
+                buffers.move_to_end(trace_id)
                 buffer.last_seen = now
-            # root spans always enter the buffer — the decision needs them
-            if span.parent_id is None or len(buffer.spans) < self.max_spans_per_trace:
+            if span.parent_id is None:  # always buffered: the decision needs it
+                buffer.spans.append(span)
+                del buffers[trace_id]
+                self._finalize_locked(trace_id, buffer, span)
+                return
+            if len(buffer.spans) < self.max_spans_per_trace:
                 buffer.spans.append(span)
             else:
                 buffer.dropped += 1
                 self._span_overflow += 1
-            if span.parent_id is None:
-                del self._buffers[trace_id]
-                finalized.append(self._finalize_locked(trace_id, buffer))
-            elif self._spans_seen % _STALE_SWEEP_EVERY == 0:
-                finalized.extend(self._flush_stale_locked(now))
-        self._publish(finalized, spans=1)
+
+    def _spans_seen(self) -> int:
+        buffered = sum(len(b.spans) + b.dropped for b in self._buffers.values())
+        return self._spans_finalized + buffered
+
+    def _read_spans_seen(self) -> dict[tuple[str, ...], int]:
+        with self._lock:
+            return {(): self._spans_seen()}
 
     def close(self) -> None:
         """Finalize every pending buffer (e.g. on tracer close)."""
@@ -224,11 +244,11 @@ class FlightRecorder:
     # Classification
     # ------------------------------------------------------------------
     def _decide(self, root: Span, spans: list[Span]) -> str:
-        for span in spans:
-            error = span.attributes.get("error")
-            if span.name == "transport.shed" or error in _SHED_ERROR_NAMES:
-                return "shed"
-        if any(span.attributes.get("error") for span in spans):
+        # the scans run in C: a healthy trace costs no Python step per span
+        errors = list(filter(None, map(_error, map(_attributes, spans))))
+        if "transport.shed" in map(_names, spans) or not _SHED_ERROR_NAMES.isdisjoint(errors):
+            return "shed"
+        if errors:
             return "error"
         if root.duration_s >= self.slow_threshold_s:
             return "slow"
@@ -239,9 +259,11 @@ class FlightRecorder:
             return "sampled"
         return "dropped"
 
-    def _finalize_locked(self, trace_id: str, buffer: _TraceBuffer) -> tuple[str, int]:
+    def _finalize_locked(
+        self, trace_id: str, buffer: _TraceBuffer, root: Span | None = None
+    ) -> None:
         spans = buffer.spans
-        root = next((s for s in spans if s.parent_id is None), None)
+        self._spans_finalized += len(spans) + buffer.dropped
         if root is None:  # remote-rooted or truncated: earliest span stands in
             root = min(spans, key=lambda s: s.start_s)
         decision = self._decide(root, spans)
@@ -253,44 +275,29 @@ class FlightRecorder:
                     trace_id, root, decision, tuple(spans), buffer.dropped, self._seq
                 )
             )
-        return decision, len(spans)
 
-    def _flush_stale_locked(
-        self, now: float, max_age_s: float | None = None
-    ) -> list[tuple[str, int]]:
+    def _flush_stale_locked(self, now: float, max_age_s: float | None = None) -> int:
         age = self.stale_after_s if max_age_s is None else max_age_s
         cutoff = now - age
-        finalized = []
+        finalized = 0
         # OrderedDict is in last-touched order: stop at the first live one
         while self._buffers:
             trace_id, buffer = next(iter(self._buffers.items()))
             if buffer.last_seen > cutoff:
                 break
             del self._buffers[trace_id]
-            finalized.append(self._finalize_locked(trace_id, buffer))
+            self._finalize_locked(trace_id, buffer)
+            finalized += 1
         return finalized
 
     def flush_stale(self, max_age_s: float | None = None) -> int:
         """Finalize buffers idle longer than ``max_age_s`` (default: the
         recorder's ``stale_after_s``); returns how many were finalized."""
-        now = time.monotonic()
+        now = time.perf_counter()
         with self._lock:
-            finalized = self._flush_stale_locked(
+            return self._flush_stale_locked(
                 now, self.stale_after_s if max_age_s is None else float(max_age_s)
             )
-        self._publish(finalized, spans=0)
-        return len(finalized)
-
-    def _publish(self, finalized: list[tuple[str, int]], spans: int) -> None:
-        """Mirror plain-int accounting into registry instruments, outside
-        the recorder lock so metric locks never nest under it."""
-        if self._spans_counter is not None and spans:
-            self._spans_counter.inc(spans)
-        if self._traces_counter is not None:
-            for decision, _count in finalized:
-                self._traces_counter.inc(decision=decision)
-        if self._buffered_gauge is not None and (finalized or spans):
-            self._buffered_gauge.set(len(self._buffers))
 
     # ------------------------------------------------------------------
     # Read surface
@@ -304,7 +311,7 @@ class FlightRecorder:
                 "kept_total": sum(decisions.values()) - decisions["dropped"],
                 "kept_retained": len(self._kept),
                 "buffered_traces": len(self._buffers),
-                "spans_seen": self._spans_seen,
+                "spans_seen": self._spans_seen(),
                 "span_overflow": self._span_overflow,
                 "evicted_traces": self._evictions,
                 "slow_threshold_s": self.slow_threshold_s,
@@ -392,7 +399,7 @@ def install_recorder(recorder: FlightRecorder) -> None:
         tracer = get_tracer()
         if not tracer.enabled:
             if _auto_tracer is None:
-                _auto_tracer = Tracer(sinks=())
+                _auto_tracer = Tracer(sinks=(), keep_last=0)
             set_tracer(_auto_tracer)
             tracer = _auto_tracer
         tracer.add_sink(recorder)

@@ -20,25 +20,33 @@ span and never to whatever another task left on that worker's stack.
 Tracing is **off by default and free when off**: the module-level tracer
 is a :class:`NoopTracer` whose ``span()`` returns one shared inert span
 object — no allocation, no id generation, no clock read, no sink call.
-``benchmarks/test_obs_overhead.py`` gates that this stays below 3% of
-the swarm benchmark's wall time.  Enable tracing by installing a real
-:class:`Tracer` with :func:`set_tracer` (or :func:`use_tracer` in
-tests); finished spans go to the tracer's sinks
-(:mod:`repro.obs.sinks`) and into a bounded in-memory ring the profiler
-reads (:mod:`repro.obs.profile`).
+Enable tracing by installing a real :class:`Tracer` with
+:func:`set_tracer` (or :func:`use_tracer` in tests); finished spans go
+to the tracer's sinks (:mod:`repro.obs.sinks`) and into a bounded
+in-memory ring the profiler reads (:mod:`repro.obs.profile`), so a
+``ProfileReport`` comes only from such an explicit tracer.  The
+always-on telemetry plane (:mod:`repro.obs.plane`) installs one with
+``keep_last=0``: no ring, its flight recorder's buffers are the only
+span store.  There a ``stream_tcp`` workload records about 13 spans in
+2 traces, and the plane costs 3–5 % of the workload's CPU where it cost
+8–10 % with the ring, a per-workload profile, a ``uuid4`` per trace and
+per-span metric updates (``benchmarks/obs_cost.py``, plane-on /
+plane-off pairs; ``benchmarks/test_obs_overhead.py`` holds the span and
+trace counts, ring entries and profiles built exact).
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import os
+import random
 import threading
 import time
-import uuid
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Iterator
+from time import perf_counter
+from typing import Any, Iterator, NamedTuple
 
 __all__ = [
     "Span",
@@ -52,22 +60,30 @@ __all__ = [
 ]
 
 _span_counter = itertools.count(1)
+#: trace ids: 64 random bits, seeded from ``os.urandom`` once per process
+#: (a spawned interpreter seeds its own; a forked child reseeds) instead
+#: of one ``uuid4`` syscall per trace
+_trace_ids = random.Random()
+os.register_at_fork(after_in_child=_trace_ids.seed)
 
 
 def _new_trace_id() -> str:
-    return uuid.uuid4().hex[:16]
+    return f"{_trace_ids.getrandbits(64):016x}"
 
 
-def _new_span_id() -> str:
-    return f"{next(_span_counter):012x}"
-
-
-@dataclass(frozen=True)
-class SpanContext:
+class SpanContext(NamedTuple):
     """The portable identity of a span: pass across threads or the wire."""
 
     trace_id: str
     span_id: str
+
+
+class _ThreadState(threading.local):
+    """Per thread, per tracer: the span stack and the thread's name."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+        self.name = threading.current_thread().name
 
 
 class Span:
@@ -90,7 +106,6 @@ class Span:
         "end_s",
         "thread_name",
         "_tracer",
-        "_activated",
     )
 
     def __init__(
@@ -100,18 +115,18 @@ class Span:
         trace_id: str,
         parent_id: str | None,
         attributes: dict[str, Any],
+        thread_name: str,
     ):
         self.name = name
         self.trace_id = trace_id
-        self.span_id = _new_span_id()
+        self.span_id = f"{next(_span_counter):012x}"
         self.parent_id = parent_id
         self.attributes = attributes
         self.events: list[tuple[float, str, dict[str, Any]]] = []
-        self.start_s = time.perf_counter()
+        self.start_s = perf_counter()
         self.end_s: float | None = None
-        self.thread_name = threading.current_thread().name
+        self.thread_name = thread_name
         self._tracer = tracer
-        self._activated = False
 
     # ------------------------------------------------------------------
     @property
@@ -132,27 +147,30 @@ class Span:
 
     def add_event(self, name: str, **attributes: Any) -> None:
         """Record a point-in-time marker inside the span."""
-        self.events.append((time.perf_counter(), name, attributes))
+        self.events.append((perf_counter(), name, attributes))
 
     def finish(self) -> None:
         """Close the span and hand it to the tracer (idempotent)."""
         if self.end_s is None:
-            self.end_s = time.perf_counter()
+            self.end_s = perf_counter()
             self._tracer._record(self)
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Span":
-        self._tracer._activate(self)
-        self._activated = True
+        self._tracer._local.stack.append(self)
         return self
 
     def __exit__(self, exc_type: type | None, exc: BaseException | None, _tb: object) -> None:
         if exc_type is not None:
             self.attributes["error"] = exc_type.__name__
-        if self._activated:
-            self._tracer._deactivate(self)
-            self._activated = False
-        self.finish()
+        stack = self._tracer._local.stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        elif self in stack:  # unbalanced exit; drop defensively
+            stack.remove(self)
+        if self.end_s is None:  # finish(), inlined on the hot path
+            self.end_s = perf_counter()
+            self._tracer._record(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.name!r}, trace={self.trace_id}, id={self.span_id})"
@@ -199,19 +217,22 @@ class Tracer:
 
     ``keep_last`` bounds the in-memory ring of finished spans that
     :meth:`finished_spans` / :meth:`spans_for_trace` read (the profiler's
-    data source); sinks receive every span regardless.
+    data source); sinks receive every span regardless.  ``keep_last=0``
+    keeps no ring (and builds no profiles): the tracer the telemetry plane
+    installs is one.
     """
 
     enabled = True
 
     def __init__(self, sinks: Iterator[Any] | list[Any] | tuple[Any, ...] = (), keep_last: int = 8192):
         self._sinks = list(sinks)
+        self.keep_last = keep_last
         self._finished: deque[Span] = deque(maxlen=keep_last)
         #: the ring's spans by trace id, each trace in ring order; a span
         #: leaves its trace's entry when it falls off the ring
         self._by_trace: dict[str, deque[Span]] = {}
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._local = _ThreadState()
 
     # ------------------------------------------------------------------
     # Span creation and context
@@ -224,16 +245,18 @@ class Tracer:
     ) -> Span:
         """Open a span; with no explicit parent it attaches to the
         calling thread's current span (or starts a fresh trace)."""
+        local = self._local
         if parent is None:
-            parent = self.current_span()
+            stack = local.stack
+            parent = stack[-1] if stack else None
         if parent is None:
             trace_id, parent_id = _new_trace_id(), None
         else:
             trace_id, parent_id = parent.trace_id, parent.span_id
-        return Span(self, name, trace_id, parent_id, attributes)
+        return Span(self, name, trace_id, parent_id, attributes, local.name)
 
     def current_span(self) -> Span | None:
-        stack = getattr(self._local, "stack", None)
+        stack = self._local.stack
         return stack[-1] if stack else None
 
     def current_context(self) -> SpanContext | None:
@@ -241,32 +264,19 @@ class Tracer:
         return span.context if span is not None else None
 
     # ------------------------------------------------------------------
-    # Internal hooks used by Span
+    # Internal hook used by Span
     # ------------------------------------------------------------------
-    def _activate(self, span: Span) -> None:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        stack.append(span)
-
-    def _deactivate(self, span: Span) -> None:
-        stack = getattr(self._local, "stack", None)
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif stack and span in stack:  # unbalanced exit; drop defensively
-            stack.remove(span)
-
     def _record(self, span: Span) -> None:
-        with self._lock:
-            ring = self._finished
-            if ring and len(ring) == ring.maxlen:
-                oldest = ring[0]  # about to be pushed out by the append
-                trace = self._by_trace[oldest.trace_id]
-                trace.popleft()
-                if not trace:
-                    del self._by_trace[oldest.trace_id]
-            ring.append(span)
-            if ring:  # keep_last=0 keeps no ring to index
+        if self.keep_last:  # keep_last=0: the sinks are the only store
+            with self._lock:
+                ring = self._finished
+                if len(ring) == self.keep_last:
+                    oldest = ring[0]  # about to be pushed out by the append
+                    trace = self._by_trace[oldest.trace_id]
+                    trace.popleft()
+                    if not trace:
+                        del self._by_trace[oldest.trace_id]
+                ring.append(span)
                 self._by_trace.setdefault(span.trace_id, deque()).append(span)
         for sink in self._sinks:
             try:
@@ -361,6 +371,7 @@ class NoopTracer:
     """The default tracer: every operation is an inert constant."""
 
     enabled = False
+    keep_last = 0
 
     def span(
         self,

@@ -655,9 +655,7 @@ class EGService:
             metrics.merge_seconds_total.inc(merge_seconds)
             metrics.max_batch_size.set_max(report.merged_workloads)
             metrics.max_merge_seconds.set_max(merge_seconds)
-            metrics.merge_batch_seconds.observe(
-                merge_seconds, exemplar=batch_span.context
-            )
+            metrics.merge_batch_seconds.observe(merge_seconds, exemplar=batch_span)
         self.telemetry.evaluate()
         return len(batch)
 

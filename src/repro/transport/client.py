@@ -647,9 +647,9 @@ class TransportServiceClient(ServiceClient):
         so server-side work lands in the same trace as the client
         workload, exactly like the in-process path.
         """
-        context = get_tracer().current_context()
-        if context is not None:
-            message = {**message, "tc": [context.trace_id, context.span_id]}
+        span = get_tracer().current_span()
+        if span is not None:
+            message = {**message, "tc": [span.trace_id, span.span_id]}
         return self._pool.request(message)
 
     def ping(self) -> int:

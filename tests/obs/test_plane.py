@@ -1,9 +1,14 @@
 """Flight recorder: tail-based sampling, bounds, and tracer attachment."""
 
+import sys
+import threading
 import zlib
+from collections import Counter
 
 import pytest
 
+from repro.client.executor import Executor, VirtualCostModel
+from repro.materialization.simple import MaterializeAll
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.plane import (
     FlightRecorder,
@@ -12,6 +17,10 @@ from repro.obs.plane import (
     uninstall_recorder,
 )
 from repro.obs.trace import NoopTracer, SpanContext, Tracer, get_tracer, use_tracer
+from repro.service import EGService
+from repro.transport import AsyncTransportServer, TransportServiceClient
+
+from ..conftest import Shift, wide_dag, wide_sources
 
 
 def recorded_tracer(**kwargs) -> tuple[Tracer, FlightRecorder]:
@@ -210,6 +219,70 @@ class TestReadSurface:
         assert registry.get("repro_obs_recorder_spans_total").total() == 1.0
         assert registry.get("repro_obs_recorder_buffered_traces").value() == 0.0
 
+    def test_concurrent_traces_lose_no_span(self):
+        """Eight threads record interleaved traces under a tiny switch
+        interval: every span is counted and every trace decided once."""
+        registry = MetricsRegistry()
+        recorder = FlightRecorder(
+            slow_threshold_s=1e9, head_sample_every=3, registry=registry
+        )
+        tracer = Tracer(sinks=[recorder], keep_last=0)
+
+        def traces() -> None:
+            for _ in range(200):
+                with tracer.span("request"):
+                    for _ in range(3):
+                        with tracer.span("child"):
+                            pass
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=traces) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = recorder.stats()
+        assert stats["spans_seen"] == 8 * 200 * 4
+        assert stats["traces_total"] == 8 * 200
+        assert stats["buffered_traces"] == 0
+        assert registry.get("repro_obs_recorder_spans_total").total() == 8 * 200 * 4
+        assert registry.get("repro_obs_recorder_traces_total").total() == 8 * 200
+
+    def test_registry_instruments_equal_stats_with_a_trace_still_buffered(self):
+        registry = MetricsRegistry()
+        recorder = FlightRecorder(
+            slow_threshold_s=1e9, head_sample_every=2, registry=registry
+        )
+        tracer = Tracer(sinks=[recorder], keep_last=0)
+        for index in range(40):
+            with tracer.span("request", index=index):
+                with tracer.span("child"):
+                    pass
+        tracer.span("server.work", parent=SpanContext("remote", "s")).finish()
+        with tracer.span("open"):
+            with tracer.span("done-child"):
+                pass
+            stats = recorder.stats()
+            snapshot = registry.snapshot()
+            spans = registry.get("repro_obs_recorder_spans_total")
+            buffered = registry.get("repro_obs_recorder_buffered_traces")
+            traces = registry.get("repro_obs_recorder_traces_total")
+            assert spans.total() == spans.value() == stats["spans_seen"] == 82
+            assert buffered.value() == stats["buffered_traces"] == 2
+            assert traces.total() == stats["traces_total"] == 40
+            for decision, count in stats["decisions"].items():
+                assert traces.value(decision=decision) == count
+            [series] = snapshot["repro_obs_recorder_spans_total"]["series"]
+            assert series["value"] == 82
+            [series] = snapshot["repro_obs_recorder_buffered_traces"]["series"]
+            assert series["value"] == 2
+            assert "repro_obs_recorder_spans_total 82" in registry.render_prometheus()
+
 
 class TestPerfettoExport:
     def test_document_shape(self):
@@ -288,6 +361,20 @@ class TestInstallation:
             assert user_tracer.sink_count == 0
         assert recorder.stats()["decisions"]["slow"] == 1
 
+    def test_the_plane_tracer_keeps_no_ring_and_builds_no_profile(self):
+        recorder = FlightRecorder(slow_threshold_s=0.0, head_sample_every=0)
+        install_recorder(recorder)
+        try:
+            tracer = get_tracer()
+            workload = wide_dag(n_branches=2, ops_per_branch=1, op_seconds=0.001)
+            report = Executor(cost_model=VirtualCostModel()).execute(workload)
+        finally:
+            uninstall_recorder(recorder)
+        assert report.profile is None
+        assert tracer.finished_spans() == []
+        [kept] = recorder.kept_traces()
+        assert kept["root"] == "executor.execute" and kept["spans"] == 3
+
     def test_install_is_idempotent(self):
         recorder = FlightRecorder()
         install_recorder(recorder)
@@ -297,3 +384,54 @@ class TestInstallation:
         finally:
             uninstall_recorder(recorder)
         assert isinstance(get_tracer(), NoopTracer)
+
+
+def _shift_twice(ws, frames):
+    ws.source("wide", frames["wide"]).add(Shift(1)).add(Shift(2)).terminal()
+
+
+#: every (span name, parent span name) edge one workload through the
+#: transport leaves in a keep-everything recorder: session open and close,
+#: the workload's trace (a 64 KiB commit, so its decode span too) and the
+#: merge batch's.  Recorded before the plane's hot path was rewritten;
+#: cheaper recording must not lose, add or re-parent a span.
+WORKLOAD_SPAN_EDGES = [
+    ("client.workload", None),
+    ("executor.compute", "executor.execute"),
+    ("executor.compute", "executor.execute"),
+    ("executor.execute", "client.workload"),
+    ("optimizer.optimize", "service.plan"),
+    ("reuse.plan", "optimizer.optimize"),
+    ("service.commit", "transport.request"),
+    ("service.merge_batch", None),
+    ("service.plan", "transport.request"),
+    ("service.publish", "service.merge_batch"),
+    ("transport.decode", "client.workload"),
+    ("transport.request", "client.workload"),
+    ("transport.request", "client.workload"),
+    ("transport.request", None),
+    ("transport.request", None),
+]
+
+
+class TestSpanTreeOfAWorkload:
+    def test_one_transport_workload_records_the_same_edges(self):
+        recorder = FlightRecorder(slow_threshold_s=0.0, head_sample_every=0)
+        with EGService(
+            MaterializeAll(), background=True, flight_recorder=recorder
+        ) as service:
+            with AsyncTransportServer(service) as server:
+                with TransportServiceClient(
+                    *server.address, name="t", cost_model=VirtualCostModel()
+                ) as client:
+                    client.run_script(_shift_twice, wide_sources(n_rows=4096))
+        recorder.close()
+        spans = [
+            span
+            for kept in recorder.kept_traces(limit=None)
+            for span in recorder.trace(kept["trace_id"])
+        ]
+        names = {span["span_id"]: span["name"] for span in spans}
+        edges = Counter((span["name"], names.get(span["parent_id"])) for span in spans)
+        assert edges == Counter(WORKLOAD_SPAN_EDGES)
+        assert recorder.stats()["spans_seen"] == len(WORKLOAD_SPAN_EDGES)

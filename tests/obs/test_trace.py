@@ -1,5 +1,6 @@
 """Tracing core: span trees, thread-local context, the no-op default."""
 
+import os
 import threading
 
 from repro.obs.sinks import InMemorySink
@@ -248,3 +249,47 @@ class TestNoopDefault:
             span = tracer.span("typed")
             assert isinstance(span, Span)
             span.finish()
+
+
+class TestTraceIds:
+    """Trace ids are 64 random bits drawn without a syscall each: they
+    must still never repeat across threads or across a fork."""
+
+    def test_distinct_across_eight_threads(self):
+        tracer = Tracer(keep_last=0)
+        ids: list[list[str]] = [[] for _ in range(8)]
+        start = threading.Barrier(8)
+
+        def roots(out: list[str]) -> None:
+            start.wait()
+            out.extend(tracer.span("root").trace_id for _ in range(10_000))
+
+        threads = [threading.Thread(target=roots, args=(out,)) for out in ids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        every = [trace_id for out in ids for trace_id in out]
+        assert len(every) == len(set(every)) == 80_000
+        assert all(len(trace_id) == 16 for trace_id in every)
+        assert all(int(trace_id, 16) >= 0 for trace_id in every[:100])
+
+    def test_a_forked_child_draws_other_ids_than_its_parent(self):
+        tracer = Tracer(keep_last=0)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report its next ids, then leave at once
+            try:
+                os.close(read_fd)
+                with os.fdopen(write_fd, "w") as pipe:
+                    pipe.write(" ".join(tracer.span("c").trace_id for _ in range(1000)))
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        # without a reseed in the child these would be the child's ids
+        parent_ids = {tracer.span("p").trace_id for _ in range(1000)}
+        with os.fdopen(read_fd) as pipe:
+            child_ids = set(pipe.read().split())
+        os.waitpid(pid, 0)
+        assert len(child_ids) == len(parent_ids) == 1000
+        assert not child_ids & parent_ids
