@@ -156,8 +156,8 @@ def _run_swarm(_sources, args) -> None:
 
     # a small hot budget forces real demotions/promotions under
     # concurrency, so traced runs show the tiered store's spans; byte
-    # accounting (store_bytes, fingerprints) is tier-independent.  Sharded
-    # services own one store per partition, so the override is theirs
+    # accounting (store_bytes, fingerprints) is tier-independent.  Shard
+    # workers own one store per partition, so the override is theirs
     store = (
         TieredArtifactStore(hot_budget_bytes=args.hot_budget_bytes)
         if args.shards == 1
@@ -168,13 +168,12 @@ def _run_swarm(_sources, args) -> None:
         rounds=args.rounds,
         store=store,
         shards=args.shards,
-        processes=args.processes,
         transport=None if args.transport == "inproc" else args.transport,
     )
     stats = result.stats
-    shard_note = f" across {result.shards} shards" if result.shards > 1 else ""
-    if result.processes > 1:
-        shard_note += f" in {result.processes} worker processes"
+    shard_note = (
+        f" across {result.shards} shard worker processes" if result.shards > 1 else ""
+    )
     transport_note = " over tcp/binary" if result.transport == "tcp" else ""
     _print(
         f"Swarm: {result.clients} concurrent clients x {result.rounds} workloads "
@@ -366,17 +365,11 @@ def _run_serve(_sources, args) -> None:
     from .swarm import build_service, swarm_family
 
     recorder = FlightRecorder(slow_threshold_s=args.slow_threshold_ms / 1000.0)
-    shards = max(args.shards, 2) if args.shard_workers else args.shards
-    service = build_service(
-        shards, shards if args.shard_workers else 1, flight_recorder=recorder
-    )
+    shards = args.shards
+    service = build_service(shards, flight_recorder=recorder)
     server = AsyncTransportServer(service, host=args.host, port=args.port)
     host, port = server.start()
-    topology = (
-        f"{shards} shard worker processes"
-        if args.shard_workers
-        else f"{shards} shard(s)"
-    )
+    topology = f"{shards} shard worker processes" if shards > 1 else "1 shard"
     _print(
         f"serving on {host}:{port} ({topology}, "
         f"slow threshold {args.slow_threshold_ms:g}ms, "
@@ -444,22 +437,10 @@ def main(argv: list[str] | None = None) -> int:
         "--shards",
         type=int,
         default=1,
-        help="EG shards for the swarm experiment (>1 uses the sharded service)",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=1,
         help=(
-            "swarm: worker processes for the sharded service (must equal "
-            "--shards; >1 hosts each shard in its own process behind the "
-            "binary transport)"
+            "EG shards for swarm/serve (>1 hosts each shard in its own worker "
+            "process behind the binary transport)"
         ),
-    )
-    parser.add_argument(
-        "--shard-workers",
-        action="store_true",
-        help="serve: host each shard in its own worker process (implies --shards >= 2)",
     )
     parser.add_argument(
         "--transport",

@@ -6,7 +6,7 @@ sessions, each submitting ``rounds`` synthetic sleep-operation workloads
 with heavily shared prefixes, against one background service of any
 topology (:func:`build_service`: an
 :class:`~repro.service.core.EGService`, or a sharding coordinator over
-in-process or worker-process shards).  The merge worker lingers
+worker-process shards).  The merge worker lingers
 ``batch_linger_s`` so near-simultaneous commits coalesce into batches (one
 materialization pass per batch).  ``run_swarm``'s default of 150 ms is a
 *demonstration* value, chosen so the acceptance run shows batches about as
@@ -206,10 +206,9 @@ class SwarmResult:
     store_bytes: int = 0
     concurrent_fingerprint: str = ""
     replay_fingerprint: str | None = None
-    #: EG shards the run used (1 = the classic single-service swarm)
+    #: EG shards the run used (1 = the classic single-service swarm; more
+    #: = one worker process per shard)
     shards: int = 1
-    #: worker processes the shards ran in (1 = all shards in-process)
-    processes: int = 1
     #: per-shard frozen stats (empty on single-service runs)
     shard_stats: list[ServiceStats] = field(default_factory=list, repr=False)
     #: cross-partition edge stubs registered by the end of the run
@@ -262,7 +261,6 @@ def swarm_family(
 
 def build_service(
     shards: int = 1,
-    processes: int = 1,
     *,
     store: ArtifactStore | None = None,
     flight_recorder: Any | None = None,
@@ -275,40 +273,34 @@ def build_service(
 
     ``shards == 1`` is one :class:`~repro.service.core.EGService` (over
     ``store``, if given); ``shards > 1`` a
-    :class:`~repro.shard.ShardedEGService` over in-process shards, or —
-    with ``processes == shards`` — a
     :class:`~repro.shard.ProcessShardCoordinator` with one worker process
     per shard.
     """
-    if processes > 1:
-        if processes != shards:
+    if shards > 1:
+        if store is not None:
             raise ValueError(
-                f"processes ({processes}) must equal shards ({shards}): "
-                "the multi-process swarm runs exactly one worker per shard"
+                "a custom store cannot cross process boundaries; each shard "
+                "worker owns its partition's store"
             )
         if debug_cross_check:
-            raise ValueError("debug_cross_check is in-process only")
-    if shards > 1 and store is not None:
-        raise ValueError(
-            "a custom store cannot be shared across shards (or cross "
-            "process boundaries); each shard owns its partition's store"
-        )
+            raise ValueError("debug_cross_check runs on a single service only")
     common: dict[str, Any] = {
         "queue_capacity": queue_capacity,
         "batch_linger_s": batch_linger_s,
         "request_timeout_s": request_timeout_s,
         "flight_recorder": flight_recorder,
     }
-    if processes > 1:
+    if shards > 1:
         from ..shard import ProcessShardCoordinator
 
         return ProcessShardCoordinator(shards, **common)
-    common.update(background=True, debug_cross_check=debug_cross_check)
-    if shards > 1:
-        from ..shard import ShardedEGService
-
-        return ShardedEGService(lambda _index: MaterializeAll(), shards, **common)
-    return EGService(MaterializeAll(), store=store, **common)
+    return EGService(
+        MaterializeAll(),
+        store=store,
+        background=True,
+        debug_cross_check=debug_cross_check,
+        **common,
+    )
 
 
 def _replay(
@@ -344,7 +336,6 @@ def run_swarm(
     store: ArtifactStore | None = None,
     debug_cross_check: bool = False,
     shards: int = 1,
-    processes: int = 1,
     transport: str | None = None,
     flight_recorder: Any | None = None,
 ) -> SwarmResult:
@@ -362,12 +353,12 @@ def run_swarm(
     ``debug_cross_check`` makes every materialization pass assert the
     incremental utility index against a full recompute (slow; CI only).
 
-    ``shards`` / ``processes`` pick the topology (:func:`build_service`)
-    and ``shards > 1`` the sharded workload family — one lineage group
-    per shard with periodic cross-group joins; the fingerprint check then
-    compares the *flattened* partitioned EG against the sequential
-    single-graph replay, and must pass for every topology: an N-process
-    swarm converges bit-identically to the in-process sharded service.
+    ``shards`` picks the topology (:func:`build_service`); ``shards > 1``
+    runs one worker process per shard and the sharded workload family —
+    one lineage group per shard with periodic cross-group joins.  The
+    fingerprint check then compares the *flattened* partitioned EG
+    (read back from the workers' checkpoints) against the sequential
+    single-graph replay, and must pass for every topology.
 
     ``transport="tcp"`` routes every tenant through the async multiplexed
     binary transport (:mod:`repro.transport`) instead of in-process
@@ -389,7 +380,6 @@ def run_swarm(
         raise ValueError(f"unknown transport {transport!r} (expected 'inproc' or 'tcp')")
     service = build_service(
         shards,
-        processes,
         store=store,
         flight_recorder=flight_recorder,
         queue_capacity=queue_capacity,
@@ -465,14 +455,10 @@ def run_swarm(
         raise errors[0]
 
     if shards > 1:
-        # worker processes persist their partitions on stop; in-process
-        # shards still hold theirs
-        if processes > 1:
-            from ..shard.persistence import load_partitioned_eg
+        # worker processes persist their partitions on stop
+        from ..shard.persistence import load_partitioned_eg
 
-            partitioned = load_partitioned_eg(service.persist_dir)
-        else:
-            partitioned = service.partitioned
+        partitioned = load_partitioned_eg(service.persist_dir)
         eg = partitioned.flatten()
         store_bytes = sum(
             partition.store.total_bytes for partition in partitioned.partitions
@@ -494,7 +480,6 @@ def run_swarm(
         store_bytes=store_bytes,
         concurrent_fingerprint=eg_fingerprint(eg),
         shards=shards,
-        processes=processes,
         shard_stats=service.shard_stats() if shards > 1 else [],
         stub_edges=service.partitioned.stub_count if shards > 1 else 0,
         batch_linger_s=batch_linger_s,

@@ -5,7 +5,7 @@ parse, prune, *plan via the service* (snapshot-isolated), execute
 locally against the pinned snapshot, then *commit* the executed DAG back
 for batched merging.  ``service`` is anything shaped like
 :class:`~repro.service.core.EGService` — the service itself, a
-:class:`~repro.shard.ShardedEGService`, or a
+:class:`~repro.shard.ProcessShardCoordinator`, or a
 :class:`~repro.transport.client.RemoteService` speaking to one over the
 wire — so the in-process client, the transport client and
 ``CollaborativeOptimizer`` all run this loop.  Requests bounced by

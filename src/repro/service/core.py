@@ -29,7 +29,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import ArtifactDivergenceError, ArtifactStore, LoadCostModel
@@ -671,16 +671,6 @@ class EGService:
     def version(self) -> int:
         """Latest published EG version."""
         return self.versioned.version
-
-    def snapshot(self, vertex_ids: Iterable[str] = ()) -> SnapshotLease:
-        """Pin the latest published snapshot for a reader of ``vertex_ids``.
-
-        This is what a sharding coordinator stitches cross-shard plans
-        from.  An in-process snapshot is shared whole, so the ids go
-        unused here; a shard in a worker process ships summaries of just
-        those vertices.
-        """
-        return self.versioned.acquire()
 
     def _record_utility_dirty(self) -> None:
         """Fold the utility index's dirty totals into the metrics (delta)."""

@@ -28,7 +28,7 @@ import threading
 from collections import deque
 from contextlib import ExitStack
 from functools import partial
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from ..obs.metrics import MetricsRegistry, get_registry, percentile
 from ..obs.plane import FlightRecorder, install_recorder, uninstall_recorder
@@ -157,9 +157,8 @@ class TelemetryPlane:
     service: that is the production shape, while the paper figures
     construct thousands of short-lived inline services that must stay
     zero-overhead.  With a recorder comes an SLO engine over the
-    service's ``registry``, its shards' ``shard_registries`` (so per-shard
-    merge/queue series burn the same budgets they would unsharded) and
-    the process-global registry (store/planner series live there).
+    service's ``registry`` and the process-global registry (store/planner
+    series live there).
     """
 
     def __init__(
@@ -168,7 +167,6 @@ class TelemetryPlane:
         flight_recorder: FlightRecorder | bool | None,
         background: bool,
         slos: list[SLO] | None = None,
-        shard_registries: Sequence[MetricsRegistry] = (),
     ) -> None:
         if flight_recorder is None:
             flight_recorder = background
@@ -184,7 +182,7 @@ class TelemetryPlane:
             install_recorder(self.recorder)
             self.slo_engine = SLOEngine(
                 slos if slos is not None else default_service_slos(),
-                registries=[registry, *shard_registries, get_registry()],
+                registries=[registry, get_registry()],
                 registry=registry,
             )
 

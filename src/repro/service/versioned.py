@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import Iterable
 
 import networkx as nx
 
@@ -127,15 +126,6 @@ class SnapshotLease:
         self.version = version
         self._owner = owner
         self._released = False
-
-    def fetch(self, vertex_ids: Iterable[str]) -> set[str]:
-        """The subset of ``vertex_ids`` that ``eg.load`` can serve.
-
-        A local snapshot shares its store, so every materialized vertex
-        qualifies; a remote shard's view ships the payloads in one batch
-        here and reports the ones that crossed the wire.
-        """
-        return {v for v in vertex_ids if self.eg.is_materialized(v)}
 
     def release(self) -> None:
         """Drop the pin (idempotent)."""

@@ -7,14 +7,13 @@ The scale-out layer over the single-graph service stack:
 * :mod:`repro.shard.partition` — :class:`PartitionedExperimentGraph`,
   N ordinary Experiment Graphs joined by explicit cross-partition edge
   stubs, with composed union / utility / flatten;
-* :mod:`repro.shard.service` — :class:`ShardedEGService`, the one
-  routing and plan-stitching coordinator, written over a list of
-  ``EGService``-shaped shards (in-process: one merge worker + snapshot
-  chain + plan cache per shard);
-* :mod:`repro.shard.proc` — :class:`RemoteShard`, the same shard surface
-  for a service hosted in its own :class:`ShardWorkerProcess` behind the
-  binary transport, and :class:`ProcessShardCoordinator`, which
-  constructs the coordinator over them;
+* :mod:`repro.shard.service` — :class:`ProcessShardCoordinator`, the one
+  routing and plan-stitching coordinator over N shard worker processes
+  (one merge worker + snapshot chain + plan cache per shard);
+* :mod:`repro.shard.proc` — :class:`ShardWorkerProcess`, which hosts one
+  shard's ``EGService`` behind the binary transport, and
+  :class:`RemoteShard`, the ``EGService``-shaped handle the coordinator
+  calls it through;
 * :mod:`repro.shard.persistence` — save/load of all partitions plus the
   stub registry.
 """
@@ -25,12 +24,7 @@ from .persistence import (
     save_partitioned_eg,
     write_partition_manifest,
 )
-from .proc import (
-    ProcessShardCoordinator,
-    RemoteShard,
-    ShardWorkerProcess,
-    WorkerSpec,
-)
+from .proc import RemoteShard, ShardWorkerProcess, WorkerSpec
 from .routing import (
     RoutedWorkload,
     balanced_source_names,
@@ -39,8 +33,8 @@ from .routing import (
     shard_of_source,
 )
 from .service import (
+    ProcessShardCoordinator,
     ShardedCommitResult,
-    ShardedEGService,
     ShardedUpdateTicket,
     StitchedSnapshot,
 )
@@ -55,7 +49,6 @@ __all__ = [
     "route_workload",
     "shard_of_source",
     "ShardedCommitResult",
-    "ShardedEGService",
     "ShardedUpdateTicket",
     "StitchedSnapshot",
     "ProcessShardCoordinator",

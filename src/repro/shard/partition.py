@@ -82,22 +82,16 @@ class PartitionedExperimentGraph:
         self,
         n_partitions: int,
         partitions: list[ExperimentGraph] | None = None,
-        stores: list[ArtifactStore] | None = None,
     ):
         if n_partitions < 1:
             raise ValueError("n_partitions must be at least 1")
         if partitions is not None and len(partitions) != n_partitions:
             raise ValueError("partitions list must match n_partitions")
-        if stores is not None and len(stores) != n_partitions:
-            raise ValueError("stores list must match n_partitions")
         self.n_partitions = n_partitions
         if partitions is not None:
             self.partitions = partitions
         else:
-            self.partitions = [
-                ExperimentGraph(stores[index] if stores is not None else None)
-                for index in range(n_partitions)
-            ]
+            self.partitions = [ExperimentGraph() for _ in range(n_partitions)]
         #: vertex id -> owning partition (every vertex ever split in)
         self._owner: dict[str, int] = {}
         #: (src, dst) -> stub for every cross-partition edge observed

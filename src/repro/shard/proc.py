@@ -1,19 +1,15 @@
-"""Multi-process shard scale-out: one worker process per shard.
+"""Shard worker processes: one :class:`~repro.service.core.EGService` each.
 
-:class:`ProcessShardCoordinator` is the one coordinator,
-:class:`~repro.shard.service.ShardedEGService`, constructed over
-:class:`RemoteShard` handles instead of in-process services: each shard's
-:class:`~repro.service.core.EGService` runs in its own
-:class:`ShardWorkerProcess` behind its own
-:class:`~repro.transport.server.AsyncTransportServer`, and its
-``RemoteShard`` answers the slice of the ``EGService`` surface the
-coordinator calls by talking to that server.  Routing, the submit lock,
-gap-free global commit indices, backpressure-before-index, stitched
-planning and the telemetry rollup are the coordinator's and exist once;
-an N-process swarm therefore converges bit-identically to the in-process
-sharded service and to sequential replay.
+Each shard's service runs in its own :class:`ShardWorkerProcess` behind its
+own :class:`~repro.transport.server.AsyncTransportServer`; its
+:class:`RemoteShard` answers the slice of the ``EGService`` surface the
+coordinator, :class:`~repro.shard.service.ProcessShardCoordinator`, calls
+by talking to that server.  Routing, the submit lock, gap-free global
+commit indices, backpressure-before-index, stitched planning and the
+telemetry rollup are the coordinator's; a swarm over N worker processes
+therefore converges bit-identically to sequential replay.
 
-How a ``RemoteShard`` keeps the in-process contract over the wire:
+How a ``RemoteShard`` keeps the coordinator's contract over the wire:
 
 * **FIFO dispatch** — one *dedicated* commit connection.
   ``shard.commit`` frames are submitted on it under the coordinator's
@@ -35,18 +31,14 @@ How a ``RemoteShard`` keeps the in-process contract over the wire:
   :meth:`ProcessShardCoordinator.restart_worker` respawns the worker,
   lets it reopen its partition persistence, and rejoins it to the swarm.
 
-Known limitations, by design: payloads that are not wire-transportable
+Known limitation, by design: payloads that are not wire-transportable
 (e.g. fitted estimators) do not cross process boundaries — the client
-recomputes them, exactly like the existing ``commit`` op.  After a
-worker restart the coordinator's summed ``version`` can dip (the
-restarted shard's version chain restarts at 0); commit indices remain
-gap-free and monotone throughout.
+recomputes them, exactly like the existing ``commit`` op.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -55,11 +47,8 @@ from typing import Any, Iterable
 
 from ..eg.graph import ExperimentGraph
 from ..eg.persistence import load_eg
-from ..eg.storage import ArtifactStore, LoadCostModel
 from ..graph.dag import WorkloadDAG
 from ..obs.metrics import MetricsRegistry
-from ..obs.plane import FlightRecorder
-from ..obs.slo import SLO
 from ..service.core import CommitResult
 from ..service.errors import ServiceError, ShardUnavailableError
 from ..service.stats import ServiceStats
@@ -72,15 +61,11 @@ from ..transport.client import (
 )
 from ..transport.errors import ConnectionLostError
 from ..transport.wire import decode_commit_reply, encode_workload
-from .partition import PartitionedExperimentGraph
-from .persistence import load_partitioned_eg, write_partition_manifest
-from .service import ShardedEGService
 
 __all__ = [
     "WorkerSpec",
     "ShardWorkerProcess",
     "RemoteShard",
-    "ProcessShardCoordinator",
 ]
 
 
@@ -535,142 +520,3 @@ class RemoteShard(RemoteService):
         self._stopped = True
         self.worker.stop(drain=drain, timeout=max(1.0, deadline - time.monotonic()))
         self._disconnect()
-
-
-class ProcessShardCoordinator(ShardedEGService):
-    """:class:`ShardedEGService` over N shard worker processes.
-
-    Only the construction differs: it spawns one
-    :class:`ShardWorkerProcess` per shard and hands the coordinator a
-    :class:`RemoteShard` for each.  The request path — sessions, plan,
-    commit, stats, health, debug — is the base class's, unchanged; what
-    this class adds is what only worker processes have: ``workers``,
-    ``persist_dir``, :meth:`restart_worker`, and a :meth:`flatten` that
-    reads the partitions back from the workers' checkpoints.
-    """
-
-    def __init__(
-        self,
-        n_shards: int,
-        *,
-        host: str = "127.0.0.1",
-        reuse_algorithm: Any = None,
-        load_cost_model: LoadCostModel | None = None,
-        queue_capacity: int = 64,
-        batch_linger_s: float = 0.0,
-        request_timeout_s: float = 30.0,
-        persist_dir: str | Path | None = None,
-        checkpoint_every: int = 0,
-        worker_max_workers: int = 4,
-        pool_size: int = 2,
-        metrics_registry: MetricsRegistry | None = None,
-        flight_recorder: FlightRecorder | bool | None = None,
-        slos: list[SLO] | None = None,
-        start_timeout_s: float = 60.0,
-    ):
-        # routing + stub registry + global commit counter only — the
-        # partition *contents* live in the worker processes; warmstart
-        # candidates are model payloads, which do not cross the wire
-        self._init_planning(
-            PartitionedExperimentGraph(n_shards),
-            reuse_algorithm,
-            load_cost_model,
-            False,
-            "best_quality",
-            request_timeout_s,
-        )
-        self._tmpdir: tempfile.TemporaryDirectory | None = None
-        if persist_dir is None:
-            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-proc-shards-")
-            persist_dir = self._tmpdir.name
-        #: root of the partitioned persistence layout the workers write
-        self.persist_dir = Path(persist_dir)
-        self.persist_dir.mkdir(parents=True, exist_ok=True)
-
-        registry = (
-            metrics_registry if metrics_registry is not None else MetricsRegistry()
-        )
-        shards = [
-            RemoteShard(
-                WorkerSpec(
-                    shard_index=index,
-                    host=host,
-                    queue_capacity=queue_capacity,
-                    batch_linger_s=batch_linger_s,
-                    request_timeout_s=request_timeout_s,
-                    persist_dir=str(self.persist_dir),
-                    checkpoint_every=checkpoint_every,
-                    max_workers=worker_max_workers,
-                ),
-                registry,
-                pool_size=pool_size,
-            )
-            for index in range(n_shards)
-        ]
-        self._worker_restarts = registry.counter(
-            "repro_proc_worker_restarts_total",
-            "shard worker processes respawned after a crash",
-        )
-        try:
-            deadline = time.monotonic() + start_timeout_s
-            for shard in shards:
-                shard.worker.launch()
-            for shard in shards:
-                shard.connect(max(1.0, deadline - time.monotonic()))
-        except BaseException:
-            for shard in shards:
-                shard.kill()
-            raise
-        # the coordinator is inherently background (workers are async), so
-        # None installs a recorder — same contract as a background
-        # in-process service.  Worker services run dark; their merge/queue
-        # series come back through the shard.stats rollup instead.
-        self._init_coordination(shards, registry, flight_recorder, True, slos, [])
-
-    @property
-    def workers(self) -> list[ShardWorkerProcess]:
-        return [shard.worker for shard in self.shards]
-
-    def restart_worker(self, shard: int, start_timeout_s: float = 60.0) -> None:
-        """Respawn one worker; it reopens its partition and rejoins.
-
-        Holds the submit lock, so no piece is dispatched mid-restart, and
-        re-opens worker-side sessions for every coordinator session so
-        existing clients keep committing without reconnect.
-        """
-        with self._submit_lock:
-            self._require_running()
-            remote = self.shards[shard]
-            remote.restart(start_timeout_s)
-            self._worker_restarts.inc()
-            with self._registry_lock:
-                sessions = list(self._sessions.values())
-            for session in sessions:
-                opened = remote.open_session(f"{session.name}@shard{shard}")
-                with self._registry_lock:
-                    shard_ids = self._shard_sessions.get(session.session_id)
-                    if shard_ids is not None:
-                        shard_ids[shard] = opened.session_id
-
-    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
-        """Stop every worker under one shared deadline, then complete the
-        persistence layout with the manifest (stubs + global counter)."""
-        super().stop(drain=drain, timeout=timeout)
-        try:
-            write_partition_manifest(self.partitioned, self.persist_dir)
-        except OSError:
-            pass
-
-    def flatten(self, store: ArtifactStore | None = None) -> ExperimentGraph:
-        """Single-graph view reassembled from worker checkpoints.
-
-        Requires a stopped coordinator: each worker persists its
-        partition on graceful stop, and :meth:`stop` completes the
-        layout with the manifest.
-        """
-        if not self._stopped:
-            raise ServiceError(
-                "flatten() requires a stopped coordinator: workers persist "
-                "their partitions on graceful stop"
-            )
-        return load_partitioned_eg(self.persist_dir).flatten(store)

@@ -1,19 +1,18 @@
-"""Sharded Experiment Graph service: N merge workers behind one coordinator.
+"""Sharded Experiment Graph service: N worker processes behind one coordinator.
 
-:class:`ShardedEGService` coordinates a list of shards, each one full
-:class:`~repro.service.core.EGService` — its own merge worker (or inline
-merge path), its own
+:class:`ProcessShardCoordinator` coordinates N shards, each one full
+:class:`~repro.service.core.EGService` — its own merge worker, its own
 :class:`~repro.service.versioned.VersionedExperimentGraph` snapshot chain,
-and its own version-keyed plan cache — over the partitions of one
+and its own version-keyed plan cache — in its own worker process, over the
+partitions of one
 :class:`~repro.shard.partition.PartitionedExperimentGraph`.  The
-coordinator is written once against the slice of the ``EGService``
-surface it calls (``open_session`` / ``close_session`` / ``plan`` /
-``queue_headroom`` / ``submit_update`` / ``snapshot`` / ``version`` /
-``stats`` / ``health`` / ``metrics_*`` / ``stop``): in-process shards are
-plain ``EGService`` objects, and a
-:class:`~repro.shard.proc.RemoteShard` answers the same slice for a shard
-hosted in a worker process.  The coordinator owns routing and global
-ordering:
+coordinator talks to each worker through a
+:class:`~repro.shard.proc.RemoteShard`, which answers the slice of the
+``EGService`` surface the coordinator calls (``open_session`` /
+``close_session`` / ``plan`` / ``queue_headroom`` / ``submit_update`` /
+``snapshot`` / ``version`` / ``stats`` / ``health`` / ``metrics_*`` /
+``stop``) over the binary transport.  The coordinator owns routing and
+global ordering:
 
 * **commit** — the coordinator routes the executed workload by root-lineage
   fingerprint, checks backpressure on *every* involved shard before
@@ -34,25 +33,28 @@ ordering:
   :class:`~repro.storage.TieredLoadCostModel` charges them at transfer
   (disk) bandwidth rather than local-RAM speed.
 
-Known limitation, by design: a cross-shard commit is not atomic across
+Known limitations, by design: a cross-shard commit is not atomic across
 shards.  If one piece is rejected by artifact-divergence checking while a
 sibling piece merges, the EG keeps the merged piece (the same end state a
 re-submission of the valid sub-workload would reach); the commit as a
-whole reports the failure.
+whole reports the failure.  After a worker restart the summed ``version``
+can dip (the restarted shard's version chain restarts at 0); commit
+indices remain gap-free and monotone throughout.
 """
 
 from __future__ import annotations
 
 import itertools
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Iterable, cast
 
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import ArtifactStore, LoadCostModel, StorageTier
 from ..graph.dag import WorkloadDAG
-from ..materialization.base import Materializer
 from ..obs.metrics import MetricsRegistry, rollup_snapshots
 from ..obs.plane import FlightRecorder
 from ..obs.slo import SLO
@@ -61,12 +63,12 @@ from ..server.optimizer import Optimizer
 from ..service.core import (
     CommitRecord,
     CommitResult,
-    EGService,
     ServicePlan,
     ServiceSession,
 )
 from ..service.errors import (
     RequestTimeoutError,
+    ServiceError,
     ServiceOverloadedError,
     ServiceStoppedError,
     ShardUnavailableError,
@@ -76,14 +78,17 @@ from ..service.stats import ServiceStats, roll_up
 from ..service.telemetry import ServiceMetrics, TelemetryPlane
 from ..service.versioned import SnapshotLease
 from ..storage import TieredLoadCostModel
+from ..transport.client import RemoteSnapshot
 from .partition import PartitionedExperimentGraph
+from .persistence import load_partitioned_eg, write_partition_manifest
+from .proc import RemoteShard, ShardWorkerProcess, WorkerSpec
 from .routing import RoutedWorkload
 
 __all__ = [
     "StitchedSnapshot",
     "ShardedCommitResult",
     "ShardedUpdateTicket",
-    "ShardedEGService",
+    "ProcessShardCoordinator",
 ]
 
 #: shards-involved-per-workload histogram bounds (powers of two)
@@ -102,18 +107,16 @@ class StitchedSnapshot:
     turns into a load-vertex priced through the tiered load-cost model's
     cold (transfer-bandwidth) arm.
 
-    A lease is whatever the shard's ``snapshot()`` returned: a
-    :class:`~repro.service.versioned.SnapshotLease` on an in-process
-    shard's published graph, or a worker shard's
-    :class:`~repro.transport.client.RemoteSnapshot` holding the summaries it
-    shipped.  The stitched view is itself lease-shaped (``eg`` /
+    A lease is what the shard's ``snapshot()`` returned: a
+    :class:`~repro.transport.client.RemoteSnapshot` holding the summaries
+    the worker shipped.  The stitched view is itself lease-shaped (``eg`` /
     ``version`` / ``fetch`` / ``release``), so a cross-shard plan is an
     ordinary :class:`~repro.service.core.ServicePlan` whose lease it is.
     """
 
     def __init__(
         self,
-        leases: dict[int, SnapshotLease],
+        leases: dict[int, RemoteSnapshot],
         owner: dict[str, int],
         home: int,
         resolver: Callable[[str], int | None],
@@ -232,7 +235,7 @@ class ShardedUpdateTicket:
 
     def __init__(
         self,
-        coordinator: "ShardedEGService",
+        coordinator: "ProcessShardCoordinator",
         session_id: str,
         label: str,
         commit_index: int,
@@ -288,86 +291,39 @@ class ShardedUpdateTicket:
         return self._result
 
 
-class ShardedEGService:
-    """Coordinator over N shards, each answering the ``EGService`` surface.
+class ProcessShardCoordinator:
+    """Coordinator over N shards, one :class:`ShardWorkerProcess` each.
 
-    Constructed directly it builds one in-process :class:`EGService` per
-    shard; :class:`~repro.shard.proc.ProcessShardCoordinator` builds the
-    same coordinator over worker-process shards instead.
+    Spawns the workers, then talks to each through a
+    :class:`~repro.shard.proc.RemoteShard`.  The request path — sessions,
+    plan, commit, stats, health, debug — is written once against the
+    ``EGService`` slice those handles answer; ``workers``, ``persist_dir``,
+    :meth:`restart_worker` and a :meth:`flatten` that reads the partitions
+    back from the workers' checkpoints are what the worker processes add.
     """
 
     def __init__(
         self,
-        materializer_factory: Callable[[int], Materializer],
         n_shards: int,
         *,
-        reuse_algorithm=None,
-        stores: list[ArtifactStore] | None = None,
+        host: str = "127.0.0.1",
+        reuse_algorithm: Any = None,
         load_cost_model: LoadCostModel | None = None,
-        warmstarting: bool = False,
-        warmstart_policy: str = "best_quality",
         queue_capacity: int = 64,
         batch_linger_s: float = 0.0,
         request_timeout_s: float = 30.0,
-        background: bool = False,
+        persist_dir: str | Path | None = None,
+        checkpoint_every: int = 0,
+        worker_max_workers: int = 4,
+        pool_size: int = 2,
         metrics_registry: MetricsRegistry | None = None,
-        plan_cache_size: int = 128,
-        debug_cross_check: bool = False,
         flight_recorder: FlightRecorder | bool | None = None,
         slos: list[SLO] | None = None,
+        start_timeout_s: float = 60.0,
     ):
-        self._init_planning(
-            PartitionedExperimentGraph(n_shards, stores=stores),
-            reuse_algorithm,
-            load_cost_model,
-            warmstarting,
-            warmstart_policy,
-            request_timeout_s,
-        )
-        #: each shard gets the full queue capacity: capacity bounds the
-        #: per-merge-worker backlog, and there is one worker per shard
-        shards = [
-            EGService(
-                materializer_factory(index),
-                reuse_algorithm=self.reuse_algorithm,
-                eg=self.partitioned.partitions[index],
-                load_cost_model=self.load_cost_model,
-                warmstarting=warmstarting,
-                warmstart_policy=warmstart_policy,
-                queue_capacity=queue_capacity,
-                batch_linger_s=batch_linger_s,
-                request_timeout_s=request_timeout_s,
-                background=background,
-                plan_cache_size=plan_cache_size,
-                debug_cross_check=debug_cross_check,
-                # one telemetry plane for the whole sharded service: the
-                # coordinator's recorder sees every span, so shards run
-                # dark and the SLO engine reads their registries directly
-                flight_recorder=False,
-            )
-            for index in range(n_shards)
-        ]
-        self._init_coordination(
-            shards,
-            metrics_registry,
-            flight_recorder,
-            background,
-            slos,
-            [shard.metrics_registry for shard in shards],
-        )
-
-    def _init_planning(
-        self,
-        partitioned: PartitionedExperimentGraph,
-        reuse_algorithm: Any,
-        load_cost_model: LoadCostModel | None,
-        warmstarting: bool,
-        warmstart_policy: str,
-        request_timeout_s: float,
-    ) -> None:
-        """Routing and planner state; set before the shards are built
-        because in-process shards plan with the same algorithm."""
-        self.partitioned = partitioned
+        # routing + stub registry + global commit counter only — the
+        # partition *contents* live in the worker processes
+        self.partitioned = PartitionedExperimentGraph(n_shards)
         #: the default prices local artifacts at RAM speed (the hot arm
         #: equals in-memory pricing) and remote ones — which the stitched
         #: snapshot reports COLD — at transfer bandwidth
@@ -381,24 +337,50 @@ class ShardedEGService:
             if reuse_algorithm is not None
             else LinearReuse(self.load_cost_model)
         )
-        self.warmstarting = warmstarting
-        self.warmstart_policy = warmstart_policy
         self.request_timeout_s = request_timeout_s
+        self._tmpdir: tempfile.TemporaryDirectory | None = None
+        if persist_dir is None:
+            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-proc-shards-")
+            persist_dir = self._tmpdir.name
+        #: root of the partitioned persistence layout the workers write
+        self.persist_dir = Path(persist_dir)
+        self.persist_dir.mkdir(parents=True, exist_ok=True)
 
-    def _init_coordination(
-        self,
-        shards: list[Any],
-        metrics_registry: MetricsRegistry | None,
-        flight_recorder: FlightRecorder | bool | None,
-        background: bool,
-        slos: list[SLO] | None,
-        shard_registries: list[MetricsRegistry],
-    ) -> None:
-        """Session registry, commit order, instruments and the one
-        telemetry plane over ``shards``."""
-        #: EGService-shaped: in-process ``EGService`` objects, or
-        #: ``RemoteShard`` handles on worker processes
-        self.shards: list[Any] = shards
+        reg = metrics_registry if metrics_registry is not None else MetricsRegistry()
+        #: each shard gets the full queue capacity: capacity bounds the
+        #: per-merge-worker backlog, and there is one worker per shard
+        self.shards: list[RemoteShard] = [
+            RemoteShard(
+                WorkerSpec(
+                    shard_index=index,
+                    host=host,
+                    queue_capacity=queue_capacity,
+                    batch_linger_s=batch_linger_s,
+                    request_timeout_s=request_timeout_s,
+                    persist_dir=str(self.persist_dir),
+                    checkpoint_every=checkpoint_every,
+                    max_workers=worker_max_workers,
+                ),
+                reg,
+                pool_size=pool_size,
+            )
+            for index in range(n_shards)
+        ]
+        self._worker_restarts = reg.counter(
+            "repro_proc_worker_restarts_total",
+            "shard worker processes respawned after a crash",
+        )
+        try:
+            deadline = time.monotonic() + start_timeout_s
+            for shard in self.shards:
+                shard.worker.launch()
+            for shard in self.shards:
+                shard.connect(max(1.0, deadline - time.monotonic()))
+        except BaseException:
+            for shard in self.shards:
+                shard.kill()
+            raise
+
         self._sessions: dict[str, ServiceSession] = {}
         #: coordinator session id -> per-shard session ids (index by shard)
         self._shard_sessions: dict[str, list[str]] = {}
@@ -412,9 +394,8 @@ class ShardedEGService:
         self._log_lock = threading.Lock()
         self._stopped = False
 
-        self._metrics = ServiceMetrics(metrics_registry)
-        self.metrics_registry = self._metrics.registry
-        reg = self.metrics_registry
+        self._metrics = ServiceMetrics(reg)
+        self.metrics_registry = reg
         self._routed_counter = reg.counter(
             "repro_shard_routed_workloads_total",
             "workload pieces routed to each shard",
@@ -448,18 +429,45 @@ class ShardedEGService:
             ("shard",),
         )
 
-        #: one telemetry plane at the coordinator: its recorder sees every
-        #: span and its SLO engine also reads every in-process shard registry
-        self.telemetry = TelemetryPlane(
-            self.metrics_registry, flight_recorder, background, slos, shard_registries
-        )
+        #: one telemetry plane at the coordinator, whose recorder sees every
+        #: span.  The coordinator is inherently background (workers are
+        #: async), so None installs a recorder.  Worker services run dark;
+        #: their merge/queue series come back through the shard.stats rollup.
+        self.telemetry = TelemetryPlane(reg, flight_recorder, True, slos)
         self.flight_recorder = self.telemetry.recorder
+
+    @property
+    def workers(self) -> list[ShardWorkerProcess]:
+        return [shard.worker for shard in self.shards]
+
+    def restart_worker(self, shard: int, start_timeout_s: float = 60.0) -> None:
+        """Respawn one worker; it reopens its partition and rejoins.
+
+        Holds the submit lock, so no piece is dispatched mid-restart, and
+        re-opens worker-side sessions for every coordinator session so
+        existing clients keep committing without reconnect.
+        """
+        with self._submit_lock:
+            self._require_running()
+            remote = self.shards[shard]
+            remote.restart(start_timeout_s)
+            self._worker_restarts.inc()
+            with self._registry_lock:
+                sessions = list(self._sessions.values())
+            for session in sessions:
+                opened = remote.open_session(f"{session.name}@shard{shard}")
+                with self._registry_lock:
+                    shard_ids = self._shard_sessions.get(session.session_id)
+                    if shard_ids is not None:
+                        shard_ids[shard] = opened.session_id
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Stop every shard under one shared ``timeout`` budget.
+    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
+        """Stop every worker under one shared ``timeout`` budget, then
+        complete the persistence layout with the manifest (stubs + global
+        counter).
 
         The deadline spans the whole stop: each shard gets whatever
         budget the shards before it left over, so total stop time honors
@@ -470,12 +478,16 @@ class ShardedEGService:
         for shard in self.shards:
             shard.stop(drain=drain, timeout=max(0.0, deadline - time.monotonic()))
         self.telemetry.close()
+        try:
+            write_partition_manifest(self.partitioned, self.persist_dir)
+        except OSError:
+            pass
 
     @property
     def running(self) -> bool:
         return not self._stopped
 
-    def __enter__(self) -> "ShardedEGService":
+    def __enter__(self) -> "ProcessShardCoordinator":
         return self
 
     def __exit__(self, *_exc: object) -> None:
@@ -560,7 +572,7 @@ class ShardedEGService:
         self, session_id: str, workload: WorkloadDAG, routed: RoutedWorkload
     ) -> ServicePlan:
         home = routed.home_shard()
-        leases: dict[int, SnapshotLease] = {}
+        leases: dict[int, RemoteSnapshot] = {}
         try:
             for shard in routed.involved_shards:
                 leases[shard] = self.shards[shard].snapshot(
@@ -572,12 +584,9 @@ class ShardedEGService:
                 home=home,
                 resolver=self.partitioned.partition_of,
             )
-            optimizer = Optimizer(
-                cast(ExperimentGraph, snapshot),
-                self.reuse_algorithm,
-                self.warmstarting,
-                self.warmstart_policy,
-            )
+            # warmstart candidates are model payloads, which do not cross
+            # the wire: stitched plans never warmstart
+            optimizer = Optimizer(cast(ExperimentGraph, snapshot), self.reuse_algorithm)
             result = optimizer.optimize(workload)
             # only fetched artifacts are loadable; the client recomputes
             # the rest (payloads that cannot cross a process boundary)
@@ -706,10 +715,18 @@ class ShardedEGService:
         return max(0, min(slots)) if slots else 0
 
     def flatten(self, store: ArtifactStore | None = None) -> ExperimentGraph:
-        """Single-graph view of the partitioned EG (see
-        :meth:`PartitionedExperimentGraph.flatten`); consistent once every
-        submitted commit has resolved."""
-        return self.partitioned.flatten(store)
+        """Single-graph view reassembled from worker checkpoints.
+
+        Requires a stopped coordinator: each worker persists its
+        partition on graceful stop, and :meth:`stop` completes the
+        layout with the manifest.
+        """
+        if not self._stopped:
+            raise ServiceError(
+                "flatten() requires a stopped coordinator: workers persist "
+                "their partitions on graceful stop"
+            )
+        return load_partitioned_eg(self.persist_dir).flatten(store)
 
     def commit_log(self) -> list[CommitRecord]:
         """Coordinator commit log in global commit-index order."""

@@ -11,7 +11,7 @@ worker processes:
   frame.
 * **Server** (:mod:`~repro.transport.server`) — one asyncio event loop
   serving an :class:`~repro.service.core.EGService` or
-  :class:`~repro.shard.ShardedEGService`, with per-connection
+  :class:`~repro.shard.ProcessShardCoordinator`, with per-connection
   pipelining and admission control
   (:mod:`~repro.transport.admission`) in front of the merge queue.
 * **Wire records** (:mod:`~repro.transport.wire`) — the message-tree

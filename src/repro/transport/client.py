@@ -108,10 +108,9 @@ class PendingReply:
     the replies later, outside it.
     """
 
-    __slots__ = ("_connection", "request_id", "_event", "_kind", "_message", "_error")
+    __slots__ = ("request_id", "_event", "_kind", "_message", "_error")
 
-    def __init__(self, connection: "TransportConnection", request_id: int) -> None:
-        self._connection = connection
+    def __init__(self, request_id: int) -> None:
         self.request_id = request_id
         self._event = threading.Event()
         self._kind = 0
@@ -132,8 +131,13 @@ class PendingReply:
         return self._event.is_set()
 
     def wait(self, timeout_s: float | None = 30.0) -> Any:
+        """The reply, once the reader fills this slot.
+
+        A timeout leaves the slot registered: a live peer always replies,
+        so a later ``wait`` observes the outcome, and a lost connection
+        fails every slot still registered.
+        """
         if not self._event.wait(timeout_s):
-            self._connection._abandon(self.request_id)
             raise RequestTimeoutError(
                 f"no response within {timeout_s}s (request {self.request_id})"
             )
@@ -204,7 +208,7 @@ class TransportConnection:
         if self._closed:
             raise ConnectionLostError("connection already closed")
         request_id = next(self._request_ids)
-        waiter = PendingReply(self, request_id)
+        waiter = PendingReply(request_id)
         with self._waiters_lock:
             self._waiters[request_id] = waiter
         try:
@@ -250,7 +254,7 @@ class TransportConnection:
                     waiter = self._waiters.pop(header.request_id, None)
                 if waiter is not None:
                     waiter.resolve(header.kind, message)
-                # an unmatched tag is a timed-out request: drop it
+                # an unmatched tag names no request of ours: drop it
         except (OSError, TransportError) as read_error:
             error = read_error
         finally:

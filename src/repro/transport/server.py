@@ -1,7 +1,7 @@
 """Asyncio transport server: one hop per request.
 
 :class:`AsyncTransportServer` serves an :class:`~repro.service.core.EGService`
-(or :class:`~repro.shard.ShardedEGService` — the request surface is
+(or :class:`~repro.shard.ProcessShardCoordinator` — the request surface is
 identical) over the tagged binary frame protocol of
 :mod:`repro.transport.frames`.  What runs where (``docs/TRANSPORT.md``,
 "Server and client", has the invariants):

@@ -394,7 +394,7 @@ class TestMergeReadsNothing:
         service = EGService(MaterializeAll(), store=counting)
         session = service.open_session("t").session_id
         service.commit(session, growing_workload("abc"))
-        lease = service.snapshot()
+        lease = service.versioned.acquire()
         victims = lease.eg.materialized_ids() - lease.eg.source_ids
         assert victims
 

@@ -45,8 +45,14 @@ class TestCli:
 class TestSwarmFlags:
     @pytest.mark.parametrize(
         "flags",
-        [["--adaptive"], ["--adaptive-report"], ["--transport-codec", "json"]],
-        ids=["adaptive", "adaptive-report", "transport-codec"],
+        [
+            ["--adaptive"],
+            ["--adaptive-report"],
+            ["--transport-codec", "json"],
+            ["--processes", "2"],
+            ["--shard-workers"],
+        ],
+        ids=["adaptive", "adaptive-report", "transport-codec", "processes", "shard-workers"],
     )
     def test_removed_flags_are_usage_errors(self, flags, capsys):
         """A stale recipe fails loudly instead of running the static path."""
@@ -80,8 +86,8 @@ class TestSwarmFlags:
 class TestServe:
     @pytest.mark.parametrize(
         "flags",
-        [["--shards", "1"], ["--shards", "2"], ["--shard-workers"]],
-        ids=["one-service", "in-process-shards", "worker-processes"],
+        [["--shards", "1"], ["--shards", "2"]],
+        ids=["one-service", "worker-processes"],
     )
     def test_serve_answers_health_and_stops_clean(self, flags, monkeypatch, capsys):
         built = []

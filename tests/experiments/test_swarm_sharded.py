@@ -1,4 +1,5 @@
-"""Sharded swarm: concurrent tenants over N shards converge bit-identically."""
+"""Sharded swarm: concurrent tenants over N shard worker processes converge
+bit-identically to sequential replay."""
 
 import pytest
 

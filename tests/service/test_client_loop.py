@@ -13,7 +13,7 @@ from repro.experiments.swarm import eg_fingerprint, swarm_sources
 from repro.materialization.simple import MaterializeAll
 from repro.server import CollaborativeOptimizer
 from repro.service import EGService, ServiceClient, ServiceOverloadedError
-from repro.shard import ShardedEGService
+from repro.shard import ProcessShardCoordinator
 from repro.transport import AsyncTransportServer, TransportServiceClient
 from repro.workloads.synthetic_dag import wide_workload_script
 
@@ -37,7 +37,7 @@ def in_process():
 
 @contextmanager
 def sharded():
-    with ShardedEGService(lambda _index: MaterializeAll(), 2) as service:
+    with ProcessShardCoordinator(2) as service:
         with ServiceClient(service, cost_model=VirtualCostModel()) as client:
             yield client, service.flatten
 
@@ -56,10 +56,12 @@ def over_the_wire():
 def run_both(setup):
     with setup() as (client, final_eg):
         reports = [client.run_script(script, swarm_sources()) for script in SCRIPTS]
-        accounting = [
-            (r.executed_vertices, r.loaded_vertices, r.plan_algorithm) for r in reports
-        ]
-        return accounting, eg_fingerprint(final_eg())
+    accounting = [
+        (r.executed_vertices, r.loaded_vertices, r.plan_algorithm) for r in reports
+    ]
+    # read the final EG once the service stopped: shard workers persist
+    # their partitions on stop, and flatten() reads them back
+    return accounting, eg_fingerprint(final_eg())
 
 
 @pytest.mark.parametrize("setup", [in_process, sharded, over_the_wire])

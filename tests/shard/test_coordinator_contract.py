@@ -1,10 +1,9 @@
-"""The coordinator contract, run over both shard kinds.
+"""The coordinator contract over worker-process shards.
 
-``ShardedEGService`` is written once over ``EGService``-shaped shards, so
-every guarantee it makes must hold whether the shards are in-process
-``EGService`` objects or ``RemoteShard`` handles on worker processes.
-Process-only behaviour (crash -> typed error, restart rejoin,
-checkpoints) lives in ``test_proc.py``.
+``ProcessShardCoordinator`` is written once over ``EGService``-shaped
+``RemoteShard`` handles; these are the guarantees it makes to every
+caller.  Worker lifecycle behaviour (crash -> typed error, restart
+rejoin, checkpoints) lives in ``test_proc.py``.
 """
 
 import threading
@@ -27,7 +26,6 @@ from repro.service import EGService
 from repro.service.errors import RequestTimeoutError, ServiceOverloadedError
 from repro.shard import (
     ProcessShardCoordinator,
-    ShardedEGService,
     StitchedSnapshot,
     balanced_source_names,
 )
@@ -125,15 +123,10 @@ def sequential_replay(labels: list[str]) -> ExperimentGraph:
     return eg
 
 
-@pytest.fixture(params=["inproc", "proc"])
+@pytest.fixture(params=["proc"])
 def service(request):
-    """A fresh 2-shard coordinator of each kind, background merges."""
-    if request.param == "inproc":
-        coordinator = ShardedEGService(
-            lambda _index: MaterializeAll(), N_SHARDS, background=True
-        )
-    else:
-        coordinator = ProcessShardCoordinator(N_SHARDS)
+    """A fresh 2-shard coordinator over worker processes."""
+    coordinator = ProcessShardCoordinator(N_SHARDS)
     try:
         yield coordinator
     finally:
@@ -298,6 +291,32 @@ class TestContract:
         assert result.commit_index == 1
         assert [record.label for record in service.commit_log()] == ["2"]
         assert ticket.wait(10.0) is result  # finalised exactly once
+
+    def test_real_timeout_can_be_waited_on_again(self):
+        """A piece reply that lands after its wait timed out still resolves
+        the ticket: the commit is finalised exactly once, and the log
+        replays to the EG the shards hold."""
+        coordinator = ProcessShardCoordinator(N_SHARDS, batch_linger_s=0.5)
+        try:
+            session = coordinator.open_session("writer")
+            ticket = coordinator.submit_update(
+                session.session_id, make_workload(CROSS), label=str(CROSS)
+            )
+            with pytest.raises(RequestTimeoutError):
+                ticket.wait(0.05)
+            assert coordinator.commit_log() == []
+            result = ticket.wait(10.0)
+            assert result.commit_index == 1
+            assert [record.label for record in coordinator.commit_log()] == [
+                str(CROSS)
+            ]
+            assert ticket.wait(10.0) is result
+            assert coordinator.stats().commits_total == 1
+        finally:
+            coordinator.stop()
+        flat = coordinator.flatten()
+        labels = [record.label for record in coordinator.commit_log()]
+        assert eg_fingerprint(flat) == eg_fingerprint(sequential_replay(labels))
 
     def test_failed_piece_waits_out_siblings(self, service):
         """...and only then finalises the commit as rejected."""

@@ -1,7 +1,8 @@
-"""ShardedEGService over in-process shards: routed commits, stitched
-planning, convergence.  What holds for every shard kind (gap-free
-indices, backpressure, mirroring, stats split, cold pricing, ticket
-semantics) is in ``test_coordinator_contract.py``."""
+"""ProcessShardCoordinator over up to four worker processes: routed
+commits, single-shard planning, convergence, the shared stop deadline.
+The per-request contract (gap-free indices, backpressure, mirroring,
+stats split, cold pricing, ticket semantics) is in
+``test_coordinator_contract.py``."""
 
 import random
 import threading
@@ -18,7 +19,7 @@ from repro.graph.dag import WorkloadDAG
 from repro.graph.operations import DataOperation
 from repro.materialization.simple import MaterializeAll
 from repro.service.errors import ServiceStoppedError, UnknownSessionError
-from repro.shard import ShardedEGService, balanced_source_names
+from repro.shard import ProcessShardCoordinator, balanced_source_names
 
 
 class Step(DataOperation):
@@ -83,19 +84,19 @@ def sequential_replay(labels: list[str]) -> ExperimentGraph:
 
 class TestRoutedCommit:
     def test_cross_shard_commit_fans_out_to_every_involved_shard(self):
-        with ShardedEGService(lambda _i: MaterializeAll(), 4) as service:
+        with ProcessShardCoordinator(4) as service:
             session = service.open_session("writer")
             result = service.commit(session.session_id, make_workload(2), label="2")
             assert len(result.shard_results) >= 2
             assert service.partitioned.stub_count > 0
 
     def test_requires_open_session(self):
-        with ShardedEGService(lambda _i: MaterializeAll(), 2) as service:
+        with ProcessShardCoordinator(2) as service:
             with pytest.raises(UnknownSessionError):
                 service.commit("c9999", make_workload(0))
 
     def test_stopped_service_rejects_commits(self):
-        service = ShardedEGService(lambda _i: MaterializeAll(), 2)
+        service = ProcessShardCoordinator(2)
         session = service.open_session("writer")
         service.stop()
         with pytest.raises(ServiceStoppedError):
@@ -104,7 +105,7 @@ class TestRoutedCommit:
 
 class TestStitchedPlanning:
     def test_single_shard_plan_delegates_to_shard_cache(self):
-        with ShardedEGService(lambda _i: MaterializeAll(), 4) as service:
+        with ProcessShardCoordinator(4) as service:
             session = service.open_session("planner")
             workload = make_workload(0)  # pure chain: one lineage group
             service.commit(session.session_id, workload, label="seed")
@@ -117,7 +118,7 @@ class TestStitchedPlanning:
             assert stats.plan_cache_hits >= 1
 
     def test_span_histogram_and_routed_counters(self):
-        with ShardedEGService(lambda _i: MaterializeAll(), 4) as service:
+        with ProcessShardCoordinator(4) as service:
             session = service.open_session("writer")
             for index in range(4):
                 service.commit(session.session_id, make_workload(index))
@@ -129,14 +130,14 @@ class TestStitchedPlanning:
 
 class TestConvergence:
     def test_sequential_commits_converge_bit_identical(self):
-        with ShardedEGService(lambda _i: MaterializeAll(), 4) as service:
+        with ProcessShardCoordinator(4) as service:
             session = service.open_session("writer")
             for index in range(12):
                 service.commit(
                     session.session_id, make_workload(index), label=str(index)
                 )
             labels = [record.label for record in service.commit_log()]
-            flat = service.flatten()
+        flat = service.flatten()
         replay = sequential_replay(labels)
         assert eg_fingerprint(flat) == eg_fingerprint(replay)
         assert flat.materialized_ids() == replay.materialized_ids()
@@ -144,16 +145,11 @@ class TestConvergence:
 
     def test_randomized_concurrent_commits_converge_bit_identical(self):
         """The equivalence gate: K workloads committed from concurrent
-        tenants through background per-shard merge workers must leave the
+        tenants through the per-shard worker processes must leave the
         partitioned EG bit-identical — vertices, utilities, materialized
         set — to a sequential single-shard replay in commit order."""
         n_workloads = 24
-        service = ShardedEGService(
-            lambda _i: MaterializeAll(),
-            4,
-            background=True,
-            batch_linger_s=0.005,
-        )
+        service = ProcessShardCoordinator(4, batch_linger_s=0.005)
         errors: list[BaseException] = []
 
         def tenant(worker: int) -> None:
@@ -193,7 +189,7 @@ class TestStopDeadline:
         every shard getting the full ``T`` (which would multiply the
         deadline by the shard count).
         """
-        service = ShardedEGService(lambda _i: MaterializeAll(), 3)
+        service = ProcessShardCoordinator(3)
         budgets: list[float] = []
         for shard in service.shards:
             original = shard.stop

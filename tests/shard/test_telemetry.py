@@ -1,30 +1,25 @@
 """Sharded service telemetry: one plane at the coordinator, shard rollups."""
 
-from repro.materialization.simple import MaterializeAll
 from repro.obs.plane import FlightRecorder
 from repro.obs.trace import NoopTracer, get_tracer
-from repro.shard import ShardedEGService
+from repro.shard import ProcessShardCoordinator
 
 
 class TestShardedTelemetry:
     def test_one_recorder_at_the_coordinator(self):
-        service = ShardedEGService(
-            lambda _i: MaterializeAll(), 2, background=True
-        )
+        service = ProcessShardCoordinator(2)
         try:
             assert service.flight_recorder is not None
             assert service.telemetry.slo_engine is not None
             # shards never run their own plane: one recorder, one tracer
-            assert all(shard.flight_recorder is None for shard in service.shards)
+            assert all(shard.health()["recorder"] is None for shard in service.shards)
             assert get_tracer().enabled
         finally:
             service.stop()
         assert isinstance(get_tracer(), NoopTracer)
 
     def test_health_rolls_up_per_shard_queues(self):
-        service = ShardedEGService(
-            lambda _i: MaterializeAll(), 3, background=True
-        )
+        service = ProcessShardCoordinator(3)
         try:
             health = service.health()
             assert health["status"] == "ok"
@@ -39,12 +34,7 @@ class TestShardedTelemetry:
 
     def test_debug_info_includes_shard_stats(self):
         recorder = FlightRecorder(slow_threshold_s=0.0, head_sample_every=0)
-        service = ShardedEGService(
-            lambda _i: MaterializeAll(),
-            2,
-            background=True,
-            flight_recorder=recorder,
-        )
+        service = ProcessShardCoordinator(2, flight_recorder=recorder)
         try:
             info = service.debug_info()
             assert len(info["shards"]) == 2
@@ -54,9 +44,7 @@ class TestShardedTelemetry:
             service.stop()
 
     def test_recorder_false_stays_dark(self):
-        service = ShardedEGService(
-            lambda _i: MaterializeAll(), 2, background=True, flight_recorder=False
-        )
+        service = ProcessShardCoordinator(2, flight_recorder=False)
         try:
             assert service.flight_recorder is None
             assert isinstance(get_tracer(), NoopTracer)

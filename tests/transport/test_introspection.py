@@ -11,7 +11,6 @@ from repro.dataframe import DataFrame
 from repro.materialization.simple import MaterializeAll
 from repro.obs.plane import FlightRecorder, perfetto_document
 from repro.service import EGService
-from repro.shard.service import ShardedEGService
 from repro.transport import (
     AdmissionPolicy,
     AsyncTransportServer,
@@ -135,48 +134,6 @@ class TestShedTailKeeping:
         shed = [t for t in kept if t["decision"] == "shed"]
         assert shed, f"expected a shed-kept trace, got {kept}"
         assert shed[0]["root"] == "transport.shed"
-
-
-class TestShardedAcceptance:
-    def test_sharded_server_links_exemplars_to_kept_traces(self):
-        recorder = FlightRecorder(slow_threshold_s=0.0, head_sample_every=0)
-        service = ShardedEGService(
-            lambda _i: MaterializeAll(),
-            2,
-            background=True,
-            flight_recorder=recorder,
-        )
-        try:
-            with AsyncTransportServer(service) as server:
-                host, port = server.address
-                run_remote_workload(host, port, label="sharded")
-                with TransportServiceClient(
-                    host, port, cost_model=VirtualCostModel()
-                ) as client:
-                    info = client.debug(traces=256)
-                    assert info["recorder"]["kept_total"] >= 1
-                    kept_ids = {t["trace_id"] for t in info["recent_traces"]}
-                    # merges run on the shards, so exemplars live in the
-                    # shard registries — and must point into kept traces
-                    exemplars = {}
-                    for shard in service.shards:
-                        hist = shard.metrics_registry.get(
-                            "repro_service_merge_batch_seconds"
-                        )
-                        if hist is not None:
-                            exemplars.update(hist.exemplars())
-                    assert exemplars
-                    linked = [
-                        e["trace_id"]
-                        for e in exemplars.values()
-                        if e["trace_id"] in kept_ids
-                    ]
-                    assert linked, "no exemplar points into a kept trace"
-                    detail = client.debug(trace_id=linked[0])
-                    document = perfetto_document(detail["trace"])
-                    assert document["traceEvents"]
-        finally:
-            service.stop()
 
 
 class TestCLISmoke:

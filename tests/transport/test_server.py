@@ -12,7 +12,7 @@ from repro.client.executor import VirtualCostModel
 from repro.dataframe import DataFrame
 from repro.materialization.simple import MaterializeAll
 from repro.service import EGService, UnknownSessionError
-from repro.shard.service import ShardedEGService
+from repro.shard import ProcessShardCoordinator
 from repro.transport import (
     AdmissionPolicy,
     AsyncTransportServer,
@@ -71,7 +71,7 @@ class TestEndToEnd:
 
     def test_sharded_service_behind_the_transport(self):
         script = wide_workload_script(3, 2, 0.05)
-        with ShardedEGService(lambda _i: MaterializeAll(), 2) as service:
+        with ProcessShardCoordinator(2) as service:
             with AsyncTransportServer(service) as server:
                 host, port = server.address
                 with TransportServiceClient(
