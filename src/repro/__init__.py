@@ -17,7 +17,7 @@ from .client import (
     Workspace,
     parse_workload,
 )
-from .dataframe import Column, DataFrame, read_csv, write_csv
+from .dataframe import Column, DataFrame
 from .eg import (
     DedupArtifactStore,
     ExperimentGraph,
@@ -55,8 +55,6 @@ __all__ = [
     "parse_workload",
     "DataFrame",
     "Column",
-    "read_csv",
-    "write_csv",
     "ExperimentGraph",
     "SimpleArtifactStore",
     "DedupArtifactStore",

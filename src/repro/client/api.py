@@ -129,9 +129,6 @@ class DatasetNode(Node):
         names = [names] if isinstance(names, str) else list(names)
         return self.add(ops.DropColumnsOp(names))
 
-    def rename(self, mapping: Mapping[str, str]) -> "DatasetNode":
-        return self.add(ops.RenameOp(mapping))
-
     def fillna(
         self,
         value: float | None = None,
@@ -150,18 +147,10 @@ class DatasetNode(Node):
     ) -> "DatasetNode":
         return self.add(ops.GroupByAggOp(by, aggregations))
 
-    def sample(self, n: int, random_state: int = 0) -> "DatasetNode":
-        return self.add(ops.SampleOp(n, random_state=random_state))
-
     def map_column(
         self, column: str, function: Callable[[np.ndarray], np.ndarray], fn_name: str
     ) -> "DatasetNode":
         return self.add(ops.MapColumnOp(column, function, fn_name))
-
-    def filter(
-        self, predicate: Callable[..., np.ndarray], fn_name: str
-    ) -> "DatasetNode":
-        return self.add(ops.FilterOp(predicate, fn_name))
 
     def add_column(
         self, name: str, function: Callable[..., np.ndarray], fn_name: str
@@ -173,36 +162,12 @@ class DatasetNode(Node):
     ) -> "DatasetNode":
         return self.add(ops.ClipOp(column, lower=lower, upper=upper))
 
-    def cut(
-        self,
-        column: str,
-        bins: Sequence[float],
-        labels: Sequence[str] | None = None,
-        output: str | None = None,
-    ) -> "DatasetNode":
-        return self.add(ops.CutOp(column, bins, labels=labels, output=output))
-
-    def value_counts(self, column: str) -> "DatasetNode":
-        return self.add(ops.ValueCountsOp(column))
-
-    def drop_duplicates(self, subset: Sequence[str] | None = None) -> "DatasetNode":
-        return self.add(ops.DropDuplicatesOp(subset=subset))
-
-    def isin_filter(self, column: str, allowed: Sequence) -> "DatasetNode":
-        return self.add(ops.IsinFilterOp(column, allowed))
-
     def describe(self) -> "AggregateNode":
         return self.add(ops.DescribeOp())
 
     # -- multi-input ---------------------------------------------------
     def merge(self, other: "DatasetNode", on: str, how: str = "inner") -> "DatasetNode":
         return self.add(ops.MergeOp(on=on, how=how), other)
-
-    def concat_columns(self, *others: "DatasetNode") -> "DatasetNode":
-        return self.add(ops.ConcatColumnsOp(), *others)
-
-    def concat_rows(self, *others: "DatasetNode") -> "DatasetNode":
-        return self.add(ops.ConcatRowsOp(), *others)
 
     def align(self, other: "DatasetNode") -> tuple["DatasetNode", "DatasetNode"]:
         """Column-intersect two datasets; returns (left, right) nodes."""
@@ -221,30 +186,21 @@ class DatasetNode(Node):
     ) -> "ModelNode":
         """Train ``estimator`` on this dataset (optionally with labels).
 
-        ``eval_X``/``eval_y`` supply a held-out pair used only for the
-        quality score stored in the Experiment Graph.
+        ``eval_X``/``eval_y`` supply a held-out pair, both or neither, used
+        only for the quality score stored in the Experiment Graph.
         """
         supervised = y is not None
         operation = ops.FitOp(estimator, scorer=scorer, supervised=supervised)
         inputs: list[Node] = []
         if supervised:
             inputs.append(y)
-        if eval_X is not None and eval_y is not None:
+        if (eval_X is None) != (eval_y is None):
+            raise ValueError("eval_X and eval_y must be given together")
+        if eval_X is not None:
             if not supervised:
                 raise ValueError("evaluation inputs require labels")
             inputs.extend([eval_X, eval_y])
         return self.add(operation, *inputs)
-
-    def fit_transform(
-        self,
-        transformer: BaseEstimator,
-        prefix: str,
-        y: "DatasetNode | None" = None,
-    ) -> "DatasetNode":
-        operation = ops.FitTransformOp(transformer, prefix, supervised=y is not None)
-        if y is not None:
-            return self.add(operation, y)
-        return self.add(operation)
 
 
 class ModelNode(Node):

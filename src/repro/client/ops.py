@@ -25,26 +25,16 @@ from ..ml.base import BaseEstimator
 __all__ = [
     "SelectColumnsOp",
     "DropColumnsOp",
-    "RenameOp",
     "FillNAOp",
     "OneHotOp",
     "GroupByAggOp",
     "MergeOp",
-    "ConcatColumnsOp",
-    "ConcatRowsOp",
     "AlignOp",
-    "SampleOp",
     "MapColumnOp",
-    "FilterOp",
     "ClipOp",
-    "CutOp",
-    "ValueCountsOp",
-    "DropDuplicatesOp",
-    "IsinFilterOp",
     "DescribeOp",
     "AddColumnOp",
     "FitOp",
-    "FitTransformOp",
     "TransformOp",
     "PredictOp",
     "EvaluateOp",
@@ -79,16 +69,6 @@ class DropColumnsOp(DataOperation):
 
     def run(self, underlying_data: Any) -> DataFrame:
         return _frame(underlying_data, self.name).drop(self.params["names"])
-
-
-class RenameOp(DataOperation):
-    """Rename columns by mapping."""
-
-    def __init__(self, mapping: Mapping[str, str]):
-        super().__init__("rename", params={"mapping": dict(mapping)})
-
-    def run(self, underlying_data: Any) -> DataFrame:
-        return _frame(underlying_data, self.name).rename(self.params["mapping"])
 
 
 class FillNAOp(DataOperation):
@@ -157,20 +137,6 @@ class GroupByAggOp(DataOperation):
         )
 
 
-class SampleOp(DataOperation):
-    """Deterministic row sample."""
-
-    def __init__(self, n: int, random_state: int = 0):
-        super().__init__("sample", params={"n": n, "random_state": random_state})
-
-    def run(self, underlying_data: Any) -> DataFrame:
-        return _frame(underlying_data, self.name).sample(
-            self.params["n"],
-            random_state=self.params["random_state"],
-            operation_hash=self.op_hash,
-        )
-
-
 class MapColumnOp(DataOperation):
     """Apply a named vectorized function to one column.
 
@@ -185,19 +151,6 @@ class MapColumnOp(DataOperation):
     def run(self, underlying_data: Any) -> DataFrame:
         return _frame(underlying_data, self.name).map_column(
             self.params["column"], self._function, operation_hash=self.op_hash
-        )
-
-
-class FilterOp(DataOperation):
-    """Keep rows satisfying a named predicate."""
-
-    def __init__(self, predicate: Callable[[DataFrame], np.ndarray], fn_name: str):
-        super().__init__("filter", params={"fn": fn_name})
-        self._predicate = predicate
-
-    def run(self, underlying_data: Any) -> DataFrame:
-        return _frame(underlying_data, self.name).filter(
-            self._predicate, operation_hash=self.op_hash
         )
 
 
@@ -231,79 +184,6 @@ class ClipOp(DataOperation):
         )
 
 
-class CutOp(DataOperation):
-    """Bin a numeric column into labeled intervals (pandas ``cut``)."""
-
-    def __init__(
-        self,
-        column: str,
-        bins: Sequence[float],
-        labels: Sequence[str] | None = None,
-        output: str | None = None,
-    ):
-        super().__init__(
-            "cut",
-            params={
-                "column": column,
-                "bins": list(bins),
-                "labels": list(labels) if labels is not None else None,
-                "output": output,
-            },
-        )
-
-    def run(self, underlying_data: Any) -> DataFrame:
-        return _frame(underlying_data, self.name).cut_column(
-            self.params["column"],
-            bins=self.params["bins"],
-            labels=self.params["labels"],
-            output=self.params["output"],
-            operation_hash=self.op_hash,
-        )
-
-
-class ValueCountsOp(DataOperation):
-    """Frequency table of one column."""
-
-    def __init__(self, column: str):
-        super().__init__("value_counts", params={"column": column})
-
-    def run(self, underlying_data: Any) -> DataFrame:
-        return _frame(underlying_data, self.name).value_counts(
-            self.params["column"], operation_hash=self.op_hash
-        )
-
-
-class DropDuplicatesOp(DataOperation):
-    """Keep the first row per distinct key combination."""
-
-    def __init__(self, subset: Sequence[str] | None = None):
-        super().__init__(
-            "drop_duplicates",
-            params={"subset": list(subset) if subset is not None else None},
-        )
-
-    def run(self, underlying_data: Any) -> DataFrame:
-        return _frame(underlying_data, self.name).drop_duplicates(
-            subset=self.params["subset"], operation_hash=self.op_hash
-        )
-
-
-class IsinFilterOp(DataOperation):
-    """Keep rows whose column value is in an allowed set."""
-
-    def __init__(self, column: str, allowed: Sequence[Any]):
-        super().__init__(
-            "isin_filter",
-            params={"column": column, "allowed": sorted(map(repr, allowed))},
-        )
-        self._allowed = list(allowed)
-
-    def run(self, underlying_data: Any) -> DataFrame:
-        return _frame(underlying_data, self.name).isin_filter(
-            self.params["column"], self._allowed, operation_hash=self.op_hash
-        )
-
-
 class DescribeOp(DataOperation):
     """Summary statistics — an Aggregate artifact (e.g. for visualization)."""
 
@@ -333,28 +213,6 @@ class MergeOp(DataOperation):
         )
 
 
-class ConcatColumnsOp(DataOperation):
-    """Concatenate datasets side by side (pandas concat axis=1)."""
-
-    def __init__(self):
-        super().__init__("concat_columns")
-
-    def run(self, underlying_data: Any) -> DataFrame:
-        frames = [_frame(f, self.name) for f in underlying_data]
-        return DataFrame.concat_columns(frames, operation_hash=self.op_hash)
-
-
-class ConcatRowsOp(DataOperation):
-    """Stack datasets vertically (pandas concat axis=0)."""
-
-    def __init__(self):
-        super().__init__("concat_rows")
-
-    def run(self, underlying_data: Any) -> DataFrame:
-        frames = [_frame(f, self.name) for f in underlying_data]
-        return DataFrame.concat_rows(frames, operation_hash=self.op_hash)
-
-
 class AlignOp(DataOperation):
     """Keep only columns common to both inputs; return one side.
 
@@ -379,15 +237,6 @@ class AlignOp(DataOperation):
 # ----------------------------------------------------------------------
 # Model operations
 # ----------------------------------------------------------------------
-def _holdout_split(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Deterministic 75/25 split used by the *_holdout scorers."""
-    rng = np.random.default_rng(2020)
-    indices = rng.permutation(len(X))
-    cut = max(1, int(0.75 * len(X)))
-    train, test = indices[:cut], indices[cut:]
-    return X[train], X[test], y[train], y[test]
-
-
 def _score_train_auc(model: Any, X: np.ndarray, y: np.ndarray) -> float:
     scores = (
         model.predict_proba(X)[:, 1]
@@ -498,44 +347,6 @@ class FitOp(TrainOperation):
             return None
         quality = scorer(model, X_eval, y_eval)
         return float(np.clip(quality, 0.0, 1.0))
-
-
-class FitTransformOp(DataOperation):
-    """Fit a transformer and emit the transformed dataset in one vertex.
-
-    Convenience mirror of sklearn's ``fit_transform`` for cases where the
-    fitted transformer itself is not reused downstream.
-    """
-
-    def __init__(self, transformer: BaseEstimator, prefix: str, supervised: bool = False):
-        self._transformer = transformer
-        super().__init__(
-            "fit_transform",
-            params={
-                "model_type": type(transformer).__name__,
-                "hyperparams": transformer.get_params(),
-                "prefix": prefix,
-                "supervised": supervised,
-            },
-        )
-
-    def run(self, underlying_data: Any) -> DataFrame:
-        if self.params["supervised"]:
-            X_payload, y_payload = underlying_data[0], underlying_data[1]
-            y = _extract_vector(y_payload)
-        else:
-            X_payload = (
-                underlying_data[0]
-                if isinstance(underlying_data, list)
-                else underlying_data
-            )
-            y = None
-        transformer = clone(self._transformer)
-        X = _extract_matrix(X_payload)
-        matrix = (
-            transformer.fit_transform(X, y) if y is not None else transformer.fit_transform(X)
-        )
-        return matrix_to_frame(matrix, self.params["prefix"], self.op_hash, X_payload)
 
 
 class TransformOp(DataOperation):

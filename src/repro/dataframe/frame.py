@@ -2,9 +2,9 @@
 
 This is the substrate the collaborative optimizer operates on instead of
 pandas.  It supports the relational and feature-engineering operations used
-by the paper's Kaggle workloads: projection, row filtering, column
-assignment, joins, group-by aggregation, concatenation, one-hot encoding,
-missing-value handling, and alignment.
+by the paper's Kaggle workloads: projection, column assignment, joins,
+group-by aggregation, row concatenation, one-hot encoding, missing-value
+handling, and alignment.
 
 Each column carries a lineage id (see :mod:`repro.dataframe.column`), which
 the storage-aware materializer uses to deduplicate columns shared between
@@ -16,7 +16,7 @@ use still produces deterministic lineage.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -188,9 +188,6 @@ class DataFrame:
             arrays.append(values.astype(dtype))
         return np.column_stack(arrays)
 
-    def to_dict(self) -> dict[str, np.ndarray]:
-        return {name: self._columns[name].values for name in self._order}
-
     def head(self, n: int = 5) -> "DataFrame":
         indices = np.arange(min(n, self.num_rows))
         return self._take(indices, _default_hash("head", n))
@@ -211,14 +208,6 @@ class DataFrame:
             raise KeyError(f"cannot drop missing columns {missing}")
         keep = [n for n in self._order if n not in set(names)]
         return self.select(keep)
-
-    def rename(self, mapping: Mapping[str, str]) -> "DataFrame":
-        """Rename columns; lineage ids are preserved."""
-        columns = []
-        for name in self._order:
-            new_name = mapping.get(name, name)
-            columns.append(self._columns[name].rename(new_name))
-        return DataFrame(columns)
 
     def with_column(
         self,
@@ -265,43 +254,12 @@ class DataFrame:
         return DataFrame(columns)
 
     # ------------------------------------------------------------------
-    # Row operations (lineage-rewriting)
+    # Value operations (lineage-rewriting)
     # ------------------------------------------------------------------
     def _take(self, indices: np.ndarray, operation_hash: str) -> "DataFrame":
         return DataFrame(
             [self._columns[n].take(indices, operation_hash) for n in self._order]
         )
-
-    def filter(
-        self,
-        predicate: Callable[["DataFrame"], np.ndarray],
-        operation_hash: str | None = None,
-    ) -> "DataFrame":
-        """Keep rows where ``predicate(frame)`` is truthy."""
-        operation_hash = operation_hash or _default_hash("filter", id(predicate))
-        mask = np.asarray(predicate(self), dtype=bool)
-        if mask.shape != (self.num_rows,):
-            raise ValueError(f"predicate must return shape ({self.num_rows},)")
-        return self._take(np.flatnonzero(mask), operation_hash)
-
-    def sample(
-        self, n: int, random_state: int = 0, operation_hash: str | None = None
-    ) -> "DataFrame":
-        """Sample ``n`` rows without replacement (deterministic by seed)."""
-        operation_hash = operation_hash or _default_hash("sample", n, random_state)
-        rng = np.random.default_rng(random_state)
-        n = min(n, self.num_rows)
-        indices = np.sort(rng.choice(self.num_rows, size=n, replace=False))
-        return self._take(indices, operation_hash)
-
-    def sort_values(
-        self, by: str, ascending: bool = True, operation_hash: str | None = None
-    ) -> "DataFrame":
-        operation_hash = operation_hash or _default_hash("sort", by, ascending)
-        order = np.argsort(self.values(by), kind="stable")
-        if not ascending:
-            order = order[::-1]
-        return self._take(order, operation_hash)
 
     def map_column(
         self,
@@ -366,33 +324,6 @@ class DataFrame:
     # ------------------------------------------------------------------
     # Multi-input operations
     # ------------------------------------------------------------------
-    @staticmethod
-    def concat_columns(
-        frames: Sequence["DataFrame"], operation_hash: str | None = None
-    ) -> "DataFrame":
-        """Concatenate frames side by side (pandas ``concat(axis=1)``).
-
-        Lineage ids are preserved.  Duplicate names get a numeric suffix.
-        """
-        del operation_hash  # lineage is preserved; hash not needed
-        columns: list[Column] = []
-        seen: dict[str, int] = {}
-        rows = None
-        for frame in frames:
-            if rows is None:
-                rows = frame.num_rows
-            elif frame.num_rows != rows:
-                raise ValueError("all frames must have the same number of rows")
-            for name in frame._order:
-                column = frame._columns[name]
-                if name in seen:
-                    seen[name] += 1
-                    column = column.rename(f"{name}_{seen[name]}")
-                else:
-                    seen[name] = 0
-                columns.append(column)
-        return DataFrame(columns)
-
     @staticmethod
     def concat_rows(
         frames: Sequence["DataFrame"], operation_hash: str | None = None
@@ -620,104 +551,6 @@ class DataFrame:
                 upper if upper is not None else np.inf,
             ),
             operation_hash=operation_hash,
-        )
-
-    def cut_column(
-        self,
-        name: str,
-        bins: Sequence[float],
-        labels: Sequence[str] | None = None,
-        output: str | None = None,
-        operation_hash: str | None = None,
-    ) -> "DataFrame":
-        """Bin a numeric column into intervals (pandas ``cut``).
-
-        ``bins`` are the interior+outer edges; values outside the range go
-        to the first/last bin.  The result is added as a new column
-        (``output``, default ``{name}_bin``) holding the bin index, or the
-        label when ``labels`` is given.
-        """
-        if len(bins) < 2:
-            raise ValueError("need at least two bin edges")
-        if labels is not None and len(labels) != len(bins) - 1:
-            raise ValueError(f"need {len(bins) - 1} labels, got {len(labels)}")
-        operation_hash = operation_hash or _default_hash(
-            "cut", name, list(bins), list(labels) if labels else None
-        )
-        output = output or f"{name}_bin"
-        values = self.values(name).astype(float)
-        indices = np.clip(
-            np.searchsorted(np.asarray(bins, dtype=float), values, side="right") - 1,
-            0,
-            len(bins) - 2,
-        )
-        if labels is not None:
-            label_array = np.asarray(labels, dtype=object)
-            binned = label_array[indices]
-        else:
-            binned = indices.astype(np.int64)
-        column_id = derive_column_id(operation_hash, self.column(name).column_id)
-        columns = [self._columns[n] for n in self._order if n != output]
-        columns.append(Column(output, binned, column_id))
-        return DataFrame(columns)
-
-    def value_counts(
-        self, name: str, operation_hash: str | None = None
-    ) -> "DataFrame":
-        """Frequency table of one column, ordered by count descending."""
-        operation_hash = operation_hash or _default_hash("value_counts", name)
-        source = self.column(name)
-        values, counts = np.unique(source.values, return_counts=True)
-        order = np.argsort(-counts, kind="stable")
-        value_id = derive_column_id(operation_hash + ":value", source.column_id)
-        count_id = derive_column_id(operation_hash + ":count", source.column_id)
-        return DataFrame(
-            [
-                Column(name, values[order], value_id),
-                Column("count", counts[order].astype(np.int64), count_id),
-            ]
-        )
-
-    def drop_duplicates(
-        self, subset: Sequence[str] | None = None, operation_hash: str | None = None
-    ) -> "DataFrame":
-        """Keep the first row of each distinct key combination."""
-        operation_hash = operation_hash or _default_hash(
-            "drop_duplicates", list(subset) if subset else None
-        )
-        keys = subset if subset is not None else self._order
-        seen: set[tuple] = set()
-        keep: list[int] = []
-        key_arrays = [self.values(k) for k in keys]
-        for index in range(self.num_rows):
-            key = tuple(array[index] for array in key_arrays)
-            if key not in seen:
-                seen.add(key)
-                keep.append(index)
-        return self._take(np.asarray(keep, dtype=int), operation_hash)
-
-    def isin_filter(
-        self,
-        name: str,
-        allowed: Iterable[Any],
-        operation_hash: str | None = None,
-    ) -> "DataFrame":
-        """Keep rows whose column value is in ``allowed``."""
-        allowed_set = set(allowed)
-        operation_hash = operation_hash or _default_hash(
-            "isin", name, sorted(map(repr, allowed_set))
-        )
-        values = self.values(name)
-        mask = np.asarray([v in allowed_set for v in values], dtype=bool)
-        return self._take(np.flatnonzero(mask), operation_hash)
-
-    def astype_column(
-        self, name: str, dtype: type, operation_hash: str | None = None
-    ) -> "DataFrame":
-        """Cast one column to a numpy dtype."""
-        operation_hash = operation_hash or _default_hash("astype", name, dtype.__name__)
-        return self.map_column(
-            name, lambda values: values.astype(dtype), operation_hash=operation_hash
         )
 
     def describe(self) -> dict[str, dict[str, float]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..client.executor import Executor
 from ..client.parser import parse_workload
@@ -446,14 +446,6 @@ class Fig10Result:
     #: cumulative sum of acc(CO+W) - acc(OML) per workload
     cumulative_delta_accuracy: list[float] = field(default_factory=list)
     warmstarted_runs: int = 0
-
-
-def _terminal_accuracy(report) -> float:
-    """The evaluate() aggregate among the terminals (pipeline accuracy)."""
-    for value in report.terminal_values.values():
-        if isinstance(value, float):
-            return value
-    return 0.0
 
 
 def fig10_warmstarting(

@@ -14,8 +14,8 @@ outgoing edge carries the operation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterator, Sequence
 
 import networkx as nx
 
@@ -247,11 +247,6 @@ class WorkloadDAG:
 
     def edge_active(self, src: str, dst: str) -> bool:
         return self.graph.edges[src, dst]["active"]
-
-    def active_edges(self) -> Iterable[tuple[str, str]]:
-        return (
-            (s, d) for s, d, attrs in self.graph.edges(data=True) if attrs["active"]
-        )
 
     # ------------------------------------------------------------------
     # Stats

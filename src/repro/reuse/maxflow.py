@@ -30,10 +30,6 @@ class FlowNetwork:
         self._capacity[u][v] = self._capacity[u].get(v, 0.0) + capacity
         self._capacity[v].setdefault(u, 0.0)
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._capacity)
-
     def _bfs_augmenting_path(
         self, source: Hashable, sink: Hashable
     ) -> list[Hashable] | None:

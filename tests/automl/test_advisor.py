@@ -1,6 +1,5 @@
 """Tests for the EG-driven pipeline/hyperparameter advisor."""
 
-import numpy as np
 import pytest
 
 from repro.automl import PipelineAdvisor

@@ -9,7 +9,6 @@ from repro.client.parser import parse_workload
 from repro.dataframe import DataFrame
 from repro.eg.graph import ExperimentGraph
 from repro.eg.storage import LoadCostModel
-from repro.graph.artifacts import ArtifactType
 from repro.graph.pruning import prune_workload
 from repro.ml import LogisticRegression, StandardScaler
 from repro.reuse.plan import ReusePlan
@@ -80,6 +79,16 @@ class TestLazyWorkspace:
         train = ws.source("train", frame)
         with pytest.raises(ValueError, match="labels"):
             train[["a"]].fit(StandardScaler(), eval_X=train, eval_y=train)
+
+    @pytest.mark.parametrize("half", ["eval_X", "eval_y"])
+    def test_fit_rejects_half_an_eval_pair(self, frame, half):
+        """A lone eval input would score the model on its training data."""
+        ws = Workspace()
+        train = ws.source("train", frame)
+        X, y = train[["a", "b"]], train["y"]
+        lone = {"eval_X": X, "eval_y": y}[half]
+        with pytest.raises(ValueError, match="together"):
+            X.fit(LogisticRegression(), y=y, scorer="train_auc", **{half: lone})
 
     def test_parse_workload_requires_terminal(self, frame):
         def script(ws, sources):

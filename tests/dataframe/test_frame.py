@@ -94,10 +94,6 @@ class TestProjectionLineage:
         with pytest.raises(KeyError):
             simple_frame.drop(["zz"])
 
-    def test_rename_preserves_ids(self, simple_frame):
-        renamed = simple_frame.rename({"a": "alpha"})
-        assert renamed.column_ids["alpha"] == simple_frame.column_ids["a"]
-
     def test_with_column_replaces(self, simple_frame):
         out = simple_frame.with_column("a", np.asarray([9.0, 9.0, 9.0, 9.0]))
         assert list(out.values("a")) == [9.0] * 4
@@ -115,27 +111,6 @@ class TestProjectionLineage:
 
 
 class TestRowOperations:
-    def test_filter(self, simple_frame):
-        kept = simple_frame.filter(lambda f: f.values("a") > 2.0, "h")
-        assert kept.num_rows == 2
-        assert kept.column_ids["a"] != simple_frame.column_ids["a"]
-
-    def test_filter_shape_check(self, simple_frame):
-        with pytest.raises(ValueError, match="shape"):
-            simple_frame.filter(lambda f: np.asarray([True]), "h")
-
-    def test_sample_deterministic(self, simple_frame):
-        s1 = simple_frame.sample(2, random_state=5)
-        s2 = simple_frame.sample(2, random_state=5)
-        assert s1 == s2
-
-    def test_sample_capped_at_rows(self, simple_frame):
-        assert simple_frame.sample(100).num_rows == 4
-
-    def test_sort_values(self, simple_frame):
-        ordered = simple_frame.sort_values("a", ascending=False)
-        assert list(ordered.values("a")) == [4.0, 3.0, 2.0, 1.0]
-
     def test_map_column_only_changes_target_id(self, simple_frame):
         out = simple_frame.map_column("a", lambda v: v * 2, "h")
         assert out.column_ids["a"] != simple_frame.column_ids["a"]
@@ -184,22 +159,6 @@ class TestFillNA:
 
 
 class TestConcat:
-    def test_concat_columns(self, simple_frame):
-        other = DataFrame({"z": [5.0, 6.0, 7.0, 8.0]})
-        wide = DataFrame.concat_columns([simple_frame, other])
-        assert wide.num_columns == 5
-        assert wide.column_ids["a"] == simple_frame.column_ids["a"]
-
-    def test_concat_columns_dedups_names(self):
-        a = DataFrame({"x": [1.0]})
-        b = DataFrame({"x": [2.0]})
-        wide = DataFrame.concat_columns([a, b])
-        assert wide.columns == ["x", "x_1"]
-
-    def test_concat_columns_row_mismatch(self, simple_frame):
-        with pytest.raises(ValueError, match="rows"):
-            DataFrame.concat_columns([simple_frame, DataFrame({"z": [1.0]})])
-
     def test_concat_rows(self):
         a = DataFrame({"x": [1.0], "y": [2.0]})
         b = DataFrame({"x": [3.0], "y": [4.0]})

@@ -1,4 +1,4 @@
-"""Tests for the extended dataframe operations (clip, cut, counts, dedup)."""
+"""Tests for the clip operation, on the frame and through the node API."""
 
 import numpy as np
 import pytest
@@ -37,87 +37,6 @@ class TestClip:
         assert out.column_ids["score"] != frame.column_ids["score"]
 
 
-class TestCut:
-    def test_bin_indices(self, frame):
-        out = frame.cut_column("age", bins=[0, 30, 60, 100])
-        assert list(out.values("age_bin")) == [0, 1, 1, 2, 2]
-
-    def test_labels(self, frame):
-        out = frame.cut_column(
-            "age", bins=[0, 30, 60, 100], labels=["young", "mid", "old"]
-        )
-        assert list(out.values("age_bin")) == ["young", "mid", "mid", "old", "old"]
-
-    def test_out_of_range_clamped_to_edge_bins(self):
-        frame = DataFrame({"x": [-10.0, 500.0]})
-        out = frame.cut_column("x", bins=[0, 1, 2])
-        assert list(out.values("x_bin")) == [0, 1]
-
-    def test_custom_output_name(self, frame):
-        out = frame.cut_column("age", bins=[0, 50, 100], output="age_group")
-        assert "age_group" in out
-
-    def test_validation(self, frame):
-        with pytest.raises(ValueError, match="edges"):
-            frame.cut_column("age", bins=[1])
-        with pytest.raises(ValueError, match="labels"):
-            frame.cut_column("age", bins=[0, 1, 2], labels=["only_one"])
-
-    def test_source_column_survives(self, frame):
-        out = frame.cut_column("age", bins=[0, 50, 100])
-        assert "age" in out and "age_bin" in out
-
-
-class TestValueCounts:
-    def test_descending_counts(self, frame):
-        counts = frame.value_counts("city")
-        assert counts.columns == ["city", "count"]
-        assert list(counts.values("count")) == [2, 2, 1]
-
-    def test_total_preserved(self, frame):
-        counts = frame.value_counts("city")
-        assert counts.values("count").sum() == frame.num_rows
-
-    def test_deterministic_ids(self, frame):
-        a = frame.value_counts("city", operation_hash="h")
-        b = frame.value_counts("city", operation_hash="h")
-        assert a.column_ids == b.column_ids
-
-
-class TestDropDuplicates:
-    def test_subset_keys(self, frame):
-        out = frame.drop_duplicates(subset=["city"])
-        assert out.num_rows == 3
-        assert list(out.values("city")) == ["a", "b", "c"]
-
-    def test_first_occurrence_kept(self, frame):
-        out = frame.drop_duplicates(subset=["city"])
-        assert out.values("age")[0] == 22.0  # first 'a' row
-
-    def test_all_columns_default(self):
-        frame = DataFrame({"x": [1, 1, 2], "y": [1, 1, 3]})
-        assert frame.drop_duplicates().num_rows == 2
-
-    def test_no_duplicates_is_identity_rows(self, frame):
-        out = frame.drop_duplicates(subset=["age", "city", "score"])
-        assert out.num_rows == frame.num_rows
-
-
-class TestIsinAndAstype:
-    def test_isin_filter(self, frame):
-        out = frame.isin_filter("city", ["a", "c"])
-        assert out.num_rows == 3
-        assert set(out.values("city")) == {"a", "c"}
-
-    def test_isin_empty_allowed(self, frame):
-        assert frame.isin_filter("city", []).num_rows == 0
-
-    def test_astype(self, frame):
-        out = frame.astype_column("age", np.int64)
-        assert out.values("age").dtype == np.int64
-        assert list(out.values("age")) == [22, 35, 35, 61, 88]
-
-
 class TestNodeApi:
     def test_lazy_ops_compose(self, frame):
         from repro.client.api import Workspace
@@ -126,22 +45,10 @@ class TestNodeApi:
 
         ws = Workspace()
         data = ws.source("d", frame)
-        shaped = (
-            data.clip("score", lower=0.0)
-            .cut("age", bins=[0, 40, 100], labels=["young", "old"])
-            .isin_filter("city", ["a", "b"])
-            .drop_duplicates(subset=["city"])
-        )
-        shaped.terminal()
+        clipped = data.clip("score", lower=0.0).clip("score", upper=2.0)
+        clipped.terminal()
         prune_workload(ws.dag)
         Executor().execute(ws.dag)
-        result = ws.dag.vertex(shaped.vertex_id).data
-        assert result.num_rows == 2
-        assert "age_bin" in result
-
-    def test_value_counts_node(self, frame):
-        from repro.client.api import Workspace
-
-        ws = Workspace(eager=True)
-        counts = ws.source("d", frame).value_counts("city")
-        assert counts.payload.values("count").sum() == 5
+        result = ws.dag.vertex(clipped.vertex_id).data
+        assert list(result.values("score")) == [0.0, 0.5, 1.5, 2.0, 2.0]
+        assert result.column_ids["age"] == frame.column_ids["age"]

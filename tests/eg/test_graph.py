@@ -1,6 +1,5 @@
 """Tests for the Experiment Graph: union, costs, potentials, warmstarting."""
 
-import numpy as np
 import pytest
 
 from repro.dataframe import DataFrame

@@ -1,7 +1,6 @@
 """Tests for warmstart candidate matching (paper Section 6.2)."""
 
 import numpy as np
-import pytest
 
 from repro.client.api import Workspace
 from repro.client.executor import Executor

@@ -88,29 +88,11 @@ class TestFrameProperties:
         assert projected.column_ids[frame.columns[0]] == frame.column_ids[frame.columns[0]]
 
     @SETTINGS
-    @given(frames(), st.integers(min_value=0, max_value=100))
-    def test_sample_bounded_and_deterministic(self, frame, seed):
-        n = min(3, frame.num_rows)
-        a = frame.sample(n, random_state=seed)
-        b = frame.sample(n, random_state=seed)
-        assert a == b
-        assert a.num_rows == n
-
-    @SETTINGS
     @given(frames())
     def test_concat_rows_with_self_doubles(self, frame):
         tall = DataFrame.concat_rows([frame, frame])
         assert tall.num_rows == 2 * frame.num_rows
         assert tall.columns == frame.columns
-
-    @SETTINGS
-    @given(frames())
-    def test_filter_true_keeps_all_rows_new_ids(self, frame):
-        kept = frame.filter(lambda f: np.ones(f.num_rows, dtype=bool), "all")
-        assert kept.num_rows == frame.num_rows
-        assert all(
-            kept.column_ids[c] != frame.column_ids[c] for c in frame.columns
-        )
 
     @SETTINGS
     @given(frames())
@@ -826,29 +808,6 @@ class TestExtendedFrameProperties:
         name = frame.columns[0]
         clipped = frame.clip_column(name, upper=bound)
         assert clipped.values(name).max() <= max(bound, frame.values(name).min())
-
-    @SETTINGS
-    @given(frames())
-    def test_cut_assigns_every_row_a_bin(self, frame):
-        name = frame.columns[0]
-        out = frame.cut_column(name, bins=[-1e7, 0.0, 1e7])
-        bins = out.values(f"{name}_bin")
-        assert set(np.unique(bins)) <= {0, 1}
-        assert len(bins) == frame.num_rows
-
-    @SETTINGS
-    @given(frames())
-    def test_value_counts_total(self, frame):
-        name = frame.columns[0]
-        counts = frame.value_counts(name)
-        assert counts.values("count").sum() == frame.num_rows
-
-    @SETTINGS
-    @given(frames())
-    def test_drop_duplicates_idempotent(self, frame):
-        once = frame.drop_duplicates()
-        twice = once.drop_duplicates()
-        assert once.num_rows == twice.num_rows
 
     @SETTINGS
     @given(column_values)
