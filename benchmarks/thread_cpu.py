@@ -119,6 +119,8 @@ def install_stages() -> StageClock:
     clock = StageClock()
     clock.wrap_function(wire.encode_workload)
     clock.wrap_function(wire.decode_workload)
+    clock.wrap_function(wire.decode_results)
+    clock.wrap_function(wire.encode_results)
     clock.wrap_function(wire.encode_plan_reply)
     clock.wrap_method(BinaryWireCodec, "encode")
     clock.wrap_method(BinaryWireCodec, "decode")

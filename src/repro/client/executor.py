@@ -26,7 +26,6 @@ from typing import Any
 
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import LoadCostModel, StorageTier
-from ..graph.artifacts import artifact_meta
 from ..graph.dag import WorkloadDAG
 from ..graph.operations import Operation, TrainOperation
 from ..obs.profile import ProfileReport
@@ -202,11 +201,7 @@ class Executor:
             payload = eg.load(vertex_id)
             record = eg.vertex(vertex_id)
             cost = self.load_cost_model.cost_for_tier(record.size, tier)
-            vertex = workload.vertex(vertex_id)
-            vertex.data = payload
-            vertex.computed = True
-            vertex.size = record.size
-            vertex.meta = record.meta if record.meta is not None else artifact_meta(payload)
+            workload.vertex(vertex_id).record_load(payload, record.size, record.meta)
             return _LoadOutcome(vertex_id, cost, tier is StorageTier.COLD)
 
     def _compute_vertex(

@@ -82,6 +82,15 @@ class Vertex:
         self.size = payload_size_bytes(payload)
         self.meta = artifact_meta(payload, warmstartable=warmstartable)
 
+    def record_load(self, payload: Any, size: int, meta: ArtifactMeta | None) -> None:
+        """Take a stored artifact's payload with its recorded size and
+        meta-data (derived from the payload when none was recorded); the
+        compute time stays what the workload measured, if anything."""
+        self.data = payload
+        self.computed = True
+        self.size = size
+        self.meta = meta if meta is not None else artifact_meta(payload)
+
 
 class WorkloadDAG:
     """A single workload's directed acyclic graph of artifacts."""

@@ -46,6 +46,7 @@ from .errors import (
     StaleColumnReferenceError,
     TransportError,
     TruncatedFrameError,
+    UnknownPlanError,
 )
 from .server import AsyncTransportServer
 from .shardops import ShardCommitSequencer, ShardRequestBridge, serve_one_shard
@@ -72,6 +73,7 @@ __all__ = [
     "ProtocolError",
     "FrameTooLargeError",
     "StaleColumnReferenceError",
+    "UnknownPlanError",
     "ConnectionLostError",
     "AdmissionError",
     "QuotaExceededError",

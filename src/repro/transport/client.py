@@ -10,8 +10,9 @@ Four layers:
   :class:`~repro.transport.errors.ConnectionLostError`.
 * :class:`ConnectionPool` — lazy, round-robin pool of connections.  A
   request that dies with ``ConnectionLostError`` is retried on a fresh
-  connection **exactly once** (commits retried this way are
-  at-least-once; everything else is read-only).
+  connection **exactly once** (a replayed commit names a plan the server
+  already consumed, so it returns the first merge's result; everything
+  else is read-only).
 * :class:`RemoteService` — the sessions/``plan``/``commit`` slice of
   :class:`~repro.service.core.EGService` answered over such a pool: a
   plan comes back as a :class:`~repro.service.core.ServicePlan` over a
@@ -60,9 +61,16 @@ from .errors import (
     StaleColumnReferenceError,
     TransportError,
     TruncatedFrameError,
+    UnknownPlanError,
 )
 from .frames import KIND_ERROR, KIND_REQUEST, recv_frame, send_frame
-from .wire import decode_commit_reply, decode_load, decode_plan_reply, encode_workload
+from .wire import (
+    decode_commit_reply,
+    decode_load,
+    decode_plan_reply,
+    encode_results,
+    encode_workload,
+)
 
 __all__ = [
     "TransportConnection",
@@ -90,6 +98,7 @@ _WIRE_ERROR_TYPES: dict[str, type[Exception]] = {
     "QuotaExceededError": QuotaExceededError,
     "PlanShedError": PlanShedError,
     "CommitShedError": CommitShedError,
+    "UnknownPlanError": UnknownPlanError,
 }
 
 
@@ -535,12 +544,17 @@ class RemoteService:
         #: stamped on plan/commit frames once set: the server's admission
         #: control then meters by tenant name instead of session id
         self.tenant: str | None = None
+        #: per session: the last plan's token and the vertices whose
+        #: results the server already holds (sent with the plan and not
+        #: asked back, or loads its reply shipped)
+        self._planned: dict[str, tuple[int, set[str]]] = {}
 
     def open_session(self, name: str | None = None) -> ServiceSession:
         reply = self.request({"op": "open_session", "name": name})
         return ServiceSession(session_id=reply["session_id"], name=reply["name"])
 
     def close_session(self, session_id: str) -> None:
+        self._planned.pop(session_id, None)
         try:
             self.request({"op": "close_session", "session_id": session_id})
         except (ServiceError, OSError):
@@ -555,7 +569,10 @@ class RemoteService:
 
     def plan(self, session_id: str, workload: WorkloadDAG) -> ServicePlan:
         """The ``plan`` op (the server's snapshot lease, version-keyed
-        plan cache and all), rebuilt over the loads it shipped."""
+        plan cache and all), rebuilt over the loads it shipped.  The
+        server keeps the workload until the commit; the reply's ``need``
+        names what the workload already held whose payload the commit
+        must still carry (sources the server does not store)."""
         reply = self.request(
             self._message(
                 "plan",
@@ -564,21 +581,32 @@ class RemoteService:
             )
         )
         lease = RemoteSnapshot(self.request, int(reply["version"]))
-        result = decode_plan_reply(reply, lease.eg)
+        result, token, need = decode_plan_reply(reply, lease.eg)
+        held = {v.vertex_id for v in workload.vertices() if v.computed}
+        self._planned[session_id] = (token, held.difference(need) | result.plan.loads)
         return ServicePlan(session_id=session_id, result=result, lease=lease)
 
     def commit(
         self, session_id: str, executed: WorkloadDAG, label: str = ""
     ) -> CommitResult:
+        """The ``commit`` op for the workload the session last planned:
+        the plan's token plus a result record per vertex computed since,
+        and per vertex the plan reply asked back."""
+        try:
+            token, planned = self._planned[session_id]
+        except KeyError:
+            raise UnknownPlanError(f"session {session_id!r} has no plan") from None
         reply = self.request(
             self._message(
                 "commit",
                 session_id,
                 label=label,
                 urgent=self.urgent_commits,
-                workload=encode_workload(executed, include_payloads=True),
+                plan=token,
+                r=encode_results(executed, planned),
             )
         )
+        del self._planned[session_id]
         return decode_commit_reply(reply)
 
     # the store, the latency window and the retry counter live with the

@@ -32,6 +32,7 @@ __all__ = [
     "ProtocolError",
     "FrameTooLargeError",
     "StaleColumnReferenceError",
+    "UnknownPlanError",
     "ConnectionLostError",
     "AdmissionError",
     "QuotaExceededError",
@@ -52,11 +53,17 @@ class StaleColumnReferenceError(ProtocolError):
     """A dedup reference named a column id this endpoint never received."""
 
 
+class UnknownPlanError(ProtocolError):
+    """A commit named a plan token its session does not hold: the plan was
+    never made, a later plan replaced it, or the session was closed."""
+
+
 class ConnectionLostError(TransportError, ConnectionError):
     """The connection dropped with requests in flight (outcome unknown).
 
     The pool retries a request that fails this way on a fresh connection
-    exactly once; commits retried this way are at-least-once.
+    exactly once; a commit retried this way names a plan the server may
+    already have consumed, and then gets the first merge's result back.
     """
 
 

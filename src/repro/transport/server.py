@@ -29,6 +29,7 @@ blocking clients (and tests) connect to it from ordinary threads.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import logging
 import threading
 import time
@@ -37,9 +38,10 @@ from typing import Any, Callable
 
 from ..obs.trace import SpanContext, get_tracer
 from ..obs.metrics import MetricsRegistry
+from ..service.errors import ServiceOverloadedError
 from .admission import AdmissionController, AdmissionPolicy
 from .codec import BinaryWireCodec, ColumnLedger, WireCodec, codec_for_id, encoded_size
-from .errors import AdmissionError, ProtocolError, TransportError
+from .errors import AdmissionError, ProtocolError, TransportError, UnknownPlanError
 from .frames import (
     HEADER,
     KIND_ERROR,
@@ -49,6 +51,7 @@ from .frames import (
     pack_header,
 )
 from .wire import (
+    decode_results,
     decode_workload,
     encode_commit_reply,
     encode_plan_reply,
@@ -101,6 +104,28 @@ def _error_record(error: BaseException) -> dict[str, Any]:
         "message": str(error),
         "tier": getattr(error, "tier", None),
     }
+
+
+class _KeptPlan:
+    """One session's state between its plan and its commit.
+
+    ``token`` names the last plan, with the DAG the server decoded for it
+    and the loads its reply shipped that the tenant applies
+    (``{vertex_id: (payload, size, meta)}``), until a commit naming it is
+    accepted.  ``committed`` / ``outcome`` are that accepted commit and
+    its result (or error), so a replay of it gets the same answer instead
+    of a second merge.  ``lock`` orders a session's plan, commit and
+    replay: a replay that arrives mid-merge waits for that merge."""
+
+    __slots__ = ("lock", "token", "workload", "loads", "committed", "outcome")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.token: int | None = None
+        self.workload: Any = None
+        self.loads: dict[str, tuple] = {}
+        self.committed: int | None = None
+        self.outcome: Any = None
 
 
 class _Connection(asyncio.BufferedProtocol):
@@ -285,6 +310,10 @@ class AsyncTransportServer:
         #: counters in live, so reads never race connection teardown
         self._connections: set[_Connection] = set()
         self._connections_lock = threading.Lock()
+        #: per open session: its last plan, or its last accepted commit
+        self._kept: dict[str, _KeptPlan] = {}
+        self._kept_lock = threading.Lock()
+        self._plan_tokens = itertools.count(1)
 
         registry = (
             metrics_registry
@@ -501,20 +530,80 @@ class AsyncTransportServer:
         return {"session_id": session.session_id, "name": session.name}
 
     def _op_close_session(self, message: dict[str, Any]) -> dict[str, Any]:
+        with self._kept_lock:
+            self._kept.pop(message["session_id"], None)
         self.service.close_session(message["session_id"])
         return {}
 
     def _op_plan(self, message: dict[str, Any]) -> dict[str, Any]:
+        session_id = message["session_id"]
         workload = decode_workload(message["workload"])
-        with self.service.plan(message["session_id"], workload) as plan:
-            return encode_plan_reply(plan)
+        token, shipped = next(self._plan_tokens), {}
+        with self.service.plan(session_id, workload) as plan:
+            # a stored source stays stored (the updater evicts only derived
+            # artifacts): the commit carries the rest of what the tenant holds
+            need = [
+                vertex.vertex_id
+                for vertex in workload.vertices()
+                if vertex.computed
+                and not (vertex.is_source and plan.eg.is_materialized(vertex.vertex_id))
+            ]
+            reply = encode_plan_reply(plan, token, need, shipped)
+        with self._kept_lock:
+            kept = self._kept.setdefault(session_id, _KeptPlan())
+        with kept.lock:
+            kept.token, kept.workload = token, workload
+            # the executor applies no load to a vertex it already holds
+            kept.loads = {
+                vertex_id: load
+                for vertex_id, load in shipped.items()
+                if not workload.vertex(vertex_id).computed
+            }
+            kept.committed = kept.outcome = None
+        return reply
 
     def _op_commit(self, message: dict[str, Any]) -> dict[str, Any]:
-        executed = decode_workload(message["workload"])
-        result = self.service.commit(
-            message["session_id"], executed, label=message.get("label", "")
-        )
+        if "workload" in message:
+            # the whole executed DAG: still accepted, no longer sent by
+            # RemoteService
+            executed = decode_workload(message["workload"])
+            result = self.service.commit(
+                message["session_id"], executed, label=message.get("label", "")
+            )
+        else:
+            result = self._commit_planned(message)
         return encode_commit_reply(result)
+
+    def _commit_planned(self, message: dict[str, Any]) -> Any:
+        """Commit a session's planned DAG, rebuilt with the tenant's
+        results.  The plan is consumed by any outcome but an overload
+        bounce, which the client retries with the same token; a replay of
+        a consumed commit answers with that commit's outcome."""
+        session_id, token = message["session_id"], message["plan"]
+        with self._kept_lock:
+            kept = self._kept.get(session_id)
+        if kept is None:
+            raise UnknownPlanError(f"session {session_id!r} holds no plan")
+        with kept.lock:
+            if kept.committed is None or token != kept.committed:
+                if kept.token is None or token != kept.token:
+                    raise UnknownPlanError(
+                        f"session {session_id!r} holds plan {kept.token}, not {token}"
+                    )
+                executed = decode_results(kept.workload, kept.loads, message["r"])
+                try:
+                    kept.outcome = self.service.commit(
+                        session_id, executed, label=message.get("label", "")
+                    )
+                except Exception as error:  # noqa: BLE001 - a replay re-raises it
+                    if isinstance(error, ServiceOverloadedError):
+                        raise  # bounced before merging: the plan stays held
+                    kept.outcome = error
+                kept.token, kept.workload, kept.loads = None, None, {}
+                kept.committed = token
+            if isinstance(kept.outcome, Exception):
+                raise kept.outcome
+            return kept.outcome
 
     def _op_stats(self, _message: dict[str, Any]) -> dict[str, Any]:
         return {"stats": encode_stats(self.service.stats())}

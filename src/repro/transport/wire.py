@@ -1,4 +1,4 @@
-"""What crosses the wire: payloads, workload DAGs, plan and commit replies.
+"""What crosses the wire: payloads, workload DAGs, plans and commits.
 
 Every function here maps a service object to or from a *message tree* —
 a JSON-shaped structure whose array leaves stay numpy arrays — which the
@@ -17,6 +17,11 @@ meta-data and measured costs (content stays unmaterialized), and a plan
 drops loads whose stored payload cannot be shipped, falling back to
 recomputation.  Warmstart assignments are likewise in-process only.
 
+A commit names the plan it follows and carries only what the tenant
+computed itself (:func:`encode_results`); the server rebuilds the
+executed DAG from the one it decoded at plan and the loads it shipped
+(:func:`decode_results`).
+
 Because the binary codec deduplicates at the *column* level, frame
 columns keep their lineage ``column_id`` next to their values — a column
 the peer has already seen on this connection ships as a reference.
@@ -25,7 +30,7 @@ the peer has already seen on this connection ships as a reference.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Mapping
+from typing import AbstractSet, Any, Mapping
 
 import numpy as np
 
@@ -50,6 +55,8 @@ __all__ = [
     "decode_load",
     "encode_plan_reply",
     "decode_plan_reply",
+    "encode_results",
+    "decode_results",
     "encode_commit_reply",
     "decode_commit_reply",
     "encode_stats",
@@ -303,21 +310,27 @@ def decode_workload(obj: dict[str, Any]) -> WorkloadDAG:
 # ----------------------------------------------------------------------
 # Plan and commit replies
 # ----------------------------------------------------------------------
-def encode_load(eg: Any, vertex_id: str) -> dict[str, Any] | None:
+def encode_load(
+    eg: Any, vertex_id: str, shipped: dict[str, tuple] | None = None
+) -> dict[str, Any] | None:
     """One materialized artifact of ``eg`` as a planned-load record;
     ``None`` when its payload is not transportable (the receiver then
-    recomputes the vertex)."""
-    payload = encode_payload(eg.load(vertex_id))
-    if payload is None:
+    recomputes the vertex).  A shipped load is also noted in ``shipped``
+    as ``(payload, size, meta)``: the objects the record was encoded from."""
+    payload = eg.load(vertex_id)
+    encoded = encode_payload(payload)
+    if encoded is None:
         return None
     record = eg.vertex(vertex_id)
+    if shipped is not None:
+        shipped[vertex_id] = (payload, record.size, record.meta)
     return {
         "vertex_id": vertex_id,
         "size": record.size,
         "compute_time": record.compute_time,
         "tier": eg.tier_of(vertex_id).name,
         "meta": _encode_meta(record.meta),
-        "payload": payload,
+        "payload": encoded,
     }
 
 
@@ -335,24 +348,37 @@ def decode_load(record: dict[str, Any]) -> tuple[EGVertex, Any, StorageTier]:
     return vertex, decode_payload(record["payload"]), StorageTier[record["tier"]]
 
 
-def encode_plan_reply(plan: Any) -> dict[str, Any]:
+def encode_plan_reply(
+    plan: Any, token: int, need: list[str], shipped: dict[str, tuple] | None = None
+) -> dict[str, Any]:
     """The ``plan`` op's reply for a :class:`~repro.service.core.ServicePlan`
     (or the sharded plan, same shape): the plan's scalars plus one load
     record per planned load that can be shipped, read off the pinned
-    snapshot — the caller still holds, and releases, the lease."""
-    records = (encode_load(plan.eg, v) for v in sorted(plan.result.plan.loads))
+    snapshot — the caller still holds, and releases, the lease.  ``token``
+    names the plan to the commit that follows it, ``need`` lists what the
+    workload already held that this commit must still carry, and
+    ``shipped`` collects what each load record was encoded from (see
+    :func:`encode_load`)."""
+    records = (
+        encode_load(plan.eg, v, shipped) for v in sorted(plan.result.plan.loads)
+    )
     return {
         "version": plan.version,
         "algorithm": plan.result.plan.algorithm,
         "planning_seconds": plan.result.planning_seconds,
         "estimated_cost": plan.result.plan.estimated_cost,
         "loads": [record for record in records if record is not None],
+        "plan": token,
+        "need": need,
     }
 
 
-def decode_plan_reply(reply: dict[str, Any], eg: Any) -> OptimizationResult:
+def decode_plan_reply(
+    reply: dict[str, Any], eg: Any
+) -> tuple[OptimizationResult, int, list[str]]:
     """Rebuild the optimization result of a ``plan`` reply, handing every
-    shipped load to ``eg.add_load`` so the plan executes against ``eg``."""
+    shipped load to ``eg.add_load`` so the plan executes against ``eg``;
+    with the plan's token and ``need`` list."""
     plan = ReusePlan(algorithm=reply["algorithm"])
     plan.estimated_cost = reply["estimated_cost"]
     load_tiers: dict[str, StorageTier] = {}
@@ -360,9 +386,57 @@ def decode_plan_reply(reply: dict[str, Any], eg: Any) -> OptimizationResult:
         eg.add_load(record)
         plan.loads.add(record["vertex_id"])
         load_tiers[record["vertex_id"]] = StorageTier[record["tier"]]
-    return OptimizationResult(
+    result = OptimizationResult(
         plan=plan, planning_seconds=reply["planning_seconds"], load_tiers=load_tiers
     )
+    return result, reply["plan"], reply["need"]
+
+
+def encode_results(
+    executed: WorkloadDAG, planned: AbstractSet[str]
+) -> list[dict[str, Any]]:
+    """The ``r`` of a ``commit``: one result record per computed vertex
+    not in ``planned`` — the vertices whose results the server already
+    holds: those the workload held when planned and the reply did not ask
+    back, and the loads the reply shipped.  ``p`` is ``None`` when the
+    payload is not transportable."""
+    return [
+        {
+            "i": vertex.vertex_id,
+            "ct": vertex.compute_time,
+            "s": vertex.size,
+            "m": _encode_meta(vertex.meta),
+            "p": encode_payload(vertex.data),
+        }
+        for vertex in executed.vertices()
+        if vertex.computed and vertex.vertex_id not in planned
+    ]
+
+
+def decode_results(
+    planned: WorkloadDAG,
+    loads: Mapping[str, tuple],
+    results: list[dict[str, Any]],
+) -> WorkloadDAG:
+    """The executed DAG of a ``commit``, rebuilt in place from the DAG the
+    server decoded at plan, the loads its reply shipped that the tenant
+    applied (``(payload, size, meta)`` each, applied as the executor does)
+    and the tenant's result records.  Equal to decoding the whole executed
+    DAG with payloads, but for the payloads of sources the server stored
+    at plan; applying the same records twice changes nothing."""
+    unplanned = [record["i"] for record in results if record["i"] not in planned]
+    if unplanned:
+        raise ProtocolError(f"results for unplanned vertices {unplanned}")
+    for vertex_id, (payload, size, meta) in loads.items():
+        planned.vertex(vertex_id).record_load(payload, size, meta)
+    for record in results:
+        vertex = planned.vertex(record["i"])
+        vertex.data = decode_payload(record["p"])
+        vertex.computed = True
+        vertex.compute_time = record["ct"]
+        vertex.size = record["s"]
+        vertex.meta = _decode_meta(record["m"])
+    return planned
 
 
 def encode_commit_reply(result: Any) -> dict[str, Any]:

@@ -175,8 +175,14 @@ class TestCodecSpansJoinTheRequestTrace:
             "wide": DataFrame({"x": rng.normal(size=4096), "y": rng.normal(size=4096)})
         }
 
-        def script(ws, frames):
-            ws.source("wide", frames["wide"]).add(Shift(1)).terminal()
+        def shifted(steps):
+            def script(ws, frames):
+                node = ws.source("wide", frames["wide"])
+                for k in range(1, steps + 1):
+                    node = node.add(Shift(k))
+                node.terminal()
+
+            return script
 
         recorder = FlightRecorder(slow_threshold_s=0.0, head_sample_every=0)
         with use_tracer(Tracer()) as tracer:
@@ -185,12 +191,14 @@ class TestCodecSpansJoinTheRequestTrace:
             ) as service:
                 with AsyncTransportServer(service) as server:
                     # the second tenant's plan reply carries the load's
-                    # content to a connection that has never seen it
-                    for tenant in ("first", "second"):
+                    # content to a connection that has never seen it; a
+                    # commit carries only what its tenant computed, so the
+                    # second tenant computes a step of its own
+                    for tenant, steps in (("first", 1), ("second", 2)):
                         with TransportServiceClient(
                             *server.address, name=tenant, cost_model=VirtualCostModel()
                         ) as client:
-                            client.run_script(script, sources)
+                            client.run_script(shifted(steps), sources)
         spans = tracer.finished_spans()
         workload_traces = {s.trace_id for s in spans if s.name == "client.workload"}
         assert len(workload_traces) == 2
