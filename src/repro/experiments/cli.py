@@ -188,8 +188,7 @@ def _run_swarm(_sources, args) -> None:
             f"  wire: {wire.get('bytes_in', 0):.0f} B in / "
             f"{wire.get('bytes_out', 0):.0f} B out over "
             f"{wire.get('frames_in', 0):.0f}+{wire.get('frames_out', 0):.0f} frames; "
-            f"inflight peak {wire.get('inflight_peak', 0):.0f}; "
-            f"shed {wire.get('shed', 0):.0f}"
+            f"inflight peak {wire.get('inflight_peak', 0):.0f}"
         )
         _print(
             f"  dedup: {wire.get('dedup_refs', 0):.0f} server + "

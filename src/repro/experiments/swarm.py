@@ -217,7 +217,7 @@ class SwarmResult:
     batch_linger_s: float = 0.0
     #: how tenants reached the service: "inproc" or "tcp"
     transport: str = "inproc"
-    #: server-side transport counters (bytes, frames, sheds, dedup refs)
+    #: server-side transport counters (bytes, frames, dedup refs)
     wire_stats: dict[str, float] = field(default_factory=dict, repr=False)
     #: client-side pool counters (dedup refs sent, retries)
     client_wire_stats: dict[str, int] = field(default_factory=dict, repr=False)
@@ -264,10 +264,8 @@ def build_service(
     *,
     store: ArtifactStore | None = None,
     flight_recorder: Any | None = None,
-    queue_capacity: int = 64,
     batch_linger_s: float = 0.0,
     request_timeout_s: float = 30.0,
-    debug_cross_check: bool = False,
 ) -> Any:
     """Construct a background materialize-all service of any topology.
 
@@ -276,16 +274,12 @@ def build_service(
     :class:`~repro.shard.ProcessShardCoordinator` with one worker process
     per shard.
     """
-    if shards > 1:
-        if store is not None:
-            raise ValueError(
-                "a custom store cannot cross process boundaries; each shard "
-                "worker owns its partition's store"
-            )
-        if debug_cross_check:
-            raise ValueError("debug_cross_check runs on a single service only")
+    if shards > 1 and store is not None:
+        raise ValueError(
+            "a custom store cannot cross process boundaries; each shard "
+            "worker owns its partition's store"
+        )
     common: dict[str, Any] = {
-        "queue_capacity": queue_capacity,
         "batch_linger_s": batch_linger_s,
         "request_timeout_s": request_timeout_s,
         "flight_recorder": flight_recorder,
@@ -294,13 +288,7 @@ def build_service(
         from ..shard import ProcessShardCoordinator
 
         return ProcessShardCoordinator(shards, **common)
-    return EGService(
-        MaterializeAll(),
-        store=store,
-        background=True,
-        debug_cross_check=debug_cross_check,
-        **common,
-    )
+    return EGService(MaterializeAll(), store=store, background=True, **common)
 
 
 def _replay(
@@ -331,10 +319,8 @@ def run_swarm(
     rounds: int = 3,
     op_seconds: float = 0.02,
     batch_linger_s: float = 0.15,
-    queue_capacity: int = 64,
     replay: bool = True,
     store: ArtifactStore | None = None,
-    debug_cross_check: bool = False,
     shards: int = 1,
     transport: str | None = None,
     flight_recorder: Any | None = None,
@@ -350,8 +336,6 @@ def run_swarm(
     exercise demotions under concurrency); the fingerprint check is
     store-independent — ``MaterializeAll`` and the virtual costs make the
     merged EG identical regardless of where artifact bytes live.
-    ``debug_cross_check`` makes every materialization pass assert the
-    incremental utility index against a full recompute (slow; CI only).
 
     ``shards`` picks the topology (:func:`build_service`); ``shards > 1``
     runs one worker process per shard and the sharded workload family —
@@ -382,10 +366,8 @@ def run_swarm(
         shards,
         store=store,
         flight_recorder=flight_recorder,
-        queue_capacity=queue_capacity,
         batch_linger_s=batch_linger_s,
         request_timeout_s=60.0,
-        debug_cross_check=debug_cross_check,
     )
     script_for, sources = swarm_family(shards, op_seconds)
     server = pool = None

@@ -2,14 +2,14 @@
 
 Head sampling (decide at trace start) is cheap but blind: it keeps a
 random 1% and almost certainly throws away the one trace you wanted —
-the slow one, the errored one, the one admission control shed.  The
-:class:`FlightRecorder` samples at the *tail* instead, in the Dapper
+the slow one, the errored one, the one the service refused for
+overload.  The :class:`FlightRecorder` samples at the *tail* instead, in the Dapper
 lineage: every finished span is buffered per trace-id in a bounded ring,
 and the keep/drop decision is made once the trace's **root** span (the
 span with no parent) finishes, when the outcome is known:
 
-* **shed** — the trace contains a ``transport.shed`` span or an
-  admission-control error: always kept;
+* **shed** — a span of the trace was refused for overload
+  (``ServiceOverloadedError``, the merge queue's bounce): always kept;
 * **error** — any span carries an ``error`` attribute: always kept;
 * **slow** — the root's duration is at or above ``slow_threshold_s``:
   always kept;
@@ -61,23 +61,14 @@ __all__ = [
     "perfetto_document",
 ]
 
-#: error attribute values that mean "admission control refused this"
-_SHED_ERROR_NAMES = frozenset(
-    {
-        "QuotaExceededError",
-        "PlanShedError",
-        "CommitShedError",
-        "AdmissionError",
-        "ServiceOverloadedError",
-    }
-)
+#: the error attribute value that means "refused for overload"
+_SHED_ERROR = "ServiceOverloadedError"
 
 #: how many opened trace buffers between opportunistic stale-trace sweeps
 _STALE_SWEEP_EVERY = 32
 
 _DECISIONS = ("shed", "error", "slow", "sampled", "dropped")
 
-_names = attrgetter("name")
 _attributes = attrgetter("attributes")
 _error = methodcaller("get", "error")
 
@@ -246,7 +237,7 @@ class FlightRecorder:
     def _decide(self, root: Span, spans: list[Span]) -> str:
         # the scans run in C: a healthy trace costs no Python step per span
         errors = list(filter(None, map(_error, map(_attributes, spans))))
-        if "transport.shed" in map(_names, spans) or not _SHED_ERROR_NAMES.isdisjoint(errors):
+        if _SHED_ERROR in errors:
             return "shed"
         if errors:
             return "error"

@@ -8,8 +8,8 @@ those metrics into a cumulative ``(bad, total)`` event pair:
 * :class:`HistogramLatencySource` — observations above a latency
   threshold are bad (bucketed, so the threshold should sit on or near a
   bucket bound);
-* :class:`CounterRatioSource` — one counter over another (shed rate,
-  cold-hit rate), each summed across label series and registries.
+* :class:`CounterRatioSource` — one counter over another (cold-hit
+  rate), each summed across label series and registries.
 
 The :class:`SLOEngine` samples every source on ``evaluate()`` and keeps
 a bounded history per SLO.  Alerting is the multi-window burn-rate
@@ -91,7 +91,7 @@ def _sum_series(registries: Sequence[MetricsRegistry], name: str, kinds: tuple[t
 
 @dataclass(frozen=True)
 class CounterRatioSource:
-    """bad/total from two counters (e.g. sheds over requests)."""
+    """bad/total from two counters (e.g. cold hits over planned loads)."""
 
     bad: str
     total: str
@@ -416,13 +416,5 @@ def default_service_slos() -> list[SLO]:
             ),
             objective=0.80,
             description="at most 20% of planned loads hit the cold tier",
-        ),
-        SLO(
-            "shed-rate",
-            CounterRatioSource(
-                "repro_transport_shed_total", "repro_transport_requests_total"
-            ),
-            objective=0.95,
-            description="admission control sheds at most 5% of requests",
         ),
     ]

@@ -39,19 +39,14 @@ def find_warmstart_assignments(
     workload: WorkloadDAG,
     eg: ExperimentGraph,
     plan: ReusePlan,
-    policy: str = "best_quality",
 ) -> list[WarmstartAssignment]:
     """Match warmstartable training vertices to stored initializer models.
 
     Only vertices that the plan will actually *execute* are considered —
     a model that is loaded from the store needs no training at all.
-
-    ``policy`` selects among multiple candidates: ``"best_quality"`` (the
-    paper's choice) takes the highest-scoring model; ``"most_recent"``
-    takes the one from the latest workload.
+    Among several candidates the highest-scoring model wins (the paper's
+    choice).
     """
-    if policy not in ("best_quality", "most_recent"):
-        raise ValueError(f"unknown warmstart policy {policy!r}")
     to_execute = plan.execution_set(workload)
     assignments: list[WarmstartAssignment] = []
     for vertex in workload.artifact_vertices():
@@ -74,10 +69,7 @@ def find_warmstart_assignments(
         candidates = [c for c in candidates if c.vertex_id != vertex.vertex_id]
         if not candidates:
             continue
-        if policy == "most_recent":
-            best = max(candidates, key=lambda c: c.last_seen)
-        else:
-            best = candidates[0]  # already sorted by quality descending
+        best = candidates[0]  # already sorted by quality descending
         assignments.append(
             WarmstartAssignment(
                 vertex_id=vertex.vertex_id,

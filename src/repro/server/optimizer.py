@@ -47,12 +47,10 @@ class Optimizer:
         eg: ExperimentGraph,
         reuse_algorithm,
         warmstarting: bool = False,
-        warmstart_policy: str = "best_quality",
     ):
         self.eg = eg
         self.reuse_algorithm = reuse_algorithm
         self.warmstarting = warmstarting
-        self.warmstart_policy = warmstart_policy
 
     def optimize(self, workload: WorkloadDAG) -> OptimizationResult:
         with get_tracer().span(
@@ -64,9 +62,7 @@ class Optimizer:
 
             warmstarts: list[WarmstartAssignment] = []
             if self.warmstarting:
-                warmstarts = find_warmstart_assignments(
-                    workload, self.eg, plan, policy=self.warmstart_policy
-                )
+                warmstarts = find_warmstart_assignments(workload, self.eg, plan)
             load_tiers = {
                 vertex_id: self.eg.tier_of(vertex_id) for vertex_id in plan.loads
             }

@@ -49,7 +49,6 @@ class CollaborativeOptimizer(ServiceClient):
         store: ArtifactStore | None = None,
         load_cost_model: LoadCostModel | None = None,
         warmstarting: bool = False,
-        warmstart_policy: str = "best_quality",
         cost_model: WallClockCostModel | VirtualCostModel | None = None,
     ):
         service = EGService(
@@ -58,7 +57,6 @@ class CollaborativeOptimizer(ServiceClient):
             store=store,
             load_cost_model=load_cost_model,
             warmstarting=warmstarting,
-            warmstart_policy=warmstart_policy,
         )
         super().__init__(service, name="local", cost_model=cost_model)
         self.load_cost_model = self.service.load_cost_model
@@ -66,9 +64,7 @@ class CollaborativeOptimizer(ServiceClient):
         self.reuse_algorithm = self.service.reuse_algorithm
         # compatibility surface: an optimizer bound to the live working EG
         # for callers that plan directly, bypassing snapshot isolation
-        self.optimizer = Optimizer(
-            self.service.eg, self.reuse_algorithm, warmstarting, warmstart_policy
-        )
+        self.optimizer = Optimizer(self.service.eg, self.reuse_algorithm, warmstarting)
 
     # ------------------------------------------------------------------
     @property

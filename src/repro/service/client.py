@@ -9,10 +9,9 @@ for batched merging.  ``service`` is anything shaped like
 :class:`~repro.transport.client.RemoteService` speaking to one over the
 wire — so the in-process client, the transport client and
 ``CollaborativeOptimizer`` all run this loop.  Requests bounced by
-backpressure (:class:`ServiceOverloadedError`, which the transport's
-admission errors subclass) are retried with exponential backoff per
-:class:`RetryPolicy`; timeouts are **not** retried because the merge
-outcome is unknown.
+backpressure (:class:`ServiceOverloadedError`: a full merge queue) are
+retried with exponential backoff per :class:`RetryPolicy`; timeouts are
+**not** retried because the merge outcome is unknown.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ class ServiceClient:
         service: Any,
         name: str | None = None,
         cost_model: WallClockCostModel | VirtualCostModel | None = None,
-        retry_policy: RetryPolicy | None = None,
     ):
         self.service = service
         self.session = service.open_session(name)
@@ -72,7 +70,7 @@ class ServiceClient:
         self.executor = Executor(
             cost_model=self.cost_model, load_cost_model=service.load_cost_model
         )
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        self.retry_policy = RetryPolicy()
         self.last_commit: CommitResult | None = None
         #: plan and commit requests re-sent after an overload bounce
         self.retries = 0

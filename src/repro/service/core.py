@@ -37,9 +37,7 @@ from ..eg.updater import BatchUpdateReport, Updater
 from ..eg.utility_index import UtilityIndex
 from ..graph.dag import WorkloadDAG
 from ..materialization.base import Materializer
-from ..obs.metrics import MetricsRegistry
 from ..obs.plane import FlightRecorder
-from ..obs.slo import SLO
 from ..obs.trace import SpanContext, get_tracer
 from ..reuse.linear import LinearReuse
 from ..server.optimizer import OptimizationResult, Optimizer
@@ -205,16 +203,13 @@ class EGService:
         eg: ExperimentGraph | None = None,
         load_cost_model: LoadCostModel | None = None,
         warmstarting: bool = False,
-        warmstart_policy: str = "best_quality",
         queue_capacity: int = 64,
         batch_linger_s: float = 0.0,
         request_timeout_s: float = 30.0,
         background: bool = False,
-        metrics_registry: MetricsRegistry | None = None,
         plan_cache_size: int = 128,
         debug_cross_check: bool = False,
         flight_recorder: FlightRecorder | bool | None = None,
-        slos: list[SLO] | None = None,
     ):
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
@@ -238,7 +233,6 @@ class EGService:
             else LinearReuse(self.load_cost_model)
         )
         self.warmstarting = warmstarting
-        self.warmstart_policy = warmstart_policy
         self.updater = Updater(self.versioned.working, materializer)
         self.queue_capacity = queue_capacity
         self.batch_linger_s = batch_linger_s
@@ -268,7 +262,7 @@ class EGService:
         #: utility-index dirty totals already folded into the metrics
         self._utility_dirty_recorded = (0, 0)
 
-        self._metrics = ServiceMetrics(metrics_registry)
+        self._metrics = ServiceMetrics()
         self.metrics_registry = self._metrics.registry
         gauge = self.metrics_registry.gauge
         #: point-in-time gauges, refreshed by every :meth:`_observe`
@@ -287,7 +281,7 @@ class EGService:
 
         #: the always-on telemetry plane (by default, of *background* services)
         self.telemetry = TelemetryPlane(
-            self.metrics_registry, flight_recorder, background, slos
+            self.metrics_registry, flight_recorder, background
         )
         self.flight_recorder = self.telemetry.recorder
 
@@ -416,10 +410,7 @@ class EGService:
                     span.set_attribute("plan_cache", "hit")
                 else:
                     optimizer = Optimizer(
-                        lease.eg,
-                        self.reuse_algorithm,
-                        self.warmstarting,
-                        self.warmstart_policy,
+                        lease.eg, self.reuse_algorithm, self.warmstarting
                     )
                     result = optimizer.optimize(workload)
                     self._plan_cache_put(key, result)
@@ -513,13 +504,6 @@ class EGService:
         if self._worker is None:
             self._merge_inline(ticket)
         return ticket
-
-    def queue_headroom(self) -> int:
-        """Free update-queue slots right now (0 means the next submit
-        bounces).  A sharding coordinator checks every involved shard's
-        headroom before allocating a global commit index."""
-        with self._queue_cv:
-            return self.queue_capacity - len(self._queue)
 
     def commit(
         self,

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..obs.metrics import MetricsRegistry, get_registry, percentile
 from ..obs.plane import FlightRecorder, install_recorder, uninstall_recorder
-from ..obs.slo import SLO, SLOEngine, default_service_slos
+from ..obs.slo import SLOEngine, default_service_slos
 from .stats import STAT_FIELDS, ServiceStats, SessionStats
 
 __all__ = ["ServiceMetrics", "TelemetryPlane", "LATENCY_WINDOW"]
@@ -53,7 +53,8 @@ class ServiceMetrics:
     under its short name; the session names and the exact latency window
     are the only state outside the registry.  A service's metrics live in
     their own ``registry`` by default, so two services in one process
-    never cross-count; pass a shared one to merge expositions.
+    never cross-count; the sharding coordinator passes the registry its
+    own instruments already live in.
     """
 
     if TYPE_CHECKING:
@@ -166,7 +167,6 @@ class TelemetryPlane:
         registry: MetricsRegistry,
         flight_recorder: FlightRecorder | bool | None,
         background: bool,
-        slos: list[SLO] | None = None,
     ) -> None:
         if flight_recorder is None:
             flight_recorder = background
@@ -181,7 +181,7 @@ class TelemetryPlane:
         if self.recorder is not None:
             install_recorder(self.recorder)
             self.slo_engine = SLOEngine(
-                slos if slos is not None else default_service_slos(),
+                default_service_slos(),
                 registries=[registry, get_registry()],
                 registry=registry,
             )

@@ -32,7 +32,6 @@ from dataclasses import replace
 import networkx as nx
 
 from ..eg.graph import ExperimentGraph
-from ..eg.storage import ArtifactStore
 from ..obs.trace import get_tracer
 
 __all__ = [
@@ -143,14 +142,8 @@ class SnapshotLease:
 class VersionedExperimentGraph:
     """Single-writer/many-reader version chain over one Experiment Graph."""
 
-    def __init__(
-        self,
-        eg: ExperimentGraph | None = None,
-        store: ArtifactStore | None = None,
-    ):
-        if eg is not None and store is not None and eg.store is not store:
-            raise ValueError("pass either an EG or a store, not a conflicting pair")
-        self._working = eg if eg is not None else ExperimentGraph(store)
+    def __init__(self, eg: ExperimentGraph | None = None):
+        self._working = eg if eg is not None else ExperimentGraph()
         self._lock = threading.Lock()
         self._version = 0
         self._published = copy_experiment_graph(self._working)

@@ -96,8 +96,6 @@ class PartitionedExperimentGraph:
         self._owner: dict[str, int] = {}
         #: (src, dst) -> stub for every cross-partition edge observed
         self._stubs: dict[tuple[str, str], EdgeStub] = {}
-        self._stubs_by_dst: dict[str, list[EdgeStub]] = {}
-        self._stubs_by_src: dict[str, list[EdgeStub]] = {}
         #: global workload counter (the coordinator's commit numbering)
         self.workloads_observed = 0
         self._lock = threading.Lock()
@@ -160,11 +158,7 @@ class PartitionedExperimentGraph:
             for vertex_id, partition in routed.owner.items():
                 self._owner[vertex_id] = partition
             for stub in new_stubs:
-                key = (stub.src, stub.dst)
-                if key not in self._stubs:
-                    self._stubs[key] = stub
-                    self._stubs_by_dst.setdefault(stub.dst, []).append(stub)
-                    self._stubs_by_src.setdefault(stub.src, []).append(stub)
+                self._stubs.setdefault((stub.src, stub.dst), stub)
         return SplitWorkload(routed=routed, pieces=pieces, stubs=new_stubs)
 
     def next_global_index(self) -> int:

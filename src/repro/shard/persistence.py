@@ -132,10 +132,7 @@ def load_partitioned_eg(directory: str | Path) -> PartitionedExperimentGraph:
                 op_name=record["op_name"],
                 order=int(record["order"]),
             )
-            key = (stub.src, stub.dst)
-            peg._stubs[key] = stub
-            peg._stubs_by_dst.setdefault(stub.dst, []).append(stub)
-            peg._stubs_by_src.setdefault(stub.src, []).append(stub)
+            peg._stubs[(stub.src, stub.dst)] = stub
     except (KeyError, TypeError, ValueError) as error:
         raise EGPersistenceError(
             f"corrupt stub records in {manifest_path}: {error}",

@@ -68,6 +68,15 @@ __all__ = [
     "RemoteShard",
 ]
 
+#: each worker's merge-queue bound, and the coordinator's window of
+#: commits in flight to one worker: one merge worker per shard, so every
+#: shard gets the full capacity
+_QUEUE_CAPACITY = 64
+#: threads of a worker's transport work pool
+_WORKER_TRANSPORT_THREADS = 4
+#: coordinator connections per worker for plan/snapshot/fetch/stats traffic
+_POOL_SIZE = 2
+
 
 @dataclass(frozen=True)
 class WorkerSpec:
@@ -82,14 +91,12 @@ class WorkerSpec:
 
     shard_index: int
     host: str = "127.0.0.1"
-    queue_capacity: int = 64
     batch_linger_s: float = 0.0
     request_timeout_s: float = 30.0
     #: root persistence directory; the worker owns ``partition{i}/`` in it
     persist_dir: str | None = None
     #: checkpoint the partition every N merged commits (0 = stop-only)
     checkpoint_every: int = 0
-    max_workers: int = 4
 
     @property
     def partition_path(self) -> Path | None:
@@ -118,7 +125,7 @@ def _shard_worker_main(spec: WorkerSpec, conn: Any) -> None:
     service = EGService(
         MaterializeAll(),
         eg=eg,
-        queue_capacity=spec.queue_capacity,
+        queue_capacity=_QUEUE_CAPACITY,
         batch_linger_s=spec.batch_linger_s,
         request_timeout_s=spec.request_timeout_s,
         background=True,
@@ -129,7 +136,7 @@ def _shard_worker_main(spec: WorkerSpec, conn: Any) -> None:
         spec.shard_index,
         host=spec.host,
         port=0,
-        max_workers=spec.max_workers,
+        max_workers=_WORKER_TRANSPORT_THREADS,
         persist_path=partition_path,
         checkpoint_every=spec.checkpoint_every,
     )
@@ -285,18 +292,12 @@ class RemoteShard(RemoteService):
     from :class:`~repro.transport.client.RemoteService`.
     """
 
-    def __init__(
-        self,
-        spec: WorkerSpec,
-        registry: MetricsRegistry,
-        pool_size: int = 2,
-    ):
+    def __init__(self, spec: WorkerSpec, registry: MetricsRegistry):
         super().__init__(self._request)
         self.index = spec.shard_index
         self.worker = ShardWorkerProcess(spec)
-        self.queue_capacity = spec.queue_capacity
+        self.queue_capacity = _QUEUE_CAPACITY
         self.request_timeout_s = spec.request_timeout_s
-        self._pool_size = pool_size
         #: one dedicated commit connection (FIFO dispatch) plus a small
         #: pool for plan/snapshot/fetch/stats/session traffic
         self._commit_conn: TransportConnection | None = None
@@ -332,7 +333,7 @@ class RemoteShard(RemoteService):
         self._pool = ConnectionPool(
             host,
             port,
-            size=self._pool_size,
+            size=_POOL_SIZE,
             timeout_s=self.request_timeout_s,
         )
         with self._lock:

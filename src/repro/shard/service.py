@@ -53,11 +53,10 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, cast
 
 from ..eg.graph import ExperimentGraph
-from ..eg.storage import ArtifactStore, LoadCostModel, StorageTier
+from ..eg.storage import ArtifactStore, StorageTier
 from ..graph.dag import WorkloadDAG
 from ..obs.metrics import MetricsRegistry, rollup_snapshots
 from ..obs.plane import FlightRecorder
-from ..obs.slo import SLO
 from ..reuse.linear import LinearReuse
 from ..server.optimizer import Optimizer
 from ..service.core import (
@@ -71,7 +70,6 @@ from ..service.errors import (
     ServiceError,
     ServiceOverloadedError,
     ServiceStoppedError,
-    ShardUnavailableError,
     UnknownSessionError,
 )
 from ..service.stats import ServiceStats, roll_up
@@ -93,6 +91,9 @@ __all__ = [
 
 #: shards-involved-per-workload histogram bounds (powers of two)
 _SPAN_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+#: seconds every worker gets, together, to spawn and report its address
+_START_TIMEOUT_S = 60.0
 
 
 class StitchedSnapshot:
@@ -308,30 +309,19 @@ class ProcessShardCoordinator:
         *,
         host: str = "127.0.0.1",
         reuse_algorithm: Any = None,
-        load_cost_model: LoadCostModel | None = None,
-        queue_capacity: int = 64,
         batch_linger_s: float = 0.0,
         request_timeout_s: float = 30.0,
         persist_dir: str | Path | None = None,
         checkpoint_every: int = 0,
-        worker_max_workers: int = 4,
-        pool_size: int = 2,
-        metrics_registry: MetricsRegistry | None = None,
         flight_recorder: FlightRecorder | bool | None = None,
-        slos: list[SLO] | None = None,
-        start_timeout_s: float = 60.0,
     ):
         # routing + stub registry + global commit counter only — the
         # partition *contents* live in the worker processes
         self.partitioned = PartitionedExperimentGraph(n_shards)
-        #: the default prices local artifacts at RAM speed (the hot arm
-        #: equals in-memory pricing) and remote ones — which the stitched
-        #: snapshot reports COLD — at transfer bandwidth
-        self.load_cost_model = (
-            load_cost_model
-            if load_cost_model is not None
-            else TieredLoadCostModel.default()
-        )
+        #: prices local artifacts at RAM speed (the hot arm equals
+        #: in-memory pricing) and remote ones — which the stitched snapshot
+        #: reports COLD — at transfer bandwidth
+        self.load_cost_model = TieredLoadCostModel.default()
         self.reuse_algorithm = (
             reuse_algorithm
             if reuse_algorithm is not None
@@ -346,23 +336,18 @@ class ProcessShardCoordinator:
         self.persist_dir = Path(persist_dir)
         self.persist_dir.mkdir(parents=True, exist_ok=True)
 
-        reg = metrics_registry if metrics_registry is not None else MetricsRegistry()
-        #: each shard gets the full queue capacity: capacity bounds the
-        #: per-merge-worker backlog, and there is one worker per shard
+        reg = MetricsRegistry()
         self.shards: list[RemoteShard] = [
             RemoteShard(
                 WorkerSpec(
                     shard_index=index,
                     host=host,
-                    queue_capacity=queue_capacity,
                     batch_linger_s=batch_linger_s,
                     request_timeout_s=request_timeout_s,
                     persist_dir=str(self.persist_dir),
                     checkpoint_every=checkpoint_every,
-                    max_workers=worker_max_workers,
                 ),
                 reg,
-                pool_size=pool_size,
             )
             for index in range(n_shards)
         ]
@@ -371,7 +356,7 @@ class ProcessShardCoordinator:
             "shard worker processes respawned after a crash",
         )
         try:
-            deadline = time.monotonic() + start_timeout_s
+            deadline = time.monotonic() + _START_TIMEOUT_S
             for shard in self.shards:
                 shard.worker.launch()
             for shard in self.shards:
@@ -433,7 +418,7 @@ class ProcessShardCoordinator:
         #: span.  The coordinator is inherently background (workers are
         #: async), so None installs a recorder.  Worker services run dark;
         #: their merge/queue series come back through the shard.stats rollup.
-        self.telemetry = TelemetryPlane(reg, flight_recorder, True, slos)
+        self.telemetry = TelemetryPlane(reg, flight_recorder, True)
         self.flight_recorder = self.telemetry.recorder
 
     @property
@@ -703,16 +688,6 @@ class ProcessShardCoordinator:
         """Sum of all shards' published versions (monotone while every
         shard lives; a restarted worker shard's chain restarts at 0)."""
         return sum(shard.version for shard in self.shards)
-
-    def queue_headroom(self) -> int:
-        """Admission-facing headroom: the tightest live shard's slack."""
-        slots: list[int] = []
-        for shard in self.shards:
-            try:
-                slots.append(shard.queue_headroom())
-            except ShardUnavailableError:
-                continue
-        return max(0, min(slots)) if slots else 0
 
     def flatten(self, store: ArtifactStore | None = None) -> ExperimentGraph:
         """Single-graph view reassembled from worker checkpoints.

@@ -12,8 +12,7 @@ worker processes:
 * **Server** (:mod:`~repro.transport.server`) — one asyncio event loop
   serving an :class:`~repro.service.core.EGService` or
   :class:`~repro.shard.ProcessShardCoordinator`, with per-connection
-  pipelining and admission control
-  (:mod:`~repro.transport.admission`) in front of the merge queue.
+  pipelining; the service's bounded merge queue is the backpressure.
 * **Wire records** (:mod:`~repro.transport.wire`) — the message-tree
   form of payloads, workload DAGs, plan and commit replies, one
   encode/decode pair each.
@@ -23,10 +22,9 @@ worker processes:
   it, and :class:`TransportServiceClient` runs the one client loop
   against that adapter.
 
-See ``docs/TRANSPORT.md`` for the wire format and shedding tiers.
+See ``docs/TRANSPORT.md`` for the wire format.
 """
 
-from .admission import AdmissionController, AdmissionPolicy, TokenBucket
 from .client import (
     ConnectionPool,
     PendingReply,
@@ -36,13 +34,9 @@ from .client import (
 )
 from .codec import BinaryWireCodec, ColumnLedger, JsonWireCodec, make_codec
 from .errors import (
-    AdmissionError,
-    CommitShedError,
     ConnectionLostError,
     FrameTooLargeError,
-    PlanShedError,
     ProtocolError,
-    QuotaExceededError,
     StaleColumnReferenceError,
     TransportError,
     TruncatedFrameError,
@@ -61,9 +55,6 @@ __all__ = [
     "ShardCommitSequencer",
     "ShardRequestBridge",
     "serve_one_shard",
-    "AdmissionController",
-    "AdmissionPolicy",
-    "TokenBucket",
     "BinaryWireCodec",
     "JsonWireCodec",
     "ColumnLedger",
@@ -75,8 +66,4 @@ __all__ = [
     "StaleColumnReferenceError",
     "UnknownPlanError",
     "ConnectionLostError",
-    "AdmissionError",
-    "QuotaExceededError",
-    "PlanShedError",
-    "CommitShedError",
 ]

@@ -20,9 +20,9 @@ Four layers:
   :class:`~repro.service.core.CommitResult`.
 * :class:`TransportServiceClient` — the one client loop
   (:class:`~repro.service.client.ServiceClient`) run against a
-  ``RemoteService``, plus the server's introspection ops.  The admission
-  errors subclass :class:`~repro.service.errors.ServiceOverloadedError`,
-  so shed requests back off in the same loop as a full merge queue.
+  ``RemoteService``, plus the server's introspection ops.  A full merge
+  queue comes back as :class:`~repro.service.errors.ServiceOverloadedError`
+  and backs off in that loop exactly as in-process.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..eg.storage import ArtifactDivergenceError, SimpleArtifactStore, StorageTi
 from ..graph.artifacts import ArtifactType
 from ..graph.dag import WorkloadDAG
 from ..obs.trace import get_tracer
-from ..service.client import RetryPolicy, ServiceClient
+from ..service.client import ServiceClient
 from ..service.core import CommitResult, ServicePlan, ServiceSession
 from ..service.errors import (
     RequestTimeoutError,
@@ -53,11 +53,8 @@ from ..service.errors import (
 from ..service.versioned import SnapshotLease
 from .codec import BinaryWireCodec, ColumnLedger, codec_for_id, make_codec
 from .errors import (
-    CommitShedError,
     ConnectionLostError,
-    PlanShedError,
     ProtocolError,
-    QuotaExceededError,
     StaleColumnReferenceError,
     TransportError,
     TruncatedFrameError,
@@ -82,6 +79,9 @@ __all__ = [
     "error_from_wire",
 ]
 
+#: seconds to wait for a TCP connect before the pool counts an attempt failed
+_CONNECT_TIMEOUT_S = 10.0
+
 #: wire error name -> exception class
 _WIRE_ERROR_TYPES: dict[str, type[Exception]] = {
     "ServiceError": ServiceError,
@@ -95,9 +95,6 @@ _WIRE_ERROR_TYPES: dict[str, type[Exception]] = {
     "TruncatedFrameError": TruncatedFrameError,
     "ProtocolError": ProtocolError,
     "StaleColumnReferenceError": StaleColumnReferenceError,
-    "QuotaExceededError": QuotaExceededError,
-    "PlanShedError": PlanShedError,
-    "CommitShedError": CommitShedError,
     "UnknownPlanError": UnknownPlanError,
 }
 
@@ -172,10 +169,9 @@ class TransportConnection:
         host: str,
         port: int,
         codec: str = "binary",
-        connect_timeout_s: float = 10.0,
         response_hook: Callable[[int, int], None] | None = None,
     ):
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout_s)
+        self._sock = socket.create_connection((host, port), timeout=_CONNECT_TIMEOUT_S)
         self._sock.settimeout(None)
         try:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -535,15 +531,8 @@ class RemoteService:
     #: with its default in-memory model
     load_cost_model = None
 
-    def __init__(
-        self, request: Callable[[dict[str, Any]], Any], urgent_commits: bool = False
-    ):
+    def __init__(self, request: Callable[[dict[str, Any]], Any]):
         self.request = request
-        #: stamped on commit frames: exempts them from tier-2 shedding
-        self.urgent_commits = urgent_commits
-        #: stamped on plan/commit frames once set: the server's admission
-        #: control then meters by tenant name instead of session id
-        self.tenant: str | None = None
         #: per session: the last plan's token and the vertices whose
         #: results the server already holds (sent with the plan and not
         #: asked back, or loads its reply shipped)
@@ -560,13 +549,6 @@ class RemoteService:
         except (ServiceError, OSError):
             pass  # a dead or stopped server's sessions died with it
 
-    def _message(self, op: str, session_id: str, **fields: Any) -> dict[str, Any]:
-        message = {"op": op, "session_id": session_id}
-        if self.tenant is not None:
-            message["tenant"] = self.tenant
-        message.update(fields)
-        return message
-
     def plan(self, session_id: str, workload: WorkloadDAG) -> ServicePlan:
         """The ``plan`` op (the server's snapshot lease, version-keyed
         plan cache and all), rebuilt over the loads it shipped.  The
@@ -574,11 +556,11 @@ class RemoteService:
         names what the workload already held whose payload the commit
         must still carry (sources the server does not store)."""
         reply = self.request(
-            self._message(
-                "plan",
-                session_id,
-                workload=encode_workload(workload, include_payloads=False),
-            )
+            {
+                "op": "plan",
+                "session_id": session_id,
+                "workload": encode_workload(workload, include_payloads=False),
+            }
         )
         lease = RemoteSnapshot(self.request, int(reply["version"]))
         result, token, need = decode_plan_reply(reply, lease.eg)
@@ -597,14 +579,13 @@ class RemoteService:
         except KeyError:
             raise UnknownPlanError(f"session {session_id!r} has no plan") from None
         reply = self.request(
-            self._message(
-                "commit",
-                session_id,
-                label=label,
-                urgent=self.urgent_commits,
-                plan=token,
-                r=encode_results(executed, planned),
-            )
+            {
+                "op": "commit",
+                "session_id": session_id,
+                "label": label,
+                "plan": token,
+                "r": encode_results(executed, planned),
+            }
         )
         del self._planned[session_id]
         return decode_commit_reply(reply)
@@ -638,29 +619,12 @@ class TransportServiceClient(ServiceClient):
         host: str = "",
         port: int = 0,
         name: str | None = None,
-        codec: str = "binary",
         cost_model: WallClockCostModel | VirtualCostModel | None = None,
-        retry_policy: RetryPolicy | None = None,
-        timeout_s: float = 30.0,
         pool: ConnectionPool | None = None,
-        pool_size: int = 2,
-        urgent_commits: bool = False,
     ):
-        if pool is not None:
-            self._pool = pool
-            self._owns_pool = False
-        else:
-            self._pool = ConnectionPool(
-                host, port, size=pool_size, codec=codec, timeout_s=timeout_s
-            )
-            self._owns_pool = True
-        super().__init__(
-            RemoteService(self.request, urgent_commits=urgent_commits),
-            name=name,
-            cost_model=cost_model,
-            retry_policy=retry_policy,
-        )
-        self.service.tenant = self.session.name
+        self._owns_pool = pool is None
+        self._pool = ConnectionPool(host, port) if pool is None else pool
+        super().__init__(RemoteService(self.request), name=name, cost_model=cost_model)
 
     @property
     def session_name(self) -> str:
@@ -668,7 +632,8 @@ class TransportServiceClient(ServiceClient):
 
     @property
     def urgent_commits(self) -> bool:
-        return self.service.urgent_commits
+        # read by benchmarks/e2e/; the service treats every commit alike
+        return False
 
     # ------------------------------------------------------------------
     def request(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -698,7 +663,7 @@ class TransportServiceClient(ServiceClient):
         return response["metrics"] if format == "json" else response["text"]
 
     def health(self) -> dict[str, Any]:
-        """The server's live health snapshot (never shed, even overloaded)."""
+        """The server's live health snapshot."""
         return self.request({"op": "health", "session_id": self.session_id})["health"]
 
     def debug(

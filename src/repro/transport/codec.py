@@ -366,12 +366,13 @@ def _array_wire_bytes(values: np.ndarray) -> int:
 _JSON = JsonWireCodec()  # stateless: one instance serves every frame
 
 
-def make_codec(name: str, ledger: ColumnLedger | None = None) -> WireCodec:
-    """Codec by name; ``binary`` takes the connection's dedup ledger."""
+def make_codec(name: str) -> WireCodec:
+    """Codec by name; a ``binary`` one keeps no dedup ledger (a connection
+    builds its own with :class:`ColumnLedger`)."""
     if name == "json":
         return _JSON
     if name == "binary":
-        return BinaryWireCodec(ledger)
+        return BinaryWireCodec()
     raise ValueError(f"unknown wire codec {name!r} (expected 'json' or 'binary')")
 
 

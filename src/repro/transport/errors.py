@@ -1,16 +1,11 @@
 """Typed failure modes of the async binary transport.
 
-Two families:
-
 * **Protocol errors** (:class:`ProtocolError` and friends) — the wire
   itself misbehaved: bad magic, oversized frames, unknown codecs, refs
   to columns the receiver no longer knows.  These are bugs or corrupt
   peers; clients surface them.
-* **Admission errors** (:class:`AdmissionError` and friends) — the
-  server deliberately refused work to protect the merge queue.  They
-  subclass :class:`~repro.service.errors.ServiceOverloadedError`, so
-  the client's back-off loop treats a shed request exactly like a full
-  update queue: wait, then try again.
+* :class:`ConnectionLostError` — the connection dropped with requests in
+  flight.
 
 The base :class:`~repro.service.errors.TransportError` and
 :class:`~repro.service.errors.TruncatedFrameError` live in
@@ -20,11 +15,7 @@ without importing this package.
 
 from __future__ import annotations
 
-from ..service.errors import (
-    ServiceOverloadedError,
-    TransportError,
-    TruncatedFrameError,
-)
+from ..service.errors import TransportError, TruncatedFrameError
 
 __all__ = [
     "TransportError",
@@ -34,10 +25,6 @@ __all__ = [
     "StaleColumnReferenceError",
     "UnknownPlanError",
     "ConnectionLostError",
-    "AdmissionError",
-    "QuotaExceededError",
-    "PlanShedError",
-    "CommitShedError",
 ]
 
 
@@ -66,31 +53,3 @@ class ConnectionLostError(TransportError, ConnectionError):
     already have consumed, and then gets the first merge's result back.
     """
 
-
-class AdmissionError(ServiceOverloadedError):
-    """The server shed this request to protect the merge queue.
-
-    Carries the shedding ``tier`` (1 = plan-only traffic, 2 = non-urgent
-    commits) so clients and dashboards can tell graceful degradation
-    stages apart.
-    """
-
-    tier: int = 0
-
-
-class QuotaExceededError(AdmissionError):
-    """The tenant's token bucket is empty; back off and retry."""
-
-    tier = 0
-
-
-class PlanShedError(AdmissionError):
-    """Tier-1 shedding: plan/stats traffic refused under load."""
-
-    tier = 1
-
-
-class CommitShedError(AdmissionError):
-    """Tier-2 shedding: non-urgent commits refused under heavy load."""
-
-    tier = 2

@@ -27,6 +27,7 @@ client's blocking :func:`recv_frame` from ``recv_into``.
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 from dataclasses import dataclass
@@ -163,6 +164,10 @@ class FrameAssembler:
 # ----------------------------------------------------------------------
 # Blocking socket side (the thread-based client)
 # ----------------------------------------------------------------------
+#: the most buffers one ``sendmsg`` call takes (1 024 on Linux)
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
 def recv_frame(sock: socket.socket) -> tuple[FrameHeader, memoryview] | None:
     """One frame off a blocking socket; ``None`` on orderly close."""
     assembler = FrameAssembler()
@@ -183,21 +188,29 @@ def send_frame(
     request_id: int,
     body_parts: Sequence[bytes | memoryview],
 ) -> int:
-    """Write header + body parts; returns total bytes on the wire.
+    """Write header + body parts (byte buffers); returns total bytes on
+    the wire.
 
     ``sendmsg`` takes the part list directly (scatter-gather I/O), so
     column buffers go from the numpy arrays to the socket without an
-    intermediate join; partial sends fall back to ``sendall`` on the
-    remainder.
+    intermediate join.  One call takes at most ``IOV_MAX`` parts; a
+    partial send resumes inside the part where it stopped, through a
+    slice of it, never a copy of the frame.
     """
     body_len = sum(len(part) for part in body_parts)
     parts: list[bytes | memoryview] = [
         pack_header(kind, codec, request_id, body_len),
         *body_parts,
     ]
-    total = body_len + HEADER.size
-    sent = sock.sendmsg(parts)
-    if sent < total:
-        rest = b"".join(bytes(part) for part in parts)[sent:]
-        sock.sendall(rest)
-    return total
+    total = unsent = body_len + HEADER.size
+    first = 0  # the first part not yet wholly sent
+    while True:
+        sent = sock.sendmsg(parts[first : first + _IOV_MAX])
+        unsent -= sent
+        if not unsent:
+            return total
+        while sent >= len(parts[first]):
+            sent -= len(parts[first])
+            first += 1
+        if sent:
+            parts[first] = memoryview(parts[first])[sent:]

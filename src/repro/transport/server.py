@@ -6,14 +6,12 @@ identical) over the tagged binary frame protocol of
 :mod:`repro.transport.frames`.  What runs where (``docs/TRANSPORT.md``,
 "Server and client", has the invariants):
 
-* **The loop thread** receives, decodes, admits and writes.  Each
-  connection is an :class:`asyncio.BufferedProtocol` receiving straight
-  into a :class:`~repro.transport.frames.FrameAssembler` (a body is never
+* **The loop thread** receives, decodes and writes.  Each connection is
+  an :class:`asyncio.BufferedProtocol` receiving straight into a
+  :class:`~repro.transport.frames.FrameAssembler` (a body is never
   copied).  A completed frame is **decoded right there, in arrival
-  order** — the dedup ledger needs that order, admission needs
-  ``op``/``tenant``/``urgent`` — passes the
-  :class:`~repro.transport.admission.AdmissionController` and is handed
-  to the work pool **once**.  A refused request is answered from the loop
+  order** — the dedup ledger needs that order — and handed to the work
+  pool **once**.  A request naming no known op is answered from the loop
   and never takes a worker.
 * **One work-pool thread** runs the handler (plan/commit take locks,
   commits wait on the merge worker: no handler ever runs on the loop),
@@ -39,9 +37,8 @@ from typing import Any, Callable
 from ..obs.trace import SpanContext, get_tracer
 from ..obs.metrics import MetricsRegistry
 from ..service.errors import ServiceOverloadedError
-from .admission import AdmissionController, AdmissionPolicy
 from .codec import BinaryWireCodec, ColumnLedger, WireCodec, codec_for_id, encoded_size
-from .errors import AdmissionError, ProtocolError, TransportError, UnknownPlanError
+from .errors import ProtocolError, TransportError, UnknownPlanError
 from .frames import (
     HEADER,
     KIND_ERROR,
@@ -99,11 +96,7 @@ def _codec_span(
 
 
 def _error_record(error: BaseException) -> dict[str, Any]:
-    return {
-        "error": type(error).__name__,
-        "message": str(error),
-        "tier": getattr(error, "tier", None),
-    }
+    return {"error": type(error).__name__, "message": str(error)}
 
 
 class _KeptPlan:
@@ -210,8 +203,8 @@ class _Connection(asyncio.BufferedProtocol):
         op = str(message.get("op"))
         self._pending += 1
         try:
-            handler = server._admit(op, message)
-        except (AdmissionError, ProtocolError) as error:
+            handler = server._dispatch(op)
+        except ProtocolError as error:
             # a refusal takes no worker; with no array leaf it touches no
             # ledger state, so it needs neither the reply lock nor the queue
             self._write(
@@ -232,7 +225,7 @@ class _Connection(asyncio.BufferedProtocol):
         handler: Handler,
         message: dict[str, Any],
     ) -> None:
-        """Handle one admitted request and encode its reply (work pool)."""
+        """Handle one request and encode its reply (work pool)."""
         server = self._server
         try:
             kind, reply, context = server._run_handler(op, handler, message)
@@ -280,9 +273,7 @@ class AsyncTransportServer:
         service: Any,
         host: str = "127.0.0.1",
         port: int = 0,
-        admission: AdmissionController | AdmissionPolicy | None = None,
         max_workers: int = 8,
-        metrics_registry: MetricsRegistry | None = None,
         shard_bridge: Any = None,
     ):
         self.service = service
@@ -291,14 +282,8 @@ class AsyncTransportServer:
         self.shard_bridge = shard_bridge
         self._host = host
         self._port = port
-        if isinstance(admission, AdmissionController):
-            self.admission = admission
-        else:
-            self.admission = AdmissionController(
-                admission, headroom=getattr(service, "queue_headroom", None)
-            )
-        #: one hop per admitted request: its handler (which may block in
-        #: the service) and the encode of its reply
+        #: one hop per request: its handler (which may block in the
+        #: service) and the encode of its reply
         self._work_pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="eg-transport-work"
         )
@@ -315,11 +300,7 @@ class AsyncTransportServer:
         self._kept_lock = threading.Lock()
         self._plan_tokens = itertools.count(1)
 
-        registry = (
-            metrics_registry
-            if metrics_registry is not None
-            else getattr(service, "metrics_registry", None)
-        )
+        registry = getattr(service, "metrics_registry", None)
         if registry is None:
             registry = MetricsRegistry()
         self.metrics_registry = registry
@@ -333,9 +314,6 @@ class AsyncTransportServer:
         )
         self._requests_total = registry.counter(
             "repro_transport_requests_total", "requests dispatched", ("op",)
-        )
-        self._shed_total = registry.counter(
-            "repro_transport_shed_total", "requests refused by admission", ("tier",)
         )
         self._inflight_gauge = registry.gauge(
             "repro_transport_inflight", "requests currently in flight"
@@ -428,34 +406,12 @@ class AsyncTransportServer:
     # ------------------------------------------------------------------
     # Request path (the loop thread owns the counters: plain ints are safe)
     # ------------------------------------------------------------------
-    def _admit(self, op: str, message: dict[str, Any]) -> Handler:
-        """Count the request in flight, pass admission, find its handler."""
+    def _dispatch(self, op: str) -> Handler:
+        """Count the request in flight and find its handler."""
         self._requests_total.inc(op=op)
         self._inflight += 1
         self._inflight_gauge.set(self._inflight)
         self._inflight_peak.set_max(self._inflight)
-        tenant = str(message.get("tenant") or message.get("session_id") or "anonymous")
-        try:
-            self.admission.admit(
-                op,
-                tenant,
-                inflight=self._inflight,
-                urgent=bool(message.get("urgent", False)),
-            )
-        except AdmissionError as error:
-            self._shed_total.inc(tier=str(error.tier))
-            # no span exists for a request that never reaches a handler:
-            # finish a synthetic one (never entered — this is the loop
-            # thread; "tc" is still in the message) so the flight recorder
-            # tail-keeps the client's whole trace
-            get_tracer().span(
-                "transport.shed",
-                parent=_remote_parent(message.get("tc")),
-                op=op,
-                tier=str(error.tier),
-                error=type(error).__name__,
-            ).finish()
-            raise
         bridged = self.shard_bridge.handlers if self.shard_bridge is not None else {}
         handler = bridged.get(op) or getattr(self, f"_op_{op.replace('.', '_')}", None)
         if handler is None:
@@ -615,7 +571,7 @@ class AsyncTransportServer:
 
     def _op_health(self, _message: dict[str, Any]) -> dict[str, Any]:
         """Service health (queue/SLO/recorder state) plus a transport
-        section; never shed, so it answers during overload."""
+        section."""
         health_fn = getattr(self.service, "health", None)
         if callable(health_fn):
             payload = dict(health_fn())
@@ -647,7 +603,7 @@ class AsyncTransportServer:
     # Introspection
     # ------------------------------------------------------------------
     def wire_stats(self) -> dict[str, float]:
-        """Point-in-time transport counters (bytes, frames, sheds, dedup)."""
+        """Point-in-time transport counters (bytes, frames, dedup)."""
         with self._connections_lock:
             codecs = [connection.binary for connection in self._connections]
         live_refs = sum(codec.refs_sent for codec in codecs)
@@ -658,7 +614,8 @@ class AsyncTransportServer:
             "frames_in": self._frames_total.value(direction="in"),
             "frames_out": self._frames_total.value(direction="out"),
             "requests": self._requests_total.total(),
-            "shed": self._shed_total.total(),
+            # read by benchmarks/e2e/; the server itself refuses no request
+            "shed": 0.0,
             "dedup_refs": self._dedup_refs.total() + live_refs,
             "dedup_bytes_saved": self._dedup_saved.total() + live_saved,
             "inflight_peak": self._inflight_peak.value(),

@@ -64,9 +64,9 @@ class ShardCommitSequencer:
     The caller waits on the returned ticket *outside* the lock.
     """
 
-    def __init__(self, start: int = 1):
+    def __init__(self) -> None:
         self._cv = threading.Condition()
-        self._next = start
+        self._next = 1
 
     def run(self, seq: int, fn: Callable[[], Any]) -> Any:
         with self._cv:

@@ -15,13 +15,6 @@ from repro.obs.plane import FlightRecorder
 from repro.obs.sinks import InMemorySink
 from repro.obs.trace import Tracer, use_tracer
 
-SHED_NAMES = {
-    "QuotaExceededError",
-    "PlanShedError",
-    "CommitShedError",
-    "AdmissionError",
-    "ServiceOverloadedError",
-}
 
 SLOW_THRESHOLD_S = 0.03
 HEAD_SAMPLE_EVERY = 4
@@ -32,8 +25,7 @@ def expected_decision(spans) -> str:
     if root is None:
         root = min(spans, key=lambda s: s.start_s)
     for span in spans:
-        error = span.attributes.get("error")
-        if span.name == "transport.shed" or error in SHED_NAMES:
+        if span.attributes.get("error") == "ServiceOverloadedError":
             return "shed"
     if any(span.attributes.get("error") for span in spans):
         return "error"

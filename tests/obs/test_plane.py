@@ -54,21 +54,13 @@ class TestTailDecisions:
         assert kept["decision"] == "error"
         assert kept["spans"] == 2
 
-    def test_shed_span_name_wins_over_error(self):
+    def test_overload_error_attribute_classifies_as_shed(self):
         tracer, recorder = recorded_tracer(
             slow_threshold_s=1e9, head_sample_every=0
         )
         with tracer.span("request") as root:
-            tracer.span("transport.shed", parent=root.context).finish()
-        [kept] = recorder.kept_traces()
-        assert kept["decision"] == "shed"
-
-    def test_admission_error_attribute_classifies_as_shed(self):
-        tracer, recorder = recorded_tracer(
-            slow_threshold_s=1e9, head_sample_every=0
-        )
-        with tracer.span("request") as root:
-            root.set_attribute("error", "QuotaExceededError")
+            tracer.span("other", parent=root.context, error="KeyError").finish()
+            root.set_attribute("error", "ServiceOverloadedError")
         [kept] = recorder.kept_traces()
         assert kept["decision"] == "shed"
 

@@ -207,7 +207,6 @@ class TestDefaultServiceSLOs:
             "plan-latency-p95",
             "queue-wait-p99",
             "cold-hit-rate",
-            "shed-rate",
         ]
         engine = SLOEngine(
             slos, registries=[MetricsRegistry()], clock=FakeClock()

@@ -1,7 +1,6 @@
-"""Tests for the warmstart candidate policy and the backward-pass knob."""
+"""Tests for the warmstart candidate choice and the backward-pass knob."""
 
 import numpy as np
-import pytest
 
 from repro.client.api import Workspace
 from repro.client.executor import Executor
@@ -57,7 +56,7 @@ def plan_gbt(n_estimators: int):
 
 
 class TestWarmstartPolicy:
-    def test_best_quality_vs_most_recent_differ(self):
+    def test_the_best_model_wins_over_a_newer_one(self):
         eg = ExperimentGraph()
         strong = run_gbt(eg, n_estimators=10, max_depth=3)  # better, older
         weak = run_gbt(eg, n_estimators=1, max_depth=1)  # worse, newer
@@ -65,21 +64,8 @@ class TestWarmstartPolicy:
         assert eg.vertex(weak).last_seen > eg.vertex(strong).last_seen
 
         workload = plan_gbt(n_estimators=5)
-        by_quality = find_warmstart_assignments(
-            workload, eg, ReusePlan(), policy="best_quality"
-        )
-        by_recency = find_warmstart_assignments(
-            workload, eg, ReusePlan(), policy="most_recent"
-        )
-        assert by_quality[0].source_model_vertex == strong
-        assert by_recency[0].source_model_vertex == weak
-
-    def test_unknown_policy_rejected(self):
-        eg = ExperimentGraph()
-        run_gbt(eg, n_estimators=2, max_depth=1)
-        workload = plan_gbt(n_estimators=5)
-        with pytest.raises(ValueError, match="policy"):
-            find_warmstart_assignments(workload, eg, ReusePlan(), policy="random")
+        [assignment] = find_warmstart_assignments(workload, eg, ReusePlan())
+        assert assignment.source_model_vertex == strong
 
     def test_last_seen_tracks_workload_counter(self):
         eg = ExperimentGraph()

@@ -83,7 +83,6 @@ class TestIntrospectionSurface:
                 "plan-latency-p95",
                 "queue-wait-p99",
                 "cold-hit-rate",
-                "shed-rate",
             }
             assert health["alerts"] == []
         finally:

@@ -177,7 +177,6 @@ class TestContract:
         service.shards[1].queue_headroom = lambda: 0
         with pytest.raises(ServiceOverloadedError):
             service.submit_update(session.session_id, make_workload(CROSS))
-        assert service.queue_headroom() == 0
         del service.shards[1].queue_headroom
         assert service.partitioned.workloads_observed == 1
         assert [

@@ -28,7 +28,7 @@ from repro.service import EGService
 from repro.service.errors import ServiceOverloadedError
 from repro.transport import (
     AsyncTransportServer,
-    CommitShedError,
+    ConnectionPool,
     ProtocolError,
     TransportConnection,
     TransportServiceClient,
@@ -108,33 +108,37 @@ def _scripts(seed, count=8):
 
 
 class _Recording(EGService):
-    """Keeps every executed DAG it is handed; bounces the first commit
-    the way a full merge queue would, so the tenant commits its plan twice."""
+    """Keeps every executed DAG it is handed; bounces the first two
+    commits the way a full merge queue would, so the tenant commits its
+    plan three times."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.received = {}
-        self._bounce = True
+        self._bounces = 2
 
     def commit(self, session_id, executed, label="", timeout=None):
-        if self._bounce:
-            self._bounce = False
+        if self._bounces:
+            self._bounces -= 1
             raise ServiceOverloadedError("merge queue full")
         self.received[label] = executed
         return super().commit(session_id, executed, label=label, timeout=timeout)
 
 
 def _legacy_commit(client):
-    """Send the commit in its whole-DAG form, as it used to cross."""
+    """Send the commit in its whole-DAG form, as it used to cross (with
+    the ``tenant`` and ``urgent`` keys the server ignores)."""
     service = client.service
 
     def commit(session_id, executed, label=""):
-        message = service._message(
-            "commit",
-            session_id,
-            label=label,
-            workload=encode_workload(executed, include_payloads=True),
-        )
+        message = {
+            "op": "commit",
+            "session_id": session_id,
+            "tenant": client.session_name,
+            "label": label,
+            "urgent": False,
+            "workload": encode_workload(executed, include_payloads=True),
+        }
         return decode_commit_reply(service.request(message))
 
     service.commit = commit
@@ -157,24 +161,14 @@ def _capture_legacy_decodes(client, codec, captured):
 
 def _drive(codec, seed, legacy):
     """Run the seeded scripts, tenants taking turns; the first commit is
-    shed by admission, the second bounced by the service."""
+    bounced twice by the service."""
     decoded = {}
     with _Recording(MaterializeAll(), background=True) as service:
         with AsyncTransportServer(service) as server:
-            real_admit, shed = server.admission.admit, []
-
-            def admit(op, tenant, **kwargs):
-                if op == "commit" and not shed:
-                    shed.append(op)
-                    raise CommitShedError("commit shed for the test")
-                return real_admit(op, tenant, **kwargs)
-
-            server.admission.admit = admit
+            pools = [ConnectionPool(*server.address, codec=codec) for _ in range(2)]
             clients = [
-                TransportServiceClient(
-                    *server.address, name=name, codec=codec, cost_model=FixedCost()
-                )
-                for name in ("left", "right")
+                TransportServiceClient(name=name, cost_model=FixedCost(), pool=pool)
+                for name, pool in zip(("left", "right"), pools)
             ]
             try:
                 for client in clients:
@@ -185,10 +179,11 @@ def _drive(codec, seed, legacy):
                 frames = _sources()
                 for index, script in enumerate(_scripts(seed)):
                     clients[index % 2].run_script(script, frames, label=str(index))
-                assert shed and clients[0].retries == 2
+                assert clients[0].retries == 2
             finally:
-                for client in clients:
+                for client, pool in zip(clients, pools):
                     client.close()
+                    pool.close()
         sources = {
             service.eg.vertex(vertex_id).source_name: service.eg.load(vertex_id)
             for vertex_id in service.eg.source_ids

@@ -2,7 +2,9 @@
 
 import socket
 import struct
+import threading
 
+import numpy as np
 import pytest
 
 from repro.service.errors import TruncatedFrameError
@@ -65,6 +67,34 @@ class TestBlockingFrames:
             header, body = frame
             assert header.request_id == 7
             assert bytes(body) == b"abcdefg"
+        finally:
+            ours.close()
+            theirs.close()
+
+    def test_more_parts_than_one_sendmsg_takes_arrive_byte_exact(self):
+        """1 100 column-like parts (past Linux's IOV_MAX of 1 024), empty
+        ones among them, and a few large enough that the socket takes
+        them in pieces (a timeout makes each ``sendmsg`` one
+        non-blocking write): the body comes back exactly."""
+        rng = np.random.default_rng(7)
+        sizes = rng.integers(0, 48, size=1100)
+        sizes[[3, 700, 1050]] = 1 << 19
+        parts = [
+            memoryview(rng.integers(0, 256, size=int(size), dtype=np.uint8))
+            for size in sizes
+        ]
+        received = []
+        ours, theirs = socket.socketpair()
+        theirs.settimeout(10.0)
+        try:
+            reader = threading.Thread(target=lambda: received.append(recv_frame(ours)))
+            reader.start()
+            total = send_frame(theirs, KIND_REQUEST, CODEC_BINARY, 9, parts)
+            reader.join(10.0)
+            [(header, body)] = received
+            assert header.request_id == 9
+            assert total == HEADER.size + header.body_len == HEADER.size + sum(sizes)
+            assert bytes(body) == b"".join(parts)
         finally:
             ours.close()
             theirs.close()

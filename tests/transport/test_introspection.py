@@ -1,6 +1,8 @@
 """Live introspection over the wire: health, debug, shed tail-keeping."""
 
 import json
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,13 +10,12 @@ import pytest
 
 from repro.client.executor import VirtualCostModel
 from repro.dataframe import DataFrame
+from repro.graph.dag import WorkloadDAG
 from repro.materialization.simple import MaterializeAll
 from repro.obs.plane import FlightRecorder, perfetto_document
 from repro.service import EGService
 from repro.transport import (
-    AdmissionPolicy,
     AsyncTransportServer,
-    PlanShedError,
     ProtocolError,
     TransportConnection,
     TransportServiceClient,
@@ -46,7 +47,7 @@ class TestHealthOp:
                     health = client.health()
                     assert health["status"] == "ok"
                     assert health["queue"]["capacity"] > 0
-                    assert "shed-rate" in health["slo"]
+                    assert "queue-wait-p99" in health["slo"]
                     transport = health["transport"]
                     assert transport["open_connections"] >= 1
                     assert transport["requests"] >= 1
@@ -109,31 +110,51 @@ class TestDebugOp:
 
 class TestShedTailKeeping:
     def test_shed_requests_are_kept_and_health_still_answers(self):
+        """A commit the full merge queue bounces is retried; the tenant's
+        whole trace is kept for the bounce, and health answers meanwhile."""
         # nothing is slow and head sampling is off: only the shed path
         # can make the recorder keep a trace
         recorder = FlightRecorder(slow_threshold_s=1e9, head_sample_every=0)
         service = EGService(
-            MaterializeAll(), background=True, flight_recorder=recorder
+            MaterializeAll(),
+            queue_capacity=1,
+            background=True,
+            flight_recorder=recorder,
         )
         try:
-            policy = AdmissionPolicy(shed_plan_inflight=0)
-            with AsyncTransportServer(service, admission=policy) as server:
-                connection = TransportConnection(*server.address)
-                try:
-                    with pytest.raises(PlanShedError):
-                        connection.request({"op": "stats"})
-                    # introspection is never shed, even mid-overload
+            with AsyncTransportServer(service) as server:
+                filler = service.open_session("filler")
+                service._merge_lock.acquire()  # the one queue slot stays taken
+                service.submit_update(filler.session_id, WorkloadDAG())
+
+                def release_after_a_bounce():
+                    deadline = time.monotonic() + 10.0
+                    while time.monotonic() < deadline:
+                        if service.stats().overload_rejections:
+                            break
+                        time.sleep(0.001)
+                    service._merge_lock.release()
+
+                releaser = threading.Thread(target=release_after_a_bounce)
+                releaser.start()
+                with TransportConnection(*server.address) as connection:
                     health = connection.request({"op": "health"})["health"]
                     assert health["status"] == "ok"
-                    assert health["transport"]["shed"] >= 1
-                finally:
-                    connection.close()
+                    assert health["queue"]["headroom"] == 0
+                with TransportServiceClient(
+                    *server.address, name="late", cost_model=VirtualCostModel()
+                ) as client:
+                    client.run_script(
+                        wide_workload_script(2, 1, 0.05), make_sources(), label="late"
+                    )
+                    assert client.retries >= 1
+                releaser.join()
         finally:
             service.stop()
         kept = recorder.kept_traces(limit=None)
         shed = [t for t in kept if t["decision"] == "shed"]
         assert shed, f"expected a shed-kept trace, got {kept}"
-        assert shed[0]["root"] == "transport.shed"
+        assert shed[0]["root"] == "client.workload"
 
 
 class TestCLISmoke:

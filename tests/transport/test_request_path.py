@@ -1,11 +1,11 @@
 """Invariants of the server's request path: what runs where, in what
 order, and what a request is owed however its connection ends.
 
-The loop thread receives, decodes, admits and writes; one work-pool
-thread handles and encodes.  These tests pin what that split must keep:
-a shed request takes no worker, decode order is arrival order, write
-order is encode order, every admitted request is answered exactly once
-(or its connection is gone), and ``_inflight`` always returns to zero.
+The loop thread receives, decodes and writes; one work-pool thread
+handles and encodes.  These tests pin what that split must keep: a
+request naming no op takes no worker, decode order is arrival order,
+write order is encode order, every request is answered exactly once (or
+its connection is gone), and ``_inflight`` always returns to zero.
 """
 
 import logging
@@ -25,10 +25,8 @@ from repro.materialization.simple import MaterializeAll
 from repro.obs import FlightRecorder, Tracer, use_tracer
 from repro.service import EGService
 from repro.transport import (
-    AdmissionPolicy,
     AsyncTransportServer,
     ConnectionPool,
-    PlanShedError,
     TransportConnection,
     TransportServiceClient,
 )
@@ -143,24 +141,20 @@ class TestOneHop:
                 connection.request({"op": "ping"})
         assert len(threads) == 1 and threads[0].startswith("eg-transport-work")
 
-    def test_shed_and_unknown_ops_never_take_a_worker(self):
+    def test_unknown_ops_never_take_a_worker(self):
         with EGService(MaterializeAll()) as service:
-            policy = AdmissionPolicy(shed_plan_inflight=0)
-            with AsyncTransportServer(service, admission=policy) as server:
+            with AsyncTransportServer(service) as server:
                 submitted = _pool_submissions(server)
                 with TransportConnection(*server.address) as connection:
-                    with pytest.raises(PlanShedError):
-                        connection.request({"op": "stats"})
                     with pytest.raises(Exception, match="unknown op 'nope'"):
                         connection.request({"op": "nope"})
                     assert submitted == []
-                    # both were answered and settled; the connection lives on
+                    # answered and settled; the connection lives on
                     connection.request({"op": "ping"})
                     assert len(submitted) == 1
                 assert server._inflight == 0
                 wire = server.wire_stats()
-                assert wire["frames_in"] == wire["frames_out"] == 3
-                assert wire["shed"] == 1
+                assert wire["frames_in"] == wire["frames_out"] == 2
 
 
 class TestCodecSpansJoinTheRequestTrace:

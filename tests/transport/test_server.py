@@ -11,12 +11,12 @@ import pytest
 from repro.client.executor import VirtualCostModel
 from repro.dataframe import DataFrame
 from repro.materialization.simple import MaterializeAll
-from repro.service import EGService, UnknownSessionError
+from repro.graph.dag import WorkloadDAG
+from repro.service import EGService, ServiceOverloadedError, UnknownSessionError
 from repro.shard import ProcessShardCoordinator
 from repro.transport import (
-    AdmissionPolicy,
     AsyncTransportServer,
-    QuotaExceededError,
+    ConnectionPool,
     TransportConnection,
     TransportServiceClient,
 )
@@ -36,10 +36,10 @@ class TestEndToEnd:
         script = wide_workload_script(3, 2, 0.05)
         with EGService(MaterializeAll()) as service:
             with AsyncTransportServer(service) as server:
-                host, port = server.address
-                with TransportServiceClient(
-                    host, port, name="remote", codec=codec,
-                    cost_model=VirtualCostModel(),
+                with ConnectionPool(*server.address, codec=codec) as pool, (
+                    TransportServiceClient(
+                        name="remote", cost_model=VirtualCostModel(), pool=pool
+                    )
                 ) as client:
                     assert client.ping() == 0
                     first = client.run_script(script, make_sources(), label="w1")
@@ -90,9 +90,10 @@ class TestEndToEnd:
         for codec in ("binary", "json"):
             with EGService(MaterializeAll()) as service:
                 with AsyncTransportServer(service) as server:
-                    with TransportServiceClient(
-                        *server.address, name="c", codec=codec,
-                        cost_model=VirtualCostModel(),
+                    with ConnectionPool(*server.address, codec=codec) as pool, (
+                        TransportServiceClient(
+                            name="c", cost_model=VirtualCostModel(), pool=pool
+                        )
                     ) as client:
                         client.run_script(script, make_sources(), label="w1")
                         client.run_script(script, make_sources(), label="w2")
@@ -151,24 +152,26 @@ class TestTypedErrors:
                             }
                         )
 
-    def test_quota_shed_is_typed_and_counted(self):
-        with EGService(MaterializeAll()) as service:
-            policy = AdmissionPolicy(tenant_rate=0.0, tenant_burst=1.0)
-            with AsyncTransportServer(service, admission=policy) as server:
+    def test_overload_is_typed_and_counted(self):
+        with EGService(MaterializeAll(), queue_capacity=1, background=True) as service:
+            with AsyncTransportServer(service) as server:
                 with TransportServiceClient(
-                    *server.address, name="greedy", cost_model=VirtualCostModel()
+                    *server.address, name="late", cost_model=VirtualCostModel()
                 ) as client:
-                    message = {
-                        "op": "plan",
-                        "session_id": client.session_id,
-                        "tenant": "greedy",
-                        "workload": EMPTY_WORKLOAD,
-                    }
-                    client.request(message)  # the one burst token
-                    with pytest.raises(QuotaExceededError):
-                        client.request(message)
-                assert server.wire_stats()["shed"] == 1
-                assert server.admission.shed_counts["quota"] == 1
+                    filler = service.open_session("filler")
+                    with service._merge_lock:  # the one queue slot stays taken
+                        service.submit_update(filler.session_id, WorkloadDAG())
+                        with pytest.raises(ServiceOverloadedError):
+                            client.request(
+                                {
+                                    "op": "commit",
+                                    "session_id": client.session_id,
+                                    "workload": EMPTY_WORKLOAD,
+                                }
+                            )
+                    client.ping()  # the connection lives on
+                assert service.stats().overload_rejections == 1
+                assert server._inflight == 0
 
     def test_garbage_bytes_drop_the_connection(self):
         with EGService(MaterializeAll()) as service:
