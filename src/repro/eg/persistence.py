@@ -19,8 +19,8 @@ A :class:`~repro.storage.TieredArtifactStore` saved this way is *reopened
 in place*: ``load_eg`` reattaches to the manifest with every artifact in
 the cold tier and reads nothing into RAM until it is requested.  The
 in-memory stores are rebuilt eagerly from the same layout.  Format
-version 1 (a single ``store.pkl`` pickle of the whole store) is still
-readable.
+version 1 (a single ``store.pkl`` pickle of the whole store) is no longer
+readable: it is refused like any other unknown version.
 
 All I/O failures surface as :class:`EGPersistenceError` naming the
 offending path, instead of leaking raw ``FileNotFoundError`` /
@@ -30,7 +30,6 @@ offending path, instead of leaking raw ``FileNotFoundError`` /
 from __future__ import annotations
 
 import json
-import pickle
 from pathlib import Path
 
 from ..dataframe import Column, DataFrame
@@ -194,15 +193,12 @@ def load_eg(directory: str | Path) -> ExperimentGraph:
         ) from error
 
     version = document.get("version")
-    if version == 1:
-        store = _load_store_v1(directory, document)
-    elif version == _FORMAT_VERSION:
-        store = _load_store_v2(directory / _STORE_DIR, document)
-    else:
+    if version != _FORMAT_VERSION:
         raise EGPersistenceError(
             f"unsupported EG format version {version!r} in {graph_path}",
             path=graph_path,
         )
+    store = _load_store(directory / _STORE_DIR, document)
 
     eg = ExperimentGraph(store)
     try:
@@ -243,34 +239,7 @@ def load_eg(directory: str | Path) -> ExperimentGraph:
     return eg
 
 
-def _load_store_v1(directory: Path, document: dict) -> ArtifactStore:
-    """Legacy format: the whole store pickled as ``store.pkl``."""
-    pickle_path = directory / "store.pkl"
-    if not pickle_path.exists():
-        raise EGPersistenceError(
-            f"missing store contents {pickle_path}", path=pickle_path
-        )
-    try:
-        with pickle_path.open("rb") as handle:
-            store: ArtifactStore = pickle.load(handle)
-    except Exception as error:  # pickle raises a small zoo of error types
-        raise EGPersistenceError(
-            f"corrupt store contents {pickle_path}: {error}", path=pickle_path
-        ) from error
-    if type(store).__name__ != document.get("store_type"):
-        raise EGPersistenceError(
-            f"{pickle_path} does not match the recorded store type",
-            path=pickle_path,
-        )
-    if not isinstance(store, (SimpleArtifactStore, DedupArtifactStore)):
-        raise EGPersistenceError(
-            f"unexpected store type {type(store).__name__} in {pickle_path}",
-            path=pickle_path,
-        )
-    return store
-
-
-def _load_store_v2(store_dir: Path, document: dict) -> ArtifactStore:
+def _load_store(store_dir: Path, document: dict) -> ArtifactStore:
     """Incremental layout: reopen tiered stores in place, rebuild RAM stores."""
     store_type = document.get("store_type")
     manifest_path = store_dir / "manifest.json"

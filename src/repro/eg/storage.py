@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from ..dataframe import Column, DataFrame
 from ..graph.artifacts import payload_size_bytes
@@ -120,10 +120,6 @@ class ArtifactStore:
     def vertex_ids(self) -> set[str]:
         raise NotImplementedError
 
-    def incremental_size(self, payloads: Iterable[tuple[str, Any]]) -> int:
-        """Bytes that storing the given payloads *would* add (dry run)."""
-        raise NotImplementedError
-
     def tier_of(self, vertex_id: str) -> StorageTier:
         """The tier a stored artifact resides in; purely-RAM stores are HOT."""
         if vertex_id not in self:
@@ -153,29 +149,6 @@ class ArtifactStore:
             "cold_bytes": 0,
             "vertices": len(self.vertex_ids),
         }
-
-
-class _LockedStateMixin:
-    """Pickle support for stores that carry a (non-picklable) lock.
-
-    The lock (and any transient in-flight bookkeeping) is dropped on
-    serialization and recreated fresh on load — a freshly unpickled store
-    has, by construction, no concurrent readers.
-    """
-
-    _TRANSIENT_SLOTS = ("_lock", "_inflight")
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {
-            key: value
-            for key, value in self.__dict__.items()
-            if key not in self._TRANSIENT_SLOTS
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-        self._inflight = {}
 
 
 def frame_signature_of(payload: DataFrame) -> list[tuple[str, int]]:
@@ -229,7 +202,7 @@ def check_not_divergent(
         )
 
 
-class SimpleArtifactStore(_LockedStateMixin, ArtifactStore):
+class SimpleArtifactStore(ArtifactStore):
     """Whole-artifact storage without deduplication (used by HM and Helix).
 
     Thread-safe: concurrent tenants may issue concurrent loads, so the
@@ -281,15 +254,9 @@ class SimpleArtifactStore(_LockedStateMixin, ArtifactStore):
     def vertex_ids(self) -> set[str]:
         return set(self._payloads)
 
-    def incremental_size(self, payloads: Iterable[tuple[str, Any]]) -> int:
-        return sum(
-            payload_size_bytes(payload)
-            for vertex_id, payload in payloads
-            if vertex_id not in self._payloads
-        )
 
 
-class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
+class DedupArtifactStore(ArtifactStore):
     """Column-deduplicating store (paper Section 5.3).
 
     DataFrame payloads are decomposed into columns keyed by lineage id and
@@ -306,8 +273,8 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
     def __init__(self):
         #: column id -> (Column, refcount)
         self._columns: dict[str, tuple[Column, int]] = {}
-        #: column id -> bytes, recorded at ``put``; the re-put signature,
-        #: ``remove`` and ``logical_bytes`` read it by id
+        #: column id -> bytes, recorded at ``put``; the re-put signature
+        #: and ``remove`` read it by id
         self._column_sizes: dict[str, int] = {}
         #: physical bytes held: distinct columns plus non-frame payloads
         self._total_bytes = 0
@@ -353,19 +320,6 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
             self._total_bytes += added
             return added
 
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        super().__setstate__(state)
-        if "_column_sizes" not in state:
-            # a ``store.pkl`` (format version 1) written before sizes were
-            # recorded at ``put``
-            self._column_sizes = {
-                column_id: column.nbytes
-                for column_id, (column, _refs) in self._columns.items()
-            }
-            self._total_bytes = sum(self._column_sizes.values()) + sum(
-                self._object_sizes.values()
-            )
-
     def get(self, vertex_id: str) -> Any:
         with self._lock:
             if vertex_id in self._objects:
@@ -409,39 +363,6 @@ class DedupArtifactStore(_LockedStateMixin, ArtifactStore):
         return self._total_bytes
 
     @property
-    def logical_bytes(self) -> int:
-        """Bytes the stored artifacts would occupy *without* deduplication.
-
-        This is the paper's "real size of the materialized artifacts"
-        (Figure 6), which for SA can exceed the physical budget severalfold.
-        """
-        with self._lock:
-            logical = sum(self._object_sizes.values())
-            for layout in self._frame_layout.values():
-                for _name, column_id in layout:
-                    logical += self._column_sizes[column_id]
-            return logical
-
-    @property
     def vertex_ids(self) -> set[str]:
         with self._lock:
             return set(self._frame_layout) | set(self._objects)
-
-    def incremental_size(self, payloads: Iterable[tuple[str, Any]]) -> int:
-        """Dry-run: physical bytes the given artifacts would add."""
-        with self._lock:
-            added = 0
-            simulated: set[str] = set()
-            for vertex_id, payload in payloads:
-                if vertex_id in self:
-                    continue
-                if not isinstance(payload, DataFrame):
-                    added += payload_size_bytes(payload)
-                    continue
-                for name in payload.columns:
-                    column = payload.column(name)
-                    if column.column_id in self._columns or column.column_id in simulated:
-                        continue
-                    simulated.add(column.column_id)
-                    added += column.nbytes
-            return added

@@ -212,9 +212,7 @@ def _run_swarm(_sources, args) -> None:
     )
     _print(
         f"  incremental merge: {stats.publish_dirty_vertices} dirty vertices over "
-        f"{stats.publishes} publishes (mean {stats.mean_dirty_per_publish:.1f}/publish); "
-        f"plan cache {stats.plan_cache_hits}/{stats.plan_cache_hits + stats.plan_cache_misses} "
-        f"hits ({stats.plan_cache_hit_rate:.0%})"
+        f"{stats.publishes} publishes (mean {stats.mean_dirty_per_publish:.1f}/publish)"
     )
     if result.shard_stats:
         _print(
@@ -222,13 +220,12 @@ def _run_swarm(_sources, args) -> None:
         )
         _print(
             f"    {'shard':>5} {'merged':>7} {'dirty/publish':>14} "
-            f"{'cache-hit':>10} {'queue':>6} {'peak':>5}"
+            f"{'queue':>6} {'peak':>5}"
         )
         for index, shard in enumerate(result.shard_stats):
             _print(
                 f"    {index:>5} {shard.merged_workloads:>7} "
                 f"{shard.mean_dirty_per_publish:>14.1f} "
-                f"{shard.plan_cache_hit_rate:>10.0%} "
                 f"{shard.queue_depth:>6} {shard.queue_peak:>5}"
             )
     _print_recorder("flight recorder", result.recorder_stats)

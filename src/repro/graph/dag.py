@@ -221,33 +221,6 @@ class WorkloadDAG:
     def topological_order(self) -> list[str]:
         return list(nx.topological_sort(self.graph))
 
-    def fingerprint(self) -> str:
-        """Digest of everything a reuse plan can depend on, workload-side.
-
-        Vertex ids are content addresses (sources + operation chain), so
-        the id set already pins the DAG's structure and operations; the
-        plan additionally depends on which vertices are ``computed``, on
-        the terminal list, and on edges deactivated by the local pruner.
-        Two workloads with equal fingerprints receive identical plans
-        against the same EG snapshot — this keys the service's plan cache.
-        """
-        digest = hashlib.sha256()
-        for vertex_id in sorted(self.graph.nodes):
-            digest.update(vertex_id.encode("utf-8"))
-            digest.update(b"\x01" if self.vertex(vertex_id).computed else b"\x00")
-        digest.update(b"\x00terminals")
-        for terminal in self.terminals:
-            digest.update(b"\x00")
-            digest.update(terminal.encode("utf-8"))
-        digest.update(b"\x00inactive")
-        for src, dst in sorted(self.graph.edges()):
-            if not self.graph.edges[src, dst].get("active", True):
-                digest.update(b"\x00")
-                digest.update(src.encode("utf-8"))
-                digest.update(b"\x00")
-                digest.update(dst.encode("utf-8"))
-        return digest.hexdigest()
-
     # ------------------------------------------------------------------
     # Edge activity (used by the local pruner)
     # ------------------------------------------------------------------

@@ -25,16 +25,6 @@ class ReusePlan:
     #: name of the algorithm that produced the plan (for experiment logs)
     algorithm: str = ""
 
-    def copy(self) -> "ReusePlan":
-        """Independent copy — the plan cache hands these out so one
-        caller mutating ``loads`` cannot poison later cache hits."""
-        return ReusePlan(
-            loads=set(self.loads),
-            recreation_costs=dict(self.recreation_costs),
-            estimated_cost=self.estimated_cost,
-            algorithm=self.algorithm,
-        )
-
     def plan_cost(self, workload: WorkloadDAG, eg, load_cost_model) -> float:
         """Objective value of the plan: load costs plus executed compute.
 

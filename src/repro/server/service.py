@@ -16,7 +16,7 @@ calling thread.  Steps 1-5 are the one client loop: this class *is* a
 :class:`~repro.service.client.ServiceClient` (``run_script`` /
 ``run_workspace`` are inherited) whose session is opened on a service it
 builds and owns.  What it adds is the single-tenant surface: ``eg``,
-``optimizer``, ``updater``, ``last_update_report``, ``compute_node`` and
+``updater``, ``last_update_report``, ``compute_node`` and
 ``run_baseline`` (the same script run eagerly with no optimizer, the
 paper's "KG"/"OML" baseline).
 """
@@ -34,7 +34,6 @@ from ..eg.updater import Updater, UpdateReport
 from ..materialization.base import Materializer
 from ..service.client import ServiceClient
 from ..service.core import EGService
-from .optimizer import Optimizer
 
 __all__ = ["CollaborativeOptimizer"]
 
@@ -62,22 +61,12 @@ class CollaborativeOptimizer(ServiceClient):
         self.load_cost_model = self.service.load_cost_model
         self.materializer = materializer
         self.reuse_algorithm = self.service.reuse_algorithm
-        # compatibility surface: an optimizer bound to the live working EG
-        # for callers that plan directly, bypassing snapshot isolation
-        self.optimizer = Optimizer(self.service.eg, self.reuse_algorithm, warmstarting)
 
     # ------------------------------------------------------------------
     @property
     def eg(self) -> ExperimentGraph:
         """The live working Experiment Graph (shared with the service)."""
         return self.service.eg
-
-    @eg.setter
-    def eg(self, eg: ExperimentGraph) -> None:
-        # swapping in a restored EG republishes it and rebinds the
-        # service's updater; the compat optimizer follows along
-        self.service.replace_eg(eg)
-        self.optimizer.eg = eg
 
     @property
     def updater(self) -> Updater:

@@ -27,7 +27,7 @@ import itertools
 import logging
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -63,15 +63,6 @@ __all__ = [
     "EGService",
     "default_load_cost_model",
 ]
-
-
-@dataclass(frozen=True)
-class _CachedPlan:
-    """Immutable cache entry: a private copy of one optimization result."""
-
-    plan: Any
-    warmstarts: tuple
-    planning_seconds: float
 
 
 def default_load_cost_model(store: ArtifactStore | None) -> LoadCostModel:
@@ -207,20 +198,16 @@ class EGService:
         batch_linger_s: float = 0.0,
         request_timeout_s: float = 30.0,
         background: bool = False,
-        plan_cache_size: int = 128,
         debug_cross_check: bool = False,
         flight_recorder: FlightRecorder | bool | None = None,
     ):
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
-        if plan_cache_size < 0:
-            raise ValueError("plan_cache_size must be non-negative")
         if eg is None and store is not None:
             eg = ExperimentGraph(store)
         self.versioned = VersionedExperimentGraph(eg=eg)
         #: with the debug flag, every materialization pass cross-checks the
         #: incremental utility index against a full recompute (O(graph))
-        self.debug_cross_check = debug_cross_check
         UtilityIndex.install(self.versioned.working, cross_check=debug_cross_check)
         self.load_cost_model = (
             load_cost_model
@@ -254,11 +241,6 @@ class EGService:
         self._commit_counter = 0
         self._log_lock = threading.Lock()
 
-        #: version-keyed plan cache: (workload fingerprint, snapshot
-        #: version) -> _CachedPlan, LRU-bounded; cleared on every publish
-        self._plan_cache: OrderedDict[tuple[str, int], _CachedPlan] = OrderedDict()
-        self._plan_cache_lock = threading.Lock()
-        self.plan_cache_size = plan_cache_size
         #: utility-index dirty totals already folded into the metrics
         self._utility_dirty_recorded = (0, 0)
 
@@ -386,36 +368,15 @@ class EGService:
     # Read side: snapshot-isolated planning
     # ------------------------------------------------------------------
     def plan(self, session_id: str, workload: WorkloadDAG) -> ServicePlan:
-        """Optimize a (pruned) workload against the latest EG snapshot.
-
-        Results are cached keyed by (workload DAG fingerprint, snapshot
-        version): a version names one immutable snapshot, materialized set
-        included, so a repeat of the same workload against an unchanged
-        snapshot skips the optimizer entirely.  The
-        cache is cleared on every publish; hits return defensive copies
-        with the load tiers re-read fresh (tier placement shifts
-        independently of the version chain).
-        """
+        """Optimize a (pruned) workload against the latest EG snapshot."""
         self._require_session(session_id)
         self._require_running()
         plan_started = time.perf_counter()
         with get_tracer().span("service.plan", session=session_id) as span:
             lease = self.versioned.acquire()
             try:
-                key = (workload.fingerprint(), lease.version)
-                cached = self._plan_cache_get(key)
-                if cached is not None:
-                    result = self._result_from_cache(cached, lease.eg)
-                    self._metrics.plan_cache_hits.inc()
-                    span.set_attribute("plan_cache", "hit")
-                else:
-                    optimizer = Optimizer(
-                        lease.eg, self.reuse_algorithm, self.warmstarting
-                    )
-                    result = optimizer.optimize(workload)
-                    self._plan_cache_put(key, result)
-                    self._metrics.plan_cache_misses.inc()
-                    span.set_attribute("plan_cache", "miss")
+                optimizer = Optimizer(lease.eg, self.reuse_algorithm, self.warmstarting)
+                result = optimizer.optimize(workload)
             except BaseException:
                 lease.release()
                 raise
@@ -426,52 +387,6 @@ class EGService:
             time.perf_counter() - plan_started, exemplar=span.context
         )
         return ServicePlan(session_id=session_id, result=result, lease=lease)
-
-    # ------------------------------------------------------------------
-    # Version-keyed plan cache
-    # ------------------------------------------------------------------
-    def _plan_cache_get(self, key: tuple[str, int]) -> _CachedPlan | None:
-        if self.plan_cache_size == 0:
-            return None
-        with self._plan_cache_lock:
-            entry = self._plan_cache.get(key)
-            if entry is not None:
-                self._plan_cache.move_to_end(key)
-            return entry
-
-    def _plan_cache_put(
-        self, key: tuple[str, int], result: OptimizationResult
-    ) -> None:
-        if self.plan_cache_size == 0:
-            return
-        entry = _CachedPlan(
-            plan=result.plan.copy(),
-            warmstarts=tuple(result.warmstarts),
-            planning_seconds=result.planning_seconds,
-        )
-        with self._plan_cache_lock:
-            self._plan_cache[key] = entry
-            self._plan_cache.move_to_end(key)
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
-
-    def _invalidate_plan_cache(self) -> None:
-        with self._plan_cache_lock:
-            self._plan_cache.clear()
-
-    @staticmethod
-    def _result_from_cache(
-        cached: _CachedPlan, eg: ExperimentGraph
-    ) -> OptimizationResult:
-        plan = cached.plan.copy()
-        return OptimizationResult(
-            plan=plan,
-            warmstarts=list(cached.warmstarts),
-            planning_seconds=0.0,
-            load_tiers={
-                vertex_id: eg.tier_of(vertex_id) for vertex_id in plan.loads
-            },
-        )
 
     # ------------------------------------------------------------------
     # Write side: bounded queue + batched merging
@@ -589,7 +504,6 @@ class EGService:
                 dirty = self.updater.pending_dirty
                 version = self.versioned.publish(dirty_vertices=dirty)
                 self.updater.clear_dirty()
-                self._invalidate_plan_cache()
                 self._metrics.publishes.inc()
                 self._metrics.publish_dirty_vertices.inc(len(dirty))
                 self._record_utility_dirty()
@@ -672,18 +586,6 @@ class EGService:
             index.total_cost_dirty,
             index.total_potential_dirty,
         )
-
-    def replace_eg(self, eg: ExperimentGraph) -> None:
-        """Swap in a different EG (e.g. restored from disk) and republish."""
-        self.versioned.replace(eg)
-        self.updater.eg = eg
-        # the full republish supersedes any accumulated dirt, and the new
-        # EG needs its own index built from its current state
-        self.updater.clear_dirty()
-        UtilityIndex.install(eg, cross_check=self.debug_cross_check)
-        self._utility_dirty_recorded = (0, 0)
-        self._invalidate_plan_cache()
-        self._metrics.publishes.inc()  # a full copy: no dirty vertices to count
 
     def commit_log(self) -> list[CommitRecord]:
         with self._log_lock:

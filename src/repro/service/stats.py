@@ -107,13 +107,9 @@ class ServiceStats:
     reuse_hits_total: int = _stat(
         "repro_service_reuse_hits_total", "plans with at least one EG load",
         session="reuse_hits")
-    #: plans served from / past the version-keyed plan cache
-    plan_cache_hits: int = _stat(
-        "repro_service_plan_cache_hits_total",
-        "plans served from the version-keyed plan cache", rollup="sum")
-    plan_cache_misses: int = _stat(
-        "repro_service_plan_cache_misses_total",
-        "plans that ran the optimizer (cache miss or cache disabled)", rollup="sum")
+    #: read by benchmarks/e2e/; there is no plan cache
+    plan_cache_hits: int = 0
+    plan_cache_misses: int = 0
     #: snapshot publishes, and dirty vertices cloned across COW publishes
     publishes: int = _stat(
         "repro_service_publishes_total", "EG snapshot publishes", rollup="sum")
@@ -148,11 +144,6 @@ class ServiceStats:
     @property
     def reuse_hit_rate(self) -> float:
         return self.reuse_hits_total / self.plans_total if self.plans_total else 0.0
-
-    @property
-    def plan_cache_hit_rate(self) -> float:
-        attempts = self.plan_cache_hits + self.plan_cache_misses
-        return self.plan_cache_hits / attempts if attempts else 0.0
 
     @property
     def mean_dirty_per_publish(self) -> float:

@@ -82,7 +82,7 @@ class ServiceMetrics:
         )
         self.plan_seconds = histogram(
             "repro_service_plan_seconds",
-            "service-side plan latency (cache hits included)",
+            "service-side plan latency",
         )
         self.merge_batch_seconds = histogram(
             "repro_service_merge_batch_seconds", "wall seconds per merge batch"

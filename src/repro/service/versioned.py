@@ -198,13 +198,6 @@ class VersionedExperimentGraph:
                 span.set_attribute("version", self._version)
                 return self._version
 
-    def replace(self, eg: ExperimentGraph) -> int:
-        """Swap in a different working EG (e.g. one restored from disk)."""
-        self._working = eg
-        with self._lock:
-            self._deferred.clear()
-        return self.publish()
-
     def defer_unmaterialize(self, vertex_id: str) -> int:
         """Eviction hook for the batch updater.
 

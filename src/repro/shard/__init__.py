@@ -9,7 +9,7 @@ The scale-out layer over the single-graph service stack:
   stubs, with composed union / utility / flatten;
 * :mod:`repro.shard.service` — :class:`ProcessShardCoordinator`, the one
   routing and plan-stitching coordinator over N shard worker processes
-  (one merge worker + snapshot chain + plan cache per shard);
+  (one merge worker + snapshot chain per shard);
 * :mod:`repro.shard.proc` — :class:`ShardWorkerProcess`, which hosts one
   shard's ``EGService`` behind the binary transport, and
   :class:`RemoteShard`, the ``EGService``-shaped handle the coordinator

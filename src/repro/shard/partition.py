@@ -14,10 +14,6 @@ The composition contract — the reason partitioning is safe:
   a shared global workload index (``WorkloadDAG.global_index``) keeps
   ``frequency``/``last_seen`` bookkeeping bit-identical to a single-graph
   replay.
-* **utility** composes through a stitched topological pass:
-  :meth:`recreation_costs` / :meth:`potentials` walk partition graphs and
-  stubs together and are bit-identical to the flattened graph's own
-  passes (same ancestor sets, same exactly-rounded ``math.fsum``).
 * **materialization** composes with *boundary semantics*: each
   partition's materializer sees only its own sub-graph, treating
   stub inputs as available — a defined distributed approximation that is
@@ -26,15 +22,17 @@ The composition contract — the reason partitioning is safe:
 
 :meth:`flatten` reconstitutes the single-graph view (partition vertices
 plus stub edges) for equivalence checks, fingerprinting, and handing the
-graph to single-graph tooling.
+graph to single-graph tooling.  The sharded coordinator's instance keeps
+its partitions empty — the worker processes own the contents — and uses
+it for routing, stubs and the global commit counter only; a graph read
+back by :func:`~repro.shard.persistence.load_partitioned_eg` serves
+:meth:`flatten`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from math import fsum
-from typing import Any
 
 from ..eg.graph import ExperimentGraph
 from ..eg.storage import ArtifactStore
@@ -184,22 +182,7 @@ class PartitionedExperimentGraph:
     # ------------------------------------------------------------------
     def partition_of(self, vertex_id: str) -> int | None:
         with self._lock:
-            owner = self._owner.get(vertex_id)
-        if owner is not None:
-            return owner
-        for index, partition in enumerate(self.partitions):
-            if vertex_id in partition:
-                return index
-        return None
-
-    def __contains__(self, vertex_id: str) -> bool:
-        return any(vertex_id in partition for partition in self.partitions)
-
-    def vertex(self, vertex_id: str):
-        partition = self.partition_of(vertex_id)
-        if partition is None:
-            raise KeyError(f"unknown vertex {vertex_id[:12]}")
-        return self.partitions[partition].vertex(vertex_id)
+            return self._owner.get(vertex_id)
 
     def stubs(self) -> list[EdgeStub]:
         with self._lock:
@@ -209,20 +192,6 @@ class PartitionedExperimentGraph:
     def stub_count(self) -> int:
         with self._lock:
             return len(self._stubs)
-
-    @property
-    def num_vertices(self) -> int:
-        return sum(partition.num_vertices for partition in self.partitions)
-
-    def partition_vertex_counts(self) -> list[int]:
-        return [partition.num_vertices for partition in self.partitions]
-
-    def materialized_ids(self) -> set[str]:
-        """Union of every partition's materialized set (disjoint by owner)."""
-        materialized: set[str] = set()
-        for partition in self.partitions:
-            materialized |= partition.materialized_ids()
-        return materialized
 
     # ------------------------------------------------------------------
     # Flattening (single-graph view)
@@ -261,89 +230,3 @@ class PartitionedExperimentGraph:
                 )
         flat.workloads_observed = self.workloads_observed
         return flat
-
-    # ------------------------------------------------------------------
-    # Composed derived quantities (stitched topological passes)
-    # ------------------------------------------------------------------
-    def _stitched_adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """Parents/children maps over partition edges *and* stubs."""
-        parents: dict[str, list[str]] = {}
-        children: dict[str, list[str]] = {}
-        for partition in self.partitions:
-            for vertex_id in partition.graph.nodes:
-                parents[vertex_id] = list(partition.graph.predecessors(vertex_id))
-                children[vertex_id] = list(partition.graph.successors(vertex_id))
-        with self._lock:
-            stubs = list(self._stubs.values())
-        for stub in stubs:
-            if stub.src in parents and stub.dst in parents:
-                parents[stub.dst].append(stub.src)
-                children[stub.src].append(stub.dst)
-        return parents, children
-
-    def recreation_costs(self) -> dict[str, float]:
-        """C_r(v) composed across partitions — bit-identical to
-        ``flatten().recreation_costs()``.
-
-        Same ancestor-set topological pass as
-        :meth:`~repro.eg.graph.ExperimentGraph.recreation_costs`, walking
-        partition edges and stubs together; :func:`math.fsum` is exactly
-        rounded, hence independent of summation order, so equality with
-        the flat pass is exact, not approximate.
-        """
-        parents, children = self._stitched_adjacency()
-        compute_time = {
-            vertex_id: partition.vertex(vertex_id).compute_time
-            for partition in self.partitions
-            for vertex_id in partition.graph.nodes
-        }
-        in_degree = {vertex_id: len(parents[vertex_id]) for vertex_id in parents}
-        ready = [vertex_id for vertex_id, degree in in_degree.items() if degree == 0]
-        ancestors: dict[str, frozenset[str]] = {}
-        costs: dict[str, float] = {}
-        processed = 0
-        while ready:
-            vertex_id = ready.pop()
-            processed += 1
-            merged: set[str] = set()
-            for parent in parents[vertex_id]:
-                merged |= ancestors[parent]
-                merged.add(parent)
-            ancestors[vertex_id] = frozenset(merged)
-            costs[vertex_id] = fsum(
-                [compute_time[vertex_id]]
-                + [compute_time[ancestor] for ancestor in merged]
-            )
-            for child in children[vertex_id]:
-                in_degree[child] -= 1
-                if in_degree[child] == 0:
-                    ready.append(child)
-        if processed != len(parents):
-            raise ValueError("stitched partition graph contains a cycle")
-        return costs
-
-    def potentials(self) -> dict[str, float]:
-        """p(v) composed across partitions — matches ``flatten().potentials()``."""
-        parents, children = self._stitched_adjacency()
-        out_degree = {vertex_id: len(children[vertex_id]) for vertex_id in children}
-        ready = [vertex_id for vertex_id, degree in out_degree.items() if degree == 0]
-        potential: dict[str, float] = {}
-        while ready:
-            vertex_id = ready.pop()
-            vertex = self.vertex(vertex_id)
-            best = vertex.quality if vertex.is_model else 0.0
-            for child in children[vertex_id]:
-                best = max(best, potential[child])
-            potential[vertex_id] = best
-            for parent in parents[vertex_id]:
-                out_degree[parent] -= 1
-                if out_degree[parent] == 0:
-                    ready.append(parent)
-        return potential
-
-    # ------------------------------------------------------------------
-    def store_statistics(self) -> dict[str, Any]:
-        return {
-            f"partition{index}": partition.store_statistics()
-            for index, partition in enumerate(self.partitions)
-        }

@@ -45,8 +45,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable
 
-from ..eg.graph import ExperimentGraph
-from ..eg.persistence import load_eg
 from ..graph.dag import WorkloadDAG
 from ..obs.metrics import MetricsRegistry
 from ..service.core import CommitResult
@@ -116,12 +114,10 @@ def _shard_worker_main(spec: WorkerSpec, conn: Any) -> None:
     """
     from ..materialization.simple import MaterializeAll
     from ..service.core import EGService
-    from ..transport.shardops import serve_one_shard
+    from ..transport.shardops import load_checkpoint, serve_one_shard
 
     partition_path = spec.partition_path
-    eg: ExperimentGraph | None = None
-    if partition_path is not None and (partition_path / "graph.json").exists():
-        eg = load_eg(partition_path)
+    eg = load_checkpoint(partition_path) if partition_path is not None else None
     service = EGService(
         MaterializeAll(),
         eg=eg,

@@ -3,8 +3,7 @@
 :class:`ProcessShardCoordinator` coordinates N shards, each one full
 :class:`~repro.service.core.EGService` — its own merge worker, its own
 :class:`~repro.service.versioned.VersionedExperimentGraph` snapshot chain,
-and its own version-keyed plan cache — in its own worker process, over the
-partitions of one
+in its own worker process, over the partitions of one
 :class:`~repro.shard.partition.PartitionedExperimentGraph`.  The
 coordinator talks to each worker through a
 :class:`~repro.shard.proc.RemoteShard`, which answers the slice of the
@@ -25,7 +24,7 @@ global ordering:
   order.  That is the invariant behind the bit-identical-convergence
   guarantee (each shard's sub-graph replays exactly the flat sequence).
 * **plan** — a workload whose lineage lives on one shard is delegated to
-  that shard's service (snapshot lease, plan cache and all).  A workload
+  that shard's service (snapshot lease and all).  A workload
   spanning shards gets a :class:`StitchedSnapshot`: one snapshot view per
   involved shard, vertex resolution through the owner map, with every
   non-home shard's artifacts priced as remote — reported at
@@ -536,11 +535,9 @@ class ProcessShardCoordinator:
     def plan(self, session_id: str, workload: WorkloadDAG) -> ServicePlan:
         """Optimize a workload against the shard(s) owning its lineage.
 
-        Single-shard lineages delegate to that shard's service — snapshot
-        lease, version-keyed plan cache and all.  Multi-shard lineages
-        plan once at the coordinator over a :class:`StitchedSnapshot`
-        (counted as a coordinator plan-cache miss: stitched plans are not
-        cached because their key would span N independent version chains).
+        Single-shard lineages delegate to that shard's service, snapshot
+        lease and all.  Multi-shard lineages plan once at the coordinator
+        over a :class:`StitchedSnapshot`.
         """
         shard_ids = self._require_session(session_id)
         self._require_running()
@@ -585,7 +582,6 @@ class ProcessShardCoordinator:
             for lease in leases.values():
                 lease.release()
             raise
-        self._metrics.plan_cache_misses.inc()
         self._metrics.count_plan(session_id, len(result.plan.loads))
         remote = sum(
             1
@@ -721,7 +717,7 @@ class ProcessShardCoordinator:
         self._metrics.retries_total.inc(session=session_id)
 
     def shard_stats(self) -> list[ServiceStats]:
-        """Each shard's own frozen stats (plan caches, queues, merges)."""
+        """Each shard's own frozen stats (queues, merges)."""
         return [shard.stats() for shard in self.shards]
 
     def stats(self) -> ServiceStats:
@@ -730,7 +726,7 @@ class ProcessShardCoordinator:
         Request-shaped counters (plans, commits, rejections, retries,
         latencies, sessions) come from the coordinator recorder — it sees
         every request exactly once.  Merge-shaped counters (batches,
-        merge seconds, publishes, dirty totals, plan caches, queues) sum
+        merge seconds, publishes, dirty totals, queues) sum
         over the shards, with maxima taken for the ``max_*`` gauges and
         the queue peak.
         """
@@ -816,7 +812,6 @@ class ProcessShardCoordinator:
                     "queue_peak": stats.queue_peak,
                     "batches": stats.batches,
                     "merged_workloads": stats.merged_workloads,
-                    "plan_cache_hit_rate": stats.plan_cache_hit_rate,
                 }
                 for index, stats in enumerate(self.shard_stats())
             ],

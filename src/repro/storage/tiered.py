@@ -12,7 +12,7 @@ of a cold vertex reads it back from disk and *promotes* it (the read is a
 Deduplication is column-granular across both tiers, exactly as in
 :class:`~repro.eg.storage.DedupArtifactStore`: a column shared by several
 materialized artifacts occupies one slot in RAM while hot and one file on
-disk once demoted, and ``put``/``incremental_size``/``total_bytes`` report
+disk once demoted, and ``put``/``total_bytes`` report
 the same byte accounting as the in-memory dedup store — tier placement
 never changes *what* is materialized, only *where* it lives and what a
 retrieval costs.
@@ -49,13 +49,12 @@ import time
 import weakref
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from ..dataframe import Column, DataFrame
 from ..eg.storage import (
     ArtifactStore,
     StorageTier,
-    _LockedStateMixin,
     check_not_divergent,
 )
 from ..graph.artifacts import payload_size_bytes
@@ -69,7 +68,7 @@ __all__ = ["TieredArtifactStore"]
 _UNSET = object()
 
 
-class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
+class TieredArtifactStore(ArtifactStore):
     """Column-deduplicating store split across a RAM and a disk tier."""
 
     def __init__(
@@ -270,25 +269,6 @@ class TieredArtifactStore(_LockedStateMixin, ArtifactStore):
     @property
     def vertex_ids(self) -> set[str]:
         return set(self._tier)
-
-    def incremental_size(self, payloads: Iterable[tuple[str, Any]]) -> int:
-        """Dry-run: physical bytes the given artifacts would add."""
-        with self._lock:
-            added = 0
-            simulated: set[str] = set()
-            for vertex_id, payload in payloads:
-                if vertex_id in self._tier:
-                    continue
-                if not isinstance(payload, DataFrame):
-                    added += payload_size_bytes(payload)
-                    continue
-                for name in payload.columns:
-                    column = payload.column(name)
-                    if column.column_id in self._column_sizes or column.column_id in simulated:
-                        continue
-                    simulated.add(column.column_id)
-                    added += column.nbytes
-            return added
 
     # ------------------------------------------------------------------
     # Tier reporting and instrumentation

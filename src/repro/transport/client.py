@@ -550,8 +550,8 @@ class RemoteService:
             pass  # a dead or stopped server's sessions died with it
 
     def plan(self, session_id: str, workload: WorkloadDAG) -> ServicePlan:
-        """The ``plan`` op (the server's snapshot lease, version-keyed
-        plan cache and all), rebuilt over the loads it shipped.  The
+        """The ``plan`` op (the server's snapshot lease and all), rebuilt
+        over the loads it shipped.  The
         server keeps the workload until the commit; the reply's ``need``
         names what the workload already held whose payload the commit
         must still carry (sources the server does not store)."""

@@ -27,12 +27,14 @@ transport server; it is the in-process half of the worker entrypoint
 
 from __future__ import annotations
 
+import logging
 import shutil
 import threading
 from pathlib import Path
 from typing import Any, Callable
 
-from ..eg.persistence import save_eg
+from ..eg.graph import ExperimentGraph
+from ..eg.persistence import load_eg, save_eg
 from ..service.errors import RequestTimeoutError
 from .server import AsyncTransportServer
 from .wire import (
@@ -44,6 +46,8 @@ from .wire import (
 )
 
 __all__ = ["ShardCommitSequencer", "ShardRequestBridge", "serve_one_shard"]
+
+logger = logging.getLogger(__name__)
 
 #: how long a commit handler waits for a missing predecessor sequence
 #: number before declaring the stream stalled (a lost frame here means
@@ -135,7 +139,13 @@ class ShardRequestBridge:
             lambda: self.service.submit_update(session_id, piece, label=label),
         )
         result = ticket.wait(self.service.request_timeout_s)
-        self._maybe_checkpoint()
+        try:
+            self._maybe_checkpoint()
+        except OSError:
+            # the piece is merged and its index is the coordinator's: a
+            # failed checkpoint must not turn it into a rejected commit;
+            # the next due checkpoint retries
+            logger.exception("shard %d checkpoint failed", self.shard_index)
         return encode_commit_reply(result)
 
     def _shard_snapshot(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -223,6 +233,21 @@ def _save_eg_atomic(eg: Any, target: Path) -> None:
         target.rename(old)
     tmp.rename(target)
     shutil.rmtree(old, ignore_errors=True)
+
+
+def load_checkpoint(target: Path) -> ExperimentGraph | None:
+    """The EG last checkpointed at ``target``; ``None`` if there is none.
+
+    A worker killed between the two renames of :func:`_save_eg_atomic`
+    leaves the previous checkpoint at ``.old`` and nothing at ``target``;
+    it is moved back before the read.
+    """
+    old = target.with_name(target.name + ".old")
+    if not target.exists() and old.exists():
+        old.rename(target)
+    if not (target / "graph.json").exists():
+        return None
+    return load_eg(target)
 
 
 def serve_one_shard(

@@ -142,12 +142,12 @@ class TestPersistence:
             dag.vertex(step).record_result(shared, compute_time=1.0)
             dag.mark_terminal(step)
         Updater(eg, MaterializeAll()).update(dag)
-        assert eg.store.total_bytes < eg.store.logical_bytes
+        logical = eg.materialized_artifact_bytes(include_sources=True)
+        assert eg.store.total_bytes < logical
 
         save_eg(eg, tmp_path)
         restored = load_eg(tmp_path)
         assert restored.store.total_bytes == eg.store.total_bytes
-        assert restored.store.logical_bytes == eg.store.logical_bytes
         # shared columns serialized once on disk: one .npy per distinct
         # lineage id, not one per (vertex, column)
         column_files = list((tmp_path / "store" / "columns").glob("*.npy"))
@@ -202,8 +202,8 @@ class TestPersistence:
         with pytest.raises(EGPersistenceError, match="corrupt"):
             load_eg(tmp_path)
 
-    def test_legacy_v1_roundtrip(self, tmp_path):
-        # a v1 directory (whole store pickled as store.pkl) still loads
+    def test_legacy_v1_is_refused(self, tmp_path):
+        # a v1 directory (whole store pickled as store.pkl) no longer loads
         eg = populated_eg()
         save_eg(eg, tmp_path)
         graph_file = tmp_path / "graph.json"
@@ -211,32 +211,10 @@ class TestPersistence:
         document["version"] = 1
         graph_file.write_text(json.dumps(document))
         with (tmp_path / "store.pkl").open("wb") as handle:
-            pickle.dump(eg.store, handle)
-        restored = load_eg(tmp_path)
-        for vertex_id in eg.materialized_ids():
-            assert restored.load(vertex_id) == eg.load(vertex_id)
-
-    def test_legacy_v1_missing_pickle(self, tmp_path):
-        eg = populated_eg()
-        save_eg(eg, tmp_path)
-        graph_file = tmp_path / "graph.json"
-        document = json.loads(graph_file.read_text())
-        document["version"] = 1
-        graph_file.write_text(json.dumps(document))
-        with pytest.raises(EGPersistenceError) as excinfo:
+            pickle.dump(eg.materialized_ids(), handle)
+        with pytest.raises(EGPersistenceError, match="version 1") as excinfo:
             load_eg(tmp_path)
-        assert excinfo.value.path == tmp_path / "store.pkl"
-
-    def test_legacy_v1_corrupt_pickle(self, tmp_path):
-        eg = populated_eg()
-        save_eg(eg, tmp_path)
-        graph_file = tmp_path / "graph.json"
-        document = json.loads(graph_file.read_text())
-        document["version"] = 1
-        graph_file.write_text(json.dumps(document))
-        (tmp_path / "store.pkl").write_bytes(b"\x80\x04 garbage")
-        with pytest.raises(EGPersistenceError, match="corrupt"):
-            load_eg(tmp_path)
+        assert excinfo.value.path == graph_file
 
     def test_quality_survives(self, tmp_path):
         eg = populated_eg()

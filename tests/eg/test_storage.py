@@ -60,13 +60,6 @@ class TestSimpleStore:
         assert "v1" in store
         assert store.vertex_ids == {"v1"}
 
-    def test_incremental_size_dry_run(self):
-        store = SimpleArtifactStore()
-        store.put("v1", np.zeros(10))
-        planned = [("v1", np.zeros(10)), ("v2", np.zeros(10))]
-        assert store.incremental_size(planned) == 80
-        assert store.total_bytes == 80  # dry run did not commit
-
 
 def frame_with_ids(spec: dict[str, tuple[str, int]]) -> DataFrame:
     """Build a frame from {name: (column_id, n_values)}."""
@@ -86,7 +79,6 @@ class TestDedupStore:
         assert added_a == 1600
         assert added_b == 800  # 'shared' not charged again
         assert store.total_bytes == 2400
-        assert store.logical_bytes == 3200
 
     def test_get_reconstructs_frame(self):
         store = DedupArtifactStore()
@@ -118,16 +110,6 @@ class TestDedupStore:
         assert np.array_equal(store.get("m"), np.zeros(10))
         assert store.remove("m") == 80
 
-    def test_incremental_size_counts_shared_once(self):
-        store = DedupArtifactStore()
-        store.put("a", frame_with_ids({"x": ("c1", 100)}))
-        planned = [
-            ("b", frame_with_ids({"x": ("c1", 100), "y": ("c2", 100)})),
-            ("c", frame_with_ids({"y": ("c2", 100), "z": ("c3", 100)})),
-        ]
-        # c1 already stored; c2 shared between planned frames counted once
-        assert store.incremental_size(planned) == 1600
-
     def test_missing_get_raises(self):
         with pytest.raises(KeyError):
             DedupArtifactStore().get("nope")
@@ -156,26 +138,11 @@ class TestDedupStore:
         expected = words.nbytes + 16 + 80
         words.values[0] = "grown after the put"
         assert store.total_bytes == expected
-        assert store.logical_bytes == expected + (expected - 16 - 80)
         same = Column("again", np.array(["ab", "cde"], dtype=object))
         assert store.put("b", DataFrame([same])) == 0  # signature: recorded sizes
         assert store.remove("a") == 16  # the words column is still b's
         assert store.remove("b") + store.remove("m") == expected - 16
-        assert store.total_bytes == store.logical_bytes == 0
-
-    def test_store_pickled_before_sizes_were_recorded_still_counts(self):
-        """Format version 1 persists the whole store as one pickle."""
-        store = DedupArtifactStore()
-        store.put("a", frame_with_ids({"x": ("shared", 100), "y": ("only_a", 100)}))
-        store.put("b", frame_with_ids({"x": ("shared", 100)}))
-        store.put("m", np.zeros(10))
-        state = store.__getstate__()
-        del state["_column_sizes"], state["_total_bytes"]
-        older = DedupArtifactStore.__new__(DedupArtifactStore)
-        older.__setstate__(state)
-        assert older.total_bytes == store.total_bytes == 1680
-        assert older.logical_bytes == store.logical_bytes == 2480
-        assert older.remove("a") == 800
+        assert store.total_bytes == 0
 
 
 class TestDivergenceDetection:

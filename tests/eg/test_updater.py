@@ -267,9 +267,6 @@ class ForwardingStore(ArtifactStore):
     def vertex_ids(self):
         return self.inner.vertex_ids
 
-    def incremental_size(self, payloads):
-        return self.inner.incremental_size(payloads)
-
     def tier_of(self, vertex_id):
         return self.inner.tier_of(vertex_id)
 

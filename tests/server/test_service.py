@@ -20,6 +20,7 @@ from repro.ml import (
     roc_auc_score,
 )
 from repro.reuse import AllMaterializedReuse, HelixReuse, LinearReuse, NoReuse
+from repro.server.optimizer import Optimizer
 from repro.server.service import CollaborativeOptimizer
 from repro.storage import TieredArtifactStore, TieredLoadCostModel
 
@@ -291,6 +292,6 @@ class TestTieredStoreIntegration:
         co.run_script(basic_script, sources)
         workspace = parse_workload(basic_script, sources)
         prune_workload(workspace.dag)
-        result = co.optimizer.optimize(workspace.dag)
+        result = Optimizer(co.eg, co.reuse_algorithm).optimize(workspace.dag)
         assert result.plan.loads
         assert result.planned_cold_loads == len(result.plan.loads)

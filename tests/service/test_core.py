@@ -343,91 +343,23 @@ class TestStats:
                 stats.plans_total = 5
 
 
-class TestPlanCache:
-    def test_repeat_plan_hits_cache(self):
-        with EGService(MaterializeAll()) as service:
-            session = service.open_session()
-            service.commit(session.session_id, executed_workload(3))
-            with service.plan(session.session_id, query_workload(3)) as first:
-                loads = set(first.result.plan.loads)
-            assert loads  # the plan actually reuses EG artifacts
-            with service.plan(session.session_id, query_workload(3)) as second:
-                assert set(second.result.plan.loads) == loads
-                assert second.result.planning_seconds == 0.0
-            stats = service.stats()
-            assert stats.plan_cache_misses == 1
-            assert stats.plan_cache_hits == 1
-            assert stats.plan_cache_hit_rate == 0.5
-
-    def test_distinct_workloads_take_distinct_keys(self):
-        with EGService(MaterializeAll()) as service:
-            session = service.open_session()
-            service.commit(session.session_id, executed_workload(3))
-            with service.plan(session.session_id, query_workload(2)):
-                pass
-            with service.plan(session.session_id, query_workload(3)):
-                pass
-            stats = service.stats()
-            assert stats.plan_cache_misses == 2
-            assert stats.plan_cache_hits == 0
-
-    def test_commit_invalidates_cache(self):
-        with EGService(MaterializeAll()) as service:
-            session = service.open_session()
-            service.commit(session.session_id, executed_workload(2))
-            for _ in range(2):
-                with service.plan(session.session_id, query_workload(2)):
-                    pass
-            assert service.stats().plan_cache_hits == 1
-            # a publish moves the snapshot version: the cached entry is gone
-            service.commit(session.session_id, executed_workload(4))
-            with service.plan(session.session_id, query_workload(2)):
-                pass
-            stats = service.stats()
-            assert stats.plan_cache_misses == 2
-            assert stats.plan_cache_hits == 1
-
-    def test_versions_differing_only_in_materialized_set_never_share_an_entry(self):
+class TestPlan:
+    def test_plan_reads_the_materialized_set_of_its_version(self):
         with EGService(MaterializeAll()) as service:
             session = service.open_session()
             service.commit(session.session_id, executed_workload(3))
             with service.plan(session.session_id, query_workload(3)) as first:
                 loads = set(first.result.plan.loads)
                 version = first.version
-            assert loads
-            # the next version differs in nothing but the materialized set,
-            # and is published behind the service's back, so nothing clears
-            # the cache: the version in the key is all that separates them
+            assert loads  # the plan actually reuses EG artifacts
+            # the next version differs in nothing but the materialized set
             for vertex_id in loads:
                 service.eg.deselect(vertex_id)
             service.versioned.publish()
             with service.plan(session.session_id, query_workload(3)) as second:
                 assert second.version == version + 1
                 assert not set(second.result.plan.loads) & loads
-            stats = service.stats()
-            assert stats.plan_cache_misses == 2
-            assert stats.plan_cache_hits == 0
-
-    def test_cached_plan_is_defensively_copied(self):
-        with EGService(MaterializeAll()) as service:
-            session = service.open_session()
-            service.commit(session.session_id, executed_workload(3))
-            with service.plan(session.session_id, query_workload(3)) as first:
-                first.result.plan.loads.add("poisoned")
-            with service.plan(session.session_id, query_workload(3)) as second:
-                assert "poisoned" not in second.result.plan.loads
-            assert service.stats().plan_cache_hits == 1
-
-    def test_zero_size_disables_cache(self):
-        with EGService(MaterializeAll(), plan_cache_size=0) as service:
-            session = service.open_session()
-            service.commit(session.session_id, executed_workload(2))
-            for _ in range(2):
-                with service.plan(session.session_id, query_workload(2)):
-                    pass
-            stats = service.stats()
-            assert stats.plan_cache_hits == 0
-            assert stats.plan_cache_misses == 2
+            assert service.stats().plans_total == 2
 
 
 class TestIncrementalPublish:
@@ -506,22 +438,18 @@ class TestMaintainedSelection:
             # every select above was asserted equal to the greedy loop's answer
             assert service.eg.utility_index.cross_checks_passed == 8
 
-    def test_replace_eg_rebuilds_the_maintained_state(self):
+    def test_restored_eg_builds_its_own_maintained_state(self):
         from repro.eg import ExperimentGraph, Updater
+        from repro.materialization import StorageAwareMaterializer
 
-        service, materializer = self._service(10**9)
+        restored = ExperimentGraph()
+        Updater(restored, MaterializeAll()).update(executed_workload(6, source="other"))
+        materializer = StorageAwareMaterializer(budget_bytes=10**9)
+        service = EGService(materializer, eg=restored, debug_cross_check=True)
         with service:
             session = service.open_session().session_id
-            service.commit(session, executed_workload(3, source="old"))
-            service.commit(session, executed_workload(2, source="older"))
-            assert materializer.last_scored < service.eg.num_vertices
-
-            other = ExperimentGraph()
-            Updater(other, MaterializeAll()).update(executed_workload(6, source="other"))
-            service.replace_eg(other)
             service.commit(session, executed_workload(2, source="new"))
-            # a different index: every vertex was dirty, and the answer is
-            # the restored EG's, not a mix with the replaced one's
+            # the index is built from the restored EG: every vertex was dirty
             assert materializer.last_scored == service.eg.num_vertices == 10
             assert len(service.eg.stored_ids()) == 8
             service.commit(session, executed_workload(1, source="new"))

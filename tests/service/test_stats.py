@@ -175,7 +175,7 @@ class TestFieldTable:
                 assert getattr(session, spec.metadata["session"]) == position
 
     def test_roll_up_sums_and_maxes_over_shards(self):
-        own = ServiceStats(version=7, plans_total=3, plan_cache_misses=1)
+        own = ServiceStats(version=7, plans_total=3, publishes=1)
         shards = [
             ServiceStats(
                 version=4,
@@ -184,7 +184,7 @@ class TestFieldTable:
                 max_batch_size=3,
                 queue_capacity=64,
                 queue_peak=5,
-                plan_cache_misses=2,
+                publishes=2,
                 merge_seconds_total=0.5,
                 max_merge_seconds=0.4,
             ),
@@ -205,7 +205,7 @@ class TestFieldTable:
         # merge-shaped fields sum / max over coordinator + shards
         assert (combined.batches, combined.queue_capacity) == (3, 128)
         assert (combined.max_batch_size, combined.queue_peak) == (3, 5)
-        assert combined.plan_cache_misses == 3
+        assert combined.publishes == 3
         assert combined.merge_seconds_total == 0.75
         assert combined.max_merge_seconds == 0.4
 

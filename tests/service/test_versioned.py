@@ -83,15 +83,6 @@ class TestVersioning:
         lease.release()  # second release is a no-op
         assert versioned.pinned_leases == 0
 
-    def test_replace_swaps_working_and_republishes(self):
-        versioned = VersionedExperimentGraph(eg=populated_eg())
-        replacement = populated_eg(5)
-        version = versioned.replace(replacement)
-        assert versioned.working is replacement
-        assert version == versioned.version == 1
-        with versioned.acquire() as lease:
-            assert lease.eg.num_vertices == replacement.num_vertices
-
 
 class TestDeferredEviction:
     def test_unpinned_eviction_waits_for_publish(self):

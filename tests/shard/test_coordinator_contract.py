@@ -246,7 +246,7 @@ class TestContract:
         assert "repro_shard_remote_planned_loads_total" in text
         assert "# source: shard0 worker" in text
 
-    def test_single_shard_plan_uses_shard_cache(self, service):
+    def test_single_shard_plan_delegates_to_the_shard(self, service):
         session = service.open_session("planner")
         service.commit(session.session_id, make_workload(0), label="seed")
         for _ in range(2):
@@ -255,7 +255,7 @@ class TestContract:
             ) as plan:
                 assert plan.result.plan.loads
                 assert not isinstance(plan.eg, StitchedSnapshot)
-        assert service.stats().plan_cache_hits >= 1
+        assert service.stats().plans_total == 2
 
     def test_ticket_wait_shares_one_deadline(self, service):
         """One deadline across the pieces; a timeout does not finalise."""
@@ -408,7 +408,6 @@ class TestContract:
                 "queue_peak",
                 "batches",
                 "merged_workloads",
-                "plan_cache_hit_rate",
             }
         ] * N_SHARDS
         assert all(shard["merged_workloads"] == 1 for shard in info["shards"])

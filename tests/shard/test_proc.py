@@ -4,6 +4,8 @@ What holds for every shard kind is in ``test_coordinator_contract.py``;
 this file keeps what only worker processes have.
 """
 
+import errno
+import shutil
 import threading
 import time
 from types import SimpleNamespace
@@ -13,12 +15,14 @@ import pytest
 
 from repro.dataframe import DataFrame
 from repro.eg.graph import ExperimentGraph
+from repro.eg.persistence import load_eg
 from repro.eg.updater import Updater
 from repro.experiments.swarm import eg_fingerprint
 from repro.graph.dag import WorkloadDAG
 from repro.graph.operations import DataOperation
 from repro.materialization.simple import MaterializeAll
 from repro.obs.metrics import MetricsRegistry
+from repro.service import EGService
 from repro.service.errors import ShardUnavailableError
 from repro.shard import (
     ProcessShardCoordinator,
@@ -26,6 +30,8 @@ from repro.shard import (
     WorkerSpec,
     balanced_source_names,
 )
+from repro.transport import shardops
+from repro.transport.wire import encode_workload
 
 NAMES = balanced_source_names(2, 2)
 
@@ -230,6 +236,59 @@ class TestProcessShardCoordinator:
             assert coordinator.shard_stats()[0].open_sessions == 0
         finally:
             coordinator.stop()
+
+
+class TestCheckpoints:
+    def test_failed_checkpoint_keeps_the_merged_commit(self, tmp_path, monkeypatch):
+        """A checkpoint that fails after the merge (a full disk) must not
+        turn the merged piece into an error reply: the coordinator would
+        finalise it as rejected while the worker's EG holds it."""
+
+        def disk_full(_eg, _target):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(shardops, "_save_eg_atomic", disk_full)
+        with EGService(MaterializeAll()) as service:
+            bridge = shardops.ShardRequestBridge(
+                service, 0, persist_path=tmp_path / "partition0", checkpoint_every=1
+            )
+            session = service.open_session("writer").session_id
+            piece = make_workload(0, 1)
+            reply = bridge.handlers["shard.commit"](
+                {
+                    "workload": encode_workload(piece, include_payloads=True),
+                    "seq": 1,
+                    "session_id": session,
+                    "label": "a",
+                }
+            )
+            assert reply["commit_index"] == 1
+            assert [record.label for record in service.commit_log()] == ["a"]
+            assert all(vertex_id in service.eg for vertex_id in piece.graph.nodes)
+
+    def test_checkpoint_torn_between_its_renames_reopens(self, tmp_path) -> None:
+        """A worker killed between the swap's two renames leaves its last
+        checkpoint at ``partition0.old`` and nothing at ``partition0``; the
+        next worker reopens that checkpoint, not an empty EG."""
+        coordinator = ProcessShardCoordinator(
+            2, flight_recorder=False, persist_dir=tmp_path
+        )
+        try:
+            session = coordinator.open_session("torn")
+            for k in range(3):
+                coordinator.commit(session.session_id, make_workload(0, k))
+        finally:
+            coordinator.stop()
+        partition = tmp_path / "partition0"
+        checkpointed = load_eg(partition)
+        assert checkpointed.num_vertices > 0
+        # the swap's first rename only: the new checkpoint waits at .tmp
+        shutil.copytree(partition, tmp_path / "partition0.tmp")
+        partition.rename(tmp_path / "partition0.old")
+
+        # the reopened worker checkpoints what it reopened when it stops
+        ProcessShardCoordinator(2, flight_recorder=False, persist_dir=tmp_path).stop()
+        assert eg_fingerprint(load_eg(partition)) == eg_fingerprint(checkpointed)
 
 
 class _AckBeforeSubmitReturns:

@@ -19,7 +19,11 @@ from repro.graph.dag import WorkloadDAG
 from repro.graph.operations import DataOperation
 from repro.materialization.simple import MaterializeAll
 from repro.service.errors import ServiceStoppedError, UnknownSessionError
-from repro.shard import ProcessShardCoordinator, balanced_source_names
+from repro.shard import (
+    ProcessShardCoordinator,
+    StitchedSnapshot,
+    balanced_source_names,
+)
 
 
 class Step(DataOperation):
@@ -104,7 +108,7 @@ class TestRoutedCommit:
 
 
 class TestStitchedPlanning:
-    def test_single_shard_plan_delegates_to_shard_cache(self):
+    def test_single_shard_plan_delegates_to_the_shard(self):
         with ProcessShardCoordinator(4) as service:
             session = service.open_session("planner")
             workload = make_workload(0)  # pure chain: one lineage group
@@ -112,10 +116,8 @@ class TestStitchedPlanning:
             fresh = make_workload(0, executed=False)
             with service.plan(session.session_id, fresh) as plan:
                 assert plan.result.plan.loads  # materialized chain is reused
-            with service.plan(session.session_id, make_workload(0, executed=False)):
-                pass
-            stats = service.stats()
-            assert stats.plan_cache_hits >= 1
+                assert not isinstance(plan.eg, StitchedSnapshot)
+            assert service.stats().plans_total == 1
 
     def test_span_histogram_and_routed_counters(self):
         with ProcessShardCoordinator(4) as service:

@@ -60,8 +60,6 @@ ALLOWED = {
     # the shard fault seam (checkpoint a worker every N commits) until a
     # write-ahead log replaces it
     "ProcessShardCoordinator.checkpoint_every",
-    # leaves together with the plan cache itself
-    "EGService.plan_cache_size",
 }
 
 Option = tuple[str, str]  # (callable, parameter)
