@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Who spends the CPU of a stream workload: CPU ms per workload, by thread.
+"""Who spends the CPU of a workload: CPU ms per workload, by thread.
 
-    python3 benchmarks/thread_cpu.py stream_tcp [--seed 1] [--seconds 12] [--stages]
+    python3 benchmarks/thread_cpu.py WORKLOAD [--seed 1] [--seconds 12] [--stages]
 
-Wall-time attribution under a saturated GIL blames whoever waits; this
-reads who *ran*.  One repeat of a stream workload goes through the
-unmodified ``benchmarks/e2e`` harness (which this file only imports),
+``WORKLOAD`` is any of the harness's: ``kaggle_first``, ``kaggle_repeat``,
+``stream_tcp`` or ``stream_mproc``.  Wall-time attribution under a
+saturated GIL blames whoever waits; this reads who *ran*.  One repeat of
+the workload goes through the unmodified ``benchmarks/e2e`` harness
+(which this file only imports),
 and ``/proc/self/task/*/stat`` is read before and after the drive:
 ``utime + stime`` per kernel thread, mapped to :mod:`threading` names by
 ``native_id`` and summed per thread group (``eg-transport-work_3`` →
@@ -16,9 +18,11 @@ process's CPU minus the named survivors.  Worker processes
 (``stream_mproc``) are one row: their process CPU.
 
 ``--stages`` additionally wraps the hot functions of the request path
-with ``time.thread_time()`` — inclusive CPU and calls per workload, in
-this process only (``update_batch`` contains ``select``).  The wrappers
-cost CPU themselves, so read the thread table from a run without them.
+and the client's training kernels with ``time.thread_time()`` —
+inclusive CPU and calls per workload, in this process only
+(``update_batch`` contains ``select``, an ensemble's ``fit`` contains its
+trees' split searches and predictions).  The wrappers cost CPU
+themselves, so read the thread table from a run without them.
 
 Like the harness's own times, every number is read at the reference
 machine speed: divided by the slowdown its speed probe measured during the
@@ -110,8 +114,16 @@ class StageClock:
 
 
 def install_stages() -> StageClock:
+    from repro.dataframe import DataFrame
     from repro.eg.updater import Updater
     from repro.materialization.storage_aware import StorageAwareMaterializer
+    from repro.ml.ensemble import GradientBoostingClassifier, RandomForestClassifier
+    from repro.ml.tree import (
+        DecisionTreeClassifier,
+        DecisionTreeRegressor,
+        _best_split_gini,
+        _best_split_mse,
+    )
     from repro.service.core import EGService
     from repro.transport import wire
     from repro.transport.codec import BinaryWireCodec
@@ -127,6 +139,14 @@ def install_stages() -> StageClock:
     clock.wrap_method(EGService, "plan")
     clock.wrap_method(Updater, "update_batch")
     clock.wrap_method(StorageAwareMaterializer, "select")
+    clock.wrap_function(_best_split_gini)
+    clock.wrap_function(_best_split_mse)
+    for tree in (DecisionTreeClassifier, DecisionTreeRegressor):
+        clock.wrap_method(tree, "predict")
+    clock.wrap_method(DecisionTreeClassifier, "predict_proba")
+    clock.wrap_method(DataFrame, "groupby_agg")
+    clock.wrap_method(RandomForestClassifier, "fit")
+    clock.wrap_method(GradientBoostingClassifier, "fit")
     return clock
 
 
@@ -218,7 +238,9 @@ def render(result: dict[str, Any]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=("stream_tcp", "stream_mproc"))
+    parser.add_argument(
+        "workload", choices=("kaggle_first", "kaggle_repeat", "stream_tcp", "stream_mproc")
+    )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--stages", action="store_true")

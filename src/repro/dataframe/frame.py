@@ -45,6 +45,11 @@ _AGGREGATIONS: dict[str, Callable[[np.ndarray], Any]] = {
     "median": np.median,
     "nunique": lambda v: len(np.unique(v)),
 }
+# exact on numeric columns over groups laid out contiguously (strings have no
+# ``reduceat`` loop, and objects would keep a dtype the per-group call does
+# not); ``np.add.reduceat`` sums in another order than ``np.sum``, so sums
+# stay per group
+_REDUCEAT = {"min": np.minimum, "max": np.maximum}
 
 
 class DataFrame:
@@ -465,9 +470,11 @@ class DataFrame:
                 for j, name in enumerate(key_names)
             ]
             unique_keys = np.arange(len(sorted_keys))
-        group_indices: list[np.ndarray] = [
-            np.flatnonzero(inverse == g) for g in range(len(unique_keys))
-        ]
+        # one stable sort lays every group's rows out contiguously, in row order
+        order = np.argsort(inverse, kind="stable")
+        sizes = np.bincount(inverse, minlength=len(unique_keys))
+        starts = np.cumsum(sizes) - sizes
+        bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
 
         columns = [
             Column(
@@ -481,14 +488,20 @@ class DataFrame:
             if isinstance(aggs, str):
                 aggs = [aggs]
             source = self.column(name)
+            grouped = source.values[order]
             for agg in aggs:
                 try:
                     func = _AGGREGATIONS[agg]
                 except KeyError:
                     raise ValueError(f"unknown aggregation {agg!r}") from None
-                values = np.asarray(
-                    [func(source.values[idx]) for idx in group_indices]
-                )
+                if not len(sizes):
+                    values = np.asarray([])  # no groups: float64, whatever the column
+                elif agg == "count":
+                    values = sizes
+                elif agg in _REDUCEAT and grouped.dtype.kind in "biuf":
+                    values = _REDUCEAT[agg].reduceat(grouped, starts)
+                else:
+                    values = np.asarray([func(grouped[a:b]) for a, b in bounds])
                 column_id = derive_column_id(
                     operation_hash + ":" + agg, source.column_id
                 )

@@ -131,17 +131,17 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         for _ in range(rounds_remaining):
             probability = 1.0 / (1.0 + np.exp(-np.clip(raw, -500, 500)))
             residual = y01 - probability
+            X_round = X
             if self.subsample < 1.0:
                 size = max(1, int(self.subsample * n))
                 subset = rng.choice(n, size=size, replace=False)
-            else:
-                subset = np.arange(n)
+                X_round, residual = X[subset], residual[subset]
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 random_state=int(rng.integers(0, 2**31 - 1)),
             )
-            tree.fit(X[subset], residual[subset])
+            tree.fit(X_round, residual)
             self.estimators_.append(tree)
             self.tree_weights_.append(self.learning_rate)
             raw += self.learning_rate * tree.predict(X)

@@ -1,9 +1,11 @@
 """CART decision trees (classification and regression).
 
 Used directly and as the base learner for the ensembles in
-:mod:`repro.ml.ensemble`.  Splits are exact: every feature is sorted once
-per node and candidate thresholds are scanned with cumulative statistics,
-so the fit is O(n log n · d) per node.
+:mod:`repro.ml.ensemble`.  Splits are exact: each node sorts all its drawn
+features in one column-wise sort and scans every candidate threshold of
+every feature at once with column cumulative sums, so the fit is
+O(n log n · d) per node in a fixed number of numpy calls.  Prediction
+routes whole row-index arrays down the tree.
 """
 
 from __future__ import annotations
@@ -34,46 +36,57 @@ class _Node:
         return self.feature is None
 
 
+def _sorted_columns(
+    X: np.ndarray, y: np.ndarray, feature_indices: np.ndarray, min_leaf: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The drawn features sorted column by column, with ``y`` in each order.
+
+    Returns ``(xs, ys, nl, valid)``: row ``b`` of ``valid`` marks the
+    boundaries between sorted rows ``b`` and ``b + 1`` that change the value
+    and leave ``nl[b]`` rows left and ``n - nl[b]`` right, both ``>= min_leaf``.
+    """
+    n = len(y)
+    columns = X[:, feature_indices]
+    order = np.argsort(columns, axis=0, kind="mergesort")
+    xs = np.take_along_axis(columns, order, axis=0)
+    nl = np.arange(1, n, dtype=float)[:, None]
+    valid = (np.diff(xs, axis=0) > 0) & (nl >= min_leaf) & (n - nl >= min_leaf)
+    return xs, y[order], nl, valid
+
+
+def _pick(
+    xs: np.ndarray, gains: np.ndarray, valid: np.ndarray, feature_indices: np.ndarray
+) -> tuple[int, float, float] | None:
+    """The best valid boundary; a tie goes to the earlier boundary, then to
+    the feature drawn first (the per-feature loop's strict ``>``)."""
+    gains = np.where(valid, gains, -np.inf)
+    rows = np.argmax(gains, axis=0)
+    best = gains[rows, np.arange(gains.shape[1])]
+    column = int(np.argmax(best))
+    if not best[column] > 1e-12:
+        return None
+    boundary = rows[column]
+    threshold = (xs[boundary, column] + xs[boundary + 1, column]) / 2.0
+    return int(feature_indices[column]), float(threshold), float(best[column])
+
+
 def _best_split_gini(
     X: np.ndarray, y: np.ndarray, feature_indices: np.ndarray, min_leaf: int
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, impurity decrease) under Gini impurity."""
     n = len(y)
+    if n < 2:
+        return None
     total_pos = float(y.sum())
     parent_gini = 1.0 - (total_pos / n) ** 2 - ((n - total_pos) / n) ** 2
-    best: tuple[int, float, float] | None = None
-    best_gain = 1e-12
-    for feature in feature_indices:
-        order = np.argsort(X[:, feature], kind="mergesort")
-        xs = X[order, feature]
-        ys = y[order]
-        cumulative_pos = np.cumsum(ys)
-        left_counts = np.arange(1, n + 1, dtype=float)
-        # candidate boundaries: positions where the value changes
-        boundaries = np.flatnonzero(np.diff(xs) > 0)
-        if len(boundaries) == 0:
-            continue
-        valid = boundaries[
-            (left_counts[boundaries] >= min_leaf)
-            & (n - left_counts[boundaries] >= min_leaf)
-        ]
-        if len(valid) == 0:
-            continue
-        nl = left_counts[valid]
-        nr = n - nl
-        pos_l = cumulative_pos[valid]
-        pos_r = total_pos - pos_l
-        gini_l = 1.0 - (pos_l / nl) ** 2 - ((nl - pos_l) / nl) ** 2
-        gini_r = 1.0 - (pos_r / nr) ** 2 - ((nr - pos_r) / nr) ** 2
-        weighted = (nl * gini_l + nr * gini_r) / n
-        gains = parent_gini - weighted
-        local = int(np.argmax(gains))
-        if gains[local] > best_gain:
-            best_gain = float(gains[local])
-            boundary = valid[local]
-            threshold = (xs[boundary] + xs[boundary + 1]) / 2.0
-            best = (int(feature), float(threshold), best_gain)
-    return best
+    xs, ys, nl, valid = _sorted_columns(X, y, feature_indices, min_leaf)
+    nr = n - nl
+    pos_l = np.cumsum(ys, axis=0)[:-1]
+    pos_r = total_pos - pos_l
+    gini_l = 1.0 - (pos_l / nl) ** 2 - ((nl - pos_l) / nl) ** 2
+    gini_r = 1.0 - (pos_r / nr) ** 2 - ((nr - pos_r) / nr) ** 2
+    weighted = (nl * gini_l + nr * gini_r) / n
+    return _pick(xs, parent_gini - weighted, valid, feature_indices)
 
 
 def _best_split_mse(
@@ -81,41 +94,19 @@ def _best_split_mse(
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, variance decrease) under squared error."""
     n = len(y)
+    if n < 2:
+        return None
     total_sum = float(y.sum())
     parent_sse = float(((y - y.mean()) ** 2).sum())
-    best: tuple[int, float, float] | None = None
-    best_gain = 1e-12
-    for feature in feature_indices:
-        order = np.argsort(X[:, feature], kind="mergesort")
-        xs = X[order, feature]
-        ys = y[order]
-        cumulative = np.cumsum(ys)
-        cumulative_sq = np.cumsum(ys**2)
-        left_counts = np.arange(1, n + 1, dtype=float)
-        boundaries = np.flatnonzero(np.diff(xs) > 0)
-        if len(boundaries) == 0:
-            continue
-        valid = boundaries[
-            (left_counts[boundaries] >= min_leaf)
-            & (n - left_counts[boundaries] >= min_leaf)
-        ]
-        if len(valid) == 0:
-            continue
-        nl = left_counts[valid]
-        nr = n - nl
-        sum_l = cumulative[valid]
-        sum_r = total_sum - sum_l
-        sq_l = cumulative_sq[valid]
-        sq_r = cumulative_sq[-1] - sq_l
-        sse = (sq_l - sum_l**2 / nl) + (sq_r - sum_r**2 / nr)
-        gains = parent_sse - sse
-        local = int(np.argmax(gains))
-        if gains[local] > best_gain:
-            best_gain = float(gains[local])
-            boundary = valid[local]
-            threshold = (xs[boundary] + xs[boundary + 1]) / 2.0
-            best = (int(feature), float(threshold), best_gain)
-    return best
+    xs, ys, nl, valid = _sorted_columns(X, y, feature_indices, min_leaf)
+    nr = n - nl
+    cumulative_sq = np.cumsum(ys**2, axis=0)
+    sum_l = np.cumsum(ys, axis=0)[:-1]
+    sum_r = total_sum - sum_l
+    sq_l = cumulative_sq[:-1]
+    sq_r = cumulative_sq[-1] - sq_l
+    sse = (sq_l - sum_l**2 / nl) + (sq_r - sum_r**2 / nr)
+    return _pick(xs, parent_sse - sse, valid, feature_indices)
 
 
 class _BaseTree(BaseEstimator):
@@ -144,10 +135,26 @@ class _BaseTree(BaseEstimator):
             return max(1, int(self.max_features * n_features))
         return min(int(self.max_features), n_features)
 
-    def _predict_row(self, node: _Node, row: np.ndarray) -> _Node:
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
+    def _leaves(self, X: np.ndarray) -> tuple[int, list[tuple[_Node, np.ndarray]]]:
+        """Rows of ``X``, and ``(leaf, rows)`` for every leaf, routed by ``<=``."""
+        self._check_fitted()
+        X, _ = check_Xy(X)
+        leaves, stack = [], [(self.root_, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                leaves.append((node, rows))
+            else:
+                left = X[rows, node.feature] <= node.threshold
+                stack += [(node.left, rows[left]), (node.right, rows[~left])]
+        return len(X), leaves
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        n, leaves = self._leaves(X)
+        predictions = np.empty(n)
+        for leaf, rows in leaves:
+            predictions[rows] = leaf.prediction
+        return predictions
 
     @property
     def depth_(self) -> int:
@@ -176,16 +183,12 @@ class _BaseTree(BaseEstimator):
 class DecisionTreeClassifier(_BaseTree, ClassifierMixin):
     """Binary CART classifier with Gini impurity."""
 
-    def fit(
-        self, X: np.ndarray, y: np.ndarray, sample_indices: np.ndarray | None = None
-    ) -> "DecisionTreeClassifier":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         X, y = check_Xy(X, y)
         self.classes_ = np.unique(y)
         if len(self.classes_) > 2:
             raise ValueError("only binary classification is supported")
         y01 = (y == self.classes_[-1]).astype(float)
-        if sample_indices is not None:
-            X, y01 = X[sample_indices], y01[sample_indices]
         rng = np.random.default_rng(self.random_state)
         self._k_features = self._resolve_max_features(X.shape[1])
         self.root_ = self._grow(X, y01, depth=0, rng=rng)
@@ -217,15 +220,12 @@ class DecisionTreeClassifier(_BaseTree, ClassifierMixin):
         node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
         return node
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X, _ = check_Xy(X)
-        return np.asarray([self._predict_row(self.root_, row).prediction for row in X])
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X, _ = check_Xy(X)
-        return np.vstack([self._predict_row(self.root_, row).proba for row in X])
+        n, leaves = self._leaves(X)
+        proba = np.empty((n, 2))
+        for leaf, rows in leaves:
+            proba[rows] = leaf.proba
+        return proba
 
 
 class DecisionTreeRegressor(_BaseTree):
@@ -257,11 +257,6 @@ class DecisionTreeRegressor(_BaseTree):
         node.left = self._grow(X[mask], y[mask], depth + 1, rng)
         node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
         return node
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X, _ = check_Xy(X)
-        return np.asarray([self._predict_row(self.root_, row).prediction for row in X])
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         from .metrics import r2_score
