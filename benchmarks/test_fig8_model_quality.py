@@ -4,7 +4,10 @@ Paper shape: (a) in the model-benchmarking scenario, CO's reuse of the
 gold-standard workload's artifacts beats re-running it from scratch
 (paper: ~5x).  (b) with a one-artifact budget, larger alpha materializes
 the gold-standard model sooner, so its cumulative-run-time delta to the
-alpha=1 line plateaus earlier and lower.
+alpha=1 line plateaus earlier and lower.  Figure 8b runs on modeled compute
+seconds (``fig8b_alpha_sweep``'s cost model): HM's one-artifact choice
+reads recorded compute seconds, so on measured ones its verdict followed
+the machine.  The measured series is reported beside it.
 """
 
 from conftest import FULL_SCALE, report, scaled
@@ -45,17 +48,38 @@ def test_fig8b_alpha_sweep(benchmark, credit_sources):
         iterations=1,
     )
 
-    report("", "== Figure 8b: cumulative run-time delta vs alpha=1 (seconds) ==")
     marks = [len(specs) // 4, len(specs) // 2, len(specs) - 1]
-    report(f"{'alpha':>6} " + " ".join(f"{'#' + str(m):>8}" for m in marks))
+    header = f"{'alpha':>6} " + " ".join(f"{'#' + str(m):>8}" for m in marks)
+    report("", "== Figure 8b: cumulative run-time delta vs alpha=1 (modeled seconds) ==")
+    report(header + "  artifact kept from")
     finals = {}
     for alpha in alphas:
         deltas = result.delta_vs_alpha1(alpha)
         finals[alpha] = deltas[-1]
+        chosen_at = result.chosen_at[alpha]
+        report(
+            f"{alpha:>6.2f} "
+            + " ".join(f"{deltas[m]:>8.3f}" for m in marks)
+            + f"  #{chosen_at}"
+        )
+        benchmark.extra_info[f"vc_exact_fig8b_chosen_at_alpha_{alpha * 100:03.0f}"] = (
+            chosen_at
+        )
+    report("", "== Figure 8b, measured: the same runs' delta vs alpha=1 (seconds) ==")
+    report(header)
+    for alpha in alphas:
+        deltas = result.delta_vs_alpha1(alpha, measured=True)
         report(f"{alpha:>6.2f} " + " ".join(f"{deltas[m]:>8.3f}" for m in marks))
 
     assert finals[1.0] == 0.0
     if FULL_SCALE:
         # quality-aware materialization (alpha >= 0.5) must not lose to
-        # quality-blind materialization (alpha = 0) in this scenario
+        # quality-blind materialization (alpha = 0) in this scenario; the
+        # finals are modeled seconds, so the verdict does not follow the
+        # machine's or the training code's speed
         assert min(finals[0.75], finals[0.5]) <= finals[0.0] + 1e-6
+        # the paper's shape: a larger alpha ends no higher
+        assert all(
+            finals[high] <= finals[low] + 1e-6
+            for low, high in zip(alphas, alphas[1:])
+        )

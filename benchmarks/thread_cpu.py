@@ -21,7 +21,8 @@ process's CPU minus the named survivors.  Worker processes
 and the client's training kernels with ``time.thread_time()`` —
 inclusive CPU and calls per workload, in this process only
 (``update_batch`` contains ``select``, an ensemble's ``fit`` contains its
-trees' split searches and predictions).  The wrappers cost CPU
+trees' ``_presort``, split searches, ``_partition`` and predictions, and a
+split search contains ``_sorted_columns``).  The wrappers cost CPU
 themselves, so read the thread table from a run without them.
 
 Like the harness's own times, every number is read at the reference
@@ -123,6 +124,9 @@ def install_stages() -> StageClock:
         DecisionTreeRegressor,
         _best_split_gini,
         _best_split_mse,
+        _partition,
+        _presort,
+        _sorted_columns,
     )
     from repro.service.core import EGService
     from repro.transport import wire
@@ -139,8 +143,9 @@ def install_stages() -> StageClock:
     clock.wrap_method(EGService, "plan")
     clock.wrap_method(Updater, "update_batch")
     clock.wrap_method(StorageAwareMaterializer, "select")
-    clock.wrap_function(_best_split_gini)
-    clock.wrap_function(_best_split_mse)
+    for kernel in (_presort, _best_split_gini, _best_split_mse, _sorted_columns):
+        clock.wrap_function(kernel)
+    clock.wrap_function(_partition)
     for tree in (DecisionTreeClassifier, DecisionTreeRegressor):
         clock.wrap_method(tree, "predict")
     clock.wrap_method(DecisionTreeClassifier, "predict_proba")

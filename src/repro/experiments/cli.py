@@ -100,7 +100,7 @@ def _run_fig8(credit, args) -> None:
     sweep = figures.fig8b_alpha_sweep(
         sample_pipeline_specs(max(20, args.pipelines // 2), seed=7), credit
     )
-    _print("Figure 8b: final delta to alpha=1 (seconds)")
+    _print("Figure 8b: final delta to alpha=1 (modeled seconds)")
     for alpha in sweep.alphas:
         _print(f"  alpha={alpha:4.2f}: {sweep.delta_vs_alpha1(alpha)[-1]:+.3f}")
 

@@ -14,7 +14,7 @@ from .base import BaseEstimator, ClassifierMixin, TransformerMixin, clone
 from .ensemble import GradientBoostingClassifier, RandomForestClassifier
 from .feature_selection import SelectKBest, f_classif
 from .linear import LogisticRegression
-from .metrics import accuracy_score, r2_score, roc_auc_score
+from .metrics import accuracy_score, roc_auc_score
 from .model_selection import GridSearchCV, KFold, RandomizedSearchCV, cross_val_score
 from .naive_bayes import GaussianNB
 from .neighbors import KNeighborsClassifier
@@ -33,7 +33,6 @@ __all__ = [
     "LogisticRegression",
     "accuracy_score",
     "roc_auc_score",
-    "r2_score",
     "GridSearchCV",
     "RandomizedSearchCV",
     "KFold",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_Xy
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor
+from .tree import DecisionTreeClassifier, DecisionTreeRegressor, _presort
 
 __all__ = ["RandomForestClassifier", "GradientBoostingClassifier"]
 
@@ -128,23 +128,25 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         rounds_remaining = max(0, self.n_estimators - len(self.estimators_))
         self.n_rounds_trained_ = rounds_remaining
         n = len(X)
+        # every full-data round grows its tree on X itself: sort X once for all
+        whole = _presort(X) if rounds_remaining and self.subsample >= 1.0 else None
         for _ in range(rounds_remaining):
             probability = 1.0 / (1.0 + np.exp(-np.clip(raw, -500, 500)))
             residual = y01 - probability
-            X_round = X
+            presorted = whole
             if self.subsample < 1.0:
                 size = max(1, int(self.subsample * n))
                 subset = rng.choice(n, size=size, replace=False)
-                X_round, residual = X[subset], residual[subset]
+                presorted, residual = _presort(X[subset]), residual[subset]
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 random_state=int(rng.integers(0, 2**31 - 1)),
             )
-            tree.fit(X_round, residual)
+            reached = tree._fit(*presorted, residual)
             self.estimators_.append(tree)
             self.tree_weights_.append(self.learning_rate)
-            raw += self.learning_rate * tree.predict(X)
+            raw += self.learning_rate * (tree.predict(X) if whole is None else reached)
         self._mark_fitted()
         return self
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy_score", "roc_auc_score", "r2_score"]
+__all__ = ["accuracy_score", "roc_auc_score"]
 
 
 def _check_same_length(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,13 +58,3 @@ def roc_auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
     rank_sum = ranks[positives].sum()
     auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(auc)
-
-
-def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _check_same_length(y_true, y_pred)
-    y_true = y_true.astype(float)
-    residual = np.sum((y_true - y_pred.astype(float)) ** 2)
-    total = np.sum((y_true - y_true.mean()) ** 2)
-    if total == 0.0:
-        return 0.0 if residual > 0 else 1.0
-    return float(1.0 - residual / total)

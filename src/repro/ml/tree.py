@@ -1,11 +1,12 @@
 """CART decision trees (classification and regression).
 
 Used directly and as the base learner for the ensembles in
-:mod:`repro.ml.ensemble`.  Splits are exact: each node sorts all its drawn
-features in one column-wise sort and scans every candidate threshold of
-every feature at once with column cumulative sums, so the fit is
-O(n log n · d) per node in a fixed number of numpy calls.  Prediction
-routes whole row-index arrays down the tree.
+:mod:`repro.ml.ensemble`.  Splits are exact.  A fit sorts every column of
+``X`` once, O(n log n · d), and a boosting fit once for all its rounds;
+each split filters its node's sorted orders into its children's by stable
+partition, O(n · d), and scans every candidate threshold of every drawn
+feature at once with cumulative sums.  Prediction routes whole row-index
+arrays down the tree.
 """
 
 from __future__ import annotations
@@ -36,77 +37,112 @@ class _Node:
         return self.feature is None
 
 
-def _sorted_columns(
-    X: np.ndarray, y: np.ndarray, feature_indices: np.ndarray, min_leaf: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The drawn features sorted column by column, with ``y`` in each order.
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X``'s columns as contiguous rows, and each one's stable argsort (ties
+    in row order), both ``(d, n)``: what :meth:`_BaseTree._fit` grows a tree
+    from.  A boosting fit takes it once for all its rounds."""
+    columns = np.ascontiguousarray(X.T)
+    return columns, np.argsort(columns, axis=1, kind="stable")
 
-    Returns ``(xs, ys, nl, valid)``: row ``b`` of ``valid`` marks the
-    boundaries between sorted rows ``b`` and ``b + 1`` that change the value
-    and leave ``nl[b]`` rows left and ``n - nl[b]`` right, both ``>= min_leaf``.
+
+def _partition(
+    rows: np.ndarray, order: np.ndarray, side: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A child's ``rows`` and ``order``: the parent's, each row of ``order``
+    filtered to the rows of ``X`` that ``side`` marks.  A stable sort
+    filtered to a subset is the subset's own stable sort."""
+    kept = np.compress(side.take(order).ravel(), order)
+    return rows[side[rows]], kept.reshape(len(order), -1)
+
+
+def _sorted_columns(
+    columns: np.ndarray,
+    y: np.ndarray,
+    order: np.ndarray,
+    features: np.ndarray,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The node's rows in each drawn feature's sorted order, with ``y``.
+
+    ``columns`` and ``order`` come from :func:`_presort`, ``order`` filtered
+    to the node.  Returns ``(xs, ys, left, nl)``: ``xs`` and ``ys`` have one
+    row per drawn feature; ``left`` holds the flat indices of the last sorted
+    row left of each valid boundary, in draw then boundary order, and ``nl``
+    the rows left of it.  A valid boundary changes the value and leaves
+    ``nl`` rows left and ``n - nl`` right, both ``>= min_leaf``.
     """
-    n = len(y)
-    columns = X[:, feature_indices]
-    order = np.argsort(columns, axis=0, kind="mergesort")
-    xs = np.take_along_axis(columns, order, axis=0)
-    nl = np.arange(1, n, dtype=float)[:, None]
-    valid = (np.diff(xs, axis=0) > 0) & (nl >= min_leaf) & (n - nl >= min_leaf)
-    return xs, y[order], nl, valid
+    order = order[features]
+    n = order.shape[1]
+    xs = columns[features[:, None], order]
+    nl = np.arange(1, n, dtype=float)
+    valid = (xs[:, 1:] > xs[:, :-1]) & ((nl >= min_leaf) & (n - nl >= min_leaf))
+    row, boundary = np.divmod(np.flatnonzero(valid), n - 1)
+    return xs, y[order], row * n + boundary, nl.take(boundary)
 
 
 def _pick(
-    xs: np.ndarray, gains: np.ndarray, valid: np.ndarray, feature_indices: np.ndarray
+    xs: np.ndarray, gains: np.ndarray, left: np.ndarray, feature_indices: np.ndarray
 ) -> tuple[int, float, float] | None:
-    """The best valid boundary; a tie goes to the earlier boundary, then to
-    the feature drawn first (the per-feature loop's strict ``>``)."""
-    gains = np.where(valid, gains, -np.inf)
-    rows = np.argmax(gains, axis=0)
-    best = gains[rows, np.arange(gains.shape[1])]
-    column = int(np.argmax(best))
-    if not best[column] > 1e-12:
+    """The first best boundary, in draw then boundary order (the per-feature
+    loop's strict ``>``)."""
+    if len(gains) == 0:
         return None
-    boundary = rows[column]
-    threshold = (xs[boundary, column] + xs[boundary + 1, column]) / 2.0
-    return int(feature_indices[column]), float(threshold), float(best[column])
+    best = int(np.argmax(gains))
+    if not gains[best] > 1e-12:
+        return None
+    row, boundary = divmod(int(left[best]), xs.shape[1])
+    threshold = (xs[row, boundary] + xs[row, boundary + 1]) / 2.0
+    return int(feature_indices[row]), float(threshold), float(gains[best])
 
 
 def _best_split_gini(
-    X: np.ndarray, y: np.ndarray, feature_indices: np.ndarray, min_leaf: int
+    columns: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    order: np.ndarray,
+    feature_indices: np.ndarray,
+    min_leaf: int,
 ) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity decrease) under Gini impurity."""
-    n = len(y)
+    """Best (feature, threshold, impurity decrease) of ``rows`` under Gini."""
+    n = len(rows)
     if n < 2:
         return None
-    total_pos = float(y.sum())
+    total_pos = float(y[rows].sum())
     parent_gini = 1.0 - (total_pos / n) ** 2 - ((n - total_pos) / n) ** 2
-    xs, ys, nl, valid = _sorted_columns(X, y, feature_indices, min_leaf)
+    xs, ys, left, nl = _sorted_columns(columns, y, order, feature_indices, min_leaf)
     nr = n - nl
-    pos_l = np.cumsum(ys, axis=0)[:-1]
+    pos_l = np.cumsum(ys, axis=1).take(left)
     pos_r = total_pos - pos_l
     gini_l = 1.0 - (pos_l / nl) ** 2 - ((nl - pos_l) / nl) ** 2
     gini_r = 1.0 - (pos_r / nr) ** 2 - ((nr - pos_r) / nr) ** 2
     weighted = (nl * gini_l + nr * gini_r) / n
-    return _pick(xs, parent_gini - weighted, valid, feature_indices)
+    return _pick(xs, parent_gini - weighted, left, feature_indices)
 
 
 def _best_split_mse(
-    X: np.ndarray, y: np.ndarray, feature_indices: np.ndarray, min_leaf: int
+    columns: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    order: np.ndarray,
+    feature_indices: np.ndarray,
+    min_leaf: int,
 ) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, variance decrease) under squared error."""
-    n = len(y)
+    """Best (feature, threshold, variance decrease) of ``rows`` under squared error."""
+    n = len(rows)
     if n < 2:
         return None
-    total_sum = float(y.sum())
-    parent_sse = float(((y - y.mean()) ** 2).sum())
-    xs, ys, nl, valid = _sorted_columns(X, y, feature_indices, min_leaf)
+    node_y = y[rows]
+    total_sum = float(node_y.sum())
+    parent_sse = float(((node_y - node_y.mean()) ** 2).sum())
+    xs, ys, left, nl = _sorted_columns(columns, y, order, feature_indices, min_leaf)
     nr = n - nl
-    cumulative_sq = np.cumsum(ys**2, axis=0)
-    sum_l = np.cumsum(ys, axis=0)[:-1]
+    cumulative_sq = np.cumsum(ys**2, axis=1)
+    sum_l = np.cumsum(ys, axis=1).take(left)
     sum_r = total_sum - sum_l
-    sq_l = cumulative_sq[:-1]
-    sq_r = cumulative_sq[-1] - sq_l
+    sq_l = cumulative_sq.take(left)
+    sq_r = cumulative_sq[:, -1].take(left // n) - sq_l
     sse = (sq_l - sum_l**2 / nl) + (sq_r - sum_r**2 / nr)
-    return _pick(xs, parent_sse - sse, valid, feature_indices)
+    return _pick(xs, parent_sse - sse, left, feature_indices)
 
 
 class _BaseTree(BaseEstimator):
@@ -156,28 +192,47 @@ class _BaseTree(BaseEstimator):
             predictions[rows] = leaf.prediction
         return predictions
 
-    @property
-    def depth_(self) -> int:
-        """Actual depth of the fitted tree."""
-        self._check_fitted()
+    def _fit(self, columns: np.ndarray, order: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Grow the tree from :func:`_presort` of ``X``, and return the leaf
+        value each row of ``X`` reached: ``predict(X)``, since growth routes
+        rows with the same ``<=`` test."""
+        rng = np.random.default_rng(self.random_state)
+        self._k_features = self._resolve_max_features(len(columns))
+        out = np.empty(len(y))
+        self.root_ = self._grow(columns, y, np.arange(len(y)), order, 0, rng, out)
+        self._mark_fitted()
+        return out
 
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root_)
-
-    @property
-    def n_leaves_(self) -> int:
-        self._check_fitted()
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root_)
+    def _grow(
+        self,
+        columns: np.ndarray,
+        y: np.ndarray,
+        rows: np.ndarray,
+        order: np.ndarray,
+        depth: int,
+        rng: np.random.Generator,
+        out: np.ndarray,
+    ) -> _Node:
+        node_y = y[rows]  # a classifier's are 0.0 / 1.0: close means equal
+        node = self._node(node_y)
+        split = None
+        if (
+            depth < self.max_depth
+            and len(rows) >= self.min_samples_split
+            and not np.allclose(node_y, node_y[0])
+        ):
+            features = rng.choice(len(columns), size=self._k_features, replace=False)
+            split = self._split(columns, y, rows, order, features)
+        if split is None:
+            out[rows] = node.prediction
+            return node
+        node.feature, node.threshold, _gain = split
+        left = columns[node.feature] <= node.threshold
+        node.left, node.right = (
+            self._grow(columns, y, *_partition(rows, order, side), depth + 1, rng, out)
+            for side in (left, ~left)
+        )
+        return node
 
 
 class DecisionTreeClassifier(_BaseTree, ClassifierMixin):
@@ -188,37 +243,19 @@ class DecisionTreeClassifier(_BaseTree, ClassifierMixin):
         self.classes_ = np.unique(y)
         if len(self.classes_) > 2:
             raise ValueError("only binary classification is supported")
-        y01 = (y == self.classes_[-1]).astype(float)
-        rng = np.random.default_rng(self.random_state)
-        self._k_features = self._resolve_max_features(X.shape[1])
-        self.root_ = self._grow(X, y01, depth=0, rng=rng)
-        self._mark_fitted()
+        self._fit(*_presort(X), (y == self.classes_[-1]).astype(float))
         return self
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator) -> _Node:
+    def _node(self, y: np.ndarray) -> _Node:
         p1 = float(y.mean())
-        node = _Node(
+        return _Node(
             prediction=float(self.classes_[-1] if p1 >= 0.5 else self.classes_[0]),
             n_samples=len(y),
             proba=np.asarray([1.0 - p1, p1]),
         )
-        if (
-            depth >= self.max_depth
-            or len(y) < self.min_samples_split
-            or p1 in (0.0, 1.0)
-        ):
-            return node
-        features = rng.choice(X.shape[1], size=self._k_features, replace=False)
-        split = _best_split_gini(X, y, features, self.min_samples_leaf)
-        if split is None:
-            return node
-        feature, threshold, _gain = split
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
-        return node
+
+    def _split(self, *args) -> tuple[int, float, float] | None:
+        return _best_split_gini(*args, self.min_samples_leaf)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         n, leaves = self._leaves(X)
@@ -233,32 +270,11 @@ class DecisionTreeRegressor(_BaseTree):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
         X, y = check_Xy(X, y)
-        y = y.astype(float)
-        rng = np.random.default_rng(self.random_state)
-        self._k_features = self._resolve_max_features(X.shape[1])
-        self.root_ = self._grow(X, y, depth=0, rng=rng)
-        self._mark_fitted()
+        self._fit(*_presort(X), y.astype(float))
         return self
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator) -> _Node:
-        node = _Node(prediction=float(y.mean()), n_samples=len(y))
-        if depth >= self.max_depth or len(y) < self.min_samples_split:
-            return node
-        if np.allclose(y, y[0]):
-            return node
-        features = rng.choice(X.shape[1], size=self._k_features, replace=False)
-        split = _best_split_mse(X, y, features, self.min_samples_leaf)
-        if split is None:
-            return node
-        feature, threshold, _gain = split
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
-        return node
+    def _node(self, y: np.ndarray) -> _Node:
+        return _Node(prediction=float(y.mean()), n_samples=len(y))
 
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        from .metrics import r2_score
-
-        return r2_score(np.asarray(y).ravel(), self.predict(X))
+    def _split(self, *args) -> tuple[int, float, float] | None:
+        return _best_split_mse(*args, self.min_samples_leaf)

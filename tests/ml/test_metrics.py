@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import accuracy_score, r2_score, roc_auc_score
+from repro.ml import accuracy_score, roc_auc_score
 
 
 class TestAccuracy:
@@ -45,16 +45,3 @@ class TestRocAuc:
         y = np.asarray([0, 1, 0, 1, 1, 0])
         s = np.asarray([0.1, 0.7, 0.3, 0.9, 0.6, 0.2])
         assert roc_auc_score(y, s) == pytest.approx(roc_auc_score(y, s * 10 + 3))
-
-
-class TestRegressionMetrics:
-    def test_r2_perfect(self):
-        assert r2_score([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
-
-    def test_r2_mean_predictor_is_zero(self):
-        y = np.asarray([1.0, 2.0, 3.0])
-        assert r2_score(y, np.full(3, y.mean())) == pytest.approx(0.0)
-
-    def test_r2_constant_truth(self):
-        assert r2_score([1.0, 1.0], [1.0, 1.0]) == 1.0
-        assert r2_score([1.0, 1.0], [2.0, 2.0]) == 0.0

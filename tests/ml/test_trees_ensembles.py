@@ -11,6 +11,14 @@ from repro.ml import (
 )
 
 
+def _depth(node) -> int:
+    return 0 if node.is_leaf else 1 + max(_depth(node.left), _depth(node.right))
+
+
+def _n_leaves(node) -> int:
+    return 1 if node.is_leaf else _n_leaves(node.left) + _n_leaves(node.right)
+
+
 @pytest.fixture
 def xor_like():
     """Nonlinear (quadrant) data a linear model cannot fit but a tree can.
@@ -33,13 +41,13 @@ class TestDecisionTreeClassifier:
     def test_respects_max_depth(self, xor_like):
         X, y = xor_like
         tree = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        assert tree.depth_ <= 2
+        assert _depth(tree.root_) <= 2
 
     def test_pure_node_becomes_leaf(self):
         X = np.asarray([[0.0], [1.0]])
         y = np.asarray([1, 1])
         tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
-        assert tree.depth_ == 0
+        assert _depth(tree.root_) == 0
 
     def test_predict_proba_rows_sum_to_one(self, xor_like):
         X, y = xor_like
@@ -77,7 +85,7 @@ class TestDecisionTreeClassifier:
         X = np.ones((10, 1))
         y = np.asarray([0, 1] * 5)
         tree = DecisionTreeClassifier(max_depth=3).fit(X, y)
-        assert tree.n_leaves_ == 1
+        assert _n_leaves(tree.root_) == 1
 
 
 class TestDecisionTreeRegressor:
@@ -85,12 +93,12 @@ class TestDecisionTreeRegressor:
         X = np.linspace(0, 1, 100).reshape(-1, 1)
         y = (X.ravel() > 0.5).astype(float) * 10.0
         tree = DecisionTreeRegressor(max_depth=1).fit(X, y)
-        assert tree.score(X, y) > 0.99
+        assert np.array_equal(tree.predict(X), y)
 
     def test_constant_target(self):
         X = np.linspace(0, 1, 10).reshape(-1, 1)
         tree = DecisionTreeRegressor(max_depth=3).fit(X, np.ones(10))
-        assert tree.n_leaves_ == 1
+        assert _n_leaves(tree.root_) == 1
         assert np.allclose(tree.predict(X), 1.0)
 
     def test_max_features_sqrt(self):
