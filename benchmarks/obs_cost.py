@@ -5,7 +5,7 @@
 
 Per seed, the unmodified ``benchmarks/e2e/run.py`` runs twice, each in a
 fresh process: once as it is — a background service runs its flight
-recorder and SLO engine by default — and once with the plane off.  For
+recorder by default — and once with the plane off.  For
 the off side this file, like ``thread_cpu.py``, only imports the harness:
 it rebinds ``TelemetryPlane`` so that the default ``flight_recorder=None``
 means off, exactly what ``EGService(flight_recorder=False)`` does; the

@@ -5,7 +5,7 @@ the optimizer must keep up with the high rate of incoming workloads in a
 collaborative environment.  We stream OpenML pipelines through one EG and
 track the *server-side* overhead (reuse planning + updater/materializer)
 per workload as the graph grows — in seconds, which only a loose bound can
-gate, and as an order (ROADMAP item 2): the vertices ``select`` scores per
+gate, and as an order (ROADMAP item 7): the vertices ``select`` scores per
 merge follow what the merge dirtied, never the EG, and at full scale its
 seconds per merge may at most double while the EG grows tenfold.
 """

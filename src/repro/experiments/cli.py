@@ -270,7 +270,7 @@ def _run_metrics(_sources, args) -> None:
 
 
 def _run_inspect(_sources, args) -> None:
-    """Live introspection: health, SLO burns, kept traces, slow spans."""
+    """Live introspection: health, kept traces, slow spans."""
     from ..obs import perfetto_document
     from ..transport import TransportConnection
 
@@ -315,20 +315,6 @@ def _run_inspect(_sources, args) -> None:
             f"queue {shard_queue.get('depth', 0)}/{shard_queue.get('capacity', 0)}"
         )
     _print_recorder("recorder", debug.get("recorder") or health.get("recorder"))
-    for name, slo in sorted((health.get("slo") or {}).items()):
-        _print(
-            f"  slo {name}: objective {slo.get('objective')}, "
-            f"firing {slo.get('firing') or 'none'}"
-        )
-    alerts = debug.get("alerts") or []
-    if alerts:
-        _print(f"  alert journal ({len(alerts)} transitions):")
-        for alert in alerts[-args.traces :]:
-            _print(
-                f"    {alert.get('state'):>8} {alert.get('slo')} "
-                f"[{alert.get('severity')}] burn {alert.get('burn_short', 0):.2f}/"
-                f"{alert.get('burn_long', 0):.2f}"
-            )
     kept = debug.get("recent_traces") or []
     _print(f"  kept traces ({len(kept)} shown, newest first):")
     for trace in kept:

@@ -11,8 +11,6 @@ instrumented code needs one import surface:
   (in memory, Chrome trace events) and top-k self-time summaries.
 * :mod:`repro.obs.plane` — the always-on telemetry plane: the
   tail-sampling :class:`FlightRecorder` and Perfetto export.
-* :mod:`repro.obs.slo` — declarative objectives with multi-window
-  burn-rate alerting over the metrics registries.
 """
 
 from .metrics import (
@@ -31,15 +29,6 @@ from .plane import (
 )
 from .profile import ProfileEntry, ProfileReport
 from .sinks import ChromeTraceSink, InMemorySink, perfetto_document
-from .slo import (
-    SLO,
-    AlertEvent,
-    BurnWindow,
-    CounterRatioSource,
-    HistogramLatencySource,
-    SLOEngine,
-    default_service_slos,
-)
 from .trace import (
     NoopTracer,
     Span,
@@ -62,13 +51,6 @@ __all__ = [
     "install_recorder",
     "uninstall_recorder",
     "perfetto_document",
-    "SLO",
-    "SLOEngine",
-    "AlertEvent",
-    "BurnWindow",
-    "CounterRatioSource",
-    "HistogramLatencySource",
-    "default_service_slos",
     "ProfileEntry",
     "ProfileReport",
     "ChromeTraceSink",

@@ -16,9 +16,7 @@ Two read surfaces:
 
 :func:`percentile` is the shared percentile primitive — linear
 interpolation between closest ranks, the numpy default — used by the
-histogram's quantile estimate and by the service's latency window
-(:mod:`repro.service.telemetry`), which previously carried its own
-nearest-rank variant.
+service's latency window (:mod:`repro.service.telemetry`).
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from typing import Any, Callable, Iterable, Mapping, Sequence
-
-from .trace import get_tracer
 
 __all__ = [
     "percentile",
@@ -194,26 +190,21 @@ class Gauge(_Instrument):
 
 
 class _HistogramSeries:
-    __slots__ = ("bucket_counts", "sum", "count", "exemplars")
+    __slots__ = ("bucket_counts", "sum", "count")
 
     def __init__(self, n_buckets: int):
         self.bucket_counts = [0] * n_buckets  # one per finite bound; +Inf is implied
         self.sum = 0.0
         self.count = 0
-        # last exemplar per bucket index (the +Inf bucket is index
-        # n_buckets), as (value, trace_id, span_id); a fixed-size list, so
-        # a snapshot reader outside the lock sees each slot old or new
-        self.exemplars: list[tuple[float, str, str] | None] = [None] * (n_buckets + 1)
 
 
 class Histogram(_Instrument):
     """Fixed-bucket histogram with cumulative exposition semantics.
 
     ``buckets`` are the finite upper bounds, ascending; an implicit
-    ``+Inf`` bucket catches the rest.  ``quantile`` interpolates within
-    the bucket containing the target rank — coarse by design (the exact
-    service latency window lives in :mod:`repro.service.telemetry`), but
-    monotone and machine-independent.
+    ``+Inf`` bucket catches the rest.  Readers get per-series bucket
+    counts, sum and count (the exact service latency window lives in
+    :mod:`repro.service.telemetry`).
     """
 
     kind = "histogram"
@@ -231,25 +222,9 @@ class Histogram(_Instrument):
             raise ValueError("a histogram needs at least one bucket bound")
         self.buckets = bounds
 
-    def observe(
-        self, value: float, exemplar: Any | None = None, **labels: Any
-    ) -> None:
-        """Record ``value``; optionally link the bucket to a trace.
-
-        ``exemplar`` is anything with ``trace_id``/``span_id`` attributes
-        (a :class:`~repro.obs.trace.SpanContext` or a span).  When omitted
-        and tracing is enabled, the calling thread's current span context
-        is captured automatically, so a p99 bucket points at a concrete
-        trace the flight recorder may have kept.
-        """
+    def observe(self, value: float, **labels: Any) -> None:
         key = _label_key(self.labelnames, labels)
         index = bisect_left(self.buckets, value)
-        if exemplar is None:
-            tracer = get_tracer()
-            if tracer.enabled:
-                exemplar = tracer.current_span()
-        trace_id = getattr(exemplar, "trace_id", None)
-        span_id = getattr(exemplar, "span_id", None)
         with self._lock:
             series = self._series.get(key)
             if series is None:
@@ -258,61 +233,13 @@ class Histogram(_Instrument):
                 series.bucket_counts[index] += 1
             series.sum += value
             series.count += 1
-            if trace_id:
-                series.exemplars[index] = (float(value), str(trace_id), str(span_id or ""))
-
-    def quantile(self, fraction: float, **labels: Any) -> float:
-        """Estimated value at ``fraction`` via in-bucket interpolation."""
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None or series.count == 0:
-                return 0.0
-            counts = list(series.bucket_counts)
-            count = series.count
-        target = min(1.0, max(0.0, fraction)) * count
-        cumulative = 0
-        for index, bucket_count in enumerate(counts):
-            if bucket_count == 0:
-                continue
-            lower = self.buckets[index - 1] if index else 0.0
-            upper = self.buckets[index]
-            if cumulative + bucket_count >= target:
-                within = (target - cumulative) / bucket_count
-                return lower + (upper - lower) * within
-            cumulative += bucket_count
-        return self.buckets[-1]  # target fell into the +Inf bucket
-
-    def _bucket_bound(self, index: int) -> str:
-        return "+Inf" if index >= len(self.buckets) else str(self.buckets[index])
-
-    def exemplars(self, **labels: Any) -> dict[str, dict[str, Any]]:
-        """Exemplars of one series keyed by bucket upper bound."""
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            series = self._series.get(key)
-            stored = list(series.exemplars) if series is not None else []
-        return self._exemplar_dicts(stored)
-
-    def _exemplar_dicts(
-        self, stored: Sequence[tuple[float, str, str] | None]
-    ) -> dict[str, dict[str, Any]]:
-        return {
-            self._bucket_bound(index): dict(zip(("value", "trace_id", "span_id"), slot))
-            for index, slot in enumerate(stored)
-            if slot is not None
-        }
 
     def _plain(self, value: _HistogramSeries) -> dict[str, Any]:
-        plain = {
+        return {
             "buckets": dict(zip([str(b) for b in self.buckets], value.bucket_counts)),
             "sum": value.sum,
             "count": value.count,
         }
-        exemplars = self._exemplar_dicts(value.exemplars)
-        if exemplars:
-            plain["exemplars"] = exemplars
-        return plain
 
 
 class MetricsRegistry:

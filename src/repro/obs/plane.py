@@ -20,12 +20,12 @@ span with no parent) finishes, when the outcome is known:
 
 Everything is bounded: at most ``max_traces`` in-flight trace buffers
 (LRU-evicted, the evicted trace still gets a decision on what it has),
-``max_spans_per_trace`` spans buffered per trace (root spans always make
-it in so the decision can run), ``keep_last`` kept traces.  A trace
-whose root never arrives locally — e.g. a server whose spans all parent
-into a remote caller's context — is finalized by age
-(``stale_after_s``), checked opportunistically every few dozen new traces
-and on reads, so remote-rooted traces are kept too, just a little late.
+512 spans buffered per trace (root spans always make it in so the
+decision can run), ``keep_last`` kept traces.  A trace whose root never
+arrives locally — e.g. a server whose spans all parent into a remote
+caller's context — is finalized after 30 s idle, checked
+opportunistically every few dozen new traces and on reads, so
+remote-rooted traces are kept too, just a little late.
 
 :func:`install_recorder` / :func:`uninstall_recorder` attach a recorder
 to the process tracer.  If tracing is off (the default
@@ -66,6 +66,12 @@ _SHED_ERROR = "ServiceOverloadedError"
 
 #: how many opened trace buffers between opportunistic stale-trace sweeps
 _STALE_SWEEP_EVERY = 32
+
+#: spans buffered per trace beyond its root; the rest are only counted
+_MAX_SPANS_PER_TRACE = 512
+
+#: idle seconds after which a trace whose root never arrived is finalized
+_STALE_AFTER_S = 30.0
 
 _DECISIONS = ("shed", "error", "slow", "sampled", "dropped")
 
@@ -145,8 +151,6 @@ class FlightRecorder:
         head_sample_every: int = 10,
         keep_last: int = 256,
         max_traces: int = 512,
-        max_spans_per_trace: int = 512,
-        stale_after_s: float = 30.0,
         registry: MetricsRegistry | None = None,
     ):
         if head_sample_every < 0:
@@ -154,8 +158,6 @@ class FlightRecorder:
         self.slow_threshold_s = float(slow_threshold_s)
         self.head_sample_every = int(head_sample_every)
         self.max_traces = int(max_traces)
-        self.max_spans_per_trace = int(max_spans_per_trace)
-        self.stale_after_s = float(stale_after_s)
         self._lock = threading.Lock()
         self._buffers: OrderedDict[str, _TraceBuffer] = OrderedDict()
         self._kept: deque[_KeptTrace] = deque(maxlen=keep_last)
@@ -213,7 +215,7 @@ class FlightRecorder:
                 del buffers[trace_id]
                 self._finalize_locked(trace_id, buffer, span)
                 return
-            if len(buffer.spans) < self.max_spans_per_trace:
+            if len(buffer.spans) < _MAX_SPANS_PER_TRACE:
                 buffer.spans.append(span)
             else:
                 buffer.dropped += 1
@@ -268,7 +270,7 @@ class FlightRecorder:
             )
 
     def _flush_stale_locked(self, now: float, max_age_s: float | None = None) -> int:
-        age = self.stale_after_s if max_age_s is None else max_age_s
+        age = _STALE_AFTER_S if max_age_s is None else max_age_s
         cutoff = now - age
         finalized = 0
         # OrderedDict is in last-touched order: stop at the first live one
@@ -282,13 +284,11 @@ class FlightRecorder:
         return finalized
 
     def flush_stale(self, max_age_s: float | None = None) -> int:
-        """Finalize buffers idle longer than ``max_age_s`` (default: the
-        recorder's ``stale_after_s``); returns how many were finalized."""
+        """Finalize buffers idle longer than ``max_age_s`` (default 30 s);
+        returns how many were finalized."""
         now = time.perf_counter()
         with self._lock:
-            return self._flush_stale_locked(
-                now, self.stale_after_s if max_age_s is None else float(max_age_s)
-            )
+            return self._flush_stale_locked(now, max_age_s)
 
     # ------------------------------------------------------------------
     # Read surface

@@ -98,15 +98,5 @@ class ProfileReport:
         return cls.from_spans(selected, top_k=top_k)
 
     # ------------------------------------------------------------------
-    def render(self) -> str:
-        """Fixed-width table for logs and CLI output."""
-        lines = [f"{'span':<28} {'count':>6} {'total_s':>9} {'self_s':>9} {'max_s':>9}"]
-        for entry in self.entries:
-            lines.append(
-                f"{entry.name:<28} {entry.count:>6} {entry.total_s:>9.4f} "
-                f"{entry.self_s:>9.4f} {entry.max_s:>9.4f}"
-            )
-        return "\n".join(lines)
-
     def top(self, n: int = 1) -> Sequence[ProfileEntry]:
         return self.entries[:n]

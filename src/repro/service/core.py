@@ -383,9 +383,7 @@ class EGService:
             span.set_attribute("version", lease.version)
             span.set_attribute("loads", len(result.plan.loads))
         self._metrics.count_plan(session_id, len(result.plan.loads))
-        self._metrics.plan_seconds.observe(
-            time.perf_counter() - plan_started, exemplar=span.context
-        )
+        self._metrics.plan_seconds.observe(time.perf_counter() - plan_started)
         return ServicePlan(session_id=session_id, result=result, lease=lease)
 
     # ------------------------------------------------------------------
@@ -480,9 +478,7 @@ class EGService:
             wait_s = (
                 max(0.0, started - ticket.enqueued_at) if ticket.enqueued_at else 0.0
             )
-            self._metrics.queue_wait_seconds.observe(
-                wait_s, exemplar=ticket.trace_parent
-            )
+            self._metrics.queue_wait_seconds.observe(wait_s)
             span = tracer.span(
                 "service.commit",
                 parent=ticket.trace_parent,
@@ -553,8 +549,7 @@ class EGService:
             metrics.merge_seconds_total.inc(merge_seconds)
             metrics.max_batch_size.set_max(report.merged_workloads)
             metrics.max_merge_seconds.set_max(merge_seconds)
-            metrics.merge_batch_seconds.observe(merge_seconds, exemplar=batch_span)
-        self.telemetry.evaluate()
+            metrics.merge_batch_seconds.observe(merge_seconds)
         return len(batch)
 
     # ------------------------------------------------------------------
@@ -638,8 +633,8 @@ class EGService:
     # Live introspection (the transport's ``health``/``debug`` ops)
     # ------------------------------------------------------------------
     def health(self) -> dict[str, Any]:
-        """Cheap liveness/readiness snapshot: queue headroom, recorder
-        totals, and the currently-firing SLO burns."""
+        """Cheap liveness/readiness snapshot: queue headroom and recorder
+        totals."""
         now = self._observe()
         return self.telemetry.health(
             self._stopped,

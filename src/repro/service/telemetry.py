@@ -5,8 +5,8 @@ the field→instrument table (:data:`~repro.service.stats.STAT_FIELDS`);
 services call ``inc`` / ``observe`` / ``set_max`` on them directly, and
 :meth:`ServiceMetrics.cut` freezes them into one consistent
 :class:`~repro.service.stats.ServiceStats`.  :class:`TelemetryPlane` owns
-the flight recorder and the SLO engine of one service — plain or sharded
-— and fills the sections of ``health()`` / ``debug_info()`` they answer.
+the flight recorder of one service — plain or sharded — and fills the
+sections of ``health()`` / ``debug_info()`` it answers.
 
 Locking: each registry instrument guards itself.  :meth:`ServiceMetrics.cut`
 acquires **all** the instruments it reads in one stable (name-sorted)
@@ -30,9 +30,8 @@ from contextlib import ExitStack
 from functools import partial
 from typing import TYPE_CHECKING, Any
 
-from ..obs.metrics import MetricsRegistry, get_registry, percentile
+from ..obs.metrics import MetricsRegistry, percentile
 from ..obs.plane import FlightRecorder, install_recorder, uninstall_recorder
-from ..obs.slo import SLOEngine, default_service_slos
 from .stats import STAT_FIELDS, ServiceStats, SessionStats
 
 __all__ = ["ServiceMetrics", "TelemetryPlane", "LATENCY_WINDOW"]
@@ -70,8 +69,7 @@ class ServiceMetrics:
             declare = registry.gauge if row["kind"] == "gauge" else registry.counter
             labels = ("session",) if row["session"] else ()
             setattr(self, spec.name, declare(row["metric"], row["help"], labels))
-        #: latency histograms: they feed the exposition and the SLO engine,
-        #: not ``ServiceStats``
+        #: latency histograms: they feed the exposition, not ``ServiceStats``
         histogram = partial(registry.histogram, buckets=_LATENCY_BUCKETS)
         self.request_seconds = histogram(
             "repro_service_request_seconds", "end-to-end request latency"
@@ -151,15 +149,13 @@ class ServiceMetrics:
 
 
 class TelemetryPlane:
-    """Flight recorder + SLO engine of one service, plain or sharded.
+    """The flight recorder of one service, plain or sharded.
 
     ``flight_recorder`` is a recorder instance (shared), True (own one),
     False (off) or None — the default, on only for a ``background``
     service: that is the production shape, while the paper figures
     construct thousands of short-lived inline services that must stay
-    zero-overhead.  With a recorder comes an SLO engine over the
-    service's ``registry`` and the process-global registry (store/planner
-    series live there).
+    zero-overhead.
     """
 
     def __init__(
@@ -177,50 +173,30 @@ class TelemetryPlane:
             self.recorder = None
         else:
             self.recorder = flight_recorder
-        self.slo_engine: SLOEngine | None = None
         if self.recorder is not None:
             install_recorder(self.recorder)
-            self.slo_engine = SLOEngine(
-                default_service_slos(),
-                registries=[registry, get_registry()],
-                registry=registry,
-            )
-
-    def evaluate(self) -> None:
-        """Rate-limited SLO evaluation; merge loops and read surfaces call it."""
-        if self.slo_engine is not None:
-            self.slo_engine.maybe_evaluate()
 
     def health(
         self, stopped: bool, degraded: bool = False, **sections: Any
     ) -> dict[str, Any]:
-        """A ``health()`` report: status, the service's own ``sections``,
-        recorder totals and the currently-firing SLO burns.  ``degraded``
-        is the service's own reason to be less than ok."""
-        self.evaluate()
-        engine, recorder = self.slo_engine, self.recorder
-        alerts = engine.active() if engine is not None else []
-        if stopped:
-            status = "stopped"
-        else:
-            status = "degraded" if alerts or degraded else "ok"
+        """A ``health()`` report: status, the service's own ``sections``
+        and recorder totals.  The status is ``stopped``, else ``degraded``
+        for the service's own reason (``degraded``), else ``ok``."""
+        recorder = self.recorder
         return {
-            "status": status,
+            "status": "stopped" if stopped else "degraded" if degraded else "ok",
             **sections,
             "recorder": recorder.stats() if recorder is not None else None,
-            "slo": engine.status() if engine is not None else None,
-            "alerts": alerts,
         }
 
     def debug_info(
         self, traces: int, spans: int, trace_id: str | None, **sections: Any
     ) -> dict[str, Any]:
         """A ``debug_info()`` report: recent kept traces, slowest spans by
-        self-time, the SLO alert journal, the service's own ``sections``
-        — and, when ``trace_id`` names a kept trace, its full span list
-        (Perfetto-renderable via :func:`repro.obs.sinks.perfetto_document`)."""
-        self.evaluate()
-        engine, recorder = self.slo_engine, self.recorder
+        self-time, the service's own ``sections`` — and, when ``trace_id``
+        names a kept trace, its full span list (Perfetto-renderable via
+        :func:`repro.obs.sinks.perfetto_document`)."""
+        recorder = self.recorder
         info: dict[str, Any] = {
             "recorder": recorder.stats() if recorder is not None else None,
             "recent_traces": (
@@ -229,7 +205,6 @@ class TelemetryPlane:
             "slowest_spans": (
                 recorder.slowest_spans(spans) if recorder is not None else []
             ),
-            "alerts": engine.journal() if engine is not None else [],
             **sections,
         }
         if trace_id is not None and recorder is not None:

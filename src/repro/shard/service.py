@@ -667,7 +667,6 @@ class ProcessShardCoordinator:
                 )
             )
         self._metrics.commits_total.inc(session=ticket.session_id)
-        self.telemetry.evaluate()
         return ShardedCommitResult(
             commit_index=ticket.commit_index,
             version=version,

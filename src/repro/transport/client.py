@@ -672,7 +672,7 @@ class TransportServiceClient(ServiceClient):
         spans: int = 20,
         trace_id: str | None = None,
     ) -> dict[str, Any]:
-        """The server's flight-recorder view: kept traces, slow spans, alerts.
+        """The server's flight-recorder view: kept traces and slow spans.
 
         ``trace_id`` additionally fetches that trace's full span list
         (renderable with :func:`repro.obs.sinks.perfetto_document`).

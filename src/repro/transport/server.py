@@ -570,8 +570,7 @@ class AsyncTransportServer:
         return {"text": self.service.metrics_text()}
 
     def _op_health(self, _message: dict[str, Any]) -> dict[str, Any]:
-        """Service health (queue/SLO/recorder state) plus a transport
-        section."""
+        """Service health (queue/recorder state) plus a transport section."""
         health_fn = getattr(self.service, "health", None)
         if callable(health_fn):
             payload = dict(health_fn())
@@ -587,8 +586,8 @@ class AsyncTransportServer:
         return {"health": sanitize_tree(payload)}
 
     def _op_debug(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Flight-recorder introspection: kept traces, slowest spans,
-        alert journal; ``trace_id`` fetches one trace's full span list."""
+        """Flight-recorder introspection: kept traces and slowest spans;
+        ``trace_id`` fetches one trace's full span list."""
         debug_fn = getattr(self.service, "debug_info", None)
         if not callable(debug_fn):
             raise ProtocolError("service exposes no debug surface")

@@ -68,9 +68,9 @@ def sanitize_tree(obj: Any) -> Any:
     """Deep-copy an introspection payload into wire-safe plain data.
 
     The ``debug``/``health`` ops ship dicts assembled from live objects
-    (span attributes, SLO status, recorder stats) that may contain numpy
-    scalars, tuples, or arbitrary values; the codecs expect message
-    trees of JSON-shaped plain data.  Scalars pass through, numpy
+    (span attributes, recorder stats) that may contain numpy scalars,
+    tuples, or arbitrary values; the codecs expect message trees of
+    JSON-shaped plain data.  Scalars pass through, numpy
     numbers collapse to Python numbers, containers recurse, and anything
     else degrades to ``repr`` — introspection must never fail to encode.
     """

@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     percentile,
     set_registry,
 )
-from repro.obs.trace import SpanContext, Tracer, use_tracer
 
 
 class TestPercentile:
@@ -93,111 +92,9 @@ class TestHistogram:
         assert plain["count"] == 4
         assert plain["sum"] == pytest.approx(56.2)
 
-    def test_quantile_interpolates_within_bucket(self):
-        hist = Histogram("h", "", buckets=(1.0, 2.0))
-        for _ in range(10):
-            hist.observe(1.5)
-        estimate = hist.quantile(0.5)
-        assert 1.0 <= estimate <= 2.0
-
-    def test_quantile_empty_is_zero_and_inf_bucket_caps(self):
-        hist = Histogram("h", "", buckets=(1.0,))
-        assert hist.quantile(0.5) == 0.0
-        hist.observe(100.0)  # +Inf bucket
-        assert hist.quantile(0.99) == 1.0
-
     def test_needs_at_least_one_bucket(self):
         with pytest.raises(ValueError):
             Histogram("h", "", buckets=())
-
-    def test_quantile_all_observations_in_inf_bucket(self):
-        hist = Histogram("h", "", buckets=(1.0, 2.0))
-        for _ in range(5):
-            hist.observe(100.0)
-        # everything beyond the last finite bound: the estimate caps there
-        assert hist.quantile(0.5) == 2.0
-        assert hist.quantile(0.99) == 2.0
-
-    def test_quantile_single_observation(self):
-        hist = Histogram("h", "", buckets=(1.0, 2.0))
-        hist.observe(0.5)
-        for fraction in (0.0, 0.5, 1.0):
-            assert 0.0 <= hist.quantile(fraction) <= 1.0
-
-    def test_quantile_labeled_series_are_isolated(self):
-        hist = Histogram("h", "", labelnames=("op",), buckets=(1.0, 10.0))
-        hist.observe(0.5, op="fast")
-        hist.observe(9.0, op="slow")
-        assert hist.quantile(0.5, op="fast") <= 1.0
-        assert hist.quantile(0.5, op="slow") > 1.0
-        # a series never observed reads as empty, not as its sibling
-        assert hist.quantile(0.5, op="other") == 0.0
-
-    def test_quantile_empty_labeled_series_is_zero(self):
-        hist = Histogram("h", "", labelnames=("op",), buckets=(1.0,))
-        assert hist.quantile(0.99, op="never") == 0.0
-
-
-class TestHistogramExemplars:
-    def test_explicit_exemplar_links_bucket_to_trace(self):
-        hist = Histogram("h", "", buckets=(1.0, 10.0))
-        hist.observe(0.5, exemplar=SpanContext("trace-a", "span-a"))
-        exemplars = hist.exemplars()
-        assert exemplars == {
-            "1.0": {"value": 0.5, "trace_id": "trace-a", "span_id": "span-a"}
-        }
-
-    def test_inf_bucket_exemplar_keyed_plus_inf(self):
-        hist = Histogram("h", "", buckets=(1.0,))
-        hist.observe(50.0, exemplar=SpanContext("trace-b", "span-b"))
-        assert hist.exemplars()["+Inf"]["trace_id"] == "trace-b"
-
-    def test_last_exemplar_per_bucket_wins(self):
-        hist = Histogram("h", "", buckets=(1.0,))
-        hist.observe(0.2, exemplar=SpanContext("first", "s1"))
-        hist.observe(0.3, exemplar=SpanContext("second", "s2"))
-        assert hist.exemplars()["1.0"]["trace_id"] == "second"
-        assert hist.exemplars()["1.0"]["value"] == 0.3
-
-    def test_active_span_captured_automatically_when_tracing(self):
-        hist = Histogram("h", "", buckets=(1.0,))
-        with use_tracer(Tracer()) as tracer:
-            with tracer.span("work") as span:
-                hist.observe(0.5)
-        assert hist.exemplars()["1.0"]["trace_id"] == span.trace_id
-        assert hist.exemplars()["1.0"]["span_id"] == span.span_id
-
-    def test_no_exemplar_when_tracing_off(self):
-        hist = Histogram("h", "", buckets=(1.0,))
-        hist.observe(0.5)  # default tracer is the noop
-        assert hist.exemplars() == {}
-        [(_labels, plain)] = hist.items()
-        assert "exemplars" not in plain
-
-    def test_exemplars_survive_snapshot(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_seconds", buckets=(1.0,))
-        hist.observe(0.5, exemplar=SpanContext("trace-c", "span-c"))
-        hist.observe(2.0)  # no trace: bucket counted, no exemplar
-        [series] = registry.snapshot()["latency_seconds"]["series"]
-        assert series["value"]["exemplars"] == {
-            "1.0": {"value": 0.5, "trace_id": "trace-c", "span_id": "span-c"}
-        }
-        assert series["value"]["count"] == 2
-
-    def test_exemplars_do_not_leak_across_labels(self):
-        hist = Histogram("h", "", labelnames=("op",), buckets=(1.0,))
-        hist.observe(0.5, exemplar=SpanContext("trace-d", "span-d"), op="plan")
-        assert hist.exemplars(op="plan")["1.0"]["trace_id"] == "trace-d"
-        assert hist.exemplars(op="commit") == {}
-
-    def test_prometheus_rendering_unaffected_by_exemplars(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_seconds", buckets=(1.0,))
-        hist.observe(0.5, exemplar=SpanContext("trace-e", "span-e"))
-        text = registry.render_prometheus()
-        assert 'latency_seconds_bucket{le="1.0"} 1' in text
-        assert "trace-e" not in text
 
 
 class TestRegistry:
@@ -219,12 +116,26 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("jobs_total", "jobs", ("kind",)).inc(kind="merge")
         registry.gauge("depth").set(3)
+        hist = registry.histogram("wait_seconds", labelnames=("op",), buckets=(1.0,))
+        hist.observe(0.5, op="plan")
+        hist.observe(9.0, op="commit")
         snapshot = registry.snapshot()
         assert snapshot["jobs_total"]["type"] == "counter"
         assert snapshot["jobs_total"]["series"] == [
             {"labels": {"kind": "merge"}, "value": 1.0}
         ]
         assert snapshot["depth"]["series"][0]["value"] == 3.0
+        # one series per label value, each its own buckets, sum and count
+        assert snapshot["wait_seconds"]["series"] == [
+            {
+                "labels": {"op": "plan"},
+                "value": {"buckets": {"1.0": 1}, "sum": 0.5, "count": 1},
+            },
+            {
+                "labels": {"op": "commit"},
+                "value": {"buckets": {"1.0": 0}, "sum": 9.0, "count": 1},
+            },
+        ]
 
     def test_prometheus_exposition(self):
         registry = MetricsRegistry()

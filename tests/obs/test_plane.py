@@ -10,6 +10,7 @@ import pytest
 from repro.client.executor import Executor, VirtualCostModel
 from repro.materialization.simple import MaterializeAll
 from repro.obs.metrics import MetricsRegistry
+from repro.obs import plane
 from repro.obs.plane import (
     FlightRecorder,
     install_recorder,
@@ -101,10 +102,9 @@ class TestTailDecisions:
 
 
 class TestBounds:
-    def test_span_cap_drops_children_but_roots_always_enter(self):
-        tracer, recorder = recorded_tracer(
-            slow_threshold_s=0.0, head_sample_every=0, max_spans_per_trace=2
-        )
+    def test_span_cap_drops_children_but_roots_always_enter(self, monkeypatch):
+        monkeypatch.setattr(plane, "_MAX_SPANS_PER_TRACE", 2)
+        tracer, recorder = recorded_tracer(slow_threshold_s=0.0, head_sample_every=0)
         with tracer.span("root"):
             for index in range(3):
                 with tracer.span(f"child-{index}"):

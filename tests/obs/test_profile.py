@@ -65,12 +65,9 @@ class TestFromTrace:
         names = {entry.name for entry in report.entries}
         assert names == {"root", "child", "grandchild"}
 
-    def test_render_is_tabular(self):
+    def test_top_names_the_root(self):
         tracer = Tracer()
         with tracer.span("root") as root:
             pass
         report = ProfileReport.from_trace(tracer, root)
-        rendered = report.render()
-        assert rendered.splitlines()[0].startswith("span")
-        assert "root" in rendered
         assert report.top(1)[0].name == "root"

@@ -10,7 +10,6 @@ class TestShardedTelemetry:
         service = ProcessShardCoordinator(2)
         try:
             assert service.flight_recorder is not None
-            assert service.telemetry.slo_engine is not None
             # shards never run their own plane: one recorder, one tracer
             assert all(shard.health()["recorder"] is None for shard in service.shards)
             assert get_tracer().enabled
@@ -39,7 +38,7 @@ class TestShardedTelemetry:
             info = service.debug_info()
             assert len(info["shards"]) == 2
             assert {"shard", "queue_depth", "batches"} <= set(info["shards"][0])
-            assert info["alerts"] == []
+            assert "alerts" not in info
         finally:
             service.stop()
 
