@@ -22,7 +22,11 @@ and the client's training kernels with ``time.thread_time()`` —
 inclusive CPU and calls per workload, in this process only
 (``update_batch`` contains ``select``, an ensemble's ``fit`` contains its
 trees' ``_presort``, split searches, ``_partition`` and predictions, and a
-split search contains ``_sorted_columns``).  The wrappers cost CPU
+split search contains ``_sorted_columns``).  The round trip's stages are
+among them: ``parse_workload``, ``prune_workload``, ``Executor.execute``
+and ``EGService.commit``, which contains the merge's
+``UtilityMaterializer.greedy`` (when the budget binds) and
+``VersionedExperimentGraph.publish``.  The wrappers cost CPU
 themselves, so read the thread table from a run without them.
 
 Like the harness's own times, every number is read at the reference
@@ -115,8 +119,12 @@ class StageClock:
 
 
 def install_stages() -> StageClock:
+    from repro.client.executor import Executor
+    from repro.client.parser import parse_workload
     from repro.dataframe import DataFrame
     from repro.eg.updater import Updater
+    from repro.graph.pruning import prune_workload
+    from repro.materialization.base import UtilityMaterializer
     from repro.materialization.storage_aware import StorageAwareMaterializer
     from repro.ml.ensemble import GradientBoostingClassifier, RandomForestClassifier
     from repro.ml.tree import (
@@ -129,10 +137,17 @@ def install_stages() -> StageClock:
         _sorted_columns,
     )
     from repro.service.core import EGService
+    from repro.service.versioned import VersionedExperimentGraph
     from repro.transport import wire
     from repro.transport.codec import BinaryWireCodec
 
     clock = StageClock()
+    clock.wrap_function(parse_workload)
+    clock.wrap_function(prune_workload)
+    clock.wrap_method(Executor, "execute")
+    clock.wrap_method(EGService, "commit")
+    clock.wrap_method(UtilityMaterializer, "greedy")
+    clock.wrap_method(VersionedExperimentGraph, "publish")
     clock.wrap_function(wire.encode_workload)
     clock.wrap_function(wire.decode_workload)
     clock.wrap_function(wire.decode_results)

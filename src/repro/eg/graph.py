@@ -248,16 +248,16 @@ class ExperimentGraph:
                         ):
                             delta.quality_changes[vertex.vertex_id] = old_quality
 
-        for src, dst, attrs in workload.graph.edges(data=True):
+        for src, dst, edge in workload.edges():
             if not self.graph.has_edge(src, dst):
-                operation = attrs["operation"]
+                operation = edge.operation
                 self.graph.add_edge(
                     src,
                     dst,
                     op_hash=operation.op_hash if operation is not None else None,
                     op_name=operation.name if operation is not None else None,
                     op_params=dict(operation.params) if operation is not None else None,
-                    order=attrs.get("order", 0),
+                    order=edge.order,
                 )
                 delta.new_edges.append((src, dst))
 

@@ -17,12 +17,10 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
-import networkx as nx
-
 from .artifacts import ArtifactMeta, ArtifactType, artifact_meta, payload_size_bytes
 from .operations import Operation
 
-__all__ = ["Vertex", "WorkloadDAG", "source_vertex_id", "derived_vertex_id"]
+__all__ = ["Edge", "Vertex", "WorkloadDAG", "source_vertex_id", "derived_vertex_id"]
 
 
 def source_vertex_id(name: str) -> str:
@@ -65,10 +63,6 @@ class Vertex:
     meta: ArtifactMeta | None = None
     is_source: bool = False
     source_name: str | None = None
-    #: filled by the optimizer: load this vertex from the EG instead of computing
-    reuse_from_store: bool = False
-    #: filled by the optimizer: warmstart this training op from a stored model
-    warmstart_model: Any = None
 
     @property
     def is_supernode(self) -> bool:
@@ -92,11 +86,33 @@ class Vertex:
         self.meta = meta if meta is not None else artifact_meta(payload)
 
 
+@dataclass(slots=True)
+class Edge:
+    """One edge of a workload DAG: the operation it applies (``None`` into a
+    supernode), its position among the target's inputs, and whether the
+    local pruner left it active."""
+
+    operation: Operation | None
+    order: int = 0
+    active: bool = True
+
+
 class WorkloadDAG:
-    """A single workload's directed acyclic graph of artifacts."""
+    """A single workload's directed acyclic graph of artifacts.
+
+    Append-only adjacency: vertices in insertion order, each one's parents
+    sorted (stably) by edge ``order`` and children in edge insertion order,
+    one :class:`Edge` per ``(src, dst)``.  The orders handed out are
+    networkx's on the same insertions, which need not be topological.
+    """
 
     def __init__(self):
-        self.graph = nx.DiGraph()
+        self._vertices: dict[str, Vertex] = {}
+        self._parents: dict[str, tuple[str, ...]] = {}
+        self._children: dict[str, list[str]] = {}
+        self._edges: dict[tuple[str, str], Edge] = {}
+        #: cached :meth:`topological_order`, dropped on every insertion
+        self._topological: list[str] | None = None
         self.terminals: list[str] = []
         #: global workload sequence number assigned by a coordinator that
         #: fans one workload out to several Experiment Graph partitions.
@@ -109,21 +125,47 @@ class WorkloadDAG:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def add_vertex(self, vertex: Vertex) -> None:
+        """Insert a vertex under a new id."""
+        vertex_id = vertex.vertex_id
+        if vertex_id in self._vertices:
+            raise ValueError(f"duplicate vertex {vertex_id[:12]}")
+        self._vertices[vertex_id] = vertex
+        self._parents[vertex_id] = ()
+        self._children[vertex_id] = []
+        self._topological = None
+
+    def add_edge(
+        self, src: str, dst: str, operation: Operation | None, order=0, active=True
+    ) -> None:
+        """Insert a new edge between two present vertices."""
+        if src not in self._vertices or dst not in self._vertices:
+            raise KeyError(f"edge endpoint missing: {src[:12]} -> {dst[:12]}")
+        if (src, dst) in self._edges:
+            raise ValueError(f"duplicate edge {src[:12]} -> {dst[:12]}")
+        edges = self._edges
+        edges[src, dst] = Edge(operation, order, active)
+        parents = self._parents[dst] + (src,)
+        if len(parents) > 1:  # stable: equal orders keep arrival order
+            parents = tuple(sorted(parents, key=lambda p: edges[p, dst].order))
+        self._parents[dst] = parents
+        self._children[src].append(dst)
+        self._topological = None
+
     def add_source(self, name: str, payload: Any = None) -> str:
         """Add (or return) a raw source dataset vertex."""
         vertex_id = source_vertex_id(name)
-        if vertex_id not in self.graph:
+        vertex = self._vertices.get(vertex_id)
+        if vertex is None:
             vertex = Vertex(
                 vertex_id=vertex_id,
                 artifact_type=ArtifactType.DATASET,
                 is_source=True,
                 source_name=name,
             )
-            if payload is not None:
-                vertex.record_result(payload, compute_time=0.0)
-            self.graph.add_node(vertex_id, vertex=vertex)
-        elif payload is not None and not self.vertex(vertex_id).computed:
-            self.vertex(vertex_id).record_result(payload, compute_time=0.0)
+            self.add_vertex(vertex)
+        if payload is not None and not vertex.computed:
+            vertex.record_result(payload, compute_time=0.0)
         return vertex_id
 
     def add_operation(self, inputs: Sequence[str], operation: Operation) -> str:
@@ -136,33 +178,27 @@ class WorkloadDAG:
         if not inputs:
             raise ValueError("operation needs at least one input vertex")
         for vertex_id in inputs:
-            if vertex_id not in self.graph:
+            if vertex_id not in self._vertices:
                 raise KeyError(f"unknown input vertex {vertex_id[:12]}")
 
         if len(inputs) == 1:
             tail = inputs[0]
         else:
             tail = supernode_id(inputs)
-            if tail not in self.graph:
-                self.graph.add_node(
-                    tail,
-                    vertex=Vertex(vertex_id=tail, artifact_type=ArtifactType.SUPERNODE),
-                )
+            if tail not in self._vertices:
+                self.add_vertex(Vertex(tail, ArtifactType.SUPERNODE))
                 for order, parent in enumerate(inputs):
-                    self.graph.add_edge(parent, tail, operation=None, order=order, active=True)
+                    self.add_edge(parent, tail, None, order)
 
         output_id = derived_vertex_id([tail], operation.op_hash)
-        if output_id not in self.graph:
-            self.graph.add_node(
-                output_id,
-                vertex=Vertex(vertex_id=output_id, artifact_type=operation.return_type),
-            )
-            self.graph.add_edge(tail, output_id, operation=operation, order=0, active=True)
+        if output_id not in self._vertices:
+            self.add_vertex(Vertex(output_id, operation.return_type))
+            self.add_edge(tail, output_id, operation)
         return output_id
 
     def mark_terminal(self, vertex_id: str) -> None:
         """Declare a vertex as a workload output (paper: terminal vertex)."""
-        if vertex_id not in self.graph:
+        if vertex_id not in self._vertices:
             raise KeyError(f"unknown vertex {vertex_id[:12]}")
         if vertex_id not in self.terminals:
             self.terminals.append(vertex_id)
@@ -171,14 +207,13 @@ class WorkloadDAG:
     # Accessors
     # ------------------------------------------------------------------
     def vertex(self, vertex_id: str) -> Vertex:
-        return self.graph.nodes[vertex_id]["vertex"]
+        return self._vertices[vertex_id]
 
     def __contains__(self, vertex_id: str) -> bool:
-        return vertex_id in self.graph
+        return vertex_id in self._vertices
 
     def vertices(self) -> Iterator[Vertex]:
-        for _vid, attrs in self.graph.nodes(data=True):
-            yield attrs["vertex"]
+        return iter(self._vertices.values())
 
     def artifact_vertices(self) -> Iterator[Vertex]:
         """All vertices except supernodes."""
@@ -186,26 +221,31 @@ class WorkloadDAG:
 
     @property
     def num_vertices(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._vertices)
 
     def sources(self) -> list[str]:
         return [v.vertex_id for v in self.vertices() if v.is_source]
 
     def parents(self, vertex_id: str) -> list[str]:
         """Parent vertex ids in input order (meaningful through supernodes)."""
-        incoming = sorted(
-            self.graph.in_edges(vertex_id, data=True), key=lambda e: e[2]["order"]
-        )
-        return [edge[0] for edge in incoming]
+        return list(self._parents[vertex_id])
 
     def children(self, vertex_id: str) -> list[str]:
-        return list(self.graph.successors(vertex_id))
+        return list(self._children[vertex_id])
+
+    def edges(self) -> Iterator[tuple[str, str, Edge]]:
+        """Every ``(src, dst, edge)``: by source insertion, then child insertion."""
+        edges = self._edges
+        for src, children in self._children.items():
+            for dst in children:
+                yield src, dst, edges[src, dst]
 
     def incoming_operation(self, vertex_id: str) -> Operation | None:
         """The operation that produces this vertex (None for sources/supernodes)."""
-        for _src, _dst, attrs in self.graph.in_edges(vertex_id, data=True):
-            if attrs["operation"] is not None:
-                return attrs["operation"]
+        for parent in self._parents[vertex_id]:
+            operation = self._edges[parent, vertex_id].operation
+            if operation is not None:
+                return operation
         return None
 
     def operation_inputs(self, vertex_id: str) -> list[str]:
@@ -213,22 +253,35 @@ class WorkloadDAG:
 
         Resolves through a supernode to the actual input artifacts.
         """
-        parents = self.parents(vertex_id)
-        if len(parents) == 1 and self.vertex(parents[0]).is_supernode:
-            return self.parents(parents[0])
-        return parents
+        parents = self._parents[vertex_id]
+        if len(parents) == 1 and self._vertices[parents[0]].is_supernode:
+            return list(self._parents[parents[0]])
+        return list(parents)
 
     def topological_order(self) -> list[str]:
-        return list(nx.topological_sort(self.graph))
+        """Vertex ids as ``networkx.topological_sort`` orders them (by
+        generations); raises ``ValueError`` on a cycle."""
+        if self._topological is None:
+            indegree = {v: len(parents) for v, parents in self._parents.items()}
+            order = [v for v, degree in indegree.items() if not degree]
+            for vertex_id in order:  # grows while walked, a generation at a time
+                for child in self._children[vertex_id]:
+                    indegree[child] -= 1
+                    if not indegree[child]:
+                        order.append(child)
+            if len(order) != len(indegree):
+                raise ValueError("workload graph contains a cycle")
+            self._topological = order
+        return list(self._topological)
 
     # ------------------------------------------------------------------
-    # Edge activity (used by the local pruner)
+    # Edge activity (the local pruner sets it on the records of edges())
     # ------------------------------------------------------------------
     def set_edge_active(self, src: str, dst: str, active: bool) -> None:
-        self.graph.edges[src, dst]["active"] = active
+        self._edges[src, dst].active = active
 
     def edge_active(self, src: str, dst: str) -> bool:
-        return self.graph.edges[src, dst]["active"]
+        return self._edges[src, dst].active
 
     # ------------------------------------------------------------------
     # Stats
@@ -243,16 +296,16 @@ class WorkloadDAG:
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise ValueError("workload graph contains a cycle")
-        for vertex in self.vertices():
+        self.topological_order()  # raises on a cycle
+        for vertex_id, vertex in self._vertices.items():
+            in_degree = len(self._parents[vertex_id])
             if vertex.is_supernode:
-                if self.graph.out_degree(vertex.vertex_id) != 1:
+                if len(self._children[vertex_id]) != 1:
                     raise ValueError("supernode must have exactly one outgoing edge")
-                if self.graph.in_degree(vertex.vertex_id) < 2:
+                if in_degree < 2:
                     raise ValueError("supernode must have at least two inputs")
-            if vertex.is_source and self.graph.in_degree(vertex.vertex_id) != 0:
+            if vertex.is_source and in_degree != 0:
                 raise ValueError("source vertex cannot have incoming edges")
         for terminal in self.terminals:
-            if terminal not in self.graph:
+            if terminal not in self._vertices:
                 raise ValueError("terminal vertex missing from graph")

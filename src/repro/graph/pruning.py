@@ -27,21 +27,18 @@ def prune_workload(workload: WorkloadDAG) -> int:
     # terminals at once, so a shared ancestor is visited once
     useful: set[str] = set(workload.terminals)
     frontier = list(useful)
-    predecessors = workload.graph.pred
     while frontier:
-        for parent in predecessors[frontier.pop()]:
+        for parent in workload.parents(frontier.pop()):
             if parent not in useful:
                 useful.add(parent)
                 frontier.append(parent)
 
     pruned = 0
-    for src, dst in list(workload.graph.edges()):
-        on_path = src in useful and dst in useful
-        endpoint_done = workload.vertex(dst).computed
-        should_be_active = on_path and not endpoint_done
-        if workload.edge_active(src, dst) and not should_be_active:
-            workload.set_edge_active(src, dst, False)
+    for src, dst, edge in workload.edges():
+        should_be_active = (
+            src in useful and dst in useful and not workload.vertex(dst).computed
+        )
+        if edge.active and not should_be_active:
             pruned += 1
-        elif not workload.edge_active(src, dst) and should_be_active:
-            workload.set_edge_active(src, dst, True)
+        edge.active = should_be_active
     return pruned

@@ -51,7 +51,8 @@ class AvailableContent(Mapping[str, Any]):
 
     ``in_hand`` holds the payloads computed in the batch being merged;
     ``stored`` names the vertices whose content is in ``eg``'s store.  A
-    vertex in both is answered from ``in_hand``.
+    vertex in both is answered from ``in_hand``, but for a footprint the
+    EG records as a byte count (:meth:`footprint`).
     """
 
     def __init__(
@@ -86,9 +87,16 @@ class AvailableContent(Mapping[str, Any]):
         raise KeyError(vertex_id)
 
     def footprint(self, vertex_id: str) -> Footprint:
-        """Column footprint of an available vertex: computed from a payload
-        in hand, read off the EG record for a stored one."""
+        """Column footprint of an available vertex.  A stored vertex whose
+        EG record is a byte count (a model or an aggregate: no column ids
+        a recomputation could relabel) answers from the record, without
+        walking the payload; any other payload in hand is walked, and a
+        stored one not in hand is read off the EG record."""
         if vertex_id in self.in_hand:
+            if vertex_id in self.stored:
+                recorded = self._eg.vertex(vertex_id).footprint
+                if isinstance(recorded, int):
+                    return recorded
             return payload_footprint(self.in_hand[vertex_id])
         return self._eg.footprint(vertex_id)
 

@@ -126,18 +126,18 @@ class PartitionedExperimentGraph:
                 piece = pieces[partition] = WorkloadDAG()
             return piece
 
-        for vertex_id, attrs in workload.graph.nodes(data=True):
-            piece_for(routed.owner[vertex_id]).graph.add_node(
-                vertex_id, vertex=attrs["vertex"]
-            )
+        for vertex in workload.vertices():
+            piece_for(routed.owner[vertex.vertex_id]).add_vertex(vertex)
         new_stubs: list[EdgeStub] = []
-        for src, dst, attrs in workload.graph.edges(data=True):
+        for src, dst, edge in workload.edges():
             src_partition = routed.owner[src]
             dst_partition = routed.owner[dst]
             if src_partition == dst_partition:
-                pieces[src_partition].graph.add_edge(src, dst, **dict(attrs))
+                pieces[src_partition].add_edge(
+                    src, dst, edge.operation, edge.order, edge.active
+                )
                 continue
-            operation = attrs.get("operation")
+            operation = edge.operation
             stub = EdgeStub(
                 src=src,
                 dst=dst,
@@ -146,7 +146,7 @@ class PartitionedExperimentGraph:
                 op_hash=operation.op_hash if operation is not None else None,
                 op_name=operation.name if operation is not None else None,
                 op_params=dict(operation.params) if operation is not None else None,
-                order=attrs.get("order", 0),
+                order=edge.order,
             )
             new_stubs.append(stub)
         for terminal in workload.terminals:

@@ -129,13 +129,13 @@ def route_workload(workload: WorkloadDAG, n_shards: int) -> RoutedWorkload:
             merged = frozenset({vertex_id})
         else:
             merged = frozenset().union(
-                *(roots[parent] for parent in workload.graph.predecessors(vertex_id))
+                *(roots[parent] for parent in workload.parents(vertex_id))
             )
         roots[vertex_id] = merged
         fingerprint = lineage_fingerprint(merged)
         routed.fingerprints[vertex_id] = fingerprint
         routed.owner[vertex_id] = _shard_of_fingerprint(fingerprint, n_shards)
-    for src, dst in workload.graph.edges():
+    for src, dst, _edge in workload.edges():
         if routed.owner[src] != routed.owner[dst]:
             routed.cross_edges.append((src, dst))
     return routed

@@ -238,14 +238,14 @@ def encode_workload(dag: WorkloadDAG, include_payloads: bool) -> dict[str, Any]:
             record["p"] = encode_payload(vertex.data)
         vertices.append(record)
     edges = []
-    for src, dst, attrs in dag.graph.edges(data=True):
-        operation = attrs["operation"]
+    for src, dst, edge in dag.edges():
+        operation = edge.operation
         edges.append(
             {
                 "s": src,
                 "d": dst,
-                "o": attrs["order"],
-                "a": attrs["active"],
+                "o": edge.order,
+                "a": edge.active,
                 "op": None
                 if operation is None
                 else {
@@ -283,13 +283,13 @@ def decode_workload(obj: dict[str, Any]) -> WorkloadDAG:
         payload = record.get("p")
         if payload is not None:
             vertex.data = decode_payload(payload)
-        dag.graph.add_node(vertex.vertex_id, vertex=vertex)
+        dag.add_vertex(vertex)
     for edge in obj["e"]:
         operation = edge["op"]
-        dag.graph.add_edge(
+        dag.add_edge(
             edge["s"],
             edge["d"],
-            operation=None
+            None
             if operation is None
             else _WireOperation(
                 operation["n"],
@@ -297,8 +297,8 @@ def decode_workload(obj: dict[str, Any]) -> WorkloadDAG:
                 operation["p"],
                 operation["h"],
             ),
-            order=edge["o"],
-            active=edge["a"],
+            edge["o"],
+            edge["a"],
         )
     dag.terminals = list(obj["tm"])
     global_index = obj.get("g")

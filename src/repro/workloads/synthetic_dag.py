@@ -92,7 +92,7 @@ def generate_synthetic_workload(
 
     # terminals: every sink artifact vertex
     for vertex in dag.artifact_vertices():
-        if dag.graph.out_degree(vertex.vertex_id) == 0:
+        if not dag.children(vertex.vertex_id):
             dag.mark_terminal(vertex.vertex_id)
     return dag
 

@@ -38,7 +38,7 @@ def test_second_parse_of_the_same_sources_walks_no_element():
 
     second = parse_workload(script, frames)
     assert Counted.walks == 80
-    for vertex_id in first.dag.graph.nodes:
+    for vertex_id in (v.vertex_id for v in first.dag.vertices()):
         mine, theirs = first.dag.vertex(vertex_id), second.dag.vertex(vertex_id)
         assert (mine.size, mine.meta) == (theirs.size, theirs.meta)
 

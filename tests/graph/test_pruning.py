@@ -39,7 +39,8 @@ class TestPruning:
     def test_edges_not_removed(self, diamond):
         dag, src, _a, b = diamond
         prune_workload(dag)
-        assert dag.graph.has_edge(src, b)  # still present, just inactive
+        # still present, just inactive
+        assert (src, b) in [(s, d) for s, d, _edge in dag.edges()]
 
     def test_computed_endpoint_deactivated(self, diamond):
         dag, src, a, _b = diamond
@@ -92,7 +93,7 @@ class TestPruning:
 
         assert prune_workload(dag) == 2
         inactive = {
-            edge for edge in dag.graph.edges() if not dag.edge_active(*edge)
+            (s, d) for s, d, _edge in dag.edges() if not dag.edge_active(s, d)
         }
         assert inactive == {(a, dead_mid), (src, dead_src)}
         # a second pass changes nothing

@@ -264,7 +264,7 @@ class TestCheckpoints:
             )
             assert reply["commit_index"] == 1
             assert [record.label for record in service.commit_log()] == ["a"]
-            assert all(vertex_id in service.eg for vertex_id in piece.graph.nodes)
+            assert all(vertex.vertex_id in service.eg for vertex in piece.vertices())
 
     def test_checkpoint_torn_between_its_renames_reopens(self, tmp_path) -> None:
         """A worker killed between the swap's two renames leaves its last

@@ -206,7 +206,7 @@ def planning_instances(draw):
         out = dag.add_operation([ids[p] for p in sorted(parents)], _NoOp(index))
         ids.append(out)
     for vertex in dag.artifact_vertices():
-        if dag.graph.out_degree(vertex.vertex_id) == 0:
+        if not dag.children(vertex.vertex_id):
             dag.mark_terminal(vertex.vertex_id)
     eg = ExperimentGraph()
     eg.union_workload(dag)

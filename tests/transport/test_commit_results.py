@@ -210,8 +210,10 @@ def _assert_same_dag(rebuilt, legacy, stored_sources):
     """Field by field, but for the payload of a source an earlier commit
     stored: the plan reply did not ask for it back, and the merge reads a
     source's payload only when the EG does not store it."""
-    assert set(rebuilt.graph.nodes) == set(legacy.graph.nodes)
-    for vertex_id in legacy.graph.nodes:
+    assert {v.vertex_id for v in rebuilt.vertices()} == {
+        v.vertex_id for v in legacy.vertices()
+    }
+    for vertex_id in (v.vertex_id for v in legacy.vertices()):
         actual, expected = rebuilt.vertex(vertex_id), legacy.vertex(vertex_id)
         for field in fields(Vertex):
             if field.name == "data" and vertex_id in stored_sources:
@@ -222,11 +224,12 @@ def _assert_same_dag(rebuilt, legacy, stored_sources):
                 assert getattr(actual, field.name) == getattr(expected, field.name), (
                     field.name
                 )
-    assert set(rebuilt.graph.edges) == set(legacy.graph.edges)
-    for src, dst, attrs in legacy.graph.edges(data=True):
-        other = rebuilt.graph.edges[src, dst]
-        assert (other["order"], other["active"]) == (attrs["order"], attrs["active"])
-        left, right = other["operation"], attrs["operation"]
+    rebuilt_edges = {(s, d): edge for s, d, edge in rebuilt.edges()}
+    assert set(rebuilt_edges) == {(s, d) for s, d, _edge in legacy.edges()}
+    for src, dst, edge in legacy.edges():
+        other = rebuilt_edges[src, dst]
+        assert (other.order, other.active) == (edge.order, edge.active)
+        left, right = other.operation, edge.operation
         assert (left is None) == (right is None)
         if right is not None:
             assert (left.name, left.return_type, left.params, left.op_hash) == (

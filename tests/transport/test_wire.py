@@ -69,8 +69,12 @@ class TestWorkloadCodec:
 
         decoded = decode_workload(encode_workload(dag, include_payloads=True))
         decoded.validate()
-        assert set(decoded.graph.nodes) == set(dag.graph.nodes)
-        assert set(decoded.graph.edges) == set(dag.graph.edges)
+        assert {v.vertex_id for v in decoded.vertices()} == {
+            v.vertex_id for v in dag.vertices()
+        }
+        assert {(s, d) for s, d, _e in decoded.edges()} == {
+            (s, d) for s, d, _e in dag.edges()
+        }
         assert decoded.terminals == dag.terminals
         # operation identity survives (hashes are carried, not recomputed)
         assert (

@@ -144,7 +144,9 @@ class TestSyntheticDAG:
         config = SyntheticDAGConfig(min_nodes=30, max_nodes=50)
         a = generate_synthetic_workload(seed=4, config=config)
         b = generate_synthetic_workload(seed=4, config=config)
-        assert set(a.graph.nodes) == set(b.graph.nodes)
+        assert [v.vertex_id for v in a.vertices()] == [
+            v.vertex_id for v in b.vertices()
+        ]
 
     def test_has_terminals_and_is_acyclic(self):
         config = SyntheticDAGConfig(min_nodes=40, max_nodes=60)

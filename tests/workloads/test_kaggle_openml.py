@@ -16,6 +16,10 @@ from repro.workloads.kaggle import (
 from repro.workloads.openml import make_pipeline_script, sample_pipeline_specs
 
 
+def _ids(dag) -> set[str]:
+    return {vertex.vertex_id for vertex in dag.vertices()}
+
+
 class TestKaggleScripts:
     @pytest.mark.parametrize("workload_id", list(KAGGLE_WORKLOADS))
     def test_parses_and_executes(self, workload_id, tiny_home_credit):
@@ -36,21 +40,21 @@ class TestKaggleScripts:
         """Modified workloads must regenerate identical vertex ids."""
         ws1 = parse_workload(KAGGLE_WORKLOADS[1], tiny_home_credit)
         ws4 = parse_workload(KAGGLE_WORKLOADS[4], tiny_home_credit)
-        shared = set(ws1.dag.graph.nodes) & set(ws4.dag.graph.nodes)
+        shared = _ids(ws1.dag) & _ids(ws4.dag)
         # all of W4's vertices except its own model/eval tail are in W1
         assert len(shared) > ws4.dag.num_vertices * 0.6
 
     def test_w2_and_w6_share_feature_vertices(self, tiny_home_credit):
         ws2 = parse_workload(KAGGLE_WORKLOADS[2], tiny_home_credit)
         ws6 = parse_workload(KAGGLE_WORKLOADS[6], tiny_home_credit)
-        shared = set(ws2.dag.graph.nodes) & set(ws6.dag.graph.nodes)
+        shared = _ids(ws2.dag) & _ids(ws6.dag)
         assert len(shared) >= ws6.dag.num_vertices * 0.5
 
     def test_w3_contains_w2(self, tiny_home_credit):
         ws2 = parse_workload(KAGGLE_WORKLOADS[2], tiny_home_credit)
         ws3 = parse_workload(KAGGLE_WORKLOADS[3], tiny_home_credit)
-        w2_nodes = set(ws2.dag.graph.nodes)
-        w3_nodes = set(ws3.dag.graph.nodes)
+        w2_nodes = _ids(ws2.dag)
+        w3_nodes = _ids(ws3.dag)
         assert len(w2_nodes & w3_nodes) > len(w2_nodes) * 0.7
 
     def test_descriptions_cover_all(self):
