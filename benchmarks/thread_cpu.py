@@ -26,7 +26,13 @@ split search contains ``_sorted_columns``).  The round trip's stages are
 among them: ``parse_workload``, ``prune_workload``, ``Executor.execute``
 and ``EGService.commit``, which contains the merge's
 ``UtilityMaterializer.greedy`` (when the budget binds) and
-``VersionedExperimentGraph.publish``.  The wrappers cost CPU
+``VersionedExperimentGraph.publish``.  ``Executor.execute`` is split
+into recompute (``Executor._compute_vertex``) and load
+(``Executor._load_vertex``, which contains the tiered store's cold read
+``TieredArtifactStore._stage_cold_read``), and recomputes are counted per
+workload by operation name and by vertex (the five most frequent of each
+are printed): a stored artifact that is recomputed on every pass shows
+there.  The wrappers cost CPU
 themselves, so read the thread table from a run without them.
 
 Like the harness's own times, every number is read at the reference
@@ -83,6 +89,8 @@ class StageClock:
     def __init__(self) -> None:
         self.cpu_s: dict[str, float] = defaultdict(float)
         self.calls: dict[str, int] = defaultdict(int)
+        #: recomputes by (operation name, vertex id prefix)
+        self.recomputes: dict[tuple[str, str], int] = defaultdict(int)
         self._lock = threading.Lock()
 
     def timed(self, stage: str, function: Callable) -> Callable:
@@ -101,6 +109,19 @@ class StageClock:
     def wrap_method(self, cls: type, name: str) -> None:
         setattr(cls, name, self.timed(f"{cls.__name__}.{name}", getattr(cls, name)))
 
+    def count_recomputes(self, cls: type, name: str) -> None:
+        """Count calls of ``cls.name(self, workload, vertex_id, ...)`` by the
+        operation that produces ``vertex_id``."""
+        function = getattr(cls, name)
+
+        def wrapper(owner: Any, workload: Any, vertex_id: str, *args: Any) -> Any:
+            operation = workload.incoming_operation(vertex_id).name
+            with self._lock:
+                self.recomputes[operation, vertex_id[:8]] += 1
+            return function(owner, workload, vertex_id, *args)
+
+        setattr(cls, name, wrapper)
+
     def wrap_function(self, function: Callable) -> None:
         """Rebind ``function`` in every loaded module that imported it by name."""
         wrapper = self.timed(function.__name__, function)
@@ -109,12 +130,17 @@ class StageClock:
                 if value is function:
                     setattr(module, attribute, wrapper)
 
-    def take(self) -> tuple[dict[str, float], dict[str, int]]:
+    def take(self) -> tuple[dict[str, float], dict[str, int], dict[str, dict[str, int]]]:
         """What accumulated since the last call, and start over."""
+        recomputes: dict[str, dict[str, int]] = {"by_operation": {}, "by_vertex": {}}
         with self._lock:
-            taken = dict(self.cpu_s), dict(self.calls)
-            self.cpu_s.clear()
-            self.calls.clear()
+            for (operation, vertex), count in self.recomputes.items():
+                by_operation = recomputes["by_operation"]
+                by_operation[operation] = by_operation.get(operation, 0) + count
+                recomputes["by_vertex"][f"{operation} {vertex}"] = count
+            taken = dict(self.cpu_s), dict(self.calls), recomputes
+            for counts in (self.cpu_s, self.calls, self.recomputes):
+                counts.clear()
         return taken
 
 
@@ -138,6 +164,7 @@ def install_stages() -> StageClock:
     )
     from repro.service.core import EGService
     from repro.service.versioned import VersionedExperimentGraph
+    from repro.storage import TieredArtifactStore
     from repro.transport import wire
     from repro.transport.codec import BinaryWireCodec
 
@@ -145,6 +172,10 @@ def install_stages() -> StageClock:
     clock.wrap_function(parse_workload)
     clock.wrap_function(prune_workload)
     clock.wrap_method(Executor, "execute")
+    clock.wrap_method(Executor, "_compute_vertex")
+    clock.count_recomputes(Executor, "_compute_vertex")
+    clock.wrap_method(Executor, "_load_vertex")
+    clock.wrap_method(TieredArtifactStore, "_stage_cold_read")
     clock.wrap_method(EGService, "commit")
     clock.wrap_method(UtilityMaterializer, "greedy")
     clock.wrap_method(VersionedExperimentGraph, "publish")
@@ -192,7 +223,9 @@ def measure(name: str, seed: int, seconds: float, stages: bool) -> dict[str, Any
             drive = workload.drive(scripts, probe)
             after, process_after = thread_cpu_s(), time.process_time()
             # before the output check replays every script in this process
-            stage_cpu_s, stage_calls = clock.take() if clock is not None else ({}, {})
+            stage_cpu_s, stage_calls, recomputes = (
+                clock.take() if clock is not None else ({}, {}, {})
+            )
             workload.finish()
             problems = workload.check(drive)
         finally:
@@ -224,6 +257,10 @@ def measure(name: str, seed: int, seconds: float, stages: bool) -> dict[str, Any
         result["stage_calls_per_workload"] = {
             stage: calls / done for stage, calls in stage_calls.items()
         }
+        result["recomputes_per_workload"] = {
+            key: {name: count / done for name, count in counts.items()}
+            for key, counts in recomputes.items()
+        }
     return result
 
 
@@ -253,6 +290,11 @@ def render(result: dict[str, Any]) -> str:
             result["stage_cpu_ms_per_workload"].items(), key=lambda item: -item[1]
         ):
             lines.append(f"{stage:<34}{cpu_ms:>16.3f}{calls[stage]:>8.2f}")
+        for key, title in (("by_operation", "operation"), ("by_vertex", "vertex")):
+            counts = result["recomputes_per_workload"].get(key, {})
+            lines += ["", f"{'recomputed ' + title + ' (top 5)':<34}{'per workload':>16}"]
+            for name, count in sorted(counts.items(), key=lambda item: -item[1])[:5]:
+                lines.append(f"{name:<34}{count:>16.3f}")
     return "\n".join(lines)
 
 

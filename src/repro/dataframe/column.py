@@ -146,9 +146,19 @@ class Column:
     def copy(self) -> "Column":
         return self._same_content(self.name, self.values.copy())
 
-    def _same_content(self, name: str, values: np.ndarray) -> "Column":
-        """A column of equal content under this lineage id: keeps the size."""
-        twin = Column(name, values, self.column_id)
+    def with_id(self, column_id: str) -> "Column":
+        """This content under another lineage id, for a store that holds
+        equal content under an id of its own (keeps the size)."""
+        if column_id == self.column_id:
+            return self
+        return self._same_content(self.name, self.values, column_id)
+
+    def _same_content(
+        self, name: str, values: np.ndarray, column_id: str | None = None
+    ) -> "Column":
+        """A column of equal content (under this lineage id unless another
+        is given): keeps the size."""
+        twin = Column(name, values, column_id or self.column_id)
         try:
             twin._nbytes = self._nbytes
         except AttributeError:

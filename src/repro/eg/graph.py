@@ -55,6 +55,13 @@ class EGVertex:
     #: is stored or when the content got there without ``materialize``
     footprint: Footprint | None = None
 
+    def clone(self) -> "EGVertex":
+        """A separate record with equal fields: a plain attribute copy
+        (``dataclasses.replace`` would re-run ``fields()`` and ``__init__``)."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
+
     @property
     def quality(self) -> float:
         """Model quality q in [0, 1]; 0 for non-models or unscored models."""

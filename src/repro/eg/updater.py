@@ -14,8 +14,14 @@ After the client executes a workload, the updater (paper Section 3.2):
    :class:`~repro.materialization.base.AvailableContent`), and whatever it
    needs to know about stored content is meta-data on the EG — sizes,
    tiers, and the column footprint :meth:`ExperimentGraph.materialize`
-   recorded when the content went in.  A merge therefore moves nothing
-   between storage tiers; only tenants' loads do.
+   recorded when the content went in.  Tier placement follows use: a
+   tenant's load promotes what it reads, and a stored artifact the batch
+   *recomputed* because its copy was cold has been used too — when a hot
+   copy would be planned as a load (its hot load cost, under the
+   planner's load-cost model, is below its recorded compute time), the
+   reconcile step re-puts the payload in hand, which re-warms the copy
+   without a disk read.  The check visits only the batch's in-hand
+   payloads, never the stored set.
 
 The multi-tenant EG service batches step 3: :meth:`Updater.update_batch`
 unions several executed workloads in commit order and runs the
@@ -42,7 +48,7 @@ from ..graph.artifacts import ArtifactType
 from ..graph.dag import WorkloadDAG
 from ..materialization.base import AvailableContent, Materializer
 from .graph import ExperimentGraph
-from .storage import ArtifactDivergenceError
+from .storage import ArtifactDivergenceError, LoadCostModel, StorageTier
 
 __all__ = ["Updater", "UpdateReport", "BatchUpdateReport"]
 
@@ -80,9 +86,19 @@ class BatchUpdateReport:
 class Updater:
     """Applies executed workloads to the EG and runs the materializer."""
 
-    def __init__(self, eg: ExperimentGraph, materializer: Materializer):
+    def __init__(
+        self,
+        eg: ExperimentGraph,
+        materializer: Materializer,
+        load_cost_model: LoadCostModel | None = None,
+    ):
         self.eg = eg
         self.materializer = materializer
+        #: the planner's pricing of a load, for the re-warm rule (the
+        #: planner's own default when none is given)
+        self.load_cost_model = (
+            load_cost_model if load_cost_model is not None else LoadCostModel.in_memory()
+        )
         #: vertex ids whose EG record changed since the dirty set was last
         #: cleared — accumulated across batches (a failed publish must not
         #: lose dirt) and consumed by the service's copy-on-write publish
@@ -206,6 +222,9 @@ class Updater:
         which are in hand, and the ids of the non-source vertices already
         stored — and the store is then told only what changed: nothing here
         reads an artifact back, and an indexed EG is not scanned either.
+        A kept artifact whose stored copy is cold and whose payload the
+        batch holds is re-put when a hot copy would be loaded rather than
+        recomputed (see the module doc); stores without tiers ignore it.
         """
         evict = evict if evict is not None else self.eg.unmaterialize
         current = self.eg.stored_ids()
@@ -221,6 +240,11 @@ class Updater:
 
         # both differences first: applying them mutates the live ``current``
         evicted, admitted = sorted(current - target), sorted(target - current)
+        kept_in_hand = [
+            vertex_id
+            for vertex_id in in_hand
+            if vertex_id in target and vertex_id in current
+        ]
         for vertex_id in evicted:
             self.eg.deselect(vertex_id)
             evict(vertex_id)
@@ -233,3 +257,13 @@ class Updater:
             self.eg.materialize(vertex_id, payload)
             self._dirty.add(vertex_id)
             report.newly_materialized.append(vertex_id)
+        load_cost = self.load_cost_model.cost_for_tier
+        for vertex_id in kept_in_hand:
+            if self.eg.tier_of(vertex_id) is not StorageTier.COLD:
+                continue
+            record = self.eg.vertex(vertex_id)
+            if load_cost(record.size, StorageTier.HOT) < record.compute_time:
+                try:
+                    self.eg.store.put(vertex_id, in_hand[vertex_id])
+                except ArtifactDivergenceError:
+                    pass  # a model retrained to another size: not the stored copy

@@ -28,8 +28,23 @@ __all__ = [
 ]
 
 
+_REPR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def _canonical(value: Any) -> str:
-    """Deterministic string form of a parameter value."""
+    """Deterministic string form of a parameter value.
+
+    Exact builtin types are dispatched first (parameters are almost all
+    of them); anything else, subclasses included, takes the general
+    chain, which gives the same strings for the builtins.
+    """
+    kind = type(value)
+    if kind in _REPR_TYPES:
+        return repr(value)
+    if kind is dict:
+        return "{" + ",".join(f"{k}={_canonical(value[k])}" for k in sorted(value)) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join(_canonical(v) for v in value) + "]"
     if isinstance(value, Mapping):
         inner = ",".join(f"{k}={_canonical(value[k])}" for k in sorted(value))
         return "{" + inner + "}"

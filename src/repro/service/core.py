@@ -220,7 +220,9 @@ class EGService:
             else LinearReuse(self.load_cost_model)
         )
         self.warmstarting = warmstarting
-        self.updater = Updater(self.versioned.working, materializer)
+        self.updater = Updater(
+            self.versioned.working, materializer, self.load_cost_model
+        )
         self.queue_capacity = queue_capacity
         self.batch_linger_s = batch_linger_s
         self.request_timeout_s = request_timeout_s

@@ -27,7 +27,6 @@ are cancelled if a later batch re-materializes the artifact first.
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 
 import networkx as nx
 
@@ -53,7 +52,7 @@ def copy_experiment_graph(eg: ExperimentGraph) -> ExperimentGraph:
     copied = ExperimentGraph(eg.store)
     graph = nx.DiGraph()
     for vertex_id, attrs in eg.graph.nodes(data=True):
-        graph.add_node(vertex_id, vertex=replace(attrs["vertex"]))
+        graph.add_node(vertex_id, vertex=attrs["vertex"].clone())
     for src, dst, attrs in eg.graph.edges(data=True):
         graph.add_edge(src, dst, **dict(attrs))
     copied.graph = graph
@@ -95,7 +94,7 @@ def cow_copy_experiment_graph(
     w_succ, w_pred = working.graph._succ, working.graph._pred
     for vertex_id, attrs in working.graph._node.items():
         if vertex_id in dirty_vertices or vertex_id not in prev_node:
-            node[vertex_id] = {"vertex": replace(attrs["vertex"])}
+            node[vertex_id] = {"vertex": attrs["vertex"].clone()}
             succ[vertex_id] = dict(w_succ[vertex_id])
             pred[vertex_id] = dict(w_pred[vertex_id])
         else:

@@ -11,6 +11,12 @@ place — no payload is deserialized until it is actually requested.
 Sizes are tracked as *logical* column/payload bytes (the same accounting
 the in-memory stores use), not file sizes, so budget math is identical
 across tiers.
+
+Reading a column is thread-safe: ``np.load`` parses the ``.npy`` header
+with ``ast.literal_eval``, whose recursion bookkeeping CPython 3.11 keeps
+per interpreter rather than per thread, so two concurrent parses can raise
+``SystemError``.  The loads of this module take one lock (a column file is
+a few KB; the parse, not the disk, is what they share).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -29,6 +36,9 @@ from ..graph.artifacts import payload_size_bytes
 __all__ = ["DiskColdTier"]
 
 _MANIFEST_VERSION = 1
+
+#: serializes ``np.load``'s header parse across threads (see the module doc)
+_LOAD_LOCK = threading.Lock()
 
 
 class DiskColdTier:
@@ -44,6 +54,8 @@ class DiskColdTier:
         self._column_bytes: dict[str, int] = {}
         #: vertex id -> logical bytes of the pickled object
         self._object_bytes: dict[str, int] = {}
+        #: running sum of both size records above
+        self._bytes_stored = 0
 
     # ------------------------------------------------------------------
     # Columns (dataset payloads, deduplicated by lineage id)
@@ -62,17 +74,20 @@ class DiskColdTier:
         # object-dtype columns (strings) need pickle inside the .npy container
         np.save(path, column.values, allow_pickle=True)
         size = self._column_bytes[column.column_id] = column.nbytes
+        self._bytes_stored += size
         return size
 
     def read_column(self, column_id: str, name: str) -> Column:
         if column_id not in self._column_bytes:
             raise KeyError(f"column {column_id[:12]} is not in the cold tier")
-        values = np.load(self._column_path(column_id), allow_pickle=True)
+        with _LOAD_LOCK:
+            values = np.load(self._column_path(column_id), allow_pickle=True)
         return Column(name, values, column_id)
 
     def delete_column(self, column_id: str) -> int:
         released = self._column_bytes.pop(column_id, 0)
         if released:
+            self._bytes_stored -= released
             self._column_path(column_id).unlink(missing_ok=True)
         return released
 
@@ -95,6 +110,7 @@ class DiskColdTier:
             pickle.dump(payload, handle)
         size = size if size is not None else payload_size_bytes(payload)
         self._object_bytes[vertex_id] = size
+        self._bytes_stored += size
         return size
 
     def read_object(self, vertex_id: str) -> Any:
@@ -106,6 +122,7 @@ class DiskColdTier:
     def delete_object(self, vertex_id: str) -> int:
         released = self._object_bytes.pop(vertex_id, 0)
         if released:
+            self._bytes_stored -= released
             self._object_path(vertex_id).unlink(missing_ok=True)
         return released
 
@@ -115,7 +132,7 @@ class DiskColdTier:
     @property
     def bytes_stored(self) -> int:
         """Logical bytes resident on disk (columns counted once)."""
-        return sum(self._column_bytes.values()) + sum(self._object_bytes.values())
+        return self._bytes_stored
 
     @property
     def column_sizes(self) -> dict[str, int]:
@@ -151,4 +168,7 @@ class DiskColdTier:
         self._object_bytes = {
             vid: int(entry["nbytes"]) for vid, entry in document["objects"].items()
         }
+        self._bytes_stored = sum(self._column_bytes.values()) + sum(
+            self._object_bytes.values()
+        )
         return document

@@ -7,7 +7,9 @@ bytes exceed ``hot_budget_bytes`` the least-recently-used vertices are
 *demoted* — their columns/objects are written to the
 :class:`~repro.storage.disk.DiskColdTier` and dropped from RAM.  A ``get``
 of a cold vertex reads it back from disk and *promotes* it (the read is a
-"cold hit", counted and timed in :class:`~repro.storage.tiers.TierStats`).
+"cold hit", counted and timed in :class:`~repro.storage.tiers.TierStats`);
+a ``put`` of a held cold vertex promotes it from the payload in hand
+instead (a *re-warm*, no disk read).
 
 Deduplication is column-granular across both tiers, exactly as in
 :class:`~repro.eg.storage.DedupArtifactStore`: a column shared by several
@@ -105,8 +107,10 @@ class TieredArtifactStore(ArtifactStore):
         self._hot_column_refs: dict[str, int] = {}
         self._hot_objects: dict[str, Any] = {}
         self._hot_bytes = 0
-        #: vertex id -> current tier
+        #: vertex id -> current tier, and how many of them are COLD (kept
+        #: at demote / promote / remove / ``open`` for ``statistics()``)
         self._tier: dict[str, StorageTier] = {}
+        self._cold_vertices = 0
         #: hot vertices, oldest access first
         self._lru: OrderedDict[str, None] = OrderedDict()
         #: guards every tier-bookkeeping structure above
@@ -141,6 +145,11 @@ class TieredArtifactStore(ArtifactStore):
                 else:
                     signature = self._object_sizes[vertex_id]
                 check_not_divergent(vertex_id, signature, payload)
+                if (
+                    self._tier[vertex_id] is StorageTier.COLD
+                    and vertex_id not in self._inflight
+                ):
+                    self._rewarm(vertex_id, payload)
                 return 0
 
             if not isinstance(payload, DataFrame):
@@ -205,7 +214,8 @@ class TieredArtifactStore(ArtifactStore):
                 with self._lock:
                     self.stats.cold_hits += 1
                     self._cold_hit_counter.inc()
-                    payload = self._promote(vertex_id, staged)
+                    self._promote(vertex_id, staged)
+                    payload = self._reconstruct_hot(vertex_id)
                     read_seconds = time.perf_counter() - started
                     self.stats.load_seconds += read_seconds
                     span.set_attribute("read_seconds", read_seconds)
@@ -221,6 +231,8 @@ class TieredArtifactStore(ArtifactStore):
             tier = self._tier.pop(vertex_id, None)
             if tier is None:
                 return 0
+            if tier is StorageTier.COLD:
+                self._cold_vertices -= 1
             self._lru.pop(vertex_id, None)
 
             if vertex_id in self._object_sizes:
@@ -300,29 +312,29 @@ class TieredArtifactStore(ArtifactStore):
         return self._cold.directory
 
     def statistics(self) -> dict[str, Any]:
+        """Bytes, vertices per tier and tier counters — running values,
+        O(1) in the number of stored vertices and columns."""
         with self._lock:
-            tiers = list(self._tier.values())
-            return self._statistics_locked(tiers)
-
-    def _statistics_locked(self, tiers: list[StorageTier]) -> dict[str, Any]:
-        return {
-            "store_type": type(self).__name__,
-            "total_bytes": self.total_bytes,
-            "logical_bytes": self.logical_bytes,
-            "hot_bytes": self.hot_bytes,
-            "cold_bytes": self.cold_bytes,
-            "hot_budget_bytes": self.hot_budget_bytes,
-            "vertices": len(tiers),
-            "hot_vertices": sum(1 for t in tiers if t is StorageTier.HOT),
-            "cold_vertices": sum(1 for t in tiers if t is StorageTier.COLD),
-            "hot_hits": self.stats.hot_hits,
-            "cold_hits": self.stats.cold_hits,
-            "promotions": self.stats.promotions,
-            "demotions": self.stats.demotions,
-            "bytes_demoted": self.stats.bytes_demoted,
-            "load_seconds": self.stats.load_seconds,
-            "hit_ratio": self.stats.hit_ratio,
-        }
+            vertices = len(self._tier)
+            return {
+                "store_type": type(self).__name__,
+                "total_bytes": self.total_bytes,
+                "logical_bytes": self.logical_bytes,
+                "hot_bytes": self.hot_bytes,
+                "cold_bytes": self.cold_bytes,
+                "hot_budget_bytes": self.hot_budget_bytes,
+                "vertices": vertices,
+                "hot_vertices": vertices - self._cold_vertices,
+                "cold_vertices": self._cold_vertices,
+                "hot_hits": self.stats.hot_hits,
+                "cold_hits": self.stats.cold_hits,
+                "promotions": self.stats.promotions,
+                "rewarms": self.stats.rewarms,
+                "demotions": self.stats.demotions,
+                "bytes_demoted": self.stats.bytes_demoted,
+                "load_seconds": self.stats.load_seconds,
+                "hit_ratio": self.stats.hit_ratio,
+            }
 
     # ------------------------------------------------------------------
     # Tier movement
@@ -337,6 +349,7 @@ class TieredArtifactStore(ArtifactStore):
             self.stats.demotions += 1
             self._demotion_counter.inc()
             self._tier[vertex_id] = StorageTier.COLD
+            self._cold_vertices += 1
             self._lru.pop(vertex_id)
 
             if vertex_id in self._hot_objects:
@@ -379,33 +392,53 @@ class TieredArtifactStore(ArtifactStore):
                 staged[cid] = self._cold.read_column(cid, name)
         return staged
 
-    def _promote(self, vertex_id: str, staged: Any) -> Any:
-        """Commit a staged cold read into the hot tier (lock held)."""
+    def _promote(self, vertex_id: str, staged: Any) -> None:
+        """Make a cold vertex hot from content at hand (lock held).
+
+        ``staged`` is the object for an object payload, or a ``cid ->
+        Column`` mapping for a frame; a column missing from it that is not
+        hot either was hot while staging and demoted before the commit, and
+        is read again (cold columns are always durable).
+        """
         self.stats.promotions += 1
         self._promotion_counter.inc()
         self._tier[vertex_id] = StorageTier.HOT
+        self._cold_vertices -= 1
         self._lru[vertex_id] = None
 
         if vertex_id in self._object_sizes:
-            payload = staged
-            self._hot_objects[vertex_id] = payload
+            self._hot_objects[vertex_id] = staged
             self._hot_bytes += self._object_sizes[vertex_id]
-            return payload
+            return
 
-        columns = []
         for name, cid in self._layouts[vertex_id]:
             hot_refs = self._hot_column_refs.get(cid, 0)
             if hot_refs == 0:
                 column = staged.get(cid)
                 if column is None:
-                    # was hot while staging, demoted before the commit
                     column = self._cold.read_column(cid, name)
                 self._hot_columns[cid] = column
                 self._hot_bytes += self._column_sizes[cid]
             self._hot_column_refs[cid] = hot_refs + 1
-            stored = self._hot_columns[cid]
-            columns.append(stored.rename(name) if stored.name != name else stored)
-        return DataFrame(columns)
+
+    def _rewarm(self, vertex_id: str, payload: Any) -> None:
+        """Promote a cold vertex from a re-put payload (lock held).
+
+        The payload passed :func:`check_not_divergent`, so it is the
+        stored content: no disk read.  A frame's columns are matched by
+        name onto the stored layout's lineage ids, which may differ from
+        the payload's own (a rerun rebuilds its sources under fresh ids).
+        """
+        staged = payload
+        if vertex_id in self._layouts:
+            staged = {
+                cid: payload.column(name).with_id(cid)
+                for name, cid in self._layouts[vertex_id]
+                if self._hot_column_refs.get(cid, 0) == 0
+            }
+        self.stats.rewarms += 1
+        self._promote(vertex_id, staged)
+        self._enforce_hot_budget()
 
     def _enforce_hot_budget(self) -> None:
         if self.hot_budget_bytes is None:
@@ -502,4 +535,5 @@ class TieredArtifactStore(ArtifactStore):
                 store._total_bytes += size
                 store._logical_bytes += size
             store._tier[vertex_id] = StorageTier.COLD
+        store._cold_vertices = len(store._tier)
         return store

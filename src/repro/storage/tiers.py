@@ -21,7 +21,8 @@ class TierStats:
 
     ``hot_hits``/``cold_hits`` count ``get`` calls served from RAM vs disk
     (a cold hit is a hot-tier *miss*); ``promotions``/``demotions`` count
-    vertex moves between tiers; ``load_seconds`` accumulates the measured
+    vertex moves between tiers, and ``rewarms`` the promotions a re-put
+    made from the payload in hand, without a disk read; ``load_seconds`` accumulates the measured
     wall time of cold-tier reads (the *modeled* load cost lives in the
     executor's report, priced through the load-cost model).
     """
@@ -29,6 +30,8 @@ class TierStats:
     hot_hits: int = 0
     cold_hits: int = 0
     promotions: int = 0
+    #: promotions of a cold vertex by a ``put`` of its content (no disk read)
+    rewarms: int = 0
     demotions: int = 0
     #: wall seconds spent reading payloads back from the cold tier
     load_seconds: float = 0.0

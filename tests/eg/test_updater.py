@@ -3,26 +3,30 @@
 import numpy as np
 import pytest
 
+from repro.client.executor import VirtualCostModel
 from repro.dataframe import DataFrame
 from repro.eg.graph import ExperimentGraph
 from repro.eg.storage import (
     ArtifactDivergenceError,
     ArtifactStore,
     DedupArtifactStore,
+    LoadCostModel,
     SimpleArtifactStore,
+    StorageTier,
 )
 from repro.eg.updater import Updater
 from repro.graph.artifacts import payload_footprint
 from repro.graph.dag import WorkloadDAG
-from repro.graph.operations import DataOperation
+from repro.graph.operations import DataOperation, TrainOperation
 from repro.materialization import (
     HelixMaterializer,
     HeuristicMaterializer,
     StorageAwareMaterializer,
 )
 from repro.materialization.simple import MaterializeAll, MaterializeNone
+from repro.server import CollaborativeOptimizer
 from repro.service import EGService
-from repro.storage import TieredArtifactStore
+from repro.storage import TieredArtifactStore, TieredLoadCostModel
 
 
 class Step(DataOperation):
@@ -407,3 +411,117 @@ class TestMergeReadsNothing:
         assert service.versioned.flush_deferred() > 0
         assert all(victim not in counting for victim in victims)
         service.stop()
+
+
+class Priced(DataOperation):
+    """``x + k`` at a fixed virtual cost."""
+
+    def __init__(self, k: float, cost: float):
+        super().__init__("priced", params={"k": k})
+        self.k = k
+        self.virtual_cost = cost
+
+    def run(self, frame):
+        return DataFrame({"x": frame.column("x").values + self.k})
+
+
+class Mean(TrainOperation):
+    """A "model": the column mean, trained at a fixed virtual cost."""
+
+    def __init__(self, cost: float):
+        super().__init__("mean_model", params={})
+        self.virtual_cost = cost
+
+    def run(self, frame):
+        return np.asarray([frame.column("x").values.mean()])
+
+
+class TestColdTierTrap:
+    """A stored artifact recomputed because its copy was cold is re-warmed,
+    so the next run loads it instead of recomputing it forever."""
+
+    #: hot loads cost 1 ms, cold ones 10 s: a model (2 s to train) is worth
+    #: loading only while hot; a frame that computes in 0.1 ms never is
+    COSTS = TieredLoadCostModel(
+        bandwidth_bytes_per_s=1e12,
+        latency_s=1e-3,
+        cold=LoadCostModel(bandwidth_bytes_per_s=1e12, latency_s=10.0),
+    )
+
+    @staticmethod
+    def script(ws, sources):
+        data = ws.source("data", sources["data"])
+        prepared = data.add(Priced(1.0, cost=1.0))
+        prepared.add(Mean(cost=2.0)).terminal()
+        data.add(Priced(2.0, cost=1e-4)).terminal()
+
+    def test_a_recomputed_cold_model_is_rewarmed_then_loaded(self, tmp_path):
+        store = TieredArtifactStore(directory=tmp_path)
+        optimizer = CollaborativeOptimizer(
+            MaterializeAll(),
+            store=store,
+            load_cost_model=self.COSTS,
+            cost_model=VirtualCostModel(),
+        )
+        sources = {"data": DataFrame({"x": np.arange(8.0)})}
+        optimizer.run_script(self.script, sources)
+        eg = optimizer.eg
+        model = next(v.vertex_id for v in eg.vertices() if v.is_model)
+        cheap = next(
+            v.vertex_id for v in eg.artifact_vertices() if v.compute_time == 1e-4
+        )
+        store.demote(model)
+        store.demote(cheap)
+
+        updater = optimizer.service.updater
+        merge, gets = updater.update_batch, []
+
+        def merge_reading_nothing(*args, **kwargs):
+            # the merge sees the payloads in hand; a store ``get`` would
+            # be a disk read of content the tenant already holds
+            store.get = gets.append
+            try:
+                return merge(*args, **kwargs)
+            finally:
+                del store.get
+
+        updater.update_batch = merge_reading_nothing
+        first = optimizer.run_script(self.script, sources)
+        # the model's input is hot and loaded; both cold copies lose to compute
+        assert (first.loaded_vertices, first.executed_vertices) == (1, 2)
+        assert gets == []
+        assert store.tier_of(model) is StorageTier.HOT
+        assert store.tier_of(cheap) is StorageTier.COLD  # a hot load costs more
+        assert store.stats.rewarms == 1 and store.stats.cold_hits == 0
+
+        second = optimizer.run_script(self.script, sources)
+        # the model, now hot, is loaded (its input is not needed); only the
+        # cheap frame is recomputed
+        assert (second.loaded_vertices, second.executed_vertices) == (1, 1)
+        assert model not in second.model_qualities
+        optimizer.service.stop()
+
+    def test_a_payload_of_another_size_rewarms_nothing(self, tmp_path):
+        """A model retrained to another size at the same vertex id is not
+        the stored copy: the merge keeps the cold copy and succeeds."""
+        store = TieredArtifactStore(directory=tmp_path)
+        eg = ExperimentGraph(store)
+        updater = Updater(eg, MaterializeAll())
+
+        def trained(weights: int) -> tuple[WorkloadDAG, str]:
+            dag = WorkloadDAG()
+            source = dag.add_source("src", payload=DataFrame({"x": np.arange(5.0)}))
+            model = dag.add_operation([source], Step("train"))
+            dag.vertex(model).record_result(np.zeros(weights), compute_time=1.0)
+            dag.mark_terminal(model)
+            return dag, model
+
+        dag, model = trained(4)
+        updater.update(dag)
+        store.demote(model)
+        updater.update(trained(4)[0])
+        assert store.tier_of(model) is StorageTier.HOT  # same content: re-warmed
+        store.demote(model)
+        updater.update(trained(9)[0])
+        assert store.tier_of(model) is StorageTier.COLD
+        assert store.stats.rewarms == 1

@@ -1,13 +1,19 @@
 """Tests for operations and their identity hashes."""
 
+from collections.abc import Mapping
+from typing import Any
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.artifacts import ArtifactType
 from repro.graph.operations import (
     DataOperation,
     FunctionOperation,
     TrainOperation,
+    _canonical,
     operation_hash,
 )
 
@@ -125,6 +131,51 @@ class TestGoldenDigests:
         assert operation_hash("op", params) == operation_hash(
             "op", {"grid": {"a": 1, "b": 2}}
         )
+
+
+def _canonical_chain(value: Any) -> str:
+    """``_canonical`` before its exact-type fast path, kept as the oracle."""
+    if isinstance(value, Mapping):
+        inner = ",".join(f"{k}={_canonical_chain(value[k])}" for k in sorted(value))
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_canonical_chain(v) for v in value) + "]"
+    if callable(value):
+        return getattr(value, "__name__", repr(type(value).__name__))
+    return repr(value)
+
+
+class _Params(dict):
+    """A dict subclass: must take the general chain, not the fast path."""
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True)
+    | st.text(max_size=8)
+    | st.sampled_from([np.float64(0.5), np.int64(3), len, scorer_fn, b"raw"])
+)
+_PARAMS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3).map(_Params),
+    max_leaves=20,
+)
+
+
+class TestCanonicalFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(_PARAMS)
+    def test_equals_the_general_chain(self, value):
+        assert _canonical(value) == _canonical_chain(value)
+
+    def test_kaggle_parameters_take_the_fast_path(self):
+        params = {"model": {"depth": 3, "lr": 0.1}, "y": "label", "cols": ["a", "b"]}
+        assert _canonical(params) == _canonical_chain(params)
 
 
 class TestOperationClasses:

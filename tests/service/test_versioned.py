@@ -195,6 +195,26 @@ class TestCowPublish:
         assert eg_fingerprint(lease.eg) == frozen
         lease.release()
 
+    def test_published_records_equal_the_working_ones_and_are_separate(self):
+        eg, updater, versioned = self._service_side()
+        self._merge_publish(updater, versioned, executed_workload(3))
+        dirty = self._merge_publish(updater, versioned, executed_workload(5))
+        assert dirty
+        with versioned.acquire() as lease:
+            for vertex_id in dirty:
+                published = lease.eg.vertex(vertex_id)
+                working = eg.vertex(vertex_id)
+                assert published == working
+                assert published is not working
+                assert type(published) is type(working)
+            # mutating a working record after the publish leaks nothing
+            for vertex_id in dirty:
+                record = eg.vertex(vertex_id)
+                record.frequency += 3
+                record.materialized = not record.materialized
+            for vertex_id in dirty:
+                assert lease.eg.vertex(vertex_id) != eg.vertex(vertex_id)
+
     def test_clean_vertices_share_structure_with_previous_snapshot(self):
         eg, updater, versioned = self._service_side()
         self._merge_publish(updater, versioned, executed_workload(2, source="left"))

@@ -1,5 +1,7 @@
 """Tests for the disk-backed cold tier's on-disk layout."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,51 @@ class TestManifest:
         cold.manifest_path.write_text(text)
         with pytest.raises(ValueError, match="manifest version"):
             DiskColdTier(tmp_path).read_manifest()
+
+
+class TestConcurrentReads:
+    def test_distinct_cold_columns_read_concurrently(self, tmp_path):
+        """``np.load`` parses each header with ``ast``, whose recursion
+        bookkeeping is not thread-safe on CPython 3.11; the race cannot be
+        forced, so this reads many columns from several threads at once
+        and wants every one back intact."""
+        cold = DiskColdTier(tmp_path)
+        expected = {}
+        for index in range(32):
+            values = np.arange(float(index), float(index) + 40)
+            if index % 2:
+                values = np.asarray([f"s{index}-{i}" for i in range(40)], dtype=object)
+            cold.write_column(Column("x", values, f"cid{index}"))
+            expected[f"cid{index}"] = values
+        barrier = threading.Barrier(6)
+        failures = []
+
+        def reader(offset: int) -> None:
+            barrier.wait()
+            try:
+                for round_ in range(20):
+                    for cid in list(expected)[offset::2]:
+                        column = cold.read_column(cid, f"r{round_}")
+                        assert column.column_id == cid
+                        assert np.array_equal(column.values, expected[cid])
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        threads = [threading.Thread(target=reader, args=(i % 2,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert failures == []
+
+    def test_bytes_stored_is_a_running_sum(self, tmp_path):
+        cold = DiskColdTier(tmp_path)
+        cold.write_column(Column("x", np.arange(10.0), "c1"))
+        cold.write_object("m", np.arange(4.0))
+        cold.delete_column("c1")
+        cold.write_column(Column("y", np.arange(3.0), "c2"))
+        assert cold.bytes_stored == 32 + 24
+        cold.write_manifest({"vertices": {}})
+        fresh = DiskColdTier(tmp_path)
+        fresh.read_manifest()
+        assert fresh.bytes_stored == cold.bytes_stored

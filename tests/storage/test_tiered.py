@@ -363,3 +363,138 @@ class TestRunningByteTotals:
             store.put("m", [1.0, 2.0])
             store.remove("a")
         assert tiered.total_bytes == dedup.total_bytes
+
+
+class TestRewarm:
+    """A ``put`` of a held cold vertex promotes it from the payload in hand."""
+
+    @staticmethod
+    def _no_disk_reads(store, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a re-warm must not read the cold tier")
+
+        monkeypatch.setattr(store._cold, "read_column", refuse)
+        monkeypatch.setattr(store._cold, "read_object", refuse)
+
+    def test_frame_rewarms_under_the_stored_lineage_ids(self, tmp_path, monkeypatch):
+        store = TieredArtifactStore(directory=tmp_path)
+        stored = frame_with_ids({"x": ("c1", 10), "y": ("c2", 10)})
+        store.put("v", stored)
+        store.demote("v")
+        self._no_disk_reads(store, monkeypatch)
+        # a rerun rebuilds equal content under fresh lineage ids
+        rerun = DataFrame(
+            [Column("x", np.zeros(10), "fresh1"), Column("y", np.zeros(10), "fresh2")]
+        )
+        assert store.put("v", rerun) == 0
+        assert store.tier_of("v") is StorageTier.HOT
+        assert store.hot_bytes == 160
+        assert (store.stats.rewarms, store.stats.promotions) == (1, 1)
+        got = store.get("v")
+        assert [got.column(n).column_id for n in got.columns] == ["c1", "c2"]
+        assert store.stats.cold_hits == 0
+
+    def test_object_rewarms(self, tmp_path, monkeypatch):
+        store = TieredArtifactStore(directory=tmp_path)
+        store.put("m", np.arange(10.0))
+        store.demote("m")
+        self._no_disk_reads(store, monkeypatch)
+        assert store.put("m", np.arange(10.0)) == 0
+        assert store.tier_of("m") is StorageTier.HOT
+        assert store.hot_bytes == 80
+        assert np.array_equal(store.get("m"), np.arange(10.0))
+
+    def test_shared_hot_column_is_not_charged_twice(self, tmp_path):
+        store = TieredArtifactStore(directory=tmp_path)
+        store.put("a", frame_with_ids({"x": ("shared", 100), "y": ("a1", 100)}))
+        store.put("b", frame_with_ids({"x": ("shared", 100)}))
+        store.demote("a")
+        assert store.hot_bytes == 800  # b keeps the shared column in RAM
+        store.put("a", frame_with_ids({"x": ("other", 100), "y": ("a2", 100)}))
+        assert store.hot_bytes == 1600
+        assert store._hot_column_refs == {"shared": 2, "a1": 1}
+
+    def test_rewarm_respects_the_hot_budget(self, tmp_path):
+        store = TieredArtifactStore(hot_budget_bytes=1000, directory=tmp_path)
+        store.put("a", frame_with_ids({"x": ("ca", 100)}))
+        store.put("b", frame_with_ids({"x": ("cb", 100)}))  # demotes a
+        assert store.tier_of("a") is StorageTier.COLD
+        store.put("a", frame_with_ids({"x": ("ca", 100)}))
+        assert store.tier_of("a") is StorageTier.HOT
+        assert store.tier_of("b") is StorageTier.COLD  # the LRU head made room
+        assert store.hot_bytes <= 1000
+
+    def test_hot_reput_and_divergent_reput_move_nothing(self, tmp_path):
+        store = TieredArtifactStore(directory=tmp_path)
+        store.put("v", frame_with_ids({"x": ("c1", 10)}))
+        store.put("v", frame_with_ids({"x": ("c1", 10)}))
+        assert store.stats.promotions == 0
+        store.demote("v")
+        with pytest.raises(ArtifactDivergenceError):
+            store.put("v", frame_with_ids({"x": ("c1", 11)}))
+        assert store.tier_of("v") is StorageTier.COLD
+        assert store.stats.rewarms == 0
+
+    def test_other_stores_ignore_a_reput(self):
+        store = DedupArtifactStore()
+        store.put("v", frame_with_ids({"x": ("c1", 10)}))
+        assert store.put("v", frame_with_ids({"x": ("fresh", 10)})) == 0
+        assert store.get("v").column("x").column_id == "c1"
+
+
+class TestRunningStatistics:
+    """``statistics()`` keeps running values; they must equal a recount."""
+
+    @staticmethod
+    def _recount(store: TieredArtifactStore) -> dict:
+        tiers = list(store.tiers().values())
+        cold = store._cold
+        return {
+            "cold_bytes": sum(cold._column_bytes.values())
+            + sum(cold._object_bytes.values()),
+            "vertices": len(tiers),
+            "hot_vertices": tiers.count(StorageTier.HOT),
+            "cold_vertices": tiers.count(StorageTier.COLD),
+        }
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_to_a_recount_after_a_seeded_sequence(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        store = TieredArtifactStore(hot_budget_bytes=2000, directory=tmp_path)
+        shared = [f"s{i}" for i in range(4)]
+
+        def payload(vertex: int):
+            if vertex % 3 == 0:
+                return np.arange(float(10 + vertex))
+            columns = {"x": (shared[vertex % 4], 30), "y": (f"own{vertex}", 30)}
+            return frame_with_ids(columns)
+
+        for _step in range(200):
+            vertex = int(rng.integers(12))
+            name, action = f"v{vertex}", int(rng.integers(5))
+            if name not in store:
+                store.put(name, payload(vertex))
+            elif action == 0:
+                store.get(name)
+            elif action == 1:
+                store.remove(name)
+            elif action == 2 and store.tier_of(name) is StorageTier.HOT:
+                store.demote(name)
+            else:  # a re-put: re-warms a cold vertex
+                store.put(name, payload(vertex))
+            stats = store.statistics()
+            assert {key: stats[key] for key in self._recount(store)} == self._recount(
+                store
+            )
+        assert store.stats.rewarms > 0
+
+    def test_reopened_store_counts_every_vertex_cold(self, tmp_path):
+        store = TieredArtifactStore(directory=tmp_path)
+        store.put("f", frame_with_ids({"x": ("c1", 10)}))
+        store.put("m", np.arange(5.0))
+        store.flush()
+        reopened = TieredArtifactStore.open(tmp_path)
+        assert {
+            key: reopened.statistics()[key] for key in self._recount(reopened)
+        } == self._recount(reopened)
+        assert reopened.statistics()["cold_vertices"] == 2
