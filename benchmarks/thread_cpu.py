@@ -32,7 +32,10 @@ into recompute (``Executor._compute_vertex``) and load
 ``TieredArtifactStore._stage_cold_read``), and recomputes are counted per
 workload by operation name and by vertex (the five most frequent of each
 are printed): a stored artifact that is recomputed on every pass shows
-there.  The wrappers cost CPU
+there.  The cold tier is named too: ``TieredArtifactStore.demote`` (inside
+``update_batch`` when a merge's puts overflow the hot budget) contains
+``DiskColdTier.write_column`` / ``write_object``, and a cold read contains
+``DiskColdTier.read_column`` / ``read_object``.  The wrappers cost CPU
 themselves, so read the thread table from a run without them.
 
 Like the harness's own times, every number is read at the reference
@@ -164,7 +167,7 @@ def install_stages() -> StageClock:
     )
     from repro.service.core import EGService
     from repro.service.versioned import VersionedExperimentGraph
-    from repro.storage import TieredArtifactStore
+    from repro.storage import DiskColdTier, TieredArtifactStore
     from repro.transport import wire
     from repro.transport.codec import BinaryWireCodec
 
@@ -176,6 +179,9 @@ def install_stages() -> StageClock:
     clock.count_recomputes(Executor, "_compute_vertex")
     clock.wrap_method(Executor, "_load_vertex")
     clock.wrap_method(TieredArtifactStore, "_stage_cold_read")
+    clock.wrap_method(TieredArtifactStore, "demote")
+    for method in ("write_column", "write_object", "read_column", "read_object"):
+        clock.wrap_method(DiskColdTier, method)
     clock.wrap_method(EGService, "commit")
     clock.wrap_method(UtilityMaterializer, "greedy")
     clock.wrap_method(VersionedExperimentGraph, "publish")

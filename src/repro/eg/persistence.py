@@ -7,11 +7,12 @@ contents to a directory; ``load_eg`` restores them.  Formats:
 * ``graph.json`` — vertices (id, type, f/t/s, materialization flag,
   last-seen workload index, meta, and the recorded column footprint of
   stored content) and edges (op hash/name, input order);
-* ``store/`` — the artifact contents in the incremental on-disk layout of
-  :class:`~repro.storage.disk.DiskColdTier`: one ``.npy`` file per distinct
-  column (keyed by lineage id, so shared columns are serialized once), one
-  pickle per non-frame payload, and a ``manifest.json`` mapping every
-  vertex to its files.  Payloads are this library's own
+* ``store/`` — the artifact contents in the on-disk layout of
+  :class:`~repro.storage.disk.DiskColdTier`: one append-only log holding a
+  record per distinct column (keyed by lineage id, so shared columns are
+  serialized once) and a pickle per non-frame payload, and a
+  ``manifest.json`` naming the log, every record's location and every
+  vertex's layout.  Payloads are this library's own
   ``DataFrame``/estimator objects, produced and consumed locally by the
   server, so pickle's trust model matches the deployment.
 
@@ -140,7 +141,7 @@ def save_eg(eg: ExperimentGraph, directory: str | Path) -> None:
 
 
 def _save_store(store: ArtifactStore, store_dir: Path) -> None:
-    """Write any store's contents in the incremental per-column layout."""
+    """Write any store's contents in the cold tier's log-and-manifest layout."""
     if isinstance(store, TieredArtifactStore):
         # write-through flush: cold content stays on disk, hot content is
         # made durable; nothing is demoted or duplicated into RAM

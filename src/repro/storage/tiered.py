@@ -13,8 +13,8 @@ instead (a *re-warm*, no disk read).
 
 Deduplication is column-granular across both tiers, exactly as in
 :class:`~repro.eg.storage.DedupArtifactStore`: a column shared by several
-materialized artifacts occupies one slot in RAM while hot and one file on
-disk once demoted, and ``put``/``total_bytes`` report
+materialized artifacts occupies one slot in RAM while hot and one record
+in the cold tier's log once demoted, and ``put``/``total_bytes`` report
 the same byte accounting as the in-memory dedup store — tier placement
 never changes *what* is materialized, only *where* it lives and what a
 retrieval costs.
@@ -467,7 +467,11 @@ class TieredArtifactStore(ArtifactStore):
         given directory, leaving this store untouched.
         """
         with self._lock:
-            if directory is None or Path(directory) == self._cold.directory:
+            # one tier per directory: a second tier's manifest would drop
+            # this tier's log, so any spelling of its own directory is in place
+            if directory is None or (
+                Path(directory).resolve() == self._cold.directory.resolve()
+            ):
                 target = self._cold
             else:
                 target = DiskColdTier(directory)

@@ -148,15 +148,26 @@ class TestPersistence:
         save_eg(eg, tmp_path)
         restored = load_eg(tmp_path)
         assert restored.store.total_bytes == eg.store.total_bytes
-        # shared columns serialized once on disk: one .npy per distinct
-        # lineage id, not one per (vertex, column)
-        column_files = list((tmp_path / "store" / "columns").glob("*.npy"))
+        # shared columns serialized once on disk: one record per distinct
+        # lineage id, not one per (vertex, column), and the log holds
+        # exactly those records
+        manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
         distinct_ids = {
             cid
             for layout in eg.store._frame_layout.values()
             for _name, cid in layout
         }
-        assert len(column_files) == len(distinct_ids)
+        assert set(manifest["columns"]) == distinct_ids
+        (log,) = (tmp_path / "store").glob("*.log")
+        assert log.name == manifest["log"]
+        assert log.stat().st_size == sum(
+            entry["length"]
+            for index in ("columns", "objects")
+            for entry in manifest[index].values()
+        )
+        for cid in distinct_ids:
+            stored, _refs = eg.store._columns[cid]
+            assert manifest["columns"][cid]["length"] == stored.values.nbytes
 
     def test_tiered_store_reopens_in_place(self, tmp_path):
         store_dir = tmp_path / "egdir"

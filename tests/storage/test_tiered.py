@@ -1,11 +1,14 @@
 """Tests for the tiered artifact store: contract, movement, persistence."""
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
 from repro.dataframe import Column, DataFrame
 from repro.eg.storage import ArtifactDivergenceError, DedupArtifactStore, StorageTier
-from repro.storage import TieredArtifactStore
+from repro.storage import TieredArtifactStore, disk
 
 
 def frame_with_ids(spec: dict[str, tuple[str, int]]) -> DataFrame:
@@ -183,8 +186,11 @@ class TestEvictionAndPromotion:
         store.put("b", frame_with_ids({"x": ("shared", 100), "z": ("b1", 100)}))
         store.demote("a")
         store.demote("b")
-        column_files = list((tmp_path / "columns").glob("*.npy"))
-        assert len(column_files) == 3  # shared, a1, b1 — not 4
+        # one record per distinct lineage id — shared, a1, b1, not 4 — and
+        # the log holds exactly those records
+        assert set(store._cold.column_sizes) == {"shared", "a1", "b1"}
+        (log,) = tmp_path.glob("*.log")
+        assert log.stat().st_size == 3 * 800
         assert store.cold_bytes == 2400
 
     def test_shared_column_stays_hot_while_referenced(self, tmp_path):
@@ -204,8 +210,14 @@ class TestEvictionAndPromotion:
         store.put("v", frame_with_ids({"x": ("c1", 100)}))
         assert store.tier_of("v") is StorageTier.COLD
         assert store.remove("v") == 800
-        assert not list((tmp_path / "columns").glob("*.npy"))
+        assert not store._cold.has_column("c1")
         assert store.total_bytes == 0
+        # the record's bytes are dead, and a compaction reclaims them
+        (log,) = tmp_path.glob("*.log")
+        assert log.stat().st_size == 800
+        store._cold._compact()
+        (log,) = tmp_path.glob("*.log")
+        assert log.stat().st_size == 0
 
     def test_object_demotion_roundtrip(self, tmp_path):
         store = TieredArtifactStore(hot_budget_bytes=50, directory=tmp_path)
@@ -276,6 +288,19 @@ class TestFlushAndOpen:
         reopened = TieredArtifactStore.open(target)
         assert reopened.get("v") == store.get("v")
 
+    def test_flush_to_own_directory_by_another_spelling_is_in_place(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        store = TieredArtifactStore(hot_budget_bytes=0, directory="live")
+        store.put("v", frame_with_ids({"x": ("c1", 10)}))
+        assert store.flush(tmp_path / "live") == store.directory
+        store.put("w", frame_with_ids({"y": ("c2", 5)}))
+        store.flush()
+        reopened = TieredArtifactStore.open(tmp_path / "live")
+        assert reopened.get("v") == frame_with_ids({"x": ("c1", 10)})
+        assert reopened.get("w") == frame_with_ids({"y": ("c2", 5)})
+
     def test_open_budget_override(self, tmp_path):
         store = TieredArtifactStore(hot_budget_bytes=2000, directory=tmp_path)
         store.put("v", frame_with_ids({"x": ("c1", 100)}))
@@ -293,6 +318,39 @@ class TestFlushAndOpen:
 
         gc.collect()
         assert not directory.exists()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs a per-process fd listing"
+    )
+    def test_dropped_stores_leave_no_descriptor_open(self):
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        for index in range(50):
+            store = TieredArtifactStore(hot_budget_bytes=1000)
+            store.put("a", frame_with_ids({"x": (f"a{index}", 100)}))
+            store.put("m", np.arange(200.0))  # over the budget: demoted
+            store.put("b", frame_with_ids({"x": (f"b{index}", 100)}))
+            assert store.get("a") == frame_with_ids({"x": (f"a{index}", 100)})
+            store.remove("b")
+            store.flush()
+            del store
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_a_pass_leaves_one_log_and_the_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(disk, "_COMPACT_FLOOR_BYTES", 2000)  # compacts often
+        store = TieredArtifactStore(hot_budget_bytes=0, directory=tmp_path)
+        for index in range(200):
+            store.put(f"v{index}", frame_with_ids({"x": (f"c{index}", 50)}))
+            if index % 2:
+                store.remove(f"v{index - 1}")
+        assert len(list(tmp_path.iterdir())) == 1
+        (log,) = tmp_path.iterdir()
+        assert log.stat().st_size <= 2 * store.cold_bytes + 2000
+        for index in range(1, 200, 2):
+            assert store.get(f"v{index}") == frame_with_ids({"x": (f"c{index}", 50)})
+        store.flush()
+        assert sorted(path.suffix for path in tmp_path.iterdir()) == [".json", ".log"]
 
 
 def recomputed_totals(store: TieredArtifactStore) -> tuple[int, int]:
@@ -450,8 +508,11 @@ class TestRunningStatistics:
         tiers = list(store.tiers().values())
         cold = store._cold
         return {
-            "cold_bytes": sum(cold._column_bytes.values())
-            + sum(cold._object_bytes.values()),
+            "cold_bytes": sum(
+                record.nbytes
+                for index in (cold._columns, cold._objects)
+                for record in index.values()
+            ),
             "vertices": len(tiers),
             "hot_vertices": tiers.count(StorageTier.HOT),
             "cold_vertices": tiers.count(StorageTier.COLD),
